@@ -5,26 +5,23 @@
 // The full evaluations are deterministic and expensive (hundreds of
 // simulated conversations), so they are computed once per process and
 // shared across benchmarks; each benchmark prints the paper artifact it
-// regenerates. Micro-benchmarks for the substrates (retrieval, SQL engine,
-// embedding) report real per-operation numbers.
+// regenerates. Micro-benchmarks for the substrates (SQL engine, profiling,
+// one Seeker turn) report real per-operation numbers; the retrieval stack
+// is measured by benchmark/ (see BENCHMARK.json).
 package pneuma_test
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"pneuma/internal/baselines"
 	"pneuma/internal/harness"
-	"pneuma/internal/ir"
 	"pneuma/internal/kramabench"
 	"pneuma/internal/llm"
 	"pneuma/internal/retriever"
 	"pneuma/internal/sqlengine"
-	"pneuma/internal/table"
 
 	"pneuma/internal/core"
 )
@@ -257,25 +254,6 @@ func BenchmarkAblationRetrievalMode(b *testing.B) {
 
 // --- Substrate micro-benchmarks --------------------------------------------
 
-// BenchmarkRetrieverSearch measures hybrid table retrieval over the
-// environment corpus.
-func BenchmarkRetrieverSearch(b *testing.B) {
-	corpus := kramabench.Environment()
-	ret := retriever.New()
-	for _, t := range corpus {
-		if err := ret.IndexTable(context.Background(), t); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ret.Search(context.Background(), "nitrate concentration in river water", 5); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSQLFilteredAggregate measures a filtered aggregate over the 42k
 // row soil table.
 func BenchmarkSQLFilteredAggregate(b *testing.B) {
@@ -359,94 +337,6 @@ func BenchmarkProfile(b *testing.B) {
 		p := soil.BuildProfile()
 		if p.NumCols != 16 {
 			b.Fatal("bad profile")
-		}
-	}
-}
-
-// --- Sharded IR stack benchmarks -------------------------------------------
-
-// ingestCorpusSize is the synthetic corpus size for the ingest benchmarks
-// (≥500 tables so the shard fan-out dominates fixed costs).
-const ingestCorpusSize = 500
-
-func syntheticTables(b *testing.B, n int) []*table.Table {
-	b.Helper()
-	return kramabench.SyntheticSlice(n)
-}
-
-// BenchmarkIngestSequential measures the seed ingest path: a single-shard
-// index built one table at a time on one goroutine.
-func BenchmarkIngestSequential(b *testing.B) {
-	tables := syntheticTables(b, ingestCorpusSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ret := retriever.New(retriever.WithShards(1), retriever.WithWorkers(1))
-		for _, t := range tables {
-			if err := ret.IndexTable(context.Background(), t); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(ingestCorpusSize)*float64(b.N)/b.Elapsed().Seconds(), "tables/sec")
-}
-
-// BenchmarkIngestParallelBulk measures the sharded bulk path: embedding on
-// the worker pool, all shards building concurrently. The acceptance bar is
-// ≥2x over BenchmarkIngestSequential on a multi-core runner.
-func BenchmarkIngestParallelBulk(b *testing.B) {
-	tables := syntheticTables(b, ingestCorpusSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ret := retriever.New()
-		if err := ret.IndexTables(context.Background(), tables); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(ingestCorpusSize)*float64(b.N)/b.Elapsed().Seconds(), "tables/sec")
-}
-
-// BenchmarkRetrievalLatency measures per-query latency on the sharded
-// index over the synthetic corpus, reporting p50 and p99 in microseconds.
-func BenchmarkRetrievalLatency(b *testing.B) {
-	tables := syntheticTables(b, ingestCorpusSize)
-	ret := retriever.New()
-	if err := ret.IndexTables(context.Background(), tables); err != nil {
-		b.Fatal(err)
-	}
-	queries := kramabench.RetrievalQueries()
-	lat := make([]time.Duration, 0, b.N)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		if _, err := ret.Search(context.Background(), queries[i%len(queries)], 10); err != nil {
-			b.Fatal(err)
-		}
-		lat = append(lat, time.Since(start))
-	}
-	b.StopTimer()
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	p := func(q float64) float64 {
-		return float64(lat[int(q*float64(len(lat)-1))]) / float64(time.Microsecond)
-	}
-	b.ReportMetric(p(0.50), "p50-µs")
-	b.ReportMetric(p(0.99), "p99-µs")
-}
-
-// BenchmarkIRQueryCached measures the IR facade's fan-out with the LRU
-// cache warm — the steady-state cost of a repeated Conductor retrieval.
-func BenchmarkIRQueryCached(b *testing.B) {
-	corpus := kramabench.Environment()
-	cfg := core.Config{}
-	sys, err := core.New(context.Background(), cfg, corpus, nil, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	irsys := sys.IR()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := irsys.Query(context.Background(), ir.Request{Query: "nitrate concentration in river water", K: 5}); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

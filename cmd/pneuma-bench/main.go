@@ -8,47 +8,6 @@
 //	pneuma-bench -figure 4   # convergence scatter, archaeology
 //	pneuma-bench -figure 5   # convergence scatter, environment
 //	pneuma-bench -latency    # the latency trade-off
-//
-// Beyond the paper artifacts, -ingest benchmarks the sharded IR stack
-// itself: bulk-ingest throughput (sequential seed path vs. concurrent
-// sharded path) and retrieval latency percentiles on a synthetic corpus:
-//
-//	pneuma-bench -ingest                  # 500-table corpus, memory backend
-//	pneuma-bench -ingest -tables 2000
-//	pneuma-bench -ingest -backend disk    # append-only segment files (+ flush cost)
-//	pneuma-bench -ingest -ef 128          # wider HNSW beam (recall vs. latency)
-//
-// Every -ingest run also writes a machine-readable report (ingest
-// throughput, query latency percentiles, allocs/op) to the -json path, and
-// -baseline diffs the fresh numbers against a previously committed report
-// in benchstat-style columns:
-//
-//	pneuma-bench -ingest -json BENCH_retrieval.json -baseline BENCH_baseline.json
-//
-// -cold measures the disk backend's cold-start path: how long reopening a
-// persisted index takes from its state snapshots (bulk load) versus by
-// full segment replay (graph rebuild), proving snapshot/replay/memory
-// result parity along the way, and merges a cold_start section into the
-// same report:
-//
-//	pneuma-bench -cold                    # 1000-table corpus, temp dir
-//	pneuma-bench -cold -tables 5000 -index-dir ./idx
-//	pneuma-bench -cold -json BENCH_retrieval.json -baseline BENCH_baseline.json
-//
-// -compaction measures what a segment rewrite costs the write path: the
-// same delete-then-stream workload run with the background rewrite
-// (default) and with the inline pre-background behaviour, reporting the
-// max writer stall each mode inflicted and merging a compaction section
-// into the report. Every -ingest run additionally records the machine's
-// detected CPU features and a kernel microbenchmark (dispatched SIMD tier
-// versus forced scalar, every int8 dispatch rung, and batched versus
-// single-call arena kernels) in cpu and kernels sections; -kernels
-// refreshes just those two sections without touching the
-// corpus-dependent ones:
-//
-//	pneuma-bench -compaction
-//	pneuma-bench -compaction -tables 2000 -json BENCH_retrieval.json
-//	pneuma-bench -kernels -json BENCH_retrieval.json
 package main
 
 import (
@@ -57,16 +16,9 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
-	"sort"
-	"time"
 
 	"pneuma/internal/harness"
-	"pneuma/internal/hnsw"
 	"pneuma/internal/kramabench"
-	"pneuma/internal/retriever"
-	"pneuma/internal/table"
 )
 
 func main() {
@@ -76,135 +28,7 @@ func main() {
 	tableN := flag.Int("table", 0, "regenerate one table (1, 2 or 3); 0 = all")
 	figureN := flag.Int("figure", 0, "regenerate one figure (4 or 5); 0 = all")
 	latency := flag.Bool("latency", false, "print only the latency trade-off")
-	ingest := flag.Bool("ingest", false, "benchmark sharded ingest throughput and retrieval latency")
-	cold := flag.Bool("cold", false, "benchmark disk-backend cold start: snapshot open vs replay rebuild")
-	mixed := flag.Bool("mixed", false, "benchmark query latency under a live ingest stream vs read-only")
-	compaction := flag.Bool("compaction", false, "benchmark max writer stall during segment compaction: background vs inline rewrite")
-	serve := flag.Bool("serve", false, "benchmark the HTTP serving layer: over-wire vs in-process latency and shed rate at 2x saturation")
-	satFor := flag.Duration("sat-duration", 2*time.Second, "length of the -serve saturation probe")
-	serveSlots := flag.Int("serve-slots", 4, "scheduler slots (WithMaxConcurrent) for the -serve run")
-	serveQueue := flag.Int("serve-queue", 0, "scheduler queue bound (WithMaxQueue) for the -serve run (0 = same as slots)")
-	readers := flag.Int("readers", 4, "reader goroutines for the -mixed workload")
-	ingestTables := flag.Int("ingest-tables", 0, "tables streamed during the -mixed phase (0 = corpus/4)")
-	think := flag.Duration("think", 5*time.Millisecond, "per-reader sleep between -mixed queries (closed loop with think time)")
-	ingestRate := flag.Float64("ingest-rate", 100, "offered -mixed stream rate in tables/sec (0 = unpaced bulk load)")
-	nTables := flag.Int("tables", 500, "synthetic corpus size for -ingest (-cold defaults to 1000)")
-	shards := flag.Int("shards", 0, "shard count for -ingest/-cold (0 = GOMAXPROCS-derived default)")
-	workers := flag.Int("workers", 0, "embedding workers for -ingest (0 = GOMAXPROCS)")
-	backendName := flag.String("backend", "", "shard backend for -ingest: memory (default) or disk")
-	indexDir := flag.String("index-dir", "", "segment directory for -backend disk and -cold (default: temp dir)")
-	ef := flag.Int("ef", 0, "HNSW query beam width for -ingest (0 = default 64)")
-	rounds := flag.Int("rounds", 25, "query-mix repetitions for the -ingest latency measurement")
-	coldRounds := flag.Int("cold-rounds", 5, "open repetitions per path for the -cold measurement (median reported)")
-	jsonPath := flag.String("json", "BENCH_retrieval.json", "write the -ingest/-cold report here (empty = skip)")
-	baselinePath := flag.String("baseline", "", "diff the -ingest/-cold report against this committed report")
-	quantize := flag.Bool("quantize", false, "add the int8 speed-tier section to -ingest: quantized latency, recall@10 vs unquantized, arena bytes")
-	kernels := flag.Bool("kernels", false, "refresh only the cpu and kernels report sections: single vs batched kernels across every dispatch tier (scalar/SSE2/AVX2, float32 and int8)")
-	mmap := flag.Bool("mmap", false, "use WithMmap for -ingest disk opens; -cold always measures the mmap series where supported")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		fail(err)
-		fail(pprof.StartCPUProfile(f))
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			fail(err)
-			runtime.GC() // report live objects, not garbage awaiting collection
-			fail(pprof.WriteHeapProfile(f))
-			f.Close()
-		}()
-	}
-
-	if *kernels {
-		runKernelsMode(*jsonPath)
-		return
-	}
-
-	if *cold {
-		tables := *nTables
-		if tables == 500 && !flagProvided("tables") {
-			tables = 1000
-		}
-		runColdBench(ctx, coldConfig{
-			tables:   tables,
-			shards:   *shards,
-			rounds:   *coldRounds,
-			indexDir: *indexDir,
-			jsonPath: *jsonPath,
-			baseline: *baselinePath,
-		})
-		return
-	}
-
-	if *compaction {
-		runCompactionBench(ctx, compactionConfig{
-			tables:   *nTables,
-			jsonPath: *jsonPath,
-			baseline: *baselinePath,
-		})
-		return
-	}
-
-	if *serve {
-		runServeBench(ctx, serveConfig{
-			tables:        *nTables,
-			rounds:        *rounds,
-			maxConcurrent: *serveSlots,
-			maxQueue:      *serveQueue,
-			satFor:        *satFor,
-			jsonPath:      *jsonPath,
-			baseline:      *baselinePath,
-		})
-		return
-	}
-
-	if *mixed {
-		backend, err := retriever.ParseBackend(*backendName)
-		fail(err)
-		runMixedBench(ctx, mixedConfig{
-			tables:     *nTables,
-			shards:     *shards,
-			workers:    *workers,
-			backend:    backend,
-			indexDir:   *indexDir,
-			readers:    *readers,
-			ingestN:    *ingestTables,
-			ingestRate: *ingestRate,
-			rounds:     *rounds,
-			think:      *think,
-			jsonPath:   *jsonPath,
-			baseline:   *baselinePath,
-		})
-		return
-	}
-
-	if *ingest {
-		backend, err := retriever.ParseBackend(*backendName)
-		fail(err)
-		runIngestBench(ctx, ingestConfig{
-			tables:   *nTables,
-			shards:   *shards,
-			workers:  *workers,
-			backend:  backend,
-			indexDir: *indexDir,
-			ef:       *ef,
-			rounds:   *rounds,
-			jsonPath: *jsonPath,
-			baseline: *baselinePath,
-			quantize: *quantize,
-			mmap:     *mmap,
-		})
-		return
-	}
 
 	wantAll := *tableN == 0 && *figureN == 0 && !*latency
 
@@ -266,309 +90,5 @@ func fail(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pneuma-bench:", err)
 		os.Exit(1)
-	}
-}
-
-// flagProvided reports whether the named flag was set explicitly.
-func flagProvided(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-// ingestConfig bundles the -ingest workload knobs.
-type ingestConfig struct {
-	tables   int
-	shards   int
-	workers  int
-	backend  retriever.Backend
-	indexDir string
-	ef       int
-	rounds   int
-	jsonPath string
-	baseline string
-	quantize bool
-	mmap     bool
-}
-
-// runIngestBench compares the sequential seed ingest path (one shard, one
-// worker, one table at a time) against the concurrent sharded bulk path on
-// the same synthetic corpus, then reports retrieval latency percentiles
-// and per-query heap traffic on the sharded index. The parallel index uses
-// the selected backend; for the disk backend the flush (fsync) cost is
-// reported separately so ingest throughput stays comparable with the
-// memory backend. The measurements are written to cfg.jsonPath and, when
-// cfg.baseline names a committed report, diffed against it.
-func runIngestBench(ctx context.Context, cfg ingestConfig) {
-	if cfg.rounds < 1 {
-		cfg.rounds = 1
-	}
-	n := cfg.tables
-	tables := kramabench.SyntheticSlice(n)
-
-	fmt.Printf("Ingest benchmark: %d synthetic tables (%s backend)\n\n", n, cfg.backend)
-
-	seq := retriever.New(retriever.WithShards(1), retriever.WithWorkers(1))
-	start := time.Now()
-	for _, t := range tables {
-		fail(seq.IndexTable(ctx, t))
-	}
-	seqDur := time.Since(start)
-
-	popts := []retriever.Option{retriever.WithBackend(cfg.backend)}
-	if cfg.shards > 0 {
-		popts = append(popts, retriever.WithShards(cfg.shards))
-	}
-	if cfg.workers > 0 {
-		popts = append(popts, retriever.WithWorkers(cfg.workers))
-	}
-	if cfg.indexDir != "" {
-		popts = append(popts, retriever.WithDir(cfg.indexDir))
-	}
-	if cfg.ef > 0 {
-		popts = append(popts, retriever.WithEf(cfg.ef))
-	}
-	if cfg.mmap {
-		popts = append(popts, retriever.WithMmap(true))
-	}
-	par, err := retriever.Open(popts...)
-	fail(err)
-	if par.Len() > 0 {
-		// A pre-populated index would turn the timed ingest into
-		// replacement writes over replayed state — not the workload the
-		// numbers claim to measure.
-		fmt.Fprintf(os.Stderr, "pneuma-bench: index dir %s already holds %d documents; point -index-dir at a fresh directory\n",
-			par.Dir(), par.Len())
-		os.Exit(2)
-	}
-	start = time.Now()
-	fail(par.IndexTables(ctx, tables))
-	parDur := time.Since(start)
-
-	fmt.Printf("  sequential (1 shard, 1 worker):  %8v  %7.0f tables/sec\n",
-		seqDur.Round(time.Millisecond), float64(n)/seqDur.Seconds())
-	fmt.Printf("  parallel   (%d shards, pooled):   %8v  %7.0f tables/sec\n",
-		par.NumShards(), parDur.Round(time.Millisecond), float64(n)/parDur.Seconds())
-	fmt.Printf("  speedup: %.2fx\n", seqDur.Seconds()/parDur.Seconds())
-	if cfg.backend == retriever.Disk {
-		start = time.Now()
-		fail(par.Flush())
-		fmt.Printf("  flush (fsync %d segment files): %8v   [%s]\n",
-			par.NumShards(), time.Since(start).Round(time.Millisecond), par.Dir())
-	}
-	fmt.Println()
-
-	queries := kramabench.RetrievalQueries()
-	const k = 10
-	// Warm-up pass: fault in the scratch pools and stabilize the caches so
-	// the measured loop sees steady state, which is what allocs/op claims.
-	for _, q := range queries {
-		if _, err := par.Search(ctx, q, k); err != nil {
-			fail(err)
-		}
-	}
-	// The measured loop runs under a non-cancellable context on purpose:
-	// that is the allocation-free steady-state serving path whose
-	// allocs/op the committed reports claim (a cancellable context buys
-	// prompt abandonment at the cost of a completion channel per query).
-	bgCtx := context.Background()
-	lat := make([]time.Duration, 0, cfg.rounds*len(queries))
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	for r := 0; r < cfg.rounds; r++ {
-		for _, q := range queries {
-			qs := time.Now()
-			if _, err := par.Search(bgCtx, q, k); err != nil {
-				fail(err)
-			}
-			lat = append(lat, time.Since(qs))
-		}
-	}
-	runtime.ReadMemStats(&ms1)
-	nq := len(lat)
-	allocsPerOp := float64(ms1.Mallocs-ms0.Mallocs) / float64(nq)
-	bytesPerOp := float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(nq)
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	p := func(q float64) time.Duration { return lat[int(q*float64(len(lat)-1))] }
-	fmt.Printf("Retrieval latency over %d queries (k=%d, %d shards, ef=%d):\n", nq, k, par.NumShards(), par.Ef())
-	fmt.Printf("  p50 %v   p99 %v   max %v\n",
-		p(0.50).Round(time.Microsecond), p(0.99).Round(time.Microsecond), lat[nq-1].Round(time.Microsecond))
-	fmt.Printf("  %.0f allocs/op   %.0f bytes/op\n", allocsPerOp, bytesPerOp)
-	fmt.Println()
-
-	report := benchReport{
-		GeneratedAt: nowStamp(),
-		Corpus:      n,
-		Shards:      par.NumShards(),
-		Backend:     string(cfg.backend),
-		Ef:          par.Ef(),
-		CPU:         cpuSection(),
-		Kernels:     runKernelSection(),
-		Ingest: ingestStats{
-			SeqTablesPerSec: float64(n) / seqDur.Seconds(),
-			ParTablesPerSec: float64(n) / parDur.Seconds(),
-			Speedup:         seqDur.Seconds() / parDur.Seconds(),
-		},
-		Query: queryStats{
-			Count:       nq,
-			K:           k,
-			P50Micros:   float64(p(0.50)) / float64(time.Microsecond),
-			P99Micros:   float64(p(0.99)) / float64(time.Microsecond),
-			MaxMicros:   float64(lat[nq-1]) / float64(time.Microsecond),
-			AllocsPerOp: allocsPerOp,
-			BytesPerOp:  bytesPerOp,
-		},
-	}
-	if cfg.quantize {
-		report.Quantized = runQuantSection(ctx, cfg, tables, queries, k)
-	}
-	if cfg.baseline != "" {
-		// Re-read the baseline at report time (never a copy captured
-		// earlier in the run) and refuse a shape mismatch outright — a
-		// silently diffed wrong-shape baseline is how stale numbers drift
-		// into committed reports.
-		old, err := loadReport(cfg.baseline)
-		fail(err)
-		fail(checkBaselineShape(old, report))
-		old.Baseline = nil
-		report.Baseline = &old
-		fmt.Println()
-		compareReports(old, report)
-	}
-	if cfg.jsonPath != "" {
-		// Preserve sections a previous run of the other mode recorded in
-		// the same report file.
-		if prev, err := loadReport(cfg.jsonPath); err == nil {
-			if prev.ColdStart != nil {
-				report.ColdStart = prev.ColdStart
-			}
-			if report.Quantized == nil && prev.Quantized != nil {
-				report.Quantized = prev.Quantized
-			}
-			if prev.Mixed != nil {
-				report.Mixed = prev.Mixed
-			}
-			if prev.Compaction != nil {
-				report.Compaction = prev.Compaction
-			}
-			if prev.Serving != nil {
-				report.Serving = prev.Serving
-			}
-		}
-		fail(writeReport(cfg.jsonPath, report))
-		fmt.Printf("\nreport written to %s\n", cfg.jsonPath)
-	}
-}
-
-// runQuantSection measures the int8 speed tier against the same corpus
-// and query mix as the main -ingest run: hybrid latency and heap traffic
-// on a quantized index, vector-only recall@10 against the unquantized
-// index (hybrid RRF would mask vector-side differences), and the arena
-// footprint of both representations. Always memory-backed — the tier
-// changes the query path, not storage, and this keeps the section
-// comparable across -backend choices.
-func runQuantSection(ctx context.Context, cfg ingestConfig, tables []*table.Table, queries []string, k int) *quantStats {
-	fmt.Println()
-	fmt.Printf("Quantized speed tier (int8 traversal, float32 rescore ×%d):\n", hnsw.DefaultRescoreFactor)
-
-	qopts := []retriever.Option{retriever.WithQuantize(true)}
-	if cfg.shards > 0 {
-		qopts = append(qopts, retriever.WithShards(cfg.shards))
-	}
-	if cfg.workers > 0 {
-		qopts = append(qopts, retriever.WithWorkers(cfg.workers))
-	}
-	if cfg.ef > 0 {
-		qopts = append(qopts, retriever.WithEf(cfg.ef))
-	}
-	quant := retriever.New(qopts...)
-	defer quant.Close()
-	fail(quant.IndexTables(ctx, tables))
-
-	bgCtx := context.Background()
-	for _, q := range queries {
-		_, err := quant.Search(bgCtx, q, k)
-		fail(err)
-	}
-	// Drain the ingest's garbage before timing: on a small machine a
-	// background mark phase left over from the bulk build lands on the
-	// tail percentiles of the measured loop otherwise.
-	runtime.GC()
-	lat := make([]time.Duration, 0, cfg.rounds*len(queries))
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	for r := 0; r < cfg.rounds; r++ {
-		for _, q := range queries {
-			qs := time.Now()
-			if _, err := quant.Search(bgCtx, q, k); err != nil {
-				fail(err)
-			}
-			lat = append(lat, time.Since(qs))
-		}
-	}
-	runtime.ReadMemStats(&ms1)
-	nq := len(lat)
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	p := func(q float64) time.Duration { return lat[int(q*float64(len(lat)-1))] }
-
-	// Vector-only recall@10: two fresh indexes differing only in the knob.
-	vopts := append(qopts[1:len(qopts):len(qopts)], retriever.WithMode(retriever.ModeVectorOnly))
-	plainV := retriever.New(vopts...)
-	defer plainV.Close()
-	quantV := retriever.New(append(vopts, retriever.WithQuantize(true))...)
-	defer quantV.Close()
-	fail(plainV.IndexTables(ctx, tables))
-	fail(quantV.IndexTables(ctx, tables))
-	var hit, total int
-	for _, q := range queries {
-		exact, err := plainV.Search(bgCtx, q, k)
-		fail(err)
-		approx, err := quantV.Search(bgCtx, q, k)
-		fail(err)
-		want := make(map[string]bool, len(exact))
-		for _, d := range exact {
-			want[d.ID] = true
-		}
-		for _, d := range approx {
-			if want[d.ID] {
-				hit++
-			}
-		}
-		total += len(exact)
-	}
-	recall := 1.0
-	if total > 0 {
-		recall = float64(hit) / float64(total)
-	}
-
-	fBytes, qBytes := quant.ArenaBytes()
-	ratio := 0.0
-	if fBytes > 0 {
-		ratio = float64(qBytes) / float64(fBytes)
-	}
-	fmt.Printf("  p50 %v   p99 %v   %.0f allocs/op\n",
-		p(0.50).Round(time.Microsecond), p(0.99).Round(time.Microsecond),
-		float64(ms1.Mallocs-ms0.Mallocs)/float64(nq))
-	fmt.Printf("  recall@%d vs unquantized: %.4f (vector-only, %d queries)\n", k, recall, len(queries))
-	fmt.Printf("  arena: float32 %.1f MiB → int8 %.1f MiB (%.0f%%)\n",
-		float64(fBytes)/(1<<20), float64(qBytes)/(1<<20), ratio*100)
-
-	return &quantStats{
-		Count:             nq,
-		K:                 k,
-		RescoreFactor:     hnsw.DefaultRescoreFactor,
-		P50Micros:         float64(p(0.50)) / float64(time.Microsecond),
-		P99Micros:         float64(p(0.99)) / float64(time.Microsecond),
-		MaxMicros:         float64(lat[nq-1]) / float64(time.Microsecond),
-		AllocsPerOp:       float64(ms1.Mallocs-ms0.Mallocs) / float64(nq),
-		BytesPerOp:        float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(nq),
-		RecallAt10:        recall,
-		Float32ArenaBytes: fBytes,
-		Int8ArenaBytes:    qBytes,
-		ArenaRatio:        ratio,
 	}
 }

@@ -13,8 +13,8 @@ import (
 	"pneuma/internal/table"
 )
 
-// Report bundles everything pneuma-bench and the testing benches print:
-// one reproduction of every table and figure in the paper.
+// Report bundles the paper artifacts cmd/pneuma-bench and the root
+// bench_test.go print: one reproduction of every table and figure.
 type Report struct {
 	Dataset      string
 	Table1       Table1Row

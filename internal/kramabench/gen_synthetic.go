@@ -76,7 +76,7 @@ func Synthetic(n int) map[string]*table.Table {
 }
 
 // SyntheticSlice returns Synthetic(n) as a slice sorted by table name —
-// the canonical deterministic ingest order the benchmarks and CLIs share.
+// a deterministic ingest order.
 func SyntheticSlice(n int) []*table.Table {
 	corpus := Synthetic(n)
 	names := make([]string, 0, len(corpus))
@@ -89,17 +89,4 @@ func SyntheticSlice(n int) []*table.Table {
 		out = append(out, corpus[name])
 	}
 	return out
-}
-
-// RetrievalQueries returns the canonical query mix over the synthetic
-// corpus domains, shared by the retrieval-latency benchmarks and
-// `pneuma-bench -ingest` so CLI reports and the benchmark suite measure
-// the same workload.
-func RetrievalQueries() []string {
-	return []string{
-		"freight container transit from port", "turbine output capacity",
-		"warehouse stock levels and reorder", "rainfall readings by station",
-		"portfolio yield and maturity", "clinic admission wait times",
-		"Malta region records", "gross tonnage of vessels",
-	}
 }

@@ -82,9 +82,9 @@ type CompactionStats struct {
 }
 
 // CompactionStats returns cumulative compaction counters across all
-// shards, the compaction benchmark's metric (mirroring Fsyncs for group
-// commit): background mode is the claim that MaxStall stays bounded by
-// one catch-up slice while Runs and Reclaimed match the inline path.
+// shards (mirroring Fsyncs for group commit); Service.Stats and the
+// server's /metrics report them. A background rewrite keeps MaxStall
+// bounded by one catch-up slice; an inline one counts its whole duration.
 func (r *Retriever) CompactionStats() CompactionStats {
 	var cs CompactionStats
 	for _, s := range r.shards {
@@ -110,12 +110,6 @@ func (b *diskBackend) noteCompaction(reclaimed int64, stall time.Duration) {
 	}
 }
 
-// backgroundCompaction reports whether due compactions should be handed
-// to the flusher goroutine instead of running inline.
-func (b *diskBackend) backgroundCompaction() bool {
-	return b.knobs.background && b.knobs.gc != nil
-}
-
 // scheduleCompactLocked marks the shard as wanting a background rewrite
 // and wakes the flusher; if one is already scheduled or running it just
 // returns the existing completion channel (shard lock held).
@@ -129,11 +123,11 @@ func (b *diskBackend) scheduleCompactLocked() chan struct{} {
 }
 
 // flushLocked is Retriever.Flush's per-shard first half (shard lock
-// held): surface parked flusher errors, fsync, and either hand a due
-// compaction to the flusher — returning a channel that closes when it
-// commits — or run it inline when background compaction is off. The
-// snapshot is deferred to finishFlushLocked when a rewrite is pending,
-// because the rewrite is about to invalidate it.
+// held): surface parked flusher errors, fsync, and hand a due compaction
+// to the flusher, returning a channel that closes when it commits (a
+// Retriever always has the coordinator scheduleCompactLocked signals).
+// The snapshot is deferred to finishFlushLocked when a rewrite is
+// pending, because the rewrite is about to invalidate it.
 func (b *diskBackend) flushLocked() (<-chan struct{}, error) {
 	if err := b.takeAsyncErr(); err != nil {
 		return nil, err
@@ -142,14 +136,9 @@ func (b *diskBackend) flushLocked() (<-chan struct{}, error) {
 		return nil, err
 	}
 	if b.shouldCompact() {
-		if b.backgroundCompaction() {
-			return b.scheduleCompactLocked(), nil
-		}
-		if err := b.compact(); err != nil {
-			return nil, err
-		}
+		return b.scheduleCompactLocked(), nil
 	}
-	if b.knobs.snapshot && b.segSize != b.snapSize {
+	if b.segSize != b.snapSize {
 		return nil, b.writeSnapshot()
 	}
 	return nil, nil
@@ -164,7 +153,7 @@ func (b *diskBackend) finishFlushLocked() error {
 	if err := b.takeAsyncErr(); err != nil {
 		return err
 	}
-	if b.knobs.snapshot && b.segSize != b.snapSize {
+	if b.segSize != b.snapSize {
 		if err := b.syncSegment(); err != nil {
 			return err
 		}

@@ -3,10 +3,14 @@ package retriever
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"pneuma/internal/bm25"
 	"pneuma/internal/docs"
+	"pneuma/internal/embed"
+	"pneuma/internal/kramabench"
 )
 
 // waitForCompactions polls until the retriever has completed at least n
@@ -191,36 +195,73 @@ func TestBackgroundCompactionUnderIngest(t *testing.T) {
 	}
 }
 
-// TestInlineCompactionMode verifies WithBackgroundCompaction(false)
-// restores the old inline behaviour — the segment still shrinks at Flush,
-// and the stall metric records the full under-lock rewrite.
+// TestInlineCompactionMode drives a disk shard opened without a
+// group-commit coordinator — the inline path, which is also Close's once
+// the flusher has stopped: Flush rewrites the segment under the caller's
+// lock, the stall metric records the whole rewrite, and a reopen answers
+// like a fresh index over the survivors.
 func TestInlineCompactionMode(t *testing.T) {
 	dir := t.TempDir()
-	tables := corpusSlice(32)
-	r, err := Open(WithShards(1), WithBackend(Disk), WithDir(dir), WithBackgroundCompaction(false))
+	// Lay out a one-shard index (manifest, lock released), then drive the
+	// shard's backend directly.
+	r, err := Open(WithShards(1), WithBackend(Disk), WithDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	if err := r.IndexTables(context.Background(), tables); err != nil {
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Flush(); err != nil {
+	emb := embed.New()
+	seg := filepath.Join(dir, "shard-0000.seg")
+	b, err := openDiskBackend(seg, filepath.Join(dir, "shard-0000.snap"), emb.Dim(), hnswSeed, bm25.NewStats(), 0,
+		diskKnobs{compactRatio: DefaultCompactionRatio})
+	if err != nil {
 		t.Fatal(err)
 	}
-	before := totalSize(t, shardFiles(t, dir, ".seg"))
+	// Name order is the order Retriever.IndexTables inserts in, so the
+	// survivors below replay in the fresh oracle's order.
+	tables := kramabench.SyntheticSlice(32)
+	for _, tb := range tables {
+		d := docs.TableDocument(tb)
+		if err := b.Index(d, emb.Embed(d.Content)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	before := totalSize(t, []string{seg})
 	for _, tb := range tables[:16] {
-		r.Delete("table:" + tb.Schema.Name)
+		if !b.Delete("table:" + tb.Schema.Name) {
+			t.Fatalf("delete %s failed", tb.Schema.Name)
+		}
 	}
-	if err := r.Flush(); err != nil {
+	if err := b.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	after := totalSize(t, shardFiles(t, dir, ".seg"))
+	after := totalSize(t, []string{seg})
 	if after > before*6/10 {
 		t.Fatalf("inline compaction did not shrink segment: %d -> %d bytes", before, after)
 	}
-	cs := r.CompactionStats()
-	if cs.Runs == 0 || cs.Reclaimed <= 0 || cs.MaxStall <= 0 {
-		t.Fatalf("inline compaction stats incomplete: %+v", cs)
+	if b.compactRuns == 0 || b.compactReclaim <= 0 || b.compactMaxStall <= 0 {
+		t.Fatalf("inline compaction stats incomplete: runs %d, reclaimed %d, max stall %v",
+			b.compactRuns, b.compactReclaim, b.compactMaxStall)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := New(WithShards(1))
+	defer fresh.Close()
+	if err := fresh.IndexTables(context.Background(), tables[16:]); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(WithBackend(Disk), WithDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for _, q := range parityQueries {
+		assertSameResults(t, "inline+reopened "+q, mustSearch(t, fresh, q, 10), mustSearch(t, re, q, 10))
 	}
 }

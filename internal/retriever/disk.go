@@ -151,19 +151,15 @@ type diskKnobs struct {
 	// compactRatio is the dead-record fraction that triggers a compaction
 	// rewrite at Flush/Close. Callers pass a value > 1 to disable.
 	compactRatio float64
-	// snapshot enables writing a state snapshot on Flush/Close.
-	snapshot bool
 	// quantize enables the int8 quantized HNSW query path; quantized
 	// arenas are persisted in snapshots so a reopen bulk-loads them.
 	quantize bool
 	// mmap makes snapshot loads map the file instead of reading it.
 	mmap bool
-	// background moves due compactions off the write path onto the
-	// group-commit flusher goroutine (see compact.go); off, they run
-	// inline under the shard lock at Flush/Close as before.
-	background bool
 	// gc is the retriever-wide group-commit coordinator; nil only for
-	// backends opened outside a Retriever (see groupcommit.go).
+	// backends opened outside a Retriever (see groupcommit.go). Its
+	// flusher goroutine also runs due compactions off the write path (see
+	// compact.go); without one they run inline under the shard lock.
 	gc *groupCommit
 }
 
@@ -191,7 +187,7 @@ type diskBackend struct {
 	// Group-commit state, guarded by the shard lock like everything else:
 	// records/bytes appended since the last fsync, the first asynchronous
 	// sync error (surfaced at the next Flush/Close), and the cumulative
-	// fsync count (the group-commit benchmark's metric).
+	// fsync count (Retriever.Fsyncs).
 	pendingRecs  int
 	pendingBytes int64
 	syncErr      error
@@ -309,7 +305,7 @@ func openDiskBackend(path, snapPath string, dim int, seed int64, st *bm25.Stats,
 		records:       recs + replayed,
 		snapMap:       snapMap,
 	}
-	if repairSnap && knobs.snapshot {
+	if repairSnap {
 		if err := b.writeSnapshot(); err != nil {
 			return fail(err)
 		}
@@ -465,12 +461,16 @@ func (b *diskBackend) appendRecord() error {
 	}
 	b.segSize += rec
 	b.records++
-	if gc := b.knobs.gc; gc != nil && gc.sync {
+	gc := b.knobs.gc
+	if gc == nil {
+		return nil
+	}
+	if gc.sync {
 		b.pendingRecs++
 		b.pendingBytes += rec
 		gc.signal(gc.tripped(b.pendingRecs, b.pendingBytes))
 	}
-	if b.backgroundCompaction() && b.compactDone == nil && b.shouldCompact() {
+	if b.compactDone == nil && b.shouldCompact() {
 		b.scheduleCompactLocked()
 	}
 	return nil
@@ -567,14 +567,15 @@ func (b *diskBackend) syncSegment() error {
 }
 
 // Flush makes the shard durable inline, entirely under the caller's shard
-// lock: the segment is drained and fsynced, then — per the configured
-// policy — a compaction rewrite runs when the dead-record fraction crosses
-// the threshold, and a fresh snapshot is written when records were
-// appended since the last one. Any sync or background-compaction error
-// parked by the flusher since the last Flush surfaces here first.
+// lock: the segment is drained and fsynced, then a compaction rewrite
+// runs when the dead-record fraction crosses the threshold, and a fresh
+// snapshot is written when records were appended since the last one. Any
+// sync or background-compaction error parked by the flusher since the last
+// Flush surfaces here first.
 //
-// This is the Close path (and the whole story with background compaction
-// off). Retriever.Flush instead goes through flushLocked/finishFlushLocked
+// This is the Close path, once the flusher has stopped (and the whole
+// story for a backend opened without a group-commit coordinator).
+// Retriever.Flush instead goes through flushLocked/finishFlushLocked
 // (compact.go) so a due compaction runs on the flusher goroutine while the
 // shard keeps serving writes.
 func (b *diskBackend) Flush() error {
@@ -589,7 +590,7 @@ func (b *diskBackend) Flush() error {
 			return err
 		}
 	}
-	if b.knobs.snapshot && b.segSize != b.snapSize {
+	if b.segSize != b.snapSize {
 		return b.writeSnapshot()
 	}
 	return nil
@@ -646,10 +647,7 @@ func (b *diskBackend) compact() error {
 		return err
 	}
 	b.noteCompaction(before-recs, time.Since(start))
-	if b.knobs.snapshot {
-		return b.writeSnapshot()
-	}
-	return nil
+	return b.writeSnapshot()
 }
 
 // swapSegment retargets the shard's write state at the freshly renamed

@@ -98,11 +98,11 @@ func TestSnapshotReplayParity(t *testing.T) {
 		}
 		snap.Close()
 
-		// Replay path: delete the snapshots, disable rewriting.
+		// Replay path: delete the snapshots.
 		for _, f := range shardFiles(t, dir, ".snap") {
 			os.Remove(f)
 		}
-		replay, err := Open(WithBackend(Disk), WithDir(dir), WithSnapshotOnFlush(false))
+		replay, err := Open(WithBackend(Disk), WithDir(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,9 +131,18 @@ func TestSnapshotSkipsReplayAboveWatermark(t *testing.T) {
 	dir := t.TempDir()
 	tables := buildDiskIndex(t, dir, 32, 2)
 
-	// Reopen (snapshot load) and append more documents, then close with
-	// snapshots disabled so the tail stays above the watermark.
-	r, err := Open(WithBackend(Disk), WithDir(dir), WithSnapshotOnFlush(false))
+	// Save the snapshots, reopen (snapshot load), append more documents and
+	// close, then put the saved snapshots back: same generation, older
+	// watermark, so the tail sits above it.
+	saved := make(map[string][]byte)
+	for _, f := range shardFiles(t, dir, ".snap") {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved[f] = data
+	}
+	r, err := Open(WithBackend(Disk), WithDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +156,11 @@ func TestSnapshotSkipsReplayAboveWatermark(t *testing.T) {
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+	for f, data := range saved {
+		if err := os.WriteFile(f, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	re, err := Open(WithBackend(Disk), WithDir(dir))

@@ -89,8 +89,7 @@
 // documents under a new generation and rebuilds the in-memory state to
 // match a replay of the rewritten log — the HNSW graph is reconstructed
 // without its tombstoned nodes, so post-compaction results are those of a
-// fresh index over the surviving corpus. WithSnapshotOnFlush(false)
-// disables snapshot writes (slower cold starts, cheaper flushes).
+// fresh index over the surviving corpus.
 //
 // While open, the Disk backend holds an advisory lock file (PID inside)
 // in the index directory: a second process opening the same directory

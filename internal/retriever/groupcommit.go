@@ -149,9 +149,10 @@ func (r *Retriever) syncPendingShards() {
 }
 
 // Fsyncs returns the cumulative number of segment-file fsyncs across all
-// disk shards (0 for the Memory backend). The group-commit benchmark uses
-// it to show N writers sharing one barrier; it also counts the syncs
-// issued by Flush/Close and the deprecated count-based trigger.
+// disk shards (0 for the Memory backend), reported by Service.Stats and
+// the server's /metrics. Under a group-commit policy N writers share one
+// barrier, so it grows slower than the record count; it also counts the
+// syncs issued by Flush/Close and the deprecated count-based trigger.
 func (r *Retriever) Fsyncs() uint64 {
 	var n uint64
 	for _, s := range r.shards {

@@ -187,12 +187,10 @@ func openLegacyDiskBackend(path, snapPath string, dim int, seed int64, st *bm25.
 		records:       recs,
 	}
 	// A pre-binary index never has a snapshot; write one now so the next
-	// open is a bulk load. Honour the knob for callers that disabled it.
-	if knobs.snapshot {
-		if err := b.writeSnapshot(); err != nil {
-			nf.Close()
-			return nil, err
-		}
+	// open is a bulk load.
+	if err := b.writeSnapshot(); err != nil {
+		nf.Close()
+		return nil, err
 	}
 	return b, nil
 }

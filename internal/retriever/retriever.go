@@ -93,14 +93,12 @@ type Retriever struct {
 	dir       string
 	ef        int
 	// Disk-backend policy knobs (see WithSyncEvery, WithSyncBytes,
-	// WithSyncInterval, WithCompactionRatio, WithSnapshotOnFlush,
-	// WithMmap); ignored by the Memory backend.
+	// WithSyncInterval, WithCompactionRatio, WithMmap); ignored by the
+	// Memory backend.
 	syncEvery    int
 	syncBytes    int64
 	syncInterval time.Duration
 	compactRatio float64
-	noSnapshot   bool
-	noBgCompact  bool
 	useMmap      bool
 	// quantize enables the int8 speed tier on every shard's HNSW index
 	// (see WithQuantize); honoured by both backends.
@@ -301,32 +299,6 @@ func WithCompactionRatio(ratio float64) Option {
 	return func(r *Retriever) { r.compactRatio = ratio }
 }
 
-// WithBackgroundCompaction toggles running due segment compactions on the
-// retriever's flusher goroutine instead of inline under the shard writer
-// lock (default on). In background mode a rewrite proceeds as an
-// incremental shadow rebuild that takes each shard's lock only in short
-// slices, so concurrent writers stall for at most one slice's work
-// instead of the whole rewrite; Flush still waits for a rewrite it
-// triggers, so its post-conditions (compacted segment, fresh snapshot)
-// are unchanged. A compaction can also start between Flushes, as soon as
-// the dead-record fraction crosses the WithCompactionRatio threshold.
-// Turning it off restores the inline behaviour: compaction runs under the
-// lock at Flush/Close only. The Memory backend ignores the knob.
-func WithBackgroundCompaction(on bool) Option {
-	return func(r *Retriever) { r.noBgCompact = !on }
-}
-
-// WithSnapshotOnFlush toggles writing a per-shard state snapshot on
-// Flush/Close (default on). With a current snapshot, reopening the index
-// bulk-loads the built HNSW/BM25 state and replays only the records
-// appended after it — O(read) instead of O(rebuild). Disabling trades
-// slower cold starts for cheaper flushes; the segment log alone remains a
-// complete, durable copy of the index. The Memory backend ignores the
-// knob.
-func WithSnapshotOnFlush(on bool) Option {
-	return func(r *Retriever) { r.noSnapshot = !on }
-}
-
 // Open creates a retriever, loading any existing index when the Disk
 // backend points at a directory with persisted segments. This is the
 // error-returning constructor; New is the panicking convenience wrapper
@@ -382,10 +354,8 @@ func Open(opts ...Option) (*Retriever, error) {
 		r.gc = newGroupCommit(r.syncEvery, r.syncBytes, r.syncInterval)
 		knobs := diskKnobs{
 			compactRatio: r.compactRatio,
-			snapshot:     !r.noSnapshot,
 			quantize:     r.quantize,
 			mmap:         r.useMmap,
-			background:   !r.noBgCompact,
 			gc:           r.gc,
 		}
 		switch {
@@ -526,8 +496,7 @@ func (r *Retriever) release() { r.refs.Add(-1) }
 // compaction a Flush triggers publishes its rebuilt state by atomic view
 // swap, and in-flight queries finish on their pinned pre-flush views.
 //
-// With background compaction on (the default), a shard whose dead-record
-// fraction crosses the threshold is handed to the flusher goroutine and
+// A shard whose dead-record fraction crosses the threshold is handed to the flusher goroutine and
 // Flush waits for the rewrite without holding any shard lock — writers
 // and searches proceed while Flush blocks, and Flush's post-conditions
 // (compacted segment, current snapshot) still hold when it returns. If
@@ -625,8 +594,9 @@ func (r *Retriever) Version() uint64 { return r.version.Load() }
 // ArenaBytes returns the total bytes held by the float32 vector arenas
 // and by the int8 quantized arenas (including their per-vector scale,
 // offset and sum arrays) across all shards. The int8 total is 0 unless
-// WithQuantize is on; the benchmark harness reports the ratio as the
-// memory cost of the speed tier.
+// WithQuantize is on, where their ratio is the memory cost of the speed
+// tier. The referee in benchmark/ reads the float32 total as
+// retriever.arena_mb.
 func (r *Retriever) ArenaBytes() (float32Bytes, int8Bytes int64) {
 	for _, s := range r.shards {
 		if mb, ok := s.be.(interface{ arenaBytes() (int, int) }); ok {

@@ -62,7 +62,7 @@ func speedTierParity(t *testing.T, extra ...Option) {
 		for _, f := range shardFiles(t, dir, ".snap") {
 			os.Remove(f)
 		}
-		replayRes := open("replay", WithSnapshotOnFlush(false))
+		replayRes := open("replay")
 
 		for _, q := range parityQueries {
 			assertSameResults(t, fmt.Sprintf("%d shards mmap-vs-readfile %q", shards, q), mmapRes[q], snapRes[q])

@@ -191,6 +191,6 @@ func Int8Tiers() []string {
 
 // Features returns the detected CPU features relevant to kernel dispatch
 // (e.g. "avx2", "fma" on amd64; "neon" on arm64; empty on other
-// architectures). Benchmark reports record it so kernel numbers are
-// honestly comparable across machines.
+// architectures), for logging beside kernel numbers so they stay
+// comparable across machines.
 func Features() []string { return cpuFeatures() }
