@@ -12,11 +12,12 @@ import (
 // the public package only.
 func TestPublicAPIQuickstart(t *testing.T) {
 	corpus := pneuma.ArchaeologyDataset()
-	seeker, err := pneuma.NewSeeker(pneuma.Config{}, corpus, nil, nil)
+	svc, err := pneuma.New(corpus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := seeker.NewSession("api-test")
+	defer svc.Close()
+	sess := svc.NewSession("api-test")
 	reply, err := sess.Send(context.Background(), "What is the average organic matter percentage for soil samples in the Malta region? Round your answer to 4 decimal places.")
 	if err != nil {
 		t.Fatal(err)
@@ -24,7 +25,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if reply.Answer == "" {
 		t.Fatalf("no answer; message: %s", reply.Message)
 	}
-	if !strings.Contains(sess.State.View(), "Q[0]") {
+	if !strings.Contains(sess.Session().State.View(), "Q[0]") {
 		t.Error("state view missing query")
 	}
 }

@@ -243,7 +243,7 @@ func BenchmarkAblationRetrievalMode(b *testing.B) {
 			{"vector-only", retriever.ModeVectorOnly},
 			{"bm25-only", retriever.ModeBM25Only},
 		} {
-			conv, acc := seekerConvergencePct(b, &core.Config{RetrieverMode: m.mode})
+			conv, acc := seekerConvergencePct(b, &core.Config{Index: []retriever.Option{retriever.WithMode(m.mode)}})
 			lines += fmt.Sprintf("%s: conv=%.1f%% acc=%.1f%%  ", m.name, conv, acc)
 		}
 		if i == 0 {

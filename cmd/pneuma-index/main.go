@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"pneuma"
+	"pneuma/internal/retriever"
 )
 
 func main() {
@@ -37,9 +38,8 @@ func main() {
 	backendName := flag.String("backend", "", "shard storage backend: memory (default) or disk")
 	indexDir := flag.String("index-dir", "", "segment directory for -backend disk (default: temp dir)")
 	reindex := flag.Bool("reindex", false, "re-ingest the CSV directory even if -index-dir already holds an index")
-	syncEvery := flag.Int("sync-every", 0, "group-commit fsync once n disk records are pending (0 = only on flush/close)")
-	syncBytes := flag.Int64("sync-bytes", 0, "group-commit fsync once pending disk records reach n bytes (0 = unset)")
-	syncInterval := flag.Duration("sync-interval", 0, "max time an acknowledged disk write stays unsynced (0 = unset; 2ms when another sync flag is set)")
+	syncBytes := flag.Int64("sync-bytes", 0, "group-commit fsync once pending disk records reach n bytes (0 = unset, 1 = every record)")
+	syncInterval := flag.Duration("sync-interval", 0, "max time an acknowledged disk write stays unsynced (0 = unset; 2ms when -sync-bytes is set)")
 	compactRatio := flag.Float64("compaction-ratio", 0, "dead-record fraction triggering disk segment compaction (0 = default 0.5, negative disables)")
 	quantize := flag.Bool("quantize", false, "int8 speed tier: quantized vector traversal with exact float32 rescoring")
 	mmap := flag.Bool("mmap", false, "memory-map disk snapshots on open instead of reading them")
@@ -59,11 +59,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pneuma-index:", err)
 		os.Exit(1)
 	}
-	ret, err := pneuma.NewRetrieverWith(pneuma.RetrieverKnobs{
-		Shards: *shards, Workers: *workers, Backend: backend, Dir: *indexDir,
-		SyncEvery: *syncEvery, SyncBytes: *syncBytes, SyncInterval: *syncInterval,
-		CompactionRatio: *compactRatio, Quantize: *quantize, Mmap: *mmap,
-	})
+	// Zero flag values are the options' own "keep the default" inputs.
+	ret, err := retriever.Open(
+		retriever.WithShards(*shards), retriever.WithWorkers(*workers),
+		retriever.WithBackend(backend), retriever.WithDir(*indexDir),
+		retriever.WithSyncBytes(*syncBytes), retriever.WithSyncInterval(*syncInterval),
+		retriever.WithCompactionRatio(*compactRatio),
+		retriever.WithQuantize(*quantize), retriever.WithMmap(*mmap),
+	)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pneuma-index:", err)
 		os.Exit(1)

@@ -29,9 +29,8 @@
 // pool and every model call — so a slow or abandoned request is canceled
 // without blocking anyone else: queued requests leave the queue the
 // moment their context fires, and in-flight queries abandon un-started
-// shard work. Requests under a non-cancellable context travel the
-// allocation-free hot path; the scheduler adds no steady-state
-// allocation.
+// shard work. Cancellable or not, every request takes the same shard
+// fan-out; the scheduler adds no steady-state allocation.
 //
 // Failures crossing the surface are typed: every error wraps *Error with
 // a Code (ErrCanceled, ErrBadQuery, ErrIndexCorrupt, ErrClosed,

@@ -15,8 +15,8 @@ func main() {
 	// The synthetic archaeology benchmark dataset (5 tables).
 	corpus := pneuma.ArchaeologyDataset()
 
-	// New assembles the concurrency-safe serving facade; options replace
-	// the old Config/RetrieverKnobs split (none needed for defaults).
+	// New assembles the concurrency-safe serving facade; every knob is a
+	// functional option (none needed for defaults).
 	svc, err := pneuma.New(corpus)
 	if err != nil {
 		log.Fatal(err)

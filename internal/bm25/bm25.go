@@ -182,9 +182,9 @@ type Index struct {
 	docsBatch uint64
 	dfBatch   uint64
 	// deferStats marks an index undergoing a two-phase restore (see
-	// DeferStats): ReadFrom parks the live document-frequency aggregate in
-	// pendingAgg instead of materializing df, and AttachStats folds it
-	// into the shared Stats without ever building the local slice.
+	// DeferStats): ReadFromShared parks the live document-frequency
+	// aggregate in pendingAgg instead of materializing df, and AttachStats
+	// folds it into the shared Stats without ever building the local slice.
 	deferStats bool
 	pendingAgg []termFreq
 	// scratch pools *searchScratch values so steady-state Search reuses its

@@ -55,8 +55,8 @@
 //
 // # Serialization
 //
-// WriteTo/ReadFrom serialize the index state as one binary section: the
-// document table plus the postings map stored term-wise, from which the
+// WriteTo/ReadFromShared serialize the index state as one binary section:
+// the document table plus the postings map stored term-wise, from which the
 // restore rebuilds the inverted index with arena-backed posting lists and
 // per-document term-frequency windows — no re-tokenization, one map
 // insert per distinct term. A shared Stats object is never serialized:

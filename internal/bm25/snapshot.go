@@ -14,7 +14,7 @@ import (
 // by the postings map, term-wise — each term once, with its (document
 // slot, term frequency) list. Storing postings term-wise rather than
 // repeating term strings per document keeps the section compact and lets
-// ReadFrom rebuild the inverted index with one arena allocation instead of
+// ReadFromShared rebuild the inverted index with one arena allocation, not
 // tens of thousands of list growths. Terms are written in sorted order,
 // making the serialized bytes deterministic for a fixed index state.
 //
@@ -25,8 +25,8 @@ import (
 //
 // The shared corpus Stats object (NewWithStats) is not serialized: its
 // updates are commutative, so each restored shard re-contributes its live
-// documents' aggregate on ReadFrom and the shared totals converge to the
-// same values regardless of shard restore order.
+// documents' aggregate on ReadFromShared and the shared totals converge to
+// the same values regardless of shard restore order.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	v := ix.view.Load()
 
@@ -82,55 +82,29 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return int64(head.Len() + body.Len()), nil
 }
 
-// ReadFrom restores state serialized by WriteTo into an empty index,
-// implementing io.ReaderFrom. Posting lists are rebuilt as capacity-
-// limited windows into a single arena (a later Add copies-on-append, so
-// the windows stay immutable), the per-document term-frequency slices that
-// Delete needs are reconstituted from the postings, and the live
-// document-frequency counters fall out of the same pass. When a shared
-// Stats object is attached, the restored live documents' aggregate —
-// document count, total length, per-term live frequencies — is
-// contributed to it at the end, exactly matching a replay of the original
-// Add sequence. A malformed or truncated section leaves the index and the
-// shared Stats unchanged and returns an error.
-func (ix *Index) ReadFrom(r io.Reader) (int64, error) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if len(ix.view.Load().docs) != 0 {
-		return 0, fmt.Errorf("bm25: ReadFrom into non-empty index")
-	}
-
-	br := wire.AsByteScanner(r)
-	var read int64
-	size, err := wire.ReadUvarint(br, &read)
-	if err != nil {
-		return read, fmt.Errorf("bm25: snapshot section header: %w", err)
-	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return read, fmt.Errorf("bm25: snapshot section body: %w", err)
-	}
-	read += int64(size)
-
-	// The section buffer is owned by the structures built from it, so
-	// strings decode as zero-copy views (wire.NewSharedReader).
-	return read, ix.readBody(wire.NewSharedReader(buf))
-}
-
-// ReadFromShared restores state serialized by WriteTo by parsing the
-// length-prefixed section in place from a shared wire.Reader — no section
-// copy, and every term and document ID decodes as a zero-copy view of the
-// reader's buffer. This is the bulk-load path for snapshot opens, where
-// the buffer (a read file or an mmap'd snapshot) is owned by the
-// structures built from it: skipping the section copy removes the largest
-// single heap allocation of an open, which both shortens the open and
-// shrinks the garbage the collector scans while it runs. Semantics
-// otherwise match ReadFrom.
+// ReadFromShared restores state serialized by WriteTo into an empty index
+// by parsing the length-prefixed section in place from a shared
+// wire.Reader — no section copy, and every term and document ID decodes as
+// a zero-copy view of the reader's buffer. This is the bulk-load path for
+// snapshot opens, where the buffer (a read file or an mmap'd snapshot) is
+// owned by the structures built from it: skipping the section copy removes
+// the largest single heap allocation of an open, which both shortens the
+// open and shrinks the garbage the collector scans while it runs.
+//
+// Posting lists are rebuilt as capacity-limited windows into a single
+// arena (a later Add copies-on-append, so the windows stay immutable), the
+// per-document term-frequency slices that Delete needs are reconstituted
+// from the postings, and the live document-frequency counters fall out of
+// the same pass. When a shared Stats object is attached, the restored live
+// documents' aggregate — document count, total length, per-term live
+// frequencies — is contributed to it at the end, exactly matching a replay
+// of the original Add sequence. A malformed or truncated section leaves
+// the index and the shared Stats unchanged and returns an error.
 func (ix *Index) ReadFromShared(rd *wire.Reader) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if len(ix.view.Load().docs) != 0 {
-		return fmt.Errorf("bm25: ReadFrom into non-empty index")
+		return fmt.Errorf("bm25: ReadFromShared into non-empty index")
 	}
 	size := int(rd.Uvarint())
 	sec := rd.Section(size)
@@ -263,7 +237,7 @@ func (ix *Index) readBody(rd *wire.Reader) error {
 }
 
 // DeferStats marks an empty index for a two-phase restore: a following
-// ReadFrom parks the live document-frequency aggregate instead of
+// ReadFromShared parks the live document-frequency aggregate instead of
 // materializing the local df slice, and AttachStats later folds it
 // straight into the shared Stats object. The index scores no results until
 // AttachStats is called (it has neither local nor shared statistics); the

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"pneuma/internal/wire"
 )
 
 // corpusDocs is a small deterministic corpus with vocabulary overlap.
@@ -54,7 +56,7 @@ func TestSnapshotRoundTripLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := New(Params{})
-	if _, err := restored.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := restored.ReadFromShared(wire.NewSharedReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Len() != orig.Len() {
@@ -91,7 +93,7 @@ func TestSnapshotRoundTripSharedStats(t *testing.T) {
 		}
 		re := New(Params{})
 		re.DeferStats()
-		if _, err := re.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
+		if err := re.ReadFromShared(wire.NewSharedReader(buf.Bytes())); err != nil {
 			t.Fatal(err)
 		}
 		re.AttachStats(st2)
@@ -121,14 +123,14 @@ func TestSnapshotErrorsBM25(t *testing.T) {
 
 	nonEmpty := New(Params{})
 	nonEmpty.Add("x", "already populated")
-	if _, err := nonEmpty.ReadFrom(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("ReadFrom into non-empty index succeeded")
+	if err := nonEmpty.ReadFromShared(wire.NewSharedReader(buf.Bytes())); err == nil {
+		t.Fatal("ReadFromShared into non-empty index succeeded")
 	}
 
 	st := NewStats()
 	truncated := NewWithStats(Params{}, st)
-	if _, err := truncated.ReadFrom(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
-		t.Fatal("ReadFrom of truncated section succeeded")
+	if err := truncated.ReadFromShared(wire.NewSharedReader(buf.Bytes()[:buf.Len()/2])); err == nil {
+		t.Fatal("ReadFromShared of truncated section succeeded")
 	}
 	if truncated.Len() != 0 || st.DocCount() != 0 {
 		t.Fatalf("failed restore leaked state: Len=%d stats=%d", truncated.Len(), st.DocCount())

@@ -32,57 +32,16 @@ type Config struct {
 	// DynamicPlanning selects conductor-style orchestration over the fixed
 	// static pipeline (default true).
 	DynamicPlanning *bool
-	// RetrieverMode selects the hybrid/vector-only/BM25-only table index.
-	RetrieverMode retriever.Mode
-	// Shards is the table-index shard count (default
-	// retriever.DefaultShards(), derived from GOMAXPROCS).
-	Shards int
-	// IndexWorkers sizes the embedding worker pool used by bulk corpus
-	// ingest (default GOMAXPROCS).
-	IndexWorkers int
-	// Backend selects the table-index shard storage engine (default
-	// retriever.Memory; retriever.Disk persists shards to append-only
-	// segment files under IndexDir).
-	Backend retriever.Backend
-	// IndexDir is the directory the Disk backend stores segment files in
-	// (default: a fresh temporary directory).
-	IndexDir string
-	// Ef is the table-index HNSW query beam width (default
-	// hnsw.DefaultEfSearch via the retriever). Larger values trade query
-	// latency for vector-search recall.
-	Ef int
-	// SyncEvery triggers a group-commit fsync of a Disk-backend segment
-	// once n records are pending (0 defers durability to Flush/Close
-	// unless another sync knob is set). Prefer SyncBytes/SyncInterval.
-	SyncEvery int
-	// SyncBytes triggers a group-commit fsync of a Disk-backend segment
-	// once the pending records reach n bytes (0 leaves the trigger
-	// unset).
-	SyncBytes int64
-	// SyncInterval bounds how long an acknowledged Disk-backend write may
-	// stay unsynced: the group-commit flusher fsyncs pending records at
-	// most this long after the first arrived (0 leaves the bound unset;
-	// it defaults to 2ms when SyncEvery or SyncBytes is set).
-	SyncInterval time.Duration
-	// CompactionRatio is the dead-record fraction that triggers a
-	// Disk-backend segment rewrite at Flush/Close (0 selects the
-	// retriever default of 0.5; negative disables compaction).
-	CompactionRatio float64
-	// Quantize enables the table index's int8 speed tier: traversal on
-	// scalar-quantized vectors with exact float32 rescoring (default
-	// off).
-	Quantize bool
-	// Mmap makes Disk-backend snapshot loads memory-map the file instead
-	// of reading it (default off; ignored where unsupported).
-	Mmap bool
+	// Index holds the table-index options, handed to retriever.Open
+	// verbatim (shards, backend, durability, speed tier, retrieval mode);
+	// nil builds the retriever's defaults.
+	Index []retriever.Option
 }
 
 // Seeker is the assembled Pneuma-Seeker system (Figure 1): Conductor, IR
 // System (Pneuma-Retriever + Document Database + Web Search), Materializer
 // and the SQL executor, sharing state (T, Q) per session.
 type Seeker struct {
-	cfg       Config
-	model     llm.Model
 	meter     *llm.Meter
 	irsys     *ir.System
 	knowledge *docdb.DB
@@ -105,48 +64,14 @@ func New(ctx context.Context, cfg Config, corpus map[string]*table.Table, web *w
 	}
 	meter := llm.NewMeter()
 
-	ropts := []retriever.Option{retriever.WithMode(cfg.RetrieverMode)}
-	if cfg.Shards > 0 {
-		ropts = append(ropts, retriever.WithShards(cfg.Shards))
-	}
-	if cfg.IndexWorkers > 0 {
-		ropts = append(ropts, retriever.WithWorkers(cfg.IndexWorkers))
-	}
-	if cfg.Backend != "" {
-		ropts = append(ropts, retriever.WithBackend(cfg.Backend))
-	}
-	if cfg.IndexDir != "" {
-		ropts = append(ropts, retriever.WithDir(cfg.IndexDir))
-	}
-	if cfg.Ef > 0 {
-		ropts = append(ropts, retriever.WithEf(cfg.Ef))
-	}
-	if cfg.SyncEvery > 0 {
-		ropts = append(ropts, retriever.WithSyncEvery(cfg.SyncEvery))
-	}
-	if cfg.SyncBytes > 0 {
-		ropts = append(ropts, retriever.WithSyncBytes(cfg.SyncBytes))
-	}
-	if cfg.SyncInterval > 0 {
-		ropts = append(ropts, retriever.WithSyncInterval(cfg.SyncInterval))
-	}
-	if cfg.CompactionRatio != 0 {
-		ropts = append(ropts, retriever.WithCompactionRatio(cfg.CompactionRatio))
-	}
-	if cfg.Quantize {
-		ropts = append(ropts, retriever.WithQuantize(true))
-	}
-	if cfg.Mmap {
-		ropts = append(ropts, retriever.WithMmap(true))
-	}
-	ret, err := retriever.Open(ropts...)
+	ret, err := retriever.Open(cfg.Index...)
 	if err != nil {
 		return nil, err
 	}
 	// Bulk ingest: embedding runs on the worker pool and all index shards
 	// build concurrently. The retriever orders documents internally, so
 	// map iteration order cannot affect the built index. A disk-backed
-	// index reopened from a populated IndexDir is served as-is —
+	// index reopened from a populated directory is served as-is —
 	// re-ingesting would only append replacement records and grow the
 	// segment log every construction; delete the directory to rebuild
 	// from the corpus.
@@ -193,8 +118,6 @@ func New(ctx context.Context, cfg Config, corpus map[string]*table.Table, web *w
 		DynamicPlanning: cfg.DynamicPlanning,
 	})
 	return &Seeker{
-		cfg:       cfg,
-		model:     cfg.Model,
 		meter:     meter,
 		irsys:     irsys,
 		knowledge: kb,
@@ -212,7 +135,7 @@ func (s *Seeker) IR() *ir.System { return s.irsys }
 func (s *Seeker) Knowledge() *docdb.DB { return s.knowledge }
 
 // Close flushes and releases the table index. It matters for disk-backed
-// retrievers (Config.Backend = retriever.Disk), whose segment files stay
+// retrievers (retriever.WithBackend(retriever.Disk)), whose segment files stay
 // open until closed; for the default memory backend it is a no-op. The
 // Seeker must not be used afterwards.
 func (s *Seeker) Close() error {

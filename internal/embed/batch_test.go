@@ -8,9 +8,13 @@ import (
 
 // TestEmbedBatchMatchesSequential asserts the worker-pool path is
 // bit-identical to sequential embedding for every worker count, including
-// worker counts exceeding the batch size.
+// worker counts exceeding the batch size, and that an empty batch is an
+// empty result.
 func TestEmbedBatchMatchesSequential(t *testing.T) {
 	e := New()
+	if got, err := e.EmbedBatch(context.Background(), nil, 0); err != nil || len(got) != 0 {
+		t.Fatalf("EmbedBatch(nil) = %v, %v", got, err)
+	}
 	texts := make([]string, 37)
 	for i := range texts {
 		texts[i] = fmt.Sprintf("synthetic document %d about tariffs and potassium measure %d", i, i*i)
@@ -32,42 +36,6 @@ func TestEmbedBatchMatchesSequential(t *testing.T) {
 				if got[i][d] != want[i][d] {
 					t.Fatalf("workers=%d: vector %d dim %d diverged", workers, i, d)
 				}
-			}
-		}
-	}
-}
-
-func TestEmbedAllEmpty(t *testing.T) {
-	e := New()
-	if got, err := e.EmbedAll(context.Background(), nil); err != nil || len(got) != 0 {
-		t.Fatalf("EmbedAll(nil) = %v, %v", got, err)
-	}
-}
-
-// TestEmbedFieldsBatchMatchesSequential covers the weighted multi-field
-// batch path.
-func TestEmbedFieldsBatchMatchesSequential(t *testing.T) {
-	e := New()
-	batch := make([][]WeightedText, 11)
-	for i := range batch {
-		batch[i] = []WeightedText{
-			{Text: fmt.Sprintf("table_%d freight manifest", i), Weight: 2.0},
-			{Text: "column descriptions for transit and tonnage", Weight: 1.0},
-			{Text: "sample values", Weight: 0.5},
-		}
-	}
-	want := make([][]float32, len(batch))
-	for i, f := range batch {
-		want[i] = e.EmbedFields(f)
-	}
-	got, err := e.EmbedFieldsBatch(context.Background(), batch, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		for d := range got[i] {
-			if got[i][d] != want[i][d] {
-				t.Fatalf("vector %d dim %d diverged", i, d)
 			}
 		}
 	}

@@ -13,9 +13,9 @@
 // # Determinism contract
 //
 // The model is fully deterministic, so every experiment is reproducible
-// bit-for-bit. This extends to the batch paths the sharded retriever's
-// bulk ingest uses: EmbedBatch and EmbedFieldsBatch run a bounded worker
-// pool in which each worker writes only its own positionally-assigned
-// output slot, so the result is bit-identical to embedding each text
-// sequentially regardless of worker count or scheduling.
+// bit-for-bit. This extends to the batch path the sharded retriever's
+// bulk ingest uses: EmbedBatch runs a bounded worker pool in which each
+// worker writes only its own positionally-assigned output slot, so the
+// result is bit-identical to embedding each text sequentially regardless
+// of worker count or scheduling.
 package embed

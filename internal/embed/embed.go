@@ -126,25 +126,6 @@ func (e *Embedder) EmbedBatch(ctx context.Context, texts []string, workers int) 
 	return out, nil
 }
 
-// EmbedAll is EmbedBatch with the default worker count (GOMAXPROCS).
-func (e *Embedder) EmbedAll(ctx context.Context, texts []string) ([][]float32, error) {
-	return e.EmbedBatch(ctx, texts, 0)
-}
-
-// EmbedFieldsBatch embeds many multi-field documents with a worker pool of
-// the given size (0 or negative means GOMAXPROCS). Output is positionally
-// aligned with the input, exactly as EmbedBatch; cancellation behaves the
-// same way.
-func (e *Embedder) EmbedFieldsBatch(ctx context.Context, batch [][]WeightedText, workers int) ([][]float32, error) {
-	out := make([][]float32, len(batch))
-	if err := forEachParallel(ctx, len(batch), workers, func(i int) {
-		out[i] = e.EmbedFields(batch[i])
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // forEachParallel runs fn(i) for i in [0,n) across a bounded worker pool.
 // Indices are handed out through a channel, so work stays balanced even
 // when individual items vary widely in cost. Cancellation is checked at

@@ -114,8 +114,8 @@ func newMemoryBackend(dim int, seed int64, st *bm25.Stats, ef int, quant bool) *
 	}
 }
 
-// setDocs replaces the document store wholesale (bulk load paths: snapshot
-// restore, legacy migration). Writer-side only, before the shard serves.
+// setDocs replaces the document store wholesale (the snapshot-restore
+// bulk load). Writer-side only, before the shard serves.
 func (m *memoryBackend) setDocs(byID map[string]docs.Document) {
 	m.byID = sync.Map{}
 	for id, d := range byID {

@@ -22,10 +22,11 @@ import (
 // written to and decodes them with the right codec.
 const manifestName = "manifest.json"
 
-// segFormat is the current segment/snapshot format generation. Format 0
-// (manifests written before the field existed) is the JSON-lines log of
-// PR 2, migrated in place on open; formats above segFormat belong to a
-// newer build and fail with a typed corruption error.
+// segFormat is the current segment/snapshot format generation, the only
+// one this build reads. Any other manifest format — below (format 0, a
+// manifest written before the field existed, is the JSON-lines log of
+// PR 2) or above (a newer build) — fails Open with a typed corruption
+// error and leaves the directory untouched.
 const segFormat = 2
 
 // manifest is the durable index metadata.
@@ -55,6 +56,9 @@ func loadOrCreateManifest(dir string, shards, dim int) (manifest, error) {
 		if m.Dim != dim {
 			return manifest{}, fmt.Errorf("retriever: index at %s was built with embedding dim %d, embedder wants %d", dir, m.Dim, dim)
 		}
+		if m.Format < segFormat {
+			return manifest{}, fmt.Errorf("retriever: index at %s: index format %d predates this build; delete the directory to rebuild", dir, m.Format)
+		}
 		if m.Format > segFormat {
 			return manifest{}, fmt.Errorf("retriever: index at %s uses segment format %d, this build supports up to %d", dir, m.Format, segFormat)
 		}
@@ -72,8 +76,7 @@ func loadOrCreateManifest(dir string, shards, dim int) (manifest, error) {
 
 // writeManifest persists the index metadata atomically (tmp + fsync +
 // rename): the manifest pins the shard routing for the whole directory,
-// so a crash mid-rewrite — e.g. while stamping the format after a
-// legacy-index migration — must leave either the old or the new manifest,
+// so a crash mid-write must leave either no manifest or a whole one,
 // never a torn one.
 func writeManifest(dir string, m manifest) error {
 	raw, err := json.Marshal(m)
@@ -468,7 +471,7 @@ func (b *diskBackend) appendRecord() error {
 	if gc.sync {
 		b.pendingRecs++
 		b.pendingBytes += rec
-		gc.signal(gc.tripped(b.pendingRecs, b.pendingBytes))
+		gc.signal(gc.tripped(b.pendingBytes))
 	}
 	if b.compactDone == nil && b.shouldCompact() {
 		b.scheduleCompactLocked()
@@ -540,7 +543,7 @@ func (b *diskBackend) Delete(id string) bool {
 	// A failed tombstone append leaves the delete visible in memory but
 	// not durable; the reopened index resurrects the document. That is
 	// the backend's documented durability boundary (crash-after-delete);
-	// WithSyncEvery(1) shrinks the window to the single record.
+	// WithSyncBytes(1) shrinks the window to the single record.
 	b.rec.Reset()
 	b.rec.Byte(opDel)
 	b.rec.String(id)
@@ -683,7 +686,7 @@ func (b *diskBackend) swapSegment(size, recs int64) error {
 // rewriteSegment writes a fresh segment at path (atomically, via rename)
 // containing one add record per live document of mem, in insertion order,
 // under the given generation. It returns the new logical size and record
-// count. Shared by compaction and the legacy-format migration.
+// count.
 func rewriteSegment(mem *memoryBackend, path string, gen uint64) (int64, int64, error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)

@@ -2,6 +2,7 @@ package retriever
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -11,7 +12,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -425,9 +428,9 @@ func TestDirLock(t *testing.T) {
 	re.Close()
 }
 
-// TestSyncEveryDurability indexes with a sync policy and verifies the
-// records become durable in the segment file without any Flush — by
-// copying the live index directory (minus the lock) aside and opening the
+// TestSyncEveryDurability indexes with a sync policy that trips on every
+// record (WithSyncBytes(1)) and verifies the records become durable in
+// the segment file without any Flush — by copying the live index directory (minus the lock) aside and opening the
 // copy, simulating a crash of the original process. With group commit the
 // fsync is asynchronous but latency-bounded, so the test polls until the
 // flusher has drained the pending batch.
@@ -457,7 +460,7 @@ func waitSynced(t *testing.T, r *Retriever) {
 
 func TestSyncEveryDurability(t *testing.T) {
 	dir := t.TempDir()
-	r, err := Open(WithShards(1), WithBackend(Disk), WithDir(dir), WithSyncEvery(1))
+	r, err := Open(WithShards(1), WithBackend(Disk), WithDir(dir), WithSyncBytes(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,126 +574,76 @@ func TestTablePayloadFidelity(t *testing.T) {
 	}
 }
 
-// TestLegacyFormatMigration handcrafts a format-0 index (JSON-lines
-// segments, a manifest without a format field) and opens it: the
-// documents must survive, the segments must be rewritten in the binary
-// format with snapshots, and the manifest must be stamped.
-func TestLegacyFormatMigration(t *testing.T) {
-	dir := t.TempDir()
-	emb := embed.New()
-	raw, err := json.Marshal(map[string]int{"shards": 1, "dim": emb.Dim()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	seg, err := os.Create(filepath.Join(dir, "shard-0000.seg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	contents := map[string]string{
-		"doc:alpha": "rainfall readings for the coastal stations",
-		"doc:beta":  "portfolio yield and maturity ledger",
-		"doc:gone":  "to be deleted before migration",
-	}
-	enc := json.NewEncoder(seg)
-	for _, id := range []string{"doc:alpha", "doc:beta", "doc:gone"} {
-		rec := legacyRecord{Op: "add", ID: id, Vec: emb.Embed(contents[id]),
-			Doc: &legacyDoc{Kind: "knowledge", Title: id, Content: contents[id], Source: "test"}}
-		if err := enc.Encode(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.Encode(legacyRecord{Op: "del", ID: "doc:gone"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := seg.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := Open(WithBackend(Disk), WithDir(dir))
-	if err != nil {
-		t.Fatalf("open legacy index: %v", err)
-	}
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", r.Len())
-	}
-	if _, ok := r.Document("doc:gone"); ok {
-		t.Fatal("legacy tombstone ignored")
-	}
-	hits := mustSearch(t, r, "rainfall readings coastal", 1)
-	if len(hits) != 1 || hits[0].ID != "doc:alpha" {
-		t.Fatalf("migrated search returned %v", hits)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Manifest stamped, segment binary, snapshot present.
-	mraw, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m manifest
-	if err := json.Unmarshal(mraw, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Format != segFormat {
-		t.Fatalf("manifest format = %d, want %d", m.Format, segFormat)
-	}
-	head := make([]byte, 4)
-	segf, err := os.Open(filepath.Join(dir, "shard-0000.seg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := segf.Read(head); err != nil {
-		t.Fatal(err)
-	}
-	segf.Close()
-	if string(head) != segMagic {
-		t.Fatalf("migrated segment magic = %q, want %q", head, segMagic)
-	}
-	if got := len(shardFiles(t, dir, ".snap")); got != 1 {
-		t.Fatalf("%d snapshots after migration, want 1", got)
-	}
-	// Second open takes the fast path and sees the same state.
-	re, err := Open(WithBackend(Disk), WithDir(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Len() != 2 {
-		t.Fatalf("reopened Len = %d, want 2", re.Len())
-	}
-}
-
-// TestLegacyMigrationInterrupted simulates a crash mid-migration: the
-// manifest still says format 0, but one shard was already rewritten to
-// the binary format. Reopening must route the binary shard through the
-// normal open path (sniffing its magic) instead of misreading it as an
-// empty JSON log and destroying it.
-func TestLegacyMigrationInterrupted(t *testing.T) {
+// TestFormatZeroIndexRefused forges the format-less (format 0, PR-2 era)
+// manifest over a binary index: Open must refuse it with a typed
+// corruption error that says how to recover, release the directory lock
+// and leave every file byte-for-byte untouched — restoring the manifest
+// then opens the same index.
+func TestFormatZeroIndexRefused(t *testing.T) {
 	dir := t.TempDir()
 	tables := buildDiskIndex(t, dir, 24, 2)
-	// Rewind the manifest to the legacy (pre-format-field) shape while
-	// both shards remain binary — exactly the state a crash between the
-	// shard rewrites and the manifest stamp leaves behind.
+	manifestPath := filepath.Join(dir, manifestName)
+	good, err := os.ReadFile(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	raw, err := json.Marshal(map[string]int{"shards": 2, "dim": embed.New().Dim()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
+	if err := os.WriteFile(manifestPath, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	dirHashes := func() map[string][sha256.Size]byte {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums := make(map[string][sha256.Size]byte, len(entries))
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sums[e.Name()] = sha256.Sum256(b)
+		}
+		return sums
+	}
+	before := dirHashes()
 
+	r, err := Open(WithBackend(Disk), WithDir(dir))
+	if err == nil {
+		r.Close()
+		t.Fatal("format-0 manifest opened")
+	}
+	if !errors.Is(err, pnerr.ErrIndexCorrupt) {
+		t.Fatalf("err = %v, want pnerr.ErrIndexCorrupt", err)
+	}
+	if !strings.Contains(err.Error(), "index format 0 predates this build; delete the directory to rebuild") {
+		t.Fatalf("err = %q does not say how to recover", err)
+	}
+	if after := dirHashes(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused open changed the directory:\nbefore %v\nafter  %v", before, after)
+	}
+
+	if err := os.WriteFile(manifestPath, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	re, err := Open(WithBackend(Disk), WithDir(dir))
 	if err != nil {
-		t.Fatalf("open after interrupted migration: %v", err)
+		t.Fatalf("open with restored manifest: %v", err)
 	}
 	defer re.Close()
 	if re.Len() != len(tables) {
-		t.Fatalf("Len = %d, want %d (binary shards must survive the legacy path)", re.Len(), len(tables))
+		t.Fatalf("Len = %d, want %d", re.Len(), len(tables))
+	}
+	want := "table:" + tables[0].Schema.Name
+	if _, ok := re.Document(want); !ok {
+		t.Fatalf("%s missing after restored open", want)
+	}
+	if hits := mustSearch(t, re, tables[0].Schema.Name, 3); len(hits) == 0 {
+		t.Fatal("restored index answers nothing")
 	}
 }
 

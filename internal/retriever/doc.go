@@ -72,24 +72,27 @@
 // replay (and the snapshot is rewritten so the next open is fast again);
 // a torn segment tail or a mid-segment CRC mismatch truncates the log at
 // the last whole record — boundaries after damage cannot be trusted, so
-// recovery keeps the longest clean prefix. Indexes written by the
-// pre-binary format (a manifest without a format field) are migrated in
-// place on first open: the JSON-lines log is replayed once and rewritten
-// as a compacted binary segment plus snapshot. The snapshot is purely
-// derived state: deleting every .snap file is always safe.
+// recovery keeps the longest clean prefix. One segment format is read: a
+// manifest whose format is not this build's (the pre-binary JSON-lines
+// index has no format field at all) fails Open with a typed
+// pnerr.ErrIndexCorrupt that says to delete the directory and rebuild,
+// and nothing in the directory is touched. The snapshot is purely derived
+// state: deleting every .snap file is always safe.
 //
 // # Durability and compaction
 //
 // Records buffer in memory and become durable on Flush/Close;
-// WithSyncEvery(n) additionally fsyncs every n appended records,
-// shrinking the crash-loss window (including tombstones, whose loss
-// resurrects deleted documents). Deletes and replacements accumulate dead
-// records in the log; when their fraction reaches WithCompactionRatio
-// (default 0.5), Flush/Close rewrites the segment to exactly the live
-// documents under a new generation and rebuilds the in-memory state to
-// match a replay of the rewritten log — the HNSW graph is reconstructed
-// without its tombstoned nodes, so post-compaction results are those of a
-// fresh index over the surviving corpus.
+// WithSyncBytes(n) and WithSyncInterval(d) additionally have the
+// group-commit flusher fsync once n bytes are pending or d after the
+// first pending record, shrinking the crash-loss window (including
+// tombstones, whose loss resurrects deleted documents). Deletes and
+// replacements accumulate dead records in the log; when their fraction
+// reaches WithCompactionRatio (default 0.5), Flush/Close rewrites the
+// segment to exactly the live documents under a new generation and
+// rebuilds the in-memory state to match a replay of the rewritten log —
+// the HNSW graph is reconstructed without its tombstoned nodes, so
+// post-compaction results are those of a fresh index over the surviving
+// corpus.
 //
 // While open, the Disk backend holds an advisory lock file (PID inside)
 // in the index directory: a second process opening the same directory

@@ -3,7 +3,7 @@ package retriever
 import "time"
 
 // DefaultSyncInterval is the group-commit latency bound used when a sync
-// policy is enabled (WithSyncEvery or WithSyncBytes) without an explicit
+// policy is enabled (WithSyncBytes) without an explicit
 // WithSyncInterval: an appended record is fsynced at most this long after
 // the append, batched with everything else that arrived in the window.
 const DefaultSyncInterval = 2 * time.Millisecond
@@ -22,10 +22,8 @@ type groupCommit struct {
 	// the writers never enqueue pending-fsync work and durability stays at
 	// Flush/Close, exactly the pre-group-commit default.
 	sync bool
-	// Trigger thresholds: every fires on pending record count (the
-	// deprecated WithSyncEvery alias), bytes on pending payload bytes,
-	// interval is the latency bound started by the first pending record.
-	every    int
+	// Trigger thresholds: bytes fires on pending payload bytes, interval
+	// is the latency bound started by the first pending record.
 	bytes    int64
 	interval time.Duration
 
@@ -37,10 +35,9 @@ type groupCommit struct {
 }
 
 // newGroupCommit resolves the configured knobs into a trigger set.
-func newGroupCommit(every int, bytes int64, interval time.Duration) *groupCommit {
+func newGroupCommit(bytes int64, interval time.Duration) *groupCommit {
 	g := &groupCommit{
-		sync:     every > 0 || bytes > 0 || interval > 0,
-		every:    every,
+		sync:     bytes > 0 || interval > 0,
 		bytes:    bytes,
 		interval: interval,
 		notify:   make(chan struct{}, 1),
@@ -82,16 +79,10 @@ func (g *groupCommit) signalCompact() {
 	}
 }
 
-// tripped reports whether the pending counters cross a configured
+// tripped reports whether the pending bytes cross the configured
 // threshold (called by writers under their shard lock).
-func (g *groupCommit) tripped(pendingRecs int, pendingBytes int64) bool {
-	if g.every > 0 && pendingRecs >= g.every {
-		return true
-	}
-	if g.bytes > 0 && pendingBytes >= g.bytes {
-		return true
-	}
-	return false
+func (g *groupCommit) tripped(pendingBytes int64) bool {
+	return g.bytes > 0 && pendingBytes >= g.bytes
 }
 
 // flusher is the single group-commit goroutine: it sleeps until a writer

@@ -92,10 +92,8 @@ type Retriever struct {
 	backend   Backend
 	dir       string
 	ef        int
-	// Disk-backend policy knobs (see WithSyncEvery, WithSyncBytes,
-	// WithSyncInterval, WithCompactionRatio, WithMmap); ignored by the
-	// Memory backend.
-	syncEvery    int
+	// Disk-backend policy knobs (see WithSyncBytes, WithSyncInterval,
+	// WithCompactionRatio, WithMmap); ignored by the Memory backend.
 	syncBytes    int64
 	syncInterval time.Duration
 	compactRatio float64
@@ -144,11 +142,6 @@ type Option func(*Retriever)
 // WithMode sets the retrieval mode (default ModeHybrid).
 func WithMode(m Mode) Option {
 	return func(r *Retriever) { r.mode = m }
-}
-
-// WithEmbedder replaces the default embedder.
-func WithEmbedder(e *embed.Embedder) Option {
-	return func(r *Retriever) { r.emb = e }
 }
 
 // WithShards sets the shard count (default DefaultShards()). Values < 1
@@ -208,32 +201,15 @@ func WithEf(ef int) Option {
 	}
 }
 
-// WithSyncEvery enables group-commit durability triggered by pending
-// record count: once n records have been appended since the last fsync,
-// the flusher syncs immediately instead of waiting out the latency bound.
-// This shrinks the crash-loss window (including the resurrected-tombstone
-// window: an unsynced delete record lost in a crash brings the document
-// back on reopen) without paying one fsync per record — concurrent
-// writers share each disk barrier. 0, the default, leaves the trigger
-// unset; values < 0 are ignored. The Memory backend ignores the knob.
-//
-// Deprecated: WithSyncEvery is kept as a compatibility alias. New code
-// should bound durability by bytes (WithSyncBytes) or latency
-// (WithSyncInterval); a record count is a proxy for both and tracks
-// neither well.
-func WithSyncEvery(n int) Option {
-	return func(r *Retriever) {
-		if n >= 0 {
-			r.syncEvery = n
-		}
-	}
-}
-
 // WithSyncBytes enables group-commit durability triggered by pending
 // payload volume: once n bytes of records have been appended to a shard
 // since its last fsync, the flusher syncs immediately instead of waiting
-// out the latency bound. 0, the default, leaves the trigger unset; values
-// < 0 are ignored. The Memory backend ignores the knob.
+// out the latency bound. This shrinks the crash-loss window (including
+// the resurrected-tombstone window: an unsynced delete record lost in a
+// crash brings the document back on reopen) without paying one fsync per
+// record — concurrent writers share each disk barrier. 1 trips on every
+// record. 0, the default, leaves the trigger unset; values < 0 are
+// ignored. The Memory backend ignores the knob.
 func WithSyncBytes(n int64) Option {
 	return func(r *Retriever) {
 		if n >= 0 {
@@ -246,11 +222,10 @@ func WithSyncBytes(n int64) Option {
 // unsynced: the group-commit flusher fsyncs every shard with pending
 // records at most d after the first of them was appended, batching
 // everything that arrived in the window into one fsync per shard. Setting
-// any sync knob (this one, WithSyncEvery or WithSyncBytes) activates the
-// flusher; the interval defaults to DefaultSyncInterval when another
-// trigger is set without an explicit bound. 0, the default, leaves the
-// bound unset; values < 0 are ignored. The Memory backend ignores the
-// knob.
+// either sync knob (this one or WithSyncBytes) activates the flusher; the
+// interval defaults to DefaultSyncInterval when WithSyncBytes is set
+// without an explicit bound. 0, the default, leaves the bound unset;
+// values < 0 are ignored. The Memory backend ignores the knob.
 func WithSyncInterval(d time.Duration) Option {
 	return func(r *Retriever) {
 		if d >= 0 {
@@ -351,7 +326,7 @@ func Open(opts ...Option) (*Retriever, error) {
 		// The manifest's shard count wins: hash routing must match the
 		// layout the segments were written under.
 		r.numShards = m.Shards
-		r.gc = newGroupCommit(r.syncEvery, r.syncBytes, r.syncInterval)
+		r.gc = newGroupCommit(r.syncBytes, r.syncInterval)
 		knobs := diskKnobs{
 			compactRatio: r.compactRatio,
 			quantize:     r.quantize,
@@ -365,7 +340,6 @@ func Open(opts ...Option) (*Retriever, error) {
 			// Disabled: the dead fraction can never exceed 1.
 			knobs.compactRatio = 2
 		}
-		legacy := m.Format < segFormat
 		// Shards load concurrently: snapshot loads and replays are
 		// independent per shard, and the shared BM25 statistics updates
 		// are commutative, so the built state is identical to a
@@ -385,11 +359,7 @@ func Open(opts ...Option) (*Retriever, error) {
 				t0 := time.Now()
 				seg := filepath.Join(r.dir, fmt.Sprintf("shard-%04d.seg", i))
 				snap := filepath.Join(r.dir, fmt.Sprintf("shard-%04d.snap", i))
-				if legacy {
-					bes[i], errs[i] = openLegacyDiskBackend(seg, snap, r.emb.Dim(), hnswSeed+int64(i), r.stats, r.ef, knobs)
-				} else {
-					bes[i], errs[i] = openDiskBackend(seg, snap, r.emb.Dim(), hnswSeed+int64(i), r.stats, r.ef, knobs)
-				}
+				bes[i], errs[i] = openDiskBackend(seg, snap, r.emb.Dim(), hnswSeed+int64(i), r.stats, r.ef, knobs)
 				durs[i] = time.Since(t0)
 			}(i)
 		}
@@ -417,17 +387,6 @@ func Open(opts ...Option) (*Retriever, error) {
 		r.shards = make([]*shard, r.numShards)
 		for i, be := range bes {
 			r.shards[i] = &shard{be: be}
-		}
-		if legacy {
-			// Every shard is now in the binary format; stamp the manifest
-			// so the next open skips the migration path.
-			if err := writeManifest(r.dir, manifest{Shards: m.Shards, Dim: m.Dim, Format: segFormat}); err != nil {
-				for _, s := range r.shards {
-					s.be.Close()
-				}
-				lock.release()
-				return nil, err
-			}
 		}
 	default:
 		return nil, fmt.Errorf("retriever: unknown backend %q", r.backend)
@@ -905,9 +864,9 @@ func (r *Retriever) queryShard(s *shard, qvec []float32, query string, fetch int
 // Cancellation: a ctx that is already done returns a typed
 // pnerr.ErrCanceled immediately; a ctx canceled mid-fan-out abandons every
 // shard whose query has not started, stops waiting for in-flight shards,
-// and returns promptly. A non-cancellable ctx (context.Background) takes
-// the allocation-free fast path — the scheduler machinery costs nothing in
-// steady state.
+// and returns promptly. Every multi-shard query takes this one fan-out
+// (a completion channel and a waiter goroutine per call), cancellable ctx
+// or not; single-shard indexes run inline.
 func (r *Retriever) Search(ctx context.Context, query string, k int) ([]docs.Document, error) {
 	if err := r.acquire("retriever: search"); err != nil {
 		return nil, err
@@ -957,30 +916,12 @@ func (r *Retriever) Search(ctx context.Context, query string, k int) ([]docs.Doc
 			return nil, err
 		}
 		sc.hits[0] = h
-	} else if ctx.Done() == nil {
-		// Non-cancellable context: the zero-allocation fan-out. This is
-		// the steady-state serving path the AllocsPerRun budgets guard.
-		var wg sync.WaitGroup
-		for si, s := range r.shards {
-			wg.Add(1)
-			go func(si int, s *shard) {
-				defer wg.Done()
-				sc.hits[si], sc.errs[si] = r.queryShard(s, qvec, query, fetch)
-			}(si, s)
-		}
-		wg.Wait()
-		for _, err := range sc.errs {
-			if err != nil {
-				return nil, err
-			}
-		}
 	} else {
-		// Cancellable context: each shard goroutine re-checks the context
-		// before touching its backend, so work that has not started when
-		// cancellation lands is abandoned; the coordinator stops waiting
-		// the moment the context fires. Costs a completion channel and a
-		// waiter goroutine — only paid by requests that can actually be
-		// canceled.
+		// Each shard goroutine re-checks the context before touching its
+		// backend, so work that has not started when cancellation lands is
+		// abandoned; the coordinator stops waiting the moment the context
+		// fires. A non-cancellable ctx has a nil Done channel, whose select
+		// case never fires: it waits for the fan-out.
 		var wg sync.WaitGroup
 		for si, s := range r.shards {
 			wg.Add(1)

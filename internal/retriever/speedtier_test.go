@@ -125,12 +125,13 @@ func TestTornSnapshotMmapFallsBackToReplay(t *testing.T) {
 
 // TestGroupCommitBatchesFsyncs is the group-commit win: many writers,
 // each record individually durable within the latency bound, must share
-// fsyncs instead of paying one each. The old per-record WithSyncEvery(1)
-// behavior issued >= one fsync per record; the batched flusher must come
-// in well under that on a bulk ingest.
+// fsyncs instead of paying one each. An inline fsync per record would
+// issue >= one per record; under WithSyncBytes(1), which trips on every
+// record, the batched flusher must come in well under that on a bulk
+// ingest.
 func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	dir := t.TempDir()
-	r, err := Open(WithShards(4), WithBackend(Disk), WithDir(dir), WithSyncEvery(1))
+	r, err := Open(WithShards(4), WithBackend(Disk), WithDir(dir), WithSyncBytes(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +153,8 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 
 // BenchmarkGroupCommitIngest measures a multi-writer durable ingest under
 // the group-commit flusher and reports fsyncs per record alongside the
-// usual time/op. The legacy per-record WithSyncEvery(1) contract costs
-// exactly 1.0 fsyncs/record by construction; the batched flusher holds
+// usual time/op. An inline fsync per record costs exactly 1.0
+// fsyncs/record by construction; the batched flusher holds
 // the same durability bound (every acknowledged record synced within the
 // latency window) at a fraction of that — the reported metric is the
 // group-commit win.
@@ -165,7 +166,7 @@ func BenchmarkGroupCommitIngest(b *testing.B) {
 		b.StopTimer()
 		dir := b.TempDir()
 		b.StartTimer()
-		r, err := Open(WithShards(4), WithBackend(Disk), WithDir(dir), WithSyncEvery(1))
+		r, err := Open(WithShards(4), WithBackend(Disk), WithDir(dir), WithSyncBytes(1))
 		if err != nil {
 			b.Fatal(err)
 		}

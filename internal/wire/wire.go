@@ -14,7 +14,6 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -184,7 +183,7 @@ func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
 // Rest returns the undecoded tail of the buffer without consuming it,
 // letting a caller hand the remainder to another decoder (e.g. a
-// length-prefixed io.ReaderFrom section).
+// length-prefixed section).
 func (r *Reader) Rest() []byte { return r.buf[r.off:] }
 
 // Section consumes the next n bytes and returns a sub-reader over them,
@@ -381,22 +380,6 @@ func (r *Reader) String() string {
 		return string(b)
 	}
 	return unsafe.String(unsafe.SliceData(b), len(b))
-}
-
-// ByteScanner is the reader shape the length-prefixed section decoders
-// need: byte-wise reads for varint prefixes, bulk reads for bodies.
-type ByteScanner interface {
-	io.Reader
-	io.ByteReader
-}
-
-// AsByteScanner adapts r for section decoding, buffering only when the
-// reader cannot already serve single bytes.
-func AsByteScanner(r io.Reader) ByteScanner {
-	if bs, ok := r.(ByteScanner); ok {
-		return bs
-	}
-	return bufio.NewReader(r)
 }
 
 // ReadUvarint reads one unsigned varint from br, adding the consumed byte

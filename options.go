@@ -6,14 +6,12 @@ import (
 
 	"pneuma/internal/core"
 	"pneuma/internal/docdb"
-	"pneuma/internal/llm"
+	"pneuma/internal/retriever"
 	"pneuma/internal/websearch"
 )
 
 // Option configures New. Options are the single knob surface of the
-// serving API, replacing the former split across Config fields,
-// RetrieverKnobs and retriever options; the README's migration table maps
-// every old field to its option.
+// serving API; the README's knob reference lists each with its default.
 type Option func(*settings)
 
 // settings is the resolved configuration New assembles a Service from.
@@ -41,12 +39,6 @@ func DefaultMaxConcurrent() int {
 // with the paper's o4-mini profile).
 func WithModel(m Model) Option {
 	return func(s *settings) { s.cfg.Model = m }
-}
-
-// WithModelProfile sets the language model to a fresh SimModel with the
-// given pricing-catalog profile ("o4-mini", "o3", "gpt-4o", ...).
-func WithModelProfile(profile string) Option {
-	return func(s *settings) { s.cfg.Model = llm.NewSimModel(llm.WithProfile(profile)) }
 }
 
 // WithMaxActions caps the Conductor's consecutive actions per turn (the
@@ -92,97 +84,61 @@ func WithKnowledge(kb *KnowledgeDB) Option {
 	return func(s *settings) { s.kb = kb }
 }
 
-// WithShards sets the table-index shard count (default: derived from
-// GOMAXPROCS, clamped to [4,16]).
-func WithShards(n int) Option {
-	return func(s *settings) { s.cfg.Shards = n }
+// index forwards one option to the table index New opens
+// (core.Config.Index, handed to retriever.Open verbatim).
+func index(o retriever.Option) Option {
+	return func(s *settings) { s.cfg.Index = append(s.cfg.Index, o) }
 }
+
+// WithShards sets the table-index shard count (default: derived from
+// GOMAXPROCS, clamped to [4,16]); see retriever.WithShards.
+func WithShards(n int) Option { return index(retriever.WithShards(n)) }
 
 // WithIndexWorkers sizes the embedding worker pool used by bulk corpus
-// ingest (default GOMAXPROCS).
-func WithIndexWorkers(n int) Option {
-	return func(s *settings) { s.cfg.IndexWorkers = n }
-}
+// ingest (default GOMAXPROCS); see retriever.WithWorkers.
+func WithIndexWorkers(n int) Option { return index(retriever.WithWorkers(n)) }
 
 // WithBackend selects the table-index shard storage engine
-// (BackendMemory, the default, or BackendDisk).
-func WithBackend(b Backend) Option {
-	return func(s *settings) { s.cfg.Backend = b }
-}
+// (BackendMemory, the default, or BackendDisk); see retriever.WithBackend.
+func WithBackend(b Backend) Option { return index(retriever.WithBackend(b)) }
 
 // WithIndexDir sets the segment directory for BackendDisk; opening a
 // directory that already holds an index loads it instead of re-ingesting.
-func WithIndexDir(dir string) Option {
-	return func(s *settings) { s.cfg.IndexDir = dir }
-}
+// See retriever.WithDir.
+func WithIndexDir(dir string) Option { return index(retriever.WithDir(dir)) }
 
 // WithEf sets the HNSW query beam width (default 64): larger values trade
-// query latency for vector-search recall.
-func WithEf(n int) Option {
-	return func(s *settings) { s.cfg.Ef = n }
-}
+// query latency for vector-search recall; see retriever.WithEf.
+func WithEf(n int) Option { return index(retriever.WithEf(n)) }
 
-// WithSyncEvery enables group-commit durability for BackendDisk triggered
-// by pending record count: once n records have been appended to a shard
-// since its last fsync, the flusher syncs immediately. Concurrent writers
-// share each disk barrier, so this shrinks the crash-loss window
-// (including deletes that a crash would otherwise resurrect) without
-// paying one fsync per record. 0, the default, leaves the trigger unset.
-// BackendMemory ignores the knob. Prefer WithSyncBytes or
-// WithSyncInterval — a record count is a proxy for both volume and
-// latency and tracks neither well.
-func WithSyncEvery(n int) Option {
-	return func(s *settings) { s.cfg.SyncEvery = n }
-}
-
-// WithSyncBytes enables group-commit durability for BackendDisk triggered
-// by pending byte volume: once n bytes of records have been appended to a
-// shard since its last fsync, the flusher syncs immediately instead of
-// waiting out the latency bound. 0, the default, leaves the trigger
-// unset. BackendMemory ignores the knob.
-func WithSyncBytes(n int64) Option {
-	return func(s *settings) { s.cfg.SyncBytes = n }
-}
+// WithSyncBytes makes BackendDisk fsync a shard as soon as n bytes of
+// records are pending on it instead of waiting out the latency bound, so
+// concurrent writers share each disk barrier; 1 syncs after every record.
+// Default 0 leaves the trigger unset; see retriever.WithSyncBytes.
+func WithSyncBytes(n int64) Option { return index(retriever.WithSyncBytes(n)) }
 
 // WithSyncInterval bounds how long an acknowledged BackendDisk write may
-// stay unsynced: the group-commit flusher fsyncs every shard with pending
-// records at most d after the first of them arrived, batching the window
-// into one fsync per shard. Setting any sync knob activates the flusher;
-// the bound defaults to 2ms when WithSyncEvery or WithSyncBytes is set
-// without one. 0, the default, leaves the bound unset. BackendMemory
-// ignores the knob.
-func WithSyncInterval(d time.Duration) Option {
-	return func(s *settings) { s.cfg.SyncInterval = d }
-}
+// stay unsynced (2ms when only WithSyncBytes is set; default 0 leaves
+// durability to Flush/Close); see retriever.WithSyncInterval.
+func WithSyncInterval(d time.Duration) Option { return index(retriever.WithSyncInterval(d)) }
 
 // WithQuantize toggles the table index's int8 speed tier (default off):
-// vector search traverses scalar-quantized int8 vectors — a quarter of
-// the memory bandwidth per distance — then rescores finalists with exact
-// float32 arithmetic, so returned scores and ordering stay full
-// precision. The graph itself is built from float32 either way, and an
-// existing disk index can be reopened with a different setting.
-func WithQuantize(on bool) Option {
-	return func(s *settings) { s.cfg.Quantize = on }
-}
+// vector search traverses int8 vectors and rescores finalists in exact
+// float32, so returned scores and ordering stay full precision. See
+// retriever.WithQuantize.
+func WithQuantize(on bool) Option { return index(retriever.WithQuantize(on)) }
 
 // WithMmap makes BackendDisk memory-map snapshot files on open instead of
-// reading them (default off): cold start skips the read-and-decode copy,
-// vector arenas page in on demand, and co-located processes share the
-// page cache. Results may alias the mapping, so documents returned by a
-// mmap-backed service must not be retained after Close. Ignored on
-// platforms without mmap support; BackendMemory ignores the knob.
-func WithMmap(on bool) Option {
-	return func(s *settings) { s.cfg.Mmap = on }
-}
+// reading them (default off). Results may alias the mapping, so documents
+// returned by a mmap-backed service must not be retained after Close. See
+// retriever.WithMmap.
+func WithMmap(on bool) Option { return index(retriever.WithMmap(on)) }
 
 // WithCompactionRatio sets the dead-record fraction beyond which
-// BackendDisk rewrites a shard's segment file to its live records (and
-// refreshes its snapshot) at flush/close. 0 selects the default of 0.5;
-// values in (0, 1] set the threshold; negative values disable compaction.
-// BackendMemory ignores the knob.
-func WithCompactionRatio(ratio float64) Option {
-	return func(s *settings) { s.cfg.CompactionRatio = ratio }
-}
+// BackendDisk rewrites a shard's segment to its live records at
+// flush/close (default 0.5; negative disables); see
+// retriever.WithCompactionRatio.
+func WithCompactionRatio(ratio float64) Option { return index(retriever.WithCompactionRatio(ratio)) }
 
 // WithMaxConcurrent bounds how many requests (Send and Search calls
 // across all sessions) execute simultaneously; excess requests queue and

@@ -3,7 +3,6 @@ package pneuma
 import (
 	"context"
 	"io"
-	"time"
 
 	"pneuma/internal/core"
 	"pneuma/internal/docdb"
@@ -19,8 +18,6 @@ import (
 
 // Core system types.
 type (
-	// Config configures a Seeker (model, action cap, web search, ablations).
-	Config = core.Config
 	// Seeker is the assembled Pneuma-Seeker system (paper Figure 1).
 	Seeker = core.Seeker
 	// Session is one user's conversation with shared state (T, Q).
@@ -56,18 +53,6 @@ type (
 	Document = docs.Document
 )
 
-// NewSeeker assembles a bare Pneuma-Seeker over a table corpus. web and kb
-// may be nil; a nil cfg.Model defaults to the deterministic SimModel with
-// the paper's o4-mini profile.
-//
-// Deprecated: use New, which returns a concurrency-safe Service with
-// request scheduling and takes the same knobs as functional options (see
-// the README's migration table). NewSeeker remains for single-session
-// batch use.
-func NewSeeker(cfg Config, corpus map[string]*Table, web *WebSearch, kb *KnowledgeDB) (*Seeker, error) {
-	return core.New(context.Background(), cfg, corpus, web, kb)
-}
-
 // NewEngine creates an empty SQL engine.
 func NewEngine() *Engine { return sqlengine.NewEngine() }
 
@@ -86,95 +71,6 @@ const (
 	// reloaded on open; Retriever.Flush/Close make writes durable.
 	BackendDisk = retriever.Disk
 )
-
-// RetrieverKnobs are the scaling knobs of the sharded hybrid index. Zero
-// values select the defaults (GOMAXPROCS-derived shard count, GOMAXPROCS
-// embedding workers, in-memory backend).
-//
-// Deprecated: prefer assembling a Service with New and the equivalent
-// options (WithShards, WithIndexWorkers, WithBackend, WithIndexDir,
-// WithEf); RetrieverKnobs remains for standalone-index workflows.
-type RetrieverKnobs struct {
-	// Shards is the number of hash partitions of the index.
-	Shards int
-	// Workers sizes the embedding worker pool used by bulk ingest.
-	Workers int
-	// Backend selects the shard storage engine (BackendMemory or
-	// BackendDisk).
-	Backend Backend
-	// Dir is the index directory for BackendDisk (default: a fresh
-	// temporary directory). Opening a directory that already holds an
-	// index loads it.
-	Dir string
-	// Ef is the HNSW query beam width (default 64). Larger values trade
-	// query latency for vector-search recall; the knob is query-time
-	// only, so an existing disk index may be reopened with a different
-	// value.
-	Ef int
-	// SyncEvery triggers a group-commit fsync once n BackendDisk records
-	// are pending (0, the default, defers durability to Flush/Close
-	// unless another sync knob is set).
-	SyncEvery int
-	// SyncBytes triggers a group-commit fsync once pending BackendDisk
-	// records reach n bytes (0 leaves the trigger unset).
-	SyncBytes int64
-	// SyncInterval bounds how long an acknowledged BackendDisk write may
-	// stay unsynced (0 leaves the bound unset; defaults to 2ms when
-	// SyncEvery or SyncBytes is set).
-	SyncInterval time.Duration
-	// CompactionRatio is the dead-record fraction that triggers a
-	// BackendDisk segment rewrite at Flush/Close (0 = the default 0.5;
-	// negative disables compaction).
-	CompactionRatio float64
-	// Quantize enables the int8 speed tier: query traversal on
-	// scalar-quantized vectors with exact float32 rescoring (default
-	// off).
-	Quantize bool
-	// Mmap makes BackendDisk snapshot loads memory-map the file instead
-	// of reading it (default off; ignored where unsupported).
-	Mmap bool
-}
-
-// NewRetrieverWith creates a hybrid retrieval index with explicit scaling
-// knobs, loading any existing index when BackendDisk points at a directory
-// with persisted segments.
-func NewRetrieverWith(k RetrieverKnobs) (*Retriever, error) {
-	var opts []retriever.Option
-	if k.Shards > 0 {
-		opts = append(opts, retriever.WithShards(k.Shards))
-	}
-	if k.Workers > 0 {
-		opts = append(opts, retriever.WithWorkers(k.Workers))
-	}
-	if k.Backend != "" {
-		opts = append(opts, retriever.WithBackend(k.Backend))
-	}
-	if k.Dir != "" {
-		opts = append(opts, retriever.WithDir(k.Dir))
-	}
-	if k.Ef > 0 {
-		opts = append(opts, retriever.WithEf(k.Ef))
-	}
-	if k.SyncEvery > 0 {
-		opts = append(opts, retriever.WithSyncEvery(k.SyncEvery))
-	}
-	if k.SyncBytes > 0 {
-		opts = append(opts, retriever.WithSyncBytes(k.SyncBytes))
-	}
-	if k.SyncInterval > 0 {
-		opts = append(opts, retriever.WithSyncInterval(k.SyncInterval))
-	}
-	if k.CompactionRatio != 0 {
-		opts = append(opts, retriever.WithCompactionRatio(k.CompactionRatio))
-	}
-	if k.Quantize {
-		opts = append(opts, retriever.WithQuantize(true))
-	}
-	if k.Mmap {
-		opts = append(opts, retriever.WithMmap(true))
-	}
-	return retriever.Open(opts...)
-}
 
 // ParseBackend converts a user-supplied string ("memory", "disk", or empty
 // for the default) into a Backend.

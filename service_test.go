@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pneuma"
 	"pneuma/internal/leakcheck"
@@ -241,5 +245,139 @@ func TestServiceKnowledgeDedupe(t *testing.T) {
 	}
 	if kb.Len() != 2 {
 		t.Fatalf("distinct knowledge saved %d notes, want 2", kb.Len())
+	}
+}
+
+// TestIndexOptionsReachRetriever guards the one failure a forwarding layer
+// has — a knob silently dropped: every index option pneuma exports is
+// applied to a 20-table Service and its effect read back through the
+// accessors the Service already has. WithIndexWorkers and WithMmap change
+// nothing observable from outside (results are bit-identical by contract),
+// so their rows only prove construction succeeds; their effect is asserted
+// at the retriever level (TestParallelIngestDeterminism, TestMmapParity).
+func TestIndexOptionsReachRetriever(t *testing.T) {
+	corpus := pneuma.SyntheticDataset(20)
+	names := make([]string, 0, len(corpus))
+	for name := range corpus {
+		names = append(names, name)
+	}
+	// fsyncsMoveOnAdd: with a sync policy, an AddTables that is never
+	// flushed must still reach the disk through the group-commit flusher.
+	fsyncsMoveOnAdd := func(t *testing.T, svc *pneuma.Service, _ string) {
+		before := svc.Stats().Tables.Fsyncs
+		extra, err := pneuma.ReadCSV("late_arrival", strings.NewReader("a,b\n1,x\n2,y\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.AddTables(context.Background(), extra); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); svc.Stats().Tables.Fsyncs == before; {
+			if time.Now().After(deadline) {
+				t.Fatal("no fsync within 5s of an unflushed AddTables")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// segmentsAfterChurn deletes 15 of the 20 tables, flushes, and reports
+	// whether the segment files shrank (compaction ran) or grew (the
+	// tombstones were appended and nothing was rewritten).
+	segmentsAfterChurn := func(t *testing.T, svc *pneuma.Service, dir string) (shrank bool) {
+		segBytes := func() (n int64) {
+			segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+			if err != nil || len(segs) == 0 {
+				t.Fatalf("segments in %s: %v, %v", dir, segs, err)
+			}
+			for _, seg := range segs {
+				fi, err := os.Stat(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n += fi.Size()
+			}
+			return n
+		}
+		before := segBytes()
+		if n, err := svc.DeleteTables(context.Background(), names[:15]...); err != nil || n != 15 {
+			t.Fatalf("DeleteTables = %d, %v", n, err)
+		}
+		if err := svc.Seeker().IR().Tables.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return segBytes() < before
+	}
+
+	for _, tc := range []struct {
+		name string
+		// disk opens the index on BackendDisk under the subtest's TempDir.
+		disk  bool
+		opt   pneuma.Option
+		check func(t *testing.T, svc *pneuma.Service, dir string)
+	}{
+		{"WithShards", false, pneuma.WithShards(3),
+			func(t *testing.T, svc *pneuma.Service, _ string) {
+				if got := svc.Seeker().IR().Tables.NumShards(); got != 3 {
+					t.Errorf("NumShards = %d, want 3", got)
+				}
+			}},
+		{"WithIndexWorkers", false, pneuma.WithIndexWorkers(2), nil},
+		{"WithEf", false, pneuma.WithEf(200),
+			func(t *testing.T, svc *pneuma.Service, _ string) {
+				if got := svc.Seeker().IR().Tables.Ef(); got != 200 {
+					t.Errorf("Ef = %d, want 200", got)
+				}
+			}},
+		{"WithQuantize", false, pneuma.WithQuantize(true),
+			func(t *testing.T, svc *pneuma.Service, _ string) {
+				if _, i8 := svc.Seeker().IR().Tables.ArenaBytes(); i8 == 0 {
+					t.Error("int8 arena is empty under WithQuantize(true)")
+				}
+			}},
+		{"WithBackend+WithIndexDir", true, nil,
+			func(t *testing.T, svc *pneuma.Service, dir string) {
+				ret := svc.Seeker().IR().Tables
+				if ret.Backend() != pneuma.BackendDisk || ret.Dir() != dir {
+					t.Errorf("Backend, Dir = %q, %q; want %q, %q", ret.Backend(), ret.Dir(), pneuma.BackendDisk, dir)
+				}
+				// The control for the WithCompactionRatio row: at the
+				// default ratio the same churn does rewrite the segments.
+				if !segmentsAfterChurn(t, svc, dir) {
+					t.Error("default compaction ratio did not shrink the segments")
+				}
+			}},
+		{"WithMmap", true, pneuma.WithMmap(true), nil},
+		{"WithSyncBytes", true, pneuma.WithSyncBytes(1), fsyncsMoveOnAdd},
+		{"WithSyncInterval", true, pneuma.WithSyncInterval(time.Millisecond), fsyncsMoveOnAdd},
+		{"WithCompactionRatio", true, pneuma.WithCompactionRatio(-1),
+			func(t *testing.T, svc *pneuma.Service, dir string) {
+				if segmentsAfterChurn(t, svc, dir) {
+					t.Error("segments shrank with compaction disabled")
+				}
+				if runs := svc.Stats().Tables.Compaction.Runs; runs != 0 {
+					t.Errorf("%d compaction runs with compaction disabled", runs)
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var opts []pneuma.Option
+			if tc.disk {
+				opts = append(opts, pneuma.WithBackend(pneuma.BackendDisk), pneuma.WithIndexDir(dir))
+			}
+			if tc.opt != nil {
+				opts = append(opts, tc.opt)
+			}
+			svc, err := pneuma.New(corpus, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			if got := svc.Stats().Tables.Documents; got != len(corpus) {
+				t.Fatalf("indexed %d tables, want %d", got, len(corpus))
+			}
+			if tc.check != nil {
+				tc.check(t, svc, dir)
+			}
+		})
 	}
 }
