@@ -186,12 +186,10 @@ func truncateToMatching(t *table.Table, name string, queries []string, budget in
 		return t.Head(budget)
 	}
 	// Evaluate the WHERE predicate row by row via a 1-row engine would be
-	// slow; instead select matching row ids from an augmented copy.
-	aug := t.Clone()
-	aug.Schema.Name = name
-	// Use LIMIT on the filtered subquery to find the cutoff cheaply.
+	// slow; instead use LIMIT on the filtered subquery to find the cutoff
+	// cheaply.
 	eng := sqlengine.NewEngine()
-	eng.RegisterAs(name, aug)
+	eng.RegisterAs(name, t)
 	q := fmt.Sprintf("SELECT * FROM %s%s LIMIT %d", name, where, budget)
 	out, err := eng.Query(q)
 	if err != nil {

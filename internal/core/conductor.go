@@ -364,9 +364,7 @@ func (c *Conductor) executeQ(sess *Session) (out interface {
 }, err error) {
 	eng := sqlengine.NewEngine()
 	for name, t := range sess.State.Materialized {
-		tt := t.Clone()
-		tt.Schema.Name = name
-		eng.Register(tt)
+		eng.RegisterAs(name, t)
 	}
 	for _, d := range sess.Docs {
 		if d.Table != nil {

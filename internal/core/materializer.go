@@ -129,7 +129,11 @@ func (m *Materializer) plan(ctx context.Context, in llm.MaterializeInput) (llm.M
 	return plan, nil
 }
 
-// execute runs an integration plan over the source tables.
+// execute runs an integration plan over the source tables. It copies no
+// table: the base step starts from the source itself, every later step hands
+// back a new table that shares the rows it did not change (package table's
+// row rule), and the result is named on a header of its own, so a source's
+// schema and cells are never written.
 func (m *Materializer) execute(plan llm.MaterializePlan, spec llm.TableSpec, byName map[string]*table.Table) (*table.Table, error) {
 	var cur *table.Table
 	for _, step := range plan.Steps {
@@ -140,7 +144,7 @@ func (m *Materializer) execute(plan llm.MaterializePlan, spec llm.TableSpec, byN
 				return nil, &transform.Error{Op: "BASE", Msg: fmt.Sprintf(
 					"source table %q was not retrieved; available: %s", step.Table, names(byName))}
 			}
-			cur = src.Clone()
+			cur = src
 
 		case "join":
 			if cur == nil {
@@ -227,22 +231,20 @@ func (m *Materializer) execute(plan llm.MaterializePlan, spec llm.TableSpec, byN
 	if cur == nil {
 		return nil, &transform.Error{Op: "PLAN", Msg: "plan produced no table"}
 	}
-	cur.Schema.Name = spec.Name
-	return cur, nil
+	out := cur.Head(cur.NumRows())
+	out.Schema.Name = spec.Name
+	return out, nil
 }
 
 // equiJoin joins via the SQL engine under stable aliases.
 func equiJoin(left, right *table.Table, leftKey, rightKey string) (*table.Table, error) {
 	eng := sqlengine.NewEngine()
-	l, r := left.Clone(), right.Clone()
-	l.Schema.Name = "l"
-	r.Schema.Name = "r"
-	eng.Register(l)
-	eng.Register(r)
+	eng.RegisterAs("l", left)
+	eng.RegisterAs("r", right)
 	// Project right-side columns that do not collide with left names.
 	var rcols []string
-	for _, c := range r.Schema.Columns {
-		if l.Schema.ColumnIndex(c.Name) < 0 {
+	for _, c := range right.Schema.Columns {
+		if left.Schema.ColumnIndex(c.Name) < 0 {
 			rcols = append(rcols, "r."+quoteIdent(c.Name))
 		}
 	}

@@ -3,27 +3,13 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
-	"time"
 
 	"pneuma/internal/baselines"
 	"pneuma/internal/kramabench"
 	"pneuma/internal/llm"
 	"pneuma/internal/table"
 )
-
-// Report bundles the paper artifacts cmd/pneuma-bench and the root
-// bench_test.go print: one reproduction of every table and figure.
-type Report struct {
-	Dataset      string
-	Table1       Table1Row
-	Convergence  []ConvergenceSummary // Figure 4 or 5
-	Accuracy     []AccuracySummary    // Table 3 rows
-	O3           AccuracySummary      // in-text O3 result
-	TokenUsage   TokenUsageRow        // Table 2 row
-	LatencyBySys map[string]time.Duration
-}
 
 // Table1Row is one row of the paper's Table 1.
 type Table1Row struct {
@@ -278,12 +264,4 @@ func RunFullEvaluation(ctx context.Context, dataset string, corpus map[string]*t
 	}
 	out.O3 = RunAccuracy(ctx, baselines.NewFullContext(corpus, nil), questions)
 	return out, nil
-}
-
-// SortedSystems returns convergence summaries sorted by convergence pct
-// descending (for assertions and displays).
-func SortedSystems(sums []ConvergenceSummary) []ConvergenceSummary {
-	out := append([]ConvergenceSummary{}, sums...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Pct > out[j].Pct })
-	return out
 }

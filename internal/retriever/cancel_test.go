@@ -3,6 +3,7 @@ package retriever
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,15 +17,17 @@ import (
 
 // blockingBackend wraps a ShardBackend so one shard's vector search parks
 // until released — the instrument for driving a query into the
-// "mid-fan-out" window deterministically.
+// "mid-fan-out" window deterministically. Once released it forwards every
+// call, so it can stay installed for later searches.
 type blockingBackend struct {
 	ShardBackend
-	entered chan struct{} // closed when SearchVector is reached
+	enter   sync.Once
+	entered chan struct{} // closed when SearchVector is first reached
 	release chan struct{} // SearchVector returns once this closes
 }
 
 func (b *blockingBackend) SearchVector(q []float32, k int) ([]hnsw.Result, error) {
-	close(b.entered)
+	b.enter.Do(func() { close(b.entered) })
 	<-b.release
 	return b.ShardBackend.SearchVector(q, k)
 }
@@ -62,9 +65,8 @@ func TestSearchCanceledMidFanout(t *testing.T) {
 	if err := r.IndexTables(context.Background(), kramabench.SyntheticSlice(60)); err != nil {
 		t.Fatal(err)
 	}
-	inner := r.shards[0].be
 	blocked := &blockingBackend{
-		ShardBackend: inner,
+		ShardBackend: r.shards[0].be,
 		entered:      make(chan struct{}),
 		release:      make(chan struct{}),
 	}
@@ -105,14 +107,12 @@ func TestSearchCanceledMidFanout(t *testing.T) {
 		t.Fatal("Search did not return promptly after cancellation (blocked on stuck shard)")
 	}
 
-	// Unblock the parked shard so its goroutine can drain (it holds the
-	// shard read lock while parked), then swap the real backend back — the
-	// write lock acquisition below also proves the abandoned goroutine
-	// released the shard. leakcheck then proves nothing is left running.
+	// Unblock the parked shard so its goroutine can drain; leakcheck then
+	// proves nothing is left running. The wrapper stays installed: the
+	// abandoned goroutine reads shards[0].be without a lock (queryShard is
+	// lock-free by design), so swapping the real backend back would race
+	// with it, and a released wrapper simply forwards.
 	close(blocked.release)
-	r.shards[0].mu.Lock()
-	r.shards[0].be = inner
-	r.shards[0].mu.Unlock()
 
 	// The index must remain fully serviceable after an abandoned query.
 	ds, err := r.Search(context.Background(), "nitrate water quality", 5)

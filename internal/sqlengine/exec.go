@@ -674,7 +674,7 @@ func exprResolvesIn(e Expr, f *frame) bool {
 		return false
 	}
 	for _, r := range refs {
-		if _, err := f.resolve(r.Table, r.Column); err != nil {
+		if _, err := f.index(r); err != nil {
 			return false
 		}
 	}

@@ -40,6 +40,30 @@ type execCol struct {
 // frame is the schema of rows flowing through the executor.
 type frame struct {
 	cols []execCol
+	// refs memoizes resolve per column-reference node, so a statement pays
+	// the name scan once per reference rather than once per cell. It lives
+	// on the frame, not the node: one node is evaluated against the left,
+	// right and combined frames of a join, and one parsed statement may run
+	// on engines whose tables order their columns differently. A frame
+	// belongs to one execution, so the map needs no lock. Failures are not
+	// remembered; they end the statement.
+	refs map[*ColumnRef]int
+}
+
+// index returns the position ref resolves to in the frame.
+func (f *frame) index(ref *ColumnRef) (int, error) {
+	if i, ok := f.refs[ref]; ok {
+		return i, nil
+	}
+	i, err := f.resolve(ref.Table, ref.Column)
+	if err != nil {
+		return 0, err
+	}
+	if f.refs == nil {
+		f.refs = make(map[*ColumnRef]int)
+	}
+	f.refs[ref] = i
+	return i, nil
 }
 
 // resolve finds the index of (qual, name). Unqualified names must be
@@ -135,7 +159,7 @@ func (en *env) eval(e Expr) (value.Value, error) {
 		return ex.Val, nil
 
 	case *ColumnRef:
-		i, err := en.frame.resolve(ex.Table, ex.Column)
+		i, err := en.frame.index(ex)
 		if err != nil {
 			return value.Null(), err
 		}

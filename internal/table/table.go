@@ -1,6 +1,15 @@
 // Package table implements the in-memory relational store shared by every
 // component: typed schemas, row-oriented tables, CSV import/export with type
 // inference, and statistical profiling used by retrieval and grounding.
+//
+// One rule governs who may write what: a Row is immutable once it is in a
+// table, and tables may share rows. The corpus tables a Service owns are read
+// by every session at once, and the tables a session materializes from them
+// (a projection's input, a join's operands, an op's unchanged rows, Head)
+// point at the same Row values rather than at copies. Code that needs a cell
+// to differ builds a new Row and puts it in its own table's Rows; it never
+// assigns into, or appends onto, a Row it was handed. Clone is the deep copy
+// for a caller that will write cells in place.
 package table
 
 import (
@@ -79,7 +88,10 @@ func (s Schema) String() string {
 	return b.String()
 }
 
-// Row is one tuple, positionally aligned with the schema's columns.
+// Row is one tuple, positionally aligned with the schema's columns. A Row is
+// immutable once appended to a table: other tables may hold the same Row, so
+// a changed tuple is a new Row (Clone, then write the copy), never a write or
+// an append through this one.
 type Row []value.Value
 
 // Clone deep-copies the row.
@@ -92,7 +104,10 @@ func (r Row) Clone() Row {
 // Table is a schema plus rows.
 type Table struct {
 	Schema Schema
-	Rows   []Row
+	// Rows is the table's own index of its tuples: the table may replace,
+	// reorder or extend the slice, but the Row values in it may be shared
+	// with other tables and are never written (see Row).
+	Rows []Row
 
 	// profile caches BuildProfile; Append invalidates it. Callers that
 	// mutate Rows directly must call InvalidateProfile themselves.
@@ -152,7 +167,9 @@ func (t *Table) ColumnValues(col string) []value.Value {
 	return out
 }
 
-// Clone deep-copies the table.
+// Clone deep-copies the table: columns, row index and every row. It is for a
+// caller that will write cells in place; one that only renames the table,
+// edits columns or replaces some rows can share the rows instead.
 func (t *Table) Clone() *Table {
 	out := &Table{Schema: t.Schema}
 	out.Schema.Columns = append([]Column(nil), t.Schema.Columns...)
@@ -163,7 +180,9 @@ func (t *Table) Clone() *Table {
 	return out
 }
 
-// Head returns a new table containing the first n rows (shared row slices).
+// Head returns a new table header over the first n rows. It shares the rows,
+// the row index and the column slice with t; only the schema's own fields
+// (its name and description) may be set on the result without touching t.
 func (t *Table) Head(n int) *Table {
 	if n > len(t.Rows) {
 		n = len(t.Rows)
@@ -222,8 +241,8 @@ func (t *Table) BuildProfile() Profile {
 					cs.SampleValues = append(cs.SampleValues, key)
 				}
 			}
-			if f, ok := v.AsFloat(); ok && v.Kind().Numeric() {
-				sum += f
+			if v.Kind().Numeric() {
+				sum += v.FloatVal()
 				numCount++
 			}
 			if first {

@@ -42,8 +42,10 @@ func (e *Error) Error() string {
 
 // Op is one transformation step.
 type Op interface {
-	// Apply transforms the table, returning a new table (inputs are never
-	// mutated).
+	// Apply transforms the table, returning a new table. An op never writes
+	// its input — not a cell, not a column, not the schema name — and its
+	// output may share the rows it left unchanged with that input (rows are
+	// immutable once in a table; see package table).
 	Apply(t *table.Table) (*table.Table, error)
 	// Describe renders the op as pseudo-code for logging and token
 	// accounting — the "code" the Materializer writes.
@@ -77,6 +79,24 @@ func (p Program) Describe() string {
 	return strings.Join(lines, "\n")
 }
 
+// share starts an op's output: a table with its own row index and its own
+// column slice over t's rows. The op may edit columns and replace rows
+// (setCell), and pays only for the rows it replaces.
+func share(t *table.Table) *table.Table {
+	out := table.New(t.Schema)
+	out.Schema.Columns = append([]table.Column(nil), t.Schema.Columns...)
+	out.Rows = append([]table.Row(nil), t.Rows...)
+	return out
+}
+
+// setCell replaces row r of out with a copy that holds v in column ci. out
+// came from share, so the row it held until now may belong to other tables.
+func setCell(out *table.Table, r, ci int, v value.Value) {
+	row := out.Rows[r].Clone()
+	row[ci] = v
+	out.Rows[r] = row
+}
+
 // ---------------------------------------------------------------------------
 // ParseDates
 // ---------------------------------------------------------------------------
@@ -98,10 +118,10 @@ func (op ParseDates) Apply(t *table.Table) (*table.Table, error) {
 	if ci < 0 {
 		return nil, colMissing("PARSE_DATES", op.Column, t)
 	}
-	out := t.Clone()
+	out := share(t)
 	out.Schema.Columns[ci].Type = value.KindTime
 	var bad []string
-	for r, row := range out.Rows {
+	for r, row := range t.Rows {
 		v := row[ci]
 		if v.IsNull() {
 			continue
@@ -109,7 +129,7 @@ func (op ParseDates) Apply(t *table.Table) (*table.Table, error) {
 		tm, ok := v.AsTime()
 		if !ok {
 			if op.Lenient {
-				out.Rows[r][ci] = value.Null()
+				setCell(out, r, ci, value.Null())
 				continue
 			}
 			if len(bad) < 3 {
@@ -117,7 +137,7 @@ func (op ParseDates) Apply(t *table.Table) (*table.Table, error) {
 			}
 			continue
 		}
-		out.Rows[r][ci] = value.Time(tm)
+		setCell(out, r, ci, value.Time(tm))
 	}
 	if len(bad) > 0 {
 		return nil, &Error{
@@ -151,10 +171,10 @@ func (op ToNumber) Apply(t *table.Table) (*table.Table, error) {
 	if ci < 0 {
 		return nil, colMissing("TO_NUMBER", op.Column, t)
 	}
-	out := t.Clone()
+	out := share(t)
 	out.Schema.Columns[ci].Type = value.KindFloat
 	var bad []string
-	for r, row := range out.Rows {
+	for r, row := range t.Rows {
 		v := row[ci]
 		if v.IsNull() {
 			continue
@@ -162,7 +182,7 @@ func (op ToNumber) Apply(t *table.Table) (*table.Table, error) {
 		f, ok := parseLooseNumber(v.String())
 		if !ok {
 			if op.Lenient {
-				out.Rows[r][ci] = value.Null()
+				setCell(out, r, ci, value.Null())
 				continue
 			}
 			if len(bad) < 3 {
@@ -170,7 +190,7 @@ func (op ToNumber) Apply(t *table.Table) (*table.Table, error) {
 			}
 			continue
 		}
-		out.Rows[r][ci] = value.Float(f)
+		setCell(out, r, ci, value.Float(f))
 	}
 	if len(bad) > 0 {
 		return nil, &Error{
@@ -230,7 +250,7 @@ func (op Derive) Apply(t *table.Table) (*table.Table, error) {
 	if err != nil {
 		return nil, &Error{Op: "DERIVE", Msg: fmt.Sprintf("bad expression %q: %v", op.Expr, err)}
 	}
-	out := t.Clone()
+	out := share(t)
 	ci := out.Schema.ColumnIndex(op.Name)
 	fresh := ci < 0
 	if fresh {
@@ -238,17 +258,22 @@ func (op Derive) Apply(t *table.Table) (*table.Table, error) {
 		ci = len(out.Schema.Columns) - 1
 	}
 	kind := value.KindNull
-	for r := range out.Rows {
+	for r, row := range t.Rows {
 		// Evaluate against the original table so a replaced column's old
 		// values stay visible to the expression.
-		v, err := sqlengine.EvalOnRow(expr, t, t.Rows[r])
+		v, err := sqlengine.EvalOnRow(expr, t, row)
 		if err != nil {
 			return nil, &Error{Op: "DERIVE", Msg: fmt.Sprintf("row %d: %v", r, err)}
 		}
 		if fresh {
-			out.Rows[r] = append(out.Rows[r], v)
+			// A new row, not append(row, v): row's backing array may have
+			// room, and every table sharing the row would see the write.
+			wide := make(table.Row, len(row)+1)
+			copy(wide, row)
+			wide[ci] = v
+			out.Rows[r] = wide
 		} else {
-			out.Rows[r][ci] = v
+			setCell(out, r, ci, v)
 		}
 		kind = value.UnifyKinds(kind, v.Kind())
 	}
@@ -277,7 +302,7 @@ func (op Rename) Apply(t *table.Table) (*table.Table, error) {
 	if ci < 0 {
 		return nil, colMissing("RENAME", op.From, t)
 	}
-	out := t.Clone()
+	out := share(t)
 	out.Schema.Columns[ci].Name = op.To
 	return out, nil
 }
@@ -376,18 +401,18 @@ func (op FillNulls) Apply(t *table.Table) (*table.Table, error) {
 	if ci < 0 {
 		return nil, colMissing("FILL_NULLS", op.Column, t)
 	}
-	out := t.Clone()
+	out := share(t)
 	switch op.Method {
 	case FillZero:
-		for r := range out.Rows {
-			if out.Rows[r][ci].IsNull() {
-				out.Rows[r][ci] = value.Float(0)
+		for r, row := range t.Rows {
+			if row[ci].IsNull() {
+				setCell(out, r, ci, value.Float(0))
 			}
 		}
 	case FillMean:
 		var sum float64
 		var n int
-		for _, row := range out.Rows {
+		for _, row := range t.Rows {
 			if f, ok := row[ci].AsFloat(); ok && !row[ci].IsNull() {
 				sum += f
 				n++
@@ -397,18 +422,19 @@ func (op FillNulls) Apply(t *table.Table) (*table.Table, error) {
 			return nil, &Error{Op: "FILL_NULLS", Msg: fmt.Sprintf("column %q has no numeric values to average", op.Column)}
 		}
 		mean := value.Float(sum / float64(n))
-		for r := range out.Rows {
-			if out.Rows[r][ci].IsNull() {
-				out.Rows[r][ci] = mean
+		for r, row := range t.Rows {
+			if row[ci].IsNull() {
+				setCell(out, r, ci, mean)
 			}
 		}
 	case FillForward:
 		last := value.Null()
-		for r := range out.Rows {
-			if out.Rows[r][ci].IsNull() {
-				out.Rows[r][ci] = last
-			} else {
-				last = out.Rows[r][ci]
+		for r, row := range t.Rows {
+			switch {
+			case !row[ci].IsNull():
+				last = row[ci]
+			case !last.IsNull(): // nothing to carry into leading NULLs
+				setCell(out, r, ci, last)
 			}
 		}
 	default:
@@ -445,14 +471,14 @@ func (op Interpolate) Apply(t *table.Table) (*table.Table, error) {
 	if yi < 0 {
 		return nil, colMissing("INTERPOLATE", op.YColumn, t)
 	}
-	out := t.Clone()
+	out := share(t)
 	// Sort row indices by X.
 	type pt struct {
 		row int
 		x   float64
 	}
 	var pts []pt
-	for r, row := range out.Rows {
+	for r, row := range t.Rows {
 		x, ok := row[xi].AsFloat()
 		if !ok {
 			return nil, &Error{Op: "INTERPOLATE", Msg: fmt.Sprintf(
@@ -468,7 +494,7 @@ func (op Interpolate) Apply(t *table.Table) (*table.Table, error) {
 	type anchor struct{ x, y float64 }
 	var anchors []anchor
 	for _, p := range pts {
-		v := out.Rows[p.row][yi]
+		v := t.Rows[p.row][yi]
 		if v.IsNull() {
 			continue
 		}
@@ -484,7 +510,7 @@ func (op Interpolate) Apply(t *table.Table) (*table.Table, error) {
 			"column %q needs at least 2 non-null values to interpolate, has %d", op.YColumn, len(anchors))}
 	}
 	for _, p := range pts {
-		if !out.Rows[p.row][yi].IsNull() {
+		if !t.Rows[p.row][yi].IsNull() {
 			continue
 		}
 		// Find the bracketing anchors.
@@ -494,11 +520,11 @@ func (op Interpolate) Apply(t *table.Table) (*table.Table, error) {
 		}
 		a, b := anchors[lo-1], anchors[lo]
 		if b.x == a.x {
-			out.Rows[p.row][yi] = value.Float(a.y)
+			setCell(out, p.row, yi, value.Float(a.y))
 			continue
 		}
 		frac := (p.x - a.x) / (b.x - a.x)
-		out.Rows[p.row][yi] = value.Float(a.y + frac*(b.y-a.y))
+		setCell(out, p.row, yi, value.Float(a.y+frac*(b.y-a.y)))
 	}
 	out.Schema.Columns[yi].Type = value.KindFloat
 	return out, nil
@@ -666,7 +692,7 @@ func (op AppendRows) Apply(t *table.Table) (*table.Table, error) {
 				c.Name, op.Other.Schema.Name, t.Schema.String())}
 		}
 	}
-	out := t.Clone()
+	out := share(t)
 	for _, orow := range op.Other.Rows {
 		nr := make(table.Row, t.NumCols())
 		for i, c := range t.Schema.Columns {

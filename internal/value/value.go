@@ -160,7 +160,11 @@ func (v Value) AsFloat() (float64, bool) {
 		}
 		return 0, true
 	case KindString:
-		f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
+		s := strings.TrimSpace(v.s)
+		if !mayBeginFloat(s) {
+			return 0, false
+		}
+		f, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			return 0, false
 		}
@@ -169,6 +173,23 @@ func (v Value) AsFloat() (float64, bool) {
 		return float64(v.t.Unix()), true
 	default:
 		return 0, false
+	}
+}
+
+// mayBeginFloat reports whether s starts with a byte that can begin a
+// strconv.ParseFloat literal: a digit, a sign, a point, or the first letter
+// of inf/infinity/nan. ParseFloat heap-allocates a *NumError for every
+// string it rejects, and text cells reach AsFloat once per Compare, so words
+// are turned away here, before they cost an allocation.
+func mayBeginFloat(s string) bool {
+	if s == "" {
+		return false
+	}
+	switch c := s[0]; c {
+	case '+', '-', '.', 'i', 'I', 'n', 'N':
+		return true
+	default:
+		return '0' <= c && c <= '9'
 	}
 }
 

@@ -2,6 +2,9 @@ package value
 
 import (
 	"math"
+	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -59,6 +62,61 @@ func TestAsFloat(t *testing.T) {
 		if ok != c.ok || (ok && got != c.want) {
 			t.Errorf("AsFloat(%v) = (%v, %v), want (%v, %v)", c.v, got, ok, c.want, c.ok)
 		}
+	}
+}
+
+// TestAsFloatStringAgreesWithParseFloat pins the first-byte screen in AsFloat
+// to the parser it stands in front of: for any string, value and ok must be
+// what strconv.ParseFloat says of the trimmed text.
+func TestAsFloatStringAgreesWithParseFloat(t *testing.T) {
+	check := func(s string) {
+		t.Helper()
+		want, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		got, ok := String(s).AsFloat()
+		if ok != (err == nil) {
+			t.Errorf("AsFloat(%q) ok = %v, ParseFloat err = %v", s, ok, err)
+			return
+		}
+		if ok && got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Errorf("AsFloat(%q) = %v, ParseFloat = %v", s, got, want)
+		}
+	}
+	for _, s := range []string{
+		"Inf", "+inf", "-Infinity", "infinity", "INF", "inf ", "infinit", "-i", "i",
+		"nan", "NaN", "+nan", "-NaN", "nano", "n", "N/A", "North",
+		".5", "-.5e3", "+.5", ".", "-", "+", "1.", "1e", "1e+", "1e5", "1E-5",
+		"0x1p-2", "0X1P+3", "0x", "1_000", "0x_1p0", "0b11", "0o7",
+		"", " ", " 12 ", "\t7\n", "\u00a012", "12abc", "S001", "2020-01-01", "12:30",
+		"é", "\xff", "١٢", "−5", "１２", "$99", "1,200.50", "45%", "(5)", "e5", "E",
+		"1e400", "-1e400", "4.9e-324", "1e-400", "00012", "9223372036854775808",
+	} {
+		check(s)
+	}
+
+	// Short strings over an alphabet dense in what a float literal is made
+	// of, so the generator keeps landing on near-misses of both kinds.
+	const alphabet = "0123456789+-.eExXpP_iInNfFaAtTyY \tSé,"
+	letters := []rune(alphabet)
+	rng := rand.New(rand.NewSource(18))
+	for i := 0; i < 10000; i++ {
+		b := make([]rune, rng.Intn(9))
+		for j := range b {
+			b[j] = letters[rng.Intn(len(letters))]
+		}
+		check(string(b))
+	}
+}
+
+// TestAsFloatOnWordDoesNotAllocate: a text cell reaches AsFloat on every
+// Compare, and ParseFloat would heap-allocate a *NumError to turn it away.
+func TestAsFloatOnWordDoesNotAllocate(t *testing.T) {
+	v := String("suspect")
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := v.AsFloat(); ok {
+			t.Fatal("a word is not a number")
+		}
+	}); n != 0 {
+		t.Fatalf("AsFloat on a non-numeric word allocates %.0f times, want 0", n)
 	}
 }
 

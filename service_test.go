@@ -20,28 +20,39 @@ import (
 // tripping knowledge capture, so concurrent sessions stay independent.
 const serviceQuestion = "What is the average organic matter percentage for soil samples in the Malta region? Round your answer to 4 decimal places."
 
+// interpolatingQuestion materializes from the same soil_samples table as
+// serviceQuestion, through an interpolate step: it replaces cells in a table
+// whose rows are the corpus table's own, while the other sessions read them.
+const interpolatingQuestion = "What is the average Potassium concentration for soil samples in the Sicily region between 1920 and 1980? Assume that Potassium is linearly interpolated between samples. Round your answer to 4 decimal places."
+
 // TestServiceConcurrentSessions drives N sessions through one Service
 // simultaneously (run under -race via `make race-smoke`): every session
 // must get the same deterministic reply a solo session gets, and the
-// per-session meters must sum exactly to the service-wide meter.
+// per-session meters must sum exactly to the service-wide meter. The
+// sessions alternate between two questions over one corpus table, so
+// materialized tables that share its rows are built and queried side by side.
 func TestServiceConcurrentSessions(t *testing.T) {
 	defer leakcheck.Check(t)()
 	corpus := pneuma.ArchaeologyDataset()
 
-	// Reference run: one session on its own Service.
-	ref, err := pneuma.New(corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refReply, err := ref.NewSession("ref").Send(context.Background(), serviceQuestion)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refReply.Answer == "" {
-		t.Fatalf("reference run returned no answer: %s", refReply.Message)
-	}
-	if err := ref.Close(); err != nil {
-		t.Fatal(err)
+	// Reference runs: each question in one session on its own Service.
+	questions := []string{serviceQuestion, interpolatingQuestion}
+	refReplies := make([]pneuma.Reply, len(questions))
+	for qi, q := range questions {
+		ref, err := pneuma.New(corpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refReplies[qi], err = ref.NewSession("ref").Send(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if refReplies[qi].Answer == "" {
+			t.Fatalf("reference run %d returned no answer: %s", qi, refReplies[qi].Message)
+		}
+		if err := ref.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	svc, err := pneuma.New(corpus, pneuma.WithMaxConcurrent(4))
@@ -67,7 +78,7 @@ func TestServiceConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			replies[i], errs[i] = sess[i].Send(context.Background(), serviceQuestion)
+			replies[i], errs[i] = sess[i].Send(context.Background(), questions[i%len(questions)])
 		}(i)
 	}
 	wg.Wait()
@@ -76,6 +87,7 @@ func TestServiceConcurrentSessions(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("session %d: %v", i, errs[i])
 		}
+		refReply := refReplies[i%len(questions)]
 		if replies[i].Answer != refReply.Answer {
 			t.Errorf("session %d answer = %q, want %q (deterministic replies per session)",
 				i, replies[i].Answer, refReply.Answer)
