@@ -15,10 +15,12 @@ DOC_PKGS = ./internal/retriever ./internal/ir ./internal/embed ./internal/bm25 .
 # kernel-heavy tier-1 packages re-run with the scalar dispatch override
 # (so the portable kernels stay proven even on SIMD machines), the
 # end-to-end daemon smoke, a short-mode race pass over the concurrent
-# serving path (Service scheduler, cancellation fan-out, disk-backend
-# sessions, the live-ingest churn soak, the SIMD dispatch seam — batched
-# entry points included, background compaction under churn), and a
-# 10-second fuzz pass over the binary decoders.
+# serving path (Service scheduler, cold concurrent first turns on an
+# unprofiled corpus, the session memo and the shared profile cache,
+# cancellation fan-out, disk-backend sessions, the live-ingest churn soak,
+# the SIMD dispatch seam — batched entry points included, background
+# compaction under churn), and a 10-second fuzz pass over the binary
+# decoders.
 verify: fmt-check vet asmvet xbuild-arm64 tier1 tier1-scalar docs serve-smoke race-smoke fuzz-smoke
 
 fmt-check:
@@ -64,8 +66,10 @@ race:
 	$(GO) test -race . ./internal/retriever/... ./internal/ir/... ./internal/embed/... ./internal/docdb/... ./internal/llm/...
 
 # race-smoke is the short-mode race gate wired into `make verify`: it
-# drives N concurrent sessions through one Service, cancels a Search
-# mid-fan-out, hammers a disk-backed index with concurrent
+# drives N concurrent sessions through one Service (warm, and cold: first
+# turns racing to profile corpus tables nothing has profiled yet), runs the
+# session-memo tests and concurrent BuildProfile readers on one table,
+# cancels a Search mid-fan-out, hammers a disk-backed index with concurrent
 # search/delete/flush (compaction included), runs the live-ingest churn
 # soak (readers pinned on epoch views while a mutator streams batched
 # adds/deletes/flushes, with quiesce parity against a sequential
@@ -74,7 +78,7 @@ race:
 # goroutine-leak guard — the serving paths a sequential test run never
 # stresses.
 race-smoke:
-	$(GO) test -race -short -count=1 -run 'TestService|TestSearchCanceled|TestIndexDocumentsCanceled|TestQueryPartial|TestQueryCanceled|TestDiskConcurrent|TestChurn|TestBackgroundCompaction|TestDispatchSeamRace' . ./internal/retriever/ ./internal/ir/ ./internal/vecmath/
+	$(GO) test -race -short -count=1 -run 'TestService|TestMaterializeMemo|TestBuildProfileConcurrent|TestSearchCanceled|TestIndexDocumentsCanceled|TestQueryPartial|TestQueryCanceled|TestDiskConcurrent|TestChurn|TestBackgroundCompaction|TestDispatchSeamRace' . ./internal/core/ ./internal/table/ ./internal/retriever/ ./internal/ir/ ./internal/vecmath/
 	@echo "race-smoke: ok"
 
 # fuzz-smoke runs each native fuzz target for 10 seconds — long enough

@@ -177,7 +177,7 @@ func (c *Conductor) dynamicTurn(ctx context.Context, sess *Session) (Reply, erro
 				break
 			}
 			for _, spec := range sess.State.Specs {
-				res, err := c.materializer.Materialize(ctx, spec, sess.Docs, sess.State.Queries)
+				res, err := c.materializer.materialize(ctx, spec, sess.Docs, sess.State.Queries, &sess.memo)
 				if err != nil {
 					lastError = err.Error()
 					log.Err = lastError
@@ -265,7 +265,7 @@ func (c *Conductor) staticTurn(ctx context.Context, sess *Session) (Reply, error
 		// own budget (which the Seeker sets to zero in static mode).
 		matFailed := false
 		for _, spec := range sess.State.Specs {
-			mres, err := c.materializer.Materialize(ctx, spec, sess.Docs, sess.State.Queries)
+			mres, err := c.materializer.materialize(ctx, spec, sess.Docs, sess.State.Queries, &sess.memo)
 			if err != nil {
 				matFailed = true
 				sess.pushAction(ActionLog{Action: llm.ActionMaterialize, Err: err.Error()})
@@ -314,7 +314,7 @@ func (c *Conductor) plan(ctx context.Context, sess *Session, lastError string, a
 		WebSearchEnabled: c.webSearch,
 	}
 	for _, d := range sess.Docs {
-		in.Docs = append(in.Docs, llm.NewDocInfo(d, sampleVals))
+		in.Docs = append(in.Docs, sess.docInfo(d, sampleVals))
 	}
 	req := llm.Request{
 		Task: llm.TaskConductorPlan,
@@ -330,7 +330,7 @@ func (c *Conductor) plan(ctx context.Context, sess *Session, lastError string, a
 	{
 		var b strings.Builder
 		for _, d := range sess.Docs {
-			b.WriteString(d.Summary(10))
+			b.WriteString(sess.docSummary(d, 10))
 		}
 		req.Sections = append(req.Sections, llm.Section{Title: "DOCUMENTS", Body: b.String()})
 	}
@@ -339,7 +339,7 @@ func (c *Conductor) plan(ctx context.Context, sess *Session, lastError string, a
 		// as prose, inflating context the way a single mega-agent would.
 		var b strings.Builder
 		for _, d := range sess.Docs {
-			b.WriteString(d.Summary(40))
+			b.WriteString(sess.docSummary(d, 40))
 		}
 		req.Sections = append(req.Sections, llm.Section{Title: "ALL_CONTEXT", Body: b.String()})
 	}

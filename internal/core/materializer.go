@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"pneuma/internal/docs"
@@ -43,8 +44,16 @@ type MaterializeResult struct {
 // Materialize builds the target table for spec out of the retrieved
 // documents, running the plan → execute → repair loop. The context bounds
 // every planning (model) call; cancellation ends the repair loop early
-// with ctx.Err().
+// with ctx.Err(). Every call executes its plan; only a Session remembers
+// what it has already built.
 func (m *Materializer) Materialize(ctx context.Context, spec llm.TableSpec, retrieved []docs.Document, queries []string) (MaterializeResult, error) {
+	return m.materialize(ctx, spec, retrieved, queries, nil)
+}
+
+// materialize is Materialize with the calling session's memo (nil for none).
+// The model is asked for every plan either way, so a hit saves the
+// execution and changes no prompt, token count or decision.
+func (m *Materializer) materialize(ctx context.Context, spec llm.TableSpec, retrieved []docs.Document, queries []string, memo *planMemo) (MaterializeResult, error) {
 	var res MaterializeResult
 
 	// Specialized context: only table documents, only integration data.
@@ -66,7 +75,7 @@ func (m *Materializer) Materialize(ctx context.Context, spec llm.TableSpec, retr
 	res.Plans = append(res.Plans, plan)
 
 	for attempt := 0; ; attempt++ {
-		t, execErr := m.execute(plan, spec, byName)
+		t, execErr := memo.execute(m, plan, spec, byName)
 		if execErr == nil {
 			res.Table = t
 			return res, nil
@@ -127,6 +136,61 @@ func (m *Materializer) plan(ctx context.Context, in llm.MaterializeInput) (llm.M
 		return llm.MaterializePlan{}, err
 	}
 	return plan, nil
+}
+
+// planMemoSize bounds a session's memo. The worst kramabench conversation
+// holds 4 distinct plans.
+const planMemoSize = 8
+
+// planMemo is a session's memory of the tables it has materialized: at most
+// planMemoSize results of execute, most recently used first. What execute
+// builds is a function of the spec's name, the plan's steps and the contents
+// of the source tables the steps name; tables are immutable (package table's
+// row rule), so the contents are stood for by the tables' identity and a
+// replaced source is a different key. Failures are not remembered: a plan
+// that failed runs again and fails with the same text. A nil *planMemo
+// remembers nothing.
+type planMemo struct {
+	entries []memoEntry
+}
+
+type memoEntry struct {
+	name    string
+	steps   []llm.MatStep
+	sources []*table.Table
+	result  *table.Table
+}
+
+// execute is m.execute, skipped when the memo holds what it would build.
+func (pm *planMemo) execute(m *Materializer, plan llm.MaterializePlan, spec llm.TableSpec, byName map[string]*table.Table) (*table.Table, error) {
+	if pm == nil {
+		return m.execute(plan, spec, byName)
+	}
+	// The source each step names, nil for a step that names none (or one
+	// that was not retrieved, which execute will refuse).
+	sources := make([]*table.Table, len(plan.Steps))
+	for i, step := range plan.Steps {
+		if step.Table != "" {
+			sources[i] = byName[strings.ToLower(step.Table)]
+		}
+	}
+	for i, e := range pm.entries {
+		if e.name == spec.Name && slices.Equal(e.steps, plan.Steps) && slices.Equal(e.sources, sources) {
+			copy(pm.entries[1:i+1], pm.entries[:i])
+			pm.entries[0] = e
+			return e.result, nil
+		}
+	}
+	t, err := m.execute(plan, spec, byName)
+	if err != nil {
+		return nil, err
+	}
+	if len(pm.entries) < planMemoSize {
+		pm.entries = append(pm.entries, memoEntry{})
+	}
+	copy(pm.entries[1:], pm.entries)
+	pm.entries[0] = memoEntry{name: spec.Name, steps: plan.Steps, sources: sources, result: t}
+	return t, nil
 }
 
 // execute runs an integration plan over the source tables. It copies no

@@ -151,6 +151,17 @@ func (s *Seeker) Close() error {
 // sessions of the same Seeker may run concurrently (the Service admits
 // them through its scheduler); everything they share (IR System, Document
 // Database, meters) is concurrency-safe.
+//
+// The loop converges by revising (T, Q) turn after turn, so a session also
+// remembers the work a later turn would otherwise repeat. It keeps the last
+// planMemoSize (8) tables it materialized, keyed by the integration plan and
+// the identity of the source tables the plan reads, and hands the same table
+// back when the model plans the same integration again; and it keeps the
+// prompt rendering (summary text and DocInfo) of every table document it has
+// shown the model, keyed by document ID and table identity. Both rest on
+// tables being immutable, a replaced table is a new identity and so a miss,
+// the model sees the same prompts either way, and both die with the session:
+// two sessions share neither.
 type Session struct {
 	seeker *Seeker
 	// User identifies the user for knowledge capture.
@@ -176,6 +187,19 @@ type Session struct {
 	meter   *llm.Meter
 	actions []ActionLog
 	docIDs  map[string]struct{}
+
+	memo      planMemo
+	infos     map[renderKey]llm.DocInfo
+	summaries map[renderKey]string
+}
+
+// renderKey names one prompt rendering of a table document: a document ID
+// names one document (mergeDocs holds one per ID), the table pointer stands
+// for its immutable contents, and n is the sample bound it was rendered at.
+type renderKey struct {
+	id string
+	t  *table.Table
+	n  int
 }
 
 // NewSession starts a conversation for the named user.
@@ -186,6 +210,9 @@ func (s *Seeker) NewSession(user string) *Session {
 		State:  NewState(),
 		meter:  llm.NewMeter(),
 		docIDs: make(map[string]struct{}),
+
+		infos:     make(map[renderKey]llm.DocInfo),
+		summaries: make(map[renderKey]string),
 	}
 }
 
@@ -267,6 +294,36 @@ func (sess *Session) mergeDocs(ds []docs.Document) int {
 		added++
 	}
 	return added
+}
+
+// docInfo is llm.NewDocInfo(d, sampleVals), built once per session for a
+// table document.
+func (sess *Session) docInfo(d docs.Document, sampleVals int) llm.DocInfo {
+	if d.Table == nil {
+		return llm.NewDocInfo(d, sampleVals)
+	}
+	k := renderKey{d.ID, d.Table, sampleVals}
+	info, ok := sess.infos[k]
+	if !ok {
+		info = llm.NewDocInfo(d, sampleVals)
+		sess.infos[k] = info
+	}
+	return info
+}
+
+// docSummary is d.Summary(sampleRows), rendered once per session for a table
+// document.
+func (sess *Session) docSummary(d docs.Document, sampleRows int) string {
+	if d.Table == nil {
+		return d.Summary(sampleRows)
+	}
+	k := renderKey{d.ID, d.Table, sampleRows}
+	text, ok := sess.summaries[k]
+	if !ok {
+		text = d.Summary(sampleRows)
+		sess.summaries[k] = text
+	}
+	return text
 }
 
 // shedDocs drops the lowest-ranked half of the accumulated documents —

@@ -39,7 +39,10 @@ func NewState() *State {
 }
 
 // SetModel replaces (T, Q) — the Conductor's "state modification" action.
-// Materialization and results are invalidated because T changed.
+// Materialization and results are dropped whichever of the two changed, so a
+// revision of Q alone also sends the next turn back through the Materializer;
+// the session's memo (planMemo) is what makes that cheap when the model plans
+// the same integration again.
 func (s *State) SetModel(specs []llm.TableSpec, queries []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -116,6 +116,63 @@ func TestServiceConcurrentSessions(t *testing.T) {
 	}
 }
 
+// TestServiceColdConcurrentFirstTurns starts four sessions at once on a
+// Service whose corpus tables nothing has profiled yet, so their first
+// planning calls all profile the same shared tables at the same moment (run
+// under -race via `make race-smoke`). The reference reply comes from a
+// different corpus instance: profiling this one first would warm the very
+// cache the sessions are meant to find empty.
+func TestServiceColdConcurrentFirstTurns(t *testing.T) {
+	defer leakcheck.Check(t)()
+	ref, err := pneuma.New(pneuma.ArchaeologyDataset())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.NewSession("ref").Send(context.Background(), serviceQuestion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want.Answer == "" {
+		t.Fatalf("reference run returned no answer: %s", want.Message)
+	}
+
+	svc, err := pneuma.New(pneuma.ArchaeologyDataset(), pneuma.WithMaxConcurrent(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	const sessions = 4
+	replies := make([]pneuma.Reply, sessions)
+	errs := make([]error, sessions)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < sessions; i++ {
+		sess := svc.NewSession(fmt.Sprintf("user-%d", i))
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			replies[i], errs[i] = sess.Send(context.Background(), serviceQuestion)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+
+	for i := 0; i < sessions; i++ {
+		if errs[i] != nil {
+			t.Fatalf("session %d: %v", i, errs[i])
+		}
+		if replies[i].Answer != want.Answer || replies[i].Message != want.Message {
+			t.Errorf("session %d replied %q (%q), the solo run on another corpus %q (%q)",
+				i, replies[i].Answer, replies[i].Message, want.Answer, want.Message)
+		}
+	}
+}
+
 // TestServiceSendCanceled: a canceled request context surfaces as the
 // typed ErrCanceled (and context.Canceled stays in the chain).
 func TestServiceSendCanceled(t *testing.T) {
