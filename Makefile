@@ -12,15 +12,14 @@ DOC_PKGS = ./internal/retriever ./internal/ir ./internal/embed ./internal/bm25 .
 # documentation gate, the tier-1 build+test command from ROADMAP.md
 # (which includes the AllocsPerRun budget guards and, in pneuma/benchmark,
 # every BENCHMARK.json workload run end to end at 1/50 scale), the
-# kernel-heavy tier-1 packages re-run with the scalar dispatch override
-# (so the portable kernels stay proven even on SIMD machines), the
+# kernel-heavy tier-1 packages re-run in a process pinned to the scalar
+# kernels (so the portable kernels stay proven even on SIMD machines), the
 # end-to-end daemon smoke, a short-mode race pass over the concurrent
 # serving path (Service scheduler, cold concurrent first turns on an
 # unprofiled corpus, the session memo and the shared profile cache,
 # cancellation fan-out, disk-backend sessions, the live-ingest churn soak,
-# the SIMD dispatch seam — batched entry points included, background
-# compaction under churn), and a 10-second fuzz pass over the binary
-# decoders.
+# background compaction under churn, Close handing a due compaction to the
+# flusher), and a 10-second fuzz pass over the binary decoders.
 verify: fmt-check vet asmvet xbuild-arm64 tier1 tier1-scalar docs serve-smoke race-smoke fuzz-smoke
 
 fmt-check:
@@ -52,11 +51,12 @@ xbuild-arm64:
 tier1:
 	$(GO) build ./... && $(GO) test ./...
 
-# tier1-scalar re-runs the kernel-consuming tier-1 packages with the
-# PNEUMA_FORCE_SCALAR env override pinning the dispatch seam to the
-# pure-Go kernels: the scalar tier is both the portability floor and the
+# tier1-scalar re-runs the kernel-consuming tier-1 packages with
+# PNEUMA_FORCE_SCALAR set, which pins the process to the pure-Go kernels
+# at init: the scalar tier is both the portability floor and the
 # bit-identity oracle, so it must keep passing the same tests the SIMD
 # tiers do — on the machines where it would otherwise never run.
+# vecmath's TestTierFollowsEnv fails the pass if the pin did not take.
 tier1-scalar:
 	PNEUMA_FORCE_SCALAR=1 $(GO) test -count=1 ./internal/vecmath/ ./internal/hnsw/ ./internal/bm25/ ./internal/retriever/
 	@echo "tier1-scalar: ok"
@@ -73,12 +73,11 @@ race:
 # search/delete/flush (compaction included), runs the live-ingest churn
 # soak (readers pinned on epoch views while a mutator streams batched
 # adds/deletes/flushes, with quiesce parity against a sequential
-# replay), hammers the SIMD dispatch seam while kernels run, exercises
-# background compaction racing a paced ingest stream, and checks the
-# goroutine-leak guard — the serving paths a sequential test run never
-# stresses.
+# replay), exercises background compaction racing a paced ingest stream
+# and Close racing a due compaction, and checks the goroutine-leak guard
+# — the serving paths a sequential test run never stresses.
 race-smoke:
-	$(GO) test -race -short -count=1 -run 'TestService|TestMaterializeMemo|TestBuildProfileConcurrent|TestSearchCanceled|TestIndexDocumentsCanceled|TestQueryPartial|TestQueryCanceled|TestDiskConcurrent|TestChurn|TestBackgroundCompaction|TestDispatchSeamRace' . ./internal/core/ ./internal/table/ ./internal/retriever/ ./internal/ir/ ./internal/vecmath/
+	$(GO) test -race -short -count=1 -run 'TestService|TestMaterializeMemo|TestBuildProfileConcurrent|TestSearchCanceled|TestIndexDocumentsCanceled|TestQueryPartial|TestQueryCanceled|TestDiskConcurrent|TestChurn|TestBackgroundCompaction|TestCloseCompactsDueShard' . ./internal/core/ ./internal/table/ ./internal/retriever/ ./internal/ir/
 	@echo "race-smoke: ok"
 
 # fuzz-smoke runs each native fuzz target for 10 seconds — long enough

@@ -40,7 +40,6 @@ func main() {
 	reindex := flag.Bool("reindex", false, "re-ingest the CSV directory even if -index-dir already holds an index")
 	syncBytes := flag.Int64("sync-bytes", 0, "group-commit fsync once pending disk records reach n bytes (0 = unset, 1 = every record)")
 	syncInterval := flag.Duration("sync-interval", 0, "max time an acknowledged disk write stays unsynced (0 = unset; 2ms when -sync-bytes is set)")
-	compactRatio := flag.Float64("compaction-ratio", 0, "dead-record fraction triggering disk segment compaction (0 = default 0.5, negative disables)")
 	quantize := flag.Bool("quantize", false, "int8 speed tier: quantized vector traversal with exact float32 rescoring")
 	mmap := flag.Bool("mmap", false, "memory-map disk snapshots on open instead of reading them")
 	flag.Parse()
@@ -64,7 +63,6 @@ func main() {
 		retriever.WithShards(*shards), retriever.WithWorkers(*workers),
 		retriever.WithBackend(backend), retriever.WithDir(*indexDir),
 		retriever.WithSyncBytes(*syncBytes), retriever.WithSyncInterval(*syncInterval),
-		retriever.WithCompactionRatio(*compactRatio),
 		retriever.WithQuantize(*quantize), retriever.WithMmap(*mmap),
 	)
 	if err != nil {

@@ -66,9 +66,9 @@ type docInfo struct {
 // mutex-serialized writer ever Stores. Sharing one table makes interning
 // O(new terms) per batch, where the copy-on-write scheme used by the
 // other view state would pay a full-vocabulary clone per batch — ruinous
-// for one-document batches. Any rebuild that reassigns slots (Compact, a
-// snapshot restore) starts a new lineage with a fresh table, so a slot's
-// meaning never changes under a live view.
+// for one-document batches. Anything that reassigns slots (a snapshot
+// restore, a shadow installed by AdoptFrom) starts a new lineage with a
+// fresh table, so a slot's meaning never changes under a live view.
 type termTable struct {
 	m sync.Map // term string → int32 slot
 }

@@ -50,8 +50,8 @@
 // and posting lists grow behind stable per-term atomically published
 // headers, trimmed per view by document index — postings are appended
 // in document order, so a view's visible postings are exactly the
-// prefix inside its own document table. Only slot-reassigning rebuilds
-// (Compact, a snapshot restore) start a fresh lineage.
+// prefix inside its own document table. Only slot-reassigning installs
+// (a snapshot restore, AdoptFrom) start a fresh lineage.
 //
 // # Serialization
 //
@@ -63,9 +63,10 @@
 // its updates are commutative, so each restored shard folds its live
 // aggregate back in (immediately when the Stats is already attached, or
 // deferred via DeferStats/AttachStats so a multi-section snapshot can
-// fully validate before any shared state is touched). Compact returns a
-// tombstone-free copy — the state a replay of a compacted segment log
-// would build — without touching the shared Stats.
+// fully validate before any shared state is touched). AdoptFrom installs
+// a tombstone-free shadow built over the live documents with local
+// statistics — the state a replay of a compacted segment log would
+// build — and re-points it at the shared Stats without touching it.
 //
 // All types in this package are safe for concurrent use.
 package bm25

@@ -292,70 +292,6 @@ func (ix *Index) AttachStats(st *Stats) {
 	ix.view.Store(&v)
 }
 
-// Compact rebuilds the index in place to hold only the live documents, in
-// their original relative order, scoring against the same shared Stats
-// object (which is left untouched: the live documents' contributions are
-// identical before and after). The result is exactly the index that
-// re-adding the surviving documents to a fresh NewWithStats index would
-// build — the state segment compaction needs after rewriting a log to its
-// live records. Readers are never blocked: they keep serving from the old
-// view until the rebuilt one is published with one atomic swap. The
-// term-frequency slices are shared with the old view (both are
-// immutable).
-func (ix *Index) Compact() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	old := ix.view.Load()
-	ix.batch++
-	// Compaction reassigns slots, so it starts a fresh term-table lineage;
-	// readers still on the old view keep the old table, whose slots keep
-	// their old meaning.
-	v := &lexView{terms: newTermTable(), stats: old.stats}
-	if old.stats == nil {
-		v.df = []int32{}
-	}
-	byID := make(map[string]int, old.liveDocs)
-	// Lists accumulate as plain slices (the fresh table means every lookup
-	// hit is in range) and are wrapped in their atomic headers only once,
-	// at the end — nothing reads the rebuilt view before the publish swap.
-	var lists [][]posting
-	for i := range old.docs {
-		d := &old.docs[i]
-		if d.deleted {
-			continue
-		}
-		slot := len(v.docs)
-		v.docs = append(v.docs, docInfo{id: d.id, length: d.length, tf: d.tf})
-		byID[d.id] = slot
-		v.totalLen += d.length
-		v.liveDocs++
-		for _, e := range d.tf {
-			ts, ok := v.terms.lookup(e.term)
-			if !ok {
-				ts = int32(len(lists))
-				v.terms.intern(e.term, ts)
-				lists = append(lists, nil)
-				if v.df != nil {
-					v.df = append(v.df, 0)
-				}
-			}
-			lists[ts] = append(lists[ts], posting{doc: slot, tf: e.tf})
-			if v.df != nil {
-				v.df[ts]++
-			}
-		}
-	}
-	v.plists = make([]*termPostings, len(lists))
-	for i := range lists {
-		tp := &termPostings{}
-		l := lists[i]
-		tp.data.Store(&l)
-		v.plists[i] = tp
-	}
-	ix.byID = byID
-	ix.view.Store(v)
-}
-
 // AdoptFrom atomically replaces this index's contents with donor's: the
 // published view and the writer state (ID map, batch stamps) move over.
 // The donor is expected to be a shadow rebuilt in local-statistics mode

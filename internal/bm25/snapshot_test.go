@@ -137,16 +137,23 @@ func TestSnapshotErrorsBM25(t *testing.T) {
 	}
 }
 
-// TestCompact verifies the in-place compaction: identical search results,
-// live-only document table, and untouched shared statistics.
-func TestCompact(t *testing.T) {
+// TestAdoptFrom verifies the install segment compaction commits with: a
+// shadow built with local statistics over only the live documents, in
+// their original order, is adopted into an index scoring against shared
+// Stats. The shared Stats must be untouched, results identical before and
+// after, the doc table live-only, and a later Add searchable.
+func TestAdoptFrom(t *testing.T) {
 	st := NewStats()
 	ix := NewWithStats(Params{}, st)
-	for _, d := range corpusDocs(30) {
+	corpus := corpusDocs(30)
+	for _, d := range corpus {
 		ix.Add(d.id, d.text)
 	}
+	deleted := map[string]bool{}
 	for i := 0; i < 15; i++ {
-		ix.Delete(fmt.Sprintf("d%03d", i*2))
+		id := fmt.Sprintf("d%03d", i*2)
+		ix.Delete(id)
+		deleted[id] = true
 	}
 	beforeDocs, beforeLen := st.DocCount(), st.AvgDocLen()
 	liveBefore := ix.Len()
@@ -157,30 +164,39 @@ func TestCompact(t *testing.T) {
 		before[i] = ix.Search(q, 10)
 	}
 
-	ix.Compact()
+	shadow := NewWithStats(Params{}, nil)
+	for _, d := range corpus {
+		if !deleted[d.id] {
+			shadow.Add(d.id, d.text)
+		}
+	}
+	ix.AdoptFrom(shadow)
 	if st.DocCount() != beforeDocs || st.AvgDocLen() != beforeLen {
-		t.Fatal("Compact mutated the shared stats")
+		t.Fatal("AdoptFrom mutated the shared stats")
 	}
 	if ix.Len() != liveBefore {
-		t.Fatalf("compacted Len = %d, want %d", ix.Len(), liveBefore)
+		t.Fatalf("adopted Len = %d, want %d", ix.Len(), liveBefore)
 	}
-	if v := ix.view.Load(); len(v.docs) != liveBefore {
-		t.Fatalf("compacted doc table has %d slots for %d live docs", len(v.docs), liveBefore)
+	if v := ix.view.Load(); len(v.docs) != liveBefore || v.stats != st {
+		t.Fatalf("adopted view: %d doc slots for %d live docs, shared stats attached %v", len(v.docs), liveBefore, v.stats == st)
 	}
 	for i, q := range queries {
 		after := ix.Search(q, 10)
 		if len(after) != len(before[i]) {
-			t.Fatalf("%q: %d vs %d results after compaction", q, len(before[i]), len(after))
+			t.Fatalf("%q: %d vs %d results after AdoptFrom", q, len(before[i]), len(after))
 		}
 		for j := range after {
 			if after[j] != before[i][j] {
-				t.Fatalf("%q rank %d: %+v vs %+v after compaction", q, j, before[i][j], after[j])
+				t.Fatalf("%q rank %d: %+v vs %+v after AdoptFrom", q, j, before[i][j], after[j])
 			}
 		}
 	}
-	// Compaction must stay transparent to later mutations too.
+	// The install must stay transparent to later mutations too.
 	ix.Add("d900", "fresh turbine output readings after compaction")
-	if res := ix.Search("turbine output", 5); len(res) == 0 {
-		t.Fatal("post-compaction add not searchable")
+	if res := ix.Search("turbine output", 5); len(res) == 0 || res[0].ID != "d900" {
+		t.Fatalf("post-AdoptFrom add not searchable: %+v", res)
+	}
+	if st.DocCount() != beforeDocs+1 {
+		t.Fatalf("post-AdoptFrom add reached shared stats as %d docs, want %d", st.DocCount(), beforeDocs+1)
 	}
 }

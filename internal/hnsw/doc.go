@@ -42,7 +42,7 @@
 //
 // The index serves reads and writes concurrently without reader locks.
 // All read-path state lives in an immutable graph value published behind
-// one atomic pointer; Search, Len, ForEachLive and AppendSnapshot load it
+// one atomic pointer; Search, Len, PinLive and AppendSnapshot load it
 // once and use it unlocked for the whole operation. Writers (serialized
 // by a mutex readers never touch) open a batch as a shallow copy of the
 // published view, clone only what the batch mutates, and publish the
@@ -65,7 +65,7 @@
 //     into the draft first, at most once per batch.
 //   - A batch's mutation cost is therefore borne entirely by the writer;
 //     what a batch can still cost concurrent readers is the scheduler.
-//     AddBatch and Compact yield between inserts (reads-first pacing) so
+//     AddBatch yields between inserts (reads-first pacing) so
 //     on a saturated machine reader tail latency is bounded by one
 //     insert's work — bulk ingest slows down before query p99 does. On
 //     an idle machine the yields are nanoseconds.

@@ -101,7 +101,7 @@ func (g *graph) vecAt(i int) []float32 {
 
 // Index is an HNSW graph over float32 vectors with string external IDs.
 // All public methods are safe for concurrent use; reads (Search, Len,
-// ForEachLive, AppendSnapshot) are lock-free — they pin the current
+// PinLive, AppendSnapshot) are lock-free — they pin the current
 // immutable view with one atomic load and never block on writers.
 //
 // Node storage is struct-of-arrays (see the package comment): vectors live
@@ -410,36 +410,6 @@ func (ix *Index) resetEntry(g *graph) {
 			g.entry = i
 		}
 	}
-}
-
-// Compact rebuilds the index tombstone-free, in place, by re-inserting the
-// live nodes in their original insertion order into a fresh graph with a
-// freshly seeded level generator — the result is identical to building a
-// new index over the survivors. Readers are never blocked: they keep
-// serving from the old view until the rebuilt graph is published with one
-// atomic swap.
-func (ix *Index) Compact() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	old := ix.view.Load()
-	ix.rng = rand.New(rand.NewSource(ix.cfg.Seed))
-	ix.rngDraws = 0
-	ix.byID = make(map[string]int, old.live)
-	ix.copied = ix.copied[:0]
-	ix.batch++
-	g := &graph{dim: ix.dim, entry: -1, maxLvl: -1}
-	for i := range old.ids {
-		if old.deleted[i] {
-			continue
-		}
-		ix.addLocked(g, old.ids[i], old.vecAt(i))
-		// Same reads-first yield as AddBatch: searches keep serving the
-		// pre-compaction view, so the only thing a long rebuild can cost
-		// readers on a saturated box is run-queue wait — cap it at one
-		// insert.
-		runtime.Gosched()
-	}
-	ix.publish(g)
 }
 
 // AdoptFrom atomically replaces this index's contents with donor's: the

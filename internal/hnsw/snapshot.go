@@ -209,25 +209,16 @@ func (ix *Index) LoadSnapshot(rd *wire.Reader) error {
 	return nil
 }
 
-// ForEachLive visits every live (non-tombstoned) node in insertion order,
-// passing its external ID and vector. It walks the view current at call
-// time, without blocking writers; the vector aliases that view's arena —
-// callers must copy it if they retain it past the callback. The walk
-// stops early when fn returns false. Segment compaction uses this to
-// rewrite a log with exactly the surviving inserts, in their original
-// relative order.
-func (ix *Index) ForEachLive(fn func(id string, vec []float32) bool) {
-	ix.PinLive()(fn)
-}
-
 // PinLive pins the view current at call time and returns a walker over
 // its live nodes, decoupling the pin from the walk: background compaction
 // pins under the shard writer lock (freezing exactly which inserts the
 // shadow rebuild will see) and then walks off-lock, possibly much later
 // and in chunks, while concurrent writers keep publishing newer views.
-// The walker has ForEachLive's contract — insertion order, early stop on
-// false, vectors alias the pinned arena — and may be invoked repeatedly;
-// each invocation walks the same frozen view.
+// The walker visits every live (non-tombstoned) node in insertion order,
+// passing its external ID and vector; the vector aliases the pinned
+// arena, so callers must copy it to retain it past the callback. The walk
+// stops early when fn returns false. The walker may be invoked
+// repeatedly; each invocation walks the same frozen view.
 func (ix *Index) PinLive() func(fn func(id string, vec []float32) bool) {
 	g := ix.view.Load()
 	return func(fn func(id string, vec []float32) bool) {

@@ -142,26 +142,100 @@ func TestSnapshotErrors(t *testing.T) {
 	}
 }
 
-// TestForEachLiveOrder verifies the compaction iterator yields exactly
-// the live nodes in insertion order.
-func TestForEachLiveOrder(t *testing.T) {
+// TestPinLiveOrder verifies the compaction walker yields exactly the live
+// nodes in insertion order, and keeps walking the pinned view after later
+// adds and deletes publish newer ones.
+func TestPinLiveOrder(t *testing.T) {
 	ix := buildIndex(t, Config{Seed: 5}, 8, 40)
-	var ids []string
-	ix.ForEachLive(func(id string, vec []float32) bool {
-		ids = append(ids, id)
-		return true
-	})
-	if len(ids) != ix.Len() {
-		t.Fatalf("visited %d nodes, live %d", len(ids), ix.Len())
+	walk := ix.PinLive()
+	live := ix.Len()
+	ix.Delete("v001")
+	if err := ix.Add("w000", queryVec(8, 1)); err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i < len(ids); i++ {
-		if ids[i-1] >= ids[i] {
-			t.Fatalf("insertion order violated: %s before %s", ids[i-1], ids[i])
+	for pass := 0; pass < 2; pass++ {
+		var ids []string
+		walk(func(id string, vec []float32) bool {
+			ids = append(ids, id)
+			return true
+		})
+		if len(ids) != live {
+			t.Fatalf("pass %d: visited %d nodes, live at pin %d", pass, len(ids), live)
+		}
+		for i := 1; i < len(ids); i++ {
+			if ids[i-1] >= ids[i] {
+				t.Fatalf("insertion order violated: %s before %s", ids[i-1], ids[i])
+			}
+		}
+		for _, id := range ids {
+			if id[0] != 'v' {
+				t.Fatalf("walker saw %q, published after the pin", id)
+			}
+		}
+		if ids[0] != "v001" { // v000 was deleted before the pin
+			t.Fatalf("walker lost v001, deleted after the pin: %v", ids[:3])
 		}
 	}
-	for _, id := range ids {
-		if id[0] != 'v' {
-			t.Fatalf("unexpected id %q", id)
+}
+
+// TestAdoptFrom verifies the install segment compaction commits with:
+// after adopting a shadow built over the live nodes in insertion order,
+// the index answers exactly like a fresh index over those survivors, and
+// later Adds land as they would on the donor (same level generator
+// position, same writer state).
+func TestAdoptFrom(t *testing.T) {
+	const dim = 16
+	for _, cfg := range []Config{{Seed: 5}, {Seed: 5, Quantize: true}} {
+		ix := buildIndex(t, cfg, dim, 80)
+		shadow, fresh := New(dim, cfg), New(dim, cfg)
+		ix.PinLive()(func(id string, vec []float32) bool {
+			v := append([]float32(nil), vec...)
+			if err := shadow.Add(id, v); err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.Add(id, v); err != nil {
+				t.Fatal(err)
+			}
+			return true
+		})
+		ix.AdoptFrom(shadow)
+		if ix.Len() != fresh.Len() {
+			t.Fatalf("quantize=%v: adopted Len = %d, want %d", cfg.Quantize, ix.Len(), fresh.Len())
 		}
+		same := func(label string) {
+			t.Helper()
+			for q := int64(0); q < 12; q++ {
+				query := queryVec(dim, q)
+				a, err := fresh.Search(query, 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := ix.Search(query, 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(a) != len(b) {
+					t.Fatalf("quantize=%v %s query %d: %d vs %d results", cfg.Quantize, label, q, len(a), len(b))
+				}
+				for i := range a {
+					if a[i] != b[i] {
+						t.Fatalf("quantize=%v %s query %d rank %d: fresh %+v, adopted %+v", cfg.Quantize, label, q, i, a[i], b[i])
+					}
+				}
+			}
+		}
+		same("after AdoptFrom")
+		for i := 0; i < 30; i++ {
+			id, vec := fmt.Sprintf("post%03d", i), queryVec(dim, int64(100+i))
+			if err := ix.Add(id, vec); err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.Add(id, vec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ix.Delete("post007")
+		fresh.Delete("post007")
+		same("after later Adds")
 	}
 }

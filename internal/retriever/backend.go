@@ -128,21 +128,6 @@ func (m *memoryBackend) setDocs(byID map[string]docs.Document) {
 // quantized-side bytes) for the bench harness's memory accounting.
 func (m *memoryBackend) arenaBytes() (int, int) { return m.vec.ArenaBytes() }
 
-// compact rebuilds the index halves without their tombstones, in place:
-// the HNSW graph is reconstructed by re-inserting the live vectors in
-// their original relative order under a freshly seeded level generator —
-// exactly the graph a replay of a compacted segment log builds — and the
-// BM25 index drops its dead document slots (the shared Stats object is
-// untouched; live contributions are identical before and after). Both
-// rebuilds publish via atomic view swap, so searches in flight keep their
-// pinned pre-compaction view and never observe a half-built shard. The
-// document map is already live-only.
-func (m *memoryBackend) compact() error {
-	m.vec.Compact()
-	m.lex.Compact()
-	return nil
-}
-
 // Index adds the embedded document to both halves and the document map.
 // The document store is written first: any ID visible through a published
 // index view must resolve in the store, so a concurrent reader never

@@ -234,7 +234,7 @@ func TestChurnSoak(t *testing.T) {
 					// from the tombstoned sequential replay below — the
 					// dedicated compaction-parity test covers that path.
 					opts = append(opts, WithDir(dir), WithSyncBytes(1<<14),
-						WithCompactionRatio(-1))
+						withCompactRatio(compactionOff))
 				}
 				r, err := Open(opts...)
 				if err != nil {
@@ -289,7 +289,7 @@ func TestChurnSoak(t *testing.T) {
 // original insertion order — tombstones leave no trace in results.
 func TestChurnCompactionParity(t *testing.T) {
 	dir := t.TempDir()
-	r, err := Open(WithShards(4), WithBackend(Disk), WithDir(dir), WithCompactionRatio(0.01))
+	r, err := Open(WithShards(4), WithBackend(Disk), WithDir(dir), withCompactRatio(0.01))
 	if err != nil {
 		t.Fatal(err)
 	}

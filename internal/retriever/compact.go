@@ -12,15 +12,15 @@ import (
 	"pneuma/internal/wire"
 )
 
-// Background segment compaction.
+// Segment compaction.
 //
-// The inline compaction path (diskBackend.compact) rewrites the segment
-// and rebuilds the shard's in-memory state while the caller holds the
-// shard's writer lock — every concurrent writer stalls for the whole
-// rewrite, which grows with corpus size. The background path moves that
-// work onto the group-commit flusher goroutine and takes the lock only in
-// short slices, so a large compaction never stalls a writer for more than
-// one slice's work:
+// A Disk shard's segment is an append-only log, so deletes and re-adds
+// leave dead records behind. Once they make up DefaultCompactionRatio of
+// the segment, the shard is rewritten to its live records — triggered from
+// the write path (appendRecord), by Flush, or by Close, and always run by
+// the same code: compactShard, on the group-commit flusher goroutine. It
+// takes the shard's writer lock only in short slices, so a large
+// compaction never stalls a writer for more than one slice's work:
 //
 //  1. Pin (locked, O(1)): drain the segment write buffer, record the
 //     current segment extent as the pin point, and pin the HNSW view's
@@ -45,15 +45,17 @@ import (
 //     AdoptFrom — an O(1) pointer adoption, not a rebuild. Searches
 //     in flight keep their pinned pre-compaction views.
 //
-// The invariant that makes this safe is the same one the inline path
-// relies on: at every step the shadow state is exactly what replaying the
-// tmp segment would build, because both are fed the same records in the
-// same order — phase 2 writes exactly what it inserts (even when a
-// concurrent re-add makes the document store momentarily newer than the
-// pinned vector, both sides see the same pair), and phase 3 applies the
-// very bytes it copies. The commit does not write a snapshot: the segment
-// rename invalidates the old snapshot's generation, and the next
-// Flush/Close writes a fresh one outside the stall-critical section.
+// The invariant that makes this safe: at every step the shadow state is
+// exactly what replaying the tmp segment would build, because both are fed
+// the same records in the same order — phase 2 writes exactly what it
+// inserts (even when a concurrent re-add makes the document store
+// momentarily newer than the pinned vector, both sides see the same pair),
+// and phase 3 applies the very bytes it copies. The graph is rebuilt
+// without the tombstoned nodes, so afterwards results are those of a fresh
+// index over the surviving documents. The commit does not write a
+// snapshot: the segment rename invalidates the old snapshot's generation,
+// and the Flush or Close that waited for the rewrite writes a fresh one
+// outside the stall-critical section.
 
 // compactChunk is how many live documents phase 2 moves per lock-free
 // slice: large enough to amortize per-batch copy-on-write in the shadow,
@@ -70,21 +72,20 @@ const compactCatchupRounds = 8
 // CompactionStats aggregates segment-compaction activity across a
 // retriever's disk shards (all zero for the Memory backend).
 type CompactionStats struct {
-	// Runs counts completed compaction rewrites, inline and background.
+	// Runs counts completed compaction rewrites.
 	Runs uint64
 	// Reclaimed counts dead records (superseded adds, deleted documents
 	// and their tombstones) removed across all runs.
 	Reclaimed int64
 	// MaxStall is the longest any single compaction phase held a shard's
 	// writer lock — the worst case a concurrent writer could have waited.
-	// Inline compactions count their full duration.
 	MaxStall time.Duration
 }
 
 // CompactionStats returns cumulative compaction counters across all
 // shards (mirroring Fsyncs for group commit); Service.Stats and the
-// server's /metrics report them. A background rewrite keeps MaxStall
-// bounded by one catch-up slice; an inline one counts its whole duration.
+// server's /metrics report them. The sliced rewrite keeps MaxStall
+// bounded by one catch-up slice.
 func (r *Retriever) CompactionStats() CompactionStats {
 	var cs CompactionStats
 	for _, s := range r.shards {
@@ -122,44 +123,22 @@ func (b *diskBackend) scheduleCompactLocked() chan struct{} {
 	return b.compactDone
 }
 
-// flushLocked is Retriever.Flush's per-shard first half (shard lock
-// held): surface parked flusher errors, fsync, and hand a due compaction
-// to the flusher, returning a channel that closes when it commits (a
-// Retriever always has the coordinator scheduleCompactLocked signals).
-// The snapshot is deferred to finishFlushLocked when a rewrite is
-// pending, because the rewrite is about to invalidate it.
+// flushLocked is flush's per-shard first half (shard lock held). A shard
+// whose compaction is due is synced and handed to the flusher, and the
+// returned channel closes when the rewrite finishes; its snapshot waits for
+// the second half, because the rewrite is about to invalidate it. Any
+// other shard is flushed completely here.
 func (b *diskBackend) flushLocked() (<-chan struct{}, error) {
+	if !b.shouldCompact() {
+		return nil, b.Flush()
+	}
 	if err := b.takeAsyncErr(); err != nil {
 		return nil, err
 	}
 	if err := b.syncSegment(); err != nil {
 		return nil, err
 	}
-	if b.shouldCompact() {
-		return b.scheduleCompactLocked(), nil
-	}
-	if b.segSize != b.snapSize {
-		return nil, b.writeSnapshot()
-	}
-	return nil, nil
-}
-
-// finishFlushLocked is Retriever.Flush's per-shard second half, run after
-// waiting out any background rewrite (shard lock held): surface a rewrite
-// failure, and bring the snapshot current — records may have landed (or a
-// whole compaction committed) since flushLocked, so the segment is synced
-// again first to keep the snapshot's watermark inside the durable extent.
-func (b *diskBackend) finishFlushLocked() error {
-	if err := b.takeAsyncErr(); err != nil {
-		return err
-	}
-	if b.segSize != b.snapSize {
-		if err := b.syncSegment(); err != nil {
-			return err
-		}
-		return b.writeSnapshot()
-	}
-	return nil
+	return b.scheduleCompactLocked(), nil
 }
 
 // compactPendingShards runs scheduled background compactions, one shard at
@@ -181,7 +160,7 @@ func (r *Retriever) compactPendingShards() {
 // this the latency bound would stretch to the length of the rewrite.
 func (r *Retriever) drainSyncs() {
 	g := r.gc
-	if g == nil || !g.sync {
+	if !g.sync {
 		return
 	}
 	select {
@@ -199,7 +178,6 @@ func (r *Retriever) drainSyncs() {
 // file. It runs on the flusher goroutine; all shared state it touches is
 // accessed in short shard-locked slices, each measured as writer stall.
 func (r *Retriever) compactShard(s *shard, db *diskBackend) {
-	g := r.gc
 	var maxStall time.Duration
 	stallSince := func(t0 time.Time) {
 		if d := time.Since(t0); d > maxStall {
@@ -225,8 +203,8 @@ func (r *Retriever) compactShard(s *shard, db *diskBackend) {
 	// below the pin point, then pin the live set those records built.
 	s.mu.Lock()
 	if !db.shouldCompact() {
-		// A Flush raced in and compacted inline, or deletes were undone by
-		// re-adds; nothing to do.
+		// Re-adds since the schedule brought the dead fraction back under
+		// the threshold; nothing to do.
 		s.mu.Unlock()
 		finish(nil)
 		return
@@ -301,14 +279,7 @@ func (r *Retriever) compactShard(s *shard, db *diskBackend) {
 		return nil
 	}
 	var werr error
-	aborted := false
 	walk(func(id string, vec []float32) bool {
-		select {
-		case <-g.done:
-			aborted = true
-			return false
-		default:
-		}
 		d, ok := db.Document(id)
 		if !ok {
 			// Deleted since the pin. Skipping the add keeps the shadow ≡
@@ -324,12 +295,6 @@ func (r *Retriever) compactShard(s *shard, db *diskBackend) {
 		}
 		return true
 	})
-	if aborted {
-		// Close is tearing the retriever down; its inline Flush handles
-		// any still-due compaction.
-		finish(nil)
-		return
-	}
 	if werr == nil {
 		werr = flushChunk()
 	}
@@ -445,14 +410,11 @@ func (r *Retriever) compactShard(s *shard, db *diskBackend) {
 		// writers kept them current throughout.
 		db.vec.AdoptFrom(shadow.vec)
 		db.lex.AdoptFrom(shadow.lex)
-		db.noteCompaction(before-recs, 0)
 		return nil
 	}()
 	stallSince(t0)
 	if err == nil {
-		if maxStall > db.compactMaxStall {
-			db.compactMaxStall = maxStall
-		}
+		db.noteCompaction(before-recs, maxStall)
 	}
 	s.mu.Unlock()
 	finish(err)

@@ -3,15 +3,23 @@ package retriever
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
-	"pneuma/internal/bm25"
 	"pneuma/internal/docs"
-	"pneuma/internal/embed"
-	"pneuma/internal/kramabench"
 )
+
+// compactionOff is a compaction ratio no segment can reach: the dead
+// fraction never exceeds 1.
+const compactionOff = 2
+
+// withCompactRatio overrides DefaultCompactionRatio for tests that need
+// compaction off (compactionOff) or triggered by any dead record.
+func withCompactRatio(ratio float64) Option {
+	return func(r *Retriever) { r.compactRatio = ratio }
+}
 
 // waitForCompactions polls until the retriever has completed at least n
 // compaction runs, failing the test after a generous deadline.
@@ -195,73 +203,115 @@ func TestBackgroundCompactionUnderIngest(t *testing.T) {
 	}
 }
 
-// TestInlineCompactionMode drives a disk shard opened without a
-// group-commit coordinator — the inline path, which is also Close's once
-// the flusher has stopped: Flush rewrites the segment under the caller's
-// lock, the stall metric records the whole rewrite, and a reopen answers
-// like a fresh index over the survivors.
-func TestInlineCompactionMode(t *testing.T) {
-	dir := t.TempDir()
-	// Lay out a one-shard index (manifest, lock released), then drive the
-	// shard's backend directly.
-	r, err := Open(WithShards(1), WithBackend(Disk), WithDir(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	emb := embed.New()
-	seg := filepath.Join(dir, "shard-0000.seg")
-	b, err := openDiskBackend(seg, filepath.Join(dir, "shard-0000.snap"), emb.Dim(), hnswSeed, bm25.NewStats(), 0,
-		diskKnobs{compactRatio: DefaultCompactionRatio})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Name order is the order Retriever.IndexTables inserts in, so the
-	// survivors below replay in the fresh oracle's order.
-	tables := kramabench.SyntheticSlice(32)
-	for _, tb := range tables {
-		d := docs.TableDocument(tb)
-		if err := b.Index(d, emb.Embed(d.Content)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	before := totalSize(t, []string{seg})
-	for _, tb := range tables[:16] {
-		if !b.Delete("table:" + tb.Schema.Name) {
-			t.Fatalf("delete %s failed", tb.Schema.Name)
-		}
-	}
-	if err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	after := totalSize(t, []string{seg})
-	if after > before*6/10 {
-		t.Fatalf("inline compaction did not shrink segment: %d -> %d bytes", before, after)
-	}
-	if b.compactRuns == 0 || b.compactReclaim <= 0 || b.compactMaxStall <= 0 {
-		t.Fatalf("inline compaction stats incomplete: runs %d, reclaimed %d, max stall %v",
-			b.compactRuns, b.compactReclaim, b.compactMaxStall)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
+// TestCloseCompactsDueShard closes an index whose compaction is due
+// without calling Flush. Close must hand the rewrite to the still-running
+// flusher and wait for it: the segment shrinks, its header generation
+// advances, and a reopen answers like a fresh index over the survivors.
+// Two ways to be due when Close lands:
+//
+//   - deleted-this-session: the deletes crossed the threshold, so the
+//     write path already scheduled the rewrite and Close races it; with a
+//     sync policy the flusher may be parked on its latency timer, with the
+//     compaction signal waiting behind it.
+//   - due-at-open: the deletes were written with compaction off and the
+//     index reopened at the default ratio, so nothing has scheduled a
+//     rewrite and only Close's hand-off can run one.
+func TestCloseCompactsDueShard(t *testing.T) {
+	for _, atOpen := range []bool{false, true} {
+		for _, sync := range []bool{false, true} {
+			name := "deleted-this-session"
+			if atOpen {
+				name = "due-at-open"
+			}
+			if sync {
+				name += "/sync-bytes"
+			} else {
+				name += "/no-sync-policy"
+			}
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir()
+				seg := filepath.Join(dir, "shard-0000.seg")
+				opts := []Option{WithShards(1), WithBackend(Disk), WithDir(dir)}
+				if sync {
+					opts = append(opts, WithSyncBytes(1<<20))
+				}
+				tables := corpusSlice(64)
+				first := opts
+				if atOpen {
+					first = append(first[:len(first):len(first)], withCompactRatio(compactionOff))
+				}
+				r, err := Open(first...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := r.IndexTables(context.Background(), tables); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				before := totalSize(t, []string{seg})
+				genBefore := segGeneration(t, seg)
+				ids := make([]string, 40)
+				for i, tb := range tables[:40] {
+					ids[i] = "table:" + tb.Schema.Name
+				}
+				if n := r.DeleteDocuments(ids); n != 40 {
+					t.Fatalf("deleted %d, want 40", n)
+				}
+				if atOpen {
+					if err := r.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if after := totalSize(t, []string{seg}); after <= before {
+						t.Fatalf("segment compacted with compaction off: %d -> %d bytes", before, after)
+					}
+					if r, err = Open(opts...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if after := totalSize(t, []string{seg}); after >= before {
+					t.Fatalf("Close left the segment uncompacted: %d -> %d bytes", before, after)
+				}
+				if gen := segGeneration(t, seg); gen <= genBefore {
+					t.Fatalf("segment generation %d -> %d, want an advance", genBefore, gen)
+				}
 
-	fresh := New(WithShards(1))
-	defer fresh.Close()
-	if err := fresh.IndexTables(context.Background(), tables[16:]); err != nil {
-		t.Fatal(err)
+				fresh := New(WithShards(1))
+				defer fresh.Close()
+				if err := fresh.IndexTables(context.Background(), tables[40:]); err != nil {
+					t.Fatal(err)
+				}
+				re, err := Open(WithBackend(Disk), WithDir(dir))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer re.Close()
+				if re.Len() != 24 {
+					t.Fatalf("reopened Len = %d, want 24", re.Len())
+				}
+				for _, q := range parityQueries {
+					assertSameResults(t, "closed+reopened "+q, mustSearch(t, fresh, q, 10), mustSearch(t, re, q, 10))
+				}
+			})
+		}
 	}
-	re, err := Open(WithBackend(Disk), WithDir(dir))
+}
+
+// segGeneration reads the generation from a segment file's header.
+func segGeneration(t *testing.T, path string) uint64 {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	for _, q := range parityQueries {
-		assertSameResults(t, "inline+reopened "+q, mustSearch(t, fresh, q, 10), mustSearch(t, re, q, 10))
+	defer f.Close()
+	gen, err := readSegHeader(f)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return gen
 }

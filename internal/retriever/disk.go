@@ -152,17 +152,17 @@ func readSegHeader(f *os.File) (uint64, error) {
 // resolves from its options.
 type diskKnobs struct {
 	// compactRatio is the dead-record fraction that triggers a compaction
-	// rewrite at Flush/Close. Callers pass a value > 1 to disable.
+	// rewrite (DefaultCompactionRatio; this package's tests pass a value
+	// above 1 to disable compaction).
 	compactRatio float64
 	// quantize enables the int8 quantized HNSW query path; quantized
 	// arenas are persisted in snapshots so a reopen bulk-loads them.
 	quantize bool
 	// mmap makes snapshot loads map the file instead of reading it.
 	mmap bool
-	// gc is the retriever-wide group-commit coordinator; nil only for
-	// backends opened outside a Retriever (see groupcommit.go). Its
-	// flusher goroutine also runs due compactions off the write path (see
-	// compact.go); without one they run inline under the shard lock.
+	// gc is the retriever-wide group-commit coordinator (see
+	// groupcommit.go). Its flusher goroutine also runs every due
+	// compaction (see compact.go).
 	gc *groupCommit
 }
 
@@ -427,9 +427,8 @@ func applyRecord(mem *memoryBackend, payload []byte) (bool, error) {
 
 // writeFramedRecord frames one record payload (uvarint length prefix +
 // payload + CRC32) into w, using frame as scratch, and returns the framed
-// byte count. Shared by the live append path, segment rewrites and the
-// background-compaction catch-up copier — every segment byte goes through
-// the same framing.
+// byte count. Shared by the live append path and the compaction rewrite —
+// every segment byte goes through the same framing.
 func writeFramedRecord(w io.Writer, frame *wire.Writer, payload []byte) (int64, error) {
 	frame.Reset()
 	frame.Uvarint(uint64(len(payload)))
@@ -453,10 +452,9 @@ func writeFramedRecord(w io.Writer, frame *wire.Writer, payload []byte) (int64, 
 // batch and the group-commit flusher is poked (immediately if a count or
 // byte threshold tripped, otherwise after the latency bound — see
 // groupcommit.go). Without a policy, durability is deferred to
-// Flush/Close as before. Either way, the append also checks the
-// compaction threshold, so a segment whose dead fraction crosses the
-// configured ratio starts its background rewrite immediately instead of
-// waiting for the next Flush.
+// Flush/Close. Either way, the append also checks the compaction
+// threshold, so a segment whose dead fraction crosses it starts its
+// rewrite immediately instead of waiting for the next Flush.
 func (b *diskBackend) appendRecord() error {
 	rec, err := writeFramedRecord(b.w, &b.frame, b.rec.Bytes())
 	if err != nil {
@@ -465,9 +463,6 @@ func (b *diskBackend) appendRecord() error {
 	b.segSize += rec
 	b.records++
 	gc := b.knobs.gc
-	if gc == nil {
-		return nil
-	}
 	if gc.sync {
 		b.pendingRecs++
 		b.pendingBytes += rec
@@ -569,29 +564,17 @@ func (b *diskBackend) syncSegment() error {
 	return nil
 }
 
-// Flush makes the shard durable inline, entirely under the caller's shard
-// lock: the segment is drained and fsynced, then a compaction rewrite
-// runs when the dead-record fraction crosses the threshold, and a fresh
-// snapshot is written when records were appended since the last one. Any
-// sync or background-compaction error parked by the flusher since the last
-// Flush surfaces here first.
-//
-// This is the Close path, once the flusher has stopped (and the whole
-// story for a backend opened without a group-commit coordinator).
-// Retriever.Flush instead goes through flushLocked/finishFlushLocked
-// (compact.go) so a due compaction runs on the flusher goroutine while the
-// shard keeps serving writes.
+// Flush makes the shard durable under the caller's shard lock: any sync
+// or compaction error the flusher parked since the last Flush surfaces
+// first, then the segment is drained and fsynced, and a fresh snapshot is
+// written when the segment changed since the last one. It never compacts:
+// a due rewrite runs on the flusher (see Retriever.flush).
 func (b *diskBackend) Flush() error {
 	if err := b.takeAsyncErr(); err != nil {
 		return err
 	}
 	if err := b.syncSegment(); err != nil {
 		return err
-	}
-	if b.shouldCompact() {
-		if err := b.compact(); err != nil {
-			return err
-		}
 	}
 	if b.segSize != b.snapSize {
 		return b.writeSnapshot()
@@ -628,37 +611,11 @@ func (b *diskBackend) shouldCompact() bool {
 	return float64(dead)/float64(b.records) >= b.knobs.compactRatio
 }
 
-// compact rewrites the segment to exactly the live documents (in their
-// original insertion order) under a bumped generation, rebuilds the
-// in-memory state to match a replay of the rewritten log — graph
-// construction reruns without the tombstoned nodes, so post-compaction
-// results are those of a fresh index over the surviving corpus — and
-// writes a fresh snapshot. This is the inline variant: the caller's shard
-// lock is held throughout, so the whole rewrite counts as writer stall
-// (the number the background path exists to shrink).
-func (b *diskBackend) compact() error {
-	start := time.Now()
-	before := b.records
-	size, recs, err := rewriteSegment(b.memoryBackend, b.path, b.gen+1)
-	if err != nil {
-		return err
-	}
-	if err := b.swapSegment(size, recs); err != nil {
-		return err
-	}
-	if err := b.memoryBackend.compact(); err != nil {
-		return err
-	}
-	b.noteCompaction(before-recs, time.Since(start))
-	return b.writeSnapshot()
-}
-
 // swapSegment retargets the shard's write state at the freshly renamed
 // segment file of the given logical size and record count: the old handle
 // is swapped for a new one positioned at the segment's end, the
 // generation advances, and the snapshot watermark resets (the previous
-// snapshot's generation is now stale). Shared by inline and background
-// compaction; shard lock held.
+// snapshot's generation is now stale). Shard lock held.
 func (b *diskBackend) swapSegment(size, recs int64) error {
 	if err := b.f.Close(); err != nil {
 		return err
@@ -683,65 +640,8 @@ func (b *diskBackend) swapSegment(size, recs int64) error {
 	return nil
 }
 
-// rewriteSegment writes a fresh segment at path (atomically, via rename)
-// containing one add record per live document of mem, in insertion order,
-// under the given generation. It returns the new logical size and record
-// count.
-func rewriteSegment(mem *memoryBackend, path string, gen uint64) (int64, int64, error) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer os.Remove(tmp)
-	w := bufio.NewWriterSize(f, 1<<20)
-	if err := writeSegHeader(w, gen); err != nil {
-		f.Close()
-		return 0, 0, err
-	}
-	size := int64(segHeaderSize)
-	var recs int64
-	var rec, frame wire.Writer
-	var werr error
-	mem.vec.ForEachLive(func(id string, vec []float32) bool {
-		d, ok := mem.Document(id)
-		if !ok {
-			werr = fmt.Errorf("retriever: compact: document %q in graph but not in store", id)
-			return false
-		}
-		rec.Reset()
-		rec.Byte(opAdd)
-		rec.String(id)
-		rec.Float32s(vec)
-		encodeDoc(&rec, d)
-		var n int64
-		if n, werr = writeFramedRecord(w, &frame, rec.Bytes()); werr != nil {
-			return false
-		}
-		size += n
-		recs++
-		return true
-	})
-	if werr == nil {
-		werr = w.Flush()
-	}
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return 0, 0, werr
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return 0, 0, err
-	}
-	return size, recs, nil
-}
-
-// Close flushes (including any due compaction and snapshot), closes the
-// segment file and releases the snapshot mapping. The munmap comes last:
+// Close flushes (sync, and the snapshot if stale), closes the segment
+// file and releases the snapshot mapping. The munmap comes last:
 // until this point the shard's arenas and document strings may alias the
 // mapping, which is why mmap-backed search results must not be retained
 // past Close (see the package doc's mmap caveats).

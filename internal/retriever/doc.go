@@ -86,13 +86,15 @@
 // group-commit flusher fsync once n bytes are pending or d after the
 // first pending record, shrinking the crash-loss window (including
 // tombstones, whose loss resurrects deleted documents). Deletes and
-// replacements accumulate dead records in the log; when their fraction
-// reaches WithCompactionRatio (default 0.5), Flush/Close rewrites the
-// segment to exactly the live documents under a new generation and
-// rebuilds the in-memory state to match a replay of the rewritten log —
+// replacements accumulate dead records in the log; once their fraction
+// reaches DefaultCompactionRatio (0.5), the group-commit flusher rewrites
+// the segment to exactly the live documents under a new generation and
+// installs in-memory state that matches a replay of the rewritten log —
 // the HNSW graph is reconstructed without its tombstoned nodes, so
 // post-compaction results are those of a fresh index over the surviving
-// corpus.
+// corpus. The rewrite starts from the write path as soon as the threshold
+// is crossed; Flush and Close wait for any that is due, so both return
+// with every shard under the threshold and its snapshot current.
 //
 // While open, the Disk backend holds an advisory lock file (PID inside)
 // in the index directory: a second process opening the same directory

@@ -94,8 +94,8 @@ func (g *groupCommit) tripped(pendingBytes int64) bool {
 // has already returned, which is the documented durability trade of the
 // latency-bound window.
 //
-// The same goroutine runs background segment compaction (see compact.go):
-// a compaction signal starts an incremental rewrite that takes the shard
+// The same goroutine runs every segment compaction (see compact.go): a
+// compaction signal starts an incremental rewrite that takes the shard
 // lock only in short slices, servicing pending fsyncs between slices so
 // the latency bound survives a long rewrite.
 func (r *Retriever) flusher() {

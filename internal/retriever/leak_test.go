@@ -61,7 +61,7 @@ func TestDiskFlusherCloseNoLeak(t *testing.T) {
 func TestDiskConcurrentCloseUnderLoad(t *testing.T) {
 	defer leakcheck.Check(t)()
 	r, err := Open(WithShards(4), WithBackend(Disk), WithDir(t.TempDir()),
-		WithSyncBytes(1<<12), WithCompactionRatio(-1))
+		WithSyncBytes(1<<12), withCompactRatio(compactionOff))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestIndexDocumentsCanceledMidIngest(t *testing.T) {
 	defer leakcheck.Check(t)()
 	dir := t.TempDir()
 	r, err := Open(WithShards(4), WithBackend(Disk), WithDir(dir),
-		WithSyncBytes(1<<12), WithCompactionRatio(-1))
+		WithSyncBytes(1<<12), withCompactRatio(compactionOff))
 	if err != nil {
 		t.Fatal(err)
 	}

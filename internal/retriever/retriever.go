@@ -43,9 +43,9 @@ const rrfK = 60.0
 // hnswSeed+i so the shards are deterministic but not identical graphs.
 const hnswSeed = 20260118
 
-// DefaultCompactionRatio is the dead-record fraction that triggers a
-// segment compaction rewrite at Flush/Close when WithCompactionRatio is
-// unset.
+// DefaultCompactionRatio is the dead-record fraction (superseded adds,
+// deleted documents and their tombstone records, as a share of all segment
+// records) at which a Disk shard's segment is rewritten to its live records.
 const DefaultCompactionRatio = 0.5
 
 // DefaultShards returns the default shard count: GOMAXPROCS clamped to
@@ -93,7 +93,8 @@ type Retriever struct {
 	dir       string
 	ef        int
 	// Disk-backend policy knobs (see WithSyncBytes, WithSyncInterval,
-	// WithCompactionRatio, WithMmap); ignored by the Memory backend.
+	// WithMmap); ignored by the Memory backend. compactRatio is always
+	// DefaultCompactionRatio outside this package's tests.
 	syncBytes    int64
 	syncInterval time.Duration
 	compactRatio float64
@@ -261,31 +262,19 @@ func WithMmap(on bool) Option {
 	return func(r *Retriever) { r.useMmap = on }
 }
 
-// WithCompactionRatio sets the dead-record fraction (superseded adds,
-// deleted documents and their tombstone records, as a share of all
-// segment records) beyond which Flush/Close rewrites a shard's segment to
-// its live records and refreshes the snapshot. 0 selects
-// DefaultCompactionRatio; values in (0, 1] set the threshold; negative
-// values disable compaction entirely. Compaction rebuilds the shard's
-// HNSW graph without the tombstoned nodes — afterwards results are those
-// of a fresh index over the surviving corpus. The Memory backend ignores
-// the knob.
-func WithCompactionRatio(ratio float64) Option {
-	return func(r *Retriever) { r.compactRatio = ratio }
-}
-
 // Open creates a retriever, loading any existing index when the Disk
 // backend points at a directory with persisted segments. This is the
 // error-returning constructor; New is the panicking convenience wrapper
 // for configurations that cannot fail (the Memory backend).
 func Open(opts ...Option) (*Retriever, error) {
 	r := &Retriever{
-		emb:       embed.New(),
-		mode:      ModeHybrid,
-		workers:   runtime.GOMAXPROCS(0),
-		numShards: DefaultShards(),
-		backend:   Memory,
-		stats:     bm25.NewStats(),
+		emb:          embed.New(),
+		mode:         ModeHybrid,
+		workers:      runtime.GOMAXPROCS(0),
+		numShards:    DefaultShards(),
+		backend:      Memory,
+		stats:        bm25.NewStats(),
+		compactRatio: DefaultCompactionRatio,
 	}
 	for _, o := range opts {
 		o(r)
@@ -332,13 +321,6 @@ func Open(opts ...Option) (*Retriever, error) {
 			quantize:     r.quantize,
 			mmap:         r.useMmap,
 			gc:           r.gc,
-		}
-		switch {
-		case knobs.compactRatio == 0:
-			knobs.compactRatio = DefaultCompactionRatio
-		case knobs.compactRatio < 0:
-			// Disabled: the dead fraction can never exceed 1.
-			knobs.compactRatio = 2
 		}
 		// Shards load concurrently: snapshot loads and replays are
 		// independent per shard, and the shared BM25 statistics updates
@@ -450,88 +432,94 @@ func (r *Retriever) acquire(op string) error {
 // release drops a reference taken by acquire.
 func (r *Retriever) release() { r.refs.Add(-1) }
 
-// Flush makes all shards durable (fsync of every segment file for the Disk
-// backend; a no-op for Memory). Searches keep serving throughout: any
-// compaction a Flush triggers publishes its rebuilt state by atomic view
-// swap, and in-flight queries finish on their pinned pre-flush views.
+// Flush makes all shards durable (fsync of every segment file and a
+// current snapshot for the Disk backend; a no-op for Memory). Searches keep
+// serving throughout.
 //
-// A shard whose dead-record fraction crosses the threshold is handed to the flusher goroutine and
-// Flush waits for the rewrite without holding any shard lock — writers
-// and searches proceed while Flush blocks, and Flush's post-conditions
-// (compacted segment, current snapshot) still hold when it returns. If
-// Close races the wait, the remaining work completes inline there.
+// A shard whose dead-record fraction has reached DefaultCompactionRatio is
+// handed to the flusher goroutine and Flush waits for the rewrite without
+// holding any shard lock — writers and searches proceed while Flush
+// blocks, and Flush's post-conditions (compacted segment, current
+// snapshot) hold when it returns.
 func (r *Retriever) Flush() error {
 	if err := r.acquire("retriever: flush"); err != nil {
 		return err
 	}
 	defer r.release()
-	var waits []<-chan struct{}
-	for _, s := range r.shards {
-		s.mu.Lock()
-		var ch <-chan struct{}
-		var err error
-		if db, ok := s.be.(*diskBackend); ok {
-			ch, err = db.flushLocked()
-		} else {
-			err = s.be.Flush()
-		}
-		s.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		if ch != nil {
-			waits = append(waits, ch)
-		}
-	}
-	if len(waits) == 0 {
-		return nil
-	}
-	for _, ch := range waits {
-		select {
-		case <-ch:
-		case <-r.gc.stopped:
-			// Close stopped the flusher mid-wait; its inline Flush owns
-			// whatever the background rewrite left undone.
-		}
-	}
-	var first error
-	for _, s := range r.shards {
-		s.mu.Lock()
-		if db, ok := s.be.(*diskBackend); ok {
-			if err := db.finishFlushLocked(); err != nil && first == nil {
-				first = err
+	return r.flush()
+}
+
+// flush is Flush's body without the lifecycle reference, so Close can run
+// it after draining references but before stopping the flusher. The
+// flusher is running for the whole call — it stops only in Close, after
+// flush returns — so every wait below ends in a committed or failed
+// rewrite.
+//
+// A shard that waited is flushed again: that pass surfaces a failed
+// rewrite, writes the snapshot the commit left stale, and — when the
+// rewrite had pinned the segment before later tombstones landed, leaving
+// the shard due again — schedules another round.
+func (r *Retriever) flush() error {
+	for shards := r.shards; len(shards) > 0; {
+		var waited []*shard
+		var waits []<-chan struct{}
+		for _, s := range shards {
+			s.mu.Lock()
+			var ch <-chan struct{}
+			var err error
+			if db, ok := s.be.(*diskBackend); ok {
+				ch, err = db.flushLocked()
+			} else {
+				err = s.be.Flush()
+			}
+			s.mu.Unlock()
+			if err != nil {
+				return err
+			}
+			if ch != nil {
+				waited = append(waited, s)
+				waits = append(waits, ch)
 			}
 		}
-		s.mu.Unlock()
+		for _, ch := range waits {
+			<-ch
+		}
+		shards = waited
 	}
-	return first
+	return nil
 }
 
 // Close flushes and releases every shard, then drops the index-directory
 // lock. Calls after the first return a typed pnerr.ErrClosed, as do all
 // queries and ingests against a closed retriever (Disk-backed shards have
-// closed their segment files). Operations in flight when Close lands are
-// drained first: Close waits for every acquired reference — including
-// fan-out goroutines a canceled Search abandoned — before closing a
-// backend, so no search can be walking an arena when a mmap-backed shard
-// releases its snapshot mapping.
+// closed their segment files). In order, Close:
+//
+//  1. flips closed and drains the operations in flight — every acquired
+//     reference, including fan-out goroutines a canceled Search abandoned —
+//     so no search can be walking an arena when a mmap-backed shard later
+//     releases its snapshot mapping;
+//  2. runs Flush's body, so a shard whose compaction is due is rewritten by
+//     the still-running flusher, exactly as a Flush would;
+//  3. stops the group-commit flusher, which syncs any pending records on
+//     its way out;
+//  4. closes each shard's backend.
+//
+// An error from step 2 is Close's first error, but every shard is still
+// closed and the directory lock released.
 func (r *Retriever) Close() error {
 	if r.closed.Swap(true) {
 		return pnerr.Closed("retriever: close")
 	}
-	if r.gc != nil {
-		// Stop the group-commit flusher first: it performs one final sweep
-		// over the shards on its way out, and waiting for it here means no
-		// goroutine can touch a backend after it is closed below.
-		close(r.gc.done)
-		<-r.gc.stopped
-	}
-	// Drain in-flight operations. New ones observe closed and back out;
-	// the wait is bounded by the longest in-flight ingest chunk or query.
+	// New operations observe closed and back out; the wait is bounded by
+	// the longest in-flight ingest chunk, query or Flush.
 	for r.refs.Load() != 0 {
 		time.Sleep(50 * time.Microsecond)
 	}
-	var first error
+	first := r.flush()
+	if r.gc != nil {
+		close(r.gc.done)
+		<-r.gc.stopped
+	}
 	for _, s := range r.shards {
 		s.mu.Lock()
 		err := s.be.Close()

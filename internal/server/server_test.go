@@ -321,22 +321,17 @@ func TestOperationalEndpoints(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// The request counters are bumped after a response is written, so the
+	// client can read /metrics before they land: poll briefly until both
+	// searches are recorded (counters and histogram update under one lock).
+	var exposition string
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		exposition = getMetrics(t, ts.URL)
+		if strings.Contains(exposition, `pneuma_http_request_duration_seconds_count{route="search"} 2`) ||
+			time.Now().After(deadline) {
+			break
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics = %d, want 200", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("metrics Content-Type = %q, want text/plain exposition", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exposition := string(body)
 	for _, want := range []string{
 		`pneuma_http_requests_total{route="search",code="200"} 1`,
 		`pneuma_http_requests_total{route="search",code="400"} 1`,
@@ -354,6 +349,28 @@ func TestOperationalEndpoints(t *testing.T) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
 	}
+}
+
+// getMetrics fetches the /metrics exposition, checking its status and
+// content type.
+func getMetrics(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics = %d, want 200", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Errorf("metrics Content-Type = %q, want text/plain exposition", ct)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
 }
 
 // TestBadBodies: malformed JSON on every POST route answers 400 with the

@@ -23,29 +23,13 @@ package vecmath
 // DotBatch writes the dot product of q with each indexed candidate into
 // out[0:len(idxs)].
 func DotBatch(q, arena []float32, stride int, idxs []int32, out []float32) {
-	checkBatch(len(q), len(arena), stride, idxs, len(out))
-	if len(idxs) == 0 {
-		return
-	}
-	if len(q) == 0 {
-		zeroF32(out[:len(idxs)])
-		return
-	}
-	active.Load().dotBatch(q, arena, stride, idxs, out[:len(idxs)])
+	runBatch(kernels.dotBatch, q, arena, stride, idxs, out)
 }
 
 // SquaredL2Batch writes the squared Euclidean distance between q and each
 // indexed candidate into out[0:len(idxs)].
 func SquaredL2Batch(q, arena []float32, stride int, idxs []int32, out []float32) {
-	checkBatch(len(q), len(arena), stride, idxs, len(out))
-	if len(idxs) == 0 {
-		return
-	}
-	if len(q) == 0 {
-		zeroF32(out[:len(idxs)])
-		return
-	}
-	active.Load().sqL2Batch(q, arena, stride, idxs, out[:len(idxs)])
+	runBatch(kernels.sqL2Batch, q, arena, stride, idxs, out)
 }
 
 // DotInt8Batch writes the int32-accumulated dot product of q with each
@@ -53,17 +37,23 @@ func SquaredL2Batch(q, arena []float32, stride int, idxs []int32, out []float32)
 // DotInt8 and shares its exactness argument: integer arithmetic never
 // rounds, so every tier returns identical values.
 func DotInt8Batch(q, arena []int8, stride int, idxs []int32, out []int32) {
+	runBatch(kernels.dotInt8Batch, q, arena, stride, idxs, out)
+}
+
+// runBatch is the body every batch entry point shares: validate the
+// shape, settle the empty cases (no candidates; a zero-length query scores
+// 0), and hand the rest to kern. The differential tests call it with each
+// tier's kernel in turn.
+func runBatch[T float32 | int8, O float32 | int32](kern func(q, arena []T, stride int, idxs []int32, out []O), q, arena []T, stride int, idxs []int32, out []O) {
 	checkBatch(len(q), len(arena), stride, idxs, len(out))
 	if len(idxs) == 0 {
 		return
 	}
 	if len(q) == 0 {
-		for j := range idxs {
-			out[j] = 0
-		}
+		clear(out[:len(idxs)])
 		return
 	}
-	active.Load().dotInt8Batch(q, arena, stride, idxs, out[:len(idxs)])
+	kern(q, arena, stride, idxs, out[:len(idxs)])
 }
 
 // checkBatch validates a batch call's shape up front: every violation is
@@ -81,12 +71,6 @@ func checkBatch(dim, arenaLen, stride int, idxs []int32, outLen int) {
 		if ix < 0 || int(ix)*stride+dim > arenaLen {
 			panic("vecmath: batch index outside arena")
 		}
-	}
-}
-
-func zeroF32(out []float32) {
-	for i := range out {
-		out[i] = 0
 	}
 }
 

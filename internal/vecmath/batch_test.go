@@ -3,7 +3,6 @@ package vecmath
 import (
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -17,82 +16,68 @@ func fillRandInt8(rng *rand.Rand, vs ...[]int8) {
 	}
 }
 
-// tierPairs enumerates every float32×int8 tier pairing this CPU can run,
-// so the batch differential tests cover each SIMD rung and not just the
-// best one (on an AVX2 machine that includes the SSE2 int8 kernel, which
-// would otherwise never be dispatched).
-func tierPairs() [][2]string {
-	var pairs [][2]string
-	for _, f := range FloatTiers() {
-		for _, i8 := range Int8Tiers() {
-			pairs = append(pairs, [2]string{f, i8})
-		}
-	}
-	return pairs
+// rowOf returns candidate ix's window of a packed arena.
+func rowOf[T float32 | int8](arena []T, ix int32, dim int) []T {
+	return arena[int(ix)*dim : int(ix)*dim+dim]
 }
-
-// restoreDetected re-arms the detected tier pair after a ForceTiers walk.
-func restoreDetected() { ForceScalar(false) }
 
 // TestBatchBitIdenticalAllLengths is the batch analogue of
 // TestKernelTiersBitIdentical: at every dimension 0..129 (several SIMD
-// blocks plus every tail residue) and on every tier pairing, one batched
-// call must agree bit-for-bit with a loop of single-kernel calls on the
-// same tier AND with the scalar reference. That is the contract hnsw
-// traversal relies on when it swaps per-neighbor scoring for one batched
-// call per adjacency list.
+// blocks plus every tail residue) and on every tier this CPU can run —
+// each float32 rung and each int8 rung, SSE2 int8 on an AVX2 machine
+// included — one batched call must agree bit-for-bit with a loop of
+// single-kernel calls on the same tier AND with the scalar reference.
+// That is the contract hnsw traversal relies on when it swaps
+// per-neighbor scoring for one batched call per adjacency list.
 func TestBatchBitIdenticalAllLengths(t *testing.T) {
-	defer restoreDetected()
 	rng := rand.New(rand.NewSource(50))
 	const rows = 9
 	idxs := []int32{3, 0, 7, 7, 1, 8, 2} // out of order, with a repeat
-	for _, pair := range tierPairs() {
-		if !ForceTiers(pair[0], pair[1]) {
-			t.Fatalf("ForceTiers(%q, %q) rejected a listed pair", pair[0], pair[1])
-		}
-		for dim := 0; dim <= 129; dim++ {
-			q := make([]float32, dim)
-			arena := make([]float32, rows*dim)
-			fillRand(rng, q, arena[:dim])
-			fillRand(rng, arena[dim:(rows/2)*dim+dim], arena[(rows/2)*dim+dim:])
+	for dim := 0; dim <= 129; dim++ {
+		q := make([]float32, dim)
+		arena := make([]float32, rows*dim)
+		fillRand(rng, q, arena[:dim])
+		fillRand(rng, arena[dim:(rows/2)*dim+dim], arena[(rows/2)*dim+dim:])
+		q8 := make([]int8, dim)
+		arena8 := make([]int8, rows*dim)
+		fillRandInt8(rng, q8, arena8)
+		refDot := make([]float32, len(idxs))
+		refL2 := make([]float32, len(idxs))
+		ref8 := make([]int32, len(idxs))
+		dotBatchScalar(q, arena, dim, idxs, refDot)
+		sqL2BatchScalar(q, arena, dim, idxs, refL2)
+		dotInt8BatchScalar(q8, arena8, dim, idxs, ref8)
+
+		for _, f := range floatTiers {
 			out := make([]float32, len(idxs))
-			ref := make([]float32, len(idxs))
-
-			DotBatch(q, arena, dim, idxs, out)
-			dotBatchScalar(q, arena, dim, idxs, ref)
+			runBatch(f.dotBatch, q, arena, dim, idxs, out)
 			for j, ix := range idxs {
-				if single := Dot(q, arena[int(ix)*dim:int(ix)*dim+dim]); out[j] != single {
-					t.Fatalf("tier %v dim %d: DotBatch[%d]=%v, single=%v", pair, dim, j, out[j], single)
+				if single := f.dot(q, rowOf(arena, ix, dim)); out[j] != single {
+					t.Fatalf("tier %s dim %d: dotBatch[%d]=%v, single=%v", f.name, dim, j, out[j], single)
 				}
-				if out[j] != ref[j] {
-					t.Fatalf("tier %v dim %d: DotBatch[%d]=%v, scalar=%v", pair, dim, j, out[j], ref[j])
+				if out[j] != refDot[j] {
+					t.Fatalf("tier %s dim %d: dotBatch[%d]=%v, scalar=%v", f.name, dim, j, out[j], refDot[j])
 				}
 			}
-
-			SquaredL2Batch(q, arena, dim, idxs, out)
-			sqL2BatchScalar(q, arena, dim, idxs, ref)
+			runBatch(f.sqL2Batch, q, arena, dim, idxs, out)
 			for j, ix := range idxs {
-				if single := SquaredL2(q, arena[int(ix)*dim:int(ix)*dim+dim]); out[j] != single {
-					t.Fatalf("tier %v dim %d: SquaredL2Batch[%d]=%v, single=%v", pair, dim, j, out[j], single)
+				if single := f.sqL2(q, rowOf(arena, ix, dim)); out[j] != single {
+					t.Fatalf("tier %s dim %d: sqL2Batch[%d]=%v, single=%v", f.name, dim, j, out[j], single)
 				}
-				if out[j] != ref[j] {
-					t.Fatalf("tier %v dim %d: SquaredL2Batch[%d]=%v, scalar=%v", pair, dim, j, out[j], ref[j])
+				if out[j] != refL2[j] {
+					t.Fatalf("tier %s dim %d: sqL2Batch[%d]=%v, scalar=%v", f.name, dim, j, out[j], refL2[j])
 				}
 			}
-
-			q8 := make([]int8, dim)
-			arena8 := make([]int8, rows*dim)
-			fillRandInt8(rng, q8, arena8)
+		}
+		for _, i8 := range int8Tiers {
 			out8 := make([]int32, len(idxs))
-			ref8 := make([]int32, len(idxs))
-			DotInt8Batch(q8, arena8, dim, idxs, out8)
-			dotInt8BatchScalar(q8, arena8, dim, idxs, ref8)
+			runBatch(i8.batch, q8, arena8, dim, idxs, out8)
 			for j, ix := range idxs {
-				if single := DotInt8(q8, arena8[int(ix)*dim:int(ix)*dim+dim]); out8[j] != single {
-					t.Fatalf("tier %v dim %d: DotInt8Batch[%d]=%v, single=%v", pair, dim, j, out8[j], single)
+				if single := i8.dot(q8, rowOf(arena8, ix, dim)); out8[j] != single {
+					t.Fatalf("int8 tier %s dim %d: batch[%d]=%v, single=%v", i8.name, dim, j, out8[j], single)
 				}
 				if out8[j] != ref8[j] {
-					t.Fatalf("tier %v dim %d: DotInt8Batch[%d]=%v, scalar=%v", pair, dim, j, out8[j], ref8[j])
+					t.Fatalf("int8 tier %s dim %d: batch[%d]=%v, scalar=%v", i8.name, dim, j, out8[j], ref8[j])
 				}
 			}
 		}
@@ -100,11 +85,11 @@ func TestBatchBitIdenticalAllLengths(t *testing.T) {
 }
 
 // TestBatchSizes sweeps the batch-size axis — empty through several SIMD-
-// misaligned counts — at a tail-bearing dimension, on every tier pairing.
-// Batch size must never leak into per-candidate math, and an empty index
-// list must be a no-op that leaves out untouched beyond the batch.
+// misaligned counts — at a tail-bearing dimension, on every tier and
+// through the public entry points. Batch size must never leak into
+// per-candidate math, and a batch must leave out untouched beyond
+// len(idxs).
 func TestBatchSizes(t *testing.T) {
-	defer restoreDetected()
 	rng := rand.New(rand.NewSource(51))
 	const dim, rows = 99, 40
 	q := make([]float32, dim)
@@ -115,57 +100,73 @@ func TestBatchSizes(t *testing.T) {
 	arena8 := make([]int8, rows*dim)
 	fillRandInt8(rng, q8, arena8)
 
-	for _, pair := range tierPairs() {
-		if !ForceTiers(pair[0], pair[1]) {
-			t.Fatalf("ForceTiers(%q, %q) rejected a listed pair", pair[0], pair[1])
+	for _, size := range []int{0, 1, 2, 7, 8, 33} {
+		idxs := make([]int32, size)
+		for j := range idxs {
+			idxs[j] = int32(rng.Intn(rows))
 		}
-		for _, size := range []int{0, 1, 2, 7, 8, 33} {
-			idxs := make([]int32, size)
-			for j := range idxs {
-				idxs[j] = int32(rng.Intn(rows))
-			}
-			out := make([]float32, size+1)
-			out[size] = 12345 // sentinel past the batch
-			ref := make([]float32, size)
+		refDot := make([]float32, size)
+		refL2 := make([]float32, size)
+		ref8 := make([]int32, size)
+		dotBatchScalar(q, arena, dim, idxs, refDot)
+		sqL2BatchScalar(q, arena, dim, idxs, refL2)
+		dotInt8BatchScalar(q8, arena8, dim, idxs, ref8)
 
-			DotBatch(q, arena, dim, idxs, out)
-			dotBatchScalar(q, arena, dim, idxs, ref)
-			for j := range idxs {
-				if out[j] != ref[j] {
-					t.Fatalf("tier %v size %d: DotBatch[%d]=%v, want %v", pair, size, j, out[j], ref[j])
-				}
-			}
-			SquaredL2Batch(q, arena, dim, idxs, out)
-			sqL2BatchScalar(q, arena, dim, idxs, ref)
-			for j := range idxs {
-				if out[j] != ref[j] {
-					t.Fatalf("tier %v size %d: SquaredL2Batch[%d]=%v, want %v", pair, size, j, out[j], ref[j])
-				}
-			}
-			if out[size] != 12345 {
-				t.Fatalf("tier %v size %d: batch wrote past len(idxs): out[%d]=%v", pair, size, size, out[size])
-			}
-
-			out8 := make([]int32, size)
-			ref8 := make([]int32, size)
-			DotInt8Batch(q8, arena8, dim, idxs, out8)
-			dotInt8BatchScalar(q8, arena8, dim, idxs, ref8)
-			for j := range idxs {
-				if out8[j] != ref8[j] {
-					t.Fatalf("tier %v size %d: DotInt8Batch[%d]=%v, want %v", pair, size, j, out8[j], ref8[j])
-				}
-			}
+		for _, f := range floatTiers {
+			out := sentinelOut[float32](size)
+			runBatch(f.dotBatch, q, arena, dim, idxs, out)
+			checkOut(t, f.name+" dotBatch", out, refDot)
+			out = sentinelOut[float32](size)
+			runBatch(f.sqL2Batch, q, arena, dim, idxs, out)
+			checkOut(t, f.name+" sqL2Batch", out, refL2)
 		}
+		for _, i8 := range int8Tiers {
+			out8 := sentinelOut[int32](size)
+			runBatch(i8.batch, q8, arena8, dim, idxs, out8)
+			checkOut(t, i8.name+" int8 batch", out8, ref8)
+		}
+		out := sentinelOut[float32](size)
+		DotBatch(q, arena, dim, idxs, out)
+		checkOut(t, "DotBatch", out, refDot)
+		out = sentinelOut[float32](size)
+		SquaredL2Batch(q, arena, dim, idxs, out)
+		checkOut(t, "SquaredL2Batch", out, refL2)
+		out8 := sentinelOut[int32](size)
+		DotInt8Batch(q8, arena8, dim, idxs, out8)
+		checkOut(t, "DotInt8Batch", out8, ref8)
 	}
 }
 
-// TestBatchOddOffsetsAndStride re-runs the differential check on an arena
-// sliced at odd element offsets into a shared backing array and with a
-// stride wider than the query (padded rows): the kernels use unaligned
-// loads and must honor stride exactly, never reading row padding into a
-// score. Offsets 1, 3 and 5 break 32-, 16- and 8-byte alignment.
+// sentinelOut returns an output buffer one slot longer than the batch,
+// with a sentinel in the extra slot.
+func sentinelOut[O float32 | int32](size int) []O {
+	out := make([]O, size+1)
+	out[size] = 12345
+	return out
+}
+
+// checkOut compares a batch's output with the reference and checks the
+// sentinel past the batch survived.
+func checkOut[O float32 | int32](t *testing.T, label string, out, ref []O) {
+	t.Helper()
+	size := len(ref)
+	for j := range ref {
+		if out[j] != ref[j] {
+			t.Fatalf("%s size %d: [%d]=%v, want %v", label, size, j, out[j], ref[j])
+		}
+	}
+	if out[size] != 12345 {
+		t.Fatalf("%s size %d: batch wrote past len(idxs): out[%d]=%v", label, size, size, out[size])
+	}
+}
+
+// TestBatchOddOffsetsAndStride re-runs the differential check on every
+// tier with an arena sliced at odd element offsets into a shared backing
+// array and with a stride wider than the query (padded rows): the kernels
+// use unaligned loads and must honor stride exactly, never reading row
+// padding into a score. Offsets 1, 3 and 5 break 32-, 16- and 8-byte
+// alignment.
 func TestBatchOddOffsetsAndStride(t *testing.T) {
-	defer restoreDetected()
 	rng := rand.New(rand.NewSource(52))
 	const dim, pad, rows = 67, 5, 12
 	stride := dim + pad
@@ -181,37 +182,36 @@ func TestBatchOddOffsetsAndStride(t *testing.T) {
 	fillRandInt8(rng, q8)
 	idxs := []int32{0, 11, 5, 5, 2, 9, 1, 7}
 
-	for _, pair := range tierPairs() {
-		if !ForceTiers(pair[0], pair[1]) {
-			t.Fatalf("ForceTiers(%q, %q) rejected a listed pair", pair[0], pair[1])
-		}
-		for _, off := range []int{1, 3, 5} {
-			arena := back[off : off+rows*stride]
+	for _, off := range []int{1, 3, 5} {
+		arena := back[off : off+rows*stride]
+		arena8 := back8[off : off+rows*stride]
+		refDot := make([]float32, len(idxs))
+		refL2 := make([]float32, len(idxs))
+		ref8 := make([]int32, len(idxs))
+		dotBatchScalar(q, arena, stride, idxs, refDot)
+		sqL2BatchScalar(q, arena, stride, idxs, refL2)
+		dotInt8BatchScalar(q8, arena8, stride, idxs, ref8)
+		for _, f := range floatTiers {
 			out := make([]float32, len(idxs))
-			ref := make([]float32, len(idxs))
-			DotBatch(q, arena, stride, idxs, out)
-			dotBatchScalar(q, arena, stride, idxs, ref)
+			runBatch(f.dotBatch, q, arena, stride, idxs, out)
 			for j := range idxs {
-				if out[j] != ref[j] {
-					t.Fatalf("tier %v off %d: DotBatch[%d]=%v, want %v", pair, off, j, out[j], ref[j])
+				if out[j] != refDot[j] {
+					t.Fatalf("tier %s off %d: dotBatch[%d]=%v, want %v", f.name, off, j, out[j], refDot[j])
 				}
 			}
-			SquaredL2Batch(q, arena, stride, idxs, out)
-			sqL2BatchScalar(q, arena, stride, idxs, ref)
+			runBatch(f.sqL2Batch, q, arena, stride, idxs, out)
 			for j := range idxs {
-				if out[j] != ref[j] {
-					t.Fatalf("tier %v off %d: SquaredL2Batch[%d]=%v, want %v", pair, off, j, out[j], ref[j])
+				if out[j] != refL2[j] {
+					t.Fatalf("tier %s off %d: sqL2Batch[%d]=%v, want %v", f.name, off, j, out[j], refL2[j])
 				}
 			}
-
-			arena8 := back8[off : off+rows*stride]
+		}
+		for _, i8 := range int8Tiers {
 			out8 := make([]int32, len(idxs))
-			ref8 := make([]int32, len(idxs))
-			DotInt8Batch(q8, arena8, stride, idxs, out8)
-			dotInt8BatchScalar(q8, arena8, stride, idxs, ref8)
+			runBatch(i8.batch, q8, arena8, stride, idxs, out8)
 			for j := range idxs {
 				if out8[j] != ref8[j] {
-					t.Fatalf("tier %v off %d: DotInt8Batch[%d]=%v, want %v", pair, off, j, out8[j], ref8[j])
+					t.Fatalf("int8 tier %s off %d: batch[%d]=%v, want %v", i8.name, off, j, out8[j], ref8[j])
 				}
 			}
 		}
@@ -253,104 +253,4 @@ func TestBatchValidation(t *testing.T) {
 	mustPanic("int8 index past arena", "outside arena", func() {
 		DotInt8Batch(make([]int8, 8), make([]int8, 32), 8, []int32{4}, make([]int32, 1))
 	})
-}
-
-// TestForceTiers pins the benchmark-facing tier selector: any pairing of
-// listed names retargets the seam (observable through Tier/Int8Tier), an
-// unknown name on either axis is rejected without touching the seam, and
-// the tier lists end at the scalar floor.
-func TestForceTiers(t *testing.T) {
-	defer restoreDetected()
-	floats, int8s := FloatTiers(), Int8Tiers()
-	if floats[len(floats)-1] != "scalar" || int8s[len(int8s)-1] != "scalar" {
-		t.Fatalf("tier lists must end with scalar: %v, %v", floats, int8s)
-	}
-	for _, f := range floats {
-		for _, i8 := range int8s {
-			if !ForceTiers(f, i8) {
-				t.Fatalf("ForceTiers(%q, %q) rejected a listed pair", f, i8)
-			}
-			if Tier() != f || Int8Tier() != i8 {
-				t.Fatalf("after ForceTiers(%q, %q): Tier=%q Int8Tier=%q", f, i8, Tier(), Int8Tier())
-			}
-		}
-	}
-	before, before8 := Tier(), Int8Tier()
-	if ForceTiers("no-such-tier", "scalar") || ForceTiers("scalar", "no-such-tier") {
-		t.Fatal("ForceTiers accepted an unknown tier name")
-	}
-	if Tier() != before || Int8Tier() != before8 {
-		t.Fatalf("rejected ForceTiers moved the seam: %q/%q -> %q/%q", before, before8, Tier(), Int8Tier())
-	}
-	ForceScalar(false)
-	if Tier() != DetectedTier() || Int8Tier() != DetectedInt8Tier() {
-		t.Fatalf("ForceScalar(false) should restore detected pair, got %q/%q", Tier(), Int8Tier())
-	}
-}
-
-// TestDispatchSeamRaceBatch extends the dispatch-seam race contract to
-// the batched entry points: concurrent DotBatch/SquaredL2Batch/
-// DotInt8Batch callers race a goroutine toggling ForceScalar and walking
-// ForceTiers pairings. The seam is one atomic pointer, so every
-// interleaving must be race-free and — the tiers being bit-identical —
-// value-stable. Runs under make race-smoke (name shares the
-// TestDispatchSeamRace prefix the smoke regex matches).
-func TestDispatchSeamRaceBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	const dim, rows = 97, 8
-	q := make([]float32, dim)
-	arena := make([]float32, rows*dim)
-	fillRand(rng, q, arena[:dim])
-	fillRand(rng, arena[dim:4*dim], arena[4*dim:])
-	q8 := make([]int8, dim)
-	arena8 := make([]int8, rows*dim)
-	fillRandInt8(rng, q8, arena8)
-	idxs := []int32{5, 0, 3, 7, 1}
-	wantDot := make([]float32, len(idxs))
-	wantL2 := make([]float32, len(idxs))
-	want8 := make([]int32, len(idxs))
-	dotBatchScalar(q, arena, dim, idxs, wantDot)
-	sqL2BatchScalar(q, arena, dim, idxs, wantL2)
-	dotInt8BatchScalar(q8, arena8, dim, idxs, want8)
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			outDot := make([]float32, len(idxs))
-			outL2 := make([]float32, len(idxs))
-			out8 := make([]int32, len(idxs))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				DotBatch(q, arena, dim, idxs, outDot)
-				SquaredL2Batch(q, arena, dim, idxs, outL2)
-				DotInt8Batch(q8, arena8, dim, idxs, out8)
-				for j := range idxs {
-					if outDot[j] != wantDot[j] || outL2[j] != wantL2[j] || out8[j] != want8[j] {
-						t.Errorf("batch under toggling diverged at %d: %v/%v/%v want %v/%v/%v",
-							j, outDot[j], outL2[j], out8[j], wantDot[j], wantL2[j], want8[j])
-						return
-					}
-				}
-			}
-		}()
-	}
-	pairs := tierPairs()
-	for i := 0; i < 2000; i++ {
-		if i%3 == 0 {
-			ForceScalar(i%2 == 0)
-		} else {
-			p := pairs[i%len(pairs)]
-			ForceTiers(p[0], p[1])
-		}
-	}
-	ForceScalar(false)
-	close(stop)
-	wg.Wait()
 }

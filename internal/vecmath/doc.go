@@ -7,23 +7,24 @@
 //
 // The float32 kernels (Dot, SquaredL2, their batched forms, and through
 // Dot also Norm and CosineWithNorms) run on one of three dispatch tiers,
-// selected once at init through an atomic function-pointer seam:
+// selected once at init and fixed for the life of the process:
 //
 //   - "avx2" on amd64, when CPUID reports AVX2 and the OS has enabled YMM
 //     state (OSXSAVE + XCR0); unlike the int8 kernel's SSE2, AVX2 is not
 //     in the amd64 baseline and must be feature-detected.
 //   - "neon" on arm64, unconditionally — Advanced SIMD is part of the
 //     ARMv8-A baseline.
-//   - "scalar" everywhere else, under the purego build tag, when the
-//     PNEUMA_FORCE_SCALAR environment variable is set, or after
-//     ForceScalar(true).
+//   - "scalar" everywhere else, under the purego build tag, or when the
+//     PNEUMA_FORCE_SCALAR environment variable is set (any non-empty
+//     value) — the one way to pin a process to the portable kernels.
 //
 // The int8 kernels (DotInt8, DotInt8Batch) have their own ladder,
-// detected independently and swapped through the same seam: "avx2"
-// (CPUID-gated, 32 lanes per iteration) above the ungated "sse2" baseline
-// on amd64, "scalar" elsewhere. Tier/Int8Tier report the pair serving
-// calls; ForceTiers pins any listed pairing for benchmarks and
-// differential tests.
+// detected independently and chosen at the same time: "avx2" (CPUID-gated,
+// 32 lanes per iteration) above the ungated "sse2" baseline on amd64,
+// "scalar" elsewhere; PNEUMA_FORCE_SCALAR pins it to scalar too.
+// Tier/Int8Tier report the pair serving calls. The package's differential
+// tests call every rung this CPU can run directly, so a tier that never
+// serves here (SSE2 int8 on an AVX2 machine) is still proven.
 //
 // # Batched arena kernels
 //
@@ -57,7 +58,7 @@
 // are bit-identical across scalar, AVX2 (one 8-lane register) and NEON
 // (two 4-lane registers) at every input length — so search results,
 // stored norms and snapshots are portable across machines and across
-// ForceScalar toggles.
+// PNEUMA_FORCE_SCALAR runs.
 //
 // The canonical result differs in the last ULP from a naive sequential
 // sum, which is why every caller in the repo goes through this package

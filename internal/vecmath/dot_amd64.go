@@ -57,14 +57,14 @@ func dotInt8BatchAVX2Kernel(q, arena []int8, stride int, idxs []int32, out []int
 	dotInt8BatchAVX2(&q[0], &arena[0], stride, &idxs[0], len(idxs), len(q), &out[0])
 }
 
-// detectInt8Tiers lists the int8 tiers this CPU can run, best first: the
+// detectInt8Kernels lists the int8 tiers this CPU can run, best first: the
 // gated AVX2 kernel when usable, the ungated SSE2 baseline, then scalar.
-func detectInt8Tiers() []int8Kernels {
+func detectInt8Kernels() []int8Kernels {
 	tiers := []int8Kernels{
 		{name: "sse2", dot: dotInt8SSE2Kernel, batch: dotInt8BatchSSE2Kernel},
 		scalarInt8,
 	}
-	if flags.avx2Usable {
+	if avx2Usable {
 		tiers = append([]int8Kernels{
 			{name: "avx2", dot: dotInt8AVX2Kernel, batch: dotInt8BatchAVX2Kernel},
 		}, tiers...)

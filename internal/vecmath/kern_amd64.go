@@ -62,8 +62,6 @@ func sqL2BatchAVX2Kernel(q, arena []float32, stride int, idxs []int32, out []flo
 
 // amd64 CPU feature bits consulted by the dispatch gate.
 const (
-	cpuidSSE42   = 1 << 20 // leaf 1 ECX
-	cpuidFMA     = 1 << 12 // leaf 1 ECX
 	cpuidOSXSAVE = 1 << 27 // leaf 1 ECX
 	cpuidAVX     = 1 << 28 // leaf 1 ECX
 	cpuidAVX2    = 1 << 5  // leaf 7 EBX
@@ -71,63 +69,34 @@ const (
 	xcr0YMM      = 1 << 2  // XCR0: YMM state enabled by the OS
 )
 
-// cpuFlags holds the one-time CPUID probe results.
-type cpuFlags struct {
-	sse42, fma, avx, avx2 bool
-	// avx2Usable additionally requires the OS to have enabled YMM state
-	// saving (OSXSAVE + XCR0 bits 1 and 2): AVX2 being present in CPUID
-	// is not enough to safely execute VEX.256 code.
-	avx2Usable bool
-}
+// avx2Usable reports whether the AVX2 kernels may run: CPUID reports AVX
+// and AVX2, and the OS has enabled YMM state saving (OSXSAVE + XCR0 bits
+// 1 and 2) — AVX2 being present in CPUID is not enough to safely execute
+// VEX.256 code. Probed once at init.
+var avx2Usable = probeAVX2()
 
-var flags = probeCPU()
-
-func probeCPU() cpuFlags {
-	var f cpuFlags
+func probeAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 1 {
-		return f
+	if maxLeaf < 7 {
+		return false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
-	f.sse42 = ecx1&cpuidSSE42 != 0
-	f.fma = ecx1&cpuidFMA != 0
-	f.avx = ecx1&cpuidAVX != 0
-	if maxLeaf >= 7 {
-		_, ebx7, _, _ := cpuid(7, 0)
-		f.avx2 = ebx7&cpuidAVX2 != 0
+	_, ebx7, _, _ := cpuid(7, 0)
+	if ecx1&cpuidAVX == 0 || ebx7&cpuidAVX2 == 0 || ecx1&cpuidOSXSAVE == 0 {
+		return false
 	}
-	if f.avx && f.avx2 && ecx1&cpuidOSXSAVE != 0 {
-		xlo, _ := xgetbv()
-		f.avx2Usable = xlo&(xcr0XMM|xcr0YMM) == xcr0XMM|xcr0YMM
-	}
-	return f
+	xlo, _ := xgetbv()
+	return xlo&(xcr0XMM|xcr0YMM) == xcr0XMM|xcr0YMM
 }
 
-// detectFloatTiers lists the float32 tiers this CPU can run, best first:
+// detectFloatKernels lists the float32 tiers this CPU can run, best first:
 // AVX2 when feature-detected and OS-enabled, then the scalar fallback.
-func detectFloatTiers() []floatKernels {
-	if flags.avx2Usable {
+func detectFloatKernels() []floatKernels {
+	if avx2Usable {
 		return []floatKernels{
 			{name: "avx2", dot: dotAVX2Kernel, sqL2: sqL2AVX2Kernel, dotBatch: dotBatchAVX2Kernel, sqL2Batch: sqL2BatchAVX2Kernel},
 			scalarFloat,
 		}
 	}
 	return []floatKernels{scalarFloat}
-}
-
-func cpuFeatures() []string {
-	var fs []string
-	if flags.sse42 {
-		fs = append(fs, "sse4.2")
-	}
-	if flags.avx {
-		fs = append(fs, "avx")
-	}
-	if flags.avx2 {
-		fs = append(fs, "avx2")
-	}
-	if flags.fma {
-		fs = append(fs, "fma")
-	}
-	return fs
 }

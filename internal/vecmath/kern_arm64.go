@@ -49,13 +49,11 @@ func sqL2BatchNEONKernel(q, arena []float32, stride int, idxs []int32, out []flo
 	sqL2BatchNEON(&q[0], &arena[0], stride, &idxs[0], len(idxs), len(q), &out[0])
 }
 
-// detectFloatTiers on arm64 needs no probe: Advanced SIMD (NEON) is part
+// detectFloatKernels on arm64 needs no probe: Advanced SIMD (NEON) is part
 // of the ARMv8-A baseline Go requires, so the NEON tier is always usable.
-func detectFloatTiers() []floatKernels {
+func detectFloatKernels() []floatKernels {
 	return []floatKernels{
 		{name: "neon", dot: dotNEONKernel, sqL2: sqL2NEONKernel, dotBatch: dotBatchNEONKernel, sqL2Batch: sqL2BatchNEONKernel},
 		scalarFloat,
 	}
 }
-
-func cpuFeatures() []string { return []string{"neon"} }

@@ -44,7 +44,7 @@ func BenchmarkKernels(b *testing.B) {
 				sinkI = dotInt8Scalar(a8, b8)
 			}
 		})
-		b.Run(fmt.Sprintf("Dot/%s/%d", DetectedTier(), dim), func(b *testing.B) {
+		b.Run(fmt.Sprintf("Dot/%s/%d", Tier(), dim), func(b *testing.B) {
 			b.SetBytes(floatBytes)
 			for i := 0; i < b.N; i++ {
 				sinkF = Dot(af, bf)
@@ -56,7 +56,7 @@ func BenchmarkKernels(b *testing.B) {
 				sinkF = dotScalar(af, bf)
 			}
 		})
-		b.Run(fmt.Sprintf("SquaredL2/%s/%d", DetectedTier(), dim), func(b *testing.B) {
+		b.Run(fmt.Sprintf("SquaredL2/%s/%d", Tier(), dim), func(b *testing.B) {
 			b.SetBytes(floatBytes)
 			for i := 0; i < b.N; i++ {
 				sinkF = SquaredL2(af, bf)
@@ -68,7 +68,7 @@ func BenchmarkKernels(b *testing.B) {
 				sinkF = sqL2Scalar(af, bf)
 			}
 		})
-		b.Run(fmt.Sprintf("CosineWithNorms/%s/%d", DetectedTier(), dim), func(b *testing.B) {
+		b.Run(fmt.Sprintf("CosineWithNorms/%s/%d", Tier(), dim), func(b *testing.B) {
 			b.SetBytes(floatBytes)
 			na, nb := Norm(af), Norm(bf)
 			b.ResetTimer()
@@ -109,13 +109,13 @@ func BenchmarkBatchKernels(b *testing.B) {
 	out8 := make([]int32, batch)
 	perCand := int64(2 * 4 * dim)
 
-	b.Run(fmt.Sprintf("DotBatch/%s/%d", DetectedTier(), dim), func(b *testing.B) {
+	b.Run(fmt.Sprintf("DotBatch/%s/%d", Tier(), dim), func(b *testing.B) {
 		b.SetBytes(perCand * batch)
 		for i := 0; i < b.N; i++ {
 			DotBatch(q, arena, dim, idxs, outF)
 		}
 	})
-	b.Run(fmt.Sprintf("DotLoop/%s/%d", DetectedTier(), dim), func(b *testing.B) {
+	b.Run(fmt.Sprintf("DotLoop/%s/%d", Tier(), dim), func(b *testing.B) {
 		b.SetBytes(perCand * batch)
 		for i := 0; i < b.N; i++ {
 			for _, ix := range idxs {
@@ -123,19 +123,19 @@ func BenchmarkBatchKernels(b *testing.B) {
 			}
 		}
 	})
-	b.Run(fmt.Sprintf("SquaredL2Batch/%s/%d", DetectedTier(), dim), func(b *testing.B) {
+	b.Run(fmt.Sprintf("SquaredL2Batch/%s/%d", Tier(), dim), func(b *testing.B) {
 		b.SetBytes(perCand * batch)
 		for i := 0; i < b.N; i++ {
 			SquaredL2Batch(q, arena, dim, idxs, outF)
 		}
 	})
-	b.Run(fmt.Sprintf("DotInt8Batch/%s/%d", DetectedInt8Tier(), dim), func(b *testing.B) {
+	b.Run(fmt.Sprintf("DotInt8Batch/%s/%d", Int8Tier(), dim), func(b *testing.B) {
 		b.SetBytes(int64(2*dim) * batch)
 		for i := 0; i < b.N; i++ {
 			DotInt8Batch(q8, arena8, dim, idxs, out8)
 		}
 	})
-	b.Run(fmt.Sprintf("DotInt8Loop/%s/%d", DetectedInt8Tier(), dim), func(b *testing.B) {
+	b.Run(fmt.Sprintf("DotInt8Loop/%s/%d", Int8Tier(), dim), func(b *testing.B) {
 		b.SetBytes(int64(2*dim) * batch)
 		for i := 0; i < b.N; i++ {
 			for _, ix := range idxs {

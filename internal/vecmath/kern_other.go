@@ -2,10 +2,8 @@
 
 package vecmath
 
-// detectFloatTiers on architectures without a SIMD kernel (or with the
+// detectFloatKernels on architectures without a SIMD kernel (or with the
 // purego tag) offers only the scalar tier; results are identical
 // everywhere by the canonical lane-scheme contract, so only throughput
 // differs.
-func detectFloatTiers() []floatKernels { return []floatKernels{scalarFloat} }
-
-func cpuFeatures() []string { return nil }
+func detectFloatKernels() []floatKernels { return []floatKernels{scalarFloat} }

@@ -1,8 +1,9 @@
 package vecmath
 
 import (
+	"math"
 	"math/rand"
-	"sync"
+	"os"
 	"testing"
 )
 
@@ -18,128 +19,103 @@ func fillRand(rng *rand.Rand, a, b []float32) {
 }
 
 // TestKernelTiersBitIdentical is the differential gate for the float32
-// SIMD kernels: at every length 0..129 (several 8-lane blocks plus every
-// tail residue) the active dispatch tier and the scalar reference must
-// agree bit-for-bit on Dot, SquaredL2, Norm and CosineWithNorms. On a
-// machine without a SIMD tier both sides run the same scalar code and the
-// test degenerates to a no-op guard; on AVX2/NEON hardware it pins the
-// lane-accumulation contract the whole repo's determinism rests on.
+// kernels: at every length 0..129 (several 8-lane blocks plus every tail
+// residue) each tier this CPU can run must agree bit-for-bit with the
+// scalar reference on dot and squared L2, and the public Dot, SquaredL2,
+// Norm and CosineWithNorms — on whichever tier serves them — must equal
+// their scalar definitions. On a machine without a SIMD tier both sides
+// run the same scalar code and the test degenerates to a no-op guard; on
+// AVX2/NEON hardware it pins the lane-accumulation contract the whole
+// repo's determinism rests on.
 func TestKernelTiersBitIdentical(t *testing.T) {
-	t.Logf("detected tier %q, features %v", DetectedTier(), Features())
+	t.Logf("serving tier %q, int8 tier %q", Tier(), Int8Tier())
 	rng := rand.New(rand.NewSource(42))
 	for n := 0; n <= 129; n++ {
 		a := make([]float32, n)
 		b := make([]float32, n)
 		fillRand(rng, a, b)
-		simdDot, simdL2 := Dot(a, b), SquaredL2(a, b)
-		simdNorm := Norm(a)
-		simdCos := CosineWithNorms(a, b, Norm(a), Norm(b))
-		if got, want := simdDot, dotScalar(a, b); got != want {
-			t.Fatalf("Dot len %d: %s tier %v, scalar %v (must be bit-identical)", n, Tier(), got, want)
+		wantDot, wantL2 := dotScalar(a, b), sqL2Scalar(a, b)
+		for _, f := range floatTiers {
+			if got := f.dot(a, b); got != wantDot {
+				t.Fatalf("dot len %d: %s tier %v, scalar %v (must be bit-identical)", n, f.name, got, wantDot)
+			}
+			if got := f.sqL2(a, b); got != wantL2 {
+				t.Fatalf("sqL2 len %d: %s tier %v, scalar %v", n, f.name, got, wantL2)
+			}
 		}
-		if got, want := simdL2, sqL2Scalar(a, b); got != want {
-			t.Fatalf("SquaredL2 len %d: %s tier %v, scalar %v", n, Tier(), got, want)
+		if got := Dot(a, b); got != wantDot {
+			t.Fatalf("Dot len %d: %s tier %v, scalar %v", n, Tier(), got, wantDot)
 		}
-		ForceScalar(true)
-		scalNorm := Norm(a)
-		scalCos := CosineWithNorms(a, b, Norm(a), Norm(b))
-		ForceScalar(false)
-		if simdNorm != scalNorm {
-			t.Fatalf("Norm len %d: %s tier %v, scalar %v", n, DetectedTier(), simdNorm, scalNorm)
+		if got := SquaredL2(a, b); got != wantL2 {
+			t.Fatalf("SquaredL2 len %d: %s tier %v, scalar %v", n, Tier(), got, wantL2)
 		}
-		if simdCos != scalCos {
-			t.Fatalf("CosineWithNorms len %d: %s tier %v, scalar %v", n, DetectedTier(), simdCos, scalCos)
+		na := float32(math.Sqrt(float64(dotScalar(a, a))))
+		nb := float32(math.Sqrt(float64(dotScalar(b, b))))
+		if got := Norm(a); got != na {
+			t.Fatalf("Norm len %d: %s tier %v, scalar %v", n, Tier(), got, na)
+		}
+		var wantCos float32
+		if na != 0 && nb != 0 {
+			wantCos = wantDot / (na * nb)
+		}
+		if got := CosineWithNorms(a, b, Norm(a), Norm(b)); got != wantCos {
+			t.Fatalf("CosineWithNorms len %d: %s tier %v, scalar %v", n, Tier(), got, wantCos)
 		}
 	}
 }
 
-// TestKernelTiersOddOffsets re-runs the differential check on slices that
-// start at odd element offsets into a shared backing array: the SIMD
-// kernels use unaligned loads, and a misaligned base pointer must change
-// neither behavior nor results. Offsets 1, 3 and 5 break 32-, 16- and
-// 8-byte alignment respectively.
+// TestKernelTiersOddOffsets re-runs the differential check, on every
+// tier, on slices that start at odd element offsets into a shared backing
+// array: the SIMD kernels use unaligned loads, and a misaligned base
+// pointer must change neither behavior nor results. Offsets 1, 3 and 5
+// break 32-, 16- and 8-byte alignment respectively.
 func TestKernelTiersOddOffsets(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	back := make([]float32, 200)
 	for i := range back {
 		back[i] = float32(rng.NormFloat64())
 	}
-	for _, off := range []int{1, 3, 5} {
-		for n := 0; n <= 80; n++ {
-			a := back[off : off+n]
-			b := back[off+n : off+2*n]
-			if got, want := Dot(a, b), dotScalar(a, b); got != want {
-				t.Fatalf("Dot off %d len %d: %v != scalar %v", off, n, got, want)
-			}
-			if got, want := SquaredL2(a, b), sqL2Scalar(a, b); got != want {
-				t.Fatalf("SquaredL2 off %d len %d: %v != scalar %v", off, n, got, want)
+	for _, f := range floatTiers {
+		for _, off := range []int{1, 3, 5} {
+			for n := 0; n <= 80; n++ {
+				a := back[off : off+n]
+				b := back[off+n : off+2*n]
+				if got, want := f.dot(a, b), dotScalar(a, b); got != want {
+					t.Fatalf("%s dot off %d len %d: %v != scalar %v", f.name, off, n, got, want)
+				}
+				if got, want := f.sqL2(a, b), sqL2Scalar(a, b); got != want {
+					t.Fatalf("%s sqL2 off %d len %d: %v != scalar %v", f.name, off, n, got, want)
+				}
 			}
 		}
 	}
 }
 
-// TestForceScalarOverride exercises both force-scalar hooks: the exported
-// setter must retarget the dispatch seam (observable through Tier) and
-// the env-side resolver must pick the scalar tier for any non-empty
-// value, falling back to the detected tier otherwise.
+// TestForceScalarOverride pins the tier resolution: forcing selects the
+// scalar pair, otherwise the best detected pair serves, and both tier
+// ladders end at the scalar floor.
 func TestForceScalarOverride(t *testing.T) {
-	defer ForceScalar(false)
-	ForceScalar(true)
-	if Tier() != "scalar" {
-		t.Fatalf("Tier after ForceScalar(true) = %q, want scalar", Tier())
+	if f, i8 := floatTiers[len(floatTiers)-1].name, int8Tiers[len(int8Tiers)-1].name; f != "scalar" || i8 != "scalar" {
+		t.Fatalf("tier ladders must end with scalar: %q, %q", f, i8)
 	}
-	ForceScalar(false)
-	if Tier() != DetectedTier() {
-		t.Fatalf("Tier after ForceScalar(false) = %q, want detected %q", Tier(), DetectedTier())
+	if k := pickTier(true); k.name != "scalar" || k.int8Name != "scalar" {
+		t.Fatalf("pickTier(true) = %q/%q, want scalar/scalar", k.name, k.int8Name)
 	}
-	if got := initialTier("1"); got != scalarSet {
-		t.Fatalf("initialTier(%q) = %q, want scalar", "1", got.name)
-	}
-	if got := initialTier(""); got != detected {
-		t.Fatalf("initialTier(\"\") = %q, want detected %q", got.name, detected.name)
+	if k := pickTier(false); k.name != floatTiers[0].name || k.int8Name != int8Tiers[0].name {
+		t.Fatalf("pickTier(false) = %q/%q, want best %q/%q", k.name, k.int8Name, floatTiers[0].name, int8Tiers[0].name)
 	}
 }
 
-// TestDispatchSeamRace hammers the dispatch seam from concurrent kernel
-// callers while another goroutine toggles ForceScalar: the seam is an
-// atomic pointer precisely so a tier swap mid-flight is a clean race-free
-// handoff, and every interleaving must still produce the canonical result
-// (the tiers are bit-identical, so the toggle can never change a value).
-// Runs under make race-smoke.
-func TestDispatchSeamRace(t *testing.T) {
-	a := make([]float32, 97)
-	b := make([]float32, 97)
-	fillRand(rand.New(rand.NewSource(44)), a, b)
-	wantDot := dotScalar(a, b)
-	wantL2 := sqL2Scalar(a, b)
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if got := Dot(a, b); got != wantDot {
-					t.Errorf("Dot under toggling = %v, want %v", got, wantDot)
-					return
-				}
-				if got := SquaredL2(a, b); got != wantL2 {
-					t.Errorf("SquaredL2 under toggling = %v, want %v", got, wantL2)
-					return
-				}
-			}
-		}()
+// TestTierFollowsEnv checks the tier serving this process against its
+// environment, which makes `make tier1-scalar` self-checking: with
+// PNEUMA_FORCE_SCALAR set every kernel runs scalar, and without it the
+// best detected pair serves.
+func TestTierFollowsEnv(t *testing.T) {
+	want, want8 := floatTiers[0].name, int8Tiers[0].name
+	if os.Getenv(forceScalarEnv) != "" {
+		want, want8 = "scalar", "scalar"
 	}
-	for i := 0; i < 2000; i++ {
-		ForceScalar(i%2 == 0)
+	if Tier() != want || Int8Tier() != want8 {
+		t.Fatalf("%s=%q: serving %q/%q, want %q/%q", forceScalarEnv, os.Getenv(forceScalarEnv), Tier(), Int8Tier(), want, want8)
 	}
-	ForceScalar(false)
-	close(stop)
-	wg.Wait()
 }

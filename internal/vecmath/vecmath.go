@@ -5,14 +5,14 @@ import "math"
 // Dot returns the dot product of a and b. Panics if lengths differ — vector
 // dimensionality is fixed per index, so a mismatch is a programming error.
 //
-// The result is computed by the active dispatch kernel (see doc.go): every
+// The result is computed by the dispatch tier's kernel (see doc.go): every
 // implementation follows the same canonical lane-accumulation scheme, so
 // the value is bit-identical whether the scalar, AVX2 or NEON kernel runs.
 func Dot(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic("vecmath: dimension mismatch")
 	}
-	return active.Load().dot(a, b)
+	return kernels.dot(a, b)
 }
 
 // dotScalar is the portable reference implementation of Dot and the
@@ -50,13 +50,13 @@ func dotScalar(a, b []float32) float32 {
 }
 
 // SquaredL2 returns the squared Euclidean distance between a and b. Like
-// Dot it runs on the active dispatch kernel and is bit-identical across
+// Dot it runs on the dispatch tier's kernel and is bit-identical across
 // dispatch tiers (same lane scheme, with d*d in place of a*b).
 func SquaredL2(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic("vecmath: dimension mismatch")
 	}
-	return active.Load().sqL2(a, b)
+	return kernels.sqL2(a, b)
 }
 
 // sqL2Scalar is the portable reference implementation of SquaredL2, built
@@ -98,7 +98,7 @@ func sqL2Scalar(a, b []float32) float32 {
 // tiers too — they feed CosineWithNorms at query time, where any per-tier
 // drift would break cross-machine result parity.
 func Norm(v []float32) float32 {
-	return float32(math.Sqrt(float64(active.Load().dot(v, v))))
+	return float32(math.Sqrt(float64(kernels.dot(v, v))))
 }
 
 // Normalize scales v to unit length in place and returns it. The zero vector
@@ -142,7 +142,7 @@ func CosineWithNorms(a, b []float32, na, nb float32) float32 {
 // components in [-127, 127] the accumulator is exact for any dimension up
 // to 2^31/127^2 (≈133k), far beyond any embedding width here, so the
 // result is bit-identical across every implementation. Like the float32
-// kernels it runs on the active dispatch tier (see Int8Tier): on amd64 an
+// kernels it runs on the dispatch tier (see Int8Tier): on amd64 an
 // AVX2 kernel when CPUID allows (32 lanes per iteration, sign-extended
 // pair-sums into int32 lanes) above an SSE2 baseline kernel (16 lanes via
 // PMADDWD — SSE2 needs no feature gate on amd64); elsewhere the unrolled
@@ -153,7 +153,7 @@ func DotInt8(a, b []int8) int32 {
 	if len(a) != len(b) {
 		panic("vecmath: dimension mismatch")
 	}
-	return active.Load().dotInt8(a, b)
+	return kernels.dotInt8(a, b)
 }
 
 // dotInt8Scalar is the portable reference implementation of DotInt8: the

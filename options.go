@@ -134,12 +134,6 @@ func WithQuantize(on bool) Option { return index(retriever.WithQuantize(on)) }
 // retriever.WithMmap.
 func WithMmap(on bool) Option { return index(retriever.WithMmap(on)) }
 
-// WithCompactionRatio sets the dead-record fraction beyond which
-// BackendDisk rewrites a shard's segment to its live records at
-// flush/close (default 0.5; negative disables); see
-// retriever.WithCompactionRatio.
-func WithCompactionRatio(ratio float64) Option { return index(retriever.WithCompactionRatio(ratio)) }
-
 // WithMaxConcurrent bounds how many requests (Send and Search calls
 // across all sessions) execute simultaneously; excess requests queue and
 // are admitted as slots free, or leave the queue when their context is

@@ -408,8 +408,8 @@ func TestIndexOptionsReachRetriever(t *testing.T) {
 				if ret.Backend() != pneuma.BackendDisk || ret.Dir() != dir {
 					t.Errorf("Backend, Dir = %q, %q; want %q, %q", ret.Backend(), ret.Dir(), pneuma.BackendDisk, dir)
 				}
-				// The control for the WithCompactionRatio row: at the
-				// default ratio the same churn does rewrite the segments.
+				// Disk churn past the compaction ratio rewrites the
+				// segments.
 				if !segmentsAfterChurn(t, svc, dir) {
 					t.Error("default compaction ratio did not shrink the segments")
 				}
@@ -417,15 +417,6 @@ func TestIndexOptionsReachRetriever(t *testing.T) {
 		{"WithMmap", true, pneuma.WithMmap(true), nil},
 		{"WithSyncBytes", true, pneuma.WithSyncBytes(1), fsyncsMoveOnAdd},
 		{"WithSyncInterval", true, pneuma.WithSyncInterval(time.Millisecond), fsyncsMoveOnAdd},
-		{"WithCompactionRatio", true, pneuma.WithCompactionRatio(-1),
-			func(t *testing.T, svc *pneuma.Service, dir string) {
-				if segmentsAfterChurn(t, svc, dir) {
-					t.Error("segments shrank with compaction disabled")
-				}
-				if runs := svc.Stats().Tables.Compaction.Runs; runs != 0 {
-					t.Errorf("%d compaction runs with compaction disabled", runs)
-				}
-			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
