@@ -91,13 +91,44 @@ func TestKernelTiersOddOffsets(t *testing.T) {
 	}
 }
 
-// TestForceScalarOverride pins the tier resolution: forcing selects the
-// scalar pair, otherwise the best detected pair serves, and both tier
-// ladders end at the scalar floor.
-func TestForceScalarOverride(t *testing.T) {
+// TestForceTiers pins the tier ladders the dispatch tier is picked from:
+// both end at the scalar floor, names within a ladder are distinct, and
+// any pairing of a float32 half with an int8 half assembles into a
+// complete set that carries both names.
+func TestForceTiers(t *testing.T) {
 	if f, i8 := floatTiers[len(floatTiers)-1].name, int8Tiers[len(int8Tiers)-1].name; f != "scalar" || i8 != "scalar" {
 		t.Fatalf("tier ladders must end with scalar: %q, %q", f, i8)
 	}
+	seen := map[string]bool{}
+	for _, f := range floatTiers {
+		if seen[f.name] {
+			t.Fatalf("float32 tier %q listed twice", f.name)
+		}
+		seen[f.name] = true
+	}
+	seen = map[string]bool{}
+	for _, i8 := range int8Tiers {
+		if seen[i8.name] {
+			t.Fatalf("int8 tier %q listed twice", i8.name)
+		}
+		seen[i8.name] = true
+	}
+	for _, f := range floatTiers {
+		for _, i8 := range int8Tiers {
+			k := assemble(f, i8)
+			if k.name != f.name || k.int8Name != i8.name {
+				t.Fatalf("assemble(%q, %q) named %q/%q", f.name, i8.name, k.name, k.int8Name)
+			}
+			if k.dot == nil || k.sqL2 == nil || k.dotBatch == nil || k.sqL2Batch == nil || k.dotInt8 == nil || k.dotInt8Batch == nil {
+				t.Fatalf("assemble(%q, %q) left a kernel unset", f.name, i8.name)
+			}
+		}
+	}
+}
+
+// TestForceScalarOverride pins the tier resolution: forcing selects the
+// scalar pair, otherwise the best detected pair serves.
+func TestForceScalarOverride(t *testing.T) {
 	if k := pickTier(true); k.name != "scalar" || k.int8Name != "scalar" {
 		t.Fatalf("pickTier(true) = %q/%q, want scalar/scalar", k.name, k.int8Name)
 	}
