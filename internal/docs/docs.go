@@ -2,10 +2,13 @@
 // System (§3.3): heterogeneous retrieval results — tables, domain knowledge
 // notes, web pages — are all surfaced as Document objects so that new
 // retrievers can be added without changing the rest of the system.
+//
+// A document's text for an LLM context or a wire reply is written by
+// AppendSummary into a caller's buffer; Summary is a one-line wrapper of it.
 package docs
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"pneuma/internal/table"
@@ -53,37 +56,57 @@ type Document struct {
 // title, kind and the head of the content. Table documents include the
 // schema and up to sampleRows sample rows, mirroring the paper's point that
 // LLM Sim "can only observe sample rows to prevent hitting the context
-// limit".
-func (d *Document) Summary(sampleRows int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "[%s] %s (source: %s)\n", d.Kind, d.Title, d.Source)
-	if d.Table != nil {
-		b.WriteString("schema: ")
-		b.WriteString(d.Table.Schema.String())
-		b.WriteByte('\n')
-		for _, c := range d.Table.Schema.Columns {
-			if c.Description != "" {
-				fmt.Fprintf(&b, "  %s: %s", c.Name, c.Description)
-				if c.Unit != "" {
-					fmt.Fprintf(&b, " [%s]", c.Unit)
-				}
-				b.WriteByte('\n')
+// limit". It wraps AppendSummary.
+func (d *Document) Summary(sampleRows int) string { return string(d.AppendSummary(nil, sampleRows)) }
+
+// AppendSummary appends Summary's text to dst, writing the table parts
+// through Schema.AppendTo and Table.AppendRender; into a buffer with room for
+// it, it allocates nothing. The content of a document without a table is cut
+// at its 600th byte, possibly inside a rune.
+func (d *Document) AppendSummary(dst []byte, sampleRows int) []byte {
+	dst = append(dst, '[')
+	dst = append(dst, d.Kind...)
+	dst = append(dst, "] "...)
+	dst = append(dst, d.Title...)
+	dst = append(dst, " (source: "...)
+	dst = append(dst, d.Source...)
+	dst = append(dst, ")\n"...)
+	if t := d.Table; t != nil {
+		dst = append(dst, "schema: "...)
+		dst = t.Schema.AppendTo(dst)
+		dst = append(dst, '\n')
+		for i := range t.Schema.Columns {
+			c := &t.Schema.Columns[i]
+			if c.Description == "" {
+				continue
 			}
+			dst = append(dst, "  "...)
+			dst = append(dst, c.Name...)
+			dst = append(dst, ": "...)
+			dst = append(dst, c.Description...)
+			if c.Unit != "" {
+				dst = append(dst, " ["...)
+				dst = append(dst, c.Unit...)
+				dst = append(dst, ']')
+			}
+			dst = append(dst, '\n')
 		}
-		fmt.Fprintf(&b, "rows: %d\n", d.Table.NumRows())
+		dst = append(dst, "rows: "...)
+		dst = strconv.AppendInt(dst, int64(t.NumRows()), 10)
+		dst = append(dst, '\n')
 		if sampleRows > 0 {
-			b.WriteString(d.Table.Render(sampleRows))
+			dst = t.AppendRender(dst, sampleRows)
 		}
-		return b.String()
+		return dst
 	}
-	content := d.Content
 	const maxLen = 600
-	if len(content) > maxLen {
-		content = content[:maxLen] + "..."
+	if len(d.Content) > maxLen {
+		dst = append(dst, d.Content[:maxLen]...)
+		dst = append(dst, "..."...)
+	} else {
+		dst = append(dst, d.Content...)
 	}
-	b.WriteString(content)
-	b.WriteByte('\n')
-	return b.String()
+	return append(dst, '\n')
 }
 
 // TableDocument builds the canonical document for a table: the content

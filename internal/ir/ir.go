@@ -136,17 +136,6 @@ func (r Result) KnowledgeDocs() []docs.Document {
 	return out
 }
 
-// Summary renders all documents for an LLM context with the given per-table
-// sample-row budget.
-func (r Result) Summary(sampleRows int) string {
-	var b strings.Builder
-	for i := range r.Documents {
-		b.WriteString(r.Documents[i].Summary(sampleRows))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // Query runs the request against the selected sources concurrently and
 // merges results with reciprocal-rank fusion: a document's score is the
 // sum over sources of 1/(60+rank), so a document every source ranks highly

@@ -97,7 +97,4 @@ func TestResultHelpers(t *testing.T) {
 	if len(res.KnowledgeDocs()) == 0 {
 		t.Error("KnowledgeDocs empty")
 	}
-	if res.Summary(2) == "" {
-		t.Error("Summary empty")
-	}
 }

@@ -23,6 +23,20 @@
 //     field). A test iterates pnerr.Codes() so a new code cannot ship
 //     without a mapping.
 //
+//   - Search reply: GET /v1/search writes its JSON body with a hand-written
+//     append-style encoder into a pooled buffer — each hit's identity,
+//     score and Document.AppendSummary text escaped straight in, one Write
+//     — instead of building strings for encoding/json to reflect over. The
+//     bytes are identical to what encoding/json's Encoder writes for the
+//     same fields (HTML escaping, U+2028/U+2029, invalid UTF-8, the float
+//     format switch), which FuzzSearchReply pins against encoding/json; every
+//     other route still encodes with encoding/json.
+//
+//   - Limits: JSON request bodies are read through http.MaxBytesReader
+//     (an oversize body is ErrBadQuery, 400), and Run's http.Server drops a
+//     connection that has not delivered its request headers within
+//     readHeaderTimeout.
+//
 //   - Streaming: long Seeker turns deliver incrementally over SSE
 //     (?stream=sse or Accept: text/event-stream) — an accepted event on
 //     admission, working heartbeats while the turn runs, then one reply

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -123,10 +124,14 @@ func (r *statusRecorder) Flush() {
 	}
 }
 
+// apiHandler is one API route: the request, its query string parsed once by
+// api, and the typed error api renders when the handler fails.
+type apiHandler func(w http.ResponseWriter, r *http.Request, query url.Values) error
+
 // api wraps one API handler with the serving policy: reject while
 // draining, shed on projected queue wait, attach the per-request deadline,
 // track in-flight work for the drain, and record the request metrics.
-func (s *Server) api(route string, h func(http.ResponseWriter, *http.Request) error) http.Handler {
+func (s *Server) api(route string, h apiHandler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
@@ -149,14 +154,15 @@ func (s *Server) api(route string, h func(http.ResponseWriter, *http.Request) er
 			}
 		}
 
-		ctx, cancel, err := s.reqContext(r)
+		query := r.URL.Query()
+		ctx, cancel, err := s.reqContext(r, query)
 		if err != nil {
 			s.writeError(rec, err)
 			return
 		}
 		defer cancel()
 
-		if err := h(rec, r.WithContext(ctx)); err != nil {
+		if err := h(rec, r.WithContext(ctx), query); err != nil {
 			s.writeError(rec, err)
 		}
 	})
@@ -166,9 +172,9 @@ func (s *Server) api(route string, h func(http.ResponseWriter, *http.Request) er
 // (clamped by MaxTimeout, defaulting to DefaultTimeout) layered on the
 // client connection's own lifetime, so both the server's bound and the
 // client hanging up cancel the work.
-func (s *Server) reqContext(r *http.Request) (context.Context, context.CancelFunc, error) {
+func (s *Server) reqContext(r *http.Request, query url.Values) (context.Context, context.CancelFunc, error) {
 	d := s.cfg.DefaultTimeout
-	if raw := r.URL.Query().Get("timeout"); raw != "" {
+	if raw := query.Get("timeout"); raw != "" {
 		parsed, err := time.ParseDuration(raw)
 		if err != nil || parsed <= 0 {
 			return nil, nil, pnerr.BadQueryf("server: request", "invalid timeout %q", raw)
@@ -203,43 +209,32 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// wireDoc is the over-the-wire projection of a retrieval document: the
-// identity and score plus a rendered summary, never the raw table payload
-// (which can be arbitrarily large and, under WithMmap, must not outlive
-// the Service).
-type wireDoc struct {
-	ID      string  `json:"id"`
-	Kind    string  `json:"kind"`
-	Title   string  `json:"title"`
-	Source  string  `json:"source"`
-	Score   float64 `json:"score"`
-	Summary string  `json:"summary"`
-}
+// maxBodyBytes bounds the JSON body of a request. A table added over the
+// wire travels as CSV inside it, so this is also the largest upload.
+const maxBodyBytes = 8 << 20
 
-func toWireDocs(ds []pneuma.Document) []wireDoc {
-	out := make([]wireDoc, len(ds))
-	for i := range ds {
-		d := &ds[i]
-		out[i] = wireDoc{
-			ID:      d.ID,
-			Kind:    string(d.Kind),
-			Title:   d.Title,
-			Source:  d.Source,
-			Score:   d.Score,
-			Summary: d.Summary(2),
-		}
+// decodeJSON decodes the request body into v, reading at most maxBodyBytes;
+// a longer, or malformed, body is a typed bad query for op.
+func decodeJSON(w http.ResponseWriter, r *http.Request, op string, v any) error {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return pnerr.BadQueryf(op, "request body exceeds %d bytes", tooLarge.Limit)
+	case err != nil:
+		return pnerr.BadQueryf(op, "invalid JSON body: %v", err)
 	}
-	return out
+	return nil
 }
 
 // handleCreateSession starts a conversation: {"user": "alice"} → 201 with
 // the session id the other session routes address.
-func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) error {
+func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request, _ url.Values) error {
 	var req struct {
 		User string `json:"user"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return pnerr.BadQueryf("server: create session", "invalid JSON body: %v", err)
+	if err := decodeJSON(w, r, "server: create session", &req); err != nil {
+		return err
 	}
 	if strings.TrimSpace(req.User) == "" {
 		return pnerr.BadQueryf("server: create session", "user is required")
@@ -254,7 +249,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) err
 // holds no per-session resources beyond the conversation state, so this
 // is pure bookkeeping — but without it a long-lived daemon would leak one
 // conversation per client forever.
-func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) error {
+func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request, _ url.Values) error {
 	id := r.PathValue("id")
 	if _, ok := s.sessions.LoadAndDelete(id); !ok {
 		return pnerr.BadQueryf("server: close session", "unknown session %q", id)
@@ -284,7 +279,7 @@ type sendResponse struct {
 // as server-sent events — accepted on admission, working heartbeats while
 // the Seeker runs, then one reply or error event — so long turns deliver
 // progress incrementally instead of a silent multi-second hang.
-func (s *Server) handleSend(w http.ResponseWriter, r *http.Request) error {
+func (s *Server) handleSend(w http.ResponseWriter, r *http.Request, query url.Values) error {
 	sess, err := s.session(r)
 	if err != nil {
 		return err
@@ -292,13 +287,13 @@ func (s *Server) handleSend(w http.ResponseWriter, r *http.Request) error {
 	var req struct {
 		Message string `json:"message"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return pnerr.BadQueryf("server: send", "invalid JSON body: %v", err)
+	if err := decodeJSON(w, r, "server: send", &req); err != nil {
+		return err
 	}
 	if strings.TrimSpace(req.Message) == "" {
 		return pnerr.BadQueryf("server: send", "message is required")
 	}
-	if wantsSSE(r) {
+	if wantsSSE(r, query) {
 		return s.streamSend(w, r, sess, req.Message)
 	}
 	reply, err := sess.Send(r.Context(), req.Message)
@@ -309,8 +304,8 @@ func (s *Server) handleSend(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-func wantsSSE(r *http.Request) bool {
-	return r.URL.Query().Get("stream") == "sse" ||
+func wantsSSE(r *http.Request, query url.Values) bool {
+	return query.Get("stream") == "sse" ||
 		strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 }
 
@@ -383,21 +378,18 @@ func writeEvent(w http.ResponseWriter, event string, v any) {
 	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 }
 
-// searchResponse is the JSON envelope of one retrieval request. Degraded
-// carries the per-source failure detail of a partially answered query;
-// the X-Pneuma-Degraded header flags it without parsing the body.
-type searchResponse struct {
-	Documents []wireDoc `json:"documents"`
-	Degraded  string    `json:"degraded,omitempty"`
-}
-
 // handleSearch runs one retrieval: ?q= (required), &k= (default 5),
 // &sources=tables,knowledge,web (default all). A partially failed query
-// returns 200 with the surviving fusion and the degraded marker.
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) error {
-	q := r.URL.Query().Get("q")
+// returns 200 with the surviving fusion and the degraded marker: the
+// X-Pneuma-Degraded header flags it without parsing the body, whose
+// "degraded" field carries the per-source failure detail. Each document goes
+// over the wire as its identity, score and rendered summary, never the raw
+// table payload, which can be arbitrarily large and, under WithMmap, must not
+// outlive the Service.
+func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, query url.Values) error {
+	q := query.Get("q")
 	k := 5
-	if raw := r.URL.Query().Get("k"); raw != "" {
+	if raw := query.Get("k"); raw != "" {
 		parsed, err := strconv.Atoi(raw)
 		if err != nil || parsed <= 0 {
 			return pnerr.BadQueryf("server: search", "invalid k %q", raw)
@@ -405,19 +397,19 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) error {
 		k = parsed
 	}
 	var sources []string
-	if raw := r.URL.Query().Get("sources"); raw != "" {
+	if raw := query.Get("sources"); raw != "" {
 		sources = strings.Split(raw, ",")
 	}
 	docs, err := s.svc.SearchIn(r.Context(), q, k, sources...)
 	if err != nil && !errors.Is(err, pnerr.ErrDegraded) {
 		return err
 	}
-	resp := searchResponse{Documents: toWireDocs(docs)}
+	var degraded string
 	if err != nil {
-		resp.Degraded = err.Error()
+		degraded = err.Error()
 		w.Header().Set("X-Pneuma-Degraded", "true")
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeSearchReply(w, docs, degraded)
 	return nil
 }
 
@@ -432,10 +424,10 @@ type wireTable struct {
 // handleAddTables streams new tables into the live index: a JSON array of
 // {"name","csv"} objects. Searches keep serving while the ingest runs;
 // the new tables become visible as the shard writers publish.
-func (s *Server) handleAddTables(w http.ResponseWriter, r *http.Request) error {
+func (s *Server) handleAddTables(w http.ResponseWriter, r *http.Request, _ url.Values) error {
 	var req []wireTable
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return pnerr.BadQueryf("server: add tables", "invalid JSON body: %v", err)
+	if err := decodeJSON(w, r, "server: add tables", &req); err != nil {
+		return err
 	}
 	if len(req) == 0 {
 		return pnerr.BadQueryf("server: add tables", "no tables in request")
@@ -461,12 +453,12 @@ func (s *Server) handleAddTables(w http.ResponseWriter, r *http.Request) error {
 // handleDeleteTables removes tables by name: {"names": [...]} → how many
 // were present. In-flight queries may still surface a just-deleted table
 // from their pinned views; queries admitted afterwards do not.
-func (s *Server) handleDeleteTables(w http.ResponseWriter, r *http.Request) error {
+func (s *Server) handleDeleteTables(w http.ResponseWriter, r *http.Request, _ url.Values) error {
 	var req struct {
 		Names []string `json:"names"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		return pnerr.BadQueryf("server: delete tables", "invalid JSON body: %v", err)
+	if err := decodeJSON(w, r, "server: delete tables", &req); err != nil {
+		return err
 	}
 	if len(req.Names) == 0 {
 		return pnerr.BadQueryf("server: delete tables", "no names in request")
@@ -506,6 +498,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.met.render(w, s.svc.Stats())
 }
 
+// readHeaderTimeout bounds how long a connection may take to deliver its
+// request headers, so clients that open connections and stall cannot hold
+// them open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
+// httpServer is the http.Server Run serves the handler tree with.
+func (s *Server) httpServer() *http.Server {
+	return &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // Run serves on the listener until ctx is canceled (the daemon wires
 // SIGTERM/SIGINT to it), then executes the graceful drain: flip to
 // draining (new API requests 503, /readyz 503), wait out in-flight
@@ -514,7 +516,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // indexes flush. The returned error joins the serve, shutdown and close
 // failures; a clean drain returns nil.
 func (s *Server) Run(ctx context.Context, ln net.Listener) error {
-	hs := &http.Server{Handler: s.Handler()}
+	hs := s.httpServer()
 	serveErr := make(chan error, 1)
 	go func() {
 		err := hs.Serve(ln)

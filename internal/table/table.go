@@ -16,14 +16,22 @@
 // profile one shared table at once. A Profile counts a column's distinct
 // values as distinct renderings (Value.String); columnStats says when it can
 // tell them apart without rendering them.
+//
+// The text forms are append forms: Schema.AppendTo, Table.AppendRender (and
+// value.Value.AppendTo for a cell) write into a caller's buffer, and
+// Schema.String and Table.Render are one-line wrappers of them, so a caller
+// that renders into a buffer of its own — the HTTP search reply — builds no
+// intermediate strings.
 package table
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"pneuma/internal/value"
 )
@@ -79,21 +87,22 @@ func (s Schema) Column(name string) (Column, bool) {
 	return s.Columns[i], true
 }
 
-// String renders the schema as "name(col type, ...)".
-func (s Schema) String() string {
-	var b strings.Builder
-	b.WriteString(s.Name)
-	b.WriteByte('(')
-	for i, c := range s.Columns {
+// String renders the schema as "name(col type, ...)"; it wraps AppendTo.
+func (s Schema) String() string { return string(s.AppendTo(nil)) }
+
+// AppendTo appends the schema's "name(col type, ...)" rendering to dst.
+func (s Schema) AppendTo(dst []byte) []byte {
+	dst = append(dst, s.Name...)
+	dst = append(dst, '(')
+	for i := range s.Columns {
 		if i > 0 {
-			b.WriteString(", ")
+			dst = append(dst, ", "...)
 		}
-		b.WriteString(c.Name)
-		b.WriteByte(' ')
-		b.WriteString(c.Type.String())
+		dst = append(dst, s.Columns[i].Name...)
+		dst = append(dst, ' ')
+		dst = append(dst, s.Columns[i].Type.String()...)
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(dst, ')')
 }
 
 // Row is one tuple, positionally aligned with the schema's columns. A Row is
@@ -328,54 +337,83 @@ func scanColumn[K comparable](rows []Row, ci int, col Column, kind value.Kind, k
 	return cs, true
 }
 
-// Render pretty-prints the table (up to maxRows rows) for the CLI state
-// view: a fixed-width ASCII grid like the paper's Figure 2 sample rows.
-func (t *Table) Render(maxRows int) string {
-	cols := t.Schema.ColumnNames()
-	widths := make([]int, len(cols))
-	for i, c := range cols {
-		widths[i] = len(c)
-	}
+// Render pretty-prints the table (up to maxRows rows, every row when maxRows
+// is negative) for the CLI state view: a fixed-width ASCII grid like the
+// paper's Figure 2 sample rows. It wraps AppendRender.
+func (t *Table) Render(maxRows int) string { return string(t.AppendRender(nil, maxRows)) }
+
+// maxCellBytes caps a rendered cell: a longer one is cut to its first
+// maxCellBytes-3 bytes, which may end inside a rune, followed by "...".
+const maxCellBytes = 24
+
+// AppendRender appends Render's grid to dst. It takes two passes over the
+// shown cells, both formatting each cell into dst's spare capacity: the first
+// measures each column's width in bytes and takes the cell back off, the
+// second writes it. A cell or header is then padded with spaces up to its
+// column's width counted in runes — widths in bytes and padding in runes is
+// how the grid has always been drawn (fmt's %-*s pads by rune count), and
+// the prompts built from it depend on those bytes.
+func (t *Table) AppendRender(dst []byte, maxRows int) []byte {
+	cols := t.Schema.Columns
 	n := len(t.Rows)
 	if maxRows >= 0 && n > maxRows {
 		n = maxRows
 	}
-	cells := make([][]string, n)
-	for r := 0; r < n; r++ {
-		cells[r] = make([]string, len(cols))
+	var stack [32]int
+	widths := stack[:0]
+	for c := range cols {
+		widths = append(widths, len(cols[c].Name))
+	}
+	for _, row := range t.Rows[:n] {
 		for c := range cols {
-			s := t.Rows[r][c].String()
-			if len(s) > 24 {
-				s = s[:21] + "..."
-			}
-			cells[r][c] = s
-			if len(s) > widths[c] {
-				widths[c] = len(s)
-			}
+			mark := len(dst)
+			dst = row[c].AppendTo(dst)
+			widths[c] = max(widths[c], min(len(dst)-mark, maxCellBytes))
+			dst = dst[:mark]
 		}
 	}
-	var b strings.Builder
-	writeRow := func(vals []string) {
-		b.WriteByte('|')
-		for i, v := range vals {
-			fmt.Fprintf(&b, " %-*s |", widths[i], v)
-		}
-		b.WriteByte('\n')
+
+	dst = append(dst, '|')
+	for c := range cols {
+		mark := len(dst) + 1
+		dst = append(append(dst, ' '), cols[c].Name...)
+		dst = padCell(dst, mark, widths[c])
 	}
-	writeRow(cols)
-	b.WriteByte('|')
+	dst = append(dst, "\n|"...)
 	for _, w := range widths {
-		b.WriteString(strings.Repeat("-", w+2))
-		b.WriteByte('|')
+		for i := 0; i < w+2; i++ {
+			dst = append(dst, '-')
+		}
+		dst = append(dst, '|')
 	}
-	b.WriteByte('\n')
-	for _, row := range cells {
-		writeRow(row)
+	dst = append(dst, '\n')
+	for _, row := range t.Rows[:n] {
+		dst = append(dst, '|')
+		for c := range cols {
+			mark := len(dst) + 1
+			dst = row[c].AppendTo(append(dst, ' '))
+			if len(dst)-mark > maxCellBytes {
+				dst = append(dst[:mark+maxCellBytes-3], "..."...)
+			}
+			dst = padCell(dst, mark, widths[c])
+		}
+		dst = append(dst, '\n')
 	}
-	if len(t.Rows) > n {
-		fmt.Fprintf(&b, "... (%d more rows)\n", len(t.Rows)-n)
+	if more := len(t.Rows) - n; more > 0 {
+		dst = append(dst, "... ("...)
+		dst = strconv.AppendInt(dst, int64(more), 10)
+		dst = append(dst, " more rows)\n"...)
 	}
-	return b.String()
+	return dst
+}
+
+// padCell pads the cell written to dst since mark to width runes and closes
+// it with " |".
+func padCell(dst []byte, mark, width int) []byte {
+	for pad := width - utf8.RuneCount(dst[mark:]); pad > 0; pad-- {
+		dst = append(dst, ' ')
+	}
+	return append(dst, " |"...)
 }
 
 // SortBy sorts rows in place by the named columns ascending; unknown column

@@ -318,31 +318,40 @@ func ParseTime(s string) (time.Time, bool) {
 	return time.Time{}, false
 }
 
-// String renders the value the way the CSV writer and the UI print it.
+// String renders the value the way the CSV writer and the UI print it: the
+// bytes AppendTo writes. A string value comes back as itself, not a copy.
 func (v Value) String() string {
 	switch v.kind {
-	case KindNull:
-		return ""
-	case KindBool:
-		if v.b() {
-			return "true"
-		}
-		return "false"
-	case KindInt:
-		return strconv.FormatInt(v.i(), 10)
-	case KindFloat:
-		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindString:
 		return v.s
+	case KindInt:
+		return strconv.FormatInt(v.i(), 10) // small ints come back without allocating
+	}
+	var buf [32]byte
+	return string(v.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the value's rendering to dst: nothing for NULL, true or
+// false, a decimal int, the shortest 'g' form of a float, a string as it is,
+// and a time as its UTC date, followed by the clock unless it is midnight.
+func (v Value) AppendTo(dst []byte) []byte {
+	switch v.kind {
+	case KindBool:
+		return strconv.AppendBool(dst, v.b())
+	case KindInt:
+		return strconv.AppendInt(dst, v.i(), 10)
+	case KindFloat:
+		return strconv.AppendFloat(dst, v.f(), 'g', -1, 64)
+	case KindString:
+		return append(dst, v.s...)
 	case KindTime:
 		t := v.t()
 		if t.Hour() == 0 && t.Minute() == 0 && t.Second() == 0 {
-			return t.Format("2006-01-02")
+			return t.AppendFormat(dst, "2006-01-02")
 		}
-		return t.Format("2006-01-02 15:04:05")
-	default:
-		return ""
+		return t.AppendFormat(dst, "2006-01-02 15:04:05")
 	}
+	return dst
 }
 
 // Compare orders two values. NULL sorts before everything; mixed numeric
