@@ -19,8 +19,9 @@ DOC_PKGS = ./internal/retriever ./internal/ir ./internal/embed ./internal/bm25 .
 # unprofiled corpus, the session memo and the shared profile cache,
 # cancellation fan-out, disk-backend sessions, the live-ingest churn soak,
 # background compaction under churn, Close handing a due compaction to the
-# flusher), and a 10-second fuzz pass over each binary decoder and over the
-# search reply encoder (against encoding/json).
+# flusher), and a 10-second fuzz pass over each binary decoder, over the
+# search reply encoder (against encoding/json) and over the shard write
+# path (a batch of n against n batches of one).
 verify: fmt-check vet asmvet xbuild-arm64 tier1 tier1-scalar docs serve-smoke race-smoke fuzz-smoke
 
 fmt-check:
@@ -81,14 +82,16 @@ race-smoke:
 	$(GO) test -race -short -count=1 -run 'TestService|TestMaterializeMemo|TestBuildProfileConcurrent|TestSearchCanceled|TestIndexDocumentsCanceled|TestQueryPartial|TestQueryCanceled|TestDiskConcurrent|TestChurn|TestBackgroundCompaction|TestCloseCompactsDueShard' . ./internal/core/ ./internal/table/ ./internal/retriever/ ./internal/ir/
 	@echo "race-smoke: ok"
 
-# fuzz-smoke runs each native fuzz target (the two binary decoders and the
-# search reply encoder) for 10 seconds — long enough
+# fuzz-smoke runs each native fuzz target (the two binary decoders, the
+# search reply encoder and the batch-split invariant of the shard write
+# path) for 10 seconds — long enough
 # to shake the mutator through the seed corpus's structural neighborhood
 # on every verify, short enough to keep the gate interactive. Go allows
 # one -fuzz pattern per invocation, so the targets run back to back.
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s
 	$(GO) test ./internal/retriever/ -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s
+	$(GO) test ./internal/retriever/ -run '^$$' -fuzz '^FuzzBatchSplit$$' -fuzztime 10s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzSearchReply$$' -fuzztime 10s
 	@echo "fuzz-smoke: ok"
 

@@ -48,7 +48,7 @@ func TestPublicAPIEngine(t *testing.T) {
 func TestPublicAPIRetriever(t *testing.T) {
 	ret := pneuma.NewRetriever()
 	for _, tb := range pneuma.ArchaeologyDataset() {
-		if err := ret.IndexTable(context.Background(), tb); err != nil {
+		if err := ret.IndexTables(context.Background(), []*pneuma.Table{tb}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -24,10 +24,8 @@ type RAG struct {
 // representative RAG configuration).
 func NewRAG(corpus map[string]*table.Table, model llm.Model) (*RAG, error) {
 	ret := retriever.New(retriever.WithMode(retriever.ModeVectorOnly))
-	for _, name := range sortedNames(corpus) {
-		if err := ret.IndexTable(context.Background(), corpus[name]); err != nil {
-			return nil, err
-		}
+	if err := ret.IndexTables(context.Background(), sortedTables(corpus)); err != nil {
+		return nil, err
 	}
 	if model == nil {
 		model = llm.NewSimModel()

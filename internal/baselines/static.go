@@ -34,11 +34,13 @@ type FTS struct {
 func NewFTS(corpus map[string]*table.Table) *FTS {
 	f := &FTS{index: bm25.New(bm25.Params{}), byName: make(map[string]*table.Table)}
 	names := sortedNames(corpus)
-	for _, name := range names {
+	texts := make([]string, len(names))
+	for i, name := range names {
 		t := corpus[name]
 		f.byName[name] = t
-		f.index.Add(name, ftsText(t))
+		texts[i] = ftsText(t)
 	}
+	f.index.AddBatch(names, texts)
 	return f
 }
 
@@ -99,10 +101,8 @@ type RetrieverOnly struct {
 // NewRetrieverOnly indexes a corpus with the hybrid index.
 func NewRetrieverOnly(corpus map[string]*table.Table) (*RetrieverOnly, error) {
 	ret := retriever.New()
-	for _, name := range sortedNames(corpus) {
-		if err := ret.IndexTable(context.Background(), corpus[name]); err != nil {
-			return nil, err
-		}
+	if err := ret.IndexTables(context.Background(), sortedTables(corpus)); err != nil {
+		return nil, err
 	}
 	return &RetrieverOnly{ret: ret}, nil
 }
@@ -167,6 +167,16 @@ func sortedNames(corpus map[string]*table.Table) []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// sortedTables returns the corpus tables in name order.
+func sortedTables(corpus map[string]*table.Table) []*table.Table {
+	names := sortedNames(corpus)
+	ts := make([]*table.Table, len(names))
+	for i, n := range names {
+		ts[i] = corpus[n]
+	}
+	return ts
 }
 
 // docFromTable builds the retrieval document for a table (shared helper).

@@ -13,7 +13,7 @@ func allocIndex(tb testing.TB) *Index {
 	tb.Helper()
 	ix := New(Params{})
 	for i := 0; i < 300; i++ {
-		ix.Add(fmt.Sprintf("doc-%03d", i),
+		addOne(ix, fmt.Sprintf("doc-%03d", i),
 			fmt.Sprintf("river nitrate station sample %d measurement water quality basin sensor", i))
 	}
 	return ix
@@ -50,26 +50,30 @@ func TestSearchAllocsWithinBudget(t *testing.T) {
 // deletes and replacements.
 func TestLiveDocFreqTracking(t *testing.T) {
 	ix := New(Params{})
-	ix.Add("a", "nitrate river")
-	ix.Add("b", "nitrate basin")
-	ix.Add("c", "river basin")
+	addOne(ix, "a", "nitrate river")
+	addOne(ix, "b", "nitrate basin")
+	addOne(ix, "c", "river basin")
 	check := func(term string, want int) {
 		t.Helper()
 		v := ix.view.Load()
-		got := 0
+		scan := 0
 		if slot, ok := v.termSlot(term); ok {
-			got = int(v.df[slot])
+			for _, p := range v.postings(slot) {
+				if !v.docs[p.doc].deleted {
+					scan++
+				}
+			}
 		}
-		if got != want {
-			t.Fatalf("df[%q] = %d, want %d", term, got, want)
+		if got := v.stats.DocFreq(term); got != want || scan != want {
+			t.Fatalf("df[%q] = %d (posting scan %d), want %d", term, got, scan, want)
 		}
 	}
 	check("nitrate", 2)
 	check("river", 2)
-	ix.Delete("a")
+	deleteOne(ix, "a")
 	check("nitrate", 1)
 	check("river", 1)
-	ix.Add("b", "river only now") // replacement drops old terms
+	addOne(ix, "b", "river only now") // replacement drops old terms
 	check("nitrate", 0)
 	check("basin", 1)
 	check("river", 2)

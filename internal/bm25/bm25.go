@@ -48,9 +48,8 @@ type docInfo struct {
 	length  int
 	deleted bool
 	// tf keeps the document's distinct term frequencies, sorted by term,
-	// so Delete and re-Add can reverse the document's contribution
-	// exactly — from the shared Stats object when one is attached, and
-	// from the local live document frequencies otherwise. A sorted slice
+	// so a delete or re-add can reverse the document's contribution to
+	// the Stats object exactly. A sorted slice
 	// rather than a map: it is only ever iterated, and the snapshot
 	// loader rebuilds all documents' entries in one arena.
 	tf []termFreq
@@ -125,9 +124,8 @@ func (tp *termPostings) append(p posting) {
 
 // lexView is one immutable published view of the index: everything the
 // query path touches, frozen at a writer-batch boundary. Terms are
-// interned to dense slots (terms) so the mutable per-term state —
-// posting lists and, in local-statistics mode, live document
-// frequencies — lives in slot-indexed structures that share across
+// interned to dense slots (terms) so the mutable per-term state — the
+// posting lists — lives in slot-indexed structures that share across
 // views cheaply.
 //
 // Views share storage where sharing is safe: the document table and the
@@ -137,25 +135,20 @@ func (tp *termPostings) append(p posting) {
 // view's own slot count), and posting lists are shared behind per-term
 // atomic headers bounded per view by document index (termPostings).
 // State a batch mutates *below* the published length — the document
-// table when tombstoning, the df slice on any local-statistics change —
-// is cloned by the draft before the first such mutation. The clones are
-// what bound a batch's cost: nothing left in the write path copies the
-// whole vocabulary, so a one-document batch costs O(document), not
-// O(index).
+// table when tombstoning — is cloned by the draft before the first such
+// mutation. The clone is what bounds a batch's cost: nothing left in the
+// write path copies the whole vocabulary, so a one-document batch costs
+// O(document), not O(index).
 type lexView struct {
 	terms  *termTable      // term → slot, shared across the slot lineage
 	plists []*termPostings // posting list per term slot
 	docs   []docInfo
-	// df holds live per-term document frequencies by slot, maintained by
-	// Add/Delete when the index scores against its own local statistics
-	// (stats == nil). Nil when a shared Stats carries the frequencies.
-	df []int32
-	// stats, when non-nil, is the shared corpus-statistics object this
-	// index contributes to and scores against (see NewWithStats). It
-	// lives in the view, not the Index, so AttachStats can switch scoring
-	// modes with the same atomic publish that guards everything else.
+	// stats is the corpus-statistics object this index contributes to and
+	// scores against: private to the index (New) or shared by a set of
+	// shard indexes (NewWithStats). It lives in the view, not the Index,
+	// so AttachStats and AdoptFrom re-point it with the same atomic
+	// publish that guards everything else.
 	stats    *Stats
-	totalLen int
 	liveDocs int
 }
 
@@ -180,38 +173,31 @@ type Index struct {
 	batch     uint64
 	pubDocs   int
 	docsBatch uint64
-	dfBatch   uint64
-	// deferStats marks an index undergoing a two-phase restore (see
-	// DeferStats): ReadFromShared parks the live document-frequency
-	// aggregate in pendingAgg instead of materializing df, and AttachStats
-	// folds it into the shared Stats without ever building the local slice.
-	deferStats bool
-	pendingAgg []termFreq
 	// scratch pools *searchScratch values so steady-state Search reuses its
 	// dense score accumulator instead of allocating per query.
 	scratch sync.Pool
 }
 
-// New creates an empty index scored with its own local statistics.
+// New creates an empty index scored against a Stats object of its own.
 func New(params Params) *Index {
 	return NewWithStats(params, nil)
 }
 
 // NewWithStats creates an empty index that contributes its documents to the
 // shared corpus statistics st and scores queries against st's global
-// document count, average length and document frequencies instead of its
-// own. Several shard indexes sharing one Stats rank exactly like a single
-// index over the union of their corpora. A nil st is equivalent to New.
+// document count, average length and document frequencies. Several shard
+// indexes sharing one Stats rank exactly like a single index over the
+// union of their corpora. A nil st gives the index a private Stats, which
+// is New.
 func NewWithStats(params Params, st *Stats) *Index {
+	if st == nil {
+		st = NewStats()
+	}
 	ix := &Index{
 		params: params.withDefaults(),
 		byID:   make(map[string]int),
 	}
-	v := &lexView{terms: newTermTable(), stats: st}
-	if st == nil {
-		v.df = []int32{}
-	}
-	ix.view.Store(v)
+	ix.view.Store(&lexView{terms: newTermTable(), stats: st})
 	return ix
 }
 
@@ -272,18 +258,6 @@ func (ix *Index) writableDocs(v *lexView, idx int) []docInfo {
 	return v.docs
 }
 
-// writableDF makes the local document-frequency slice writable, cloning it
-// once per batch. Local-statistics mode only.
-func (ix *Index) writableDF(v *lexView) []int32 {
-	if ix.dfBatch != ix.batch {
-		ix.dfBatch = ix.batch
-		cl := make([]int32, len(v.df))
-		copy(cl, v.df)
-		v.df = cl
-	}
-	return v.df
-}
-
 // Len returns the number of live documents.
 func (ix *Index) Len() int {
 	return ix.view.Load().liveDocs
@@ -308,21 +282,12 @@ func tokenizeDoc(text string) ([]termFreq, int) {
 	return tf, len(tokens)
 }
 
-// Add indexes text under id. Re-adding an ID replaces the old document
-// (tombstoned; postings of dead docs are skipped at query time).
-func (ix *Index) Add(id, text string) {
-	tf, n := tokenizeDoc(text)
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	v := ix.beginBatch()
-	ix.addLocked(v, id, tf, n)
-	ix.publish(v)
-}
-
 // AddBatch indexes texts[i] under ids[i], in order, inside a single
-// writer batch: the result is identical to len(ids) sequential Adds, but
-// one new view is published at the end instead of one per document,
-// amortizing the batch's copy-on-write cost.
+// writer batch. Re-adding an ID — from an earlier batch or earlier in this
+// one — replaces the old document (tombstoned; postings of dead docs are
+// skipped at query time). The result is identical to len(ids) one-document
+// batches, but one new view is published at the end instead of one per
+// document, amortizing the batch's copy-on-write cost.
 func (ix *Index) AddBatch(ids, texts []string) {
 	if len(ids) == 0 {
 		return
@@ -350,21 +315,14 @@ func (ix *Index) AddBatch(ids, texts []string) {
 func (ix *Index) addLocked(v *lexView, id string, tf []termFreq, length int) {
 	if old, ok := ix.byID[id]; ok {
 		if !v.docs[old].deleted {
-			docs := ix.writableDocs(v, old)
-			docs[old].deleted = true
-			v.totalLen -= docs[old].length
-			v.liveDocs--
-			ix.removeFreqsLocked(v, docs[old].tf, docs[old].length)
+			ix.tombstoneLocked(v, old)
 		}
 	}
 	docIdx := len(v.docs)
 	v.docs = append(v.docs, docInfo{id: id, length: length, tf: tf})
 	ix.byID[id] = docIdx
-	v.totalLen += length
 	v.liveDocs++
-	if v.stats != nil {
-		v.stats.addDoc(tf, length)
-	}
+	v.stats.addDoc(tf, length)
 
 	for _, e := range tf {
 		slot, ok := v.termSlot(e.term)
@@ -372,29 +330,9 @@ func (ix *Index) addLocked(v *lexView, id string, tf []termFreq, length int) {
 			slot = int32(len(v.plists))
 			v.terms.intern(e.term, slot)
 			v.plists = append(v.plists, &termPostings{})
-			if v.stats == nil {
-				v.df = append(v.df, 0)
-			}
-		}
-		if v.stats == nil {
-			ix.writableDF(v)[slot]++
 		}
 		v.plists[slot].append(posting{doc: docIdx, tf: e.tf})
 	}
-}
-
-// Delete removes id from the index; returns false if absent.
-func (ix *Index) Delete(id string) bool {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	idx, ok := ix.byID[id]
-	if !ok || ix.view.Load().docs[idx].deleted {
-		return false
-	}
-	v := ix.beginBatch()
-	ix.deleteLocked(v, idx, id)
-	ix.publish(v)
-	return true
 }
 
 // DeleteBatch tombstones every present ID inside a single writer batch and
@@ -415,7 +353,8 @@ func (ix *Index) DeleteBatch(ids []string) int {
 		if v.docs[idx].deleted {
 			continue
 		}
-		ix.deleteLocked(v, idx, id)
+		ix.tombstoneLocked(v, idx)
+		delete(ix.byID, id)
 		n++
 	}
 	if v != nil {
@@ -424,29 +363,13 @@ func (ix *Index) DeleteBatch(ids []string) int {
 	return n
 }
 
-func (ix *Index) deleteLocked(v *lexView, idx int, id string) {
+// tombstoneLocked marks document slot idx dead in the draft and reverses
+// its contribution to the Stats object.
+func (ix *Index) tombstoneLocked(v *lexView, idx int) {
 	docs := ix.writableDocs(v, idx)
 	docs[idx].deleted = true
-	v.totalLen -= docs[idx].length
 	v.liveDocs--
-	ix.removeFreqsLocked(v, docs[idx].tf, docs[idx].length)
-	delete(ix.byID, id)
-}
-
-// removeFreqsLocked reverses a document's statistics contribution: from the
-// shared Stats object when one is attached, from the local live document
-// frequencies otherwise.
-func (ix *Index) removeFreqsLocked(v *lexView, tf []termFreq, length int) {
-	if v.stats != nil {
-		v.stats.removeDoc(tf, length)
-		return
-	}
-	df := ix.writableDF(v)
-	for _, e := range tf {
-		if slot, ok := v.termSlot(e.term); ok && df[slot] > 0 {
-			df[slot]--
-		}
-	}
+	v.stats.removeDoc(docs[idx].tf, docs[idx].length)
 }
 
 // Result is one ranked hit.
@@ -604,35 +527,15 @@ func (ix *Index) Search(query string, k int) []Result {
 		return nil
 	}
 
-	// Pass 2: corpus statistics — global when a shared Stats object is
-	// attached (shard-partitioned deployment), snapshotted for all query
-	// terms in one lock acquisition; local otherwise.
+	// Pass 2: corpus statistics, snapshotted for all query terms in one
+	// lock acquisition — global ones when the Stats object is shared by a
+	// set of shards.
 	if cap(s.qdf) < len(s.qterms) {
 		s.qdf = make([]int32, len(s.qterms))
 	}
 	s.qdf = s.qdf[:len(s.qterms)]
-	var corpusDocs float64
-	var avgLen float64
-	if v.stats != nil {
-		n, avg := v.stats.QueryStats(s.qterms, s.qdf)
-		corpusDocs = float64(n)
-		avgLen = avg
-	} else {
-		if v.df == nil {
-			// Mid two-phase restore (DeferStats before AttachStats): the
-			// index has neither local nor shared statistics and scores no
-			// results, matching the documented DeferStats contract.
-			return nil
-		}
-		corpusDocs = float64(v.liveDocs)
-		avgLen = float64(v.totalLen) / float64(v.liveDocs)
-		for i, slot := range s.qslots {
-			s.qdf[i] = v.df[slot]
-		}
-	}
-	if avgLen == 0 {
-		avgLen = 1
-	}
+	n, avgLen := v.stats.QueryStats(s.qterms, s.qdf)
+	corpusDocs := float64(n)
 
 	// Pass 3: score.
 	k1 := ix.params.K1

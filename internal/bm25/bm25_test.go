@@ -7,10 +7,10 @@ import (
 
 func docCorpus() *Index {
 	ix := New(Params{})
-	ix.Add("proc", "procurement records purchases suppliers items prices countries")
-	ix.Add("tariff", "tariff schedule rates countries imports duty percentages")
-	ix.Add("hr", "employees salaries departments hiring")
-	ix.Add("potassium", "potassium ppm soil samples chemical measurements malta")
+	addOne(ix, "proc", "procurement records purchases suppliers items prices countries")
+	addOne(ix, "tariff", "tariff schedule rates countries imports duty percentages")
+	addOne(ix, "hr", "employees salaries departments hiring")
+	addOne(ix, "potassium", "potassium ppm soil samples chemical measurements malta")
 	return ix
 }
 
@@ -37,8 +37,8 @@ func TestNoMatchReturnsNothing(t *testing.T) {
 
 func TestTermFrequencySaturation(t *testing.T) {
 	ix := New(Params{})
-	ix.Add("a", "apple apple apple apple apple apple apple apple")
-	ix.Add("b", "apple banana")
+	addOne(ix, "a", "apple apple apple apple apple apple apple apple")
+	addOne(ix, "b", "apple banana")
 	res := ix.Search("apple", 2)
 	if len(res) != 2 {
 		t.Fatalf("results = %v", res)
@@ -56,9 +56,9 @@ func TestIDFWeighting(t *testing.T) {
 	ix := New(Params{})
 	// "common" appears everywhere; "rare" once.
 	for i := 0; i < 10; i++ {
-		ix.Add(fmt.Sprintf("d%d", i), "common words here")
+		addOne(ix, fmt.Sprintf("d%d", i), "common words here")
 	}
-	ix.Add("special", "common rare words")
+	addOne(ix, "special", "common rare words")
 	res := ix.Search("rare", 3)
 	if len(res) != 1 || res[0].ID != "special" {
 		t.Fatalf("rare-term query: %v", res)
@@ -67,10 +67,10 @@ func TestIDFWeighting(t *testing.T) {
 
 func TestDeleteAndReplace(t *testing.T) {
 	ix := docCorpus()
-	if !ix.Delete("tariff") {
+	if !deleteOne(ix, "tariff") {
 		t.Fatal("delete failed")
 	}
-	if ix.Delete("tariff") {
+	if deleteOne(ix, "tariff") {
 		t.Fatal("double delete should be false")
 	}
 	for _, r := range ix.Search("tariff", 5) {
@@ -79,7 +79,7 @@ func TestDeleteAndReplace(t *testing.T) {
 		}
 	}
 	// Replace a doc.
-	ix.Add("hr", "holiday schedule vacations")
+	addOne(ix, "hr", "holiday schedule vacations")
 	res := ix.Search("salaries", 5)
 	for _, r := range res {
 		if r.ID == "hr" {
@@ -98,7 +98,7 @@ func TestDeleteAndReplace(t *testing.T) {
 func TestTopKBound(t *testing.T) {
 	ix := New(Params{})
 	for i := 0; i < 50; i++ {
-		ix.Add(fmt.Sprintf("d%d", i), "shared token corpus")
+		addOne(ix, fmt.Sprintf("d%d", i), "shared token corpus")
 	}
 	res := ix.Search("shared corpus", 7)
 	if len(res) != 7 {
@@ -108,8 +108,8 @@ func TestTopKBound(t *testing.T) {
 
 func TestDeterministicTieBreak(t *testing.T) {
 	ix := New(Params{})
-	ix.Add("b", "same words")
-	ix.Add("a", "same words")
+	addOne(ix, "b", "same words")
+	addOne(ix, "a", "same words")
 	res := ix.Search("same words", 2)
 	if res[0].ID != "a" || res[1].ID != "b" {
 		t.Fatalf("ties must break by ID: %v", res)
@@ -118,7 +118,7 @@ func TestDeterministicTieBreak(t *testing.T) {
 
 func TestStemmedMatching(t *testing.T) {
 	ix := New(Params{})
-	ix.Add("d", "recorded samples from studies")
+	addOne(ix, "d", "recorded samples from studies")
 	if res := ix.Search("record sample study", 1); len(res) != 1 {
 		t.Fatalf("stemmed query failed: %v", res)
 	}
@@ -126,7 +126,7 @@ func TestStemmedMatching(t *testing.T) {
 
 func TestVocabulary(t *testing.T) {
 	ix := New(Params{})
-	ix.Add("a", "one two three")
+	addOne(ix, "a", "one two three")
 	if v := ix.Vocabulary(); v != 3 {
 		t.Fatalf("vocab = %d, want 3", v)
 	}

@@ -2,10 +2,11 @@
 // Zaragoza 2009), the lexical half of Pneuma-Retriever's hybrid index and
 // the engine behind the FTS baseline.
 //
-// Documents are added incrementally with Index.Add and tombstoned by
-// Index.Delete; scoring uses the standard BM25 term weighting with the
-// "plus 1" IDF variant so that terms present in more than half the corpus
-// never receive negative weight.
+// Documents are added in batches with Index.AddBatch and tombstoned by
+// Index.DeleteBatch (a batch of one is the single-document form); scoring
+// uses the standard BM25 term weighting with the "plus 1" IDF variant so
+// that terms present in more than half the corpus never receive negative
+// weight.
 //
 // # Global statistics for sharded deployments
 //
@@ -17,7 +18,9 @@
 // solves this: every shard contributes its documents to one shared Stats
 // object and scores queries against it, so a document's BM25 score is
 // bit-identical to the score a monolithic index over the whole corpus
-// would assign. Stats updates are commutative (incremental add/remove, no
+// would assign. A Stats object is the only way an index counts: New gives
+// the index a private one, so a lone index and a shard score by the same
+// code. Stats updates are commutative (incremental add/remove, no
 // rescans), which preserves the determinism contract of the sharded
 // retriever: the final statistics after a concurrent bulk ingest do not
 // depend on goroutine interleaving.
@@ -55,18 +58,20 @@
 //
 // # Serialization
 //
-// WriteTo/ReadFromShared serialize the index state as one binary section:
-// the document table plus the postings map stored term-wise, from which the
-// restore rebuilds the inverted index with arena-backed posting lists and
-// per-document term-frequency windows — no re-tokenization, one map
-// insert per distinct term. A shared Stats object is never serialized:
-// its updates are commutative, so each restored shard folds its live
-// aggregate back in (immediately when the Stats is already attached, or
-// deferred via DeferStats/AttachStats so a multi-section snapshot can
-// fully validate before any shared state is touched). AdoptFrom installs
-// a tombstone-free shadow built over the live documents with local
-// statistics — the state a replay of a compacted segment log would
-// build — and re-points it at the shared Stats without touching it.
+// AppendSnapshot/LoadSnapshot serialize the index state as one binary
+// section, the way package hnsw does: the document table plus the
+// postings map stored term-wise, from which the restore rebuilds the
+// inverted index with arena-backed posting lists and per-document
+// term-frequency windows — no re-tokenization, one map insert per
+// distinct term. A Stats object is never serialized: its updates are
+// commutative, so each restored shard folds its live aggregate back into
+// the Stats it loads against. The retriever restores each shard against
+// a private Stats and merges it into the shared one with AttachStats only
+// once the whole multi-section snapshot has validated, so a bad snapshot
+// never touches shared state. AdoptFrom installs a tombstone-free shadow
+// built over the live documents against a private Stats — the state a
+// replay of a compacted segment log would build — and re-points it at
+// this index's Stats without touching it.
 //
 // All types in this package are safe for concurrent use.
 package bm25

@@ -2,20 +2,19 @@ package bm25
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"pneuma/internal/wire"
 )
 
-// WriteTo serializes the index state as one length-prefixed binary
-// section, implementing io.WriterTo: the document table (per document:
-// external ID, token length, tombstone flag, distinct-term count) followed
-// by the postings map, term-wise — each term once, with its (document
-// slot, term frequency) list. Storing postings term-wise rather than
-// repeating term strings per document keeps the section compact and lets
-// ReadFromShared rebuild the inverted index with one arena allocation, not
-// tens of thousands of list growths. Terms are written in sorted order,
+// AppendSnapshot appends the index state to w as one length-prefixed
+// binary section: the document table (per document: external ID, token
+// length, tombstone flag, distinct-term count) followed by the postings
+// map, term-wise — each term once, with its (document slot, term
+// frequency) list. Storing postings term-wise rather than repeating term
+// strings per document keeps the section compact and lets LoadSnapshot
+// rebuild the inverted index with one arena allocation, not tens of
+// thousands of list growths. Terms are written in sorted order,
 // making the serialized bytes deterministic for a fixed index state.
 //
 // Serialization runs against the view current at call time, concurrent
@@ -23,11 +22,11 @@ import (
 // particular quiesce point (the retriever's snapshot writer) serialize
 // their own writers around the call.
 //
-// The shared corpus Stats object (NewWithStats) is not serialized: its
-// updates are commutative, so each restored shard re-contributes its live
-// documents' aggregate on ReadFromShared and the shared totals converge to
-// the same values regardless of shard restore order.
-func (ix *Index) WriteTo(w io.Writer) (int64, error) {
+// The Stats object is not serialized: its updates are commutative, so each
+// restored shard re-contributes its live documents' aggregate on
+// LoadSnapshot and shared totals converge to the same values regardless
+// of shard restore order.
+func (ix *Index) AppendSnapshot(w *wire.Writer) {
 	v := ix.view.Load()
 
 	var body wire.Writer
@@ -71,19 +70,12 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 
-	var head wire.Writer
-	head.Uvarint(uint64(body.Len()))
-	if _, err := w.Write(head.Bytes()); err != nil {
-		return 0, err
-	}
-	if _, err := w.Write(body.Bytes()); err != nil {
-		return int64(head.Len()), err
-	}
-	return int64(head.Len() + body.Len()), nil
+	w.Uvarint(uint64(body.Len()))
+	w.Raw(body.Bytes())
 }
 
-// ReadFromShared restores state serialized by WriteTo into an empty index
-// by parsing the length-prefixed section in place from a shared
+// LoadSnapshot restores state appended by AppendSnapshot into an empty
+// index by parsing the length-prefixed section in place from a shared
 // wire.Reader — no section copy, and every term and document ID decodes as
 // a zero-copy view of the reader's buffer. This is the bulk-load path for
 // snapshot opens, where the buffer (a read file or an mmap'd snapshot) is
@@ -92,19 +84,19 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 // open and shrinks the garbage the collector scans while it runs.
 //
 // Posting lists are rebuilt as capacity-limited windows into a single
-// arena (a later Add copies-on-append, so the windows stay immutable), the
-// per-document term-frequency slices that Delete needs are reconstituted
-// from the postings, and the live document-frequency counters fall out of
-// the same pass. When a shared Stats object is attached, the restored live
-// documents' aggregate — document count, total length, per-term live
-// frequencies — is contributed to it at the end, exactly matching a replay
-// of the original Add sequence. A malformed or truncated section leaves
-// the index and the shared Stats unchanged and returns an error.
-func (ix *Index) ReadFromShared(rd *wire.Reader) error {
+// arena (a later AddBatch copies-on-append, so the windows stay
+// immutable), the per-document term-frequency slices that deletes need are
+// reconstituted from the postings, and the live per-term document
+// frequencies fall out of the same pass. The restored live documents'
+// aggregate — document count, total length, per-term live frequencies —
+// is contributed to the index's Stats at the end, exactly matching a
+// replay of the original batch sequence. A malformed or truncated section
+// leaves the index and its Stats unchanged and returns an error.
+func (ix *Index) LoadSnapshot(rd *wire.Reader) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if len(ix.view.Load().docs) != 0 {
-		return fmt.Errorf("bm25: ReadFromShared into non-empty index")
+		return fmt.Errorf("bm25: LoadSnapshot into non-empty index")
 	}
 	size := int(rd.Uvarint())
 	sec := rd.Section(size)
@@ -114,9 +106,10 @@ func (ix *Index) ReadFromShared(rd *wire.Reader) error {
 	return ix.readBody(sec)
 }
 
-// readBody parses a WriteTo section body and commits it by publishing a
-// fresh view (mu held, index empty). The reader must span exactly the
-// section body and be in shared mode: strings are retained as decoded.
+// readBody parses an AppendSnapshot section body and commits it by
+// publishing a fresh view (mu held, index empty). The reader must span
+// exactly the section body and be in shared mode: strings are retained as
+// decoded.
 func (ix *Index) readBody(rd *wire.Reader) error {
 	cur := ix.view.Load()
 	secLen := rd.Remaining()
@@ -155,13 +148,8 @@ func (ix *Index) readBody(rd *wire.Reader) error {
 	terms := newTermTable()
 	plists := make([]*termPostings, 0, nterms)
 	// The live document-frequency aggregate accumulates as a slice (terms
-	// arrive sorted); whether it becomes a local df slice, a shared-Stats
-	// contribution or a parked pending aggregate is decided at commit.
+	// arrive sorted) and reaches the Stats object only at commit.
 	agg := make([]termFreq, 0, nterms)
-	var df []int32
-	if cur.stats == nil && !ix.deferStats {
-		df = make([]int32, 0, nterms)
-	}
 	arena := make([]posting, 0, total)
 	tfArena := make([]termFreq, total)
 	fill := make([]int32, ndocs)
@@ -196,9 +184,6 @@ func (ix *Index) readBody(rd *wire.Reader) error {
 		window := arena[start:len(arena):len(arena)]
 		tp.data.Store(&window)
 		plists = append(plists, tp)
-		if df != nil {
-			df = append(df, int32(live))
-		}
 		if live > 0 {
 			agg = append(agg, termFreq{term: term, tf: live})
 		}
@@ -214,51 +199,35 @@ func (ix *Index) readBody(rd *wire.Reader) error {
 	}
 
 	// Commit: build the restored view and publish it in one swap.
-	v := &lexView{terms: terms, plists: plists, docs: docs, df: df, stats: cur.stats}
+	v := &lexView{terms: terms, plists: plists, docs: docs, stats: cur.stats}
 	byID := make(map[string]int, ndocs)
+	totalLen := 0
 	for slot := range docs {
 		d := &docs[slot]
 		if d.deleted {
 			continue
 		}
 		byID[d.id] = slot
-		v.totalLen += d.length
+		totalLen += d.length
 		v.liveDocs++
 	}
 	ix.byID = byID
-	switch {
-	case v.stats != nil:
-		v.stats.addAggregate(agg, v.liveDocs, v.totalLen)
-	case ix.deferStats:
-		ix.pendingAgg = agg
-	}
+	v.stats.addAggregate(agg, v.liveDocs, totalLen)
 	ix.view.Store(v)
 	return nil
 }
 
-// DeferStats marks an empty index for a two-phase restore: a following
-// ReadFromShared parks the live document-frequency aggregate instead of
-// materializing the local df slice, and AttachStats later folds it
-// straight into the shared Stats object. The index scores no results until
-// AttachStats is called (it has neither local nor shared statistics); the
-// snapshot loader uses this to both defer shared-state mutation until the
-// whole snapshot validates and to skip building throwaway local counters
-// per shard.
-func (ix *Index) DeferStats() {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ix.deferStats = true
-}
-
-// AttachStats connects an index built against its own local statistics to
-// a shared corpus Stats object: the live documents' aggregate (document
-// count, total token length, per-term live document frequencies) is
-// contributed to st and the local counters are dropped, after which the
-// index scores exactly as if it had been created with NewWithStats. The
-// snapshot loader uses this to defer shared-state mutation until an
-// entire multi-section snapshot has validated — a half-parsed snapshot
-// must never leave its document frequencies behind in the corpus totals.
-// Calling it on an index that already has a Stats attached is a no-op.
+// AttachStats moves the index onto the shared corpus statistics st. The
+// totals of the index's own Stats — exactly its live documents' aggregate
+// of document count, total token length and per-term live document
+// frequencies — are merged into st and the view is re-pointed at st, after
+// which the index scores as if it had been created with NewWithStats. The
+// index's current Stats must be private to it (New, or NewWithStats with a
+// nil Stats). The snapshot loader restores every shard against a private
+// Stats and attaches it only once the entire multi-section snapshot has
+// validated: a half-parsed snapshot must never leave its document
+// frequencies behind in the corpus totals. A nil st, or the Stats already
+// attached, is a no-op.
 func (ix *Index) AttachStats(st *Stats) {
 	if st == nil {
 		return
@@ -266,56 +235,34 @@ func (ix *Index) AttachStats(st *Stats) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	cur := ix.view.Load()
-	if cur.stats != nil {
+	if cur.stats == st {
 		return
 	}
-	if ix.pendingAgg != nil {
-		// Deferred restore: the parked aggregate folds straight in.
-		st.addAggregate(ix.pendingAgg, cur.liveDocs, cur.totalLen)
-		ix.pendingAgg = nil
-	} else {
-		// The local df slice is by construction exactly the live
-		// documents' per-term aggregate, so it folds into the shared
-		// totals in one pass.
-		agg := make([]termFreq, 0, len(cur.df))
-		cur.terms.forEach(len(cur.plists), func(term string, slot int32) {
-			if n := cur.df[slot]; n > 0 {
-				agg = append(agg, termFreq{term: term, tf: int(n)})
-			}
-		})
-		st.addAggregate(agg, cur.liveDocs, cur.totalLen)
-	}
+	st.merge(cur.stats)
 	v := *cur
 	v.stats = st
-	v.df = nil
-	ix.deferStats = false
-	ix.view.Store(&v)
+	ix.publish(&v)
 }
 
 // AdoptFrom atomically replaces this index's contents with donor's: the
-// published view and the writer state (ID map, batch stamps) move over.
-// The donor is expected to be a shadow rebuilt in local-statistics mode
-// over this index's live documents (background segment compaction builds
-// it that way so the rebuild never touches the shared Stats object, whose
-// counts already reflect exactly those documents). If this index scores
-// against a shared Stats, the adopted view is re-pointed at it and the
-// donor's local document-frequency slice is dropped — ranking is unchanged
-// because the shared counts and the donor's local counts describe the same
-// corpus. Readers are never blocked; the donor must not be used afterwards.
+// published view and the writer state (ID map, batch stamps) move over,
+// and the adopted view is re-pointed at this index's Stats. The donor is
+// expected to be a shadow rebuilt against a private Stats over this
+// index's live documents (background segment compaction builds it that
+// way so the rebuild never touches this index's Stats, whose counts
+// already reflect exactly those documents); the donor's Stats is dropped
+// and ranking is unchanged, because both describe the same corpus.
+// Readers are never blocked; the donor must not be used afterwards.
 func (ix *Index) AdoptFrom(donor *Index) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	donor.mu.Lock()
 	defer donor.mu.Unlock()
 	v := *donor.view.Load()
-	if st := ix.view.Load().stats; st != nil {
-		v.stats = st
-		v.df = nil
-	}
+	v.stats = ix.view.Load().stats
 	ix.byID = donor.byID
 	ix.batch = donor.batch
 	ix.pubDocs = donor.pubDocs
 	ix.docsBatch = donor.docsBatch
-	ix.dfBatch = donor.dfBatch
 	ix.publish(&v)
 }

@@ -1,7 +1,6 @@
 package bm25
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -40,23 +39,21 @@ func assertSameSearch(t *testing.T, a, b *Index) {
 }
 
 // TestSnapshotRoundTripLocal serializes an index (with tombstones and a
-// replaced document) scoring against local statistics and restores it:
+// replaced document) scoring against its private Stats and restores it:
 // searches, live counts and further mutations must match exactly.
 func TestSnapshotRoundTripLocal(t *testing.T) {
 	orig := New(Params{})
 	for _, d := range corpusDocs(40) {
-		orig.Add(d.id, d.text)
+		addOne(orig, d.id, d.text)
 	}
-	orig.Delete("d003")
-	orig.Delete("d010")
-	orig.Add("d005", "replacement text about rainfall and yield")
+	deleteOne(orig, "d003")
+	deleteOne(orig, "d010")
+	addOne(orig, "d005", "replacement text about rainfall and yield")
 
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	var buf wire.Writer
+	orig.AppendSnapshot(&buf)
 	restored := New(Params{})
-	if err := restored.ReadFromShared(wire.NewSharedReader(buf.Bytes())); err != nil {
+	if err := restored.LoadSnapshot(wire.NewSharedReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if restored.Len() != orig.Len() {
@@ -67,34 +64,35 @@ func TestSnapshotRoundTripLocal(t *testing.T) {
 	// Mutations after the restore must track exactly too (df counters,
 	// postings windows, tombstone bookkeeping).
 	for _, ix := range []*Index{orig, restored} {
-		ix.Delete("d007")
-		ix.Add("d100", "fresh post-restore document about turbine output readings")
+		deleteOne(ix, "d007")
+		addOne(ix, "d100", "fresh post-restore document about turbine output readings")
 	}
 	assertSameSearch(t, orig, restored)
 }
 
 // TestSnapshotRoundTripSharedStats restores two serialized shard indexes
-// against one fresh Stats object (via the deferred-attach path the
-// retriever uses) and requires scores identical to the live shards.
+// against one fresh Stats object (each restored against a private Stats,
+// then attached — the path the retriever uses) and requires scores
+// identical to the live shards.
 func TestSnapshotRoundTripSharedStats(t *testing.T) {
 	st := NewStats()
 	shards := []*Index{NewWithStats(Params{}, st), NewWithStats(Params{}, st)}
 	for i, d := range corpusDocs(30) {
-		shards[i%2].Add(d.id, d.text)
+		addOne(shards[i%2], d.id, d.text)
 	}
-	shards[0].Delete("d004")
+	deleteOne(shards[0], "d004")
 
 	st2 := NewStats()
 	restored := make([]*Index, 2)
 	for i, ix := range shards {
-		var buf bytes.Buffer
-		if _, err := ix.WriteTo(&buf); err != nil {
+		var buf wire.Writer
+		ix.AppendSnapshot(&buf)
+		re := New(Params{})
+		if err := re.LoadSnapshot(wire.NewSharedReader(buf.Bytes())); err != nil {
 			t.Fatal(err)
 		}
-		re := New(Params{})
-		re.DeferStats()
-		if err := re.ReadFromShared(wire.NewSharedReader(buf.Bytes())); err != nil {
-			t.Fatal(err)
+		if i == 0 && st2.DocCount() != 0 {
+			t.Fatalf("restore touched the shared stats before AttachStats: %d docs", st2.DocCount())
 		}
 		re.AttachStats(st2)
 		restored[i] = re
@@ -114,23 +112,21 @@ func TestSnapshotRoundTripSharedStats(t *testing.T) {
 func TestSnapshotErrorsBM25(t *testing.T) {
 	orig := New(Params{})
 	for _, d := range corpusDocs(20) {
-		orig.Add(d.id, d.text)
+		addOne(orig, d.id, d.text)
 	}
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	var buf wire.Writer
+	orig.AppendSnapshot(&buf)
 
 	nonEmpty := New(Params{})
-	nonEmpty.Add("x", "already populated")
-	if err := nonEmpty.ReadFromShared(wire.NewSharedReader(buf.Bytes())); err == nil {
-		t.Fatal("ReadFromShared into non-empty index succeeded")
+	addOne(nonEmpty, "x", "already populated")
+	if err := nonEmpty.LoadSnapshot(wire.NewSharedReader(buf.Bytes())); err == nil {
+		t.Fatal("LoadSnapshot into non-empty index succeeded")
 	}
 
 	st := NewStats()
 	truncated := NewWithStats(Params{}, st)
-	if err := truncated.ReadFromShared(wire.NewSharedReader(buf.Bytes()[:buf.Len()/2])); err == nil {
-		t.Fatal("ReadFromShared of truncated section succeeded")
+	if err := truncated.LoadSnapshot(wire.NewSharedReader(buf.Bytes()[:buf.Len()/2])); err == nil {
+		t.Fatal("LoadSnapshot of truncated section succeeded")
 	}
 	if truncated.Len() != 0 || st.DocCount() != 0 {
 		t.Fatalf("failed restore leaked state: Len=%d stats=%d", truncated.Len(), st.DocCount())
@@ -138,21 +134,21 @@ func TestSnapshotErrorsBM25(t *testing.T) {
 }
 
 // TestAdoptFrom verifies the install segment compaction commits with: a
-// shadow built with local statistics over only the live documents, in
+// shadow built against a private Stats over only the live documents, in
 // their original order, is adopted into an index scoring against shared
 // Stats. The shared Stats must be untouched, results identical before and
-// after, the doc table live-only, and a later Add searchable.
+// after, the doc table live-only, and a later insert searchable.
 func TestAdoptFrom(t *testing.T) {
 	st := NewStats()
 	ix := NewWithStats(Params{}, st)
 	corpus := corpusDocs(30)
 	for _, d := range corpus {
-		ix.Add(d.id, d.text)
+		addOne(ix, d.id, d.text)
 	}
 	deleted := map[string]bool{}
 	for i := 0; i < 15; i++ {
 		id := fmt.Sprintf("d%03d", i*2)
-		ix.Delete(id)
+		deleteOne(ix, id)
 		deleted[id] = true
 	}
 	beforeDocs, beforeLen := st.DocCount(), st.AvgDocLen()
@@ -167,7 +163,7 @@ func TestAdoptFrom(t *testing.T) {
 	shadow := NewWithStats(Params{}, nil)
 	for _, d := range corpus {
 		if !deleted[d.id] {
-			shadow.Add(d.id, d.text)
+			addOne(shadow, d.id, d.text)
 		}
 	}
 	ix.AdoptFrom(shadow)
@@ -192,7 +188,7 @@ func TestAdoptFrom(t *testing.T) {
 		}
 	}
 	// The install must stay transparent to later mutations too.
-	ix.Add("d900", "fresh turbine output readings after compaction")
+	addOne(ix, "d900", "fresh turbine output readings after compaction")
 	if res := ix.Search("turbine output", 5); len(res) == 0 || res[0].ID != "d900" {
 		t.Fatalf("post-AdoptFrom add not searchable: %+v", res)
 	}

@@ -10,8 +10,10 @@ import "sync"
 // ranking is identical to single-index ranking even on corpora small enough
 // that per-shard statistics would diverge badly from the global ones.
 //
-// Stats is updated incrementally by the owning indexes on Add and Delete
-// (including re-Add replacement), never recomputed by scanning, so all
+// Every index counts through a Stats object: one of its own (New) or one
+// shared with its sibling shards (NewWithStats). Stats is updated
+// incrementally by the owning indexes on every insert and delete
+// (including re-add replacement), never recomputed by scanning, so all
 // updates are commutative: the final state after a bulk ingest is
 // independent of the order shard goroutines interleave in. All methods are
 // safe for concurrent use.
@@ -49,16 +51,33 @@ func (s *Stats) addAggregate(agg []termFreq, docCount, totalLen int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.df) == 0 && len(agg) > 0 {
-		// First fold into an empty corpus: re-make the map with room for
-		// this shard and its siblings (shard vocabularies are largely
-		// disjoint on value-heavy corpora, so the union approaches the
-		// sum), instead of rehashing it up from nothing term by term.
-		s.df = make(map[string]int, 4*len(agg))
+		s.df = make(map[string]int, len(agg))
 	}
 	s.docCount += docCount
 	s.totalLen += totalLen
 	for _, e := range agg {
 		s.df[e.term] += e.tf
+	}
+}
+
+// merge folds every total of o into s: how an index restored against a
+// private Stats joins the shared one (Index.AttachStats).
+func (s *Stats) merge(o *Stats) {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.df) == 0 && len(o.df) > 0 {
+		// First fold into an empty corpus: re-make the map with room for
+		// this shard and its siblings (shard vocabularies are largely
+		// disjoint on value-heavy corpora, so the union approaches the
+		// sum), instead of rehashing it up from nothing term by term.
+		s.df = make(map[string]int, 4*len(o.df))
+	}
+	s.docCount += o.docCount
+	s.totalLen += o.totalLen
+	for t, n := range o.df {
+		s.df[t] += n
 	}
 }
 

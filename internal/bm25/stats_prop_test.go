@@ -76,9 +76,9 @@ func genStatsOps(rng *rand.Rand, shard, n int) []statsOp {
 func applyStatsOps(ix *Index, ops []statsOp, yield *rand.Rand) {
 	for _, o := range ops {
 		if o.del {
-			ix.Delete(o.id)
+			deleteOne(ix, o.id)
 		} else {
-			ix.Add(o.id, o.text)
+			addOne(ix, o.id, o.text)
 		}
 		if yield != nil && yield.Intn(3) == 0 {
 			runtime.Gosched()

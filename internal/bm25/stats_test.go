@@ -35,8 +35,8 @@ func TestSharedStatsMatchSingleIndex(t *testing.T) {
 	st := NewStats()
 	shards := []*Index{NewWithStats(Params{}, st), NewWithStats(Params{}, st)}
 	for i, d := range docs {
-		single.Add(d.id, d.text)
-		shards[i%2].Add(d.id, d.text)
+		addOne(single, d.id, d.text)
+		addOne(shards[i%2], d.id, d.text)
 	}
 
 	for _, q := range []string{"steel", "malta rainfall", "potassium concentration", "records"} {
@@ -61,24 +61,24 @@ func TestSharedStatsMatchSingleIndex(t *testing.T) {
 	}
 }
 
-// TestStatsDeleteAndReplace verifies Delete and re-Add keep the shared
+// TestStatsDeleteAndReplace verifies deletes and re-adds keep the shared
 // statistics exact.
 func TestStatsDeleteAndReplace(t *testing.T) {
 	st := NewStats()
 	ix := NewWithStats(Params{}, st)
-	ix.Add("a", "alpha beta gamma")
-	ix.Add("b", "alpha delta")
+	addOne(ix, "a", "alpha beta gamma")
+	addOne(ix, "b", "alpha delta")
 	if st.DocCount() != 2 || st.DocFreq("alpha") != 2 || st.DocFreq("beta") != 1 {
 		t.Fatalf("after adds: docs=%d df(alpha)=%d df(beta)=%d",
 			st.DocCount(), st.DocFreq("alpha"), st.DocFreq("beta"))
 	}
 	// Replacement swaps the old contribution for the new one.
-	ix.Add("a", "epsilon zeta")
+	addOne(ix, "a", "epsilon zeta")
 	if st.DocCount() != 2 || st.DocFreq("alpha") != 1 || st.DocFreq("beta") != 0 || st.DocFreq("epsilon") != 1 {
 		t.Fatalf("after replace: docs=%d df(alpha)=%d df(beta)=%d df(epsilon)=%d",
 			st.DocCount(), st.DocFreq("alpha"), st.DocFreq("beta"), st.DocFreq("epsilon"))
 	}
-	if !ix.Delete("b") {
+	if !deleteOne(ix, "b") {
 		t.Fatal("delete failed")
 	}
 	if st.DocCount() != 1 || st.DocFreq("alpha") != 0 || st.DocFreq("delta") != 0 {

@@ -93,14 +93,14 @@ func (d *DB) Save(ctx context.Context, topic, body, author string) (Note, error)
 		Author:    author,
 		CreatedAt: d.clock(),
 	}
-	if err := d.index.IndexDocument(ctx, docs.Document{
+	if err := d.index.IndexDocuments(ctx, []docs.Document{{
 		ID:      n.ID,
 		Kind:    docs.KindKnowledge,
 		Title:   topic,
 		Content: key,
 		Source:  "document-db",
 		Meta:    map[string]string{"author": author},
-	}); err != nil {
+	}}); err != nil {
 		return Note{}, err
 	}
 	d.seq++

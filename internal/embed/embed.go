@@ -79,36 +79,6 @@ func (e *Embedder) Embed(text string) []float32 {
 	return v
 }
 
-// EmbedFields embeds a weighted multi-field text (e.g. table name weighted
-// above column names weighted above sample values). Fields with weight <= 0
-// are skipped.
-func (e *Embedder) EmbedFields(fields []WeightedText) []float32 {
-	v := make([]float32, e.dim)
-	for _, f := range fields {
-		if f.Weight <= 0 {
-			continue
-		}
-		for _, tok := range textutil.NormalizeTokens(f.Text) {
-			e.add(v, "t:"+tok, e.tokenWt*float32(f.Weight))
-			if e.ngram > 0 {
-				for _, g := range textutil.CharNGrams(tok, e.ngram) {
-					e.add(v, "g:"+g, e.ngramWt*float32(f.Weight))
-				}
-			}
-		}
-	}
-	if e.normalized {
-		vecmath.Normalize(v)
-	}
-	return v
-}
-
-// WeightedText is one field of a multi-field document with its weight.
-type WeightedText struct {
-	Text   string
-	Weight float64
-}
-
 // EmbedBatch embeds texts with a worker pool of the given size (0 or
 // negative means GOMAXPROCS). The result is positionally aligned with the
 // input and bit-identical to embedding each text sequentially: each worker

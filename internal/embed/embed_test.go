@@ -76,29 +76,6 @@ func TestWithDim(t *testing.T) {
 	}
 }
 
-func TestEmbedFieldsWeighting(t *testing.T) {
-	e := New()
-	heavy := e.EmbedFields([]WeightedText{
-		{Text: "tariffs", Weight: 5},
-		{Text: "miscellaneous", Weight: 0.1},
-	})
-	probe := e.Embed("tariffs")
-	sim := vecmath.Cosine(heavy, probe)
-	light := e.EmbedFields([]WeightedText{
-		{Text: "tariffs", Weight: 0.1},
-		{Text: "miscellaneous", Weight: 5},
-	})
-	simLight := vecmath.Cosine(light, probe)
-	if sim <= simLight {
-		t.Fatalf("field weighting had no effect: %v vs %v", sim, simLight)
-	}
-	// Zero/negative weights are skipped.
-	zero := e.EmbedFields([]WeightedText{{Text: "anything", Weight: 0}})
-	if vecmath.Norm(zero) != 0 {
-		t.Fatal("zero-weight fields must not contribute")
-	}
-}
-
 func TestSimilarityBounded(t *testing.T) {
 	e := New(WithNGram(0))
 	f := func(a, b string) bool {

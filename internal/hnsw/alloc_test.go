@@ -15,7 +15,7 @@ func allocIndex(tb testing.TB, dim int) (*Index, []float32) {
 	rng := rand.New(rand.NewSource(42))
 	ix := New(dim, Config{Seed: 3})
 	for i := 0; i < 400; i++ {
-		if err := ix.Add(fmt.Sprintf("v-%03d", i), randomUnit(rng, dim)); err != nil {
+		if err := addOne(ix, fmt.Sprintf("v-%03d", i), randomUnit(rng, dim)); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -69,7 +69,7 @@ func BenchmarkSearchQuantized(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	ix := New(32, Config{Seed: 3, Quantize: true})
 	for i := 0; i < 400; i++ {
-		if err := ix.Add(fmt.Sprintf("v-%03d", i), randomUnit(rng, 32)); err != nil {
+		if err := addOne(ix, fmt.Sprintf("v-%03d", i), randomUnit(rng, 32)); err != nil {
 			b.Fatal(err)
 		}
 	}

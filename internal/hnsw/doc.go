@@ -76,7 +76,7 @@
 //
 // # Int8 speed tier (Config.Quantize)
 //
-// With Quantize on, Add additionally stores a scalar-quantized copy of
+// With Quantize on, every insert additionally stores a scalar-quantized copy of
 // each vector: per-vector offset and scale map the float32 values onto
 // int8 codes in [-127, 127], kept in a second contiguous arena one quarter
 // the size of the float32 one. Queries then split into two phases:
@@ -108,14 +108,14 @@
 //
 // # Serialization
 //
-// WriteTo/ReadFrom serialize the struct-of-arrays state directly — the
-// vector arena, the parallel slices, the adjacency lists, the entry point
-// and the level-generator draw count — so a persisted graph is restored
-// by a bulk load instead of re-running construction. The restore is exact:
-// queries answer bit-identically, and because the level generator is
-// fast-forwarded to the writer's stream position, inserts after the
-// restore assign the same levels (and therefore build the same graph) as
-// they would have on the never-serialized index. Construction parameters
-// are not serialized; the reading index must be created with the same
-// Config, in particular the same Seed.
+// AppendSnapshot/LoadSnapshot serialize the struct-of-arrays state
+// directly — the vector arena, the parallel slices, the adjacency lists,
+// the entry point and the level-generator draw count — so a persisted
+// graph is restored by a bulk load instead of re-running construction.
+// The restore is exact: queries answer bit-identically, and because the
+// level generator is fast-forwarded to the writer's stream position,
+// inserts after the restore assign the same levels (and therefore build
+// the same graph) as they would have on the never-serialized index.
+// Construction parameters are not serialized; the reading index must be
+// created with the same Config, in particular the same Seed.
 package hnsw

@@ -75,7 +75,7 @@ type graph struct {
 	dim     int
 	ids     []string  // external ID per node slot
 	vecs    []float32 // contiguous vector arena; slot i at [i*dim, (i+1)*dim)
-	norms   []float32 // Euclidean norm per slot, computed once at Add
+	norms   []float32 // Euclidean norm per slot, computed once at insert
 	levels  []int32   // top layer per slot
 	deleted []bool    // tombstone flags (COW'd by batches that tombstone)
 	links   [][][]int32
@@ -135,7 +135,7 @@ type Index struct {
 	delBatch   uint64
 	// rngDraws counts level-generator draws so a serialized index can
 	// fast-forward a fresh generator to the exact same state (see
-	// LoadSnapshot): later Adds then assign the same levels a
+	// LoadSnapshot): later inserts then assign the same levels a
 	// never-serialized index would.
 	rngDraws uint64
 }
@@ -226,26 +226,14 @@ func (ix *Index) Dim() int { return ix.dim }
 // EfSearch returns the default query beam width.
 func (ix *Index) EfSearch() int { return ix.cfg.EfSearch }
 
-// Add inserts a vector under the given ID. Re-adding an existing ID replaces
-// its vector (implemented as delete + fresh insert).
-func (ix *Index) Add(id string, vec []float32) error {
-	if len(vec) != ix.dim {
-		return fmt.Errorf("hnsw: vector for %q has dim %d, index wants %d", id, len(vec), ix.dim)
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	g := ix.beginBatch()
-	ix.addLocked(g, id, vec)
-	ix.publish(g)
-	return nil
-}
-
 // AddBatch inserts ids[i] → vecs[i] in order inside a single writer batch,
-// publishing one new view at the end instead of one per insert. The graph
-// it builds is identical to len(ids) sequential Adds; batching only
-// amortizes the per-batch copy-on-write cost, so bulk ingest stays O(n)
-// in cloned headers rather than O(n²). Nothing is inserted if any vector
-// has the wrong dimensionality.
+// publishing one new view at the end instead of one per insert. Re-adding
+// an existing ID — from an earlier batch or earlier in this one — replaces
+// its vector (implemented as delete + fresh insert). The graph it builds is
+// identical to len(ids) one-insert batches; batching only amortizes the
+// per-batch copy-on-write cost, so bulk ingest stays O(n) in cloned
+// headers rather than O(n²). Nothing is inserted if any vector has the
+// wrong dimensionality.
 func (ix *Index) AddBatch(ids []string, vecs [][]float32) error {
 	if len(ids) != len(vecs) {
 		return fmt.Errorf("hnsw: AddBatch got %d ids, %d vectors", len(ids), len(vecs))
@@ -350,23 +338,9 @@ func (ix *Index) addLocked(g *graph, id string, vec []float32) {
 	}
 }
 
-// Delete removes an ID from the index. It returns false if absent. Deleted
-// nodes are tombstoned: they keep routing but never appear in results.
-func (ix *Index) Delete(id string) bool {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	idx, ok := ix.byID[id]
-	if !ok {
-		return false
-	}
-	g := ix.beginBatch()
-	ix.deleteLocked(g, idx, id)
-	ix.publish(g)
-	return true
-}
-
 // DeleteBatch tombstones every present ID inside a single writer batch and
 // returns how many were present, publishing one new view at the end.
+// Deleted nodes keep routing but never appear in results.
 func (ix *Index) DeleteBatch(ids []string) int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -414,7 +388,7 @@ func (ix *Index) resetEntry(g *graph) {
 
 // AdoptFrom atomically replaces this index's contents with donor's: the
 // published view and the complete writer state (level generator, ID map,
-// batch stamps) move over, so subsequent Adds behave exactly as they would
+// batch stamps) move over, so subsequent inserts behave exactly as they would
 // have on the donor. Readers of this index are never blocked — they keep
 // serving the old view until the donor's graph is published with one
 // atomic swap. The donor must not be used afterwards; it exists so

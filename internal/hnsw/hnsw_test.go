@@ -33,10 +33,10 @@ func TestEmptyIndex(t *testing.T) {
 
 func TestDimMismatch(t *testing.T) {
 	ix := New(8, Config{Seed: 1})
-	if err := ix.Add("a", make([]float32, 4)); err == nil {
+	if err := addOne(ix, "a", make([]float32, 4)); err == nil {
 		t.Fatal("dim mismatch on Add must error")
 	}
-	_ = ix.Add("a", make([]float32, 8))
+	_ = addOne(ix, "a", make([]float32, 8))
 	if _, err := ix.Search(make([]float32, 4), 1); err == nil {
 		t.Fatal("dim mismatch on Search must error")
 	}
@@ -51,7 +51,7 @@ func TestExactNearestOnSmallSet(t *testing.T) {
 		"w": {0.9, 0.1, 0, 0},
 	}
 	for id, v := range vecs {
-		if err := ix.Add(id, vecmath.Normalize(append([]float32(nil), v...))); err != nil {
+		if err := addOne(ix, id, vecmath.Normalize(append([]float32(nil), v...))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,7 +75,7 @@ func TestRecallAgainstBruteForce(t *testing.T) {
 	data := make([][]float32, n)
 	for i := 0; i < n; i++ {
 		data[i] = randomUnit(rng, dim)
-		if err := ix.Add(fmt.Sprintf("v%d", i), data[i]); err != nil {
+		if err := addOne(ix, fmt.Sprintf("v%d", i), data[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,12 +117,12 @@ func TestRecallAgainstBruteForce(t *testing.T) {
 
 func TestDeleteHidesResults(t *testing.T) {
 	ix := New(4, Config{Seed: 3})
-	_ = ix.Add("a", []float32{1, 0, 0, 0})
-	_ = ix.Add("b", []float32{0.99, 0.01, 0, 0})
-	if !ix.Delete("a") {
+	_ = addOne(ix, "a", []float32{1, 0, 0, 0})
+	_ = addOne(ix, "b", []float32{0.99, 0.01, 0, 0})
+	if !deleteOne(ix, "a") {
 		t.Fatal("delete existing failed")
 	}
-	if ix.Delete("a") {
+	if deleteOne(ix, "a") {
 		t.Fatal("double delete should be false")
 	}
 	res, _ := ix.Search([]float32{1, 0, 0, 0}, 2)
@@ -138,10 +138,10 @@ func TestDeleteHidesResults(t *testing.T) {
 
 func TestReAddReplacesVector(t *testing.T) {
 	ix := New(4, Config{Seed: 3})
-	_ = ix.Add("a", []float32{1, 0, 0, 0})
-	_ = ix.Add("b", []float32{0, 1, 0, 0})
+	_ = addOne(ix, "a", []float32{1, 0, 0, 0})
+	_ = addOne(ix, "b", []float32{0, 1, 0, 0})
 	// Move "a" to point near b's direction.
-	_ = ix.Add("a", []float32{0, 0.99, 0.01, 0})
+	_ = addOne(ix, "a", []float32{0, 0.99, 0.01, 0})
 	res, _ := ix.Search([]float32{0, 1, 0, 0}, 2)
 	if len(res) != 2 {
 		t.Fatalf("results = %v", res)
@@ -160,7 +160,7 @@ func TestDeterministicBuild(t *testing.T) {
 		rng := rand.New(rand.NewSource(5))
 		ix := New(16, Config{Seed: 11})
 		for i := 0; i < 300; i++ {
-			_ = ix.Add(fmt.Sprintf("d%d", i), randomUnit(rng, 16))
+			_ = addOne(ix, fmt.Sprintf("d%d", i), randomUnit(rng, 16))
 		}
 		q := randomUnit(rand.New(rand.NewSource(6)), 16)
 		res, _ := ix.Search(q, 5)
@@ -181,7 +181,7 @@ func TestScoresAreDescending(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	ix := New(8, Config{Seed: 2})
 	for i := 0; i < 100; i++ {
-		_ = ix.Add(fmt.Sprintf("v%d", i), randomUnit(rng, 8))
+		_ = addOne(ix, fmt.Sprintf("v%d", i), randomUnit(rng, 8))
 	}
 	res, _ := ix.Search(randomUnit(rng, 8), 10)
 	for i := 1; i < len(res); i++ {

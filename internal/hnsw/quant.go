@@ -24,7 +24,7 @@ const DefaultRescoreFactor = 4
 //	dot(a,b) ≈ sa·sb·Σqa·qb + sa·oa'…  (see graph.qdist)
 //
 // where the only O(dim) term, Σ qa[i]·qb[i], is the int32 DotInt8 kernel;
-// Σ q[i] is precomputed per vector at Add time. Squared L2 distance is
+// Σ q[i] is precomputed per vector at insert time. Squared L2 distance is
 // derived from the approximate dot and the exact stored norms, so only
 // the cross term is approximated.
 

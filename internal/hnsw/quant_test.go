@@ -37,10 +37,10 @@ func buildPair(t *testing.T, dim, n int) (base, quant *Index, vecs map[string][]
 		vec := unitVec(rng, dim)
 		id := fmt.Sprintf("v%04d", i)
 		vecs[id] = vec
-		if err := base.Add(id, vec); err != nil {
+		if err := addOne(base, id, vec); err != nil {
 			t.Fatal(err)
 		}
-		if err := quant.Add(id, vec); err != nil {
+		if err := addOne(quant, id, vec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -108,7 +108,7 @@ func TestQuantizedArenaRatio(t *testing.T) {
 		for d := range vec {
 			vec[d] = rng.Float32()*2 - 1
 		}
-		if err := ix.Add(fmt.Sprintf("v%03d", i), vec); err != nil {
+		if err := addOne(ix, fmt.Sprintf("v%03d", i), vec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -131,8 +131,8 @@ func TestQuantizedSnapshotRoundTrip(t *testing.T) {
 	base, quant, _ := buildPair(t, dim, n)
 	for i := 0; i < n; i += 9 {
 		id := fmt.Sprintf("v%04d", i)
-		base.Delete(id)
-		quant.Delete(id)
+		deleteOne(base, id)
+		deleteOne(quant, id)
 	}
 
 	var wq, wb wire.Writer
@@ -174,7 +174,7 @@ func TestQuantizedSnapshotRoundTrip(t *testing.T) {
 
 	// Unquantized snapshot → quantized index: int8 arenas rebuilt from the
 	// float32 arena; quantizeVec is deterministic so results must match a
-	// quantized index built by Adds.
+	// quantized index built by inserts.
 	rr := New(dim, Config{Seed: 42, Quantize: true})
 	if err := rr.LoadSnapshot(wire.NewSharedReader(wb.Bytes())); err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestQuantizeDegenerateVectors(t *testing.T) {
 	zero := make([]float32, dim)
 	varied := []float32{0.9, -0.2, 0.4, 0.1, -0.8, 0.3, 0.0, 0.7}
 	for id, v := range map[string][]float32{"const": constant, "zero": zero, "varied": varied} {
-		if err := ix.Add(id, v); err != nil {
+		if err := addOne(ix, id, v); err != nil {
 			t.Fatal(err)
 		}
 	}

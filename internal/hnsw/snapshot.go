@@ -184,7 +184,7 @@ func (ix *Index) LoadSnapshot(rd *wire.Reader) error {
 			g.qscale, g.qoff, g.qsum, g.qvecs = qscale, qoff, qsum, qvecs
 		} else {
 			// Snapshot written without quantization: rebuild the int8
-			// arenas from the float32 arena (same codes Add would have
+			// arenas from the float32 arena (same codes an insert would have
 			// produced — quantizeVec is deterministic).
 			requantize(g)
 		}
@@ -199,7 +199,7 @@ func (ix *Index) LoadSnapshot(rd *wire.Reader) error {
 	// The loaded slots were never COW'd by any batch; stamp them 0 (no
 	// batch) so the first mutating batch copies before touching them.
 	ix.copied = make([]uint64, n)
-	// Replay the level generator's consumed draws so the next Add sees the
+	// Replay the level generator's consumed draws so the next insert sees the
 	// same stream position a never-serialized index would.
 	for ix.rngDraws < draws {
 		ix.rngDraws++

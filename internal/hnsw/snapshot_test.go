@@ -33,12 +33,12 @@ func buildIndex(t *testing.T, cfg Config, dim, n int) *Index {
 		for d := range vec {
 			vec[d] = rng.Float32()*2 - 1
 		}
-		if err := ix.Add(fmt.Sprintf("v%03d", i), vec); err != nil {
+		if err := addOne(ix, fmt.Sprintf("v%03d", i), vec); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < n; i += 7 {
-		ix.Delete(fmt.Sprintf("v%03d", i))
+		deleteOne(ix, fmt.Sprintf("v%03d", i))
 	}
 	return ix
 }
@@ -99,10 +99,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			vec[d] = rng.Float32()*2 - 1
 		}
 		id := fmt.Sprintf("post%03d", i)
-		if err := orig.Add(id, vec); err != nil {
+		if err := addOne(orig, id, vec); err != nil {
 			t.Fatal(err)
 		}
-		if err := restored.Add(id, vec); err != nil {
+		if err := addOne(restored, id, vec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,8 +149,8 @@ func TestPinLiveOrder(t *testing.T) {
 	ix := buildIndex(t, Config{Seed: 5}, 8, 40)
 	walk := ix.PinLive()
 	live := ix.Len()
-	ix.Delete("v001")
-	if err := ix.Add("w000", queryVec(8, 1)); err != nil {
+	deleteOne(ix, "v001")
+	if err := addOne(ix, "w000", queryVec(8, 1)); err != nil {
 		t.Fatal(err)
 	}
 	for pass := 0; pass < 2; pass++ {
@@ -181,7 +181,7 @@ func TestPinLiveOrder(t *testing.T) {
 // TestAdoptFrom verifies the install segment compaction commits with:
 // after adopting a shadow built over the live nodes in insertion order,
 // the index answers exactly like a fresh index over those survivors, and
-// later Adds land as they would on the donor (same level generator
+// later inserts land as they would on the donor (same level generator
 // position, same writer state).
 func TestAdoptFrom(t *testing.T) {
 	const dim = 16
@@ -190,10 +190,10 @@ func TestAdoptFrom(t *testing.T) {
 		shadow, fresh := New(dim, cfg), New(dim, cfg)
 		ix.PinLive()(func(id string, vec []float32) bool {
 			v := append([]float32(nil), vec...)
-			if err := shadow.Add(id, v); err != nil {
+			if err := addOne(shadow, id, v); err != nil {
 				t.Fatal(err)
 			}
-			if err := fresh.Add(id, v); err != nil {
+			if err := addOne(fresh, id, v); err != nil {
 				t.Fatal(err)
 			}
 			return true
@@ -227,15 +227,15 @@ func TestAdoptFrom(t *testing.T) {
 		same("after AdoptFrom")
 		for i := 0; i < 30; i++ {
 			id, vec := fmt.Sprintf("post%03d", i), queryVec(dim, int64(100+i))
-			if err := ix.Add(id, vec); err != nil {
+			if err := addOne(ix, id, vec); err != nil {
 				t.Fatal(err)
 			}
-			if err := fresh.Add(id, vec); err != nil {
+			if err := addOne(fresh, id, vec); err != nil {
 				t.Fatal(err)
 			}
 		}
-		ix.Delete("post007")
-		fresh.Delete("post007")
-		same("after later Adds")
+		deleteOne(ix, "post007")
+		deleteOne(fresh, "post007")
+		same("after later inserts")
 	}
 }

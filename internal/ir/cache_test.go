@@ -26,7 +26,7 @@ func mkTable(name, desc, colDesc string) *table.Table {
 
 func TestRRFFusionAcrossSources(t *testing.T) {
 	ret := retriever.New()
-	if err := ret.IndexTable(context.Background(), mkTable("potassium_levels", "Potassium measurements", "potassium concentration")); err != nil {
+	if err := ret.IndexTables(context.Background(), []*table.Table{mkTable("potassium_levels", "Potassium measurements", "potassium concentration")}); err != nil {
 		t.Fatal(err)
 	}
 	kb := docdb.New()
@@ -94,7 +94,7 @@ func TestQueryCacheHitAndCopy(t *testing.T) {
 
 func TestCacheInvalidationOnMutation(t *testing.T) {
 	ret := retriever.New()
-	if err := ret.IndexTable(context.Background(), mkTable("soil_samples", "Soil chemistry", "potassium concentration")); err != nil {
+	if err := ret.IndexTables(context.Background(), []*table.Table{mkTable("soil_samples", "Soil chemistry", "potassium concentration")}); err != nil {
 		t.Fatal(err)
 	}
 	kb := docdb.New()
@@ -128,7 +128,7 @@ func TestCacheInvalidationOnMutation(t *testing.T) {
 	}
 
 	// Table-index mutation invalidates too.
-	if err := ret.IndexTable(context.Background(), mkTable("potassium_extra", "Extra potassium data", "potassium reading")); err != nil {
+	if err := ret.IndexTables(context.Background(), []*table.Table{mkTable("potassium_extra", "Extra potassium data", "potassium reading")}); err != nil {
 		t.Fatal(err)
 	}
 	res, _ = s.Query(context.Background(), Request{Query: "potassium interpolation", K: 5})
@@ -145,7 +145,7 @@ func TestCacheInvalidationOnMutation(t *testing.T) {
 
 func TestCacheEvictionAndDisable(t *testing.T) {
 	ret := retriever.New()
-	if err := ret.IndexTable(context.Background(), mkTable("t1", "data", "metric")); err != nil {
+	if err := ret.IndexTables(context.Background(), []*table.Table{mkTable("t1", "data", "metric")}); err != nil {
 		t.Fatal(err)
 	}
 	s := New(ret, nil, nil, WithCacheSize(2))
@@ -179,7 +179,7 @@ func TestCacheEvictionAndDisable(t *testing.T) {
 func TestChurnCacheInvalidation(t *testing.T) {
 	ctx := context.Background()
 	ret := retriever.New()
-	if err := ret.IndexTable(ctx, mkTable("base", "base data", "churn metric baseline")); err != nil {
+	if err := ret.IndexTables(ctx, []*table.Table{mkTable("base", "base data", "churn metric baseline")}); err != nil {
 		t.Fatal(err)
 	}
 	s := New(ret, nil, nil)
@@ -191,7 +191,7 @@ func TestChurnCacheInvalidation(t *testing.T) {
 	}
 	for r := 0; r < rounds; r++ {
 		name := fmt.Sprintf("churn_%d", r)
-		if err := ret.IndexTable(ctx, mkTable(name, "churn data", "churn metric reading")); err != nil {
+		if err := ret.IndexTables(ctx, []*table.Table{mkTable(name, "churn data", "churn metric reading")}); err != nil {
 			t.Fatal(err)
 		}
 		if r > 0 {
@@ -245,7 +245,7 @@ func TestChurnCacheInvalidation(t *testing.T) {
 	last := rounds - 1
 	for r := rounds; r < rounds+10; r++ {
 		name := fmt.Sprintf("churn_%d", r)
-		if err := ret.IndexTable(ctx, mkTable(name, "churn data", "churn metric reading")); err != nil {
+		if err := ret.IndexTables(ctx, []*table.Table{mkTable(name, "churn data", "churn metric reading")}); err != nil {
 			t.Fatal(err)
 		}
 		ret.DeleteDocuments([]string{fmt.Sprintf("table:churn_%d", last)})
@@ -279,7 +279,7 @@ func TestChurnCacheInvalidation(t *testing.T) {
 // the cache or the fan-out.
 func TestConcurrentQueriesAndMutations(t *testing.T) {
 	ret := retriever.New()
-	if err := ret.IndexTable(context.Background(), mkTable("base", "base data", "baseline metric")); err != nil {
+	if err := ret.IndexTables(context.Background(), []*table.Table{mkTable("base", "base data", "baseline metric")}); err != nil {
 		t.Fatal(err)
 	}
 	kb := docdb.New()
@@ -311,7 +311,7 @@ func TestConcurrentQueriesAndMutations(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			if err := ret.IndexTable(context.Background(), mkTable(fmt.Sprintf("t%d", i), "more data", "another metric")); err != nil {
+			if err := ret.IndexTables(context.Background(), []*table.Table{mkTable(fmt.Sprintf("t%d", i), "more data", "another metric")}); err != nil {
 				t.Error(err)
 				return
 			}

@@ -9,6 +9,7 @@ import (
 	"pneuma/internal/kramabench"
 	"pneuma/internal/pnerr"
 	"pneuma/internal/retriever"
+	"pneuma/internal/table"
 )
 
 // degradedFixture builds a System whose table source can be killed (by
@@ -18,7 +19,7 @@ func degradedFixture(t *testing.T) (*System, *retriever.Retriever, *docdb.DB) {
 	ctx := context.Background()
 	ret := retriever.New(retriever.WithShards(2))
 	for _, tb := range kramabench.Archaeology() {
-		if err := ret.IndexTable(ctx, tb); err != nil {
+		if err := ret.IndexTables(ctx, []*table.Table{tb}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -23,7 +23,7 @@ func fixtureSystem(t *testing.T) *System {
 		},
 	})
 	soil.MustAppend(table.Row{value.Float(42)})
-	if err := ret.IndexTable(context.Background(), soil); err != nil {
+	if err := ret.IndexTables(context.Background(), []*table.Table{soil}); err != nil {
 		t.Fatal(err)
 	}
 	kb := docdb.New()

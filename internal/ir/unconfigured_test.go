@@ -9,6 +9,7 @@ import (
 	"pneuma/internal/kramabench"
 	"pneuma/internal/pnerr"
 	"pneuma/internal/retriever"
+	"pneuma/internal/table"
 )
 
 // unconfiguredFixture builds a System with tables and knowledge but no web
@@ -18,7 +19,7 @@ func unconfiguredFixture(t *testing.T) *System {
 	ctx := context.Background()
 	ret := retriever.New(retriever.WithShards(2))
 	for _, tb := range kramabench.Archaeology() {
-		if err := ret.IndexTable(ctx, tb); err != nil {
+		if err := ret.IndexTables(ctx, []*table.Table{tb}); err != nil {
 			t.Fatal(err)
 		}
 	}

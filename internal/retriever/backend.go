@@ -46,23 +46,21 @@ func ParseBackend(s string) (Backend, error) {
 // SearchLexical, Len) are safe to call concurrently with each other and
 // with one mutator — the index halves publish immutable views through
 // atomic pointers, and the document store is a sync.Map — but mutators
-// (Index, Delete, the batch variants, Flush, Close) are not internally
-// serialized against each other: the Retriever runs them under one writer
-// mutex per shard. Implementations must be deterministic: indexing the
-// same (document, vector) sequence must yield a backend that answers
-// SearchVector and SearchLexical identically across implementations and
-// across reopens.
+// (IndexBatch, DeleteBatch, Flush, Close) are not internally serialized
+// against each other: the Retriever runs them under one writer mutex per
+// shard. The two batch mutators are the only write path; a batch of one
+// is the single-document form, and a batch of n leaves the backend
+// exactly as n batches of one would (FuzzBatchSplit pins this).
+// Implementations must be deterministic: indexing the same (document,
+// vector) sequence must yield a backend that answers SearchVector and
+// SearchLexical identically across implementations and across reopens.
 type ShardBackend interface {
-	// Index adds (or replaces) one embedded document.
-	Index(d docs.Document, vec []float32) error
-	// IndexBatch adds (or replaces) a batch of embedded documents,
-	// equivalent to calling Index on each pair in order but amortizing
-	// the copy-on-write of the published read views across the batch.
+	// IndexBatch adds (or replaces) a batch of embedded documents in
+	// order, amortizing the copy-on-write of the published read views
+	// across the batch.
 	IndexBatch(ds []docs.Document, vecs [][]float32) error
-	// Delete removes a document; it reports whether the ID was present.
-	Delete(id string) bool
 	// DeleteBatch removes a batch of documents and returns how many of
-	// the IDs were present.
+	// the IDs were present (an ID listed twice counts once).
 	DeleteBatch(ids []string) int
 	// Document returns the stored document by ID.
 	Document(id string) (docs.Document, bool)
@@ -99,8 +97,8 @@ type memoryBackend struct {
 
 // newMemoryBackend creates an empty in-memory shard. seed fixes the HNSW
 // level generator so equal ingest sequences build equal graphs; st is the
-// retriever-wide BM25 statistics object shared by every shard (nil scores
-// against shard-local statistics); ef is the HNSW query beam width (0
+// retriever-wide BM25 statistics object shared by every shard (nil gives
+// the shard a private one); ef is the HNSW query beam width (0
 // selects hnsw.DefaultEfSearch); quant enables the int8 quantized HNSW
 // query path (the graph itself is identical either way).
 func newMemoryBackend(dim int, seed int64, st *bm25.Stats, ef int, quant bool) *memoryBackend {
@@ -128,23 +126,11 @@ func (m *memoryBackend) setDocs(byID map[string]docs.Document) {
 // quantized-side bytes) for the bench harness's memory accounting.
 func (m *memoryBackend) arenaBytes() (int, int) { return m.vec.ArenaBytes() }
 
-// Index adds the embedded document to both halves and the document map.
-// The document store is written first: any ID visible through a published
-// index view must resolve in the store, so a concurrent reader never
-// surfaces a hit it cannot materialize.
-func (m *memoryBackend) Index(d docs.Document, vec []float32) error {
-	if len(vec) != m.dim {
-		return fmt.Errorf("hnsw: vector for %q has dim %d, index wants %d", d.ID, len(vec), m.dim)
-	}
-	if _, existed := m.byID.Swap(d.ID, d); !existed {
-		m.live.Add(1)
-	}
-	m.lex.Add(d.ID, d.Content)
-	return m.vec.Add(d.ID, vec)
-}
-
-// IndexBatch adds the batch through the halves' batch entry points, which
-// clone the published copy-on-write arrays once for the whole batch.
+// IndexBatch adds the batch to both halves and the document map, through
+// the halves' batch entry points, which clone the published copy-on-write
+// arrays once for the whole batch. The document store is written first:
+// any ID visible through a published index view must resolve in the store,
+// so a concurrent reader never surfaces a hit it cannot materialize.
 func (m *memoryBackend) IndexBatch(ds []docs.Document, vecs [][]float32) error {
 	for i, vec := range vecs {
 		if len(vec) != m.dim {
@@ -164,21 +150,16 @@ func (m *memoryBackend) IndexBatch(ds []docs.Document, vecs [][]float32) error {
 	return m.vec.AddBatch(ids, vecs)
 }
 
-// Delete removes the document from both halves, index halves first so a
-// concurrent reader cannot surface a hit whose document is already gone.
-func (m *memoryBackend) Delete(id string) bool {
-	if _, ok := m.byID.Load(id); !ok {
-		return false
-	}
-	m.vec.Delete(id)
-	m.lex.Delete(id)
-	m.byID.Delete(id)
-	m.live.Add(-1)
-	return true
+// DeleteBatch tombstones the batch and returns how many IDs were present.
+func (m *memoryBackend) DeleteBatch(ids []string) int {
+	return len(m.deleteBatch(ids))
 }
 
-// DeleteBatch tombstones the batch through the halves' batch entry points.
-func (m *memoryBackend) DeleteBatch(ids []string) int {
+// deleteBatch removes the present IDs through the halves' batch entry
+// points, index halves first so a concurrent reader cannot surface a hit
+// whose document is already gone, and returns the removed IDs in batch
+// order, each once.
+func (m *memoryBackend) deleteBatch(ids []string) []string {
 	present := ids[:0:0]
 	for _, id := range ids {
 		if _, ok := m.byID.Load(id); ok {
@@ -186,15 +167,20 @@ func (m *memoryBackend) DeleteBatch(ids []string) int {
 		}
 	}
 	if len(present) == 0 {
-		return 0
+		return nil
 	}
 	m.vec.DeleteBatch(present)
 	m.lex.DeleteBatch(present)
+	// Filtering in place drops an ID listed twice: only its first
+	// LoadAndDelete finds it.
+	removed := present[:0]
 	for _, id := range present {
-		m.byID.Delete(id)
+		if _, ok := m.byID.LoadAndDelete(id); ok {
+			removed = append(removed, id)
+		}
 	}
-	m.live.Add(int64(-len(present)))
-	return len(present)
+	m.live.Add(int64(-len(removed)))
+	return removed
 }
 
 // Document returns the stored document by ID.

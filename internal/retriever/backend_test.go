@@ -167,7 +167,7 @@ func TestDiskDeletePersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := "table:" + tables[0].Schema.Name
-	if !dsk.Delete(victim) {
+	if !deleteOne(dsk, victim) {
 		t.Fatal("delete failed")
 	}
 	if err := dsk.Close(); err != nil {
@@ -267,7 +267,7 @@ func TestGlobalStatsTrackDeletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tb := range tables[:8] {
-		if !sharded.Delete("table:" + tb.Schema.Name) {
+		if !deleteOne(sharded, "table:"+tb.Schema.Name) {
 			t.Fatalf("delete %s failed", tb.Schema.Name)
 		}
 	}

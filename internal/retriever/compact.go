@@ -222,8 +222,8 @@ func (r *Retriever) compactShard(s *shard, db *diskBackend) {
 	stallSince(t0)
 	s.mu.Unlock()
 
-	// Phase 2: shadow build. The shadow scores BM25 against local
-	// statistics (nil Stats): the live documents' contributions are
+	// Phase 2: shadow build. The shadow counts BM25 statistics into a
+	// private Stats (nil here): the live documents' contributions are
 	// already in the shared Stats object, and AdoptFrom re-points the
 	// adopted view at it, so the rebuild must not count them again.
 	shadow := newMemoryBackend(db.dim, db.seed, nil, db.ef, db.quant)

@@ -60,7 +60,7 @@ func TestBackgroundCompactionStats(t *testing.T) {
 		t.Fatalf("compaction ran before any deletes: %+v", cs)
 	}
 	for _, tb := range tables[:32] {
-		r.Delete("table:" + tb.Schema.Name)
+		deleteOne(r, "table:"+tb.Schema.Name)
 	}
 	if err := r.Flush(); err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestBackgroundCompactionProactive(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tb := range tables[:40] {
-		if !r.Delete("table:" + tb.Schema.Name) {
+		if !deleteOne(r, "table:"+tb.Schema.Name) {
 			t.Fatalf("delete %s failed", tb.Schema.Name)
 		}
 	}
@@ -146,7 +146,7 @@ func TestBackgroundCompactionUnderIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tb := range tables[:40] {
-		if !r.Delete("table:" + tb.Schema.Name) {
+		if !deleteOne(r, "table:"+tb.Schema.Name) {
 			t.Fatalf("delete %s failed", tb.Schema.Name)
 		}
 	}
@@ -159,7 +159,7 @@ func TestBackgroundCompactionUnderIngest(t *testing.T) {
 			Title:   fmt.Sprintf("live stream doc %d", i),
 			Content: fmt.Sprintf("streamed document %d arriving during segment compaction with freight terminal data", i),
 		}
-		if err := r.IndexDocument(ctx, extra[i]); err != nil {
+		if err := indexOne(r, ctx, extra[i]); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(200 * time.Microsecond)
@@ -183,7 +183,7 @@ func TestBackgroundCompactionUnderIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range extra {
-		if err := fresh.IndexDocument(ctx, d); err != nil {
+		if err := indexOne(fresh, ctx, d); err != nil {
 			t.Fatal(err)
 		}
 	}

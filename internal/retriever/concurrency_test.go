@@ -79,7 +79,7 @@ func TestParallelIngestDeterminism(t *testing.T) {
 	sort.Slice(sortedDocs, func(i, j int) bool { return sortedDocs[i].ID < sortedDocs[j].ID })
 	incremental := build(func(r *Retriever) {
 		for _, d := range sortedDocs {
-			if err := r.IndexDocument(context.Background(), d); err != nil {
+			if err := indexOne(r, context.Background(), d); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -161,7 +161,7 @@ func TestConcurrentSearchAndIngest(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 40 + w; i < 60; i += 4 {
-				if err := r.IndexTable(context.Background(), tables[i]); err != nil {
+				if err := r.IndexTables(context.Background(), []*table.Table{tables[i]}); err != nil {
 					errCh <- err
 					return
 				}
@@ -190,8 +190,8 @@ func TestConcurrentSearchAndIngest(t *testing.T) {
 		defer wg.Done()
 		d := docs.TableDocument(tables[0])
 		for i := 0; i < 10; i++ {
-			r.Delete(d.ID)
-			if err := r.IndexDocument(context.Background(), d); err != nil {
+			deleteOne(r, d.ID)
+			if err := indexOne(r, context.Background(), d); err != nil {
 				errCh <- err
 				return
 			}
@@ -222,11 +222,11 @@ func TestConcurrentSearchAndIngest(t *testing.T) {
 func TestVersionCounting(t *testing.T) {
 	r := New(WithShards(2))
 	v0 := r.Version()
-	if err := r.IndexDocument(context.Background(), docs.Document{ID: "a", Content: "alpha doc"}); err != nil {
+	if err := indexOne(r, context.Background(), docs.Document{ID: "a", Content: "alpha doc"}); err != nil {
 		t.Fatal(err)
 	}
 	if r.Version() == v0 {
-		t.Fatal("IndexDocument did not bump version")
+		t.Fatal("IndexDocuments did not bump version")
 	}
 	v1 := r.Version()
 	if _, err := r.Search(context.Background(), "alpha", 1); err != nil {
@@ -237,11 +237,11 @@ func TestVersionCounting(t *testing.T) {
 	if r.Version() != v1 {
 		t.Fatal("reads must not bump version")
 	}
-	if !r.Delete("a") {
+	if !deleteOne(r, "a") {
 		t.Fatal("delete failed")
 	}
 	if r.Version() == v1 {
-		t.Fatal("Delete did not bump version")
+		t.Fatal("DeleteDocuments did not bump version")
 	}
 }
 

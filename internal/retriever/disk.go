@@ -416,11 +416,11 @@ func applyRecord(mem *memoryBackend, payload []byte) (bool, error) {
 	}
 	switch rec.op {
 	case opAdd:
-		if err := mem.Index(rec.doc, rec.vec); err != nil {
+		if err := mem.IndexBatch([]docs.Document{rec.doc}, [][]float32{rec.vec}); err != nil {
 			return false, err
 		}
 	case opDel:
-		mem.Delete(rec.id)
+		mem.DeleteBatch([]string{rec.id})
 	}
 	return true, nil
 }
@@ -483,15 +483,6 @@ func (b *diskBackend) encodeAddRecord(d docs.Document, vec []float32) {
 	encodeDoc(&b.rec, d)
 }
 
-// Index adds the document to the in-memory shard and logs it.
-func (b *diskBackend) Index(d docs.Document, vec []float32) error {
-	if err := b.memoryBackend.Index(d, vec); err != nil {
-		return err
-	}
-	b.encodeAddRecord(d, vec)
-	return b.appendRecord()
-}
-
 // IndexBatch adds the batch to the in-memory shard, then logs one add
 // record per document in batch order — the record order stays exactly the
 // live mutation order, so a replay rebuilds bit-identical structures.
@@ -509,41 +500,21 @@ func (b *diskBackend) IndexBatch(ds []docs.Document, vecs [][]float32) error {
 }
 
 // DeleteBatch tombstones the batch in memory and logs one delete record
-// per document that was actually present.
+// per document that was actually present, in batch order.
 func (b *diskBackend) DeleteBatch(ids []string) int {
-	present := ids[:0:0]
-	for _, id := range ids {
-		if _, ok := b.byID.Load(id); ok {
-			present = append(present, id)
-		}
-	}
-	if len(present) == 0 {
-		return 0
-	}
-	b.memoryBackend.DeleteBatch(present)
-	for _, id := range present {
+	removed := b.memoryBackend.deleteBatch(ids)
+	for _, id := range removed {
+		// A failed tombstone append leaves the delete visible in memory
+		// but not durable; the reopened index resurrects the document.
+		// That is the backend's documented durability boundary
+		// (crash-after-delete); WithSyncBytes(1) shrinks the window to
+		// the single record.
 		b.rec.Reset()
 		b.rec.Byte(opDel)
 		b.rec.String(id)
 		_ = b.appendRecord()
 	}
-	return len(present)
-}
-
-// Delete removes the document and logs a tombstone record.
-func (b *diskBackend) Delete(id string) bool {
-	if !b.memoryBackend.Delete(id) {
-		return false
-	}
-	// A failed tombstone append leaves the delete visible in memory but
-	// not durable; the reopened index resurrects the document. That is
-	// the backend's documented durability boundary (crash-after-delete);
-	// WithSyncBytes(1) shrinks the window to the single record.
-	b.rec.Reset()
-	b.rec.Byte(opDel)
-	b.rec.String(id)
-	_ = b.appendRecord()
-	return true
+	return len(removed)
 }
 
 // syncSegment drains the write buffer and fsyncs the segment file,

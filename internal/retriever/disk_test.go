@@ -14,16 +14,20 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"pneuma/internal/bm25"
 	"pneuma/internal/docs"
 	"pneuma/internal/embed"
 	"pneuma/internal/pnerr"
 	"pneuma/internal/table"
+	"pneuma/internal/textutil"
 	"pneuma/internal/value"
+	"pneuma/internal/wire"
 )
 
 // buildDiskIndex ingests tables into a fresh disk index at dir and closes
@@ -151,10 +155,10 @@ func TestSnapshotSkipsReplayAboveWatermark(t *testing.T) {
 	}
 	extra := docs.Document{ID: "doc:extra", Kind: docs.KindKnowledge, Title: "extra",
 		Content: "freshly appended record beyond the snapshot watermark"}
-	if err := r.IndexDocument(context.Background(), extra); err != nil {
+	if err := indexOne(r, context.Background(), extra); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Delete("table:" + tables[0].Schema.Name) {
+	if !deleteOne(r, "table:"+tables[0].Schema.Name) {
 		t.Fatal("delete failed")
 	}
 	if err := r.Close(); err != nil {
@@ -261,6 +265,93 @@ func TestSnapshotVersionMismatchRebuilds(t *testing.T) {
 	}
 }
 
+// TestSnapshotSectionsDisagreeKeepsStats pins the restore guarantee
+// AttachStats carries: a shard snapshot whose every section parses but
+// whose document store holds one document fewer than its index sections
+// must fall back to a replay without leaving the snapshot's document
+// frequencies behind in the shared Stats. After the open, the shared
+// Stats and every shard's BM25 scores equal those of a memory index over
+// the same tables.
+func TestSnapshotSectionsDisagreeKeepsStats(t *testing.T) {
+	dir := t.TempDir()
+	tables := buildDiskIndex(t, dir, 24, 2)
+
+	// Rebuild shard 0's snapshot from its own parsed sections, dropping
+	// the last stored document: re-encoding (rather than cutting bytes)
+	// keeps the HNSW blobs aligned, so every section still parses.
+	snap := shardFiles(t, dir, ".snap")[0]
+	seg, err := os.ReadFile(shardFiles(t, dir, ".seg")[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := binary.LittleEndian.Uint64(seg[8:16])
+	mem, _, _, _, err := loadSnapshot(snap, gen, int64(len(seg)), embed.New().Dim(), hnswSeed, bm25.NewStats(), 0, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	mem.byID.Range(func(k, _ any) bool { ids = append(ids, k.(string)); return true })
+	sort.Strings(ids)
+	var w wire.Writer
+	w.Raw(raw[:snapHeaderSize])
+	w.Uvarint(uint64(len(ids) - 1))
+	for _, id := range ids[:len(ids)-1] {
+		d, _ := mem.Document(id)
+		w.String(id)
+		encodeDoc(&w, d)
+	}
+	mem.vec.AppendSnapshot(&w)
+	mem.lex.AppendSnapshot(&w)
+	var crcb [4]byte
+	binary.LittleEndian.PutUint32(crcb[:], crc32.Checksum(w.Bytes(), snapCRCTable))
+	w.Raw(crcb[:])
+	if err := os.WriteFile(snap, w.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, _, err := loadSnapshot(snap, gen, int64(len(seg)), embed.New().Dim(), hnswSeed, bm25.NewStats(), 0, false, false); err == nil || !strings.Contains(err.Error(), "sections disagree") {
+		t.Fatalf("tampered snapshot: err = %v, want a section disagreement", err)
+	}
+
+	r, err := Open(WithBackend(Disk), WithDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ref := New(WithShards(2))
+	if err := ref.IndexTables(context.Background(), tables); err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != len(tables) {
+		t.Fatalf("Len = %d, want %d", r.Len(), len(tables))
+	}
+	if got, want := r.stats.DocCount(), ref.stats.DocCount(); got != want {
+		t.Fatalf("shared DocCount = %d, memory index %d", got, want)
+	}
+	if got, want := r.stats.AvgDocLen(), ref.stats.AvgDocLen(); got != want {
+		t.Fatalf("shared AvgDocLen = %v, memory index %v", got, want)
+	}
+	for _, tb := range tables[:6] {
+		for _, term := range textutil.NormalizeTokens(docs.TableDocument(tb).Content) {
+			if got, want := r.stats.DocFreq(term), ref.stats.DocFreq(term); got != want {
+				t.Fatalf("shared DocFreq(%q) = %d, memory index %d", term, got, want)
+			}
+		}
+	}
+	for i := range r.shards {
+		for _, q := range parityQueries {
+			got := r.shards[i].be.SearchLexical(q, 10)
+			want := ref.shards[i].be.SearchLexical(q, 10)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("shard %d %q: BM25 %v, memory index %v", i, q, got, want)
+			}
+		}
+	}
+}
+
 // lenOf reopens the index and returns its Len, asserting a clean open.
 func lenOf(t *testing.T, dir string, want int) int {
 	t.Helper()
@@ -334,7 +425,7 @@ func TestCompactionShrinksSegment(t *testing.T) {
 	before := totalSize(t, shardFiles(t, dir, ".seg"))
 
 	for _, tb := range tables[:32] {
-		if !r.Delete("table:" + tb.Schema.Name) {
+		if !deleteOne(r, "table:"+tb.Schema.Name) {
 			t.Fatalf("delete %s failed", tb.Schema.Name)
 		}
 	}
@@ -450,7 +541,7 @@ func TestSyncEveryDurability(t *testing.T) {
 	if err := r.IndexTables(context.Background(), tables); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Delete("table:" + tables[0].Schema.Name) {
+	if !deleteOne(r, "table:"+tables[0].Schema.Name) {
 		t.Fatal("delete failed")
 	}
 	// No Flush: the group-commit flusher must make every acknowledged
@@ -510,7 +601,7 @@ func TestTablePayloadFidelity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.IndexTable(context.Background(), tb); err != nil {
+	if err := r.IndexTables(context.Background(), []*table.Table{tb}); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Close(); err != nil {
@@ -682,7 +773,7 @@ func TestDiskConcurrentAccess(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for _, tb := range tables[:24] {
-			r.Delete("table:" + tb.Schema.Name)
+			deleteOne(r, "table:"+tb.Schema.Name)
 		}
 	}()
 	wg.Add(1)

@@ -7,8 +7,12 @@
 //
 // The index is sharded: documents are hash-partitioned by ID across N
 // shards (default DefaultShards, GOMAXPROCS-derived), each shard owning a
-// storage backend and a lock. Bulk ingest (IndexTables/IndexDocuments)
-// embeds documents with a worker pool and builds all shards concurrently;
+// storage backend and a lock. Every write is a batch: IndexTables and
+// IndexDocuments (a slice of one is the single-document form) embed
+// documents with a worker pool and build all shards concurrently, and
+// DeleteDocuments tombstones per shard concurrently. A ShardBackend writes
+// through exactly two methods, IndexBatch and DeleteBatch, and a batch of
+// n leaves a shard exactly as n batches of one would.
 // Search fans out to every shard concurrently and merges the per-shard
 // candidate lists deterministically (score descending, document ID
 // ascending) before rank fusion.
@@ -110,7 +114,11 @@
 // changes ranking, even on corpora of a handful of documents where
 // per-shard statistics would diverge badly. Stats updates are commutative
 // — including the per-shard aggregate folds of snapshot loading — so the
-// restored totals are independent of shard load order.
+// restored totals are independent of shard load order. A shard restored
+// from a snapshot counts into a private Stats first and is merged into the
+// shared one (bm25.Index.AttachStats) only once every section of its
+// snapshot has validated; a background compaction's shadow shard likewise
+// counts privately and is re-pointed at the shared Stats when installed.
 //
 // # Determinism contract
 //

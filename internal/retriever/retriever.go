@@ -571,11 +571,6 @@ func (r *Retriever) shardFor(id string) *shard {
 	return r.shards[r.shardIndex(id)]
 }
 
-// IndexTable adds a table to the index via its canonical document.
-func (r *Retriever) IndexTable(ctx context.Context, t *table.Table) error {
-	return r.IndexDocument(ctx, docs.TableDocument(t))
-}
-
 // IndexTables bulk-ingests a corpus of tables: canonical documents are
 // built and embedded with the worker pool, then all shards are written
 // concurrently. This is the fast path Seeker assembly and the CLIs use.
@@ -590,31 +585,12 @@ func (r *Retriever) IndexTables(ctx context.Context, ts []*table.Table) error {
 	return r.IndexDocuments(ctx, ds)
 }
 
-// IndexDocument adds an arbitrary document to the hybrid index. The same
-// indexer serves the Document Database (§3.3: "uses Pneuma-Retriever's
-// indexer to store domain knowledge").
-func (r *Retriever) IndexDocument(ctx context.Context, d docs.Document) error {
-	if err := r.acquire("retriever: index"); err != nil {
-		return err
-	}
-	defer r.release()
-	if err := ctx.Err(); err != nil {
-		return pnerr.Canceled("retriever: index", err)
-	}
-	vec := r.emb.Embed(d.Content)
-	s := r.shardFor(d.ID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.be.Index(d, vec); err != nil {
-		return err
-	}
-	r.version.Add(1)
-	return nil
-}
-
-// IndexDocuments bulk-ingests documents. Embeddings are computed with the
-// configured worker pool, then each shard is populated by its own
-// goroutine. Documents are sorted by ID first, so every shard sees its
+// IndexDocuments adds (or replaces) arbitrary documents in the hybrid
+// index; it is the one write path, and a slice of one is the
+// single-document form. The same indexer serves the Document Database
+// (§3.3: "uses Pneuma-Retriever's indexer to store domain knowledge").
+// Embeddings are computed with the configured worker pool, then each
+// shard is populated by its own goroutine. Documents are sorted by ID first, so every shard sees its
 // partition in the same order on every ingest of the same corpus — the
 // resulting HNSW graphs, and therefore search results, are deterministic
 // regardless of input permutation or goroutine scheduling. A canceled ctx
@@ -702,24 +678,8 @@ func (r *Retriever) IndexDocuments(ctx context.Context, ds []docs.Document) erro
 	return nil
 }
 
-// Delete removes a document from both halves of its shard.
-func (r *Retriever) Delete(id string) bool {
-	if r.acquire("retriever: delete") != nil {
-		return false
-	}
-	defer r.release()
-	s := r.shardFor(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.be.Delete(id) {
-		return false
-	}
-	r.version.Add(1)
-	return true
-}
-
 // DeleteDocuments removes a batch of documents and returns how many of
-// the IDs were present. Shards are written concurrently, each through its
+// the IDs were present (an ID listed twice counts once). Shards are written concurrently, each through its
 // backend's DeleteBatch (one copy-on-write clone of the published views
 // per shard for the whole batch); searches keep serving against their
 // pinned views throughout. The mutation counter advances once for the

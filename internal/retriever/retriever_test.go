@@ -35,7 +35,7 @@ func buildIndex(t *testing.T, mode Mode) *Retriever {
 	t.Helper()
 	r := New(WithMode(mode))
 	for _, tb := range fixtureTables() {
-		if err := r.IndexTable(context.Background(), tb); err != nil {
+		if err := r.IndexTables(context.Background(), []*table.Table{tb}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,10 +89,10 @@ func TestDeleteAndLen(t *testing.T) {
 	if r.Len() != 3 {
 		t.Fatalf("len = %d", r.Len())
 	}
-	if !r.Delete("table:employees") {
+	if !deleteOne(r, "table:employees") {
 		t.Fatal("delete failed")
 	}
-	if r.Delete("table:employees") {
+	if deleteOne(r, "table:employees") {
 		t.Fatal("double delete should be false")
 	}
 	hits, _ := r.Search(context.Background(), "employee salaries", 3)
@@ -105,7 +105,7 @@ func TestDeleteAndLen(t *testing.T) {
 
 func TestIndexDocumentNonTable(t *testing.T) {
 	r := New()
-	err := r.IndexDocument(context.Background(), docs.Document{
+	err := indexOne(r, context.Background(), docs.Document{
 		ID: "note:1", Kind: docs.KindKnowledge, Title: "tariff rule",
 		Content: "tariff impact must consider the previous active tariff rate",
 	})

@@ -47,11 +47,10 @@ var snapCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // file and advances the snapshot high-water mark. The whole file is built
 // in one wire.Writer so blob padding is relative to file offset 0 — the
 // invariant the mmap load path's zero-copy reinterpretation depends on.
-// Section order is load-bearing for crash safety on the read side: the
-// document store and HNSW sections carry no shared side effects, while
-// the BM25 section folds document frequencies into the retriever-wide
-// Stats object as it loads — it is parsed last, so a snapshot that fails
-// anywhere leaves the shared statistics untouched.
+// No section touches shared state as it loads: the BM25 section is
+// restored against a private Stats object that joins the retriever-wide
+// one only after every section has validated (see loadSnapshot), so a
+// snapshot that fails anywhere leaves the shared statistics untouched.
 func (b *diskBackend) writeSnapshot() error {
 	var w wire.Writer
 	var head [snapHeaderSize]byte
@@ -77,9 +76,7 @@ func (b *diskBackend) writeSnapshot() error {
 	}
 
 	b.vec.AppendSnapshot(&w)
-	if _, err := b.lex.WriteTo(&w); err != nil {
-		return err
-	}
+	b.lex.AppendSnapshot(&w)
 
 	var crcb [4]byte
 	binary.LittleEndian.PutUint32(crcb[:], crc32.Checksum(w.Bytes(), snapCRCTable))
@@ -198,17 +195,15 @@ func loadSnapshot(snapPath string, expectGen uint64, segSize int64, dim int, see
 		return nil, 0, 0, nil, fmt.Errorf("snapshot %s: document store: %w", snapPath, err)
 	}
 
-	// Parse the index sections in deferred-statistics mode: the shared
-	// Stats object is only touched (via AttachStats) once every section has
+	// Parse the index sections against a private Stats object: the shared
+	// one is only touched (via AttachStats) once every section has
 	// validated, so a bad snapshot cannot leak document frequencies into
-	// the corpus totals before the caller falls back to a replay — and the
-	// shard never materializes a throwaway local df map on the way.
+	// the corpus totals before the caller falls back to a replay.
 	mem = newMemoryBackend(dim, seed, nil, ef, quant)
-	mem.lex.DeferStats()
 	if err := mem.vec.LoadSnapshot(rd); err != nil {
 		return nil, 0, 0, nil, fmt.Errorf("snapshot %s: %w", snapPath, err)
 	}
-	if err := mem.lex.ReadFromShared(rd); err != nil {
+	if err := mem.lex.LoadSnapshot(rd); err != nil {
 		return nil, 0, 0, nil, fmt.Errorf("snapshot %s: %w", snapPath, err)
 	}
 	if mem.vec.Len() != len(byID) || mem.lex.Len() != len(byID) {

@@ -213,7 +213,7 @@ func TestSyncIntervalDurability(t *testing.T) {
 	defer r.Close()
 	d := docs.Document{ID: "doc:gc", Kind: docs.KindKnowledge, Title: "gc",
 		Content: "group commit latency bound durability probe"}
-	if err := r.IndexDocument(context.Background(), d); err != nil {
+	if err := indexOne(r, context.Background(), d); err != nil {
 		t.Fatal(err)
 	}
 	waitSynced(t, r)

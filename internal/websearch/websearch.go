@@ -66,7 +66,7 @@ func (e *Engine) AddPage(p Page) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.pages[p.URL] = p
-	_ = e.index.IndexDocument(context.Background(), docs.Document{
+	_ = e.index.IndexDocuments(context.Background(), []docs.Document{{
 		ID:      p.URL,
 		Kind:    docs.KindWeb,
 		Title:   p.Title,
@@ -74,7 +74,7 @@ func (e *Engine) AddPage(p Page) {
 		Source:  "web-search",
 		Table:   p.Table,
 		Meta:    map[string]string{"url": p.URL},
-	})
+	}})
 	// Increment only after the page is searchable: a concurrent reader
 	// must never cache a page-less result under the post-mutation version.
 	e.version.Add(1)

@@ -77,14 +77,6 @@ func (w *Writer) Float32s(v []float32) {
 // Raw appends bytes verbatim (no length prefix).
 func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 
-// Write implements io.Writer by appending p verbatim, so section encoders
-// that speak io.WriterTo (bm25) can serialize straight into the same
-// buffer as the blob sections without an intermediate copy.
-func (w *Writer) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
 // BlobAlign is the byte alignment of aligned-blob payloads. 64 covers
 // cache lines and every element type's natural alignment, and because
 // snapshot files are written with offset 0 == file offset 0, a page-aligned

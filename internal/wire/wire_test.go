@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"io"
 	"math"
 	"testing"
 )
@@ -204,20 +203,6 @@ func TestBlobTruncation(t *testing.T) {
 	if r := NewReader(whole); r.Int8Blob() == nil {
 		// Int8Blob over float bytes is legal (reinterprets 12 bytes)...
 		t.Log("note: int8 view of float payload decodes; format is untyped")
-	}
-}
-
-// TestWriterImplementsIOWriter pins the io.Writer adapter used by section
-// encoders.
-func TestWriterImplementsIOWriter(t *testing.T) {
-	var w Writer
-	w.Byte(0xaa)
-	n, err := io.WriteString(&w, "abc")
-	if n != 3 || err != nil {
-		t.Fatalf("WriteString = %d, %v", n, err)
-	}
-	if string(w.Bytes()[1:]) != "abc" {
-		t.Fatalf("buffer = %x", w.Bytes())
 	}
 }
 

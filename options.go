@@ -41,29 +41,6 @@ func WithModel(m Model) Option {
 	return func(s *settings) { s.cfg.Model = m }
 }
 
-// WithMaxActions caps the Conductor's consecutive actions per turn (the
-// paper's i = 5).
-func WithMaxActions(n int) Option {
-	return func(s *settings) { s.cfg.MaxActions = n }
-}
-
-// WithMaxRepairs bounds the Materializer's repair loop (default 3).
-func WithMaxRepairs(n int) Option {
-	return func(s *settings) { s.cfg.MaxRepairs = n }
-}
-
-// WithSpecialized toggles context specialization (default true; false is
-// the §5.2 ablation).
-func WithSpecialized(on bool) Option {
-	return func(s *settings) { s.cfg.Specialized = &on }
-}
-
-// WithDynamicPlanning selects conductor-style orchestration (default
-// true; false runs the fixed static pipeline of §3.5).
-func WithDynamicPlanning(on bool) Option {
-	return func(s *settings) { s.cfg.DynamicPlanning = &on }
-}
-
 // WithWebSearch attaches a web-search engine and enables the web
 // retrieval source (the paper disables it for benchmarks; passing nil
 // attaches the built-in synthetic engine).
