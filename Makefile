@@ -57,10 +57,12 @@ tier1:
 # PNEUMA_FORCE_SCALAR set, which pins the process to the pure-Go kernels
 # at init: the scalar tier is both the portability floor and the
 # bit-identity oracle, so it must keep passing the same tests the SIMD
-# tiers do — on the machines where it would otherwise never run.
+# tiers do — on the machines where it would otherwise never run. It also
+# runs cmd/pneuma-bench's TestPaperGolden, so the scalar kernels must
+# reproduce the paper's tables and figures byte for byte.
 # vecmath's TestTierFollowsEnv fails the pass if the pin did not take.
 tier1-scalar:
-	PNEUMA_FORCE_SCALAR=1 $(GO) test -count=1 ./internal/vecmath/ ./internal/hnsw/ ./internal/bm25/ ./internal/retriever/
+	PNEUMA_FORCE_SCALAR=1 $(GO) test -count=1 ./internal/vecmath/ ./internal/hnsw/ ./internal/bm25/ ./internal/retriever/ ./cmd/pneuma-bench/
 	@echo "tier1-scalar: ok"
 
 # race runs the concurrency-sensitive packages under the race detector.

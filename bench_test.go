@@ -1,19 +1,16 @@
-// Package pneuma_test hosts the benchmark harness that regenerates every
-// table and figure of the paper (DESIGN.md §4) plus the ablation benches
-// for the design decisions of DESIGN.md §5.
-//
-// The full evaluations are deterministic and expensive (hundreds of
-// simulated conversations), so they are computed once per process and
-// shared across benchmarks; each benchmark prints the paper artifact it
-// regenerates. Micro-benchmarks for the substrates (SQL engine, profiling,
-// one Seeker turn) report real per-operation numbers; the retrieval stack
-// is measured by benchmark/ (see BENCHMARK.json).
+// Package pneuma_test hosts the ablation benches for the paper's design
+// decisions — dynamic planning (§3.5), context specialization (§3.1), the
+// action cap (§3.2) and the retrieval mode (§3.3) — plus micro-benchmarks
+// for the substrates (SQL engine, profiling, one Seeker turn), which report
+// real per-operation numbers. The paper's tables and figures themselves are
+// printed by cmd/pneuma-bench and checked byte for byte by its
+// TestPaperGolden; the retrieval stack is measured by benchmark/ (see
+// BENCHMARK.json).
 package pneuma_test
 
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 
 	"pneuma/internal/baselines"
@@ -26,122 +23,7 @@ import (
 	"pneuma/internal/core"
 )
 
-var (
-	evalOnce sync.Once
-	archEval harness.DatasetEvaluation
-	envEval  harness.DatasetEvaluation
-	evalErr  error
-)
-
-func fullEvals(b *testing.B) (harness.DatasetEvaluation, harness.DatasetEvaluation) {
-	b.Helper()
-	evalOnce.Do(func() {
-		arch := kramabench.Archaeology()
-		archEval, evalErr = harness.RunFullEvaluation(context.Background(), "Archeology", arch,
-			kramabench.ArchaeologyQuestions(arch), harness.EvalOptions{})
-		if evalErr != nil {
-			return
-		}
-		env := kramabench.Environment()
-		envEval, evalErr = harness.RunFullEvaluation(context.Background(), "Environment", env,
-			kramabench.EnvironmentQuestions(env), harness.EvalOptions{})
-	})
-	if evalErr != nil {
-		b.Fatal(evalErr)
-	}
-	return archEval, envEval
-}
-
-// BenchmarkTable1_DatasetCharacteristics regenerates Table 1.
-func BenchmarkTable1_DatasetCharacteristics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		arch := kramabench.Archaeology()
-		env := kramabench.Environment()
-		out := harness.RenderTable1([]harness.Table1Row{
-			harness.Table1For("Archeology", arch),
-			harness.Table1For("Environment", env),
-		})
-		if i == 0 {
-			b.Log("\n" + out)
-		}
-	}
-}
-
-// BenchmarkFigure4_ConvergenceArchaeology regenerates Figure 4.
-func BenchmarkFigure4_ConvergenceArchaeology(b *testing.B) {
-	arch, _ := fullEvals(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := harness.RenderFigure("Figure 4 (Archeology)", arch.Convergence)
-		if i == 0 {
-			b.Log("\n" + out)
-		}
-	}
-}
-
-// BenchmarkFigure5_ConvergenceEnvironment regenerates Figure 5.
-func BenchmarkFigure5_ConvergenceEnvironment(b *testing.B) {
-	_, env := fullEvals(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := harness.RenderFigure("Figure 5 (Environment)", env.Convergence)
-		if i == 0 {
-			b.Log("\n" + out)
-		}
-	}
-}
-
-// BenchmarkTable2_TokenCosts regenerates Table 2.
-func BenchmarkTable2_TokenCosts(b *testing.B) {
-	arch, env := fullEvals(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := harness.RenderTable2([]harness.TokenUsageRow{arch.Tokens, env.Tokens})
-		if i == 0 {
-			b.Log("\n" + out)
-		}
-	}
-}
-
-// BenchmarkTable3_Accuracy regenerates Table 3.
-func BenchmarkTable3_Accuracy(b *testing.B) {
-	arch, env := fullEvals(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := harness.RenderTable3(arch.RQ2, env.RQ2)
-		if i == 0 {
-			b.Log("\n" + out)
-		}
-	}
-}
-
-// BenchmarkTable3_O3FullContext regenerates the in-text O3 result.
-func BenchmarkTable3_O3FullContext(b *testing.B) {
-	arch, env := fullEvals(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := harness.RenderO3(arch.O3, env.O3)
-		if i == 0 {
-			b.Log("\n" + out)
-		}
-	}
-}
-
-// BenchmarkLatencyTradeoff regenerates the in-text latency comparison.
-func BenchmarkLatencyTradeoff(b *testing.B) {
-	arch, env := fullEvals(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := harness.RenderLatency(
-			[]harness.TokenUsageRow{arch.Tokens, env.Tokens},
-			[]string{"FTS", "Pneuma-Retriever"})
-		if i == 0 {
-			b.Log("\n" + out)
-		}
-	}
-}
-
-// --- Ablation benches (DESIGN.md §5) --------------------------------------
+// --- Ablation benches ------------------------------------------------------
 
 // ablationQuestions bounds the per-config ablation sweeps: the first 6
 // archaeology questions cover the easy, dirty-data, cross-table and

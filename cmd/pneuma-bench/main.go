@@ -8,12 +8,19 @@
 //	pneuma-bench -figure 4   # convergence scatter, archaeology
 //	pneuma-bench -figure 5   # convergence scatter, environment
 //	pneuma-bench -latency    # the latency trade-off
+//
+// The full output is checked byte for byte by TestPaperGolden against
+// testdata/paper.golden; after a change that is meant to move it, regenerate
+// the file with
+//
+//	go run ./cmd/pneuma-bench > cmd/pneuma-bench/testdata/paper.golden
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 
@@ -30,65 +37,73 @@ func main() {
 	latency := flag.Bool("latency", false, "print only the latency trade-off")
 	flag.Parse()
 
-	wantAll := *tableN == 0 && *figureN == 0 && !*latency
+	if err := run(ctx, os.Stdout, *tableN, *figureN, *latency); err != nil {
+		fmt.Fprintln(os.Stderr, "pneuma-bench:", err)
+		os.Exit(1)
+	}
+}
+
+// run writes the artifacts the flags select to w: table 1, 2 or 3, figure 4
+// or 5, the latency trade-off alone, or, with every selector at its zero
+// value, all of them. Progress goes to stderr.
+func run(ctx context.Context, w io.Writer, tableN, figureN int, latency bool) error {
+	wantAll := tableN == 0 && figureN == 0 && !latency
 
 	arch := kramabench.Archaeology()
 	env := kramabench.Environment()
 
 	// Table 1 needs no simulation.
-	if *tableN == 1 || wantAll {
-		fmt.Println(harness.RenderTable1([]harness.Table1Row{
+	if tableN == 1 || wantAll {
+		fmt.Fprintln(w, harness.RenderTable1([]harness.Table1Row{
 			harness.Table1For("Archeology", arch),
 			harness.Table1For("Environment", env),
 		}))
-		if *tableN == 1 {
-			return
+		if tableN == 1 {
+			return nil
 		}
 	}
 
-	needArch := wantAll || *figureN == 4 || *tableN == 2 || *tableN == 3 || *latency
-	needEnv := wantAll || *figureN == 5 || *tableN == 2 || *tableN == 3 || *latency
+	needArch := wantAll || figureN == 4 || tableN == 2 || tableN == 3 || latency
+	needEnv := wantAll || figureN == 5 || tableN == 2 || tableN == 3 || latency
 
 	var archEval, envEval harness.DatasetEvaluation
 	var err error
 	if needArch {
 		fmt.Fprintln(os.Stderr, "running archaeology evaluation (12 questions x 4 systems + RQ2)...")
 		archEval, err = harness.RunFullEvaluation(ctx, "Archeology", arch, kramabench.ArchaeologyQuestions(arch), harness.EvalOptions{})
-		fail(err)
+		if err != nil {
+			return err
+		}
 	}
 	if needEnv {
 		fmt.Fprintln(os.Stderr, "running environment evaluation (20 questions x 4 systems + RQ2)...")
 		envEval, err = harness.RunFullEvaluation(ctx, "Environment", env, kramabench.EnvironmentQuestions(env), harness.EvalOptions{})
-		fail(err)
+		if err != nil {
+			return err
+		}
 	}
 
-	if *figureN == 4 || wantAll {
-		fmt.Println(harness.RenderFigure(
+	if figureN == 4 || wantAll {
+		fmt.Fprintln(w, harness.RenderFigure(
 			"Figure 4: Median Turns to Convergence vs. Convergence Percentage (Archeology)",
 			archEval.Convergence))
 	}
-	if *figureN == 5 || wantAll {
-		fmt.Println(harness.RenderFigure(
+	if figureN == 5 || wantAll {
+		fmt.Fprintln(w, harness.RenderFigure(
 			"Figure 5: Median Turns to Convergence vs. Convergence Percentage (Environment)",
 			envEval.Convergence))
 	}
-	if *tableN == 2 || wantAll {
-		fmt.Println(harness.RenderTable2([]harness.TokenUsageRow{archEval.Tokens, envEval.Tokens}))
+	if tableN == 2 || wantAll {
+		fmt.Fprintln(w, harness.RenderTable2([]harness.TokenUsageRow{archEval.Tokens, envEval.Tokens}))
 	}
-	if *tableN == 3 || wantAll {
-		fmt.Println(harness.RenderTable3(archEval.RQ2, envEval.RQ2))
-		fmt.Println(harness.RenderO3(archEval.O3, envEval.O3))
+	if tableN == 3 || wantAll {
+		fmt.Fprintln(w, harness.RenderTable3(archEval.RQ2, envEval.RQ2))
+		fmt.Fprintln(w, harness.RenderO3(archEval.O3, envEval.O3))
 	}
-	if *latency || wantAll {
-		fmt.Println(harness.RenderLatency(
+	if latency || wantAll {
+		fmt.Fprintln(w, harness.RenderLatency(
 			[]harness.TokenUsageRow{archEval.Tokens, envEval.Tokens},
 			[]string{"FTS", "Pneuma-Retriever"}))
 	}
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pneuma-bench:", err)
-		os.Exit(1)
-	}
+	return nil
 }

@@ -58,54 +58,13 @@ type Conductor struct {
 	// sampleVals bounds the samples serialized per column into the
 	// specialized planning context.
 	sampleVals int
-	// specialized toggles context specialization (ablation §5.2 of
-	// DESIGN.md): when false, the conductor's prompt also carries the
+	// specialized toggles context specialization (the §3.1 ablation in
+	// bench_test.go): when false, the conductor's prompt also carries the
 	// materializer-grade context (full sample payloads) for every call.
 	specialized bool
 	// dynamicPlanning toggles the conductor loop vs the fixed static
 	// pipeline of §3.5.
 	dynamicPlanning bool
-}
-
-// ConductorConfig configures a Conductor.
-type ConductorConfig struct {
-	Model        llm.Model
-	IR           *ir.System
-	Materializer *Materializer
-	// MaxActions caps consecutive actions (default DefaultMaxActions).
-	MaxActions int
-	// WebSearch enables the web retriever (disabled in benchmarks, §4).
-	WebSearch bool
-	// Specialized enables context specialization (default true; false is
-	// the ablation).
-	Specialized *bool
-	// DynamicPlanning selects conductor-style planning (default true;
-	// false runs the fixed static pipeline of §3.5).
-	DynamicPlanning *bool
-}
-
-// NewConductor builds a Conductor.
-func NewConductor(cfg ConductorConfig) *Conductor {
-	c := &Conductor{
-		model:           cfg.Model,
-		irsys:           cfg.IR,
-		materializer:    cfg.Materializer,
-		maxActions:      cfg.MaxActions,
-		webSearch:       cfg.WebSearch,
-		sampleVals:      12,
-		specialized:     true,
-		dynamicPlanning: true,
-	}
-	if c.maxActions <= 0 {
-		c.maxActions = DefaultMaxActions
-	}
-	if cfg.Specialized != nil {
-		c.specialized = *cfg.Specialized
-	}
-	if cfg.DynamicPlanning != nil {
-		c.dynamicPlanning = *cfg.DynamicPlanning
-	}
-	return c
 }
 
 // Turn runs one user turn: up to maxActions Conductor actions ending in a

@@ -252,44 +252,30 @@ func (m *Materializer) execute(plan llm.MaterializePlan, spec llm.TableSpec, byN
 			}
 			cur = out
 
-		case "parse_dates":
-			out, err := transform.ParseDates{Column: step.Column, Lenient: step.Lenient}.Apply(cur)
-			if err != nil {
-				return nil, err
-			}
-			cur = out
-
-		case "to_number":
-			out, err := transform.ToNumber{Column: step.Column, Lenient: step.Lenient}.Apply(cur)
-			if err != nil {
-				return nil, err
-			}
-			cur = out
-
-		case "interpolate":
-			out, err := transform.Interpolate{XColumn: step.Arg, YColumn: step.Column}.Apply(cur)
-			if err != nil {
-				return nil, err
-			}
-			cur = out
-
-		case "derive":
-			out, err := transform.Derive{Name: step.Column, Expr: step.Arg}.Apply(cur)
-			if err != nil {
-				return nil, err
-			}
-			cur = out
-
-		case "project":
-			cols := splitCSV(step.Arg)
-			out, err := transform.Keep{Columns: cols}.Apply(cur)
-			if err != nil {
-				return nil, err
-			}
-			cur = out
-
 		default:
-			return nil, &transform.Error{Op: step.Op, Msg: "unknown integration op"}
+			var apply func(*table.Table) (*table.Table, error)
+			switch step.Op {
+			case "parse_dates":
+				apply = transform.ParseDates{Column: step.Column, Lenient: step.Lenient}.Apply
+			case "to_number":
+				apply = transform.ToNumber{Column: step.Column, Lenient: step.Lenient}.Apply
+			case "interpolate":
+				apply = transform.Interpolate{XColumn: step.Arg, YColumn: step.Column}.Apply
+			case "derive":
+				apply = transform.Derive{Name: step.Column, Expr: step.Arg}.Apply
+			case "project":
+				apply = transform.Keep{Columns: splitCSV(step.Arg)}.Apply
+			default:
+				return nil, &transform.Error{Op: step.Op, Msg: "unknown integration op"}
+			}
+			if cur == nil {
+				return nil, &transform.Error{Op: strings.ToUpper(step.Op), Msg: "no base table selected before " + step.Op}
+			}
+			out, err := apply(cur)
+			if err != nil {
+				return nil, err
+			}
+			cur = out
 		}
 	}
 	if cur == nil {
@@ -335,11 +321,11 @@ func equiJoin(left, right *table.Table, leftKey, rightKey string) (*table.Table,
 	return out, nil
 }
 
+// quoteIdent quotes a column name for SQL. Names come from CSV headers, so
+// any of them may be a reserved word or hold punctuation: every name is
+// quoted, with an embedded quote doubled.
 func quoteIdent(s string) string {
-	if strings.ContainsAny(s, " -") {
-		return `"` + s + `"`
-	}
-	return s
+	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 }
 
 func splitJoinKeys(arg string) (string, string, error) {

@@ -25,8 +25,6 @@ type Config struct {
 	// WebSearch enables the web retriever (the paper disables it for
 	// benchmarks).
 	WebSearch bool
-	// MaxRepairs bounds the Materializer's repair loop (default 3).
-	MaxRepairs int
 	// Specialized toggles context specialization (default true).
 	Specialized *bool
 	// DynamicPlanning selects conductor-style orchestration over the fixed
@@ -37,6 +35,10 @@ type Config struct {
 	// nil builds the retriever's defaults.
 	Index []retriever.Option
 }
+
+// maxRepairs bounds the Materializer's repair loop; the static pipeline of
+// §3.5 runs without one.
+const maxRepairs = 3
 
 // Seeker is the assembled Pneuma-Seeker system (Figure 1): Conductor, IR
 // System (Pneuma-Retriever + Document Database + Web Search), Materializer
@@ -55,9 +57,6 @@ type Seeker struct {
 func New(ctx context.Context, cfg Config, corpus map[string]*table.Table, web *websearch.Engine, kb *docdb.DB) (*Seeker, error) {
 	if cfg.Model == nil {
 		cfg.Model = llm.NewSimModel()
-	}
-	if cfg.MaxRepairs == 0 {
-		cfg.MaxRepairs = 3
 	}
 	if kb == nil {
 		kb = docdb.New()
@@ -102,21 +101,24 @@ func New(ctx context.Context, cfg Config, corpus map[string]*table.Table, web *w
 	condModel := &llm.MeteredModel{Inner: cfg.Model, Meter: meter, Component: "conductor"}
 	matModel := &llm.MeteredModel{Inner: cfg.Model, Meter: meter, Component: "materializer"}
 
-	maxRepairs := cfg.MaxRepairs
+	repairs := maxRepairs
 	if cfg.DynamicPlanning != nil && !*cfg.DynamicPlanning {
 		// The static pipeline has no repair loop: errors pass through.
-		maxRepairs = 0
+		repairs = 0
 	}
-	mat := NewMaterializer(matModel, maxRepairs)
-	cond := NewConductor(ConductorConfig{
-		Model:           condModel,
-		IR:              irsys,
-		Materializer:    mat,
-		MaxActions:      cfg.MaxActions,
-		WebSearch:       cfg.WebSearch,
-		Specialized:     cfg.Specialized,
-		DynamicPlanning: cfg.DynamicPlanning,
-	})
+	cond := &Conductor{
+		model:           condModel,
+		irsys:           irsys,
+		materializer:    NewMaterializer(matModel, repairs),
+		maxActions:      cfg.MaxActions,
+		webSearch:       cfg.WebSearch,
+		sampleVals:      12,
+		specialized:     cfg.Specialized == nil || *cfg.Specialized,
+		dynamicPlanning: cfg.DynamicPlanning == nil || *cfg.DynamicPlanning,
+	}
+	if cond.maxActions <= 0 {
+		cond.maxActions = DefaultMaxActions
+	}
 	return &Seeker{
 		meter:     meter,
 		irsys:     irsys,

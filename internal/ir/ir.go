@@ -114,28 +114,6 @@ type Result struct {
 	Degraded error
 }
 
-// TableDocs filters the result to table documents.
-func (r Result) TableDocs() []docs.Document {
-	var out []docs.Document
-	for _, d := range r.Documents {
-		if d.Table != nil {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// KnowledgeDocs filters the result to knowledge documents.
-func (r Result) KnowledgeDocs() []docs.Document {
-	var out []docs.Document
-	for _, d := range r.Documents {
-		if d.Kind == docs.KindKnowledge {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // Query runs the request against the selected sources concurrently and
 // merges results with reciprocal-rank fusion: a document's score is the
 // sum over sources of 1/(60+rank), so a document every source ranks highly

@@ -88,13 +88,24 @@ func TestLookupTable(t *testing.T) {
 	}
 }
 
+// TestResultHelpers checks that one query fuses table and knowledge
+// documents into one result.
 func TestResultHelpers(t *testing.T) {
 	s := fixtureSystem(t)
 	res, _ := s.Query(context.Background(), Request{Query: "potassium samples"})
-	if len(res.TableDocs()) == 0 {
-		t.Error("TableDocs empty")
+	var tables, knowledge int
+	for _, d := range res.Documents {
+		if d.Table != nil {
+			tables++
+		}
+		if d.Kind == docs.KindKnowledge {
+			knowledge++
+		}
 	}
-	if len(res.KnowledgeDocs()) == 0 {
-		t.Error("KnowledgeDocs empty")
+	if tables == 0 {
+		t.Error("no table documents")
+	}
+	if knowledge == 0 {
+		t.Error("no knowledge documents")
 	}
 }

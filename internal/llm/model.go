@@ -1,7 +1,7 @@
 // Package llm is the project's language-model substrate and the central
-// substitution documented in DESIGN.md: the paper runs Pneuma-Seeker on
-// OpenAI O4-mini (and simulates users with GPT-4o); offline Go has neither,
-// so this package provides
+// substitution of this reproduction (see the opening of the README): the
+// paper runs Pneuma-Seeker on OpenAI O4-mini (and simulates users with
+// GPT-4o); offline Go has neither, so this package provides
 //
 //   - a Model interface every agent talks through,
 //   - exact token accounting over rendered prompts (Table 2),
@@ -9,8 +9,9 @@
 //     context-overflow experiment),
 //   - a deterministic latency model (the 70.26 s/prompt trade-off), and
 //   - SimModel, a rule-engine model whose "skills" (conductor planning,
-//     integration planning, user simulation, interpretation) are
-//     deterministic implementations operating on structured payloads.
+//     integration planning, user simulation, interpretation, question
+//     decomposition) are deterministic implementations operating on
+//     structured payloads, held in one package-level table.
 //
 // Because every agent interaction flows through Complete with a rendered
 // text prompt, context-size pressures are real: a component that stuffs too

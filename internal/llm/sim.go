@@ -5,26 +5,34 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync"
 )
 
-// SkillFunc is one deterministic skill of the SimModel: it receives the
+// skillFunc is one deterministic skill of the SimModel: it receives the
 // request (whose Payload it unmarshals) and returns a structured result
 // that becomes the response payload.
-type SkillFunc func(req Request) (interface{}, error)
+type skillFunc func(req Request) (interface{}, error)
+
+// skills is the SimModel's one skill table, keyed by Request.Task; the
+// skills themselves live in the sim_*.go files. A new skill is one more
+// entry here.
+var skills = map[string]skillFunc{
+	TaskConductorPlan:   skillConductorPlan,
+	TaskMaterializePlan: skillMaterializePlan,
+	TaskUserSim:         skillUserSim,
+	TaskInterpret:       skillInterpret,
+	TaskDecompose:       skillDecompose,
+}
 
 // SimModel is the deterministic rule-engine language model. It dispatches
-// on Request.Task to a registered skill, bills tokens for the rendered
-// prompt and the rendered completion, enforces its context window, and
-// reports simulated latency. Construction registers the built-in skills
-// (conductor planning, integration planning, user simulation,
-// interpretation, question decomposition).
+// on Request.Task to a skill of the package's skill table (conductor
+// planning, integration planning, user simulation, interpretation,
+// question decomposition), bills tokens for the rendered prompt and the
+// rendered completion, enforces its context window, and reports the
+// latency DefaultLatency assigns the call. A SimModel is never written
+// after NewSimModel returns, so any number of goroutines may share one.
 type SimModel struct {
-	mu      sync.RWMutex
 	name    string
 	context int
-	latency LatencyModel
-	skills  map[string]SkillFunc
 }
 
 // SimOption configures a SimModel.
@@ -41,11 +49,6 @@ func WithProfile(id string) SimOption {
 	}
 }
 
-// WithLatency overrides the latency model.
-func WithLatency(l LatencyModel) SimOption {
-	return func(m *SimModel) { m.latency = l }
-}
-
 // WithContextLimit overrides the context window.
 func WithContextLimit(n int) SimOption {
 	return func(m *SimModel) { m.context = n }
@@ -54,24 +57,11 @@ func WithContextLimit(n int) SimOption {
 // NewSimModel builds the model. The default profile is o4-mini, the model
 // the paper runs Pneuma-Seeker on.
 func NewSimModel(opts ...SimOption) *SimModel {
-	m := &SimModel{
-		name:    "o4-mini",
-		context: Catalog["o4-mini"].Context,
-		latency: DefaultLatency,
-		skills:  make(map[string]SkillFunc),
-	}
-	registerBuiltinSkills(m)
+	m := &SimModel{name: "o4-mini", context: Catalog["o4-mini"].Context}
 	for _, o := range opts {
 		o(m)
 	}
 	return m
-}
-
-// RegisterSkill adds or replaces a skill.
-func (m *SimModel) RegisterSkill(task string, fn SkillFunc) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.skills[task] = fn
 }
 
 // Name implements Model.
@@ -92,11 +82,9 @@ func (m *SimModel) Complete(ctx context.Context, req Request) (Response, error) 
 		return Response{}, fmt.Errorf("%w: prompt is %d tokens, %s allows %d",
 			ErrContextLengthExceeded, inTokens, m.name, m.context)
 	}
-	m.mu.RLock()
-	skill, ok := m.skills[req.Task]
-	m.mu.RUnlock()
+	skill, ok := skills[req.Task]
 	if !ok {
-		return Response{}, fmt.Errorf("llm: sim model has no skill %q (known: %v)", req.Task, m.skillNames())
+		return Response{}, fmt.Errorf("llm: sim model has no skill %q (known: %v)", req.Task, skillNames())
 	}
 	result, err := skill(req)
 	if err != nil {
@@ -112,15 +100,13 @@ func (m *SimModel) Complete(ctx context.Context, req Request) (Response, error) 
 		Text:    text,
 		Payload: payload,
 		Usage:   usage,
-		Latency: m.latency.For(usage),
+		Latency: DefaultLatency.For(usage),
 	}, nil
 }
 
-func (m *SimModel) skillNames() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	names := make([]string, 0, len(m.skills))
-	for n := range m.skills {
+func skillNames() []string {
+	names := make([]string, 0, len(skills))
+	for n := range skills {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -144,16 +130,6 @@ func DecodeResponse(resp Response, dst interface{}) error {
 		return fmt.Errorf("response payload does not decode: %w", err)
 	}
 	return nil
-}
-
-// registerBuiltinSkills wires the deterministic skills defined in the
-// sim_*.go files.
-func registerBuiltinSkills(m *SimModel) {
-	m.RegisterSkill(TaskConductorPlan, skillConductorPlan)
-	m.RegisterSkill(TaskMaterializePlan, skillMaterializePlan)
-	m.RegisterSkill(TaskUserSim, skillUserSim)
-	m.RegisterSkill(TaskInterpret, skillInterpret)
-	m.RegisterSkill(TaskDecompose, skillDecompose)
 }
 
 // Task names for the built-in skills.

@@ -23,7 +23,8 @@ import (
 )
 
 // Mode selects which half (or both) of the hybrid index answers queries —
-// the retrieval ablation in DESIGN.md §5.4.
+// the retrieval ablation of the paper's §3.3 (README, "Knob reference";
+// BenchmarkAblationRetrievalMode).
 type Mode int
 
 // Retrieval modes.

@@ -8,27 +8,19 @@ import (
 	"pneuma/internal/table"
 )
 
-// Engine is the SQL executor facade: a catalog of in-memory tables plus a
-// scalar-function registry. It is the project's stand-in for DuckDB inside
-// the Materializer's toolkit. Safe for concurrent use.
+// Engine is the SQL executor facade: a catalog of in-memory tables, queried
+// with the package's one scalar function table. It is the project's
+// stand-in for DuckDB inside the Materializer's toolkit. Safe for concurrent
+// use.
 type Engine struct {
 	mu     sync.RWMutex
 	tables map[string]*table.Table // keyed by lower-case name
-	funcs  *FuncRegistry
 }
 
-// NewEngine creates an engine with an empty catalog and the default
-// function registry.
+// NewEngine creates an engine with an empty catalog.
 func NewEngine() *Engine {
-	return &Engine{
-		tables: make(map[string]*table.Table),
-		funcs:  NewFuncRegistry(),
-	}
+	return &Engine{tables: make(map[string]*table.Table)}
 }
-
-// Funcs exposes the engine's scalar function registry for extension
-// (new operators "naturally slot into the action space", §3.5).
-func (e *Engine) Funcs() *FuncRegistry { return e.funcs }
 
 // Register adds (or replaces) a table in the catalog under its schema name.
 func (e *Engine) Register(t *table.Table) {
@@ -42,16 +34,6 @@ func (e *Engine) RegisterAs(name string, t *table.Table) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.tables[strings.ToLower(name)] = t
-}
-
-// Drop removes a table; returns whether it existed.
-func (e *Engine) Drop(name string) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	key := strings.ToLower(name)
-	_, ok := e.tables[key]
-	delete(e.tables, key)
-	return ok
 }
 
 // Table looks up a table by name (case-insensitive).

@@ -575,22 +575,4 @@ func TestRegisterDropNames(t *testing.T) {
 	if _, ok := e.Table("t1"); !ok {
 		t.Fatal("case-insensitive lookup failed")
 	}
-	if !e.Drop("T1") {
-		t.Fatal("drop failed")
-	}
-	if e.Drop("T1") {
-		t.Fatal("double drop should report false")
-	}
-}
-
-func TestCustomScalarFunction(t *testing.T) {
-	e := testEngine(t)
-	e.Funcs().Register("DOUBLE_IT", func(args []value.Value) (value.Value, error) {
-		f, _ := args[0].AsFloat()
-		return value.Float(2 * f), nil
-	})
-	out := mustQuery(t, e, "SELECT DOUBLE_IT(21) AS x")
-	if out.Rows[0][0].FloatVal() != 42 {
-		t.Fatalf("custom func = %v", out.Rows[0][0])
-	}
 }

@@ -62,7 +62,7 @@ func (ex *executor) execSingle(sel *Select) (*table.Table, error) {
 	if sel.Where != nil {
 		filtered := rel.rows[:0:0]
 		for _, row := range rel.rows {
-			en := &env{frame: rel.frame, row: row, funcs: ex.engine.funcs}
+			en := &env{frame: rel.frame, row: row}
 			v, err := en.eval(sel.Where)
 			if err != nil {
 				return nil, err
@@ -174,7 +174,7 @@ func (ex *executor) execPlain(sel *Select, items []SelectItem, orderBy []OrderIt
 	}
 	rows := make([]sortable, 0, len(rel.rows))
 	for _, in := range rel.rows {
-		en := &env{frame: rel.frame, row: in, funcs: ex.engine.funcs}
+		en := &env{frame: rel.frame, row: in}
 		out := make([]value.Value, len(items))
 		for i, it := range items {
 			v, err := en.eval(it.Expr)
@@ -222,7 +222,7 @@ func (ex *executor) execGrouped(sel *Select, items []SelectItem, orderBy []Order
 	groups := make(map[string]*group)
 	var order []string // group insertion order for determinism
 	for _, in := range rel.rows {
-		en := &env{frame: rel.frame, row: in, funcs: ex.engine.funcs}
+		en := &env{frame: rel.frame, row: in}
 		keyVals := make([]value.Value, len(sel.GroupBy))
 		for i, g := range sel.GroupBy {
 			v, err := en.eval(g)
@@ -293,7 +293,7 @@ func (ex *executor) execGrouped(sel *Select, items []SelectItem, orderBy []Order
 		for s, acc := range grp.accs {
 			aggVals[s] = acc.result()
 		}
-		en := &env{frame: rel.frame, row: grp.rep, aggs: aggVals, funcs: ex.engine.funcs}
+		en := &env{frame: rel.frame, row: grp.rep, aggs: aggVals}
 		if sel.Having != nil {
 			hv, err := en.eval(sel.Having)
 			if err != nil {
@@ -521,7 +521,7 @@ func (ex *executor) execJoin(left, right relation, jc JoinClause) (relation, err
 
 	matchResidual := func(row []value.Value) (bool, error) {
 		for _, res := range residual {
-			en := &env{frame: combined, row: row, funcs: ex.engine.funcs}
+			en := &env{frame: combined, row: row}
 			v, err := en.eval(res)
 			if err != nil {
 				return false, err
@@ -540,7 +540,7 @@ func (ex *executor) execJoin(left, right relation, jc JoinClause) (relation, err
 		// Hash join: build on right, probe from left.
 		build := make(map[string][][]value.Value, len(right.rows))
 		for _, rrow := range right.rows {
-			en := &env{frame: right.frame, row: rrow, funcs: ex.engine.funcs}
+			en := &env{frame: right.frame, row: rrow}
 			keys := make([]value.Value, len(rightKeys))
 			null := false
 			for i, k := range rightKeys {
@@ -561,7 +561,7 @@ func (ex *executor) execJoin(left, right relation, jc JoinClause) (relation, err
 			build[gk] = append(build[gk], rrow)
 		}
 		for _, lrow := range left.rows {
-			en := &env{frame: left.frame, row: lrow, funcs: ex.engine.funcs}
+			en := &env{frame: left.frame, row: lrow}
 			keys := make([]value.Value, len(leftKeys))
 			null := false
 			for i, k := range leftKeys {
@@ -604,7 +604,7 @@ func (ex *executor) execJoin(left, right relation, jc JoinClause) (relation, err
 			if jc.Kind != JoinCross {
 				ok := true
 				if jc.On != nil {
-					en := &env{frame: combined, row: row, funcs: ex.engine.funcs}
+					en := &env{frame: combined, row: row}
 					v, err := en.eval(jc.On)
 					if err != nil {
 						return relation{}, err

@@ -118,8 +118,6 @@ type env struct {
 	row   []value.Value
 	// aggs maps FuncCall.String() of aggregate calls to the per-group value.
 	aggs map[string]value.Value
-	// funcs is the scalar function registry in effect.
-	funcs *FuncRegistry
 }
 
 // tri is SQL three-valued logic.
@@ -429,13 +427,9 @@ func (en *env) evalFunc(ex *FuncCall) (value.Value, error) {
 		}
 		return v, nil
 	}
-	reg := en.funcs
-	if reg == nil {
-		reg = DefaultFuncs
-	}
-	fn, ok := reg.Lookup(ex.Name)
+	fn, ok := lookupFunc(ex.Name)
 	if !ok {
-		return value.Null(), evalErrf(ex, "unknown function %s (known: %s)", ex.Name, reg.NamesHint())
+		return value.Null(), evalErrf(ex, "unknown function %s (known: %s)", ex.Name, funcNamesHint())
 	}
 	args := make([]value.Value, len(ex.Args))
 	for i, a := range ex.Args {

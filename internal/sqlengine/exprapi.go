@@ -31,6 +31,6 @@ func EvalOnRow(e Expr, t *table.Table, row table.Row) (value.Value, error) {
 	for _, c := range t.Schema.Columns {
 		f.cols = append(f.cols, execCol{qual: "", name: c.Name})
 	}
-	en := &env{frame: f, row: row, funcs: DefaultFuncs}
+	en := &env{frame: f, row: row}
 	return en.eval(e)
 }

@@ -9,48 +9,25 @@ import (
 	"pneuma/internal/value"
 )
 
-// ScalarFunc is a scalar SQL function implementation.
-type ScalarFunc func(args []value.Value) (value.Value, error)
+// scalarFunc is a scalar SQL function implementation.
+type scalarFunc func(args []value.Value) (value.Value, error)
 
-// FuncRegistry maps upper-case function names to implementations. The
-// registry is extensible at runtime, which is how the project models the
-// paper's point that new operators (e.g. semantic operators à la LOTUS)
-// "naturally slot into the action space".
-type FuncRegistry struct {
-	funcs map[string]ScalarFunc
-}
-
-// NewFuncRegistry returns a registry pre-populated with the built-ins.
-func NewFuncRegistry() *FuncRegistry {
-	r := &FuncRegistry{funcs: make(map[string]ScalarFunc)}
-	registerBuiltins(r)
-	return r
-}
-
-// Register adds or replaces a function (name is case-insensitive).
-func (r *FuncRegistry) Register(name string, fn ScalarFunc) {
-	r.funcs[strings.ToUpper(name)] = fn
-}
-
-// Lookup finds a function by name.
-func (r *FuncRegistry) Lookup(name string) (ScalarFunc, bool) {
-	fn, ok := r.funcs[strings.ToUpper(name)]
+// lookupFunc finds a scalar function by name (case-insensitive).
+func lookupFunc(name string) (scalarFunc, bool) {
+	fn, ok := funcs[strings.ToUpper(name)]
 	return fn, ok
 }
 
-// NamesHint returns a sorted, comma-separated list of registered names for
-// error messages.
-func (r *FuncRegistry) NamesHint() string {
-	names := make([]string, 0, len(r.funcs))
-	for n := range r.funcs {
+// funcNamesHint returns a sorted, comma-separated list of the function
+// names for error messages.
+func funcNamesHint() string {
+	names := make([]string, 0, len(funcs))
+	for n := range funcs {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return strings.Join(names, ", ")
 }
-
-// DefaultFuncs is the shared default registry.
-var DefaultFuncs = NewFuncRegistry()
 
 func arity(name string, args []value.Value, want int) error {
 	if len(args) != want {
@@ -77,9 +54,14 @@ func numArg(name string, v value.Value) (float64, bool, error) {
 	return f, false, nil
 }
 
-func registerBuiltins(r *FuncRegistry) {
+// funcs is the scalar function table: upper-case name to implementation,
+// filled when the package is initialized and only read afterwards. The
+// paper's point that new operators (e.g. semantic operators à la LOTUS)
+// "naturally slot into the action space" (§3.5) is that a new operator is
+// one more entry here.
+var funcs = map[string]scalarFunc{
 	// --- numeric ---
-	r.Register("ABS", func(args []value.Value) (value.Value, error) {
+	"ABS": func(args []value.Value) (value.Value, error) {
 		if err := arity("ABS", args, 1); err != nil {
 			return value.Null(), err
 		}
@@ -95,8 +77,8 @@ func registerBuiltins(r *FuncRegistry) {
 			return value.Int(i), nil
 		}
 		return value.Float(math.Abs(f)), nil
-	})
-	r.Register("ROUND", func(args []value.Value) (value.Value, error) {
+	},
+	"ROUND": func(args []value.Value) (value.Value, error) {
 		if err := arityRange("ROUND", args, 1, 2); err != nil {
 			return value.Null(), err
 		}
@@ -116,11 +98,11 @@ func registerBuiltins(r *FuncRegistry) {
 		}
 		scale := math.Pow(10, float64(digits))
 		return value.Float(math.Round(f*scale) / scale), nil
-	})
-	r.Register("FLOOR", oneNum("FLOOR", math.Floor))
-	r.Register("CEIL", oneNum("CEIL", math.Ceil))
-	r.Register("CEILING", oneNum("CEILING", math.Ceil))
-	r.Register("SQRT", func(args []value.Value) (value.Value, error) {
+	},
+	"FLOOR":   oneNum("FLOOR", math.Floor),
+	"CEIL":    oneNum("CEIL", math.Ceil),
+	"CEILING": oneNum("CEILING", math.Ceil),
+	"SQRT": func(args []value.Value) (value.Value, error) {
 		if err := arity("SQRT", args, 1); err != nil {
 			return value.Null(), err
 		}
@@ -132,9 +114,9 @@ func registerBuiltins(r *FuncRegistry) {
 			return value.Null(), fmt.Errorf("SQRT of negative value %g", f)
 		}
 		return value.Float(math.Sqrt(f)), nil
-	})
-	r.Register("EXP", oneNum("EXP", math.Exp))
-	r.Register("LN", func(args []value.Value) (value.Value, error) {
+	},
+	"EXP": oneNum("EXP", math.Exp),
+	"LN": func(args []value.Value) (value.Value, error) {
 		if err := arity("LN", args, 1); err != nil {
 			return value.Null(), err
 		}
@@ -146,34 +128,17 @@ func registerBuiltins(r *FuncRegistry) {
 			return value.Null(), fmt.Errorf("LN of non-positive value %g", f)
 		}
 		return value.Float(math.Log(f)), nil
-	})
-	pow := func(args []value.Value) (value.Value, error) {
-		if err := arity("POWER", args, 2); err != nil {
-			return value.Null(), err
-		}
-		a, aNull, err := numArg("POWER", args[0])
-		if err != nil {
-			return value.Null(), err
-		}
-		b, bNull, err := numArg("POWER", args[1])
-		if err != nil {
-			return value.Null(), err
-		}
-		if aNull || bNull {
-			return value.Null(), nil
-		}
-		return value.Float(math.Pow(a, b)), nil
-	}
-	r.Register("POWER", pow)
-	r.Register("POW", pow)
+	},
+	"POWER": pow,
+	"POW":   pow,
 
 	// --- strings ---
-	r.Register("LOWER", oneStr("LOWER", strings.ToLower))
-	r.Register("UPPER", oneStr("UPPER", strings.ToUpper))
-	r.Register("TRIM", oneStr("TRIM", strings.TrimSpace))
-	r.Register("LTRIM", oneStr("LTRIM", func(s string) string { return strings.TrimLeft(s, " \t") }))
-	r.Register("RTRIM", oneStr("RTRIM", func(s string) string { return strings.TrimRight(s, " \t") }))
-	r.Register("LENGTH", func(args []value.Value) (value.Value, error) {
+	"LOWER": oneStr("LOWER", strings.ToLower),
+	"UPPER": oneStr("UPPER", strings.ToUpper),
+	"TRIM":  oneStr("TRIM", strings.TrimSpace),
+	"LTRIM": oneStr("LTRIM", func(s string) string { return strings.TrimLeft(s, " \t") }),
+	"RTRIM": oneStr("RTRIM", func(s string) string { return strings.TrimRight(s, " \t") }),
+	"LENGTH": func(args []value.Value) (value.Value, error) {
 		if err := arity("LENGTH", args, 1); err != nil {
 			return value.Null(), err
 		}
@@ -181,8 +146,8 @@ func registerBuiltins(r *FuncRegistry) {
 			return value.Null(), nil
 		}
 		return value.Int(int64(len([]rune(args[0].String())))), nil
-	})
-	r.Register("SUBSTR", func(args []value.Value) (value.Value, error) {
+	},
+	"SUBSTR": func(args []value.Value) (value.Value, error) {
 		if err := arityRange("SUBSTR", args, 2, 3); err != nil {
 			return value.Null(), err
 		}
@@ -216,8 +181,8 @@ func registerBuiltins(r *FuncRegistry) {
 			}
 		}
 		return value.String(string(runes[idx:end])), nil
-	})
-	r.Register("REPLACE", func(args []value.Value) (value.Value, error) {
+	},
+	"REPLACE": func(args []value.Value) (value.Value, error) {
 		if err := arity("REPLACE", args, 3); err != nil {
 			return value.Null(), err
 		}
@@ -225,8 +190,8 @@ func registerBuiltins(r *FuncRegistry) {
 			return value.Null(), nil
 		}
 		return value.String(strings.ReplaceAll(args[0].String(), args[1].String(), args[2].String())), nil
-	})
-	r.Register("CONCAT", func(args []value.Value) (value.Value, error) {
+	},
+	"CONCAT": func(args []value.Value) (value.Value, error) {
 		var b strings.Builder
 		for _, a := range args {
 			if !a.IsNull() {
@@ -234,8 +199,8 @@ func registerBuiltins(r *FuncRegistry) {
 			}
 		}
 		return value.String(b.String()), nil
-	})
-	r.Register("CONTAINS", func(args []value.Value) (value.Value, error) {
+	},
+	"CONTAINS": func(args []value.Value) (value.Value, error) {
 		if err := arity("CONTAINS", args, 2); err != nil {
 			return value.Null(), err
 		}
@@ -244,18 +209,18 @@ func registerBuiltins(r *FuncRegistry) {
 		}
 		return value.Bool(strings.Contains(
 			strings.ToLower(args[0].String()), strings.ToLower(args[1].String()))), nil
-	})
+	},
 
 	// --- null handling / conditionals ---
-	r.Register("COALESCE", func(args []value.Value) (value.Value, error) {
+	"COALESCE": func(args []value.Value) (value.Value, error) {
 		for _, a := range args {
 			if !a.IsNull() {
 				return a, nil
 			}
 		}
 		return value.Null(), nil
-	})
-	r.Register("NULLIF", func(args []value.Value) (value.Value, error) {
+	},
+	"NULLIF": func(args []value.Value) (value.Value, error) {
 		if err := arity("NULLIF", args, 2); err != nil {
 			return value.Null(), err
 		}
@@ -263,8 +228,8 @@ func registerBuiltins(r *FuncRegistry) {
 			return value.Null(), nil
 		}
 		return args[0], nil
-	})
-	r.Register("IFNULL", func(args []value.Value) (value.Value, error) {
+	},
+	"IFNULL": func(args []value.Value) (value.Value, error) {
 		if err := arity("IFNULL", args, 2); err != nil {
 			return value.Null(), err
 		}
@@ -272,37 +237,28 @@ func registerBuiltins(r *FuncRegistry) {
 			return args[1], nil
 		}
 		return args[0], nil
-	})
-	iif := func(args []value.Value) (value.Value, error) {
-		if err := arity("IIF", args, 3); err != nil {
-			return value.Null(), err
-		}
-		if triOf(args[0]) == triTrue {
-			return args[1], nil
-		}
-		return args[2], nil
-	}
-	r.Register("IIF", iif)
-	r.Register("IF", iif)
-	r.Register("GREATEST", func(args []value.Value) (value.Value, error) {
+	},
+	"IIF": iif,
+	"IF":  iif,
+	"GREATEST": func(args []value.Value) (value.Value, error) {
 		return extremum(args, +1)
-	})
-	r.Register("LEAST", func(args []value.Value) (value.Value, error) {
+	},
+	"LEAST": func(args []value.Value) (value.Value, error) {
 		return extremum(args, -1)
-	})
+	},
 
 	// --- temporal ---
-	r.Register("YEAR", datePart("YEAR"))
-	r.Register("MONTH", datePart("MONTH"))
-	r.Register("DAY", datePart("DAY"))
-	r.Register("DATE_PART", func(args []value.Value) (value.Value, error) {
+	"YEAR":  datePart("YEAR"),
+	"MONTH": datePart("MONTH"),
+	"DAY":   datePart("DAY"),
+	"DATE_PART": func(args []value.Value) (value.Value, error) {
 		if err := arity("DATE_PART", args, 2); err != nil {
 			return value.Null(), err
 		}
 		part := strings.ToUpper(args[0].String())
 		return datePart(part)(args[1:])
-	})
-	r.Register("PARSE_DATE", func(args []value.Value) (value.Value, error) {
+	},
+	"PARSE_DATE": func(args []value.Value) (value.Value, error) {
 		if err := arity("PARSE_DATE", args, 1); err != nil {
 			return value.Null(), err
 		}
@@ -314,8 +270,8 @@ func registerBuiltins(r *FuncRegistry) {
 			return value.Null(), fmt.Errorf("PARSE_DATE: cannot parse %q as a date", args[0].String())
 		}
 		return value.Time(t), nil
-	})
-	r.Register("EPOCH", func(args []value.Value) (value.Value, error) {
+	},
+	"EPOCH": func(args []value.Value) (value.Value, error) {
 		if err := arity("EPOCH", args, 1); err != nil {
 			return value.Null(), err
 		}
@@ -327,16 +283,46 @@ func registerBuiltins(r *FuncRegistry) {
 			return value.Null(), fmt.Errorf("EPOCH: %q is not a timestamp", args[0].String())
 		}
 		return value.Int(t.Unix()), nil
-	})
-	r.Register("TYPEOF", func(args []value.Value) (value.Value, error) {
+	},
+	"TYPEOF": func(args []value.Value) (value.Value, error) {
 		if err := arity("TYPEOF", args, 1); err != nil {
 			return value.Null(), err
 		}
 		return value.String(args[0].Kind().String()), nil
-	})
+	},
 }
 
-func oneNum(name string, fn func(float64) float64) ScalarFunc {
+// pow is POWER and POW.
+func pow(args []value.Value) (value.Value, error) {
+	if err := arity("POWER", args, 2); err != nil {
+		return value.Null(), err
+	}
+	a, aNull, err := numArg("POWER", args[0])
+	if err != nil {
+		return value.Null(), err
+	}
+	b, bNull, err := numArg("POWER", args[1])
+	if err != nil {
+		return value.Null(), err
+	}
+	if aNull || bNull {
+		return value.Null(), nil
+	}
+	return value.Float(math.Pow(a, b)), nil
+}
+
+// iif is IIF and IF.
+func iif(args []value.Value) (value.Value, error) {
+	if err := arity("IIF", args, 3); err != nil {
+		return value.Null(), err
+	}
+	if triOf(args[0]) == triTrue {
+		return args[1], nil
+	}
+	return args[2], nil
+}
+
+func oneNum(name string, fn func(float64) float64) scalarFunc {
 	return func(args []value.Value) (value.Value, error) {
 		if err := arity(name, args, 1); err != nil {
 			return value.Null(), err
@@ -349,7 +335,7 @@ func oneNum(name string, fn func(float64) float64) ScalarFunc {
 	}
 }
 
-func oneStr(name string, fn func(string) string) ScalarFunc {
+func oneStr(name string, fn func(string) string) scalarFunc {
 	return func(args []value.Value) (value.Value, error) {
 		if err := arity(name, args, 1); err != nil {
 			return value.Null(), err
@@ -377,7 +363,7 @@ func extremum(args []value.Value, dir int) (value.Value, error) {
 	return best, nil
 }
 
-func datePart(part string) ScalarFunc {
+func datePart(part string) scalarFunc {
 	return func(args []value.Value) (value.Value, error) {
 		if len(args) != 1 {
 			return value.Null(), fmt.Errorf("%s expects 1 argument, got %d", part, len(args))

@@ -5,9 +5,10 @@
 //
 // The dialect covers what data preparation needs: SELECT with DISTINCT,
 // INNER/LEFT/CROSS JOIN, WHERE, GROUP BY, HAVING, ORDER BY, LIMIT/OFFSET,
-// UNION ALL, subqueries in FROM, CASE, CAST, BETWEEN, IN, LIKE, IS NULL, a
-// scalar-function registry and COUNT/SUM/AVG/MIN/MAX/MEDIAN/STDDEV
-// aggregates (with DISTINCT). Errors carry positions and are phrased so the
+// UNION ALL, subqueries in FROM, CASE, CAST, BETWEEN, IN, LIKE, IS NULL, the
+// scalar functions of one package-level table (funcs.go; a new operator is
+// one more entry there) and COUNT/SUM/AVG/MIN/MAX/MEDIAN/STDDEV aggregates
+// (with DISTINCT). Errors carry positions and are phrased so the
 // Materializer's repair loop can react to them, mirroring the paper's
 // "tool analyzes these errors and provides feedback" behaviour.
 package sqlengine

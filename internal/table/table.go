@@ -27,7 +27,6 @@ package table
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -126,14 +125,11 @@ type Table struct {
 	// with other tables and are never written (see Row).
 	Rows []Row
 
-	// profile caches BuildProfile; Append and SortBy invalidate it. Callers
-	// that mutate Rows directly must call InvalidateProfile themselves. It
-	// also makes a Table uncopyable: pass *Table.
+	// profile caches BuildProfile; Append drops it. A table is profiled
+	// once it is built: code that fills Rows directly does so before the
+	// first BuildProfile. It also makes a Table uncopyable: pass *Table.
 	profile atomic.Pointer[Profile]
 }
-
-// InvalidateProfile drops the cached profile after direct row mutation.
-func (t *Table) InvalidateProfile() { t.profile.Store(nil) }
 
 // New creates an empty table with the given schema.
 func New(schema Schema) *Table { return &Table{Schema: schema} }
@@ -161,28 +157,6 @@ func (t *Table) MustAppend(r Row) {
 	if err := t.Append(r); err != nil {
 		panic(err)
 	}
-}
-
-// Cell returns the value at (row, col name), NULL if the column is absent.
-func (t *Table) Cell(row int, col string) value.Value {
-	i := t.Schema.ColumnIndex(col)
-	if i < 0 || row < 0 || row >= len(t.Rows) {
-		return value.Null()
-	}
-	return t.Rows[row][i]
-}
-
-// ColumnValues returns all values of the named column, or nil if absent.
-func (t *Table) ColumnValues(col string) []value.Value {
-	i := t.Schema.ColumnIndex(col)
-	if i < 0 {
-		return nil
-	}
-	out := make([]value.Value, len(t.Rows))
-	for r, row := range t.Rows {
-		out[r] = row[i]
-	}
-	return out
 }
 
 // Clone deep-copies the table: columns, row index and every row. It is for a
@@ -232,9 +206,9 @@ type Profile struct {
 }
 
 // BuildProfile computes a Profile. Distinct counts are exact (hash set).
-// The result is cached until the table grows via Append (direct Rows
-// mutators must call InvalidateProfile); retrieval and planning profile the
-// same corpus tables on every call, so caching matters. The cache is an
+// The result is cached until the table grows via Append (a table is built
+// before it is profiled; see Table.profile); retrieval and planning profile
+// the same corpus tables on every call, so caching matters. The cache is an
 // atomic pointer: any number of goroutines may profile one table at once,
 // and if two of them find it empty both compute the same Profile and the
 // later store wins.
@@ -414,28 +388,4 @@ func padCell(dst []byte, mark, width int) []byte {
 		dst = append(dst, ' ')
 	}
 	return append(dst, " |"...)
-}
-
-// SortBy sorts rows in place by the named columns ascending; unknown column
-// names are ignored.
-func (t *Table) SortBy(cols ...string) {
-	idxs := make([]int, 0, len(cols))
-	for _, c := range cols {
-		if i := t.Schema.ColumnIndex(c); i >= 0 {
-			idxs = append(idxs, i)
-		}
-	}
-	if len(idxs) == 0 {
-		return
-	}
-	t.profile.Store(nil) // sample order changes
-	sort.SliceStable(t.Rows, func(a, b int) bool {
-		for _, i := range idxs {
-			c := value.Compare(t.Rows[a][i], t.Rows[b][i])
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
 }

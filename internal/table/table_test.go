@@ -51,23 +51,6 @@ func TestAppendArityChecked(t *testing.T) {
 	}
 }
 
-func TestCellAndColumnValues(t *testing.T) {
-	tb := sampleTable()
-	if got := tb.Cell(0, "site").StringVal(); got != "Malta" {
-		t.Errorf("Cell = %q", got)
-	}
-	if !tb.Cell(99, "site").IsNull() {
-		t.Error("out-of-range Cell must be NULL")
-	}
-	if !tb.Cell(0, "ghost").IsNull() {
-		t.Error("missing column Cell must be NULL")
-	}
-	vals := tb.ColumnValues("k_ppm")
-	if len(vals) != 3 || !vals[2].IsNull() {
-		t.Errorf("ColumnValues = %v", vals)
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	tb := sampleTable()
 	cp := tb.Clone()
@@ -119,10 +102,11 @@ func TestCSVRoundTrip(t *testing.T) {
 	if back.Schema.Columns[2].Type != value.KindFloat {
 		t.Errorf("k_ppm type = %v, want float", back.Schema.Columns[2].Type)
 	}
-	if got := back.Cell(1, "k_ppm").FloatVal(); got != 98.1 {
+	k := back.Schema.ColumnIndex("k_ppm")
+	if got := back.Rows[1][k].FloatVal(); got != 98.1 {
 		t.Errorf("k_ppm[1] = %v", got)
 	}
-	if !back.Cell(2, "k_ppm").IsNull() {
+	if !back.Rows[2][k].IsNull() {
 		t.Error("null survived round trip as non-null")
 	}
 }
@@ -196,16 +180,6 @@ func TestRender(t *testing.T) {
 	if !strings.Contains(out, "1 more rows") {
 		t.Errorf("render must note truncation:\n%s", out)
 	}
-}
-
-func TestSortBy(t *testing.T) {
-	tb := sampleTable()
-	tb.SortBy("site", "id")
-	if tb.Rows[0][1].StringVal() != "Gozo" {
-		t.Fatalf("sort wrong: %v", tb.Rows)
-	}
-	// Unknown column: no-op, no panic.
-	tb.SortBy("ghost")
 }
 
 func TestHead(t *testing.T) {

@@ -2,13 +2,20 @@
 // paper's "Python interpreter equipped with Pandas and NumPy" (§3.4).
 //
 // Instead of arbitrary Python, the Materializer writes small declarative
-// programs — sequences of typed operations (date normalization, numeric
-// coercion, derived columns, interpolation, fuzzy joins, ...). Each
-// operation validates its inputs and fails with a structured error naming
-// the offending column and sample values, feeding the same
+// integration plans, and this package holds the ops a plan step can name:
+// date normalization (ParseDates), numeric coercion (ToNumber), linear
+// interpolation (Interpolate), derived columns (Derive), projection (Keep)
+// and the fuzzy join (FuzzyJoin); the exact join runs through the SQL
+// engine. Each op validates its inputs and fails with a structured error
+// naming the offending column and sample values, feeding the same
 // generate → execute → analyze-error → regenerate repair loop the paper
 // describes ("the respective tool analyzes these errors and provides
 // feedback to Materializer to fix the generated queries or code").
+//
+// Every op's Apply returns a new table and never writes its input — not a
+// cell, not a column, not the schema name. Its output may share the rows it
+// left unchanged with that input (rows are immutable once in a table; see
+// package table).
 package transform
 
 import (
@@ -38,45 +45,6 @@ func (e *Error) Error() string {
 		s += fmt.Sprintf(" (examples: %s)", strings.Join(e.Samples, ", "))
 	}
 	return s
-}
-
-// Op is one transformation step.
-type Op interface {
-	// Apply transforms the table, returning a new table. An op never writes
-	// its input — not a cell, not a column, not the schema name — and its
-	// output may share the rows it left unchanged with that input (rows are
-	// immutable once in a table; see package table).
-	Apply(t *table.Table) (*table.Table, error)
-	// Describe renders the op as pseudo-code for logging and token
-	// accounting — the "code" the Materializer writes.
-	Describe() string
-}
-
-// Program is an ordered sequence of operations.
-type Program struct {
-	Ops []Op
-}
-
-// Apply runs the program.
-func (p Program) Apply(t *table.Table) (*table.Table, error) {
-	cur := t
-	for _, op := range p.Ops {
-		next, err := op.Apply(cur)
-		if err != nil {
-			return nil, err
-		}
-		cur = next
-	}
-	return cur, nil
-}
-
-// Describe renders the whole program.
-func (p Program) Describe() string {
-	lines := make([]string, len(p.Ops))
-	for i, op := range p.Ops {
-		lines[i] = op.Describe()
-	}
-	return strings.Join(lines, "\n")
 }
 
 // share starts an op's output: a table with its own row index and its own
@@ -112,7 +80,7 @@ type ParseDates struct {
 	Lenient bool
 }
 
-// Apply implements Op.
+// Apply returns t with the column parsed to timestamps.
 func (op ParseDates) Apply(t *table.Table) (*table.Table, error) {
 	ci := t.Schema.ColumnIndex(op.Column)
 	if ci < 0 {
@@ -149,11 +117,6 @@ func (op ParseDates) Apply(t *table.Table) (*table.Table, error) {
 	return out, nil
 }
 
-// Describe implements Op.
-func (op ParseDates) Describe() string {
-	return fmt.Sprintf("df[%q] = parse_dates(df[%q], lenient=%v)", op.Column, op.Column, op.Lenient)
-}
-
 // ---------------------------------------------------------------------------
 // ToNumber
 // ---------------------------------------------------------------------------
@@ -165,7 +128,7 @@ type ToNumber struct {
 	Lenient bool
 }
 
-// Apply implements Op.
+// Apply returns t with the column coerced to float64.
 func (op ToNumber) Apply(t *table.Table) (*table.Table, error) {
 	ci := t.Schema.ColumnIndex(op.Column)
 	if ci < 0 {
@@ -200,11 +163,6 @@ func (op ToNumber) Apply(t *table.Table) (*table.Table, error) {
 		}
 	}
 	return out, nil
-}
-
-// Describe implements Op.
-func (op ToNumber) Describe() string {
-	return fmt.Sprintf("df[%q] = to_number(df[%q], lenient=%v)", op.Column, op.Column, op.Lenient)
 }
 
 // parseLooseNumber parses numbers with separators, symbols and unit tails.
@@ -244,7 +202,7 @@ type Derive struct {
 	Expr string
 }
 
-// Apply implements Op.
+// Apply returns t with the derived column added or replaced.
 func (op Derive) Apply(t *table.Table) (*table.Table, error) {
 	expr, err := sqlengine.ParseExpr(op.Expr)
 	if err != nil {
@@ -284,38 +242,14 @@ func (op Derive) Apply(t *table.Table) (*table.Table, error) {
 	return out, nil
 }
 
-// Describe implements Op.
-func (op Derive) Describe() string {
-	return fmt.Sprintf("df[%q] = eval(%q)", op.Name, op.Expr)
-}
-
 // ---------------------------------------------------------------------------
-// Rename / Keep / Drop
+// Keep
 // ---------------------------------------------------------------------------
-
-// Rename renames a column.
-type Rename struct{ From, To string }
-
-// Apply implements Op.
-func (op Rename) Apply(t *table.Table) (*table.Table, error) {
-	ci := t.Schema.ColumnIndex(op.From)
-	if ci < 0 {
-		return nil, colMissing("RENAME", op.From, t)
-	}
-	out := share(t)
-	out.Schema.Columns[ci].Name = op.To
-	return out, nil
-}
-
-// Describe implements Op.
-func (op Rename) Describe() string {
-	return fmt.Sprintf("df.rename(%q -> %q)", op.From, op.To)
-}
 
 // Keep projects the table down to the named columns, in the given order.
 type Keep struct{ Columns []string }
 
-// Apply implements Op.
+// Apply returns t projected onto the named columns.
 func (op Keep) Apply(t *table.Table) (*table.Table, error) {
 	idxs := make([]int, 0, len(op.Columns))
 	for _, c := range op.Columns {
@@ -339,115 +273,6 @@ func (op Keep) Apply(t *table.Table) (*table.Table, error) {
 	return out, nil
 }
 
-// Describe implements Op.
-func (op Keep) Describe() string {
-	return fmt.Sprintf("df = df[[%s]]", strings.Join(op.Columns, ", "))
-}
-
-// Drop removes the named columns (missing names are an error, catching
-// plan/schema drift early).
-type Drop struct{ Columns []string }
-
-// Apply implements Op.
-func (op Drop) Apply(t *table.Table) (*table.Table, error) {
-	dropSet := make(map[int]struct{}, len(op.Columns))
-	for _, c := range op.Columns {
-		ci := t.Schema.ColumnIndex(c)
-		if ci < 0 {
-			return nil, colMissing("DROP", c, t)
-		}
-		dropSet[ci] = struct{}{}
-	}
-	var keep []string
-	for i, c := range t.Schema.Columns {
-		if _, gone := dropSet[i]; !gone {
-			keep = append(keep, c.Name)
-		}
-	}
-	return Keep{Columns: keep}.Apply(t)
-}
-
-// Describe implements Op.
-func (op Drop) Describe() string {
-	return fmt.Sprintf("df = df.drop(columns=[%s])", strings.Join(op.Columns, ", "))
-}
-
-// ---------------------------------------------------------------------------
-// FillNulls
-// ---------------------------------------------------------------------------
-
-// FillMethod selects the null-filling strategy.
-type FillMethod string
-
-// Fill methods.
-const (
-	// FillZero replaces nulls with 0.
-	FillZero FillMethod = "zero"
-	// FillMean replaces nulls with the column mean (numeric columns only).
-	FillMean FillMethod = "mean"
-	// FillForward carries the previous non-null value forward.
-	FillForward FillMethod = "ffill"
-)
-
-// FillNulls fills NULLs in a column.
-type FillNulls struct {
-	Column string
-	Method FillMethod
-}
-
-// Apply implements Op.
-func (op FillNulls) Apply(t *table.Table) (*table.Table, error) {
-	ci := t.Schema.ColumnIndex(op.Column)
-	if ci < 0 {
-		return nil, colMissing("FILL_NULLS", op.Column, t)
-	}
-	out := share(t)
-	switch op.Method {
-	case FillZero:
-		for r, row := range t.Rows {
-			if row[ci].IsNull() {
-				setCell(out, r, ci, value.Float(0))
-			}
-		}
-	case FillMean:
-		var sum float64
-		var n int
-		for _, row := range t.Rows {
-			if f, ok := row[ci].AsFloat(); ok && !row[ci].IsNull() {
-				sum += f
-				n++
-			}
-		}
-		if n == 0 {
-			return nil, &Error{Op: "FILL_NULLS", Msg: fmt.Sprintf("column %q has no numeric values to average", op.Column)}
-		}
-		mean := value.Float(sum / float64(n))
-		for r, row := range t.Rows {
-			if row[ci].IsNull() {
-				setCell(out, r, ci, mean)
-			}
-		}
-	case FillForward:
-		last := value.Null()
-		for r, row := range t.Rows {
-			switch {
-			case !row[ci].IsNull():
-				last = row[ci]
-			case !last.IsNull(): // nothing to carry into leading NULLs
-				setCell(out, r, ci, last)
-			}
-		}
-	default:
-		return nil, &Error{Op: "FILL_NULLS", Msg: fmt.Sprintf("unknown method %q (want zero, mean or ffill)", op.Method)}
-	}
-	return out, nil
-}
-
-// Describe implements Op.
-func (op FillNulls) Describe() string {
-	return fmt.Sprintf("df[%q] = df[%q].fillna(method=%q)", op.Column, op.Column, op.Method)
-}
-
 // ---------------------------------------------------------------------------
 // Interpolate
 // ---------------------------------------------------------------------------
@@ -461,7 +286,7 @@ type Interpolate struct {
 	YColumn string
 }
 
-// Apply implements Op.
+// Apply returns t with YColumn's interior NULLs interpolated.
 func (op Interpolate) Apply(t *table.Table) (*table.Table, error) {
 	xi := t.Schema.ColumnIndex(op.XColumn)
 	if xi < 0 {
@@ -530,11 +355,6 @@ func (op Interpolate) Apply(t *table.Table) (*table.Table, error) {
 	return out, nil
 }
 
-// Describe implements Op.
-func (op Interpolate) Describe() string {
-	return fmt.Sprintf("df[%q] = np.interp(df[%q], known_x, known_y)", op.YColumn, op.XColumn)
-}
-
 // InterpolateAt computes the linearly interpolated Y value at a single X
 // coordinate from (x, y) pairs — the scalar version used for "value at the
 // first/last recorded time" questions. Xs need not be sorted. Exact X
@@ -575,18 +395,18 @@ func InterpolateAt(xs, ys []float64, at float64) (float64, error) {
 // FuzzyJoin joins the working table with Right on approximate string
 // equality of the key columns — the "semantic or fuzzy join" the paper's
 // §3.5 names as an operation static pipelines struggle to absorb. Each left
-// row matches the best-scoring right row whose similarity ≥ Threshold.
+// row matches the best-scoring right row whose similarity is at least
+// fuzzyThreshold; a left row without such a match is dropped.
 type FuzzyJoin struct {
 	Right    *table.Table
 	LeftKey  string
 	RightKey string
-	// Threshold is the minimum similarity in [0,1] (default 0.75).
-	Threshold float64
-	// KeepUnmatched keeps left rows without a match (right columns NULL).
-	KeepUnmatched bool
 }
 
-// Apply implements Op.
+// fuzzyThreshold is the minimum key similarity, in [0,1], of a fuzzy match.
+const fuzzyThreshold = 0.75
+
+// Apply returns the matched rows of t, each widened by its best right row.
 func (op FuzzyJoin) Apply(t *table.Table) (*table.Table, error) {
 	if op.Right == nil {
 		return nil, &Error{Op: "FUZZY_JOIN", Msg: "right table is nil"}
@@ -599,11 +419,6 @@ func (op FuzzyJoin) Apply(t *table.Table) (*table.Table, error) {
 	if ri < 0 {
 		return nil, colMissing("FUZZY_JOIN", op.RightKey, op.Right)
 	}
-	threshold := op.Threshold
-	if threshold <= 0 {
-		threshold = 0.75
-	}
-
 	out := table.New(table.Schema{Name: t.Schema.Name + "_joined"})
 	out.Schema.Columns = append(out.Schema.Columns, t.Schema.Columns...)
 	for _, c := range op.Right.Schema.Columns {
@@ -627,27 +442,14 @@ func (op FuzzyJoin) Apply(t *table.Table) (*table.Table, error) {
 				bestScore, bestRow = score, rr
 			}
 		}
-		if bestRow >= 0 && bestScore >= threshold {
+		if bestRow >= 0 && bestScore >= fuzzyThreshold {
 			nr := make(table.Row, 0, len(lrow)+rightWidth)
 			nr = append(nr, lrow...)
 			nr = append(nr, op.Right.Rows[bestRow]...)
 			out.Rows = append(out.Rows, nr)
-		} else if op.KeepUnmatched {
-			nr := make(table.Row, len(lrow)+rightWidth)
-			copy(nr, lrow)
-			for i := len(lrow); i < len(nr); i++ {
-				nr[i] = value.Null()
-			}
-			out.Rows = append(out.Rows, nr)
 		}
 	}
 	return out, nil
-}
-
-// Describe implements Op.
-func (op FuzzyJoin) Describe() string {
-	return fmt.Sprintf("df = fuzzy_join(df, %s, left_on=%q, right_on=%q, threshold=%.2f)",
-		op.Right.Schema.Name, op.LeftKey, op.RightKey, op.Threshold)
 }
 
 func normalizeKey(s string) string {
@@ -666,55 +468,6 @@ func keySimilarity(a, b string) float64 {
 		return lev
 	}
 	return jac
-}
-
-// ---------------------------------------------------------------------------
-// AppendRows
-// ---------------------------------------------------------------------------
-
-// AppendRows unions the working table with Other by column name; Other's
-// columns are aligned to the working table's schema and missing columns
-// become NULL. Extra columns in Other are an error (silent data loss is
-// worse than a repair-loop round trip).
-type AppendRows struct {
-	Other *table.Table
-}
-
-// Apply implements Op.
-func (op AppendRows) Apply(t *table.Table) (*table.Table, error) {
-	if op.Other == nil {
-		return nil, &Error{Op: "APPEND_ROWS", Msg: "other table is nil"}
-	}
-	for _, c := range op.Other.Schema.Columns {
-		if t.Schema.ColumnIndex(c.Name) < 0 {
-			return nil, &Error{Op: "APPEND_ROWS", Msg: fmt.Sprintf(
-				"column %q of %s not present in target schema %s",
-				c.Name, op.Other.Schema.Name, t.Schema.String())}
-		}
-	}
-	out := share(t)
-	for _, orow := range op.Other.Rows {
-		nr := make(table.Row, t.NumCols())
-		for i, c := range t.Schema.Columns {
-			oi := op.Other.Schema.ColumnIndex(c.Name)
-			if oi < 0 {
-				nr[i] = value.Null()
-			} else {
-				nr[i] = orow[oi]
-			}
-		}
-		out.Rows = append(out.Rows, nr)
-	}
-	return out, nil
-}
-
-// Describe implements Op.
-func (op AppendRows) Describe() string {
-	name := "<nil>"
-	if op.Other != nil {
-		name = op.Other.Schema.Name
-	}
-	return fmt.Sprintf("df = pd.concat([df, %s])", name)
 }
 
 // colMissing builds the shared column-not-found error with candidates,

@@ -3,7 +3,8 @@
 // information lookup."
 //
 // No network exists offline, so the engine searches a seeded synthetic web
-// corpus instead (the substitution documented in DESIGN.md §2). The corpus
+// corpus instead (an offline substitution of the same kind as the SimModel
+// and the embedder the opening of the README describes). The corpus
 // includes the tariff schedules the paper's running example retrieves from
 // online sources, so the intro scenario exercises the same code path:
 // Conductor asks IR System for tariff data → Web Search returns a page
