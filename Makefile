@@ -20,8 +20,9 @@ DOC_PKGS = ./internal/retriever ./internal/ir ./internal/embed ./internal/bm25 .
 # cancellation fan-out, disk-backend sessions, the live-ingest churn soak,
 # background compaction under churn, Close handing a due compaction to the
 # flusher), and a 10-second fuzz pass over each binary decoder, over the
-# search reply encoder (against encoding/json) and over the shard write
-# path (a batch of n against n batches of one).
+# search reply encoder (against encoding/json), over the shard write
+# path (a batch of n against n batches of one) and over the SQL hash join
+# (against a nested loop evaluating = on every pair).
 verify: fmt-check vet asmvet xbuild-arm64 tier1 tier1-scalar docs serve-smoke race-smoke fuzz-smoke
 
 fmt-check:
@@ -85,8 +86,8 @@ race-smoke:
 	@echo "race-smoke: ok"
 
 # fuzz-smoke runs each native fuzz target (the two binary decoders, the
-# search reply encoder and the batch-split invariant of the shard write
-# path) for 10 seconds — long enough
+# search reply encoder, the batch-split invariant of the shard write
+# path and the SQL hash join's agreement with =) for 10 seconds — long enough
 # to shake the mutator through the seed corpus's structural neighborhood
 # on every verify, short enough to keep the gate interactive. Go allows
 # one -fuzz pattern per invocation, so the targets run back to back.
@@ -95,6 +96,7 @@ fuzz-smoke:
 	$(GO) test ./internal/retriever/ -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s
 	$(GO) test ./internal/retriever/ -run '^$$' -fuzz '^FuzzBatchSplit$$' -fuzztime 10s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzSearchReply$$' -fuzztime 10s
+	$(GO) test ./internal/sqlengine/ -run '^$$' -fuzz '^FuzzJoinKeys$$' -fuzztime 10s
 	@echo "fuzz-smoke: ok"
 
 # bench runs the repo's benchmark once: every workload BENCHMARK.json

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"pneuma/internal/value"
 )
@@ -267,14 +266,14 @@ func (a *distinctAcc) add(v value.Value) error {
 
 func (a *distinctAcc) result() value.Value { return a.inner.result() }
 
-// groupKey renders a slice of values into a hashable composite key.
-func groupKey(vals []value.Value) string {
-	var b strings.Builder
+// appendGroupKey appends to dst the composite key that GROUP BY and
+// DISTINCT bucket rows by: each value's kind and rendering.
+func appendGroupKey(dst []byte, vals []value.Value) []byte {
 	for _, v := range vals {
-		b.WriteString(v.Kind().String())
-		b.WriteByte(':')
-		b.WriteString(v.String())
-		b.WriteByte('\x1f')
+		dst = append(dst, v.Kind().String()...)
+		dst = append(dst, ':')
+		dst = v.AppendTo(dst)
+		dst = append(dst, '\x1f')
 	}
-	return b.String()
+	return dst
 }

@@ -1,8 +1,10 @@
 package sqlengine
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 
 	"pneuma/internal/table"
@@ -14,10 +16,24 @@ type executor struct {
 	engine *Engine
 }
 
-// relation is an intermediate result: a frame plus rows.
+// relation is an intermediate result: a frame over tuples of source rows. A
+// tuple is width rows laid end to end in rows, one row per joined source, so
+// scans, filters and joins move row headers and never write a cell.
 type relation struct {
 	frame *frame
-	rows  [][]value.Value
+	width int
+	rows  []table.Row
+}
+
+// len returns the number of tuples.
+func (r relation) len() int { return len(r.rows) / r.width }
+
+// tuple returns tuple i.
+func (r relation) tuple(i int) []table.Row { return r.rows[i*r.width : (i+1)*r.width : (i+1)*r.width] }
+
+// nullTuple returns an all-NULL tuple of the relation's shape.
+func (r relation) nullTuple() []table.Row {
+	return slices.Repeat([]table.Row{make(table.Row, len(r.frame.cols))}, r.width)
 }
 
 func (ex *executor) execSelect(sel *Select) (*table.Table, error) {
@@ -55,23 +71,24 @@ func (ex *executor) execSingle(sel *Select) (*table.Table, error) {
 		rel = r
 	} else {
 		// FROM-less SELECT evaluates over a single empty row.
-		rel = relation{frame: &frame{}, rows: [][]value.Value{{}}}
+		rel = relation{frame: &frame{}, width: 1, rows: []table.Row{nil}}
 	}
 
 	// WHERE.
 	if sel.Where != nil {
-		filtered := rel.rows[:0:0]
-		for _, row := range rel.rows {
-			en := &env{frame: rel.frame, row: row}
+		var kept []table.Row
+		en := env{frame: rel.frame}
+		for i := 0; i < rel.len(); i++ {
+			en.tuple = rel.tuple(i)
 			v, err := en.eval(sel.Where)
 			if err != nil {
 				return nil, err
 			}
 			if triOf(v) == triTrue {
-				filtered = append(filtered, row)
+				kept = append(kept, en.tuple...)
 			}
 		}
-		rel.rows = filtered
+		rel.rows = kept
 	}
 
 	// Expand stars in the select list against the input frame.
@@ -105,27 +122,28 @@ func (ex *executor) execSingle(sel *Select) (*table.Table, error) {
 	}
 	grouped := len(sel.GroupBy) > 0 || len(aggCalls) > 0
 
-	var outNames []string
-	var outRows [][]value.Value
+	var outRows []table.Row
 	if grouped {
-		outNames, outRows, err = ex.execGrouped(sel, items, orderBy, rel, aggCalls)
+		outRows, err = ex.execGrouped(sel, items, orderBy, rel, aggCalls)
 	} else {
-		outNames, outRows, err = ex.execPlain(sel, items, orderBy, rel)
+		outRows, err = ex.execPlain(items, orderBy, rel)
 	}
 	if err != nil {
 		return nil, err
 	}
+	cut := len(outRows)
 
 	// DISTINCT.
 	if sel.Distinct {
 		seen := make(map[string]struct{}, len(outRows))
-		dedup := outRows[:0:0]
+		dedup := outRows[:0]
+		var kb []byte
 		for _, row := range outRows {
-			k := groupKey(row)
-			if _, dup := seen[k]; dup {
+			kb = appendGroupKey(kb[:0], row)
+			if _, dup := seen[string(kb)]; dup {
 				continue
 			}
-			seen[k] = struct{}{}
+			seen[string(kb)] = struct{}{}
 			dedup = append(dedup, row)
 		}
 		outRows = dedup
@@ -142,8 +160,13 @@ func (ex *executor) execSingle(sel *Select) (*table.Table, error) {
 	if sel.Limit >= 0 && sel.Limit < len(outRows) {
 		outRows = outRows[:sel.Limit]
 	}
+	if 2*len(outRows) < cut {
+		// Few survivors: copy them out so they do not pin the whole slab.
+		outRows = (&output{cells: slices.Concat(outRows...)}).rows(len(items), nil)
+	}
 
 	// Build the output table, inferring column types from the data.
+	outNames := outputNames(items)
 	schema := table.Schema{Name: "result"}
 	kinds := make([]value.Kind, len(outNames))
 	for _, row := range outRows {
@@ -159,91 +182,125 @@ func (ex *executor) execSingle(sel *Select) (*table.Table, error) {
 		schema.Columns = append(schema.Columns, table.Column{Name: name, Type: k})
 	}
 	out := table.New(schema)
-	for _, row := range outRows {
-		out.Rows = append(out.Rows, table.Row(row))
-	}
+	out.Rows = outRows
 	return out, nil
 }
 
-// execPlain handles non-grouped selection: projection plus ORDER BY
-// evaluated against the input rows.
-func (ex *executor) execPlain(sel *Select, items []SelectItem, orderBy []OrderItem, rel relation) ([]string, [][]value.Value, error) {
-	type sortable struct {
-		out  []value.Value
-		keys []value.Value
-	}
-	rows := make([]sortable, 0, len(rel.rows))
-	for _, in := range rel.rows {
-		en := &env{frame: rel.frame, row: in}
-		out := make([]value.Value, len(items))
-		for i, it := range items {
-			v, err := en.eval(it.Expr)
-			if err != nil {
-				return nil, nil, err
-			}
-			out[i] = v
+// output is a statement's select-list rows as they are evaluated: every
+// cell in one slab, every ORDER BY key in another.
+type output struct{ cells, keys []value.Value }
+
+func newOutput(n int, items []SelectItem, orderBy []OrderItem) *output {
+	return &output{make([]value.Value, 0, n*len(items)), make([]value.Value, 0, n*len(orderBy))}
+}
+
+// add evaluates the select list and the ORDER BY keys in en as the next row.
+func (o *output) add(en *env, items []SelectItem, orderBy []OrderItem) error {
+	for _, it := range items {
+		v, err := en.eval(it.Expr)
+		if err != nil {
+			return err
 		}
-		var keys []value.Value
-		for _, o := range orderBy {
-			v, err := en.eval(o.Expr)
-			if err != nil {
-				return nil, nil, err
-			}
-			keys = append(keys, v)
-		}
-		rows = append(rows, sortable{out: out, keys: keys})
+		o.cells = append(o.cells, v)
 	}
-	if len(orderBy) > 0 {
-		sort.SliceStable(rows, func(a, b int) bool {
-			return lessKeys(rows[a].keys, rows[b].keys, orderBy)
+	for _, ob := range orderBy {
+		v, err := en.eval(ob.Expr)
+		if err != nil {
+			return err
+		}
+		o.keys = append(o.keys, v)
+	}
+	return nil
+}
+
+// rows cuts width-wide rows from the cell slab, stably sorted by orderBy.
+// Each row is capacity-limited, so an append onto one copies it.
+func (o *output) rows(width int, orderBy []OrderItem) []table.Row {
+	n := len(o.cells) / width
+	if n == 0 {
+		return nil
+	}
+	out := make([]table.Row, n)
+	for i := range out {
+		out[i] = o.cells[i*width : (i+1)*width : (i+1)*width]
+	}
+	if kw := len(orderBy); kw > 0 {
+		perm := make([]int, n)
+		for i := range perm {
+			perm[i] = i
+		}
+		slices.SortStableFunc(perm, func(a, b int) int {
+			return compareKeys(o.keys[a*kw:(a+1)*kw], o.keys[b*kw:(b+1)*kw], orderBy)
 		})
+		for i, j := range perm {
+			out[i] = o.cells[j*width : (j+1)*width : (j+1)*width]
+		}
 	}
-	outRows := make([][]value.Value, len(rows))
-	for i, r := range rows {
-		outRows[i] = r.out
+	return out
+}
+
+// execPlain handles non-grouped selection: projection plus ORDER BY
+// evaluated against the input tuples.
+func (ex *executor) execPlain(items []SelectItem, orderBy []OrderItem, rel relation) ([]table.Row, error) {
+	out := newOutput(rel.len(), items, orderBy)
+	en := env{frame: rel.frame}
+	for i := 0; i < rel.len(); i++ {
+		en.tuple = rel.tuple(i)
+		if err := out.add(&en, items, orderBy); err != nil {
+			return nil, err
+		}
 	}
-	return outputNames(items), outRows, nil
+	return out.rows(len(items), orderBy), nil
 }
 
 // group accumulates one GROUP BY bucket.
 type group struct {
-	rep  []value.Value // representative (first) input row
+	rep  []table.Row // representative (first) input tuple
 	accs map[string]accumulator
 }
 
 // execGrouped handles GROUP BY / aggregate selection.
-func (ex *executor) execGrouped(sel *Select, items []SelectItem, orderBy []OrderItem, rel relation, aggCalls []*FuncCall) ([]string, [][]value.Value, error) {
+func (ex *executor) execGrouped(sel *Select, items []SelectItem, orderBy []OrderItem, rel relation, aggCalls []*FuncCall) ([]table.Row, error) {
 	// Deduplicate aggregate calls by canonical string.
 	uniqueAggs := make(map[string]*FuncCall)
 	for _, fc := range aggCalls {
 		uniqueAggs[fc.String()] = fc
 	}
+	newGroup := func(rep []table.Row) (*group, error) {
+		grp := &group{rep: rep, accs: make(map[string]accumulator, len(uniqueAggs))}
+		for s, fc := range uniqueAggs {
+			acc, err := newAccumulator(fc)
+			if err != nil {
+				return nil, evalErrf(fc, "%s", err.Error())
+			}
+			grp.accs[s] = acc
+		}
+		return grp, nil
+	}
 
 	groups := make(map[string]*group)
-	var order []string // group insertion order for determinism
-	for _, in := range rel.rows {
-		en := &env{frame: rel.frame, row: in}
-		keyVals := make([]value.Value, len(sel.GroupBy))
-		for i, g := range sel.GroupBy {
+	var order []*group // group insertion order for determinism
+	keyVals := make([]value.Value, len(sel.GroupBy))
+	var kb []byte
+	en := env{frame: rel.frame}
+	for i := 0; i < rel.len(); i++ {
+		en.tuple = rel.tuple(i)
+		for j, g := range sel.GroupBy {
 			v, err := en.eval(g)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			keyVals[i] = v
+			keyVals[j] = v
 		}
-		k := groupKey(keyVals)
-		grp, ok := groups[k]
+		kb = appendGroupKey(kb[:0], keyVals)
+		grp, ok := groups[string(kb)]
 		if !ok {
-			grp = &group{rep: in, accs: make(map[string]accumulator, len(uniqueAggs))}
-			for s, fc := range uniqueAggs {
-				acc, err := newAccumulator(fc)
-				if err != nil {
-					return nil, nil, evalErrf(fc, "%s", err.Error())
-				}
-				grp.accs[s] = acc
+			var err error
+			if grp, err = newGroup(en.tuple); err != nil {
+				return nil, err
 			}
-			groups[k] = grp
-			order = append(order, k)
+			groups[string(kb)] = grp
+			order = append(order, grp)
 		}
 		for s, fc := range uniqueAggs {
 			var arg value.Value
@@ -253,97 +310,62 @@ func (ex *executor) execGrouped(sel *Select, items []SelectItem, orderBy []Order
 			case len(fc.Args) == 1:
 				v, err := en.eval(fc.Args[0])
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				arg = v
 			default:
-				return nil, nil, evalErrf(fc, "aggregate %s expects exactly 1 argument, got %d", fc.Name, len(fc.Args))
+				return nil, evalErrf(fc, "aggregate %s expects exactly 1 argument, got %d", fc.Name, len(fc.Args))
 			}
 			if err := grp.accs[s].add(arg); err != nil {
-				return nil, nil, evalErrf(fc, "%s", err.Error())
+				return nil, evalErrf(fc, "%s", err.Error())
 			}
 		}
 	}
 
-	// A global aggregate over zero rows still yields one group.
-	if len(groups) == 0 && len(sel.GroupBy) == 0 {
-		grp := &group{rep: make([]value.Value, len(rel.frame.cols)), accs: make(map[string]accumulator, len(uniqueAggs))}
-		for i := range grp.rep {
-			grp.rep[i] = value.Null()
+	// A global aggregate over zero rows still yields one group, whose
+	// representative tuple is all NULL.
+	if len(order) == 0 && len(sel.GroupBy) == 0 {
+		grp, err := newGroup(rel.nullTuple())
+		if err != nil {
+			return nil, err
 		}
-		for s, fc := range uniqueAggs {
-			acc, err := newAccumulator(fc)
-			if err != nil {
-				return nil, nil, evalErrf(fc, "%s", err.Error())
-			}
-			grp.accs[s] = acc
-		}
-		groups[""] = grp
-		order = append(order, "")
+		order = append(order, grp)
 	}
 
-	type sortable struct {
-		out  []value.Value
-		keys []value.Value
-	}
-	var rows []sortable
-	for _, k := range order {
-		grp := groups[k]
+	out := newOutput(len(order), items, orderBy)
+	for _, grp := range order {
 		aggVals := make(map[string]value.Value, len(grp.accs))
 		for s, acc := range grp.accs {
 			aggVals[s] = acc.result()
 		}
-		en := &env{frame: rel.frame, row: grp.rep, aggs: aggVals}
+		en := env{frame: rel.frame, tuple: grp.rep, aggs: aggVals}
 		if sel.Having != nil {
 			hv, err := en.eval(sel.Having)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			if triOf(hv) != triTrue {
 				continue
 			}
 		}
-		out := make([]value.Value, len(items))
-		for i, it := range items {
-			v, err := en.eval(it.Expr)
-			if err != nil {
-				return nil, nil, err
-			}
-			out[i] = v
+		if err := out.add(&en, items, orderBy); err != nil {
+			return nil, err
 		}
-		var keys []value.Value
-		for _, o := range orderBy {
-			v, err := en.eval(o.Expr)
-			if err != nil {
-				return nil, nil, err
-			}
-			keys = append(keys, v)
-		}
-		rows = append(rows, sortable{out: out, keys: keys})
 	}
-	if len(orderBy) > 0 {
-		sort.SliceStable(rows, func(a, b int) bool {
-			return lessKeys(rows[a].keys, rows[b].keys, orderBy)
-		})
-	}
-	outRows := make([][]value.Value, len(rows))
-	for i, r := range rows {
-		outRows[i] = r.out
-	}
-	return outputNames(items), outRows, nil
+	return out.rows(len(items), orderBy), nil
 }
 
-func lessKeys(a, b []value.Value, order []OrderItem) bool {
+// compareKeys orders two rows' ORDER BY keys.
+func compareKeys(a, b []value.Value, order []OrderItem) int {
 	for i, o := range order {
-		c := value.Compare(a[i], b[i])
-		if c != 0 {
+		if c := value.Compare(a[i], b[i]); c != 0 {
 			if o.Desc {
-				return c > 0
+				return -c
 			}
-			return c < 0
+			return c
 		}
 	}
-	return false
+	return 0
 }
 
 // outputNames derives the output column name of each select item.
@@ -459,22 +481,23 @@ func (ex *executor) execPrimary(ref *TableRef) (relation, error) {
 		qual = ref.Name
 	}
 	qual = strings.ToLower(qual)
-	f := &frame{}
-	for _, c := range t.Schema.Columns {
-		f.cols = append(f.cols, execCol{qual: qual, name: c.Name})
+	f := &frame{cols: make([]execCol, len(t.Schema.Columns))}
+	for i, c := range t.Schema.Columns {
+		f.cols[i] = execCol{qual: qual, name: c.Name, pos: i}
 	}
-	rows := make([][]value.Value, len(t.Rows))
-	for i, r := range t.Rows {
-		rows[i] = r
-	}
-	return relation{frame: f, rows: rows}, nil
+	return relation{frame: f, width: 1, rows: t.Rows}, nil
 }
 
 // execJoin joins two relations. Equi-join conjuncts are executed as a hash
 // join; remaining predicates run as a post-filter. CROSS JOIN and
-// non-equi-joins fall back to nested loops.
+// non-equi-joins fall back to nested loops. Either way an output tuple is
+// the left tuple followed by the right one, built in one scratch tuple that
+// every predicate is evaluated on; LEFT JOIN pads with one all-NULL tuple.
 func (ex *executor) execJoin(left, right relation, jc JoinClause) (relation, error) {
-	combined := &frame{cols: append(append([]execCol(nil), left.frame.cols...), right.frame.cols...)}
+	combined := &frame{cols: slices.Concat(left.frame.cols, right.frame.cols)}
+	for i := len(left.frame.cols); i < len(combined.cols); i++ {
+		combined.cols[i].src += left.width
+	}
 
 	// Build the join condition: USING(col,...) becomes equi-pairs.
 	var conjuncts []Expr
@@ -519,125 +542,169 @@ func (ex *executor) execJoin(left, right relation, jc JoinClause) (relation, err
 		residual = append(residual, c)
 	}
 
-	matchResidual := func(row []value.Value) (bool, error) {
-		for _, res := range residual {
-			en := &env{frame: combined, row: row}
-			v, err := en.eval(res)
-			if err != nil {
-				return false, err
-			}
-			if triOf(v) != triTrue {
-				return false, nil
-			}
-		}
-		return true, nil
+	out := relation{frame: combined, width: left.width + right.width}
+	out.rows = make([]table.Row, 0, left.len()*out.width)
+	en := env{frame: combined, tuple: make([]table.Row, out.width)}
+	rightPart := en.tuple[left.width:]
+	nullRight := right.nullTuple() // LEFT JOIN's padding
+
+	// Hash join: index the right tuples by key, each distinct key heading
+	// a chain of the tuples that carry it, in input order.
+	hashed := len(leftKeys) > 0
+	var index map[string]int // key → its chain
+	var heads, tails, next []int
+	if hashed {
+		index, next = make(map[string]int, right.len()), make([]int, right.len())
 	}
-
-	var out [][]value.Value
-	rightWidth := len(right.frame.cols)
-
-	if len(leftKeys) > 0 {
-		// Hash join: build on right, probe from left.
-		build := make(map[string][][]value.Value, len(right.rows))
-		for _, rrow := range right.rows {
-			en := &env{frame: right.frame, row: rrow}
-			keys := make([]value.Value, len(rightKeys))
-			null := false
-			for i, k := range rightKeys {
-				v, err := en.eval(k)
-				if err != nil {
-					return relation{}, err
-				}
-				if v.IsNull() {
-					null = true
-					break
-				}
-				keys[i] = v
-			}
-			if null {
-				continue // NULL keys never match
-			}
-			gk := groupKey(keys)
-			build[gk] = append(build[gk], rrow)
+	met := make([]keyClass, len(rightKeys)) // per key, every class indexed
+	var kb []byte
+	cls := make([]keyClass, len(leftKeys))
+	ren := env{frame: right.frame}
+	for j := 0; hashed && j < right.len(); j++ {
+		ren.tuple = right.tuple(j)
+		var null bool
+		var err error
+		if kb, null, err = appendJoinKeys(kb[:0], &ren, rightKeys, cls); err != nil {
+			return relation{}, err
 		}
-		for _, lrow := range left.rows {
-			en := &env{frame: left.frame, row: lrow}
-			keys := make([]value.Value, len(leftKeys))
-			null := false
-			for i, k := range leftKeys {
-				v, err := en.eval(k)
-				if err != nil {
-					return relation{}, err
-				}
-				if v.IsNull() {
-					null = true
-					break
-				}
-				keys[i] = v
-			}
-			matched := false
-			if !null {
-				for _, rrow := range build[groupKey(keys)] {
-					row := combineRows(lrow, rrow)
-					ok, err := matchResidual(row)
-					if err != nil {
-						return relation{}, err
-					}
-					if ok {
-						out = append(out, row)
-						matched = true
-					}
-				}
-			}
-			if !matched && jc.Kind == JoinLeft {
-				out = append(out, padRight(lrow, rightWidth))
-			}
+		if null {
+			continue
 		}
-		return relation{frame: combined, rows: out}, nil
+		for i, c := range cls {
+			met[i] |= c
+		}
+		next[j] = -1
+		if ci, ok := index[string(kb)]; ok {
+			next[tails[ci]] = j
+			tails[ci] = j
+			continue
+		}
+		index[string(kb)] = len(heads)
+		heads = append(heads, j)
+		tails = append(tails, j)
 	}
-
-	// Nested loop (CROSS JOIN or non-equi condition).
-	for _, lrow := range left.rows {
+	// cond is the whole join condition, for the right tuples a left tuple
+	// meets without an index.
+	cond := conjuncts
+	if jc.On != nil {
+		cond = []Expr{jc.On}
+	}
+	lenv := env{frame: left.frame}
+	for i := 0; i < left.len(); i++ {
+		lenv.tuple = left.tuple(i)
+		copy(en.tuple, lenv.tuple)
 		matched := false
-		for _, rrow := range right.rows {
-			row := combineRows(lrow, rrow)
-			if jc.Kind != JoinCross {
-				ok := true
-				if jc.On != nil {
-					en := &env{frame: combined, row: row}
-					v, err := en.eval(jc.On)
-					if err != nil {
-						return relation{}, err
-					}
-					ok = triOf(v) == triTrue
-				}
-				if !ok {
-					continue
+		// try appends left ++ right tuple j when every pred holds on it.
+		try := func(j int, preds []Expr) error {
+			copy(rightPart, right.tuple(j))
+			for _, p := range preds {
+				v, err := en.eval(p)
+				if err != nil || triOf(v) != triTrue {
+					return err
 				}
 			}
-			out = append(out, row)
+			out.rows = append(out.rows, en.tuple...)
 			matched = true
+			return nil
+		}
+		scan, null := !hashed, false
+		var err error
+		if hashed {
+			if kb, null, err = appendJoinKeys(kb[:0], &lenv, leftKeys, cls); err != nil {
+				return relation{}, err
+			}
+			// A key that = compares with some indexed key by a rule no
+			// hash key expresses meets every right tuple instead.
+			for k, c := range cls {
+				scan = scan || met[k]&^hashable(c) != 0
+			}
+		}
+		switch {
+		case null: // NULL keys never match
+		case scan:
+			for j := 0; j < right.len() && err == nil; j++ {
+				err = try(j, cond)
+			}
+		default:
+			if ci, ok := index[string(kb)]; ok {
+				for j := heads[ci]; j >= 0 && err == nil; j = next[j] {
+					err = try(j, residual)
+				}
+			}
+		}
+		if err != nil {
+			return relation{}, err
 		}
 		if !matched && jc.Kind == JoinLeft {
-			out = append(out, padRight(lrow, rightWidth))
+			copy(rightPart, nullRight)
+			out.rows = append(out.rows, en.tuple...)
 		}
 	}
-	return relation{frame: combined, rows: out}, nil
+	return out, nil
 }
 
-func combineRows(l, r []value.Value) []value.Value {
-	row := make([]value.Value, 0, len(l)+len(r))
-	row = append(row, l...)
-	return append(row, r...)
-}
+// keyClass sorts a join key by the rule = compares it under (value.Compare):
+// keys of one hashable class are = exactly when their appended bytes are.
+type keyClass uint8
 
-func padRight(l []value.Value, width int) []value.Value {
-	row := make([]value.Value, len(l)+width)
-	copy(row, l)
-	for i := len(l); i < len(row); i++ {
-		row[i] = value.Null()
+const (
+	classNum   keyClass = 1 << iota // int, float, numeric string: by float64
+	classStr                        // any other string: by its text
+	classTime                       // by its instant
+	classOther                      // bool, NaN string: = by rules no key expresses
+)
+
+// hashable returns the classes a key of class c may be hashed against.
+func hashable(c keyClass) keyClass {
+	switch c {
+	case classNum, classStr:
+		return classNum | classStr
+	case classTime:
+		return classTime
 	}
-	return row
+	return 0
+}
+
+// appendJoinKeys evaluates keys in en and appends their hash-join key to
+// dst, writing each one's class to cls. null reports a NULL key, which
+// never matches; the keys after it are not evaluated.
+func appendJoinKeys(dst []byte, en *env, keys []Expr, cls []keyClass) (_ []byte, null bool, _ error) {
+	for i, k := range keys {
+		v, err := en.eval(k)
+		if err != nil || v.IsNull() {
+			return dst, v.IsNull(), err
+		}
+		var f float64
+		switch v.Kind() {
+		case value.KindInt, value.KindFloat:
+			f, cls[i] = v.FloatVal(), classNum
+		case value.KindString:
+			var ok bool
+			if f, ok = v.AsFloat(); !ok {
+				s := v.StringVal()
+				dst = append(binary.AppendUvarint(append(dst, 's'), uint64(len(s))), s...)
+				cls[i] = classStr
+				continue
+			}
+			cls[i] = classNum
+			if math.IsNaN(f) {
+				cls[i] = classOther
+			}
+		case value.KindTime:
+			t := v.TimeVal()
+			dst = binary.LittleEndian.AppendUint64(append(dst, 't'), uint64(t.Unix()))
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(t.Nanosecond()))
+			cls[i] = classTime
+			continue
+		default:
+			cls[i] = classOther
+		}
+		if f == 0 {
+			f = 0 // -0 = 0
+		}
+		dst = binary.LittleEndian.AppendUint64(append(dst, 'n'), math.Float64bits(f))
+	}
+	return dst, false, nil
 }
 
 // qualFor returns the qualifier under which col is reachable in f, erroring

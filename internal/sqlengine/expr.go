@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"pneuma/internal/table"
 	"pneuma/internal/value"
 )
 
@@ -31,13 +32,15 @@ func evalErrf(ex Expr, format string, args ...interface{}) error {
 }
 
 // execCol is one column of an execution frame, carrying the qualifier it is
-// reachable under ("" for derived columns).
+// reachable under ("" for derived columns) and where a tuple holds its cell.
 type execCol struct {
 	qual string // table alias, lower-cased
 	name string // column name
+	src  int    // which row of the tuple
+	pos  int    // position in that row
 }
 
-// frame is the schema of rows flowing through the executor.
+// frame is the schema of the tuples flowing through the executor.
 type frame struct {
 	cols []execCol
 	// refs memoizes resolve per column-reference node, so a statement pays
@@ -111,11 +114,12 @@ func (f *frame) describe() string {
 	return strings.Join(names, ", ")
 }
 
-// env is the evaluation context for one row: the frame, the row values, and
-// an optional aggregate lookup used while evaluating grouped select lists.
+// env is the evaluation context for one tuple: the frame, the tuple's source
+// rows, and an optional aggregate lookup used while evaluating grouped select
+// lists.
 type env struct {
 	frame *frame
-	row   []value.Value
+	tuple []table.Row
 	// aggs maps FuncCall.String() of aggregate calls to the per-group value.
 	aggs map[string]value.Value
 }
@@ -161,7 +165,8 @@ func (en *env) eval(e Expr) (value.Value, error) {
 		if err != nil {
 			return value.Null(), err
 		}
-		return en.row[i], nil
+		c := &en.frame.cols[i]
+		return en.tuple[c.src][c.pos], nil
 
 	case *Star:
 		return value.Null(), evalErrf(ex, "* is only valid in a select list or COUNT(*)")

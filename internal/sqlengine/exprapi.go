@@ -23,14 +23,18 @@ func ParseExpr(src string) (Expr, error) {
 	return e, nil
 }
 
-// EvalOnRow evaluates an expression against one row of a table, resolving
-// unqualified column names against the table's schema. Aggregates are not
-// allowed here.
-func EvalOnRow(e Expr, t *table.Table, row table.Row) (value.Value, error) {
-	f := &frame{}
-	for _, c := range t.Schema.Columns {
-		f.cols = append(f.cols, execCol{qual: "", name: c.Name})
+// BindRow binds e to t's columns, unqualified, and returns its evaluation
+// on one of t's rows; each column name is resolved once, on first use, not
+// once per row. Aggregates are not allowed in e. The returned function is
+// not safe for concurrent use.
+func BindRow(e Expr, t *table.Table) func(table.Row) (value.Value, error) {
+	f := &frame{cols: make([]execCol, len(t.Schema.Columns))}
+	for i, c := range t.Schema.Columns {
+		f.cols[i] = execCol{name: c.Name, pos: i}
 	}
-	en := &env{frame: f, row: row}
-	return en.eval(e)
+	en := env{frame: f, tuple: make([]table.Row, 1)}
+	return func(row table.Row) (value.Value, error) {
+		en.tuple[0] = row
+		return en.eval(e)
+	}
 }

@@ -11,6 +11,15 @@
 // (with DISTINCT). Errors carry positions and are phrased so the
 // Materializer's repair loop can react to them, mirroring the paper's
 // "tool analyzes these errors and provides feedback" behaviour.
+//
+// The executor never writes a source row: a relation is a list of tuples of
+// source-row headers, one row per joined table, that scans, WHERE and joins
+// move. The select list alone writes cells, cutting a statement's output
+// rows from one allocation; when DISTINCT, OFFSET or LIMIT keep under half
+// of them, the survivors are copied to an exact one. A hash join matches
+// keys as = compares them: numbers and numeric strings by float64 value,
+// kinds = relates by a rule no key expresses (a time against a string or a
+// number, a bool) pair by pair.
 package sqlengine
 
 import (

@@ -11,6 +11,11 @@
 // assigns into, or appends onto, a Row it was handed. Clone is the deep copy
 // for a caller that will write cells in place.
 //
+// The rows of one table may share a backing array: a projection or a query
+// result cuts all of its rows from one allocation. Each such Row is
+// capacity-limited (its cap is its len), so an append onto it copies rather
+// than running into its neighbour.
+//
 // That rule is also what lets a table cache its Profile: BuildProfile
 // publishes it through an atomic pointer, so any number of sessions may
 // profile one shared table at once. A Profile counts a column's distinct

@@ -215,11 +215,12 @@ func (op Derive) Apply(t *table.Table) (*table.Table, error) {
 		out.Schema.Columns = append(out.Schema.Columns, table.Column{Name: op.Name})
 		ci = len(out.Schema.Columns) - 1
 	}
+	// Bind to the original table so a replaced column's old values stay
+	// visible to the expression.
+	eval := sqlengine.BindRow(expr, t)
 	kind := value.KindNull
 	for r, row := range t.Rows {
-		// Evaluate against the original table so a replaced column's old
-		// values stay visible to the expression.
-		v, err := sqlengine.EvalOnRow(expr, t, row)
+		v, err := eval(row)
 		if err != nil {
 			return nil, &Error{Op: "DERIVE", Msg: fmt.Sprintf("row %d: %v", r, err)}
 		}
@@ -263,12 +264,16 @@ func (op Keep) Apply(t *table.Table) (*table.Table, error) {
 	for _, ci := range idxs {
 		out.Schema.Columns = append(out.Schema.Columns, t.Schema.Columns[ci])
 	}
-	for _, row := range t.Rows {
-		nr := make(table.Row, len(idxs))
+	// Rows are cut from one slab, capacity-limited: an append onto one copies.
+	w := len(idxs)
+	cells := make([]value.Value, len(t.Rows)*w)
+	out.Rows = make([]table.Row, len(t.Rows))
+	for r, row := range t.Rows {
+		nr := cells[r*w : (r+1)*w : (r+1)*w]
 		for i, ci := range idxs {
 			nr[i] = row[ci]
 		}
-		out.Rows = append(out.Rows, nr)
+		out.Rows[r] = nr
 	}
 	return out, nil
 }
@@ -432,12 +437,16 @@ func (op FuzzyJoin) Apply(t *table.Table) (*table.Table, error) {
 	}
 
 	rightWidth := op.Right.NumCols()
+	rkeys := make([]string, len(op.Right.Rows))
+	for rr, rrow := range op.Right.Rows {
+		rkeys[rr] = normalizeKey(rrow[ri].String())
+	}
 	for _, lrow := range t.Rows {
 		lkey := normalizeKey(lrow[li].String())
 		bestScore := -1.0
 		bestRow := -1
-		for rr, rrow := range op.Right.Rows {
-			score := keySimilarity(lkey, normalizeKey(rrow[ri].String()))
+		for rr, rkey := range rkeys {
+			score := keySimilarity(lkey, rkey)
 			if score > bestScore {
 				bestScore, bestRow = score, rr
 			}
