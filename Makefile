@@ -4,11 +4,12 @@ GO ?= go
 # (enforced by `make docs` via cmd/pneuma-doccheck).
 DOC_PKGS = ./internal/retriever ./internal/ir ./internal/embed ./internal/bm25 ./internal/pnerr ./internal/server .
 
-.PHONY: verify fmt-check vet asmvet xbuild-arm64 tier1 tier1-scalar race race-smoke fuzz-smoke bench bench-aa serve-smoke docs
+.PHONY: verify fmt-check vet asmvet xbuild-arm64 xbuild-other tier1 tier1-scalar race race-smoke fuzz-smoke bench bench-aa serve-smoke docs
 
 # verify is the one-shot local gate every PR must pass: formatting, vet
-# (plus an explicit asmdecl pass over the assembly kernels and an arm64
-# cross-build so the NEON path cannot rot on amd64-only machines), the
+# (plus an explicit asmdecl pass over the assembly kernels, an arm64
+# cross-build so the NEON path cannot rot on amd64-only machines, and
+# cross-builds for three more targets so the module stays portable), the
 # documentation gate, the tier-1 build+test command from ROADMAP.md
 # (which includes the AllocsPerRun budget guards and, in pneuma/benchmark,
 # every BENCHMARK.json workload run end to end at 1/50 scale), the
@@ -23,7 +24,7 @@ DOC_PKGS = ./internal/retriever ./internal/ir ./internal/embed ./internal/bm25 .
 # search reply encoder (against encoding/json), over the shard write
 # path (a batch of n against n batches of one) and over the SQL hash join
 # (against a nested loop evaluating = on every pair).
-verify: fmt-check vet asmvet xbuild-arm64 tier1 tier1-scalar docs serve-smoke race-smoke fuzz-smoke
+verify: fmt-check vet asmvet xbuild-arm64 xbuild-other tier1 tier1-scalar docs serve-smoke race-smoke fuzz-smoke
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -50,6 +51,19 @@ xbuild-arm64:
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 	GOOS=linux GOARCH=arm64 $(GO) vet -asmdecl ./internal/vecmath/
 	@echo "xbuild-arm64: ok"
+
+# xbuild-other cross-compiles every package except ./benchmark for
+# darwin/arm64 (the NEON kernels off linux), windows/amd64 (a non-unix
+# OS) and linux/riscv64 (no assembly: vecmath's scalar-only
+# kern_other.go), so the module keeps building off linux/amd64.
+# ./benchmark is left out because its runner calls syscall.Getrusage,
+# which windows lacks.
+xbuild-other:
+	@pkgs="$$($(GO) list ./... | grep -v '^pneuma/benchmark$$')"; \
+	for target in darwin/arm64 windows/amd64 linux/riscv64; do \
+		GOOS=$${target%/*} GOARCH=$${target#*/} $(GO) build $$pkgs || exit 1; \
+	done
+	@echo "xbuild-other: ok"
 
 tier1:
 	$(GO) build ./... && $(GO) test ./...

@@ -41,7 +41,6 @@ func main() {
 	syncBytes := flag.Int64("sync-bytes", 0, "group-commit fsync once pending disk records reach n bytes (0 = unset, 1 = every record)")
 	syncInterval := flag.Duration("sync-interval", 0, "max time an acknowledged disk write stays unsynced (0 = unset; 2ms when -sync-bytes is set)")
 	quantize := flag.Bool("quantize", false, "int8 speed tier: quantized vector traversal with exact float32 rescoring")
-	mmap := flag.Bool("mmap", false, "memory-map disk snapshots on open instead of reading them")
 	flag.Parse()
 
 	if *dir == "" || *query == "" {
@@ -63,7 +62,7 @@ func main() {
 		retriever.WithShards(*shards), retriever.WithWorkers(*workers),
 		retriever.WithBackend(backend), retriever.WithDir(*indexDir),
 		retriever.WithSyncBytes(*syncBytes), retriever.WithSyncInterval(*syncInterval),
-		retriever.WithQuantize(*quantize), retriever.WithMmap(*mmap),
+		retriever.WithQuantize(*quantize),
 	)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pneuma-index:", err)

@@ -60,9 +60,8 @@
 // concurrently; queries fan out to every shard and to every source
 // (tables, knowledge, web) concurrently, and results are merged with
 // reciprocal-rank fusion and cached in a bounded LRU that index mutations
-// invalidate. Ingest parallelism, shard count, backend, beam width and
-// scheduler width are all options on New (WithShards, WithIndexWorkers,
-// WithBackend, WithIndexDir, WithEf, WithMaxConcurrent).
+// invalidate. Shard count, backend and scheduler width are options on New
+// (WithShards, WithBackend, WithIndexDir, WithMaxConcurrent).
 //
 // # Determinism contract
 //

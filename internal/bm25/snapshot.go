@@ -78,7 +78,7 @@ func (ix *Index) AppendSnapshot(w *wire.Writer) {
 // index by parsing the length-prefixed section in place from a shared
 // wire.Reader — no section copy, and every term and document ID decodes as
 // a zero-copy view of the reader's buffer. This is the bulk-load path for
-// snapshot opens, where the buffer (a read file or an mmap'd snapshot) is
+// snapshot opens, where the buffer (the snapshot file, read whole) is
 // owned by the structures built from it: skipping the section copy removes
 // the largest single heap allocation of an open, which both shortens the
 // open and shrinks the garbage the collector scans while it runs.

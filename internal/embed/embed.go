@@ -15,67 +15,35 @@ import (
 // cheap for HNSW distance evaluations.
 const DefaultDim = 256
 
-// Embedder hashes text into fixed-dimension unit vectors.
-type Embedder struct {
-	dim        int
-	ngram      int
-	tokenWt    float32
-	ngramWt    float32
-	normalized bool
-}
+// The feature set: every token, weighted tokenWt, and every character
+// n-gram of width ngram of every token, weighted ngramWt.
+const (
+	ngram   = 3
+	tokenWt = 1.0
+	ngramWt = 0.35
+)
 
-// Option configures an Embedder.
-type Option func(*Embedder)
-
-// WithDim sets the vector dimensionality (default DefaultDim).
-func WithDim(d int) Option {
-	return func(e *Embedder) {
-		if d > 0 {
-			e.dim = d
-		}
-	}
-}
-
-// WithNGram sets the character n-gram width (default 3; 0 disables n-gram
-// features).
-func WithNGram(n int) Option {
-	return func(e *Embedder) { e.ngram = n }
-}
+// Embedder hashes text into DefaultDim-dimensional unit vectors. It holds
+// no state, so one value serves any number of goroutines.
+type Embedder struct{}
 
 // New constructs an Embedder.
-func New(opts ...Option) *Embedder {
-	e := &Embedder{
-		dim:        DefaultDim,
-		ngram:      3,
-		tokenWt:    1.0,
-		ngramWt:    0.35,
-		normalized: true,
-	}
-	for _, o := range opts {
-		o(e)
-	}
-	return e
-}
+func New() *Embedder { return &Embedder{} }
 
 // Dim returns the embedding dimensionality.
-func (e *Embedder) Dim() int { return e.dim }
+func (e *Embedder) Dim() int { return DefaultDim }
 
 // Embed maps text to a unit vector. The zero vector is returned for text
 // with no tokens.
 func (e *Embedder) Embed(text string) []float32 {
-	v := make([]float32, e.dim)
-	tokens := textutil.NormalizeTokens(text)
-	for _, tok := range tokens {
-		e.add(v, "t:"+tok, e.tokenWt)
-		if e.ngram > 0 {
-			for _, g := range textutil.CharNGrams(tok, e.ngram) {
-				e.add(v, "g:"+g, e.ngramWt)
-			}
+	v := make([]float32, DefaultDim)
+	for _, tok := range textutil.NormalizeTokens(text) {
+		add(v, "t:"+tok, tokenWt)
+		for _, g := range textutil.CharNGrams(tok, ngram) {
+			add(v, "g:"+g, ngramWt)
 		}
 	}
-	if e.normalized {
-		vecmath.Normalize(v)
-	}
+	vecmath.Normalize(v)
 	return v
 }
 
@@ -153,11 +121,11 @@ dispatch:
 // add hashes the feature into a bucket with a deterministic sign. Using a
 // second hash bit for the sign keeps the expected dot-product contribution
 // of colliding unrelated features at zero.
-func (e *Embedder) add(v []float32, feature string, w float32) {
+func add(v []float32, feature string, w float32) {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(feature))
 	sum := h.Sum64()
-	bucket := int(sum % uint64(e.dim))
+	bucket := int(sum % DefaultDim)
 	if (sum>>63)&1 == 1 {
 		w = -w
 	}

@@ -61,23 +61,8 @@ func TestMorphologicalOverlapViaNGrams(t *testing.T) {
 	}
 }
 
-func TestWithDim(t *testing.T) {
-	e := New(WithDim(64))
-	if e.Dim() != 64 {
-		t.Fatalf("dim = %d", e.Dim())
-	}
-	if len(e.Embed("x")) != 64 {
-		t.Fatal("vector length mismatch")
-	}
-	// Non-positive dims fall back to the default.
-	e = New(WithDim(-1))
-	if e.Dim() != DefaultDim {
-		t.Fatalf("dim = %d, want default", e.Dim())
-	}
-}
-
 func TestSimilarityBounded(t *testing.T) {
-	e := New(WithNGram(0))
+	e := New()
 	f := func(a, b string) bool {
 		s := float64(e.Similarity(a, b))
 		return s >= -1.0001 && s <= 1.0001

@@ -71,8 +71,7 @@
 //     an idle machine the yields are nanoseconds.
 //   - Nothing returned to a caller aliases the published arrays (results
 //     are copied out), so callers cannot extend a view's lifetime by
-//     accident — with the one exception of the mmap'd-snapshot aliasing
-//     documented below.
+//     accident.
 //
 // # Int8 speed tier (Config.Quantize)
 //
@@ -89,8 +88,8 @@
 //     into per-query constants. This phase is approximate: quantization
 //     error can locally reorder near-ties, which is what the next phase
 //     repairs.
-//   - Rescoring re-ranks the top k×RescoreFactor traversal candidates
-//     (default factor 4, capped at the beam width — a wider rescore cannot
+//   - Rescoring re-ranks the top k×4 traversal candidates
+//     (capped at the beam width — a wider rescore cannot
 //     recover candidates the beam never surfaced) with the exact float32
 //     kernel over the full-precision arena, which is retained for this
 //     purpose and for graph construction.
@@ -101,10 +100,7 @@
 // corpus recall@10 versus the unquantized path is ≥ 0.98 (measured 1.0)
 // while traversal touches ~4× less memory; the graph itself is built from
 // float32 vectors either way, so the knob never changes graph shape.
-// The quantized arenas serialize alongside the float32 state, and a
-// snapshot restored under WithMmap aliases both arenas zero-copy into the
-// mapping — they must not be read after the mapping is unmapped (the
-// retriever's Close).
+// The quantized arenas serialize alongside the float32 state.
 //
 // # Serialization
 //
@@ -116,6 +112,6 @@
 // level generator is fast-forwarded to the writer's stream position,
 // inserts after the restore assign the same levels (and therefore build
 // the same graph) as they would have on the never-serialized index.
-// Construction parameters are not serialized; the reading index must be
-// created with the same Config, in particular the same Seed.
+// The construction parameters are package constants; of the Config, the
+// reading index must be created with the same Seed.
 package hnsw

@@ -11,20 +11,21 @@ import (
 	"pneuma/internal/vecmath"
 )
 
-// DefaultEfSearch is the query beam width used when Config.EfSearch is
-// unset.
-const DefaultEfSearch = 64
+// Construction and query parameters. They are fixed: every index the
+// project builds uses these values, and persisted graphs depend on the
+// construction pair.
+const (
+	// maxLinks is HNSW's M, the maximum number of bidirectional links per
+	// node per layer (layer 0 allows 2·maxLinks).
+	maxLinks = 16
+	// efConstruction is the beam width used while inserting.
+	efConstruction = 200
+	// efSearch is the query beam width (widened to k when k is larger).
+	efSearch = 64
+)
 
 // Config holds HNSW construction parameters.
 type Config struct {
-	// M is the maximum number of bidirectional links per node per layer
-	// (layer 0 allows 2M). Default 16.
-	M int
-	// EfConstruction is the beam width used while inserting. Default 200.
-	EfConstruction int
-	// EfSearch is the default beam width for queries. Default
-	// DefaultEfSearch.
-	EfSearch int
 	// Seed seeds the level generator. Builds with equal seeds and insert
 	// order produce identical graphs.
 	Seed int64
@@ -34,27 +35,6 @@ type Config struct {
 	// distances, so the graph is identical with the knob on or off.
 	// Default false.
 	Quantize bool
-	// RescoreFactor is the exact-rescore over-fetch multiplier of the
-	// quantized path: the top k·RescoreFactor quantized candidates are
-	// rescored with float32 CosineWithNorms before the top k are
-	// returned. Default DefaultRescoreFactor. Ignored unless Quantize.
-	RescoreFactor int
-}
-
-func (c Config) withDefaults() Config {
-	if c.M <= 0 {
-		c.M = 16
-	}
-	if c.EfConstruction <= 0 {
-		c.EfConstruction = 200
-	}
-	if c.EfSearch <= 0 {
-		c.EfSearch = DefaultEfSearch
-	}
-	if c.RescoreFactor <= 0 {
-		c.RescoreFactor = DefaultRescoreFactor
-	}
-	return c
 }
 
 // graph is one immutable published view of the index: everything the read
@@ -142,11 +122,10 @@ type Index struct {
 
 // New creates an empty index for vectors of the given dimensionality.
 func New(dim int, cfg Config) *Index {
-	cfg = cfg.withDefaults()
 	ix := &Index{
 		cfg:    cfg,
 		dim:    dim,
-		levelM: 1 / math.Log(float64(cfg.M)),
+		levelM: 1 / math.Log(maxLinks),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		byID:   make(map[string]int),
 	}
@@ -222,9 +201,6 @@ func (ix *Index) Len() int {
 
 // Dim returns the vector dimensionality.
 func (ix *Index) Dim() int { return ix.dim }
-
-// EfSearch returns the default query beam width.
-func (ix *Index) EfSearch() int { return ix.cfg.EfSearch }
 
 // AddBatch inserts ids[i] → vecs[i] in order inside a single writer batch,
 // publishing one new view at the end instead of one per insert. Re-adding
@@ -304,7 +280,7 @@ func (ix *Index) addLocked(g *graph, id string, vec []float32) {
 
 	s := scratchPool.Get().(*searchScratch)
 	defer scratchPool.Put(s)
-	s.prep(2*ix.cfg.M, false)
+	s.prep(2*maxLinks, false)
 
 	ep := g.entry
 	// Phase 1: greedy descent through layers above the new node's level.
@@ -318,12 +294,12 @@ func (ix *Index) addLocked(g *graph, id string, vec []float32) {
 		top = g.maxLvl
 	}
 	for lvl := top; lvl >= 0; lvl-- {
-		candidates := g.searchLayer(s, cp, ep, ix.cfg.EfConstruction, lvl)
-		m := ix.cfg.M
+		candidates := g.searchLayer(s, cp, ep, efConstruction, lvl)
+		m := maxLinks
 		if lvl == 0 {
-			m = 2 * ix.cfg.M
+			m = 2 * maxLinks
 		}
-		selected := g.selectHeuristic(cp, candidates, ix.cfg.M)
+		selected := g.selectHeuristic(cp, candidates, maxLinks)
 		for _, c := range selected {
 			ix.link(g, idx, int(c.idx), lvl, m)
 		}
@@ -421,37 +397,32 @@ type Result struct {
 }
 
 // Search returns up to k nearest neighbours of query by cosine similarity
-// (vectors are compared by squared L2, equivalent for unit vectors), using
-// the index's default ef.
+// (vectors are compared by squared L2, equivalent for unit vectors). The
+// beam width is efSearch, widened to k. It never blocks on writers: the
+// whole search runs against the view published by the most recent
+// completed batch.
+//
+// k is clamped to the live vector count and the beam to the slot count
+// before either sizes anything: a beam at least as wide as the graph
+// already visits every reachable node, so neither clamp changes a result,
+// and an absurd k costs no more than k = Len().
 func (ix *Index) Search(query []float32, k int) ([]Result, error) {
-	return ix.SearchEf(query, k, ix.cfg.EfSearch)
-}
-
-// SearchEf is Search with an explicit beam width ef (clamped to ≥ k). It
-// never blocks on writers: the whole search runs against the view
-// published by the most recent completed batch.
-func (ix *Index) SearchEf(query []float32, k, ef int) ([]Result, error) {
 	if len(query) != ix.dim {
 		return nil, fmt.Errorf("hnsw: query has dim %d, index wants %d", len(query), ix.dim)
 	}
 	if k <= 0 {
 		return nil, nil
 	}
-	if ef < k {
-		ef = k
-	}
 	g := ix.view.Load()
 	if g.entry < 0 {
 		return nil, nil
 	}
+	k = min(k, g.live)
+	ef := min(max(k, efSearch), len(g.ids))
 
 	s := scratchPool.Get().(*searchScratch)
 	defer scratchPool.Put(s)
-	bound := 2 * ix.cfg.M
-	if ef > bound {
-		bound = ef
-	}
-	s.prep(bound, g.quant)
+	s.prep(max(2*maxLinks, ef), g.quant)
 
 	if g.quant {
 		return ix.searchQuantized(g, s, query, k, ef), nil

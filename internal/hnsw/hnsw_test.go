@@ -71,7 +71,7 @@ func TestRecallAgainstBruteForce(t *testing.T) {
 		k   = 10
 	)
 	rng := rand.New(rand.NewSource(42))
-	ix := New(dim, Config{Seed: 99, M: 16, EfConstruction: 200, EfSearch: 128})
+	ix := New(dim, Config{Seed: 99})
 	data := make([][]float32, n)
 	for i := 0; i < n; i++ {
 		data[i] = randomUnit(rng, dim)

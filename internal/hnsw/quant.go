@@ -6,11 +6,10 @@ import (
 	"pneuma/internal/vecmath"
 )
 
-// DefaultRescoreFactor is the exact-rescore over-fetch multiplier used
-// when Config.RescoreFactor is unset: the quantized beam's top
-// k·DefaultRescoreFactor candidates are rescored with float32 math before
-// the top k are returned.
-const DefaultRescoreFactor = 4
+// rescoreFactor is the exact-rescore over-fetch multiplier of the
+// quantized path: the quantized beam's top k·rescoreFactor candidates are
+// rescored with float32 math before the top k are returned.
+const rescoreFactor = 4
 
 // Scalar quantization scheme. Every vector is stored (alongside its exact
 // float32 form) as dim int8 codes plus three per-vector constants:
@@ -252,7 +251,7 @@ func (g *graph) searchLayerQ(s *searchScratch, q *qquery, ep, ef, lvl int) []can
 }
 
 // searchQuantized is the quantized query path: greedy descent and the
-// layer-0 beam run on int8 codes, then the top k·RescoreFactor live
+// layer-0 beam run on int8 codes, then the top k·rescoreFactor live
 // candidates are rescored with exact float32 CosineWithNorms and sorted
 // by (score desc, ID asc). Returned scores are bit-identical to what the
 // unquantized path computes for the same nodes; quantization can only
@@ -264,12 +263,12 @@ func (ix *Index) searchQuantized(g *graph, s *searchScratch, query []float32, k,
 	for lvl := g.maxLvl; lvl > 0; lvl-- {
 		ep = g.greedyClosestQ(s, &q, ep, lvl)
 	}
-	// Rescore the top k·RescoreFactor beam candidates, capped by the beam
+	// Rescore the top k·rescoreFactor beam candidates, capped by the beam
 	// itself: a wider rescore cannot recover vectors the beam never
 	// surfaced, so inflating ef to match the factor would only re-widen
 	// the traversal the tier exists to cheapen. The beam stays exactly as
 	// wide as the unquantized path's.
-	rescore := k * ix.cfg.RescoreFactor
+	rescore := k * rescoreFactor
 	cands := g.searchLayerQ(s, &q, ep, ef, 0)
 
 	// The rescore set is scored with one DotBatch call over the float32
@@ -314,7 +313,7 @@ func (ix *Index) searchQuantized(g *graph, s *searchScratch, query []float32, k,
 // sortRescored orders rescored candidates ascending by negated exact
 // score with external-ID ties ascending, making the quantized result
 // order a pure function of the exact scores. Insertion sort: the set is
-// k·RescoreFactor entries, already near-ordered by the beam.
+// k·rescoreFactor entries, already near-ordered by the beam.
 func (g *graph) sortRescored(cs []cand) {
 	for i := 1; i < len(cs); i++ {
 		for j := i; j > 0 && g.rescLess(cs[j], cs[j-1]); j-- {

@@ -12,7 +12,7 @@ import (
 // variable-width fields come first; the bulk arrays (norms, the float32
 // arena and, when Quantize is on, the int8 arenas) are written as
 // wire aligned blobs, padded relative to the *writer start*. Callers that
-// want the blobs mmap-addressable must therefore hand in a writer whose
+// want to load the blobs zero-copy must therefore hand in a writer whose
 // offset 0 lands at file offset 0 (the retriever's snapshot writer does).
 //
 // The view and the level-generator draw count are pinned together under a
@@ -22,10 +22,10 @@ import (
 //
 // An index restored by LoadSnapshot is bit-identical: it answers every
 // query with the same results and assigns the same levels to future
-// inserts. Construction parameters (M, EfConstruction, EfSearch, Seed,
-// Quantize) are NOT serialized; the reading index must be created with a
-// compatible Config — Quantize may differ, in which case the quantized
-// arenas are dropped or rebuilt from the float32 arena at load.
+// inserts. The Config (Seed, Quantize) is NOT serialized; the reading
+// index must be created with the same Seed — Quantize may differ, in which
+// case the quantized arenas are dropped or rebuilt from the float32 arena
+// at load.
 func (ix *Index) AppendSnapshot(w *wire.Writer) {
 	// Pin a (view, rngDraws) pair from a quiesced writer state: between
 	// batches the draw count is exactly the one that produced the
@@ -83,9 +83,7 @@ func (ix *Index) AppendSnapshot(w *wire.Writer) {
 // index. The reader must be a shared reader over a buffer whose start
 // corresponds to the writer's start (so blob alignment lines up); for a
 // shared reader on a little-endian host the restored arenas are zero-copy
-// views into that buffer — an mmap'd snapshot pages them in lazily, and
-// the buffer must outlive the index (see the package comment's mmap
-// caveats). The level generator is fast-forwarded to the writer's draw
+// views into that buffer, which the index then owns. The level generator is fast-forwarded to the writer's draw
 // count, so inserts after the restore build exactly the graph the writing
 // index would have built; appends to the zero-copy arenas reallocate
 // (len == cap), never scribbling on the buffer. A malformed or truncated

@@ -18,7 +18,6 @@ type versions [3]uint64
 // repeated shard fan-out entirely.
 type queryCache struct {
 	mu    sync.Mutex
-	cap   int
 	ll    *list.List // front = most recently used
 	items map[string]*list.Element
 }
@@ -29,12 +28,8 @@ type cacheEntry struct {
 	docs []docs.Document
 }
 
-func newQueryCache(capacity int) *queryCache {
-	if capacity <= 0 {
-		return nil
-	}
+func newQueryCache() *queryCache {
 	return &queryCache{
-		cap:   capacity,
 		ll:    list.New(),
 		items: make(map[string]*list.Element),
 	}
@@ -45,9 +40,6 @@ func newQueryCache(capacity int) *queryCache {
 // spot. Callers receive a fresh slice so they can reorder or annotate
 // results without corrupting the cache.
 func (c *queryCache) get(key string, vers versions) ([]docs.Document, bool) {
-	if c == nil {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -67,11 +59,8 @@ func (c *queryCache) get(key string, vers versions) ([]docs.Document, bool) {
 }
 
 // put stores the documents under key, evicting the least recently used
-// entry when the cache is full.
+// entry when the cache holds more than DefaultCacheSize.
 func (c *queryCache) put(key string, vers versions, ds []docs.Document) {
-	if c == nil {
-		return
-	}
 	stored := make([]docs.Document, len(ds))
 	copy(stored, ds)
 	c.mu.Lock()
@@ -85,7 +74,7 @@ func (c *queryCache) put(key string, vers versions, ds []docs.Document) {
 	}
 	el := c.ll.PushFront(&cacheEntry{key: key, vers: vers, docs: stored})
 	c.items[key] = el
-	for c.ll.Len() > c.cap {
+	for c.ll.Len() > DefaultCacheSize {
 		back := c.ll.Back()
 		c.ll.Remove(back)
 		delete(c.items, back.Value.(*cacheEntry).key)
@@ -94,9 +83,6 @@ func (c *queryCache) put(key string, vers versions, ds []docs.Document) {
 
 // len reports the number of live entries (tests).
 func (c *queryCache) len() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()

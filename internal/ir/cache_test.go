@@ -143,27 +143,21 @@ func TestCacheInvalidationOnMutation(t *testing.T) {
 	}
 }
 
-func TestCacheEvictionAndDisable(t *testing.T) {
+// TestCacheEviction: one distinct query past the capacity evicts, so the
+// cache never holds more than DefaultCacheSize entries.
+func TestCacheEviction(t *testing.T) {
 	ret := retriever.New()
 	if err := ret.IndexTables(context.Background(), []*table.Table{mkTable("t1", "data", "metric")}); err != nil {
 		t.Fatal(err)
 	}
-	s := New(ret, nil, nil, WithCacheSize(2))
-	for i := 0; i < 5; i++ {
+	s := New(ret, nil, nil)
+	for i := 0; i <= DefaultCacheSize; i++ {
 		if _, err := s.Query(context.Background(), Request{Query: fmt.Sprintf("query %d", i), K: 2}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s.CacheLen() != 2 {
-		t.Fatalf("cache len = %d, want capacity 2", s.CacheLen())
-	}
-
-	off := New(ret, nil, nil, WithCacheSize(0))
-	if _, err := off.Query(context.Background(), Request{Query: "anything", K: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if off.CacheLen() != 0 {
-		t.Fatalf("disabled cache holds %d entries", off.CacheLen())
+	if s.CacheLen() != DefaultCacheSize {
+		t.Fatalf("cache len = %d, want capacity %d", s.CacheLen(), DefaultCacheSize)
 	}
 }
 

@@ -15,8 +15,8 @@
 // similarity, BM25, web relevance) never mix directly. Ties break by
 // document ID.
 //
-// Results are served from a bounded LRU cache (WithCacheSize, default
-// DefaultCacheSize) keyed on (query, k, sources). The cache is
+// Results are served from a bounded LRU cache of DefaultCacheSize entries
+// keyed on (query, k, sources). The cache is
 // invalidated by comparing each source's Version() mutation counter at
 // lookup time, so a hit is always as fresh as a recomputed query.
 //

@@ -52,28 +52,15 @@ type System struct {
 	cache *queryCache
 }
 
-// Option configures a System.
-type Option func(*System)
-
-// WithCacheSize sets the LRU query-cache capacity (default
-// DefaultCacheSize; 0 disables caching).
-func WithCacheSize(n int) Option {
-	return func(s *System) { s.cache = newQueryCache(n) }
-}
-
 // New wires a System from its three retrievers. Nil components are allowed
 // and simply return no results, so a caller can run tables-only.
-func New(tables *retriever.Retriever, knowledge *docdb.DB, web *websearch.Engine, opts ...Option) *System {
-	s := &System{
+func New(tables *retriever.Retriever, knowledge *docdb.DB, web *websearch.Engine) *System {
+	return &System{
 		Tables:    tables,
 		Knowledge: knowledge,
 		Web:       web,
-		cache:     newQueryCache(DefaultCacheSize),
+		cache:     newQueryCache(),
 	}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
 }
 
 // snapshotVersions reads the mutation counters of all three sources; a nil

@@ -71,10 +71,14 @@ func TestLatencyModel(t *testing.T) {
 }
 
 func TestSimModelContextLimit(t *testing.T) {
-	m := NewSimModel(WithContextLimit(50))
+	m := NewSimModel(WithProfile("gpt-4o"))
+	system := strings.Repeat("word ", 130_000)
+	if n := EstimateTokens(system); n <= m.ContextLimit() {
+		t.Fatalf("prompt is %d tokens, not past the %d-token window", n, m.ContextLimit())
+	}
 	_, err := m.Complete(context.Background(), Request{
 		Task:    TaskUserSim,
-		System:  strings.Repeat("very long system prompt ", 50),
+		System:  system,
 		Payload: MarshalPayload(UserSimInput{}),
 	})
 	if !errors.Is(err, ErrContextLengthExceeded) {

@@ -49,11 +49,6 @@ func WithProfile(id string) SimOption {
 	}
 }
 
-// WithContextLimit overrides the context window.
-func WithContextLimit(n int) SimOption {
-	return func(m *SimModel) { m.context = n }
-}
-
 // NewSimModel builds the model. The default profile is o4-mini, the model
 // the paper runs Pneuma-Seeker on.
 func NewSimModel(opts ...SimOption) *SimModel {
@@ -78,7 +73,7 @@ func (m *SimModel) Complete(ctx context.Context, req Request) (Response, error) 
 	}
 	prompt := req.Render()
 	inTokens := EstimateTokens(prompt)
-	if m.context > 0 && inTokens > m.context {
+	if inTokens > m.context {
 		return Response{}, fmt.Errorf("%w: prompt is %d tokens, %s allows %d",
 			ErrContextLengthExceeded, inTokens, m.name, m.context)
 	}

@@ -91,23 +91,20 @@ type memoryBackend struct {
 	live  atomic.Int64
 	dim   int
 	seed  int64
-	ef    int
 	quant bool
 }
 
 // newMemoryBackend creates an empty in-memory shard. seed fixes the HNSW
 // level generator so equal ingest sequences build equal graphs; st is the
 // retriever-wide BM25 statistics object shared by every shard (nil gives
-// the shard a private one); ef is the HNSW query beam width (0
-// selects hnsw.DefaultEfSearch); quant enables the int8 quantized HNSW
-// query path (the graph itself is identical either way).
-func newMemoryBackend(dim int, seed int64, st *bm25.Stats, ef int, quant bool) *memoryBackend {
+// the shard a private one); quant enables the int8 quantized HNSW query
+// path (the graph itself is identical either way).
+func newMemoryBackend(dim int, seed int64, st *bm25.Stats, quant bool) *memoryBackend {
 	return &memoryBackend{
-		vec:   hnsw.New(dim, hnsw.Config{Seed: seed, EfSearch: ef, Quantize: quant}),
+		vec:   hnsw.New(dim, hnsw.Config{Seed: seed, Quantize: quant}),
 		lex:   bm25.NewWithStats(bm25.Params{}, st),
 		dim:   dim,
 		seed:  seed,
-		ef:    ef,
 		quant: quant,
 	}
 }

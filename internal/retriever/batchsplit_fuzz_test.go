@@ -167,8 +167,8 @@ func FuzzBatchSplit(f *testing.F) {
 		one := func(int) bool { return true }
 
 		stA, stB := bm25.NewStats(), bm25.NewStats()
-		a := newMemoryBackend(splitDim, 1, stA, 0, false)
-		b := newMemoryBackend(splitDim, 1, stB, 0, false)
+		a := newMemoryBackend(splitDim, 1, stA, false)
+		b := newMemoryBackend(splitDim, 1, stB, false)
 		ra := applySplit(t, a, ops, cut)
 		rb := applySplit(t, b, ops, one)
 		if ra != rb {

@@ -17,8 +17,8 @@ import (
 // mutator records the exact operation sequence it applied; after the
 // index quiesces, replaying that sequence into a fresh memory-backed
 // retriever must reproduce every search result exactly (IDs and scores),
-// at every shard count, on both backends, and across a close/reopen with
-// and without mmap. Run under -race this doubles as the data-race proof
+// at every shard count, on both backends, and across a close/reopen. Run
+// under -race this doubles as the data-race proof
 // for the lock-free read path.
 
 // churnOp is one recorded mutation: an add batch or a delete batch,
@@ -208,9 +208,8 @@ func replayChurn(t *testing.T, r *Retriever, recorded []churnOp) {
 
 // TestChurnSoak runs the soak across the shard-count × backend matrix and
 // asserts quiesced parity with a sequential replay; disk configurations
-// additionally close and reopen with mmap off and on, asserting the
-// restored index (snapshot bulk load or segment replay) still answers
-// identically. Short mode (the race-smoke gate) trims the matrix to one
+// additionally close and reopen, asserting the restored index (snapshot
+// bulk load or segment replay) still answers identically. Short mode (the race-smoke gate) trims the matrix to one
 // shard count per backend.
 func TestChurnSoak(t *testing.T) {
 	shardCounts := []int{1, 4, 8}
@@ -260,23 +259,21 @@ func TestChurnSoak(t *testing.T) {
 					}
 					return
 				}
-				// Disk: the restored index — snapshot bulk load, with and
-				// without mmap — must preserve the same answers.
+				// Disk: the restored index — snapshot bulk load — must
+				// preserve the same answers.
 				if err := r.Close(); err != nil {
 					t.Fatal(err)
 				}
-				for _, mmap := range []bool{false, true} {
-					re, err := Open(WithShards(shards), WithBackend(Disk), WithDir(dir), WithMmap(mmap))
-					if err != nil {
-						t.Fatalf("reopen mmap=%v: %v", mmap, err)
-					}
-					if re.Len() != fresh.Len() {
-						t.Fatalf("reopen mmap=%v: Len = %d, want %d", mmap, re.Len(), fresh.Len())
-					}
-					assertChurnParity(t, fresh, re, fmt.Sprintf("reopen mmap=%v", mmap))
-					if err := re.Close(); err != nil {
-						t.Fatal(err)
-					}
+				re, err := Open(WithShards(shards), WithBackend(Disk), WithDir(dir))
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				if re.Len() != fresh.Len() {
+					t.Fatalf("reopen: Len = %d, want %d", re.Len(), fresh.Len())
+				}
+				assertChurnParity(t, fresh, re, "reopen")
+				if err := re.Close(); err != nil {
+					t.Fatal(err)
 				}
 			})
 		}

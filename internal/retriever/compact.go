@@ -226,7 +226,7 @@ func (r *Retriever) compactShard(s *shard, db *diskBackend) {
 	// private Stats (nil here): the live documents' contributions are
 	// already in the shared Stats object, and AdoptFrom re-points the
 	// adopted view at it, so the rebuild must not count them again.
-	shadow := newMemoryBackend(db.dim, db.seed, nil, db.ef, db.quant)
+	shadow := newMemoryBackend(db.dim, db.seed, nil, db.quant)
 	tmp := db.path + ".tmp"
 	tf, err := os.Create(tmp)
 	if err != nil {

@@ -158,8 +158,6 @@ type diskKnobs struct {
 	// quantize enables the int8 quantized HNSW query path; quantized
 	// arenas are persisted in snapshots so a reopen bulk-loads them.
 	quantize bool
-	// mmap makes snapshot loads map the file instead of reading it.
-	mmap bool
 	// gc is the retriever-wide group-commit coordinator (see
 	// groupcommit.go). Its flusher goroutine also runs every due
 	// compaction (see compact.go).
@@ -208,11 +206,6 @@ type diskBackend struct {
 	compactReclaim  int64
 	compactMaxStall time.Duration
 
-	// snapMap is the snapshot file mapping the shard's arenas and strings
-	// alias when opened with mmap; released only at Close, because even
-	// compaction-rebuilt state retains document strings pointing into it.
-	snapMap []byte
-
 	rec   wire.Writer // reusable record payload buffer
 	frame wire.Writer // reusable record frame buffer
 }
@@ -222,10 +215,8 @@ type diskBackend struct {
 // loaded and only records past its high-water mark are replayed;
 // otherwise the full log is replayed. A trailing torn record or a
 // CRC-mismatching record — the signatures of a crash mid-write — truncate
-// the log at the last whole record rather than failing the open. ef is
-// the HNSW query beam width (0 selects hnsw.DefaultEfSearch); it is a
-// query-time knob, so it is not pinned in the manifest.
-func openDiskBackend(path, snapPath string, dim int, seed int64, st *bm25.Stats, ef int, knobs diskKnobs) (*diskBackend, error) {
+// the log at the last whole record rather than failing the open.
+func openDiskBackend(path, snapPath string, dim int, seed int64, st *bm25.Stats, knobs diskKnobs) (*diskBackend, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
@@ -263,13 +254,12 @@ func openDiskBackend(path, snapPath string, dim int, seed int64, st *bm25.Stats,
 		}
 	}
 
-	mem := newMemoryBackend(dim, seed, st, ef, knobs.quantize)
+	mem := newMemoryBackend(dim, seed, st, knobs.quantize)
 	water := int64(segHeaderSize)
 	var recs int64
-	var snapMap []byte
 	repairSnap := false
-	if snapMem, snapWater, snapRecs, mapping, serr := loadSnapshot(snapPath, gen, size, dim, seed, st, ef, knobs.quantize, knobs.mmap); serr == nil {
-		mem, water, recs, snapMap = snapMem, snapWater, snapRecs, mapping
+	if snapMem, snapWater, snapRecs, serr := loadSnapshot(snapPath, gen, size, dim, seed, st, knobs.quantize); serr == nil {
+		mem, water, recs = snapMem, snapWater, snapRecs
 	} else if !os.IsNotExist(serr) {
 		// A snapshot exists but is unusable (torn tail, CRC mismatch,
 		// different version, stale generation): fall back to a full
@@ -279,7 +269,6 @@ func openDiskBackend(path, snapPath string, dim int, seed int64, st *bm25.Stats,
 
 	fail := func(err error) (*diskBackend, error) {
 		f.Close()
-		_ = munmapFile(snapMap)
 		return nil, err
 	}
 	good, replayed, err := replaySegment(f, mem, water)
@@ -306,7 +295,6 @@ func openDiskBackend(path, snapPath string, dim int, seed int64, st *bm25.Stats,
 		flushed:       good,
 		snapSize:      water,
 		records:       recs + replayed,
-		snapMap:       snapMap,
 	}
 	if repairSnap {
 		if err := b.writeSnapshot(); err != nil {
@@ -611,19 +599,12 @@ func (b *diskBackend) swapSegment(size, recs int64) error {
 	return nil
 }
 
-// Close flushes (sync, and the snapshot if stale), closes the segment
-// file and releases the snapshot mapping. The munmap comes last:
-// until this point the shard's arenas and document strings may alias the
-// mapping, which is why mmap-backed search results must not be retained
-// past Close (see the package doc's mmap caveats).
+// Close flushes (sync, and the snapshot if stale) and closes the segment
+// file.
 func (b *diskBackend) Close() error {
 	err := b.Flush()
 	if cerr := b.f.Close(); err == nil {
 		err = cerr
 	}
-	if merr := munmapFile(b.snapMap); err == nil {
-		err = merr
-	}
-	b.snapMap = nil
 	return err
 }

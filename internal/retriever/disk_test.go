@@ -285,7 +285,7 @@ func TestSnapshotSectionsDisagreeKeepsStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := binary.LittleEndian.Uint64(seg[8:16])
-	mem, _, _, _, err := loadSnapshot(snap, gen, int64(len(seg)), embed.New().Dim(), hnswSeed, bm25.NewStats(), 0, false, false)
+	mem, _, _, err := loadSnapshot(snap, gen, int64(len(seg)), embed.New().Dim(), hnswSeed, bm25.NewStats(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestSnapshotSectionsDisagreeKeepsStats(t *testing.T) {
 	if err := os.WriteFile(snap, w.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, _, err := loadSnapshot(snap, gen, int64(len(seg)), embed.New().Dim(), hnswSeed, bm25.NewStats(), 0, false, false); err == nil || !strings.Contains(err.Error(), "sections disagree") {
+	if _, _, _, err := loadSnapshot(snap, gen, int64(len(seg)), embed.New().Dim(), hnswSeed, bm25.NewStats(), false); err == nil || !strings.Contains(err.Error(), "sections disagree") {
 		t.Fatalf("tampered snapshot: err = %v, want a section disagreement", err)
 	}
 

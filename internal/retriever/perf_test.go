@@ -3,6 +3,8 @@ package retriever
 import (
 	"context"
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"pneuma/internal/docs"
@@ -10,7 +12,7 @@ import (
 )
 
 // perfCorpus builds a 300-document hybrid index for the allocation guard
-// and the Ef-knob tests.
+// and the huge-k test.
 func perfCorpus(tb testing.TB, opts ...Option) *Retriever {
 	tb.Helper()
 	r := New(opts...)
@@ -58,25 +60,30 @@ func TestSearchAllocsWithinBudget(t *testing.T) {
 	}
 }
 
-// TestWithEfKnob verifies the beam width plumbs through to the shards and
-// that widening it never loses results on a corpus smaller than the beam.
-func TestWithEfKnob(t *testing.T) {
-	if got := perfCorpus(t).Ef(); got != 64 {
-		t.Fatalf("default Ef = %d, want 64", got)
-	}
-	wide := perfCorpus(t, WithEf(256))
-	if got := wide.Ef(); got != 256 {
-		t.Fatalf("Ef = %d, want 256", got)
-	}
-	narrow := perfCorpus(t, WithEf(1)) // clamped to ≥ k per query
-	for _, r := range []*Retriever{wide, narrow} {
-		out, err := r.Search(context.Background(), "nitrate water quality", 5)
+// TestSearchHugeK: a k past the index size returns every document and
+// costs what k = Len() costs. k sizes the per-shard over-fetch and the
+// HNSW beam, so an unclamped k from a client allocates without bound (or
+// panics in a fan-out goroutine once the beam size overflows).
+func TestSearchHugeK(t *testing.T) {
+	r := perfCorpus(t, WithShards(4))
+	n := r.Len()
+	allocated := func(k int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		out, err := r.Search(context.Background(), "nitrate water quality", k)
+		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(out) != 5 {
-			t.Fatalf("Search with ef=%d returned %d results, want 5", r.Ef(), len(out))
+		if len(out) != n {
+			t.Fatalf("Search(k=%d) returned %d documents, want Len() = %d", k, len(out), n)
 		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	allocated(n) // warm the pooled scratch
+	base := allocated(n)
+	if huge := allocated(math.MaxInt); huge > 2*base {
+		t.Fatalf("Search(k=MaxInt) allocated %d bytes, k=Len() %d", huge, base)
 	}
 }
 

@@ -92,14 +92,12 @@ type Retriever struct {
 	numShards int
 	backend   Backend
 	dir       string
-	ef        int
-	// Disk-backend policy knobs (see WithSyncBytes, WithSyncInterval,
-	// WithMmap); ignored by the Memory backend. compactRatio is always
+	// Disk-backend policy knobs (see WithSyncBytes, WithSyncInterval);
+	// ignored by the Memory backend. compactRatio is always
 	// DefaultCompactionRatio outside this package's tests.
 	syncBytes    int64
 	syncInterval time.Duration
 	compactRatio float64
-	useMmap      bool
 	// quantize enables the int8 speed tier on every shard's HNSW index
 	// (see WithQuantize); honoured by both backends.
 	quantize bool
@@ -123,9 +121,10 @@ type Retriever struct {
 	// refs counts in-flight operations (searches, ingests, flushes,
 	// including fan-out goroutines that can outlive a canceled Search).
 	// Close flips closed and then waits for refs to drain before releasing
-	// the backends, so no reader can be traversing an arena when a
-	// mmap-backed shard unmaps its snapshot. Readers never block on this —
-	// acquire is an atomic increment plus a closed re-check.
+	// the backends, so no ingest or flush is still appending to a Disk
+	// shard's segment file when Close syncs and closes it. Readers never
+	// block on this — acquire is an atomic increment plus a closed
+	// re-check.
 	refs atomic.Int64
 	// scratch pools *searchScratch values so steady-state Search reuses
 	// its merge buffers and fusion map instead of allocating per query.
@@ -191,18 +190,6 @@ func WithDir(path string) Option {
 	}
 }
 
-// WithEf sets the HNSW query beam width ef for every shard (default
-// hnsw.DefaultEfSearch). Larger values trade latency for recall; the knob
-// only affects queries, so an existing disk index can be reopened with a
-// different ef. Values < 1 are ignored.
-func WithEf(ef int) Option {
-	return func(r *Retriever) {
-		if ef >= 1 {
-			r.ef = ef
-		}
-	}
-}
-
 // WithSyncBytes enables group-commit durability triggered by pending
 // payload volume: once n bytes of records have been appended to a shard
 // since its last fsync, the flusher syncs immediately instead of waiting
@@ -249,20 +236,6 @@ func WithQuantize(on bool) Option {
 	return func(r *Retriever) { r.quantize = on }
 }
 
-// WithMmap makes the Disk backend memory-map snapshot files on Open
-// instead of reading them (default off). The shard's vector arenas and
-// document strings then alias the mapping zero-copy: cold start skips the
-// read-and-decode pass, pages fault in on demand, and co-located
-// processes share the page cache. The whole-file checksum is still
-// verified up front, so corruption degrades to a segment replay exactly
-// as in the ReadFile path. Lifetime caveat: because results can alias the
-// mapping, documents returned by a mmap-backed retriever must not be
-// retained after Close. Ignored on platforms without mmap support and by
-// the Memory backend.
-func WithMmap(on bool) Option {
-	return func(r *Retriever) { r.useMmap = on }
-}
-
 // Open creates a retriever, loading any existing index when the Disk
 // backend points at a directory with persisted segments. This is the
 // error-returning constructor; New is the panicking convenience wrapper
@@ -284,7 +257,7 @@ func Open(opts ...Option) (*Retriever, error) {
 	case Memory:
 		r.shards = make([]*shard, r.numShards)
 		for i := range r.shards {
-			r.shards[i] = &shard{be: newMemoryBackend(r.emb.Dim(), hnswSeed+int64(i), r.stats, r.ef, r.quantize)}
+			r.shards[i] = &shard{be: newMemoryBackend(r.emb.Dim(), hnswSeed+int64(i), r.stats, r.quantize)}
 		}
 	case Disk:
 		if r.dir == "" {
@@ -320,7 +293,6 @@ func Open(opts ...Option) (*Retriever, error) {
 		knobs := diskKnobs{
 			compactRatio: r.compactRatio,
 			quantize:     r.quantize,
-			mmap:         r.useMmap,
 			gc:           r.gc,
 		}
 		// Shards load concurrently: snapshot loads and replays are
@@ -342,7 +314,7 @@ func Open(opts ...Option) (*Retriever, error) {
 				t0 := time.Now()
 				seg := filepath.Join(r.dir, fmt.Sprintf("shard-%04d.seg", i))
 				snap := filepath.Join(r.dir, fmt.Sprintf("shard-%04d.snap", i))
-				bes[i], errs[i] = openDiskBackend(seg, snap, r.emb.Dim(), hnswSeed+int64(i), r.stats, r.ef, knobs)
+				bes[i], errs[i] = openDiskBackend(seg, snap, r.emb.Dim(), hnswSeed+int64(i), r.stats, knobs)
 				durs[i] = time.Since(t0)
 			}(i)
 		}
@@ -395,14 +367,6 @@ func New(opts ...Option) *Retriever {
 
 // NumShards returns the shard count.
 func (r *Retriever) NumShards() int { return len(r.shards) }
-
-// Ef returns the effective HNSW query beam width.
-func (r *Retriever) Ef() int {
-	if r.ef > 0 {
-		return r.ef
-	}
-	return hnsw.DefaultEfSearch
-}
 
 // Backend returns the configured shard storage backend.
 func (r *Retriever) Backend() Backend { return r.backend }
@@ -497,8 +461,8 @@ func (r *Retriever) flush() error {
 //
 //  1. flips closed and drains the operations in flight — every acquired
 //     reference, including fan-out goroutines a canceled Search abandoned —
-//     so no search can be walking an arena when a mmap-backed shard later
-//     releases its snapshot mapping;
+//     so no ingest or flush is still writing a segment file when the
+//     steps below sync and close it;
 //  2. runs Flush's body, so a shard whose compaction is due is rewritten by
 //     the still-running flusher, exactly as a Flush would;
 //  3. stops the group-commit flusher, which syncs any pending records on
@@ -827,6 +791,9 @@ func (r *Retriever) Search(ctx context.Context, query string, k int) ([]docs.Doc
 	if k <= 0 {
 		return nil, nil
 	}
+	// No query returns more documents than the index holds, and k sizes
+	// the over-fetch below, so an absurd k must not reach it.
+	k = min(k, r.Len())
 
 	// Over-fetch each side so fusion has enough candidates. Each shard
 	// over-fetches the full budget: the global top-fetch is then always a

@@ -24,10 +24,8 @@ import (
 //
 // Version 2 lays the HNSW vector arenas (norms, float32 vectors and the
 // optional int8 quantized arrays) out as wire aligned blobs, padded
-// relative to the file start. A WithMmap open maps the whole file and the
-// arenas become zero-copy views of the mapping — cold start pages data in
-// on demand and co-located processes share the page-cache copy. Version-1
-// snapshots (prior builds) fail the version check and degrade to a replay
+// relative to the file start. An open reads the whole file into one buffer
+// and the arenas become zero-copy views of it. Version-1 snapshots (prior builds) fail the version check and degrade to a replay
 // that rewrites the snapshot in the current format.
 const (
 	snapMagic      = "pnss"
@@ -46,7 +44,7 @@ var snapCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // writeSnapshot serializes the shard's current state next to the segment
 // file and advances the snapshot high-water mark. The whole file is built
 // in one wire.Writer so blob padding is relative to file offset 0 — the
-// invariant the mmap load path's zero-copy reinterpretation depends on.
+// invariant the load path's zero-copy reinterpretation depends on.
 // No section touches shared state as it loads: the BM25 section is
 // restored against a private Stats object that joins the retriever-wide
 // one only after every section has validated (see loadSnapshot), so a
@@ -108,68 +106,42 @@ func (b *diskBackend) writeSnapshot() error {
 
 // loadSnapshot reads and validates the snapshot at snapPath and, on
 // success, returns a fully built in-memory shard plus the high-water mark
-// and record count it covers. With useMmap (on supported platforms) the
-// file is mapped instead of read: the returned mapping is non-nil and the
-// built shard's arenas, document strings and IDs alias it zero-copy — the
-// caller owns the mapping and must munmap it only after the shard is
-// discarded (diskBackend.Close). The whole-file CRC is verified in both
-// modes, so a torn or flipped blob is caught up front — an mmap open
-// detects corruption exactly as eagerly as a ReadFile open and falls back
-// to a replay the same way.
+// and record count it covers. The built shard's arenas, document strings
+// and IDs are zero-copy views of the file buffer, which the shard then
+// owns. The whole-file CRC is verified before any section is parsed, so a
+// torn or flipped blob is caught up front.
 //
 // A missing file returns the raw not-exist error (the caller treats it as
 // "no snapshot"); every other failure — torn tail, CRC mismatch, version
 // from a different build, generation not matching the live segment,
-// watermark past the segment's size — returns a descriptive error, with
-// any mapping released, and the caller falls back to a full replay (and
-// rewrites the snapshot). The shared Stats object is only mutated if the
-// entire snapshot parses.
-func loadSnapshot(snapPath string, expectGen uint64, segSize int64, dim int, seed int64, st *bm25.Stats, ef int, quant, useMmap bool) (mem *memoryBackend, water, records int64, mapping []byte, err error) {
-	var raw []byte
-	if useMmap && mmapSupported {
-		f, ferr := os.Open(snapPath)
-		if ferr != nil {
-			return nil, 0, 0, nil, ferr
-		}
-		m, merr := mmapFile(f)
-		f.Close()
-		if merr == nil {
-			raw, mapping = m, m
-		}
-		// On mmap failure fall through to ReadFile below.
-	}
-	ok := false
-	defer func() {
-		if !ok && mapping != nil {
-			_ = munmapFile(mapping)
-		}
-	}()
-	if raw == nil {
-		raw, err = os.ReadFile(snapPath)
-		if err != nil {
-			return nil, 0, 0, nil, err
-		}
+// watermark past the segment's size — returns a descriptive error, and
+// the caller falls back to a full replay (and rewrites the snapshot). The
+// shared Stats object is only mutated if the entire snapshot parses.
+func loadSnapshot(snapPath string, expectGen uint64, segSize int64, dim int, seed int64, st *bm25.Stats, quant bool) (mem *memoryBackend, water, records int64, err error) {
+	raw, err := os.ReadFile(snapPath)
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	if len(raw) < snapHeaderSize+4 {
-		return nil, 0, 0, nil, fmt.Errorf("snapshot %s: truncated (%d bytes)", snapPath, len(raw))
+		return nil, 0, 0, fmt.Errorf("snapshot %s: truncated (%d bytes)", snapPath, len(raw))
 	}
 	body, crcb := raw[:len(raw)-4], raw[len(raw)-4:]
 	if crc32.Checksum(body, snapCRCTable) != binary.LittleEndian.Uint32(crcb) {
-		return nil, 0, 0, nil, fmt.Errorf("snapshot %s: checksum mismatch", snapPath)
+		return nil, 0, 0, fmt.Errorf("snapshot %s: checksum mismatch", snapPath)
 	}
 	if string(body[:4]) != snapMagic {
-		return nil, 0, 0, nil, fmt.Errorf("snapshot %s: bad magic %q", snapPath, body[:4])
+		return nil, 0, 0, fmt.Errorf("snapshot %s: bad magic %q", snapPath, body[:4])
 	}
 	if v := binary.LittleEndian.Uint32(body[4:8]); v != snapVersion {
-		return nil, 0, 0, nil, fmt.Errorf("snapshot %s: version %d, this build reads %d", snapPath, v, snapVersion)
+		return nil, 0, 0, fmt.Errorf("snapshot %s: version %d, this build reads %d", snapPath, v, snapVersion)
 	}
 	if gen := binary.LittleEndian.Uint64(body[8:16]); gen != expectGen {
-		return nil, 0, 0, nil, fmt.Errorf("snapshot %s: covers segment generation %d, segment is at %d", snapPath, gen, expectGen)
+		return nil, 0, 0, fmt.Errorf("snapshot %s: covers segment generation %d, segment is at %d", snapPath, gen, expectGen)
 	}
 	water = int64(binary.LittleEndian.Uint64(body[16:24]))
 	records = int64(binary.LittleEndian.Uint64(body[24:32]))
 	if water < segHeaderSize || water > segSize {
-		return nil, 0, 0, nil, fmt.Errorf("snapshot %s: watermark %d outside segment of %d bytes", snapPath, water, segSize)
+		return nil, 0, 0, fmt.Errorf("snapshot %s: watermark %d outside segment of %d bytes", snapPath, water, segSize)
 	}
 
 	// The snapshot buffer is owned by the structures built from it, so
@@ -180,38 +152,37 @@ func loadSnapshot(snapPath string, expectGen uint64, segSize int64, dim int, see
 	rd.Skip(snapHeaderSize)
 	count := int(rd.Uvarint())
 	if count > rd.Remaining() {
-		return nil, 0, 0, nil, fmt.Errorf("snapshot %s: claims %d documents in %d bytes", snapPath, count, rd.Remaining())
+		return nil, 0, 0, fmt.Errorf("snapshot %s: claims %d documents in %d bytes", snapPath, count, rd.Remaining())
 	}
 	byID := make(map[string]docs.Document, count)
 	for i := 0; i < count; i++ {
 		id := rd.String()
 		d, derr := decodeDoc(rd, id)
 		if derr != nil {
-			return nil, 0, 0, nil, fmt.Errorf("snapshot %s: %w", snapPath, derr)
+			return nil, 0, 0, fmt.Errorf("snapshot %s: %w", snapPath, derr)
 		}
 		byID[id] = d
 	}
 	if err := rd.Err(); err != nil {
-		return nil, 0, 0, nil, fmt.Errorf("snapshot %s: document store: %w", snapPath, err)
+		return nil, 0, 0, fmt.Errorf("snapshot %s: document store: %w", snapPath, err)
 	}
 
 	// Parse the index sections against a private Stats object: the shared
 	// one is only touched (via AttachStats) once every section has
 	// validated, so a bad snapshot cannot leak document frequencies into
 	// the corpus totals before the caller falls back to a replay.
-	mem = newMemoryBackend(dim, seed, nil, ef, quant)
+	mem = newMemoryBackend(dim, seed, nil, quant)
 	if err := mem.vec.LoadSnapshot(rd); err != nil {
-		return nil, 0, 0, nil, fmt.Errorf("snapshot %s: %w", snapPath, err)
+		return nil, 0, 0, fmt.Errorf("snapshot %s: %w", snapPath, err)
 	}
 	if err := mem.lex.LoadSnapshot(rd); err != nil {
-		return nil, 0, 0, nil, fmt.Errorf("snapshot %s: %w", snapPath, err)
+		return nil, 0, 0, fmt.Errorf("snapshot %s: %w", snapPath, err)
 	}
 	if mem.vec.Len() != len(byID) || mem.lex.Len() != len(byID) {
-		return nil, 0, 0, nil, fmt.Errorf("snapshot %s: sections disagree (%d docs, %d vectors, %d lexical)",
+		return nil, 0, 0, fmt.Errorf("snapshot %s: sections disagree (%d docs, %d vectors, %d lexical)",
 			snapPath, len(byID), mem.vec.Len(), mem.lex.Len())
 	}
 	mem.setDocs(byID)
 	mem.lex.AttachStats(st)
-	ok = true
-	return mem, water, records, mapping, nil
+	return mem, water, records, nil
 }

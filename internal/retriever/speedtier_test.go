@@ -5,121 +5,53 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"pneuma/internal/docs"
 )
 
-// speedTierParity runs the storage-mode parity matrix under extra options:
-// for each shard count, results from a snapshot open (ReadFile), a
-// snapshot open (mmap), a full segment replay and a memory-backed build of
-// the same corpus must be identical.
-func speedTierParity(t *testing.T, extra ...Option) {
-	t.Helper()
+// TestQuantizedParity: the int8 speed tier is deterministic across
+// storage modes — for each shard count, quantized arenas restored from a
+// snapshot, rebuilt by a full segment replay, or built in memory from the
+// same corpus all answer identically.
+func TestQuantizedParity(t *testing.T) {
 	n := 120
 	if !testing.Short() {
 		n = 400
 	}
 	for _, shards := range []int{1, 4, 8} {
 		dir := t.TempDir()
-		tables := buildDiskIndex(t, dir, n, shards, extra...)
+		tables := buildDiskIndex(t, dir, n, shards, WithQuantize(true))
 
-		mem := New(append([]Option{WithShards(shards)}, extra...)...)
+		mem := New(WithShards(shards), WithQuantize(true))
 		if err := mem.IndexTables(context.Background(), tables); err != nil {
 			t.Fatal(err)
 		}
 
-		open := func(name string, opts ...Option) map[string][]docs.Document {
-			all := append([]Option{WithBackend(Disk), WithDir(dir)}, extra...)
-			all = append(all, opts...)
-			r, err := Open(all...)
+		open := func(name string) map[string][]docs.Document {
+			r, err := Open(WithBackend(Disk), WithDir(dir), WithQuantize(true))
 			if err != nil {
 				t.Fatalf("%d shards %s open: %v", shards, name, err)
 			}
 			defer r.Close()
 			res := make(map[string][]docs.Document)
 			for _, q := range parityQueries {
-				// Deep-copy before Close: mmap-backed results alias the
-				// snapshot mapping, which Close releases (the documented
-				// lifetime caveat — retaining them would fault).
-				ds := mustSearch(t, r, q, 10)
-				cp := make([]docs.Document, len(ds))
-				for i, d := range ds {
-					d.ID = strings.Clone(d.ID)
-					d.Title = strings.Clone(d.Title)
-					d.Content = strings.Clone(d.Content)
-					d.Source = strings.Clone(d.Source)
-					cp[i] = d
-				}
-				res[q] = cp
+				res[q] = mustSearch(t, r, q, 10)
 			}
 			return res
 		}
 
-		snapRes := open("snap-readfile")
-		mmapRes := open("snap-mmap", WithMmap(true))
+		snapRes := open("snapshot")
 		for _, f := range shardFiles(t, dir, ".snap") {
 			os.Remove(f)
 		}
 		replayRes := open("replay")
 
 		for _, q := range parityQueries {
-			assertSameResults(t, fmt.Sprintf("%d shards mmap-vs-readfile %q", shards, q), mmapRes[q], snapRes[q])
-			assertSameResults(t, fmt.Sprintf("%d shards replay-vs-readfile %q", shards, q), replayRes[q], snapRes[q])
-			assertSameResults(t, fmt.Sprintf("%d shards memory-vs-readfile %q", shards, q), mustSearch(t, mem, q, 10), snapRes[q])
+			assertSameResults(t, fmt.Sprintf("%d shards replay-vs-snapshot %q", shards, q), replayRes[q], snapRes[q])
+			assertSameResults(t, fmt.Sprintf("%d shards memory-vs-snapshot %q", shards, q), mustSearch(t, mem, q, 10), snapRes[q])
 		}
 		mem.Close()
-	}
-}
-
-// TestMmapParity: mapping the snapshot instead of reading it must not
-// change a single result, at any shard count, against either the replay
-// or the memory baseline.
-func TestMmapParity(t *testing.T) { speedTierParity(t, WithMmap(true)) }
-
-// TestQuantizedParity: the int8 speed tier is deterministic across
-// storage modes — quantized arenas restored from a snapshot (ReadFile or
-// mmap), rebuilt by replay, or built in memory all answer identically.
-func TestQuantizedParity(t *testing.T) { speedTierParity(t, WithQuantize(true)) }
-
-// TestQuantizedMmapParity: both knobs together — zero-copy int8 arenas
-// aliasing the mapping must score exactly like heap-allocated ones.
-func TestQuantizedMmapParity(t *testing.T) {
-	speedTierParity(t, WithQuantize(true), WithMmap(true))
-}
-
-// TestTornSnapshotMmapFallsBackToReplay is the mmap row of the corruption
-// matrix: a torn snapshot opened with WithMmap must fail the checksum
-// exactly like the ReadFile path, fall back to segment replay, and
-// rewrite a healthy snapshot — never serve from a half-written mapping.
-func TestTornSnapshotMmapFallsBackToReplay(t *testing.T) {
-	dir := t.TempDir()
-	tables := buildDiskIndex(t, dir, 24, 2, WithQuantize(true))
-
-	snaps := shardFiles(t, dir, ".snap")
-	raw, err := os.ReadFile(snaps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(snaps[0], raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := Open(WithBackend(Disk), WithDir(dir), WithMmap(true), WithQuantize(true))
-	if err != nil {
-		t.Fatalf("mmap open with torn snapshot: %v", err)
-	}
-	defer re.Close()
-	if re.Len() != len(tables) {
-		t.Fatalf("Len = %d, want %d", re.Len(), len(tables))
-	}
-	healed, err := os.ReadFile(snaps[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(healed) == len(raw)/2 {
-		t.Fatal("torn snapshot was not rewritten on open")
 	}
 }
 

@@ -33,9 +33,12 @@
 //     other route still encodes with encoding/json.
 //
 //   - Limits: JSON request bodies are read through http.MaxBytesReader
-//     (an oversize body is ErrBadQuery, 400), and Run's http.Server drops a
+//     (an oversize body is ErrBadQuery, 400). Run's http.Server drops a
 //     connection that has not delivered its request headers within
-//     readHeaderTimeout.
+//     readHeaderTimeout or its whole request within readTimeout, and a
+//     keep-alive connection idle for idleTimeout. ?k= on /v1/search
+//     accepts any positive int: the index clamps it to its document count
+//     before anything is sized by it.
 //
 //   - Streaming: long Seeker turns deliver incrementally over SSE
 //     (?stream=sse or Accept: text/event-stream) — an accepted event on

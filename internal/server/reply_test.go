@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,11 +12,13 @@ import (
 	"net/url"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"pneuma"
 	"pneuma/internal/docs"
+	"pneuma/internal/llm"
 	"pneuma/internal/racebuild"
 	"pneuma/internal/table"
 	"pneuma/internal/value"
@@ -245,12 +248,13 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// TestStalledHeadersDropped: the server Run builds gives a connection
-// readHeaderTimeout to deliver its request headers and then drops it, so a
-// client that opens connections and stalls cannot hold them open. The
-// timeout is shortened here so the test does not wait ten seconds.
-func TestStalledHeadersDropped(t *testing.T) {
-	svc, err := pneuma.New(pneuma.ArchaeologyDataset())
+// timeoutServer starts the http.Server Run serves a Service over the
+// archaeology corpus with, after checking it carries the production
+// connection timeouts, with each of them shortened to d so the tests do
+// not wait them out.
+func timeoutServer(t *testing.T, d time.Duration, opts ...pneuma.Option) *httptest.Server {
+	t.Helper()
+	svc, err := pneuma.New(pneuma.ArchaeologyDataset(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,30 +264,120 @@ func TestStalledHeadersDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs := srv.httpServer()
-	if hs.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
-		t.Fatalf("ReadHeaderTimeout = %v, want readHeaderTimeout (%v)", hs.ReadHeaderTimeout, readHeaderTimeout)
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadTimeout != readTimeout || hs.IdleTimeout != idleTimeout {
+		t.Fatalf("timeouts (header, read, idle) = %v, %v, %v; want %v, %v, %v",
+			hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout, readHeaderTimeout, readTimeout, idleTimeout)
 	}
-	hs.ReadHeaderTimeout = 100 * time.Millisecond
+	hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout = d, d, d
 	ts := httptest.NewUnstartedServer(nil)
 	ts.Config = hs
 	ts.Start()
 	t.Cleanup(ts.Close)
+	return ts
+}
 
+// sendRaw writes a raw HTTP/1.1 request prefix on a fresh connection and
+// returns the time it took the server to close the connection, failing if
+// it is still open after 10 seconds.
+func sendRaw(t *testing.T, ts *httptest.Server, raw string) time.Duration {
+	t.Helper()
 	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: pneuma\r\n"); err != nil {
+	if _, err := io.WriteString(conn, raw); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
 	conn.SetReadDeadline(start.Add(10 * time.Second))
-	n, err := conn.Read(make([]byte, 512))
-	if err != io.EOF || n != 0 {
-		t.Fatalf("stalled connection read %d bytes, %v; want the server to close it", n, err)
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("server still holds the stalled connection: %v", err)
 	}
-	if waited := time.Since(start); waited > 5*time.Second {
+	return time.Since(start)
+}
+
+// TestStalledHeadersDropped: the server Run builds gives a connection
+// readHeaderTimeout to deliver its request headers and then drops it, so a
+// client that opens connections and stalls cannot hold them open.
+func TestStalledHeadersDropped(t *testing.T) {
+	ts := timeoutServer(t, 100*time.Millisecond)
+	if waited := sendRaw(t, ts, "GET /healthz HTTP/1.1\r\nHost: pneuma\r\n"); waited > 5*time.Second {
 		t.Errorf("server took %v to drop a connection stalled in its headers", waited)
+	}
+}
+
+// TestTrickledBodyDropped: a client that sends its headers and then only
+// half of the body its Content-Length promises is cut off once readTimeout
+// runs out, instead of holding the connection for as long as it trickles.
+func TestTrickledBodyDropped(t *testing.T) {
+	ts := timeoutServer(t, 100*time.Millisecond)
+	body := `{"user":"trickle"}`
+	raw := fmt.Sprintf("POST /v1/sessions HTTP/1.1\r\nHost: pneuma\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		len(body), body[:len(body)/2])
+	if waited := sendRaw(t, ts, raw); waited > 5*time.Second {
+		t.Errorf("server took %v to drop a connection stalled in its body", waited)
+	}
+}
+
+// sleepyModel is the SimModel with its first Complete call held back by
+// delay, so a turn outlasts the server's shortened readTimeout.
+type sleepyModel struct {
+	llm.Model
+	delay time.Duration
+	once  sync.Once
+}
+
+func (m *sleepyModel) Complete(ctx context.Context, req llm.Request) (llm.Response, error) {
+	var err error
+	m.once.Do(func() {
+		select {
+		case <-time.After(m.delay):
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+	})
+	if err != nil {
+		return llm.Response{}, err
+	}
+	return m.Model.Complete(ctx, req)
+}
+
+// TestSSEOutlivesReadTimeout: readTimeout bounds reading the request, not
+// the response — a streamed turn that runs past it still delivers its
+// final event.
+func TestSSEOutlivesReadTimeout(t *testing.T) {
+	const bound = 100 * time.Millisecond
+	ts := timeoutServer(t, bound, pneuma.WithModel(&sleepyModel{Model: llm.NewSimModel(), delay: 5 * bound}))
+
+	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(`{"user":"slow"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var created struct {
+		SessionID string `json:"session_id"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&created)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	resp, err = http.Post(ts.URL+"/v1/sessions/"+created.SessionID+"/messages?stream=sse",
+		"application/json", strings.NewReader(`{"message":"Which table holds radiocarbon dates?"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	events, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < 5*bound {
+		t.Fatalf("turn took %v, not past the %v read timeout", took, bound)
+	}
+	if !strings.Contains(string(events), "event: reply\n") || strings.Contains(string(events), "event: error\n") {
+		t.Errorf("a turn past the read timeout did not end in its reply event:\n%s", events)
 	}
 }

@@ -42,9 +42,6 @@ type Config struct {
 	// disabled; the scheduler's own WithMaxQueue depth bound still
 	// applies).
 	MaxEstimatedWait time.Duration
-	// RetryAfter is the Retry-After hint stamped on every 503 (default
-	// 1s).
-	RetryAfter time.Duration
 }
 
 // Server is the HTTP front end: a handler tree over one pneuma.Service
@@ -78,9 +75,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 10 * time.Second
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
 	}
 	s := &Server{svc: cfg.Service, cfg: cfg, mux: http.NewServeMux(), met: newMetrics()}
 	s.routes()
@@ -191,13 +185,16 @@ type errorBody struct {
 	Code  string `json:"code,omitempty"`
 }
 
+// retryAfter is the Retry-After hint, in seconds, stamped on every 503.
+const retryAfter = "1"
+
 // writeError renders err through the status mapping: JSON envelope, typed
 // code, Retry-After on the 503 family.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	status := Status(err)
 	w.Header().Set("Content-Type", "application/json")
 	if Retryable(err) {
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Round(time.Second)/time.Second)))
+		w.Header().Set("Retry-After", retryAfter)
 	}
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(errorBody{Error: err.Error(), Code: string(pnerr.CodeOf(err))})
@@ -384,8 +381,7 @@ func writeEvent(w http.ResponseWriter, event string, v any) {
 // X-Pneuma-Degraded header flags it without parsing the body, whose
 // "degraded" field carries the per-source failure detail. Each document goes
 // over the wire as its identity, score and rendered summary, never the raw
-// table payload, which can be arbitrarily large and, under WithMmap, must not
-// outlive the Service.
+// table payload, which can be arbitrarily large.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, query url.Values) error {
 	q := query.Get("q")
 	k := 5
@@ -498,14 +494,29 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.met.render(w, s.svc.Stats())
 }
 
-// readHeaderTimeout bounds how long a connection may take to deliver its
-// request headers, so clients that open connections and stall cannot hold
-// them open indefinitely.
-const readHeaderTimeout = 10 * time.Second
+// Connection timeouts, so a client that opens a connection and stalls
+// cannot hold it open indefinitely.
+const (
+	// readHeaderTimeout bounds the delivery of the request headers.
+	readHeaderTimeout = 10 * time.Second
+	// readTimeout bounds the delivery of the whole request, body included.
+	// It does not cut a long response short: once the handler has read
+	// the body, net/http clears the read deadline, so an SSE turn may
+	// stream for as long as its own deadline allows.
+	readTimeout = 30 * time.Second
+	// idleTimeout bounds how long a keep-alive connection may wait for its
+	// next request.
+	idleTimeout = 2 * time.Minute
+)
 
 // httpServer is the http.Server Run serves the handler tree with.
 func (s *Server) httpServer() *http.Server {
-	return &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	return &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // Run serves on the listener until ctx is canceled (the daemon wires

@@ -208,6 +208,24 @@ func TestSearchRoutes(t *testing.T) {
 	}
 }
 
+// TestSearchHugeK: ?k= accepts any positive int, and a k past the corpus
+// size answers 200 with every table instead of sizing buffers by k.
+func TestSearchHugeK(t *testing.T) {
+	ts, svc := newTestServer(t, Config{})
+	resp, err := http.Get(ts.URL + "/v1/search?q=soil&k=2305843009213693952")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("search with k=2^61 = %d, want 200", resp.StatusCode)
+	}
+	var got searchResponse
+	decodeBody(t, resp, &got)
+	if want := svc.Stats().Tables.Documents; len(got.Documents) != want {
+		t.Errorf("search with k=2^61 returned %d documents, want all %d tables", len(got.Documents), want)
+	}
+}
+
 // TestTimeoutClamp: a microscopic ?timeout makes the server-side deadline
 // fire, which must surface as 504 (the server gave up), not 499 (the
 // client did).

@@ -79,8 +79,9 @@ func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 
 // BlobAlign is the byte alignment of aligned-blob payloads. 64 covers
 // cache lines and every element type's natural alignment, and because
-// snapshot files are written with offset 0 == file offset 0, a page-aligned
-// mmap of the file makes each blob directly addressable as a typed slice.
+// snapshot files are written with offset 0 == file offset 0, a buffer
+// holding the whole file finds each blob at an aligned offset and can view
+// it as a typed slice.
 const BlobAlign = 64
 
 // hostLittleEndian reports whether the running machine stores multi-byte
@@ -104,7 +105,7 @@ func (w *Writer) PadTo(align int) {
 // Float32Blob appends a count prefix, zero padding to BlobAlign, and the
 // raw little-endian float32 payload. Unlike Float32s, the payload start is
 // aligned relative to the buffer start, so a reader over the same buffer
-// base (e.g. an mmap'd snapshot) can reinterpret it zero-copy.
+// base (e.g. a snapshot file read whole) can reinterpret it zero-copy.
 func (w *Writer) Float32Blob(v []float32) {
 	w.Uvarint(uint64(len(v)))
 	w.PadTo(BlobAlign)

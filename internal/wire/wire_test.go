@@ -171,7 +171,7 @@ func TestAlignedBlobs(t *testing.T) {
 
 // TestBlobAlignmentRelativeToBufferStart verifies every blob payload lands
 // on a BlobAlign boundary measured from the buffer start — the invariant
-// an mmap'd snapshot depends on.
+// the zero-copy snapshot load depends on.
 func TestBlobAlignmentRelativeToBufferStart(t *testing.T) {
 	for pre := 0; pre < 70; pre += 7 {
 		var w Writer

@@ -71,10 +71,6 @@ func index(o retriever.Option) Option {
 // GOMAXPROCS, clamped to [4,16]); see retriever.WithShards.
 func WithShards(n int) Option { return index(retriever.WithShards(n)) }
 
-// WithIndexWorkers sizes the embedding worker pool used by bulk corpus
-// ingest (default GOMAXPROCS); see retriever.WithWorkers.
-func WithIndexWorkers(n int) Option { return index(retriever.WithWorkers(n)) }
-
 // WithBackend selects the table-index shard storage engine
 // (BackendMemory, the default, or BackendDisk); see retriever.WithBackend.
 func WithBackend(b Backend) Option { return index(retriever.WithBackend(b)) }
@@ -83,10 +79,6 @@ func WithBackend(b Backend) Option { return index(retriever.WithBackend(b)) }
 // directory that already holds an index loads it instead of re-ingesting.
 // See retriever.WithDir.
 func WithIndexDir(dir string) Option { return index(retriever.WithDir(dir)) }
-
-// WithEf sets the HNSW query beam width (default 64): larger values trade
-// query latency for vector-search recall; see retriever.WithEf.
-func WithEf(n int) Option { return index(retriever.WithEf(n)) }
 
 // WithSyncBytes makes BackendDisk fsync a shard as soon as n bytes of
 // records are pending on it instead of waiting out the latency bound, so
@@ -104,12 +96,6 @@ func WithSyncInterval(d time.Duration) Option { return index(retriever.WithSyncI
 // float32, so returned scores and ordering stay full precision. See
 // retriever.WithQuantize.
 func WithQuantize(on bool) Option { return index(retriever.WithQuantize(on)) }
-
-// WithMmap makes BackendDisk memory-map snapshot files on open instead of
-// reading them (default off). Results may alias the mapping, so documents
-// returned by a mmap-backed service must not be retained after Close. See
-// retriever.WithMmap.
-func WithMmap(on bool) Option { return index(retriever.WithMmap(on)) }
 
 // WithMaxConcurrent bounds how many requests (Send and Search calls
 // across all sessions) execute simultaneously; excess requests queue and

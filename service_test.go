@@ -320,10 +320,7 @@ func TestServiceKnowledgeDedupe(t *testing.T) {
 // TestIndexOptionsReachRetriever guards the one failure a forwarding layer
 // has — a knob silently dropped: every index option pneuma exports is
 // applied to a 20-table Service and its effect read back through the
-// accessors the Service already has. WithIndexWorkers and WithMmap change
-// nothing observable from outside (results are bit-identical by contract),
-// so their rows only prove construction succeeds; their effect is asserted
-// at the retriever level (TestParallelIngestDeterminism, TestMmapParity).
+// accessors the Service already has.
 func TestIndexOptionsReachRetriever(t *testing.T) {
 	corpus := pneuma.SyntheticDataset(20)
 	names := make([]string, 0, len(corpus))
@@ -389,13 +386,6 @@ func TestIndexOptionsReachRetriever(t *testing.T) {
 					t.Errorf("NumShards = %d, want 3", got)
 				}
 			}},
-		{"WithIndexWorkers", false, pneuma.WithIndexWorkers(2), nil},
-		{"WithEf", false, pneuma.WithEf(200),
-			func(t *testing.T, svc *pneuma.Service, _ string) {
-				if got := svc.Seeker().IR().Tables.Ef(); got != 200 {
-					t.Errorf("Ef = %d, want 200", got)
-				}
-			}},
 		{"WithQuantize", false, pneuma.WithQuantize(true),
 			func(t *testing.T, svc *pneuma.Service, _ string) {
 				if _, i8 := svc.Seeker().IR().Tables.ArenaBytes(); i8 == 0 {
@@ -414,7 +404,6 @@ func TestIndexOptionsReachRetriever(t *testing.T) {
 					t.Error("default compaction ratio did not shrink the segments")
 				}
 			}},
-		{"WithMmap", true, pneuma.WithMmap(true), nil},
 		{"WithSyncBytes", true, pneuma.WithSyncBytes(1), fsyncsMoveOnAdd},
 		{"WithSyncInterval", true, pneuma.WithSyncInterval(time.Millisecond), fsyncsMoveOnAdd},
 	} {
