@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -112,10 +113,12 @@ func (g *chainGen) step(cur *table.Table) llm.MatStep {
 }
 
 // TestPlanChainsKeepTheRowRule runs seeded random chains of one to six plan
-// steps, every prefix of each through Materializer.ExecutePlan, and then
-// checks package table's row rule over all of it: no source table and no
-// table a prefix produced has changed since it was fingerprinted, although
-// the prefixes share rows with the sources and with each other.
+// steps, every prefix of each through Materializer.ExecutePlan and then
+// twice through one session's memo (the second pass hits it), and checks
+// package table's row rule over all of it: no source table, no table a
+// prefix produced and no table the memo holds has changed since it was
+// fingerprinted, although they share rows with the sources and with each
+// other. A memo hit must return the very table the memo stored.
 func TestPlanChainsKeepTheRowRule(t *testing.T) {
 	env := kramabench.Environment()
 	sources := make(map[string]*table.Table, len(chainSources))
@@ -136,22 +139,56 @@ func TestPlanChainsKeepTheRowRule(t *testing.T) {
 	kinds := make(map[string]int) // step kinds that ran successfully
 	failures := 0
 	m := core.NewMaterializer(nil, 0)
+	sess := new(core.Session)
+	memoized := make(map[*table.Table]uint64) // every table the memo returned
+	memoHits := 0
 	g := &chainGen{rng: rand.New(rand.NewSource(1)), sources: sources}
 	for c := 0; c < chainCount; c++ {
 		var steps []llm.MatStep
+		var plans []llm.MaterializePlan
 		var cur *table.Table
+		failed := false // the last prefix failed
 		for n := 1 + g.rng.Intn(6); len(steps) < n; {
 			steps = append(steps, g.step(cur))
 			plan := llm.MaterializePlan{Steps: append([]llm.MatStep(nil), steps...)}
+			plans = append(plans, plan)
 			out, err := m.ExecutePlan(plan, llm.TableSpec{Name: "target"}, retrieved)
 			if err != nil {
 				// Every longer prefix stops at the same step.
 				failures++
+				failed = true
 				break
 			}
 			kinds[steps[len(steps)-1].Op]++
 			outputs = append(outputs, output{plan: fmt.Sprint(plan.Steps), t: out, fp: fingerprint(out)})
 			cur = out
+		}
+
+		// The chain's prefixes through the memo, twice: at most six plans,
+		// so the memo still holds each of them on the second pass.
+		stored := make([]*table.Table, len(plans))
+		for pass := 0; pass < 2; pass++ {
+			for i, plan := range plans {
+				model := &scriptedPlans{plans: []llm.MaterializePlan{plan}}
+				res, err := core.NewMaterializer(model, 0).MaterializeInSession(context.Background(), sess, llm.TableSpec{Name: "target"}, retrieved, nil)
+				if wantErr := failed && i == len(plans)-1; (err != nil) != wantErr {
+					t.Fatalf("memo pass %d, plan %v: err = %v, ExecutePlan failed: %v", pass, plan.Steps, err, wantErr)
+				}
+				if err != nil {
+					continue
+				}
+				if pass == 1 {
+					if res.Table != stored[i] {
+						t.Fatalf("memo hit for %v returned a table other than the one it stored", plan.Steps)
+					}
+					memoHits++
+					continue
+				}
+				stored[i] = res.Table
+				if _, seen := memoized[res.Table]; !seen {
+					memoized[res.Table] = fingerprint(res.Table)
+				}
+			}
 		}
 	}
 
@@ -165,6 +202,22 @@ func TestPlanChainsKeepTheRowRule(t *testing.T) {
 			t.Errorf("the output of %s changed after later plans ran", o.plan)
 		}
 	}
+	for tb, fp := range memoized {
+		if fingerprint(tb) != fp {
+			t.Errorf("memoized table %s changed after later plans ran", tb.Schema.Name)
+		}
+	}
+	for _, e := range sess.Memo() {
+		fp, ok := memoized[e.Result]
+		if !ok {
+			t.Errorf("the memo holds a table it never returned")
+		} else if fingerprint(e.Result) != fp {
+			t.Errorf("the memo's %s changed since it was stored", e.Result.Schema.Name)
+		}
+	}
+	if memoHits == 0 {
+		t.Error("no prefix hit the memo")
+	}
 	for _, k := range chainKinds {
 		if kinds[k] == 0 {
 			t.Errorf("no chain ran a %s step successfully: the chains do not cover it", k)
@@ -173,5 +226,5 @@ func TestPlanChainsKeepTheRowRule(t *testing.T) {
 	if failures == 0 {
 		t.Error("no prefix failed: the error paths did not run")
 	}
-	t.Logf("%d prefixes materialized, %d failed; successful steps by kind: %v", len(outputs), failures, kinds)
+	t.Logf("%d prefixes materialized, %d failed, %d memo hits; successful steps by kind: %v", len(outputs), failures, memoHits, kinds)
 }

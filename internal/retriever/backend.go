@@ -40,50 +40,58 @@ func ParseBackend(s string) (Backend, error) {
 	}
 }
 
-// ShardBackend is the storage engine behind one shard of the hybrid index:
-// it owns the vector and lexical halves plus the document store for one
-// hash partition of the corpus. The read methods (Document, SearchVector,
-// SearchLexical, Len) are safe to call concurrently with each other and
-// with one mutator — the index halves publish immutable views through
-// atomic pointers, and the document store is a sync.Map — but mutators
-// (IndexBatch, DeleteBatch, Flush, Close) are not internally serialized
-// against each other: the Retriever runs them under one writer mutex per
-// shard. The two batch mutators are the only write path; a batch of one
-// is the single-document form, and a batch of n leaves the backend
-// exactly as n batches of one would (FuzzBatchSplit pins this).
-// Implementations must be deterministic: indexing the same (document,
-// vector) sequence must yield a backend that answers SearchVector and
-// SearchLexical identically across implementations and across reopens.
-type ShardBackend interface {
-	// IndexBatch adds (or replaces) a batch of embedded documents in
-	// order, amortizing the copy-on-write of the published read views
-	// across the batch.
-	IndexBatch(ds []docs.Document, vecs [][]float32) error
-	// DeleteBatch removes a batch of documents and returns how many of
-	// the IDs were present (an ID listed twice counts once).
-	DeleteBatch(ids []string) int
-	// Document returns the stored document by ID.
-	Document(id string) (docs.Document, bool)
-	// SearchVector returns the top-k nearest documents to the query
-	// vector.
-	SearchVector(query []float32, k int) ([]hnsw.Result, error)
-	// SearchLexical returns the top-k BM25 hits for the query text.
-	SearchLexical(query string, k int) []bm25.Result
-	// Len returns the number of live documents in this shard.
-	Len() int
-	// Flush makes all writes since the last Flush durable. A no-op for
-	// purely in-memory backends.
-	Flush() error
-	// Close flushes and releases any resources. The backend must not be
-	// used afterwards.
-	Close() error
+// shard is one hash partition of the hybrid index: the in-memory index
+// (mem), the segment log that persists it on the Disk backend (log, nil
+// on Memory), and the mutex that serializes its writers. Readers do not
+// take the mutex — mem's halves publish immutable views by atomic pointer
+// swap and its document store is a sync.Map, so a search never blocks on
+// an ingest and vice versa. A reader may observe one half a publish ahead
+// of the other mid-batch; the writer publishes the document store first,
+// then the lexical half, then the vector half, so every ID a view
+// surfaces is materializable, and at any quiesce point the halves agree
+// exactly.
+//
+// indexBatch and deleteBatch are the only write path: each writes mem
+// first and then appends the same mutations to the log in the same order,
+// so a replay of the log rebuilds mem exactly. A batch of one is the
+// single-document form, and a batch of n leaves a shard exactly as n
+// batches of one would (FuzzBatchSplit pins this, log included).
+type shard struct {
+	mu  sync.Mutex
+	mem *memoryBackend
+	log *diskBackend
+	// park, when set, runs at the start of every query of this shard:
+	// a test hook for holding a query mid-fan-out. Nil outside tests.
+	park func()
 }
 
-// memoryBackend is the in-RAM shard: an HNSW graph, a BM25 inverted index
-// and the document map. It is the Memory backend and the substrate the
-// Disk backend replays its segment log into. Reads run lock-free against
-// the index halves' published views and the sync.Map document store;
-// mutators rely on the Retriever's per-shard writer mutex.
+// indexBatch adds (or replaces) a batch of embedded documents in order.
+// Shard lock held.
+func (s *shard) indexBatch(ds []docs.Document, vecs [][]float32) error {
+	if err := s.mem.IndexBatch(ds, vecs); err != nil {
+		return err
+	}
+	if s.log != nil {
+		return s.log.logAdds(ds, vecs)
+	}
+	return nil
+}
+
+// deleteBatch removes a batch of documents and returns how many of the IDs
+// were present (an ID listed twice counts once). Shard lock held.
+func (s *shard) deleteBatch(ids []string) int {
+	removed := s.mem.deleteBatch(ids)
+	if s.log != nil {
+		s.log.logDeletes(removed)
+	}
+	return len(removed)
+}
+
+// memoryBackend is the in-RAM shard index: an HNSW graph, a BM25 inverted
+// index and the document map. Every shard has one; on the Disk backend it
+// is what the segment log replays into. Reads run lock-free against the
+// index halves' published views and the sync.Map document store; mutators
+// rely on the shard's writer mutex.
 type memoryBackend struct {
 	vec   *hnsw.Index
 	lex   *bm25.Index
@@ -119,10 +127,6 @@ func (m *memoryBackend) setDocs(byID map[string]docs.Document) {
 	m.live.Store(int64(len(byID)))
 }
 
-// arenaBytes reports the shard's HNSW vector-arena sizes (float32 bytes,
-// quantized-side bytes) for the bench harness's memory accounting.
-func (m *memoryBackend) arenaBytes() (int, int) { return m.vec.ArenaBytes() }
-
 // IndexBatch adds the batch to both halves and the document map, through
 // the halves' batch entry points, which clone the published copy-on-write
 // arrays once for the whole batch. The document store is written first:
@@ -145,11 +149,6 @@ func (m *memoryBackend) IndexBatch(ds []docs.Document, vecs [][]float32) error {
 	}
 	m.lex.AddBatch(ids, texts)
 	return m.vec.AddBatch(ids, vecs)
-}
-
-// DeleteBatch tombstones the batch and returns how many IDs were present.
-func (m *memoryBackend) DeleteBatch(ids []string) int {
-	return len(m.deleteBatch(ids))
 }
 
 // deleteBatch removes the present IDs through the halves' batch entry
@@ -189,21 +188,5 @@ func (m *memoryBackend) Document(id string) (docs.Document, bool) {
 	return v.(docs.Document), true
 }
 
-// SearchVector queries the HNSW half.
-func (m *memoryBackend) SearchVector(query []float32, k int) ([]hnsw.Result, error) {
-	return m.vec.Search(query, k)
-}
-
-// SearchLexical queries the BM25 half.
-func (m *memoryBackend) SearchLexical(query string, k int) []bm25.Result {
-	return m.lex.Search(query, k)
-}
-
 // Len returns the number of live documents.
 func (m *memoryBackend) Len() int { return int(m.live.Load()) }
-
-// Flush is a no-op: memory shards have no durable state.
-func (m *memoryBackend) Flush() error { return nil }
-
-// Close is a no-op: memory shards hold no external resources.
-func (m *memoryBackend) Close() error { return nil }

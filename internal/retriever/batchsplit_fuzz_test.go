@@ -1,9 +1,13 @@
 package retriever
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -114,10 +118,10 @@ func decodeSplitProgram(prog []byte) []splitOp {
 	return ops
 }
 
-// applySplit applies ops to m in batches: a batch ends where the op kind
+// applySplit applies ops to s in batches: a batch ends where the op kind
 // changes (adds vs deletes) or where cut says so (bit i of cut ends a
-// batch after op i). It returns the total DeleteBatch count.
-func applySplit(t *testing.T, m *memoryBackend, ops []splitOp, cut func(i int) bool) int {
+// batch after op i). It returns the total deleteBatch count.
+func applySplit(t *testing.T, s *shard, ops []splitOp, cut func(i int) bool) int {
 	t.Helper()
 	removed := 0
 	for start := 0; start < len(ops); {
@@ -131,14 +135,14 @@ func applySplit(t *testing.T, m *memoryBackend, ops []splitOp, cut func(i int) b
 			for i, o := range batch {
 				ids[i] = o.doc.ID
 			}
-			removed += m.DeleteBatch(ids)
+			removed += s.deleteBatch(ids)
 		} else {
 			ds := make([]docs.Document, len(batch))
 			vecs := make([][]float32, len(batch))
 			for i, o := range batch {
 				ds[i], vecs[i] = o.doc, o.vec
 			}
-			if err := m.IndexBatch(ds, vecs); err != nil {
+			if err := s.indexBatch(ds, vecs); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -147,16 +151,78 @@ func applySplit(t *testing.T, m *memoryBackend, ops []splitOp, cut func(i int) b
 	return removed
 }
 
+// assertSameShard fails the test unless got (counting BM25 statistics into
+// stGot) holds exactly the state of want (into stWant): identical HNSW and
+// BM25 snapshot bytes, identical corpus statistics, an identical document
+// store and Len, and identical search results.
+func assertSameShard(t *testing.T, label string, got, want *memoryBackend, stGot, stWant *bm25.Stats, ops []splitOp) {
+	t.Helper()
+	var wg, ww wire.Writer
+	got.vec.AppendSnapshot(&wg)
+	want.vec.AppendSnapshot(&ww)
+	if !bytes.Equal(wg.Bytes(), ww.Bytes()) {
+		t.Fatalf("%s: hnsw snapshots differ", label)
+	}
+	wg.Reset()
+	ww.Reset()
+	got.lex.AppendSnapshot(&wg)
+	want.lex.AppendSnapshot(&ww)
+	if !bytes.Equal(wg.Bytes(), ww.Bytes()) {
+		t.Fatalf("%s: bm25 snapshots differ", label)
+	}
+
+	if stGot.DocCount() != stWant.DocCount() || stGot.AvgDocLen() != stWant.AvgDocLen() {
+		t.Fatalf("%s: stats differ: (%d, %v) vs (%d, %v)", label, stGot.DocCount(), stGot.AvgDocLen(), stWant.DocCount(), stWant.AvgDocLen())
+	}
+	for _, w := range splitWords {
+		for _, term := range textutil.NormalizeTokens(w) {
+			if dg, dw := stGot.DocFreq(term), stWant.DocFreq(term); dg != dw {
+				t.Fatalf("%s: DocFreq(%q) = %d vs %d", label, term, dg, dw)
+			}
+		}
+	}
+
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: Len = %d vs %d", label, got.Len(), want.Len())
+	}
+	for _, o := range ops {
+		dg, okg := got.Document(o.doc.ID)
+		dw, okw := want.Document(o.doc.ID)
+		if okg != okw || !reflect.DeepEqual(dg, dw) {
+			t.Fatalf("%s: document %q: %v %+v vs %v %+v", label, o.doc.ID, okg, dg, okw, dw)
+		}
+	}
+	n := 0
+	got.byID.Range(func(any, any) bool { n++; return true })
+	if n != got.Len() {
+		t.Fatalf("%s: document store holds %d, Len says %d", label, n, got.Len())
+	}
+
+	for i, q := range []string{"river nitrate basin", "steel tariff", "trench artifact period site"} {
+		if lg, lw := got.lex.Search(q, 10), want.lex.Search(q, 10); !reflect.DeepEqual(lg, lw) {
+			t.Fatalf("%s: lexical search %q: %v vs %v", label, q, lg, lw)
+		}
+		_, qv := splitDoc("query", -1-i)
+		vg, errg := got.vec.Search(qv, 10)
+		vw, errw := want.vec.Search(qv, 10)
+		if errg != nil || errw != nil || !reflect.DeepEqual(vg, vw) {
+			t.Fatalf("%s: vector search: %v %v vs %v %v", label, vg, errg, vw, errw)
+		}
+	}
+}
+
 // FuzzBatchSplit pins the invariant the whole write path rests on: a
-// batch of n mutations leaves a shard exactly as n batches of one do. A
-// fuzz-chosen program of adds, re-adds, deletes and deletes of missing
-// IDs over a small document pool is applied to one memoryBackend in
-// batches split at fuzz-chosen points, and to a second one op at a time;
-// both must end with identical HNSW and BM25 snapshot bytes, identical
-// corpus statistics, an identical document store and identical search
-// results. The committed corpus (testdata/fuzz/FuzzBatchSplit) seeds a
-// re-add inside one batch, an add followed by a delete of the same ID in
-// the next batch, a delete of an absent ID and a 64-document batch.
+// batch of n mutations leaves a shard exactly as n batches of one do, and
+// the shard's log records exactly those mutations. A fuzz-chosen program
+// of adds, re-adds, deletes and deletes of missing IDs over a small
+// document pool is applied to a Disk shard (compaction off) in batches
+// split at fuzz-chosen points, and to a Memory shard one op at a time.
+// Three states must then equal the one-at-a-time shard (assertSameShard):
+// the batched shard itself, a fresh index rebuilt by replaying its segment,
+// and one loaded from the snapshot it writes. The committed corpus
+// (testdata/fuzz/FuzzBatchSplit) seeds a re-add inside one batch, an add
+// followed by a delete of the same ID in the next batch, a delete of an
+// absent ID and a 64-document batch.
 func FuzzBatchSplit(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog, cuts []byte) {
 		if len(prog) > 2*splitMaxOps {
@@ -166,68 +232,50 @@ func FuzzBatchSplit(f *testing.F) {
 		cut := func(i int) bool { return i/8 < len(cuts) && cuts[i/8]>>(i%8)&1 == 1 }
 		one := func(int) bool { return true }
 
+		dir := t.TempDir()
 		stA, stB := bm25.NewStats(), bm25.NewStats()
-		a := newMemoryBackend(splitDim, 1, stA, false)
-		b := newMemoryBackend(splitDim, 1, stB, false)
+		log, err := openDiskBackend(filepath.Join(dir, "shard.seg"), filepath.Join(dir, "shard.snap"),
+			splitDim, 1, stA, false, newGroupCommit(0, 0), compactionOff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer log.Close()
+		a := &shard{mem: log.mem, log: log}
+		b := &shard{mem: newMemoryBackend(splitDim, 1, stB, false)}
 		ra := applySplit(t, a, ops, cut)
 		rb := applySplit(t, b, ops, one)
 		if ra != rb {
 			t.Fatalf("batched deletes removed %d, one-at-a-time %d", ra, rb)
 		}
+		assertSameShard(t, "batched", a.mem, b.mem, stA, stB, ops)
 
-		var wa, wb wire.Writer
-		a.vec.AppendSnapshot(&wa)
-		b.vec.AppendSnapshot(&wb)
-		if !bytes.Equal(wa.Bytes(), wb.Bytes()) {
-			t.Fatal("hnsw snapshots differ")
+		if err := log.w.Flush(); err != nil {
+			t.Fatal(err)
 		}
-		wa.Reset()
-		wb.Reset()
-		a.lex.AppendSnapshot(&wa)
-		b.lex.AppendSnapshot(&wb)
-		if !bytes.Equal(wa.Bytes(), wb.Bytes()) {
-			t.Fatal("bm25 snapshots differ")
+		seg, err := os.Open(log.path)
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer seg.Close()
+		stR := bm25.NewStats()
+		replayed := newMemoryBackend(splitDim, 1, stR, false)
+		if _, err := seg.Seek(segHeaderSize, io.SeekStart); err != nil {
+			t.Fatal(err)
+		}
+		n, recs, err := replayFrames(bufio.NewReader(seg), replayed)
+		if err != nil || segHeaderSize+n != log.segSize || recs != log.records {
+			t.Fatalf("replay: %d bytes, %d records, %v; segment holds %d bytes, %d records", segHeaderSize+n, recs, err, log.segSize, log.records)
+		}
+		assertSameShard(t, "replayed", replayed, b.mem, stR, stB, ops)
 
-		if stA.DocCount() != stB.DocCount() || stA.AvgDocLen() != stB.AvgDocLen() {
-			t.Fatalf("stats differ: (%d, %v) vs (%d, %v)", stA.DocCount(), stA.AvgDocLen(), stB.DocCount(), stB.AvgDocLen())
+		if err := log.writeSnapshot(); err != nil {
+			t.Fatal(err)
 		}
-		for _, w := range splitWords {
-			for _, term := range textutil.NormalizeTokens(w) {
-				if da, db := stA.DocFreq(term), stB.DocFreq(term); da != db {
-					t.Fatalf("DocFreq(%q) = %d vs %d", term, da, db)
-				}
-			}
+		stS := bm25.NewStats()
+		loaded, water, recs, err := loadSnapshot(log.snapPath, log.gen, log.segSize, splitDim, 1, stS, false)
+		if err != nil || water != log.segSize || recs != log.records {
+			t.Fatalf("snapshot load: watermark %d, %d records, %v; segment holds %d bytes, %d records", water, recs, err, log.segSize, log.records)
 		}
-
-		if a.Len() != b.Len() {
-			t.Fatalf("Len = %d vs %d", a.Len(), b.Len())
-		}
-		for _, o := range ops {
-			da, oka := a.Document(o.doc.ID)
-			db, okb := b.Document(o.doc.ID)
-			if oka != okb || !reflect.DeepEqual(da, db) {
-				t.Fatalf("document %q: %v %+v vs %v %+v", o.doc.ID, oka, da, okb, db)
-			}
-		}
-		for _, m := range []*memoryBackend{a, b} {
-			n := 0
-			m.byID.Range(func(any, any) bool { n++; return true })
-			if n != m.Len() {
-				t.Fatalf("document store holds %d, Len says %d", n, m.Len())
-			}
-		}
-
-		for i, q := range []string{"river nitrate basin", "steel tariff", "trench artifact period site"} {
-			if la, lb := a.SearchLexical(q, 10), b.SearchLexical(q, 10); !reflect.DeepEqual(la, lb) {
-				t.Fatalf("SearchLexical(%q): %v vs %v", q, la, lb)
-			}
-			_, qv := splitDoc("query", -1-i)
-			va, erra := a.SearchVector(qv, 10)
-			vb, errb := b.SearchVector(qv, 10)
-			if erra != nil || errb != nil || !reflect.DeepEqual(va, vb) {
-				t.Fatalf("SearchVector: %v %v vs %v %v", va, erra, vb, errb)
-			}
-		}
+		assertSameShard(t, "snapshot", loaded, b.mem, stS, stB, ops)
 	})
 }

@@ -7,34 +7,11 @@ import (
 	"testing"
 	"time"
 
-	"pneuma/internal/bm25"
 	"pneuma/internal/docs"
-	"pneuma/internal/hnsw"
 	"pneuma/internal/kramabench"
 	"pneuma/internal/leakcheck"
 	"pneuma/internal/pnerr"
 )
-
-// blockingBackend wraps a ShardBackend so one shard's vector search parks
-// until released — the instrument for driving a query into the
-// "mid-fan-out" window deterministically. Once released it forwards every
-// call, so it can stay installed for later searches.
-type blockingBackend struct {
-	ShardBackend
-	enter   sync.Once
-	entered chan struct{} // closed when SearchVector is first reached
-	release chan struct{} // SearchVector returns once this closes
-}
-
-func (b *blockingBackend) SearchVector(q []float32, k int) ([]hnsw.Result, error) {
-	b.enter.Do(func() { close(b.entered) })
-	<-b.release
-	return b.ShardBackend.SearchVector(q, k)
-}
-
-func (b *blockingBackend) SearchLexical(q string, k int) []bm25.Result {
-	return b.ShardBackend.SearchLexical(q, k)
-}
 
 // TestSearchCanceledBeforeStart: an already-canceled context fails fast
 // with the typed error, before any shard is consulted.
@@ -54,10 +31,10 @@ func TestSearchCanceledBeforeStart(t *testing.T) {
 	}
 }
 
-// TestSearchCanceledMidFanout: cancel while one shard is parked inside its
-// backend. Search must return context.Canceled promptly — not wait for the
-// stuck shard — and the abandoned goroutines must drain without leaking
-// once the shard unblocks.
+// TestSearchCanceledMidFanout: cancel while one shard's query is parked
+// (through the shard's park hook). Search must return context.Canceled
+// promptly — not wait for the stuck shard — and the abandoned goroutines
+// must drain without leaking once the shard unblocks.
 func TestSearchCanceledMidFanout(t *testing.T) {
 	defer leakcheck.Check(t)()
 
@@ -65,12 +42,16 @@ func TestSearchCanceledMidFanout(t *testing.T) {
 	if err := r.IndexTables(context.Background(), kramabench.SyntheticSlice(60)); err != nil {
 		t.Fatal(err)
 	}
-	blocked := &blockingBackend{
-		ShardBackend: r.shards[0].be,
-		entered:      make(chan struct{}),
-		release:      make(chan struct{}),
+	// Shard 0's queries park until release closes; the first to arrive
+	// closes entered. Once released the hook returns at once, so it can
+	// stay installed for later searches.
+	var enter sync.Once
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	r.shards[0].park = func() {
+		enter.Do(func() { close(entered) })
+		<-release
 	}
-	r.shards[0].be = blocked
 
 	ctx, cancel := context.WithCancel(context.Background())
 	type result struct {
@@ -83,12 +64,12 @@ func TestSearchCanceledMidFanout(t *testing.T) {
 		done <- result{ds, err}
 	}()
 
-	// Wait until the query is genuinely mid-fan-out (shard 0 parked inside
-	// its backend), then cancel.
+	// Wait until the query is genuinely mid-fan-out (shard 0 parked), then
+	// cancel.
 	select {
-	case <-blocked.entered:
+	case <-entered:
 	case <-time.After(5 * time.Second):
-		t.Fatal("shard fan-out never reached the blocking backend")
+		t.Fatal("shard fan-out never reached the parked shard")
 	}
 	cancel()
 
@@ -108,11 +89,11 @@ func TestSearchCanceledMidFanout(t *testing.T) {
 	}
 
 	// Unblock the parked shard so its goroutine can drain; leakcheck then
-	// proves nothing is left running. The wrapper stays installed: the
-	// abandoned goroutine reads shards[0].be without a lock (queryShard is
-	// lock-free by design), so swapping the real backend back would race
-	// with it, and a released wrapper simply forwards.
-	close(blocked.release)
+	// proves nothing is left running. The hook stays installed: the
+	// abandoned goroutine reads shards[0].park without a lock (queryShard
+	// is lock-free by design), so clearing it would race with it, and a
+	// released hook simply returns.
+	close(release)
 
 	// The index must remain fully serviceable after an abandoned query.
 	ds, err := r.Search(context.Background(), "nitrate water quality", 5)

@@ -2,7 +2,7 @@ package retriever
 
 import (
 	"bufio"
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"os"
 	"runtime"
@@ -41,7 +41,7 @@ import (
 //  4. Commit (locked, small): replay whatever trickled in since the last
 //     round, fsync the tmp segment (the bulk was already fsynced
 //     off-lock), rename it over the live segment, swap the file handle,
-//     and graft the shadow's HNSW/BM25 state into the live backend via
+//     and graft the shadow's HNSW/BM25 state into the live shard index via
 //     AdoptFrom — an O(1) pointer adoption, not a rebuild. Searches
 //     in flight keep their pinned pre-compaction views.
 //
@@ -90,7 +90,7 @@ func (r *Retriever) CompactionStats() CompactionStats {
 	var cs CompactionStats
 	for _, s := range r.shards {
 		s.mu.Lock()
-		if db, ok := s.be.(*diskBackend); ok {
+		if db := s.log; db != nil {
 			cs.Runs += db.compactRuns
 			cs.Reclaimed += db.compactReclaim
 			if db.compactMaxStall > cs.MaxStall {
@@ -118,7 +118,7 @@ func (b *diskBackend) scheduleCompactLocked() chan struct{} {
 	if b.compactDone == nil {
 		b.compactWant = true
 		b.compactDone = make(chan struct{})
-		b.knobs.gc.signalCompact()
+		b.gc.signalCompact()
 	}
 	return b.compactDone
 }
@@ -146,11 +146,10 @@ func (b *diskBackend) flushLocked() (<-chan struct{}, error) {
 func (r *Retriever) compactPendingShards() {
 	for _, s := range r.shards {
 		s.mu.Lock()
-		db, ok := s.be.(*diskBackend)
-		want := ok && db.compactWant
+		want := s.log != nil && s.log.compactWant
 		s.mu.Unlock()
 		if want {
-			r.compactShard(s, db)
+			r.compactShard(s)
 		}
 	}
 }
@@ -177,7 +176,8 @@ func (r *Retriever) drainSyncs() {
 // compactShard is the background rewrite described at the top of the
 // file. It runs on the flusher goroutine; all shared state it touches is
 // accessed in short shard-locked slices, each measured as writer stall.
-func (r *Retriever) compactShard(s *shard, db *diskBackend) {
+func (r *Retriever) compactShard(s *shard) {
+	db, live := s.log, s.mem
 	var maxStall time.Duration
 	stallSince := func(t0 time.Time) {
 		if d := time.Since(t0); d > maxStall {
@@ -218,7 +218,7 @@ func (r *Retriever) compactShard(s *shard, db *diskBackend) {
 	db.flushed = db.segSize
 	base := db.segSize
 	gen := db.gen
-	walk := db.vec.PinLive()
+	walk := live.vec.PinLive()
 	stallSince(t0)
 	s.mu.Unlock()
 
@@ -226,7 +226,7 @@ func (r *Retriever) compactShard(s *shard, db *diskBackend) {
 	// private Stats (nil here): the live documents' contributions are
 	// already in the shared Stats object, and AdoptFrom re-points the
 	// adopted view at it, so the rebuild must not count them again.
-	shadow := newMemoryBackend(db.dim, db.seed, nil, db.quant)
+	shadow := newMemoryBackend(live.dim, live.seed, nil, live.quant)
 	tmp := db.path + ".tmp"
 	tf, err := os.Create(tmp)
 	if err != nil {
@@ -259,11 +259,7 @@ func (r *Retriever) compactShard(s *shard, db *diskBackend) {
 			return err
 		}
 		for i, d := range bds {
-			rec.Reset()
-			rec.Byte(opAdd)
-			rec.String(d.ID)
-			rec.Float32s(bvecs[i])
-			encodeDoc(&rec, d)
+			encodeAddRecord(&rec, d, bvecs[i])
 			n, err := writeFramedRecord(tw, &frame, rec.Bytes())
 			if err != nil {
 				return err
@@ -280,7 +276,7 @@ func (r *Retriever) compactShard(s *shard, db *diskBackend) {
 	}
 	var werr error
 	walk(func(id string, vec []float32) bool {
-		d, ok := db.Document(id)
+		d, ok := live.Document(id)
 		if !ok {
 			// Deleted since the pin. Skipping the add keeps the shadow ≡
 			// replay(tmp) invariant: the tombstone record past the pin
@@ -303,37 +299,31 @@ func (r *Retriever) compactShard(s *shard, db *diskBackend) {
 		return
 	}
 
-	// Phase 3: catch-up. applyFlushed raw-copies the segment's flushed
-	// byte range [lo, hi) — whole records by construction — into the tmp
-	// segment while replaying each into the shadow. Reads use ReadAt
-	// (positionless) so they never race the writer's appends; bytes below
-	// db.flushed are immutable.
+	// Phase 3: catch-up. applyFlushed replays the segment's flushed byte
+	// range [lo, hi) — whole records by construction — into the shadow
+	// through the same frame reader Open replays with, and copies the
+	// bytes it applied raw into the tmp segment. A range the reader stops
+	// short in fails the compaction: a replay of the tmp segment would
+	// stop at the same frame. Reads use ReadAt (positionless) so they
+	// never race the writer's appends; bytes below db.flushed are
+	// immutable.
 	applyFlushed := func(lo, hi int64) error {
 		buf := make([]byte, hi-lo)
 		if _, err := db.f.ReadAt(buf, lo); err != nil {
 			return err
 		}
-		for off := 0; off < len(buf); {
-			plen, n := binary.Uvarint(buf[off:])
-			if n <= 0 || off+n+int(plen)+4 > len(buf) {
-				return fmt.Errorf("retriever: compact: torn record in flushed range of %s", db.path)
-			}
-			payload := buf[off+n : off+n+int(plen)]
-			total := n + int(plen) + 4
-			if _, err := tw.Write(buf[off : off+total]); err != nil {
-				return err
-			}
-			ok, err := applyRecord(shadow, payload)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return fmt.Errorf("retriever: compact: undecodable record in flushed range of %s", db.path)
-			}
-			off += total
-			size += int64(total)
-			recs++
+		n, applied, err := replayFrames(bytes.NewReader(buf), shadow)
+		if err != nil {
+			return err
 		}
+		if n != hi-lo {
+			return fmt.Errorf("retriever: compact: bad record at offset %d in flushed range of %s", lo+n, db.path)
+		}
+		if _, err := tw.Write(buf); err != nil {
+			return err
+		}
+		size += n
+		recs += applied
 		return nil
 	}
 	cursor := base
@@ -404,12 +394,12 @@ func (r *Retriever) compactShard(s *shard, db *diskBackend) {
 		if err := db.swapSegment(size, recs); err != nil {
 			return err
 		}
-		// Graft the shadow into the live backend: O(1) pointer adoption
+		// Graft the shadow into the live index: O(1) pointer adoption
 		// published by atomic view swap, so readers never see a half
 		// state. The document store and live counter need no adoption —
 		// writers kept them current throughout.
-		db.vec.AdoptFrom(shadow.vec)
-		db.lex.AdoptFrom(shadow.lex)
+		live.vec.AdoptFrom(shadow.vec)
+		live.lex.AdoptFrom(shadow.lex)
 		return nil
 	}()
 	stallSince(t0)

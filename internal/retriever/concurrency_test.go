@@ -258,7 +258,7 @@ func TestShardPartitioning(t *testing.T) {
 	}
 	occupied := 0
 	for _, s := range r.shards {
-		if s.be.Len() > 0 {
+		if s.mem.Len() > 0 {
 			occupied++
 		}
 	}

@@ -148,36 +148,28 @@ func readSegHeader(f *os.File) (uint64, error) {
 	return binary.LittleEndian.Uint64(h[8:16]), nil
 }
 
-// diskKnobs bundles the durability and maintenance policy the retriever
-// resolves from its options.
-type diskKnobs struct {
-	// compactRatio is the dead-record fraction that triggers a compaction
-	// rewrite (DefaultCompactionRatio; this package's tests pass a value
-	// above 1 to disable compaction).
-	compactRatio float64
-	// quantize enables the int8 quantized HNSW query path; quantized
-	// arenas are persisted in snapshots so a reopen bulk-loads them.
-	quantize bool
-	// gc is the retriever-wide group-commit coordinator (see
-	// groupcommit.go). Its flusher goroutine also runs every due
-	// compaction (see compact.go).
-	gc *groupCommit
-}
-
-// diskBackend is the Disk shard: the in-memory structures of memoryBackend
-// plus an append-only binary segment file and a state snapshot. Every
-// Index/Delete appends one CRC-guarded record; the record order is exactly
-// the live mutation order, so replaying the log rebuilds bit-identical
-// HNSW and BM25 structures. The snapshot serializes the built state
-// directly, letting Open skip graph construction and replay only the
-// records past the snapshot's high-water mark.
+// diskBackend is a Disk shard's log: an append-only binary segment file
+// and a state snapshot that persist the shard's in-memory index (mem, the
+// same memoryBackend the shard serves from). Every document the shard adds
+// or removes appends one CRC-guarded record; the record order is exactly
+// the live mutation order, so replaying the log rebuilds bit-identical HNSW
+// and BM25 structures. The snapshot serializes the built state directly,
+// letting Open skip graph construction and replay only the records past
+// the snapshot's high-water mark.
 type diskBackend struct {
-	*memoryBackend
+	mem      *memoryBackend
 	path     string
 	snapPath string
 	f        *os.File
 	w        *bufio.Writer
-	knobs    diskKnobs
+	// gc is the retriever-wide group-commit coordinator (see
+	// groupcommit.go). Its flusher goroutine also runs every due
+	// compaction (see compact.go).
+	gc *groupCommit
+	// compactRatio is the dead-record fraction that triggers a compaction
+	// rewrite (DefaultCompactionRatio; this package's tests pass a value
+	// above 1 to disable compaction).
+	compactRatio float64
 
 	gen      uint64 // segment generation (bumped by compaction)
 	segSize  int64  // logical segment size: header + whole records, incl. buffered
@@ -186,10 +178,9 @@ type diskBackend struct {
 	records  int64  // records in the segment (live + dead)
 
 	// Group-commit state, guarded by the shard lock like everything else:
-	// records/bytes appended since the last fsync, the first asynchronous
-	// sync error (surfaced at the next Flush/Close), and the cumulative
-	// fsync count (Retriever.Fsyncs).
-	pendingRecs  int
+	// bytes appended since the last fsync, the first asynchronous sync
+	// error (surfaced at the next Flush/Close), and the cumulative fsync
+	// count (Retriever.Fsyncs).
 	pendingBytes int64
 	syncErr      error
 	fsyncs       uint64
@@ -215,8 +206,9 @@ type diskBackend struct {
 // loaded and only records past its high-water mark are replayed;
 // otherwise the full log is replayed. A trailing torn record or a
 // CRC-mismatching record — the signatures of a crash mid-write — truncate
-// the log at the last whole record rather than failing the open.
-func openDiskBackend(path, snapPath string, dim int, seed int64, st *bm25.Stats, knobs diskKnobs) (*diskBackend, error) {
+// the log at the last whole record rather than failing the open. quant
+// selects the int8 quantized HNSW query path for the shard's index.
+func openDiskBackend(path, snapPath string, dim int, seed int64, st *bm25.Stats, quant bool, gc *groupCommit, compactRatio float64) (*diskBackend, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
@@ -254,11 +246,11 @@ func openDiskBackend(path, snapPath string, dim int, seed int64, st *bm25.Stats,
 		}
 	}
 
-	mem := newMemoryBackend(dim, seed, st, knobs.quantize)
+	mem := newMemoryBackend(dim, seed, st, quant)
 	water := int64(segHeaderSize)
 	var recs int64
 	repairSnap := false
-	if snapMem, snapWater, snapRecs, serr := loadSnapshot(snapPath, gen, size, dim, seed, st, knobs.quantize); serr == nil {
+	if snapMem, snapWater, snapRecs, serr := loadSnapshot(snapPath, gen, size, dim, seed, st, quant); serr == nil {
 		mem, water, recs = snapMem, snapWater, snapRecs
 	} else if !os.IsNotExist(serr) {
 		// A snapshot exists but is unusable (torn tail, CRC mismatch,
@@ -271,12 +263,17 @@ func openDiskBackend(path, snapPath string, dim int, seed int64, st *bm25.Stats,
 		f.Close()
 		return nil, err
 	}
-	good, replayed, err := replaySegment(f, mem, water)
+	if _, err := f.Seek(water, io.SeekStart); err != nil {
+		return fail(err)
+	}
+	n, replayed, err := replayFrames(bufio.NewReaderSize(f, 1<<20), mem)
 	if err != nil {
 		return fail(fmt.Errorf("retriever: replay %s: %w", path, err))
 	}
-	// Drop any trailing garbage past the last whole record, then seek to
-	// the end so new records append after it.
+	// Drop anything past the last whole record — record boundaries after
+	// damage cannot be trusted, so recovery keeps the longest clean
+	// prefix — then seek to the end so new records append after it.
+	good := water + n
 	if err := f.Truncate(good); err != nil {
 		return fail(err)
 	}
@@ -284,17 +281,18 @@ func openDiskBackend(path, snapPath string, dim int, seed int64, st *bm25.Stats,
 		return fail(err)
 	}
 	b := &diskBackend{
-		memoryBackend: mem,
-		path:          path,
-		snapPath:      snapPath,
-		f:             f,
-		w:             bufio.NewWriterSize(f, 1<<20),
-		knobs:         knobs,
-		gen:           gen,
-		segSize:       good,
-		flushed:       good,
-		snapSize:      water,
-		records:       recs + replayed,
+		mem:          mem,
+		path:         path,
+		snapPath:     snapPath,
+		f:            f,
+		w:            bufio.NewWriterSize(f, 1<<20),
+		gc:           gc,
+		compactRatio: compactRatio,
+		gen:          gen,
+		segSize:      good,
+		flushed:      good,
+		snapSize:     water,
+		records:      recs + replayed,
 	}
 	if repairSnap {
 		if err := b.writeSnapshot(); err != nil {
@@ -304,20 +302,22 @@ func openDiskBackend(path, snapPath string, dim int, seed int64, st *bm25.Stats,
 	return b, nil
 }
 
-// replaySegment applies every whole, CRC-valid record in f starting at
-// byte offset from, and returns the offset just past the last good record
-// plus the number of records applied. Anything after that offset — a torn
-// length prefix, a short payload, a checksum mismatch or an undecodable
-// record — is for the caller to truncate: record boundaries after a
-// corrupt record cannot be trusted, so recovery keeps the longest clean
-// prefix.
-func replaySegment(f *os.File, mem *memoryBackend, from int64) (int64, int64, error) {
-	if _, err := f.Seek(from, io.SeekStart); err != nil {
-		return 0, 0, err
-	}
-	r := bufio.NewReaderSize(f, 1<<20)
-	good := from
-	var recs int64
+// frameReader is what replayFrames reads record frames from: a buffered
+// segment file on Open, the flushed tail of one in a compaction catch-up.
+type frameReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+// replayFrames is the one reader of segment record frames. It applies
+// every whole, CRC-valid, decodable frame in r to mem, in order, and stops
+// at the first frame that is not — a torn length prefix, a short payload,
+// a checksum mismatch, a length of 0 or above maxRecordSize, or a payload
+// decodeRecord rejects — returning the byte length of the frames it
+// applied and their count. The error is non-nil only when applying a
+// decoded add fails, which is a configuration mismatch, not damage.
+func replayFrames(r frameReader, mem *memoryBackend) (int64, int64, error) {
+	var good, recs int64
 	var payload []byte
 	var crcb [4]byte
 	for {
@@ -339,12 +339,14 @@ func replaySegment(f *os.File, mem *memoryBackend, from int64) (int64, int64, er
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crcb[:]) {
 			return good, recs, nil
 		}
-		ok, err := applyRecord(mem, payload)
+		rec, err := decodeRecord(payload, mem.dim)
 		if err != nil {
-			return 0, 0, err
-		}
-		if !ok {
 			return good, recs, nil
+		}
+		if rec.op == opDel {
+			mem.deleteBatch([]string{rec.id})
+		} else if err := mem.IndexBatch([]docs.Document{rec.doc}, [][]float32{rec.vec}); err != nil {
+			return 0, 0, err
 		}
 		good += prefix + int64(n) + 4
 		recs++
@@ -393,26 +395,6 @@ func decodeRecord(payload []byte, dim int) (segRecord, error) {
 	return r, nil
 }
 
-// applyRecord decodes one record payload and applies it to the in-memory
-// shard. It returns (false, nil) for an undecodable payload — corruption
-// the caller handles by truncating — and a non-nil error only for real
-// apply failures (which indicate a config mismatch, not disk damage).
-func applyRecord(mem *memoryBackend, payload []byte) (bool, error) {
-	rec, derr := decodeRecord(payload, mem.dim)
-	if derr != nil {
-		return false, nil
-	}
-	switch rec.op {
-	case opAdd:
-		if err := mem.IndexBatch([]docs.Document{rec.doc}, [][]float32{rec.vec}); err != nil {
-			return false, err
-		}
-	case opDel:
-		mem.DeleteBatch([]string{rec.id})
-	}
-	return true, nil
-}
-
 // writeFramedRecord frames one record payload (uvarint length prefix +
 // payload + CRC32) into w, using frame as scratch, and returns the framed
 // byte count. Shared by the live append path and the compaction rewrite —
@@ -437,8 +419,8 @@ func writeFramedRecord(w io.Writer, frame *wire.Writer, payload []byte) (int64, 
 // appendRecord frames the current contents of b.rec (length prefix +
 // payload + CRC32) into the segment buffer. Writers never fsync inline:
 // when a sync policy is configured the record joins the shard's pending
-// batch and the group-commit flusher is poked (immediately if a count or
-// byte threshold tripped, otherwise after the latency bound — see
+// batch and the group-commit flusher is poked (immediately if the byte
+// threshold tripped, otherwise after the latency bound — see
 // groupcommit.go). Without a policy, durability is deferred to
 // Flush/Close. Either way, the append also checks the compaction
 // threshold, so a segment whose dead fraction crosses it starts its
@@ -450,9 +432,8 @@ func (b *diskBackend) appendRecord() error {
 	}
 	b.segSize += rec
 	b.records++
-	gc := b.knobs.gc
+	gc := b.gc
 	if gc.sync {
-		b.pendingRecs++
 		b.pendingBytes += rec
 		gc.signal(gc.tripped(b.pendingBytes))
 	}
@@ -462,24 +443,22 @@ func (b *diskBackend) appendRecord() error {
 	return nil
 }
 
-// encodeAddRecord fills b.rec with an add record.
-func (b *diskBackend) encodeAddRecord(d docs.Document, vec []float32) {
-	b.rec.Reset()
-	b.rec.Byte(opAdd)
-	b.rec.String(d.ID)
-	b.rec.Float32s(vec)
-	encodeDoc(&b.rec, d)
+// encodeAddRecord writes an add record's payload into w. The live append
+// path and the compaction rewrite both encode through it.
+func encodeAddRecord(w *wire.Writer, d docs.Document, vec []float32) {
+	w.Reset()
+	w.Byte(opAdd)
+	w.String(d.ID)
+	w.Float32s(vec)
+	encodeDoc(w, d)
 }
 
-// IndexBatch adds the batch to the in-memory shard, then logs one add
-// record per document in batch order — the record order stays exactly the
-// live mutation order, so a replay rebuilds bit-identical structures.
-func (b *diskBackend) IndexBatch(ds []docs.Document, vecs [][]float32) error {
-	if err := b.memoryBackend.IndexBatch(ds, vecs); err != nil {
-		return err
-	}
+// logAdds appends one add record per document in batch order, after the
+// shard wrote the batch to mem — the record order stays exactly the live
+// mutation order, so a replay rebuilds bit-identical structures.
+func (b *diskBackend) logAdds(ds []docs.Document, vecs [][]float32) error {
 	for i, d := range ds {
-		b.encodeAddRecord(d, vecs[i])
+		encodeAddRecord(&b.rec, d, vecs[i])
 		if err := b.appendRecord(); err != nil {
 			return err
 		}
@@ -487,10 +466,8 @@ func (b *diskBackend) IndexBatch(ds []docs.Document, vecs [][]float32) error {
 	return nil
 }
 
-// DeleteBatch tombstones the batch in memory and logs one delete record
-// per document that was actually present, in batch order.
-func (b *diskBackend) DeleteBatch(ids []string) int {
-	removed := b.memoryBackend.deleteBatch(ids)
+// logDeletes appends one delete record per removed ID, in order.
+func (b *diskBackend) logDeletes(removed []string) {
 	for _, id := range removed {
 		// A failed tombstone append leaves the delete visible in memory
 		// but not durable; the reopened index resurrects the document.
@@ -502,7 +479,6 @@ func (b *diskBackend) DeleteBatch(ids []string) int {
 		b.rec.String(id)
 		_ = b.appendRecord()
 	}
-	return len(removed)
 }
 
 // syncSegment drains the write buffer and fsyncs the segment file,
@@ -510,7 +486,6 @@ func (b *diskBackend) DeleteBatch(ids []string) int {
 // appended since the previous sync durable — the whole point of group
 // commit is that this runs once per batch, not once per record.
 func (b *diskBackend) syncSegment() error {
-	b.pendingRecs = 0
 	b.pendingBytes = 0
 	if err := b.w.Flush(); err != nil {
 		return err
@@ -563,11 +538,11 @@ func (b *diskBackend) shouldCompact() bool {
 	if b.records == 0 {
 		return false
 	}
-	dead := b.records - int64(b.memoryBackend.Len())
+	dead := b.records - int64(b.mem.Len())
 	if dead <= 0 {
 		return false
 	}
-	return float64(dead)/float64(b.records) >= b.knobs.compactRatio
+	return float64(dead)/float64(b.records) >= b.compactRatio
 }
 
 // swapSegment retargets the shard's write state at the freshly renamed
@@ -594,7 +569,6 @@ func (b *diskBackend) swapSegment(size, recs int64) error {
 	b.flushed = size
 	b.snapSize = 0
 	b.records = recs
-	b.pendingRecs = 0
 	b.pendingBytes = 0
 	return nil
 }

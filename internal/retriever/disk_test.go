@@ -1,6 +1,7 @@
 package retriever
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -343,8 +344,8 @@ func TestSnapshotSectionsDisagreeKeepsStats(t *testing.T) {
 	}
 	for i := range r.shards {
 		for _, q := range parityQueries {
-			got := r.shards[i].be.SearchLexical(q, 10)
-			want := ref.shards[i].be.SearchLexical(q, 10)
+			got := r.shards[i].mem.lex.Search(q, 10)
+			want := ref.shards[i].mem.lex.Search(q, 10)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("shard %d %q: BM25 %v, memory index %v", i, q, got, want)
 			}
@@ -403,6 +404,65 @@ func TestSegmentCRCMismatchTruncates(t *testing.T) {
 	}
 }
 
+// TestReplayFramesStopsAtFirstBadFrame is the table test of the one
+// segment frame reader Open's replay and compaction's catch-up share: after
+// a whole frame, each kind of damage must stop the reader exactly at the
+// damaged frame, with only the frames before it applied.
+func TestReplayFramesStopsAtFirstBadFrame(t *testing.T) {
+	const dim = 4
+	frame := func(payload []byte) []byte {
+		var buf bytes.Buffer
+		var fw wire.Writer
+		if _, err := writeFramedRecord(&buf, &fw, payload); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	add := func(id string) []byte {
+		var rec wire.Writer
+		encodeAddRecord(&rec, docs.Document{ID: id, Content: "river nitrate " + id}, []float32{1, 2, 3, 4})
+		return frame(rec.Bytes())
+	}
+	badCRC := add("b")
+	badCRC[len(badCRC)-1] ^= 0xff
+	var oversize wire.Writer
+	oversize.Uvarint(maxRecordSize + 1)
+	var badOp wire.Writer
+	badOp.Byte(9)
+	badOp.String("b")
+
+	first := add("a")
+	cases := []struct {
+		name string
+		next []byte
+		recs int64 // frames the reader applies
+	}{
+		{"whole", add("b"), 2},
+		{"torn length prefix", []byte{0x80}, 1},
+		{"short payload", add("b")[:8], 1},
+		{"crc mismatch", badCRC, 1},
+		{"length above maxRecordSize", append(oversize.Bytes(), make([]byte, 16)...), 1},
+		{"undecodable payload", frame(badOp.Bytes()), 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			seg := append(append([]byte(nil), first...), c.next...)
+			mem := newMemoryBackend(dim, 1, nil, false)
+			n, recs, err := replayFrames(bytes.NewReader(seg), mem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := int64(len(first))
+			if c.recs == 2 {
+				want = int64(len(seg))
+			}
+			if n != want || recs != c.recs || int64(mem.Len()) != c.recs {
+				t.Fatalf("read %d bytes, %d records, Len %d; want %d bytes, %d records", n, recs, mem.Len(), want, c.recs)
+			}
+		})
+	}
+}
+
 // TestCompactionShrinksSegment deletes half the corpus and flushes: the
 // dead fraction (tombstones + dead adds) crosses the default threshold,
 // so after Flush every shard's dead fraction must be back under it — the
@@ -434,8 +494,8 @@ func TestCompactionShrinksSegment(t *testing.T) {
 	}
 	for i, s := range r.shards {
 		s.mu.Lock()
-		db := s.be.(*diskBackend)
-		due, dead, recs := db.shouldCompact(), db.records-int64(db.Len()), db.records
+		db := s.log
+		due, dead, recs := db.shouldCompact(), db.records-int64(db.mem.Len()), db.records
 		s.mu.Unlock()
 		if due {
 			t.Fatalf("shard %d still due after Flush: %d of %d records dead", i, dead, recs)
@@ -500,23 +560,17 @@ func TestDirLock(t *testing.T) {
 	re.Close()
 }
 
-// TestSyncEveryDurability indexes with a sync policy that trips on every
-// record (WithSyncBytes(1)) and verifies the records become durable in
-// the segment file without any Flush — by copying the live index directory (minus the lock) aside and opening the
-// copy, simulating a crash of the original process. With group commit the
-// fsync is asynchronous but latency-bounded, so the test polls until the
-// flusher has drained the pending batch.
 // waitSynced blocks until no disk shard has records pending fsync (the
 // group-commit flusher has caught up), failing the test after 5s.
 func waitSynced(t *testing.T, r *Retriever) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		pending := 0
+		var pending int64
 		for _, s := range r.shards {
 			s.mu.Lock()
-			if db, ok := s.be.(*diskBackend); ok {
-				pending += db.pendingRecs
+			if s.log != nil {
+				pending += s.log.pendingBytes
 			}
 			s.mu.Unlock()
 		}
@@ -524,12 +578,19 @@ func waitSynced(t *testing.T, r *Retriever) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("group-commit flusher did not drain: %d records still pending", pending)
+			t.Fatalf("group-commit flusher did not drain: %d bytes still pending", pending)
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
+// TestSyncEveryDurability indexes with a sync policy that trips on every
+// record (WithSyncBytes(1)) and verifies the records become durable in
+// the segment file without any Flush — by copying the live index
+// directory (minus the lock) aside and opening the copy, simulating a
+// crash of the original process. With group commit the fsync is
+// asynchronous but latency-bounded, so the test polls until the flusher
+// has drained the pending batch.
 func TestSyncEveryDurability(t *testing.T) {
 	dir := t.TempDir()
 	r, err := Open(WithShards(1), WithBackend(Disk), WithDir(dir), WithSyncBytes(1))

@@ -6,30 +6,32 @@
 // # Sharding
 //
 // The index is sharded: documents are hash-partitioned by ID across N
-// shards (default DefaultShards, GOMAXPROCS-derived), each shard owning a
-// storage backend and a lock. Every write is a batch: IndexTables and
-// IndexDocuments (a slice of one is the single-document form) embed
-// documents with a worker pool and build all shards concurrently, and
-// DeleteDocuments tombstones per shard concurrently. A ShardBackend writes
-// through exactly two methods, IndexBatch and DeleteBatch, and a batch of
-// n leaves a shard exactly as n batches of one would.
+// shards (default DefaultShards, GOMAXPROCS-derived). A shard is one
+// concrete type: an in-memory index (HNSW graph, BM25 inverted index and
+// document map), a writer lock, and on the Disk backend a segment log.
+// Every write is a batch: IndexTables and IndexDocuments (a slice of one
+// is the single-document form) embed documents with a worker pool and
+// build all shards concurrently, and DeleteDocuments tombstones per shard
+// concurrently. A shard is written through exactly two paths, a batch of
+// adds and a batch of deletes, each applied to the in-memory index first
+// and then appended to the log; a batch of n leaves a shard, log
+// included, exactly as n batches of one would.
 // Search fans out to every shard concurrently and merges the per-shard
 // candidate lists deterministically (score descending, document ID
 // ascending) before rank fusion.
 //
 // # Backends
 //
-// Each shard's storage engine is a ShardBackend, selected with
-// WithBackend:
+// WithBackend selects whether shards persist:
 //
-//   - Memory (default) keeps the HNSW graph, BM25 inverted index and
-//     document map entirely in RAM.
-//   - Disk additionally writes every mutation to an append-only binary
-//     segment file per shard under the index directory (WithDir) and
-//     serializes the built state to a per-shard snapshot on Flush/Close,
-//     so reopening is a bulk load instead of a graph rebuild. Queries run
-//     against the same in-memory structures as Memory, so the two
-//     backends return identical results at identical latency.
+//   - Memory (default) keeps each shard's index entirely in RAM, with no
+//     log.
+//   - Disk gives each shard a log: every mutation is also appended to an
+//     append-only binary segment file per shard under the index directory
+//     (WithDir), and the built state is serialized to a per-shard snapshot
+//     on Flush/Close, so reopening is a bulk load instead of a graph
+//     rebuild. Queries run against the same in-memory index as Memory,
+//     so the two backends return identical results at identical latency.
 //
 // Disk-backed retrievers are created with Open (the error-returning
 // constructor); New panics on I/O failure and is meant for Memory-backed

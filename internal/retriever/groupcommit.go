@@ -10,7 +10,7 @@ const DefaultSyncInterval = 2 * time.Millisecond
 
 // groupCommit coordinates durability between the shard writers and the
 // retriever's single flusher goroutine. Writers never fsync inline: they
-// bump their shard's pending counters under the shard lock, then poke the
+// bump their shard's pending byte count under the shard lock, then poke the
 // flusher through the (non-blocking, capacity-1) channels. The flusher
 // waits out the latency bound — or syncs immediately when a threshold
 // trips — and pays one fsync per shard for the whole batch, so N
@@ -28,7 +28,7 @@ type groupCommit struct {
 	interval time.Duration
 
 	notify  chan struct{} // ≥1 record pending somewhere
-	kick    chan struct{} // a count/byte threshold tripped: sync now
+	kick    chan struct{} // the byte threshold tripped: sync now
 	compact chan struct{} // ≥1 shard scheduled a background compaction
 	done    chan struct{} // closed by Close: flush once more and exit
 	stopped chan struct{} // closed by the flusher on exit
@@ -130,7 +130,7 @@ func (r *Retriever) flusher() {
 func (r *Retriever) syncPendingShards() {
 	for _, s := range r.shards {
 		s.mu.Lock()
-		if db, ok := s.be.(*diskBackend); ok && db.pendingRecs > 0 {
+		if db := s.log; db != nil && db.pendingBytes > 0 {
 			if err := db.syncSegment(); err != nil && db.syncErr == nil {
 				db.syncErr = err
 			}
@@ -143,13 +143,13 @@ func (r *Retriever) syncPendingShards() {
 // disk shards (0 for the Memory backend), reported by Service.Stats and
 // the server's /metrics. Under a group-commit policy N writers share one
 // barrier, so it grows slower than the record count; it also counts the
-// syncs issued by Flush/Close and the deprecated count-based trigger.
+// syncs issued by Flush and Close.
 func (r *Retriever) Fsyncs() uint64 {
 	var n uint64
 	for _, s := range r.shards {
 		s.mu.Lock()
-		if db, ok := s.be.(*diskBackend); ok {
-			n += db.fsyncs
+		if s.log != nil {
+			n += s.log.fsyncs
 		}
 		s.mu.Unlock()
 	}

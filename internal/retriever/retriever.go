@@ -64,21 +64,8 @@ func DefaultShards() int {
 	return n
 }
 
-// shard is one hash partition of the hybrid index: a storage backend plus
-// the mutex that serializes its writers. Readers do not take it — the
-// backend's read methods run against immutable views published by atomic
-// pointer swap (see ShardBackend), so a search never blocks on an ingest
-// and vice versa. A reader may observe one half a publish ahead of the
-// other mid-batch; the writer publishes the document store first, then the
-// lexical half, then the vector half, so every ID a view surfaces is
-// materializable, and at any quiesce point the halves agree exactly.
-type shard struct {
-	mu sync.Mutex
-	be ShardBackend
-}
-
 // ingestBatchSize is the per-shard chunk size bulk ingest feeds to
-// IndexBatch: large enough to amortize the copy-on-write of the published
+// indexBatch: large enough to amortize the copy-on-write of the published
 // read views, small enough that cancellation lands between chunks and
 // concurrent searches see the corpus appear progressively.
 const ingestBatchSize = 64
@@ -257,7 +244,7 @@ func Open(opts ...Option) (*Retriever, error) {
 	case Memory:
 		r.shards = make([]*shard, r.numShards)
 		for i := range r.shards {
-			r.shards[i] = &shard{be: newMemoryBackend(r.emb.Dim(), hnswSeed+int64(i), r.stats, r.quantize)}
+			r.shards[i] = &shard{mem: newMemoryBackend(r.emb.Dim(), hnswSeed+int64(i), r.stats, r.quantize)}
 		}
 	case Disk:
 		if r.dir == "" {
@@ -290,11 +277,6 @@ func Open(opts ...Option) (*Retriever, error) {
 		// layout the segments were written under.
 		r.numShards = m.Shards
 		r.gc = newGroupCommit(r.syncBytes, r.syncInterval)
-		knobs := diskKnobs{
-			compactRatio: r.compactRatio,
-			quantize:     r.quantize,
-			gc:           r.gc,
-		}
 		// Shards load concurrently: snapshot loads and replays are
 		// independent per shard, and the shared BM25 statistics updates
 		// are commutative, so the built state is identical to a
@@ -302,7 +284,7 @@ func Open(opts ...Option) (*Retriever, error) {
 		// durations and the fan-out wall clock are recorded so tests (and
 		// curious operators) can verify the parallelism actually pays:
 		// openShardSum is what a sequential open would have cost.
-		bes := make([]ShardBackend, r.numShards)
+		logs := make([]*diskBackend, r.numShards)
 		errs := make([]error, r.numShards)
 		durs := make([]time.Duration, r.numShards)
 		openStart := time.Now()
@@ -314,7 +296,7 @@ func Open(opts ...Option) (*Retriever, error) {
 				t0 := time.Now()
 				seg := filepath.Join(r.dir, fmt.Sprintf("shard-%04d.seg", i))
 				snap := filepath.Join(r.dir, fmt.Sprintf("shard-%04d.snap", i))
-				bes[i], errs[i] = openDiskBackend(seg, snap, r.emb.Dim(), hnswSeed+int64(i), r.stats, knobs)
+				logs[i], errs[i] = openDiskBackend(seg, snap, r.emb.Dim(), hnswSeed+int64(i), r.stats, r.quantize, r.gc, r.compactRatio)
 				durs[i] = time.Since(t0)
 			}(i)
 		}
@@ -328,9 +310,9 @@ func Open(opts ...Option) (*Retriever, error) {
 				continue
 			}
 			// Don't leak the segment files the other shards opened.
-			for _, be := range bes {
-				if be != nil {
-					be.Close()
+			for _, db := range logs {
+				if db != nil {
+					db.Close()
 				}
 			}
 			lock.release()
@@ -340,8 +322,8 @@ func Open(opts ...Option) (*Retriever, error) {
 			return nil, pnerr.Corrupt("retriever: open", err)
 		}
 		r.shards = make([]*shard, r.numShards)
-		for i, be := range bes {
-			r.shards[i] = &shard{be: be}
+		for i, db := range logs {
+			r.shards[i] = &shard{mem: db.mem, log: db}
 		}
 	default:
 		return nil, fmt.Errorf("retriever: unknown backend %q", r.backend)
@@ -429,14 +411,11 @@ func (r *Retriever) flush() error {
 		var waited []*shard
 		var waits []<-chan struct{}
 		for _, s := range shards {
-			s.mu.Lock()
-			var ch <-chan struct{}
-			var err error
-			if db, ok := s.be.(*diskBackend); ok {
-				ch, err = db.flushLocked()
-			} else {
-				err = s.be.Flush()
+			if s.log == nil {
+				continue
 			}
+			s.mu.Lock()
+			ch, err := s.log.flushLocked()
 			s.mu.Unlock()
 			if err != nil {
 				return err
@@ -467,7 +446,7 @@ func (r *Retriever) flush() error {
 //     the still-running flusher, exactly as a Flush would;
 //  3. stops the group-commit flusher, which syncs any pending records on
 //     its way out;
-//  4. closes each shard's backend.
+//  4. closes each Disk shard's log (its segment file).
 //
 // An error from step 2 is Close's first error, but every shard is still
 // closed and the directory lock released.
@@ -486,8 +465,11 @@ func (r *Retriever) Close() error {
 		<-r.gc.stopped
 	}
 	for _, s := range r.shards {
+		if s.log == nil {
+			continue
+		}
 		s.mu.Lock()
-		err := s.be.Close()
+		err := s.log.Close()
 		s.mu.Unlock()
 		if err != nil && first == nil {
 			first = err
@@ -511,11 +493,9 @@ func (r *Retriever) Version() uint64 { return r.version.Load() }
 // retriever.arena_mb.
 func (r *Retriever) ArenaBytes() (float32Bytes, int8Bytes int64) {
 	for _, s := range r.shards {
-		if mb, ok := s.be.(interface{ arenaBytes() (int, int) }); ok {
-			f, q := mb.arenaBytes()
-			float32Bytes += int64(f)
-			int8Bytes += int64(q)
-		}
+		f, q := s.mem.vec.ArenaBytes()
+		float32Bytes += int64(f)
+		int8Bytes += int64(q)
 	}
 	return float32Bytes, int8Bytes
 }
@@ -606,7 +586,7 @@ func (r *Retriever) IndexDocuments(ctx context.Context, ds []docs.Document) erro
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			// Feed the shard in ingestBatchSize chunks: each chunk goes
-			// through IndexBatch (one copy-on-write clone of the published
+			// through indexBatch (one copy-on-write clone of the published
 			// views for the whole chunk) and publishes before the next, so
 			// cancellation lands between chunks and concurrent searches see
 			// the corpus appear progressively instead of all at once.
@@ -626,7 +606,7 @@ func (r *Retriever) IndexDocuments(ctx context.Context, ds []docs.Document) erro
 					bds = append(bds, sorted[i])
 					bvecs = append(bvecs, vecs[i])
 				}
-				if err := s.be.IndexBatch(bds, bvecs); err != nil {
+				if err := s.indexBatch(bds, bvecs); err != nil {
 					errs[si] = err
 					return
 				}
@@ -644,10 +624,10 @@ func (r *Retriever) IndexDocuments(ctx context.Context, ds []docs.Document) erro
 }
 
 // DeleteDocuments removes a batch of documents and returns how many of
-// the IDs were present (an ID listed twice counts once). Shards are written concurrently, each through its
-// backend's DeleteBatch (one copy-on-write clone of the published views
-// per shard for the whole batch); searches keep serving against their
-// pinned views throughout. The mutation counter advances once for the
+// the IDs were present (an ID listed twice counts once). Shards are
+// written concurrently, each through its deleteBatch (one copy-on-write
+// clone of the published views per shard for the whole batch); searches
+// keep serving against their pinned views throughout. The mutation counter advances once for the
 // whole batch when anything was removed.
 func (r *Retriever) DeleteDocuments(ids []string) int {
 	if r.acquire("retriever: delete") != nil {
@@ -673,7 +653,7 @@ func (r *Retriever) DeleteDocuments(ids []string) int {
 			defer wg.Done()
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			removed.Add(int64(s.be.DeleteBatch(part)))
+			removed.Add(int64(s.deleteBatch(part)))
 		}(r.shards[si], part)
 	}
 	wg.Wait()
@@ -689,7 +669,7 @@ func (r *Retriever) DeleteDocuments(ids []string) int {
 func (r *Retriever) Len() int {
 	n := 0
 	for _, s := range r.shards {
-		n += s.be.Len()
+		n += s.mem.Len()
 	}
 	return n
 }
@@ -697,7 +677,7 @@ func (r *Retriever) Len() int {
 // Document returns the stored document by ID. Lock-free: the document
 // store is a sync.Map, so lookups never wait on an in-flight ingest.
 func (r *Retriever) Document(id string) (docs.Document, bool) {
-	return r.shardFor(id).be.Document(id)
+	return r.shardFor(id).mem.Document(id)
 }
 
 // shardHits is one shard's raw candidates for a query.
@@ -752,18 +732,21 @@ func (s *searchScratch) begin(n int) {
 // half pins the immutable view current at call time, so the query never
 // blocks a writer and never waits on one — the tentpole contract of live
 // ingest. The caller must hold a lifecycle reference (acquire) so the
-// backend cannot be closed mid-query.
+// shard cannot be closed mid-query.
 func (r *Retriever) queryShard(s *shard, qvec []float32, query string, fetch int) (shardHits, error) {
+	if s.park != nil {
+		s.park()
+	}
 	var h shardHits
 	if r.mode != ModeBM25Only {
-		vr, err := s.be.SearchVector(qvec, fetch)
+		vr, err := s.mem.vec.Search(qvec, fetch)
 		if err != nil {
 			return shardHits{}, err
 		}
 		h.vec = vr
 	}
 	if r.mode != ModeVectorOnly {
-		h.lex = s.be.SearchLexical(query, fetch)
+		h.lex = s.mem.lex.Search(query, fetch)
 	}
 	return h, nil
 }

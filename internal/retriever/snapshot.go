@@ -60,21 +60,21 @@ func (b *diskBackend) writeSnapshot() error {
 	w.Raw(head[:])
 
 	// Document store, sorted by ID so equal states produce equal bytes.
-	ids := make([]string, 0, b.memoryBackend.Len())
-	b.byID.Range(func(k, _ any) bool {
+	ids := make([]string, 0, b.mem.Len())
+	b.mem.byID.Range(func(k, _ any) bool {
 		ids = append(ids, k.(string))
 		return true
 	})
 	sort.Strings(ids)
 	w.Uvarint(uint64(len(ids)))
 	for _, id := range ids {
-		d, _ := b.Document(id)
+		d, _ := b.mem.Document(id)
 		w.String(id)
 		encodeDoc(&w, d)
 	}
 
-	b.vec.AppendSnapshot(&w)
-	b.lex.AppendSnapshot(&w)
+	b.mem.vec.AppendSnapshot(&w)
+	b.mem.lex.AppendSnapshot(&w)
 
 	var crcb [4]byte
 	binary.LittleEndian.PutUint32(crcb[:], crc32.Checksum(w.Bytes(), snapCRCTable))
