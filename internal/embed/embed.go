@@ -2,8 +2,8 @@ package embed
 
 import (
 	"context"
-	"hash/fnv"
 	"runtime"
+	"slices"
 	"sync"
 
 	"pneuma/internal/textutil"
@@ -15,13 +15,40 @@ import (
 // cheap for HNSW distance evaluations.
 const DefaultDim = 256
 
-// The feature set: every token, weighted tokenWt, and every character
-// n-gram of width ngram of every token, weighted ngramWt.
+// The feature set (see the package doc): every token, weighted tokenWt,
+// and every distinct byte trigram of every token, weighted ngramWt.
 const (
-	ngram   = 3
 	tokenWt = 1.0
 	ngramWt = 0.35
 )
+
+// FNV-1a, 64-bit, inlined so no feature string is ever built: hashing
+// tokenSeed onward over a token's bytes equals hashing "t:"+token, and
+// gramSeed likewise "g:"+gram.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+var (
+	tokenSeed = fnv1a(fnvOffset, []byte("t:"))
+	gramSeed  = fnv1a(fnvOffset, []byte("g:"))
+)
+
+func fnv1a(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= fnvPrime
+	}
+	return h
+}
+
+// gramSet is how many distinct trigrams of one token are deduplicated on
+// the stack; a token with more trigram positions than that uses a map.
+const gramSet = 32
+
+// tokenBuf is the stack buffer the walker lowercases tokens into.
+const tokenBuf = 64
 
 // Embedder hashes text into DefaultDim-dimensional unit vectors. It holds
 // no state, so one value serves any number of goroutines.
@@ -37,14 +64,51 @@ func (e *Embedder) Dim() int { return DefaultDim }
 // with no tokens.
 func (e *Embedder) Embed(text string) []float32 {
 	v := make([]float32, DefaultDim)
-	for _, tok := range textutil.NormalizeTokens(text) {
-		add(v, "t:"+tok, tokenWt)
-		for _, g := range textutil.CharNGrams(tok, ngram) {
-			add(v, "g:"+g, ngramWt)
-		}
-	}
-	vecmath.Normalize(v)
+	embedInto((*[DefaultDim]float32)(v), text)
 	return v
+}
+
+// embedInto adds text's features to the zeroed v and normalizes it.
+func embedInto(v *[DefaultDim]float32, text string) {
+	var buf [tokenBuf]byte
+	w := textutil.Walk(text, buf[:])
+	for tok, ok := w.Next(); ok; tok, ok = w.Next() {
+		add(v, fnv1a(tokenSeed, tok), tokenWt)
+		addTrigrams(v, tok)
+	}
+	vecmath.Normalize(v[:])
+}
+
+// addTrigrams adds each distinct byte trigram of tok, in order of first
+// occurrence. A trigram packs into the low 24 bits of a uint32, so the
+// set of those already added is a short array scan.
+func addTrigrams(v *[DefaultDim]float32, tok []byte) {
+	grams := len(tok) - 2
+	if grams <= 0 {
+		return
+	}
+	var seen [gramSet]uint32
+	var spill map[uint32]struct{}
+	if grams > gramSet {
+		spill = make(map[uint32]struct{}, grams)
+	}
+	n := 0
+	for i := 0; i < grams; i++ {
+		g := uint32(tok[i])<<16 | uint32(tok[i+1])<<8 | uint32(tok[i+2])
+		switch {
+		case spill != nil:
+			if _, dup := spill[g]; dup {
+				continue
+			}
+			spill[g] = struct{}{}
+		case slices.Contains(seen[:n], g):
+			continue
+		default:
+			seen[n] = g
+			n++
+		}
+		add(v, fnv1a(gramSeed, tok[i:i+3]), ngramWt)
+	}
 }
 
 // EmbedBatch embeds texts with a worker pool of the given size (0 or
@@ -118,22 +182,30 @@ dispatch:
 	return err
 }
 
-// add hashes the feature into a bucket with a deterministic sign. Using a
-// second hash bit for the sign keeps the expected dot-product contribution
-// of colliding unrelated features at zero.
-func add(v []float32, feature string, w float32) {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(feature))
-	sum := h.Sum64()
-	bucket := int(sum % DefaultDim)
-	if (sum>>63)&1 == 1 {
+// add puts a feature with hash h into bucket h mod DefaultDim, with a
+// deterministic sign. Using the top hash bit for the sign keeps the
+// expected dot-product contribution of colliding unrelated features at
+// zero.
+func add(v *[DefaultDim]float32, h uint64, w float32) {
+	if h>>63 == 1 {
 		w = -w
 	}
-	v[bucket] += w
+	v[h%DefaultDim] += w
 }
 
-// Similarity is a convenience wrapper returning the cosine similarity of the
-// embeddings of two texts.
+// pairs recycles Similarity's two vectors: vecmath's kernels are called
+// through function values, which would move stack arrays to the heap.
+var pairs = sync.Pool{New: func() any { return new([2][DefaultDim]float32) }}
+
+// Similarity returns the cosine similarity of the embeddings of two texts,
+// bit-identical to vecmath.Cosine(e.Embed(a), e.Embed(b)), without
+// allocating.
 func (e *Embedder) Similarity(a, b string) float32 {
-	return vecmath.Cosine(e.Embed(a), e.Embed(b))
+	p := pairs.Get().(*[2][DefaultDim]float32)
+	*p = [2][DefaultDim]float32{}
+	embedInto(&p[0], a)
+	embedInto(&p[1], b)
+	sim := vecmath.Cosine(p[0][:], p[1][:])
+	pairs.Put(p)
+	return sim
 }

@@ -199,6 +199,13 @@ func (ix *Index) Len() int {
 	return ix.view.Load().live
 }
 
+// Tombstones returns the number of deleted or superseded nodes the graph
+// still holds: slots that searches route through but never return.
+func (ix *Index) Tombstones() int {
+	g := ix.view.Load()
+	return len(g.ids) - g.live
+}
+
 // Dim returns the vector dimensionality.
 func (ix *Index) Dim() int { return ix.dim }
 

@@ -1,7 +1,12 @@
 package llm
 
 import (
+	"math"
+	"reflect"
+	"strings"
 	"testing"
+
+	"pneuma/internal/textutil"
 )
 
 func testVocab() Vocab {
@@ -259,4 +264,39 @@ func indexOfWordFree(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// TestColumnMatchUnderscoresSeparate: the matchers feed a column name to
+// the tokenizer as is, and score exactly as if every "_" were a space.
+func TestColumnMatchUnderscoresSeparate(t *testing.T) {
+	cols := []ColumnInfo{
+		{Name: "_lead__double_ _trail_", Description: "edge_cases in names", Unit: "m_s"},
+		{Name: "sample_mass_mg", Description: "Mass of the sample", Unit: "mg"},
+		{Name: "NO3_mg_L", Description: "Nitrate_concentration"},
+	}
+	for _, tb := range testVocab().Tables {
+		cols = append(cols, tb.Columns...)
+	}
+	phrases := []string{"potassium in ppm", "k ppm", "sample mass", "nitrate concentration", "double trail", "station name"}
+	for _, c := range cols {
+		spaced := strings.ReplaceAll(c.Name, "_", " ")
+		if got, want := textutil.Tokenize(c.Name), textutil.Tokenize(spaced); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Tokenize(%q) = %q, want %q", c.Name, got, want)
+		}
+		for _, p := range phrases {
+			text := spaced + " " + c.Description + " " + c.Unit
+			want := 0.65*textutil.TokenOverlap(p, text) + 0.35*float64(nluEmbedder.Similarity(p, text))
+			if got := columnMatch(p, c); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("columnMatch(%q, %q) = %v, want %v", p, c.Name, got, want)
+			}
+			text = spaced + " " + c.Description
+			want = float64(nluEmbedder.Similarity(p, text))
+			if o := textutil.TokenOverlap(p, text); o > want {
+				want = o
+			}
+			if got := columnPhraseMatch(p, c); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("columnPhraseMatch(%q, %q) = %v, want %v", p, c.Name, got, want)
+			}
+		}
+	}
 }

@@ -531,11 +531,13 @@ func topicOf(text string) string {
 
 // columnMatch scores how well a column matches a measure phrase, blending
 // token containment over name+description+unit with embedding similarity.
+// The name goes in as is: "_" separates tokens, so "k_ppm" matches as
+// "k ppm".
 func columnMatch(phrase string, c ColumnInfo) float64 {
 	if phrase == "" {
 		return 0
 	}
-	colText := strings.ReplaceAll(c.Name, "_", " ") + " " + c.Description + " " + c.Unit
+	colText := c.Name + " " + c.Description + " " + c.Unit
 	overlap := textutil.TokenOverlap(phrase, colText)
 	sim := float64(nluEmbedder.Similarity(phrase, colText))
 	return 0.65*overlap + 0.35*sim
@@ -661,7 +663,7 @@ func containsWord(hay, needle string) bool {
 }
 
 func columnPhraseMatch(phrase string, c ColumnInfo) float64 {
-	colText := strings.ReplaceAll(c.Name, "_", " ") + " " + c.Description
+	colText := c.Name + " " + c.Description
 	overlap := textutil.TokenOverlap(phrase, colText)
 	sim := float64(nluEmbedder.Similarity(phrase, colText))
 	if overlap > sim {

@@ -52,7 +52,14 @@ import (
 // momentarily newer than the pinned vector, both sides see the same pair),
 // and phase 3 applies the very bytes it copies. The graph is rebuilt
 // without the tombstoned nodes, so afterwards results are those of a fresh
-// index over the surviving documents. The commit does not write a
+// index over the surviving documents. A delete or re-add that phases 3–4
+// replay onto a document the shadow already holds would break that: HNSW
+// cannot unlink a node, so the shadow would keep a tombstone a fresh build
+// lacks, and searches would route through it. The attempt is then dropped
+// before anything is renamed and the rewrite starts over at phase 1, whose
+// new pin already excludes the document; after compactRetries restarts the
+// attempt commits as it stands, so a sustained delete stream cannot starve
+// compaction. The commit does not write a
 // snapshot: the segment rename invalidates the old snapshot's generation,
 // and the Flush or Close that waited for the rewrite writes a fresh one
 // outside the stall-critical section.
@@ -68,6 +75,10 @@ const compactChunk = 64
 // the tail shrinks geometrically; after this many rounds the remainder is
 // replayed under the lock regardless.
 const compactCatchupRounds = 8
+
+// compactRetries bounds how often one compaction starts over because a
+// delete or re-add landed on a document its shadow had already built.
+const compactRetries = 4
 
 // CompactionStats aggregates segment-compaction activity across a
 // retriever's disk shards (all zero for the Memory backend).
@@ -174,29 +185,42 @@ func (r *Retriever) drainSyncs() {
 }
 
 // compactShard is the background rewrite described at the top of the
-// file. It runs on the flusher goroutine; all shared state it touches is
-// accessed in short shard-locked slices, each measured as writer stall.
+// file. It runs on the flusher goroutine, starting over while an attempt
+// comes back stale, then parks any error for the next Flush/Close, clears
+// the schedule and releases waiters, whatever happened.
 func (r *Retriever) compactShard(s *shard) {
-	db, live := s.log, s.mem
+	db := s.log
 	var maxStall time.Duration
-	stallSince := func(t0 time.Time) {
-		if d := time.Since(t0); d > maxStall {
-			maxStall = d
+	var err error
+	for attempt := 0; ; attempt++ {
+		var stale bool
+		stale, err = r.compactOnce(s, &maxStall, attempt == compactRetries)
+		if err != nil || !stale {
+			break
 		}
 	}
-	// finish completes the run under the lock whatever happened: park err
-	// for the next Flush/Close, clear the schedule, release waiters.
-	finish := func(err error) {
-		s.mu.Lock()
-		if err != nil && db.compactErr == nil {
-			db.compactErr = err
+	s.mu.Lock()
+	if err != nil && db.compactErr == nil {
+		db.compactErr = err
+	}
+	db.compactWant = false
+	if db.compactDone != nil {
+		close(db.compactDone)
+		db.compactDone = nil
+	}
+	s.mu.Unlock()
+}
+
+// compactOnce is one attempt at the rewrite. All shared state it touches
+// is accessed in short shard-locked slices, each measured into maxStall as
+// writer stall. It reports stale, having committed nothing, when the
+// shadow holds a tombstoned node and last is false.
+func (r *Retriever) compactOnce(s *shard, maxStall *time.Duration, last bool) (stale bool, err error) {
+	db, live := s.log, s.mem
+	stallSince := func(t0 time.Time) {
+		if d := time.Since(t0); d > *maxStall {
+			*maxStall = d
 		}
-		db.compactWant = false
-		if db.compactDone != nil {
-			close(db.compactDone)
-			db.compactDone = nil
-		}
-		s.mu.Unlock()
 	}
 
 	// Phase 1: pin. Drain the write buffer so the file holds every record
@@ -206,14 +230,12 @@ func (r *Retriever) compactShard(s *shard) {
 		// Re-adds since the schedule brought the dead fraction back under
 		// the threshold; nothing to do.
 		s.mu.Unlock()
-		finish(nil)
-		return
+		return false, nil
 	}
 	t0 := time.Now()
 	if err := db.w.Flush(); err != nil {
 		s.mu.Unlock()
-		finish(err)
-		return
+		return false, err
 	}
 	db.flushed = db.segSize
 	base := db.segSize
@@ -230,8 +252,7 @@ func (r *Retriever) compactShard(s *shard) {
 	tmp := db.path + ".tmp"
 	tf, err := os.Create(tmp)
 	if err != nil {
-		finish(err)
-		return
+		return false, err
 	}
 	defer os.Remove(tmp) // no-op once renamed
 	tmpOpen := true
@@ -242,8 +263,7 @@ func (r *Retriever) compactShard(s *shard) {
 	}()
 	tw := bufio.NewWriterSize(tf, 1<<20)
 	if err := writeSegHeader(tw, gen+1); err != nil {
-		finish(err)
-		return
+		return false, err
 	}
 	size := int64(segHeaderSize)
 	var recs int64
@@ -295,8 +315,7 @@ func (r *Retriever) compactShard(s *shard) {
 		werr = flushChunk()
 	}
 	if werr != nil {
-		finish(werr)
-		return
+		return false, werr
 	}
 
 	// Phase 3: catch-up. applyFlushed replays the segment's flushed byte
@@ -338,61 +357,63 @@ func (r *Retriever) compactShard(s *shard) {
 		stallSince(t0)
 		s.mu.Unlock()
 		if err != nil {
-			finish(err)
-			return
+			return false, err
 		}
 		if hi == cursor {
 			break
 		}
 		if err := applyFlushed(cursor, hi); err != nil {
-			finish(err)
-			return
+			return false, err
 		}
 		cursor = hi
 		r.drainSyncs()
+	}
+	if !last && shadow.vec.Tombstones() > 0 {
+		return true, nil
 	}
 
 	// Fsync the bulk of the tmp segment before taking the lock, so the
 	// in-lock fsync below covers only the final trickle.
 	if err := tw.Flush(); err != nil {
-		finish(err)
-		return
+		return false, err
 	}
 	if err := tf.Sync(); err != nil {
-		finish(err)
-		return
+		return false, err
 	}
 
 	// Phase 4: commit.
 	s.mu.Lock()
 	t0 = time.Now()
 	before := db.records
-	err = func() error {
+	stale, err = func() (bool, error) {
 		if err := db.w.Flush(); err != nil {
-			return err
+			return false, err
 		}
 		db.flushed = db.segSize
 		if hi := db.flushed; hi > cursor {
 			if err := applyFlushed(cursor, hi); err != nil {
-				return err
+				return false, err
 			}
 			cursor = hi
 		}
+		if !last && shadow.vec.Tombstones() > 0 {
+			return true, nil
+		}
 		if err := tw.Flush(); err != nil {
-			return err
+			return false, err
 		}
 		if err := tf.Sync(); err != nil {
-			return err
+			return false, err
 		}
 		tmpOpen = false
 		if err := tf.Close(); err != nil {
-			return err
+			return false, err
 		}
 		if err := os.Rename(tmp, db.path); err != nil {
-			return err
+			return false, err
 		}
 		if err := db.swapSegment(size, recs); err != nil {
-			return err
+			return false, err
 		}
 		// Graft the shadow into the live index: O(1) pointer adoption
 		// published by atomic view swap, so readers never see a half
@@ -400,12 +421,12 @@ func (r *Retriever) compactShard(s *shard) {
 		// writers kept them current throughout.
 		live.vec.AdoptFrom(shadow.vec)
 		live.lex.AdoptFrom(shadow.lex)
-		return nil
+		return false, nil
 	}()
 	stallSince(t0)
-	if err == nil {
-		db.noteCompaction(before-recs, maxStall)
+	if err == nil && !stale {
+		db.noteCompaction(before-recs, *maxStall)
 	}
 	s.mu.Unlock()
-	finish(err)
+	return stale, err
 }

@@ -98,7 +98,8 @@
 // installs in-memory state that matches a replay of the rewritten log —
 // the HNSW graph is reconstructed without its tombstoned nodes, so
 // post-compaction results are those of a fresh index over the surviving
-// corpus. The rewrite starts from the write path as soon as the threshold
+// corpus (a rewrite that a concurrent delete or re-add would leave holding
+// a tombstone starts over instead of committing). The rewrite starts from the write path as soon as the threshold
 // is crossed; Flush and Close wait for any that is due, so both return
 // with every shard under the threshold and its snapshot current.
 //

@@ -1,12 +1,28 @@
 // Package textutil provides the text primitives shared by the BM25 index,
 // the embedding model and the simulated language skills: tokenization,
-// stopword filtering, a light suffix stemmer, n-gram extraction and string
-// similarity measures.
+// stopword filtering, a light suffix stemmer and string similarity
+// measures.
+//
+// # The token walker
+//
+// There is one tokenizer: Walker. It steps through a text rune by rune,
+// lowercases letters into a caller-supplied buffer (a stack array in every
+// caller here), and yields each token's bytes without allocating. Letters
+// and digits form tokens; every other rune, underscores included,
+// separates them. A normalizing walker (Walk) also drops stopwords before
+// anything is materialized and stems the token in place; a raw walker
+// (WalkRaw) yields the lowercased tokens as they are.
+//
+// The rest of the package collects from it: Tokenize (raw) and
+// NormalizeTokens (normalized) copy each emitted token into one string;
+// TokenOverlap compares two normalized streams without building either.
+// The embedder (package embed) hashes features straight off a normalizing
+// walker.
 package textutil
 
 import (
-	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // stopwords is the small English stopword list applied by NormalizeTokens.
@@ -24,30 +40,116 @@ var stopwords = map[string]struct{}{
 	"when": {}, "where": {}, "why": {}, "please": {}, "help": {},
 }
 
+// Walker yields the tokens of a text one at a time. The zero value yields
+// nothing; build one with Walk or WalkRaw.
+type Walker struct {
+	text      string
+	pos       int
+	buf       []byte
+	normalize bool
+}
+
+// Walk returns a walker over the normalized tokens of text: lowercased,
+// stopwords dropped, stemmed. Tokens are built in buf's backing array,
+// which grows onto the heap only for a token longer than cap(buf).
+func Walk(text string, buf []byte) Walker {
+	return Walker{text: text, buf: buf[:0], normalize: true}
+}
+
+// WalkRaw returns a walker over the lowercased tokens of text, with
+// stopwords kept and nothing stemmed: the stream Tokenize collects.
+func WalkRaw(text string, buf []byte) Walker {
+	return Walker{text: text, buf: buf[:0]}
+}
+
+// Next returns the next token, or ok false at the end of the text. The
+// bytes are valid until the following call.
+func (w *Walker) Next() (tok []byte, ok bool) {
+	for {
+		tok, ok = w.nextRaw()
+		if !ok || !w.normalize {
+			return tok, ok
+		}
+		if _, stop := stopwords[string(tok)]; !stop {
+			return stem(tok), true
+		}
+	}
+}
+
+// nextRaw lowercases the next run of letters and digits into w.buf.
+func (w *Walker) nextRaw() ([]byte, bool) {
+	b := w.buf[:0]
+	s, i := w.text, w.pos
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			i++
+			switch {
+			case 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+				b = append(b, c)
+				continue
+			case 'A' <= c && c <= 'Z':
+				b = append(b, c+('a'-'A'))
+				continue
+			}
+		} else {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			i += size
+			switch {
+			case unicode.IsLetter(r):
+				b = utf8.AppendRune(b, unicode.ToLower(r))
+				continue
+			case unicode.IsDigit(r):
+				b = utf8.AppendRune(b, r)
+				continue
+			}
+		}
+		if len(b) > 0 {
+			break
+		}
+	}
+	// Only the position is stored back: writing b into *w would make the
+	// caller's buffer escape. A buffer that grew for a long token is
+	// dropped, and the next token starts over in the caller's buffer.
+	w.pos = i
+	return b, len(b) > 0
+}
+
+// tokenBuf is the stack buffer size the package's collectors give their
+// walkers; longer tokens spill to the heap.
+const tokenBuf = 64
+
 // Tokenize splits text into lower-case word tokens. Letters and digits are
 // kept; every other rune separates tokens. Underscores split identifiers so
 // that column names like "k_ppm" yield ["k", "ppm"].
 func Tokenize(text string) []string {
-	var tokens []string
-	var b strings.Builder
-	flush := func() {
-		if b.Len() > 0 {
-			tokens = append(tokens, b.String())
-			b.Reset()
-		}
+	var buf [tokenBuf]byte
+	return collect(WalkRaw(text, buf[:]), nil)
+}
+
+// NormalizeTokens tokenizes, drops stopwords and stems, producing the token
+// stream the BM25 index consumes. The result is never nil.
+func NormalizeTokens(text string) []string {
+	var buf [tokenBuf]byte
+	return collect(Walk(text, buf[:]), []string{})
+}
+
+// collect copies every token w yields into its own string. A first pass
+// counts them, so the result is allocated once at its exact size; empty
+// returns none.
+func collect(w Walker, none []string) []string {
+	count := w
+	n := 0
+	for _, ok := count.Next(); ok; _, ok = count.Next() {
+		n++
 	}
-	for _, r := range text {
-		switch {
-		case unicode.IsLetter(r):
-			b.WriteRune(unicode.ToLower(r))
-		case unicode.IsDigit(r):
-			b.WriteRune(r)
-		default:
-			flush()
-		}
+	if n == 0 {
+		return none
 	}
-	flush()
-	return tokens
+	out := make([]string, 0, n)
+	for tok, ok := w.Next(); ok; tok, ok = w.Next() {
+		out = append(out, string(tok))
+	}
+	return out
 }
 
 // IsStopword reports whether tok is in the stopword list.
@@ -56,60 +158,32 @@ func IsStopword(tok string) bool {
 	return ok
 }
 
-// Stem applies a light suffix stemmer (a truncated Porter variant): plural
-// "-ies"→"y", "-sses"→"ss", trailing "s" dropped, "-ing"/"-ed" dropped when
-// the stem stays ≥3 runes. It is intentionally conservative; recall matters
-// more than linguistic purity for schema matching.
-func Stem(tok string) string {
+// stem applies a light suffix stemmer (a truncated Porter variant) in
+// place: plural "-ies"→"y", "-sses"→"ss", trailing "s" dropped, "-ing"/"-ed"
+// dropped when the stem stays ≥3 bytes. It is intentionally conservative;
+// recall matters more than linguistic purity for schema matching.
+func stem(tok []byte) []byte {
 	n := len(tok)
 	switch {
-	case n > 4 && strings.HasSuffix(tok, "ies"):
-		return tok[:n-3] + "y"
-	case n > 5 && strings.HasSuffix(tok, "sses"):
+	case n > 4 && hasSuffix(tok, "ies"):
+		tok[n-3] = 'y'
 		return tok[:n-2]
-	case n > 3 && strings.HasSuffix(tok, "s") && !strings.HasSuffix(tok, "ss") && !strings.HasSuffix(tok, "us"):
+	case n > 5 && hasSuffix(tok, "sses"):
+		return tok[:n-2]
+	case n > 3 && hasSuffix(tok, "s") && !hasSuffix(tok, "ss") && !hasSuffix(tok, "us"):
 		return tok[:n-1]
 	}
-	if n > 6 && strings.HasSuffix(tok, "ing") {
+	if n > 6 && hasSuffix(tok, "ing") {
 		return tok[:n-3]
 	}
-	if n > 5 && strings.HasSuffix(tok, "ed") {
+	if n > 5 && hasSuffix(tok, "ed") {
 		return tok[:n-2]
 	}
 	return tok
 }
 
-// NormalizeTokens tokenizes, drops stopwords and stems, producing the token
-// stream the BM25 index and the embedder consume.
-func NormalizeTokens(text string) []string {
-	raw := Tokenize(text)
-	out := make([]string, 0, len(raw))
-	for _, tok := range raw {
-		if IsStopword(tok) {
-			continue
-		}
-		out = append(out, Stem(tok))
-	}
-	return out
-}
-
-// CharNGrams returns the distinct character n-grams of a token, used by the
-// embedder to give morphologically related words overlapping features.
-func CharNGrams(tok string, n int) []string {
-	if n <= 0 || len(tok) < n {
-		return nil
-	}
-	seen := make(map[string]struct{}, len(tok))
-	var out []string
-	for i := 0; i+n <= len(tok); i++ {
-		g := tok[i : i+n]
-		if _, dup := seen[g]; dup {
-			continue
-		}
-		seen[g] = struct{}{}
-		out = append(out, g)
-	}
-	return out
+func hasSuffix(b []byte, suffix string) bool {
+	return len(b) >= len(suffix) && string(b[len(b)-len(suffix):]) == suffix
 }
 
 // Jaccard computes the Jaccard similarity of two token multisets treated as
@@ -184,25 +258,51 @@ func Similarity(a, b string) float64 {
 	return 1 - float64(Levenshtein(a, b))/float64(longest)
 }
 
+// overlapSet is how many normalized tokens, and how many of their bytes,
+// TokenOverlap holds on the stack for its first argument; a longer phrase
+// spills to the heap.
+const (
+	overlapSet   = 16
+	overlapBytes = 256
+)
+
 // TokenOverlap returns the fraction of a's normalized tokens found in b's
 // normalized tokens; an asymmetric containment measure useful for matching a
-// short query phrase against a longer description.
+// short query phrase against a longer description. Each of b's tokens is
+// compared with each of a's, so the cost is the product of the two token
+// counts.
 func TokenOverlap(a, b string) float64 {
-	ta := NormalizeTokens(a)
-	if len(ta) == 0 {
+	var buf [tokenBuf]byte
+	var arenaArr [overlapBytes]byte
+	var endsArr [overlapSet]int
+	var foundArr [overlapSet]bool
+	arena, ends, found := arenaArr[:0], endsArr[:0], foundArr[:0]
+	wa := Walk(a, buf[:])
+	for tok, ok := wa.Next(); ok; tok, ok = wa.Next() {
+		arena = append(arena, tok...)
+		ends = append(ends, len(arena))
+		found = append(found, false)
+	}
+	if len(ends) == 0 {
 		return 0
 	}
-	tb := make(map[string]struct{})
-	for _, t := range NormalizeTokens(b) {
-		tb[t] = struct{}{}
+	wb := Walk(b, buf[:])
+	for tok, ok := wb.Next(); ok; tok, ok = wb.Next() {
+		start := 0
+		for i, end := range ends {
+			if string(arena[start:end]) == string(tok) {
+				found[i] = true
+			}
+			start = end
+		}
 	}
 	hit := 0
-	for _, t := range ta {
-		if _, ok := tb[t]; ok {
+	for _, f := range found {
+		if f {
 			hit++
 		}
 	}
-	return float64(hit) / float64(len(ta))
+	return float64(hit) / float64(len(ends))
 }
 
 func minInt(xs ...int) int {

@@ -39,8 +39,8 @@ func TestStem(t *testing.T) {
 		"potassium": "potassium",
 	}
 	for in, want := range cases {
-		if got := Stem(in); got != want {
-			t.Errorf("Stem(%q) = %q, want %q", in, got, want)
+		if got := string(stem([]byte(in))); got != want {
+			t.Errorf("stem(%q) = %q, want %q", in, got, want)
 		}
 	}
 }
@@ -59,22 +59,6 @@ func TestNormalizeTokensDropsStopwords(t *testing.T) {
 	}
 	if !found["average"] || !found["sample"] {
 		t.Errorf("NormalizeTokens lost content words: %v", got)
-	}
-}
-
-func TestCharNGrams(t *testing.T) {
-	got := CharNGrams("abcd", 3)
-	want := []string{"abc", "bcd"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("CharNGrams = %v, want %v", got, want)
-	}
-	if CharNGrams("ab", 3) != nil {
-		t.Error("short token should produce no n-grams")
-	}
-	// Duplicates collapse.
-	got = CharNGrams("aaaa", 2)
-	if !reflect.DeepEqual(got, []string{"aa"}) {
-		t.Errorf("CharNGrams(aaaa,2) = %v, want [aa]", got)
 	}
 }
 
