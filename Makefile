@@ -23,9 +23,10 @@ DOC_PKGS = ./internal/retriever ./internal/ir ./internal/embed ./internal/bm25 .
 # flusher), and a 10-second fuzz pass over each binary decoder, over the
 # search reply encoder (against encoding/json), over the shard write
 # path (a batch of n against n batches of one), over the SQL hash join
-# (against a nested loop evaluating = on every pair) and over the
+# (against a nested loop evaluating = on every pair), over the
 # embedder's token walker (against the allocating Embed and
-# NormalizeTokens it replaced).
+# NormalizeTokens it replaced) and over AsFloat's string screen (against
+# strconv.ParseFloat).
 verify: fmt-check vet asmvet xbuild-arm64 xbuild-other tier1 tier1-scalar docs serve-smoke race-smoke fuzz-smoke
 
 fmt-check:
@@ -103,10 +104,12 @@ race-smoke:
 
 # fuzz-smoke runs each native fuzz target (the two binary decoders, the
 # search reply encoder, the batch-split invariant of the shard write
-# path, the SQL hash join's agreement with = and the embedder's bit
-# identity with its reference) for 10 seconds — long enough
-# to shake the mutator through the seed corpus's structural neighborhood
-# on every verify, short enough to keep the gate interactive. Go allows
+# path, the SQL hash join's agreement with =, the embedder's bit
+# identity with its reference, and FuzzAsFloatAgreesWithParseFloat:
+# AsFloat's string screen against strconv.ParseFloat) for 10 seconds —
+# long enough to shake the mutator through the seed corpus's structural
+# neighborhood on every verify, short enough to keep the gate
+# interactive. Go allows
 # one -fuzz pattern per invocation, so the targets run back to back.
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s
@@ -115,6 +118,7 @@ fuzz-smoke:
 	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzSearchReply$$' -fuzztime 10s
 	$(GO) test ./internal/sqlengine/ -run '^$$' -fuzz '^FuzzJoinKeys$$' -fuzztime 10s
 	$(GO) test ./internal/embed/ -run '^$$' -fuzz '^FuzzEmbedMatchesReference$$' -fuzztime 10s
+	$(GO) test ./internal/value/ -run '^$$' -fuzz '^FuzzAsFloatAgreesWithParseFloat$$' -fuzztime 10s
 	@echo "fuzz-smoke: ok"
 
 # bench runs the repo's benchmark once: every workload BENCHMARK.json

@@ -115,8 +115,10 @@ type Intent struct {
 	RoundTo       int          `json:"round_to"`
 }
 
-// NewTableInfo converts a table into its prompt DTO with per-column stats
-// and up to sampleVals sample values.
+// NewTableInfo converts a table into its prompt DTO: each column's
+// documentation, its min and max (empty when every cell is NULL) and up to
+// sampleVals of its distinct sample values, all read from the table's
+// cached profile.
 func NewTableInfo(t *table.Table, sampleVals int) TableInfo {
 	p := t.BuildProfile()
 	ti := TableInfo{Name: t.Schema.Name, Description: t.Schema.Description, NumRows: t.NumRows()}

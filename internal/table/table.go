@@ -18,9 +18,10 @@
 //
 // That rule is also what lets a table cache its Profile: BuildProfile
 // publishes it through an atomic pointer, so any number of sessions may
-// profile one shared table at once. A Profile counts a column's distinct
-// values as distinct renderings (Value.String); columnStats says when it can
-// tell them apart without rendering them.
+// profile one shared table at once. A Profile holds only what a prompt
+// reads: each column's Min and Max and its first 24 distinct renderings
+// (Value.String) as samples, found in one pass over the rows that keeps no
+// set of the values it has seen.
 //
 // The text forms are append forms: Schema.AppendTo, Table.AppendRender (and
 // value.Value.AppendTo for a cell) write into a caller's buffer, and
@@ -31,7 +32,6 @@ package table
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -187,30 +187,41 @@ func (t *Table) Head(n int) *Table {
 	return &Table{Schema: t.Schema, Rows: t.Rows[:n]}
 }
 
-// ColumnStats summarizes one column for profiling and grounding.
+// ColumnStats is what a prompt reads of one column: its range and example
+// values. NewTableInfo carries all three into a prompt; TableDocument and the
+// static baselines index the samples.
 type ColumnStats struct {
-	Name      string
-	Type      value.Kind
-	NullCount int
-	Distinct  int
-	Min       value.Value
-	Max       value.Value
-	Mean      float64 // numeric columns only
-	// SampleValues holds up to 24 distinct example values as strings; for
-	// low-cardinality columns this is the full domain, which grounded
-	// filter-value matching depends on.
+	// Min and Max are the least and greatest non-NULL cells by
+	// value.Compare; both are NULL when every cell is NULL.
+	Min, Max value.Value
+	// SampleValues holds the first maxSamples distinct renderings of the
+	// column's non-NULL cells, in row order; for low-cardinality columns
+	// this is the full domain, which grounded filter-value matching
+	// depends on.
 	SampleValues []string
 }
 
-// Profile summarizes a table: per-column stats plus row/col counts.
+// Profile is a table's per-column stats, in schema order.
 type Profile struct {
-	TableName string
-	NumRows   int
-	NumCols   int
-	Columns   []ColumnStats
+	Columns []ColumnStats
 }
 
-// BuildProfile computes a Profile. Distinct counts are exact (hash set).
+// maxSamples caps ColumnStats.SampleValues.
+const maxSamples = 24
+
+// BuildProfile computes a Profile in one pass over the rows, each row's
+// cells in turn: walking one column down the rows instead touches a new row
+// for every cell, which was half a cold profile's time. Two cells are the
+// same sample when they render the same. A cell is probed against the cells
+// its column's samples were rendered from, and probing stops once
+// maxSamples are found; a sample's cell is found again through the row it
+// was first seen in. For two cells of one kind among int, float, bool and
+// string, rendering is injective, so the probe compares them with == (a
+// Value's kind and payload bits) and renders nothing. Any other pair — a
+// time, whose rendering drops sub-seconds, or two kinds that can render
+// alike (Int(5) and Float(5), Bool(true) and "true") — compares the cell's
+// rendering, made once into a stack buffer, with the stored sample.
+//
 // The result is cached until the table grows via Append (a table is built
 // before it is profiled; see Table.profile); retrieval and planning profile
 // the same corpus tables on every call, so caching matters. The cache is an
@@ -221,99 +232,51 @@ func (t *Table) BuildProfile() Profile {
 	if p := t.profile.Load(); p != nil {
 		return *p
 	}
-	p := Profile{TableName: t.Schema.Name, NumRows: t.NumRows(), NumCols: t.NumCols()}
-	for ci, col := range t.Schema.Columns {
-		p.Columns = append(p.Columns, columnStats(t.Rows, ci, col))
+	p := Profile{Columns: make([]ColumnStats, len(t.Schema.Columns))}
+	seenAt := make([][maxSamples]int32, len(p.Columns))
+	var buf [64]byte
+	for ri, row := range t.Rows {
+		for ci := range p.Columns {
+			v := row[ci]
+			if v.IsNull() {
+				continue
+			}
+			cs := &p.Columns[ci]
+			if cs.Min.IsNull() {
+				cs.Min, cs.Max = v, v
+			} else {
+				if value.Compare(v, cs.Min) < 0 {
+					cs.Min = v
+				}
+				if value.Compare(v, cs.Max) > 0 {
+					cs.Max = v
+				}
+			}
+			n := len(cs.SampleValues)
+			if n == maxSamples {
+				continue
+			}
+			payload := v.Kind() != value.KindTime
+			var r []byte
+			seen := false
+			for j := 0; j < n && !seen; j++ {
+				if s := t.Rows[seenAt[ci][j]][ci]; payload && s.Kind() == v.Kind() {
+					seen = s == v
+					continue
+				}
+				if r == nil {
+					r = v.AppendTo(buf[:0])
+				}
+				seen = string(r) == cs.SampleValues[j]
+			}
+			if !seen {
+				seenAt[ci][n] = int32(ri)
+				cs.SampleValues = append(cs.SampleValues, v.String())
+			}
+		}
 	}
 	t.profile.Store(&p)
 	return p
-}
-
-// columnStats profiles one column. Two cells are the same distinct value
-// when they render the same, and for int, float, bool and string cells
-// rendering is injective, so a column whose non-NULL cells all have one of
-// those kinds counts distinct values by the cell's 8-byte payload or its
-// string and renders only the sample values. A time column, or one that
-// mixes kinds (Int(5) and Float(5) both render "5"), is counted by
-// rendering every cell. Formatting every float of a fresh table to count
-// them was most of a profile's cost: the seeker-turns benchmark's
-// table.build_profile_us went from 17.2 to 8.5 ms.
-func columnStats(rows []Row, ci int, col Column) ColumnStats {
-	kind := value.KindNull
-	for _, row := range rows {
-		if !row[ci].IsNull() {
-			kind = row[ci].Kind()
-			break
-		}
-	}
-	var cs ColumnStats
-	homogeneous := false
-	switch kind {
-	case value.KindInt:
-		cs, homogeneous = scanColumn(rows, ci, col, kind, func(v value.Value) uint64 { return uint64(v.IntVal()) })
-	case value.KindFloat:
-		cs, homogeneous = scanColumn(rows, ci, col, kind, func(v value.Value) uint64 { return math.Float64bits(v.FloatVal()) })
-	case value.KindBool:
-		cs, homogeneous = scanColumn(rows, ci, col, kind, value.Value.BoolVal)
-	case value.KindString:
-		cs, homogeneous = scanColumn(rows, ci, col, kind, value.Value.StringVal)
-	}
-	if !homogeneous {
-		cs, _ = scanColumn(rows, ci, col, value.KindNull, value.Value.String)
-	}
-	return cs
-}
-
-// scanColumn computes a column's stats, telling distinct values apart by
-// key; a key of type string must be the cell's rendering. With kind set, a non-NULL cell of any other kind ends the scan and
-// reports false; with kind KindNull every cell is accepted.
-func scanColumn[K comparable](rows []Row, ci int, col Column, kind value.Kind, key func(value.Value) K) (ColumnStats, bool) {
-	cs := ColumnStats{Name: col.Name, Type: col.Type}
-	distinct := make(map[K]struct{})
-	var sum float64
-	var numCount int
-	first := true
-	for _, row := range rows {
-		v := row[ci]
-		if v.IsNull() {
-			cs.NullCount++
-			continue
-		}
-		if kind != value.KindNull && v.Kind() != kind {
-			return ColumnStats{}, false
-		}
-		k := key(v)
-		if _, ok := distinct[k]; !ok {
-			distinct[k] = struct{}{}
-			if len(cs.SampleValues) < 24 {
-				sample, rendered := any(k).(string) // a string key is the cell's rendering
-				if !rendered {
-					sample = v.String()
-				}
-				cs.SampleValues = append(cs.SampleValues, sample)
-			}
-		}
-		if v.Kind().Numeric() {
-			sum += v.FloatVal()
-			numCount++
-		}
-		if first {
-			cs.Min, cs.Max = v, v
-			first = false
-		} else {
-			if value.Compare(v, cs.Min) < 0 {
-				cs.Min = v
-			}
-			if value.Compare(v, cs.Max) > 0 {
-				cs.Max = v
-			}
-		}
-	}
-	cs.Distinct = len(distinct)
-	if numCount > 0 {
-		cs.Mean = sum / float64(numCount)
-	}
-	return cs, true
 }
 
 // Render pretty-prints the table (up to maxRows rows, every row when maxRows

@@ -192,7 +192,7 @@ func (v Value) AsFloat() (float64, bool) {
 		return 0, true
 	case KindString:
 		s := strings.TrimSpace(v.s)
-		if !mayBeginFloat(s) {
+		if !mayParseFloat(s) {
 			return 0, false
 		}
 		f, err := strconv.ParseFloat(s, 64)
@@ -207,21 +207,40 @@ func (v Value) AsFloat() (float64, bool) {
 	}
 }
 
-// mayBeginFloat reports whether s starts with a byte that can begin a
-// strconv.ParseFloat literal: a digit, a sign, a point, or the first letter
-// of inf/infinity/nan. ParseFloat heap-allocates a *NumError for every
-// string it rejects, and text cells reach AsFloat once per Compare, so words
-// are turned away here, before they cost an allocation.
-func mayBeginFloat(s string) bool {
+// mayParseFloat screens s for strconv.ParseFloat, which heap-allocates a
+// *NumError for every string it rejects; text cells reach AsFloat once per
+// Compare, so words and dates are turned away here, before they cost an
+// allocation. It passes every literal ParseFloat accepts: after an optional
+// sign, either exactly inf, infinity or nan in any case, or a digit or point
+// followed only by digits, points, underscores, hex letters, x, p and signs,
+// each sign right after an exponent mark (e, E, p or P).
+func mayParseFloat(s string) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
 	if s == "" {
 		return false
 	}
-	switch c := s[0]; c {
-	case '+', '-', '.', 'i', 'I', 'n', 'N':
-		return true
-	default:
-		return '0' <= c && c <= '9'
+	switch c := s[0]; {
+	case c == 'i' || c == 'I' || c == 'n' || c == 'N':
+		return strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity") || strings.EqualFold(s, "nan")
+	case c != '.' && (c < '0' || c > '9'):
+		return false
 	}
+	for i := 1; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '+' || c == '-':
+			if p := s[i-1] | 0x20; p != 'e' && p != 'p' {
+				return false
+			}
+		case '0' <= c && c <= '9', c == '.', c == '_':
+		default:
+			if l := c | 0x20; (l < 'a' || l > 'f') && l != 'x' && l != 'p' {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // AsInt attempts an integer view of the value.

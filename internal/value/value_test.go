@@ -67,32 +67,40 @@ func TestAsFloat(t *testing.T) {
 	}
 }
 
-// TestAsFloatStringAgreesWithParseFloat pins the first-byte screen in AsFloat
-// to the parser it stands in front of: for any string, value and ok must be
-// what strconv.ParseFloat says of the trimmed text.
-func TestAsFloatStringAgreesWithParseFloat(t *testing.T) {
-	check := func(s string) {
-		t.Helper()
-		want, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		got, ok := String(s).AsFloat()
-		if ok != (err == nil) {
-			t.Errorf("AsFloat(%q) ok = %v, ParseFloat err = %v", s, ok, err)
-			return
-		}
-		if ok && got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-			t.Errorf("AsFloat(%q) = %v, ParseFloat = %v", s, got, want)
-		}
+// checkAsFloat holds AsFloat on String(s) to the parser its screen stands in
+// front of: value and ok must be what strconv.ParseFloat says of the trimmed
+// text.
+func checkAsFloat(t testing.TB, s string) {
+	t.Helper()
+	want, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+	got, ok := String(s).AsFloat()
+	if ok != (err == nil) {
+		t.Errorf("AsFloat(%q) ok = %v, ParseFloat err = %v", s, ok, err)
+		return
 	}
-	for _, s := range []string{
-		"Inf", "+inf", "-Infinity", "infinity", "INF", "inf ", "infinit", "-i", "i",
-		"nan", "NaN", "+nan", "-NaN", "nano", "n", "N/A", "North",
-		".5", "-.5e3", "+.5", ".", "-", "+", "1.", "1e", "1e+", "1e5", "1E-5",
-		"0x1p-2", "0X1P+3", "0x", "1_000", "0x_1p0", "0b11", "0o7",
-		"", " ", " 12 ", "\t7\n", "\u00a012", "12abc", "S001", "2020-01-01", "12:30",
-		"é", "\xff", "١٢", "−5", "１２", "$99", "1,200.50", "45%", "(5)", "e5", "E",
-		"1e400", "-1e400", "4.9e-324", "1e-400", "00012", "9223372036854775808",
-	} {
-		check(s)
+	if ok && got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+		t.Errorf("AsFloat(%q) = %v, ParseFloat = %v", s, got, want)
+	}
+}
+
+// asFloatInputs are the near-misses on both sides of the screen in AsFloat;
+// they also seed FuzzAsFloatAgreesWithParseFloat.
+var asFloatInputs = []string{
+	"Inf", "+inf", "-Infinity", "infinity", "INF", "inf ", "infinit", "-i", "i",
+	"nan", "NaN", "+nan", "-NaN", "nano", "n", "N/A", "North",
+	".5", "-.5e3", "+.5", ".", "-", "+", "1.", "1e", "1e+", "1e5", "1E-5",
+	"0x1p-2", "0X1P+3", "0x", "1_000", "0x_1p0", "0b11", "0o7",
+	"", " ", " 12 ", "\t7\n", "\u00a012", "12abc", "S001", "2020-01-01", "12:30",
+	"é", "\xff", "١٢", "−5", "１２", "$99", "1,200.50", "45%", "(5)", "e5", "E",
+	"1e400", "-1e400", "4.9e-324", "1e-400", "00012", "9223372036854775808",
+}
+
+// TestAsFloatStringAgreesWithParseFloat pins the screen in AsFloat to the
+// parser it stands in front of, over asFloatInputs and a walk of short
+// strings.
+func TestAsFloatStringAgreesWithParseFloat(t *testing.T) {
+	for _, s := range asFloatInputs {
+		checkAsFloat(t, s)
 	}
 
 	// Short strings over an alphabet dense in what a float literal is made
@@ -105,23 +113,36 @@ func TestAsFloatStringAgreesWithParseFloat(t *testing.T) {
 		for j := range b {
 			b[j] = letters[rng.Intn(len(letters))]
 		}
-		check(string(b))
+		checkAsFloat(t, string(b))
 	}
+}
+
+// FuzzAsFloatAgreesWithParseFloat is TestAsFloatStringAgreesWithParseFloat's
+// check on arbitrary strings: the screen is a small grammar, and a walk over
+// one alphabet is thin cover for a grammar.
+func FuzzAsFloatAgreesWithParseFloat(f *testing.F) {
+	for _, s := range asFloatInputs {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) { checkAsFloat(t, s) })
 }
 
 // TestAsFloatOnWordDoesNotAllocate: a text cell reaches AsFloat on every
 // Compare, and ParseFloat would heap-allocate a *NumError to turn it away.
+// The inputs are words and dates that start the way a float literal can.
 func TestAsFloatOnWordDoesNotAllocate(t *testing.T) {
 	if racebuild.Enabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
-	v := String("suspect")
-	if n := testing.AllocsPerRun(100, func() {
-		if _, ok := v.AsFloat(); ok {
-			t.Fatal("a word is not a number")
+	for _, s := range []string{"suspect", "1936-07-06", "Necropolis", "Neutron activation", "Netherlands"} {
+		v := String(s)
+		if n := testing.AllocsPerRun(100, func() {
+			if _, ok := v.AsFloat(); ok {
+				t.Fatalf("%q is not a number", s)
+			}
+		}); n != 0 {
+			t.Errorf("AsFloat(%q) allocates %.0f times, want 0", s, n)
 		}
-	}); n != 0 {
-		t.Fatalf("AsFloat on a non-numeric word allocates %.0f times, want 0", n)
 	}
 }
 
