@@ -22,8 +22,9 @@ DOC_PKGS = ./internal/retriever ./internal/ir ./internal/embed ./internal/bm25 .
 # background compaction under churn, Close handing a due compaction to the
 # flusher), and a 10-second fuzz pass over each binary decoder, over the
 # search reply encoder (against encoding/json), over the shard write
-# path (a batch of n against n batches of one), over the SQL hash join
-# (against a nested loop evaluating = on every pair), over the
+# path (a batch of n against n batches of one), over BM25 search and
+# statistics (against a naive scan of the live documents), over the SQL
+# hash join (against a nested loop evaluating = on every pair), over the
 # embedder's token walker (against the allocating Embed and
 # NormalizeTokens it replaced) and over AsFloat's string screen (against
 # strconv.ParseFloat).
@@ -104,9 +105,11 @@ race-smoke:
 
 # fuzz-smoke runs each native fuzz target (the two binary decoders, the
 # search reply encoder, the batch-split invariant of the shard write
-# path, the SQL hash join's agreement with =, the embedder's bit
-# identity with its reference, and FuzzAsFloatAgreesWithParseFloat:
-# AsFloat's string screen against strconv.ParseFloat) for 10 seconds —
+# path, BM25's bit identity with a naive scoring of its live documents
+# across adds, deletes, snapshots and adopts, the SQL hash join's
+# agreement with =, the embedder's bit identity with its reference, and
+# FuzzAsFloatAgreesWithParseFloat: AsFloat's string screen against
+# strconv.ParseFloat) for 10 seconds —
 # long enough to shake the mutator through the seed corpus's structural
 # neighborhood on every verify, short enough to keep the gate
 # interactive. Go allows
@@ -115,6 +118,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s
 	$(GO) test ./internal/retriever/ -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s
 	$(GO) test ./internal/retriever/ -run '^$$' -fuzz '^FuzzBatchSplit$$' -fuzztime 10s
+	$(GO) test ./internal/bm25/ -run '^$$' -fuzz '^FuzzSearchMatchesNaive$$' -fuzztime 10s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzSearchReply$$' -fuzztime 10s
 	$(GO) test ./internal/sqlengine/ -run '^$$' -fuzz '^FuzzJoinKeys$$' -fuzztime 10s
 	$(GO) test ./internal/embed/ -run '^$$' -fuzz '^FuzzEmbedMatchesReference$$' -fuzztime 10s

@@ -2,6 +2,8 @@ package bm25
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"pneuma/internal/racebuild"
@@ -77,6 +79,65 @@ func TestLiveDocFreqTracking(t *testing.T) {
 	check("nitrate", 0)
 	check("basin", 1)
 	check("river", 2)
+}
+
+// retainedBytesPerPostingBudget is the committed ceiling on the heap an
+// index retains per posting, measured by TestIndexRetainedBytesPerPosting:
+// its reading (45.1 on linux/amd64, Go 1.24) plus 25%. A posting costs 8
+// bytes in its list and 8 in its document's term list; the rest is list
+// growth slack, the document table, the term table and the statistics,
+// spread over the postings. Per-document term strings and token-sized
+// term slices read 85.6.
+const retainedBytesPerPostingBudget = 56
+
+// TestIndexRetainedBytesPerPosting holds what an index keeps on the heap,
+// per posting, after a 2 000-document ingest: the in-use heap it adds,
+// with every transient (token slices, per-batch scratch) collected. A
+// regression here means per-document state went back to holding term
+// strings, or a token-count-sized slice outlived its batch.
+func TestIndexRetainedBytesPerPosting(t *testing.T) {
+	if racebuild.Enabled {
+		t.Skip("race instrumentation changes heap sizes")
+	}
+	const ndocs, batch = 2000, 50
+	ids := make([]string, ndocs)
+	texts := make([]string, ndocs)
+	for i := range ids {
+		// Table-like documents: column names from a small schema
+		// vocabulary, and cell values from a larger pool, some repeated
+		// within the document.
+		var b strings.Builder
+		for j := 0; j < 20; j++ {
+			fmt.Fprintf(&b, "column%d ", (i*7+j*13)%400)
+		}
+		for j := 0; j < 12; j++ {
+			fmt.Fprintf(&b, "v%d ", (i*31+j%9*17)%5000)
+		}
+		ids[i] = fmt.Sprintf("table-%04d", i)
+		texts[i] = b.String()
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ix := New(Params{})
+	for i := 0; i < ndocs; i += batch {
+		ix.AddBatch(ids[i:i+batch], texts[i:i+batch])
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	postings := 0
+	for _, d := range ix.view.Load().docs {
+		postings += len(d.tf)
+	}
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(postings)
+	t.Logf("%d postings, %.1f retained bytes per posting", postings, per)
+	if per > retainedBytesPerPostingBudget {
+		t.Fatalf("index retains %.1f bytes per posting, budget is %d", per, retainedBytesPerPostingBudget)
+	}
+	runtime.KeepAlive(ix)
+	runtime.KeepAlive(texts)
 }
 
 func BenchmarkSearch(b *testing.B) {

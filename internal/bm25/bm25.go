@@ -31,28 +31,30 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
+// posting is one document's entry in a term's posting list. Both fields
+// are 4 bytes: a shard holds far fewer than 2^31 documents, and the
+// snapshot loader rejects a term frequency that does not fit.
 type posting struct {
-	doc int
-	tf  int
+	doc int32
+	tf  int32
 }
 
-// termFreq is one distinct term of a document with its in-document
-// frequency.
-type termFreq struct {
-	term string
-	tf   int
+// slotTF is one distinct term of a document, named by its slot in the
+// shard's term table, with its in-document frequency.
+type slotTF struct {
+	slot int32
+	tf   int32
 }
 
 type docInfo struct {
 	id      string
 	length  int
 	deleted bool
-	// tf keeps the document's distinct term frequencies, sorted by term,
-	// so a delete or re-add can reverse the document's contribution to
-	// the Stats object exactly. A sorted slice
-	// rather than a map: it is only ever iterated, and the snapshot
-	// loader rebuilds all documents' entries in one arena.
-	tf []termFreq
+	// tf keeps the document's distinct terms by slot, so a delete or
+	// re-add can reverse the document's contribution to the Stats object
+	// exactly. A slice rather than a map: it is only ever iterated. The
+	// term strings live once per shard, in termPostings.term.
+	tf []slotTF
 }
 
 // termTable interns terms to dense slots. One table is shared by every
@@ -69,7 +71,7 @@ type docInfo struct {
 // restore, a shadow installed by AdoptFrom) starts a new lineage with a
 // fresh table, so a slot's meaning never changes under a live view.
 type termTable struct {
-	m sync.Map // term string → int32 slot
+	m sync.Map // term → int32 slot; the key is the slot's termPostings.term
 }
 
 func newTermTable() *termTable { return &termTable{} }
@@ -84,19 +86,6 @@ func (t *termTable) lookup(term string) (int32, bool) {
 
 func (t *termTable) intern(term string, slot int32) { t.m.Store(term, slot) }
 
-// forEach calls fn for every term whose slot is below limit (the calling
-// view's slot count), in unspecified order. Safe concurrent with writer
-// inserts: terms interned after the caller pinned its view land at or
-// beyond limit and are skipped.
-func (t *termTable) forEach(limit int, fn func(term string, slot int32)) {
-	t.m.Range(func(k, v any) bool {
-		if slot := v.(int32); int(slot) < limit {
-			fn(k.(string), slot)
-		}
-		return true
-	})
-}
-
 // termPostings is one term's posting list. The struct is allocated once
 // per slot and its address never changes, which keeps the outer plists
 // array append-only — views share it without copy-on-write. The list
@@ -105,8 +94,11 @@ func (t *termTable) forEach(limit int, fn func(term string, slot int32)) {
 // prefix, so in-place growth within spare capacity is tail-safe) and
 // stores the new header; readers load a header once and, because
 // postings are appended in document-index order, trim it to their own
-// view's document range (lexView.postings).
+// view's document range (lexView.postings). term is the one copy of the
+// term string the shard keeps: the term table's key, the Stats key and
+// the snapshot writer all read it from here.
 type termPostings struct {
+	term string
 	data atomic.Pointer[[]posting]
 }
 
@@ -239,8 +231,8 @@ func (v *lexView) termSlot(term string) (int32, bool) {
 func (v *lexView) postings(slot int32) []posting {
 	pl := v.plists[slot].load()
 	nd := len(v.docs)
-	if n := len(pl); n > 0 && pl[n-1].doc >= nd {
-		pl = pl[:sort.Search(n, func(i int) bool { return pl[i].doc >= nd })]
+	if n := len(pl); n > 0 && int(pl[n-1].doc) >= nd {
+		pl = pl[:sort.Search(n, func(i int) bool { return int(pl[i].doc) >= nd })]
 	}
 	return pl
 }
@@ -263,25 +255,6 @@ func (ix *Index) Len() int {
 	return ix.view.Load().liveDocs
 }
 
-// tokenizeDoc turns text into (sorted distinct term frequencies, token
-// count): the fresh token slice is sorted in place and runs are walked —
-// no transient counting map. The sorted order is also the docInfo.tf
-// invariant the snapshot codec relies on.
-func tokenizeDoc(text string) ([]termFreq, int) {
-	tokens := textutil.NormalizeTokens(text)
-	sort.Strings(tokens)
-	tf := make([]termFreq, 0, len(tokens))
-	for i := 0; i < len(tokens); {
-		j := i + 1
-		for j < len(tokens) && tokens[j] == tokens[i] {
-			j++
-		}
-		tf = append(tf, termFreq{term: tokens[i], tf: j - i})
-		i = j
-	}
-	return tf, len(tokens)
-}
-
 // AddBatch indexes texts[i] under ids[i], in order, inside a single
 // writer batch. Re-adding an ID — from an earlier batch or earlier in this
 // one — replaces the old document (tombstoned; postings of dead docs are
@@ -292,47 +265,69 @@ func (ix *Index) AddBatch(ids, texts []string) {
 	if len(ids) == 0 {
 		return
 	}
-	tfs := make([][]termFreq, len(ids))
-	lens := make([]int, len(ids))
+	toks := make([][]string, len(ids))
+	distinct := 0
 	for i, t := range texts {
-		tfs[i], lens[i] = tokenizeDoc(t)
+		toks[i] = textutil.NormalizeTokens(t)
+		sort.Strings(toks[i])
+		for j, tok := range toks[i] {
+			if j == 0 || tok != toks[i][j-1] {
+				distinct++
+			}
+		}
 		// Reads-first yield (see hnsw.AddBatch): tokenizing a multi-KB
 		// document is the expensive part of a lexical batch, and it runs
 		// outside the lock — but on a saturated box an unyielding loop
 		// still starves concurrent searches of the scheduler.
 		runtime.Gosched()
 	}
+	// Every document's term list is a window of one arena sized by the
+	// batch's distinct terms; the token slices die with the batch.
+	arena := make([]slotTF, 0, distinct)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	v := ix.beginBatch()
 	for i := range ids {
-		ix.addLocked(v, ids[i], tfs[i], lens[i])
+		arena = ix.addLocked(v, ids[i], toks[i], arena)
 	}
 	ix.publish(v)
 }
 
-// addLocked applies one insert to the draft (mu held, batch open).
-func (ix *Index) addLocked(v *lexView, id string, tf []termFreq, length int) {
+// addLocked applies one insert of a document's sorted tokens to the draft
+// (mu held, batch open): it walks their runs, interning new terms and
+// appending one posting per distinct term, and cuts the document's term
+// list from arena, which it returns grown by that list.
+func (ix *Index) addLocked(v *lexView, id string, tokens []string, arena []slotTF) []slotTF {
 	if old, ok := ix.byID[id]; ok {
 		if !v.docs[old].deleted {
 			ix.tombstoneLocked(v, old)
 		}
 	}
 	docIdx := len(v.docs)
-	v.docs = append(v.docs, docInfo{id: id, length: length, tf: tf})
 	ix.byID[id] = docIdx
-	v.liveDocs++
-	v.stats.addDoc(tf, length)
-
-	for _, e := range tf {
-		slot, ok := v.termSlot(e.term)
+	start := len(arena)
+	for i := 0; i < len(tokens); {
+		term := tokens[i]
+		j := i + 1
+		for j < len(tokens) && tokens[j] == term {
+			j++
+		}
+		tf := int32(j - i)
+		i = j
+		slot, ok := v.termSlot(term)
 		if !ok {
 			slot = int32(len(v.plists))
-			v.terms.intern(e.term, slot)
-			v.plists = append(v.plists, &termPostings{})
+			v.terms.intern(term, slot)
+			v.plists = append(v.plists, &termPostings{term: term})
 		}
-		v.plists[slot].append(posting{doc: docIdx, tf: e.tf})
+		v.plists[slot].append(posting{doc: int32(docIdx), tf: tf})
+		arena = append(arena, slotTF{slot: slot, tf: tf})
 	}
+	tf := arena[start:len(arena):len(arena)]
+	v.docs = append(v.docs, docInfo{id: id, length: len(tokens), tf: tf})
+	v.liveDocs++
+	v.stats.addDoc(tf, v.plists, len(tokens))
+	return arena
 }
 
 // DeleteBatch tombstones every present ID inside a single writer batch and
@@ -369,7 +364,7 @@ func (ix *Index) tombstoneLocked(v *lexView, idx int) {
 	docs := ix.writableDocs(v, idx)
 	docs[idx].deleted = true
 	v.liveDocs--
-	v.stats.removeDoc(docs[idx].tf, docs[idx].length)
+	v.stats.removeDoc(docs[idx].tf, v.plists, docs[idx].length)
 }
 
 // Result is one ranked hit.
@@ -559,7 +554,7 @@ func (ix *Index) Search(query string, k int) []Result {
 				s.stamp[p.doc] = s.epoch
 				s.scores[p.doc] = 0
 				s.norms[p.doc] = k1 * (1 - b + b*float64(di.length)/avgLen)
-				s.touched = append(s.touched, int32(p.doc))
+				s.touched = append(s.touched, p.doc)
 			}
 			tf := float64(p.tf)
 			s.scores[p.doc] += qw * idf * (tf * (k1 + 1)) / (tf + s.norms[p.doc])

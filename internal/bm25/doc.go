@@ -8,6 +8,14 @@
 // that terms present in more than half the corpus never receive negative
 // weight.
 //
+// A batch sorts each text's tokens outside the writer lock and walks
+// their runs under it: each distinct term is interned to a slot and gets
+// an 8-byte (document, term frequency) posting. A term string lives once
+// per index, in its slot's posting-list header, which the term table and
+// the Stats counts key on. A document keeps its (slot, term frequency)
+// pairs for deletes, 8 bytes each, cut from one arena per batch sized by
+// its distinct terms; no token-count-sized slice outlives the batch.
+//
 // # Global statistics for sharded deployments
 //
 // BM25 scores depend on corpus-wide statistics: the document count N, the
@@ -60,18 +68,21 @@
 //
 // AppendSnapshot/LoadSnapshot serialize the index state as one binary
 // section, the way package hnsw does: the document table plus the
-// postings map stored term-wise, from which the restore rebuilds the
-// inverted index with arena-backed posting lists and per-document
-// term-frequency windows — no re-tokenization, one map insert per
-// distinct term. A Stats object is never serialized: its updates are
-// commutative, so each restored shard folds its live aggregate back into
-// the Stats it loads against. The retriever restores each shard against
-// a private Stats and merges it into the shared one with AttachStats only
-// once the whole multi-section snapshot has validated, so a bad snapshot
-// never touches shared state. AdoptFrom installs a tombstone-free shadow
-// built over the live documents against a private Stats — the state a
-// replay of a compacted segment log would build — and re-points it at
-// this index's Stats without touching it.
+// postings stored term-wise, terms in sorted order (the writer sorts the
+// view's slots by their term strings), from which the restore rebuilds
+// the inverted index with arena-backed posting lists and per-document
+// slot lists — no re-tokenization, one map insert per distinct term. A
+// posting whose document or term frequency does not fit in 4 bytes is
+// rejected as pnerr.ErrIndexCorrupt, never truncated. A Stats object is
+// never serialized: its updates are commutative, so each restored shard
+// folds its live aggregate back into the Stats it loads against. The
+// retriever restores each shard against a private Stats and merges it
+// into the shared one with AttachStats only once the whole multi-section
+// snapshot has validated, so a bad snapshot never touches shared state.
+// AdoptFrom installs a tombstone-free shadow built over the live
+// documents against a private Stats — the state a replay of a compacted
+// segment log would build — and re-points it at this index's Stats
+// without touching it.
 //
 // All types in this package are safe for concurrent use.
 package bm25

@@ -2,8 +2,11 @@ package bm25
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strings"
 
+	"pneuma/internal/pnerr"
 	"pneuma/internal/wire"
 )
 
@@ -42,27 +45,22 @@ func (ix *Index) AppendSnapshot(w *wire.Writer) {
 		}
 		body.Uvarint(uint64(len(d.tf)))
 	}
-	// The term table is shared with newer views; forEach bounds the walk
-	// to this view's slots, so terms interned by concurrent writer batches
-	// never leak into the section.
-	terms := make([]string, 0, len(v.plists))
-	slots := make(map[string]int32, len(v.plists))
+	// Terms go out in sorted order, read through this view's slots: the
+	// slot table is bounded by the view, and v.postings trims each list
+	// to the view's document range, so neither terms nor postings added
+	// by concurrent writer batches leak into the section.
+	order := make([]int32, len(v.plists))
 	total := 0
-	v.terms.forEach(len(v.plists), func(t string, slot int32) {
-		terms = append(terms, t)
-		slots[t] = slot
-		// v.postings trims to the view's document range, so postings
-		// appended by concurrent writer batches never leak into the
-		// section — and the trim bound is fixed by the view, so this
-		// count and the emission pass below see identical prefixes.
-		total += len(v.postings(slot))
-	})
-	sort.Strings(terms)
-	body.Uvarint(uint64(len(terms)))
+	for i := range order {
+		order[i] = int32(i)
+		total += len(v.postings(int32(i)))
+	}
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(v.plists[a].term, v.plists[b].term) })
+	body.Uvarint(uint64(len(order)))
 	body.Uvarint(uint64(total))
-	for _, t := range terms {
-		body.String(t)
-		plist := v.postings(slots[t])
+	for _, slot := range order {
+		body.String(v.plists[slot].term)
+		plist := v.postings(slot)
 		body.Uvarint(uint64(len(plist)))
 		for _, p := range plist {
 			body.Uvarint(uint64(p.doc))
@@ -85,13 +83,14 @@ func (ix *Index) AppendSnapshot(w *wire.Writer) {
 //
 // Posting lists are rebuilt as capacity-limited windows into a single
 // arena (a later AddBatch copies-on-append, so the windows stay
-// immutable), the per-document term-frequency slices that deletes need are
+// immutable), the per-document slot lists that deletes need are
 // reconstituted from the postings, and the live per-term document
 // frequencies fall out of the same pass. The restored live documents'
 // aggregate — document count, total length, per-term live frequencies —
 // is contributed to the index's Stats at the end, exactly matching a
 // replay of the original batch sequence. A malformed or truncated section
-// leaves the index and its Stats unchanged and returns an error.
+// leaves the index and its Stats unchanged and returns an error matching
+// pnerr.ErrIndexCorrupt.
 func (ix *Index) LoadSnapshot(rd *wire.Reader) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -101,9 +100,12 @@ func (ix *Index) LoadSnapshot(rd *wire.Reader) error {
 	size := int(rd.Uvarint())
 	sec := rd.Section(size)
 	if err := rd.Err(); err != nil {
-		return fmt.Errorf("bm25: snapshot section header: %w", err)
+		return pnerr.Corrupt("bm25: load snapshot", fmt.Errorf("section header: %w", err))
 	}
-	return ix.readBody(sec)
+	if err := ix.readBody(sec); err != nil {
+		return pnerr.Corrupt("bm25: load snapshot", err)
+	}
+	return nil
 }
 
 // readBody parses an AppendSnapshot section body and commits it by
@@ -115,14 +117,14 @@ func (ix *Index) readBody(rd *wire.Reader) error {
 	secLen := rd.Remaining()
 	ndocs := int(rd.Uvarint())
 	// Every document costs at least a few bytes, so a count exceeding the
-	// section size is malformed — reject before allocating for it.
-	if ndocs < 0 || ndocs > secLen {
+	// section size is malformed — reject before allocating for it. A
+	// posting's document index is 4 bytes, which bounds the count too.
+	if ndocs < 0 || ndocs > secLen || ndocs > math.MaxInt32 {
 		return fmt.Errorf("bm25: snapshot section claims %d docs in %d bytes", ndocs, secLen)
 	}
 	docs := make([]docInfo, ndocs)
-	// offs are per-document windows into the term-frequency arena, sized
-	// from the stored distinct-term counts; the postings pass below fills
-	// them in sorted-term order, restoring the docInfo.tf invariant.
+	// offs are per-document windows into the term-list arena, sized from
+	// the stored distinct-term counts; the postings pass below fills them.
 	offs := make([]int32, ndocs+1)
 	for i := range docs {
 		docs[i].id = rd.String()
@@ -147,11 +149,11 @@ func (ix *Index) readBody(rd *wire.Reader) error {
 	// lineage rather than reusing the empty index's table.
 	terms := newTermTable()
 	plists := make([]*termPostings, 0, nterms)
-	// The live document-frequency aggregate accumulates as a slice (terms
-	// arrive sorted) and reaches the Stats object only at commit.
-	agg := make([]termFreq, 0, nterms)
+	// The live document-frequency aggregate accumulates as a slice of
+	// (slot, live count) and reaches the Stats object only at commit.
+	agg := make([]slotTF, 0, nterms)
 	arena := make([]posting, 0, total)
-	tfArena := make([]termFreq, total)
+	tfArena := make([]slotTF, total)
 	fill := make([]int32, ndocs)
 	for i := 0; i < nterms && rd.Err() == nil; i++ {
 		term := rd.String()
@@ -159,19 +161,21 @@ func (ix *Index) readBody(rd *wire.Reader) error {
 		if np < 0 || np > total-len(arena) {
 			return fmt.Errorf("bm25: snapshot term %q claims %d postings", term, np)
 		}
+		slot := int32(len(plists))
 		start := len(arena)
-		live := 0
+		live := int32(0)
 		for j := 0; j < np; j++ {
-			doc := int(rd.Uvarint())
-			tf := int(rd.Uvarint())
-			if doc < 0 || doc >= ndocs || tf <= 0 {
+			// Postings hold 4-byte fields: a value past math.MaxInt32
+			// is rejected here, never truncated.
+			doc, tf := rd.Uvarint(), rd.Uvarint()
+			if doc >= uint64(ndocs) || tf == 0 || tf > math.MaxInt32 {
 				return fmt.Errorf("bm25: snapshot term %q has invalid posting (doc %d, tf %d)", term, doc, tf)
 			}
 			if offs[doc]+fill[doc] >= offs[doc+1] {
 				return fmt.Errorf("bm25: snapshot doc %d has more postings than declared terms", doc)
 			}
-			arena = append(arena, posting{doc: doc, tf: tf})
-			tfArena[offs[doc]+fill[doc]] = termFreq{term: term, tf: tf}
+			arena = append(arena, posting{doc: int32(doc), tf: int32(tf)})
+			tfArena[offs[doc]+fill[doc]] = slotTF{slot: slot, tf: int32(tf)}
 			fill[doc]++
 			if !docs[doc].deleted {
 				live++
@@ -179,13 +183,13 @@ func (ix *Index) readBody(rd *wire.Reader) error {
 		}
 		// Capacity-limited window: appending to this term's list later
 		// reallocates instead of stomping the next term's postings.
-		terms.intern(term, int32(len(plists)))
-		tp := &termPostings{}
+		terms.intern(term, slot)
+		tp := &termPostings{term: term}
 		window := arena[start:len(arena):len(arena)]
 		tp.data.Store(&window)
 		plists = append(plists, tp)
 		if live > 0 {
-			agg = append(agg, termFreq{term: term, tf: live})
+			agg = append(agg, slotTF{slot: slot, tf: live})
 		}
 	}
 	if err := rd.Err(); err != nil {
@@ -212,7 +216,7 @@ func (ix *Index) readBody(rd *wire.Reader) error {
 		v.liveDocs++
 	}
 	ix.byID = byID
-	v.stats.addAggregate(agg, v.liveDocs, totalLen)
+	v.stats.addAggregate(agg, plists, v.liveDocs, totalLen)
 	ix.view.Store(v)
 	return nil
 }

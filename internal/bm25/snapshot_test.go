@@ -1,9 +1,12 @@
 package bm25
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"testing"
 
+	"pneuma/internal/pnerr"
 	"pneuma/internal/wire"
 )
 
@@ -107,8 +110,8 @@ func TestSnapshotRoundTripSharedStats(t *testing.T) {
 }
 
 // TestSnapshotErrors covers the refusal paths: restore into a non-empty
-// index and truncated input, both leaving the index and shared stats
-// untouched.
+// index, truncated input and a term frequency past int32, all leaving the
+// index and shared stats untouched.
 func TestSnapshotErrorsBM25(t *testing.T) {
 	orig := New(Params{})
 	for _, d := range corpusDocs(20) {
@@ -130,6 +133,42 @@ func TestSnapshotErrorsBM25(t *testing.T) {
 	}
 	if truncated.Len() != 0 || st.DocCount() != 0 {
 		t.Fatalf("failed restore leaked state: Len=%d stats=%d", truncated.Len(), st.DocCount())
+	}
+
+	// A posting's term frequency is 4 bytes in memory: the largest int32
+	// loads, one past it is corruption, never a truncated count.
+	for _, tf := range []uint64{math.MaxInt32, math.MaxInt32 + 1, math.MaxUint64} {
+		var body wire.Writer
+		body.Uvarint(1) // one document: ID, length, live, one term
+		body.String("a")
+		body.Uvarint(1)
+		body.Byte(0)
+		body.Uvarint(1)
+		body.Uvarint(1) // one term with one posting
+		body.Uvarint(1)
+		body.String("x")
+		body.Uvarint(1)
+		body.Uvarint(0)
+		body.Uvarint(tf)
+		var sec wire.Writer
+		sec.Uvarint(uint64(body.Len()))
+		sec.Raw(body.Bytes())
+
+		st := NewStats()
+		ix := NewWithStats(Params{}, st)
+		err := ix.LoadSnapshot(wire.NewSharedReader(sec.Bytes()))
+		if tf == math.MaxInt32 {
+			if err != nil || ix.Len() != 1 || st.DocFreq("x") != 1 {
+				t.Fatalf("tf %d: err %v, Len %d, df %d; want a loaded document", tf, err, ix.Len(), st.DocFreq("x"))
+			}
+			continue
+		}
+		if !errors.Is(err, pnerr.ErrIndexCorrupt) {
+			t.Fatalf("tf %d: err = %v, want pnerr.ErrIndexCorrupt", tf, err)
+		}
+		if ix.Len() != 0 || ix.Vocabulary() != 0 || st.DocCount() != 0 || st.DocFreq("x") != 0 {
+			t.Fatalf("tf %d: failed restore leaked state: Len=%d vocabulary=%d stats=%d", tf, ix.Len(), ix.Vocabulary(), st.DocCount())
+		}
 	}
 }
 

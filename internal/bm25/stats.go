@@ -15,8 +15,10 @@ import "sync"
 // incrementally by the owning indexes on every insert and delete
 // (including re-add replacement), never recomputed by scanning, so all
 // updates are commutative: the final state after a bulk ingest is
-// independent of the order shard goroutines interleave in. All methods are
-// safe for concurrent use.
+// independent of the order shard goroutines interleave in. Document
+// frequencies are keyed by term string, not slot: the shards sharing a
+// Stats assign slots independently. All methods are safe for concurrent
+// use.
 type Stats struct {
 	mu       sync.RWMutex
 	docCount int
@@ -29,25 +31,26 @@ func NewStats() *Stats {
 	return &Stats{df: make(map[string]int)}
 }
 
-// addDoc folds one document's distinct-term frequencies and token length
-// into the corpus statistics.
-func (s *Stats) addDoc(tf []termFreq, length int) {
+// addDoc folds one document's distinct terms and token length into the
+// corpus statistics. The terms are read through the document's slots in
+// plists, so the df keys are the owning shard's interned strings.
+func (s *Stats) addDoc(tf []slotTF, plists []*termPostings, length int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.docCount++
 	s.totalLen += length
 	for _, e := range tf {
-		s.df[e.term]++
+		s.df[plists[e.slot].term]++
 	}
 }
 
 // addAggregate folds a whole shard's live aggregate — document count,
-// total token length and per-term live document frequencies — into the
-// corpus statistics in one pass. Equivalent to calling addDoc for every
-// live document, but with one map operation per distinct term instead of
-// one per (document, term) pair; the snapshot loader uses it to make bulk
-// restores cheap.
-func (s *Stats) addAggregate(agg []termFreq, docCount, totalLen int) {
+// total token length and per-term live document frequencies, each agg
+// entry a slot of plists with its live count — into the corpus statistics
+// in one pass. Equivalent to calling addDoc for every live document, but
+// with one map operation per distinct term instead of one per (document,
+// term) pair; the snapshot loader uses it to make bulk restores cheap.
+func (s *Stats) addAggregate(agg []slotTF, plists []*termPostings, docCount, totalLen int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.df) == 0 && len(agg) > 0 {
@@ -56,7 +59,7 @@ func (s *Stats) addAggregate(agg []termFreq, docCount, totalLen int) {
 	s.docCount += docCount
 	s.totalLen += totalLen
 	for _, e := range agg {
-		s.df[e.term] += e.tf
+		s.df[plists[e.slot].term] += int(e.tf)
 	}
 }
 
@@ -82,16 +85,17 @@ func (s *Stats) merge(o *Stats) {
 }
 
 // removeDoc reverses addDoc for a deleted or replaced document.
-func (s *Stats) removeDoc(tf []termFreq, length int) {
+func (s *Stats) removeDoc(tf []slotTF, plists []*termPostings, length int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.docCount--
 	s.totalLen -= length
 	for _, e := range tf {
-		if s.df[e.term] > 1 {
-			s.df[e.term]--
+		term := plists[e.slot].term
+		if s.df[term] > 1 {
+			s.df[term]--
 		} else {
-			delete(s.df, e.term)
+			delete(s.df, term)
 		}
 	}
 }
