@@ -14,7 +14,8 @@ DOC_PKGS = ./internal/retriever ./internal/ir ./internal/embed ./internal/bm25 .
 # (which includes the AllocsPerRun budget guards and, in pneuma/benchmark,
 # every BENCHMARK.json workload run end to end at 1/50 scale), the
 # kernel-heavy tier-1 packages re-run in a process pinned to the scalar
-# kernels (so the portable kernels stay proven even on SIMD machines), the
+# kernels (so the portable kernels stay proven even on SIMD machines) and
+# the vecmath and embed tests built without assembly (purego tag), the
 # end-to-end daemon smoke, a short-mode race pass over the concurrent
 # serving path (Service scheduler, cold concurrent first turns on an
 # unprofiled corpus, the session memo and the shared profile cache,
@@ -80,8 +81,13 @@ tier1:
 # runs cmd/pneuma-bench's TestPaperGolden, so the scalar kernels must
 # reproduce the paper's tables and figures byte for byte.
 # vecmath's TestTierFollowsEnv fails the pass if the pin did not take.
+# A second pass builds vecmath and embed, tests included, with the purego
+# tag: that is the file set without assembly (kern_other.go,
+# dot_generic.go) riscv64 builds from, and each file set must supply the
+# names the public kernels and the test tier ladders call.
 tier1-scalar:
 	PNEUMA_FORCE_SCALAR=1 $(GO) test -count=1 ./internal/vecmath/ ./internal/hnsw/ ./internal/bm25/ ./internal/retriever/ ./cmd/pneuma-bench/
+	$(GO) test -count=1 -tags purego ./internal/vecmath/ ./internal/embed/
 	@echo "tier1-scalar: ok"
 
 # race runs the concurrency-sensitive packages under the race detector.

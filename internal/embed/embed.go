@@ -193,19 +193,12 @@ func add(v *[DefaultDim]float32, h uint64, w float32) {
 	v[h%DefaultDim] += w
 }
 
-// pairs recycles Similarity's two vectors: vecmath's kernels are called
-// through function values, which would move stack arrays to the heap.
-var pairs = sync.Pool{New: func() any { return new([2][DefaultDim]float32) }}
-
 // Similarity returns the cosine similarity of the embeddings of two texts,
 // bit-identical to vecmath.Cosine(e.Embed(a), e.Embed(b)), without
-// allocating.
+// allocating: both vectors live in stack arrays.
 func (e *Embedder) Similarity(a, b string) float32 {
-	p := pairs.Get().(*[2][DefaultDim]float32)
-	*p = [2][DefaultDim]float32{}
-	embedInto(&p[0], a)
-	embedInto(&p[1], b)
-	sim := vecmath.Cosine(p[0][:], p[1][:])
-	pairs.Put(p)
-	return sim
+	var va, vb [DefaultDim]float32
+	embedInto(&va, a)
+	embedInto(&vb, b)
+	return vecmath.Cosine(va[:], vb[:])
 }

@@ -82,7 +82,8 @@
 //
 //   - Traversal scores candidates on the int8 arena. The squared-L2
 //     surrogate expands the quantized dot product (an int32-accumulating
-//     kernel — SSE2 assembly on amd64, an unrolled scalar loop elsewhere,
+//     kernel — AVX2 assembly on amd64 when CPUID allows, an unrolled
+//     scalar loop otherwise,
 //     bit-identical by construction and differentially tested) with the
 //     exact stored norms and per-vector dequantization coefficients folded
 //     into per-query constants. This phase is approximate: quantization

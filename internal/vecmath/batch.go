@@ -11,9 +11,9 @@ package vecmath
 // Results are bit-identical to len(idxs) single-kernel calls at every
 // length and on every tier: the SIMD batch kernels run the same canonical
 // 8-lane accumulation per candidate as their single-call forms and only
-// amortize what sits around the inner loop — the dispatch load, the
-// call/spill overhead, and (on amd64) a software prefetch of the next
-// candidate's first cache lines issued while the current one is scored.
+// amortize what sits around the inner loop — the call/spill overhead and
+// a software prefetch of the next candidate's first cache lines issued
+// while the current one is scored.
 //
 // All three panic on a malformed batch (short out, stride below the
 // query length, or an index whose window leaves the arena) — like Dot's
@@ -23,13 +23,27 @@ package vecmath
 // DotBatch writes the dot product of q with each indexed candidate into
 // out[0:len(idxs)].
 func DotBatch(q, arena []float32, stride int, idxs []int32, out []float32) {
-	runBatch(kernels.dotBatch, q, arena, stride, idxs, out)
+	if !checkBatch(len(q), len(arena), stride, idxs, out) {
+		return
+	}
+	if simd {
+		dotBatchSIMD(q, arena, stride, idxs, out)
+	} else {
+		dotBatchScalar(q, arena, stride, idxs, out)
+	}
 }
 
 // SquaredL2Batch writes the squared Euclidean distance between q and each
 // indexed candidate into out[0:len(idxs)].
 func SquaredL2Batch(q, arena []float32, stride int, idxs []int32, out []float32) {
-	runBatch(kernels.sqL2Batch, q, arena, stride, idxs, out)
+	if !checkBatch(len(q), len(arena), stride, idxs, out) {
+		return
+	}
+	if simd {
+		sqL2BatchSIMD(q, arena, stride, idxs, out)
+	} else {
+		sqL2BatchScalar(q, arena, stride, idxs, out)
+	}
 }
 
 // DotInt8Batch writes the int32-accumulated dot product of q with each
@@ -37,31 +51,24 @@ func SquaredL2Batch(q, arena []float32, stride int, idxs []int32, out []float32)
 // DotInt8 and shares its exactness argument: integer arithmetic never
 // rounds, so every tier returns identical values.
 func DotInt8Batch(q, arena []int8, stride int, idxs []int32, out []int32) {
-	runBatch(kernels.dotInt8Batch, q, arena, stride, idxs, out)
-}
-
-// runBatch is the body every batch entry point shares: validate the
-// shape, settle the empty cases (no candidates; a zero-length query scores
-// 0), and hand the rest to kern. The differential tests call it with each
-// tier's kernel in turn.
-func runBatch[T float32 | int8, O float32 | int32](kern func(q, arena []T, stride int, idxs []int32, out []O), q, arena []T, stride int, idxs []int32, out []O) {
-	checkBatch(len(q), len(arena), stride, idxs, len(out))
-	if len(idxs) == 0 {
+	if !checkBatch(len(q), len(arena), stride, idxs, out) {
 		return
 	}
-	if len(q) == 0 {
-		clear(out[:len(idxs)])
-		return
+	if simd {
+		dotInt8BatchSIMD(q, arena, stride, idxs, out)
+	} else {
+		dotInt8BatchScalar(q, arena, stride, idxs, out)
 	}
-	kern(q, arena, stride, idxs, out[:len(idxs)])
 }
 
-// checkBatch validates a batch call's shape up front: every violation is
-// a programming error (the index layers compute these bounds), and
-// rejecting them here keeps the assembly kernels' unchecked loads inside
-// the arena.
-func checkBatch(dim, arenaLen, stride int, idxs []int32, outLen int) {
-	if outLen < len(idxs) {
+// checkBatch validates a batch call's shape up front and settles the
+// empty cases (no candidates; a zero-length query scores 0), reporting
+// whether a kernel still has to run. Every violation is a programming
+// error (the index layers compute these bounds), and rejecting them here
+// keeps the assembly kernels' unchecked loads inside the arena. The
+// kernels write only out[0:len(idxs)].
+func checkBatch[O float32 | int32](dim, arenaLen, stride int, idxs []int32, out []O) bool {
+	if len(out) < len(idxs) {
 		panic("vecmath: batch output shorter than index list")
 	}
 	if stride < dim {
@@ -72,6 +79,14 @@ func checkBatch(dim, arenaLen, stride int, idxs []int32, outLen int) {
 			panic("vecmath: batch index outside arena")
 		}
 	}
+	if len(idxs) == 0 {
+		return false
+	}
+	if dim == 0 {
+		clear(out[:len(idxs)])
+		return false
+	}
+	return true
 }
 
 // dotBatchScalar is the portable batched dot: a loop over the scalar

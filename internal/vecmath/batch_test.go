@@ -24,8 +24,8 @@ func rowOf[T float32 | int8](arena []T, ix int32, dim int) []T {
 // TestBatchBitIdenticalAllLengths is the batch analogue of
 // TestKernelTiersBitIdentical: at every dimension 0..129 (several SIMD
 // blocks plus every tail residue) and on every tier this CPU can run —
-// each float32 rung and each int8 rung, SSE2 int8 on an AVX2 machine
-// included — one batched call must agree bit-for-bit with a loop of
+// each float32 rung and each int8 rung, scalar included whichever tier
+// serves — one batched call must agree bit-for-bit with a loop of
 // single-kernel calls on the same tier AND with the scalar reference.
 // That is the contract hnsw traversal relies on when it swaps
 // per-neighbor scoring for one batched call per adjacency list.

@@ -3,28 +3,30 @@
 // squared Euclidean distance — plus the int8 dot product behind the
 // quantized speed tier, each in single-pair and batched-arena form.
 //
-// # Dispatch tiers
+// # Tiers
 //
-// The float32 kernels (Dot, SquaredL2, their batched forms, and through
-// Dot also Norm and CosineWithNorms) run on one of three dispatch tiers,
-// selected once at init and fixed for the life of the process:
+// Every kernel runs on one of three tiers, decided once at init and fixed
+// for the life of the process:
 //
 //   - "avx2" on amd64, when CPUID reports AVX2 and the OS has enabled YMM
-//     state (OSXSAVE + XCR0); unlike the int8 kernel's SSE2, AVX2 is not
-//     in the amd64 baseline and must be feature-detected.
+//     state (OSXSAVE + XCR0); AVX2 is not in the amd64 baseline and must
+//     be feature-detected.
 //   - "neon" on arm64, unconditionally — Advanced SIMD is part of the
 //     ARMv8-A baseline.
 //   - "scalar" everywhere else, under the purego build tag, or when the
 //     PNEUMA_FORCE_SCALAR environment variable is set (any non-empty
 //     value) — the one way to pin a process to the portable kernels.
 //
-// The int8 kernels (DotInt8, DotInt8Batch) have their own ladder,
-// detected independently and chosen at the same time: "avx2" (CPUID-gated,
-// 32 lanes per iteration) above the ungated "sse2" baseline on amd64,
-// "scalar" elsewhere; PNEUMA_FORCE_SCALAR pins it to scalar too.
-// Tier/Int8Tier report the pair serving calls. The package's differential
-// tests call every rung this CPU can run directly, so a tier that never
-// serves here (SSE2 int8 on an AVX2 machine) is still proven.
+// The decision is one boolean: the SIMD tier is usable and
+// PNEUMA_FORCE_SCALAR is unset. Each public kernel branches on it and
+// calls its architecture's kernel directly — no function values, so
+// escape analysis sees that no argument outlives the call and vectors in
+// stack arrays stay on the stack. The int8 kernels (DotInt8, DotInt8Batch)
+// follow the same decision: AVX2 assembly on amd64, the scalar loop on
+// every other platform (arm64's NEON tier covers float32 only).
+// Tier/Int8Tier report what serves. The package's differential tests call
+// every tier this CPU can run directly, so the scalar kernels are proven
+// on SIMD machines too.
 //
 // # Batched arena kernels
 //
@@ -35,9 +37,9 @@
 // This is exactly the struct-of-arrays layout the HNSW index stores, so
 // traversal hands an adjacency list to the kernel with no copying. The
 // SIMD batch kernels run the candidate loop inside the assembly — the
-// dispatch load and call overhead are paid once per batch, the query
-// stays hot in registers, and the next candidate's leading cache lines
-// are software-prefetched while the current one is scored. Batched
+// call overhead is paid once per batch, the query stays hot in
+// registers, and the next candidate's leading cache lines are
+// software-prefetched while the current one is scored. Batched
 // results are bit-identical to a loop of single-kernel calls at every
 // length, on every tier: the per-candidate math is the same canonical
 // scheme, only the loop around it moves. Malformed batches (short out,

@@ -2,80 +2,16 @@
 
 #include "textflag.h"
 
-// func dotInt8SSE2(a, b *int8, n int) int32
-//
-// 16 int8 products per iteration: each 16-byte vector is widened to two
-// 8×int16 halves by interleaving a register with itself (PUNPCKLBW /
-// PUNPCKHBW leave each byte in the high half of its word) and shifting
-// arithmetically right by 8, then PMADDWD multiplies int16 pairs and adds
-// adjacent products into 4×int32 lanes — exact, since |product| ≤ 127² and
-// a pair sum fits int32 (PMADDWL in Go assembler spelling). Lane sums
-// accumulate in X7 and are reduced
-// horizontally at the end; the tail runs scalar.
-TEXT ·dotInt8SSE2(SB), NOSPLIT, $0-28
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DI
-	MOVQ n+16(FP), CX
-	PXOR X7, X7
-
-loop16:
-	CMPQ CX, $16
-	JLT  tailsetup
-	MOVOU (SI), X0
-	MOVOU (DI), X2
-	MOVOU X0, X1
-	MOVOU X2, X3
-	PUNPCKLBW X0, X0
-	PSRAW $8, X0
-	PUNPCKHBW X1, X1
-	PSRAW $8, X1
-	PUNPCKLBW X2, X2
-	PSRAW $8, X2
-	PUNPCKHBW X3, X3
-	PSRAW $8, X3
-	PMADDWL X2, X0
-	PMADDWL X3, X1
-	PADDD X0, X7
-	PADDD X1, X7
-	ADDQ $16, SI
-	ADDQ $16, DI
-	SUBQ $16, CX
-	JMP  loop16
-
-tailsetup:
-	// Horizontal reduction of the 4 int32 lanes into AX.
-	PSHUFD $0x4E, X7, X0
-	PADDD  X0, X7
-	PSHUFD $0x01, X7, X0
-	PADDD  X0, X7
-	MOVQ   X7, AX
-
-tailloop:
-	TESTQ CX, CX
-	JEQ   done
-	MOVBLSX (SI), R8
-	MOVBLSX (DI), R9
-	IMULL R9, R8
-	ADDL  R8, AX
-	INCQ  SI
-	INCQ  DI
-	DECQ  CX
-	JMP   tailloop
-
-done:
-	MOVL AX, ret+24(FP)
-	RET
-
 // func dotInt8AVX2(a, b *int8, n int) int32
 //
-// The CPUID-gated tier above SSE2: 32 int8 products per iteration. Each
+// The CPUID-gated int8 kernel: 32 int8 products per iteration. Each
 // 16-byte half is sign-extended straight to 16×int16 in a YMM register
 // (VPMOVSXBW — no unpack/shift dance), VPMADDWD multiplies int16 pairs
 // and adds adjacent products into 8×int32 lanes, and the lane sums
 // accumulate in Y7. All integer math is exact (|product| ≤ 127², pair
-// sums fit int32), so the result is bit-identical to the SSE2 and scalar
-// kernels. The reduction folds the high 128 bits onto the low half and
-// then runs the same PSHUFD ladder as the SSE2 kernel; VMOVD keeps the
+// sums fit int32), so the result is bit-identical to the scalar kernel.
+// The reduction folds the high 128 bits onto the low half and then sums
+// the four int32 lanes with a PSHUFD ladder; VMOVD keeps the
 // extraction VEX-encoded so no SSE instruction runs with dirty YMM upper
 // state. The sub-32 tail runs scalar.
 TEXT ·dotInt8AVX2(SB), NOSPLIT, $0-28

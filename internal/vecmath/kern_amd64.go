@@ -26,11 +26,11 @@ func sqL2AVX2(a, b *float32, n int) float32
 // dotBatchAVX2 and sqL2BatchAVX2 are the batched AVX2 kernels
 // (kern_amd64.s): one call scores the query against n arena candidates,
 // running the identical per-candidate lane scheme as the single kernels
-// with the candidate loop folded into the assembly — the dispatch load,
-// call overhead and reduction spills are paid once per batch, and the
-// next candidate's first cache lines are software-prefetched while the
-// current one is scored. They require n > 0, dim > 0, and pre-validated
-// indices (the Go wrappers and checkBatch enforce that).
+// with the candidate loop folded into the assembly — call overhead and
+// reduction spills are paid once per batch, and the next candidate's
+// first cache lines are software-prefetched while the current one is
+// scored. They require n > 0, dim > 0, and pre-validated indices
+// (checkBatch enforces that).
 //
 //go:noescape
 func dotBatchAVX2(q, arena *float32, stride int, idxs *int32, n, dim int, out *float32)
@@ -38,29 +38,29 @@ func dotBatchAVX2(q, arena *float32, stride int, idxs *int32, n, dim int, out *f
 //go:noescape
 func sqL2BatchAVX2(q, arena *float32, stride int, idxs *int32, n, dim int, out *float32)
 
-func dotAVX2Kernel(a, b []float32) float32 {
+func dotSIMD(a, b []float32) float32 {
 	if len(a) == 0 {
 		return 0
 	}
 	return dotAVX2(&a[0], &b[0], len(a))
 }
 
-func sqL2AVX2Kernel(a, b []float32) float32 {
+func sqL2SIMD(a, b []float32) float32 {
 	if len(a) == 0 {
 		return 0
 	}
 	return sqL2AVX2(&a[0], &b[0], len(a))
 }
 
-func dotBatchAVX2Kernel(q, arena []float32, stride int, idxs []int32, out []float32) {
+func dotBatchSIMD(q, arena []float32, stride int, idxs []int32, out []float32) {
 	dotBatchAVX2(&q[0], &arena[0], stride, &idxs[0], len(idxs), len(q), &out[0])
 }
 
-func sqL2BatchAVX2Kernel(q, arena []float32, stride int, idxs []int32, out []float32) {
+func sqL2BatchSIMD(q, arena []float32, stride int, idxs []int32, out []float32) {
 	sqL2BatchAVX2(&q[0], &arena[0], stride, &idxs[0], len(idxs), len(q), &out[0])
 }
 
-// amd64 CPU feature bits consulted by the dispatch gate.
+// amd64 CPU feature bits consulted by probeAVX2.
 const (
 	cpuidOSXSAVE = 1 << 27 // leaf 1 ECX
 	cpuidAVX     = 1 << 28 // leaf 1 ECX
@@ -69,11 +69,14 @@ const (
 	xcr0YMM      = 1 << 2  // XCR0: YMM state enabled by the OS
 )
 
-// avx2Usable reports whether the AVX2 kernels may run: CPUID reports AVX
-// and AVX2, and the OS has enabled YMM state saving (OSXSAVE + XCR0 bits
-// 1 and 2) — AVX2 being present in CPUID is not enough to safely execute
-// VEX.256 code. Probed once at init.
-var avx2Usable = probeAVX2()
+// simdName is the amd64 SIMD tier. simdUsable reports whether its
+// kernels may run: CPUID reports AVX and AVX2, and the OS has enabled YMM
+// state saving (OSXSAVE + XCR0 bits 1 and 2) — AVX2 being present in
+// CPUID is not enough to safely execute VEX.256 code. Probed once at
+// init.
+const simdName = "avx2"
+
+var simdUsable = probeAVX2()
 
 func probeAVX2() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
@@ -87,16 +90,4 @@ func probeAVX2() bool {
 	}
 	xlo, _ := xgetbv()
 	return xlo&(xcr0XMM|xcr0YMM) == xcr0XMM|xcr0YMM
-}
-
-// detectFloatKernels lists the float32 tiers this CPU can run, best first:
-// AVX2 when feature-detected and OS-enabled, then the scalar fallback.
-func detectFloatKernels() []floatKernels {
-	if avx2Usable {
-		return []floatKernels{
-			{name: "avx2", dot: dotAVX2Kernel, sqL2: sqL2AVX2Kernel, dotBatch: dotBatchAVX2Kernel, sqL2Batch: sqL2BatchAVX2Kernel},
-			scalarFloat,
-		}
-	}
-	return []floatKernels{scalarFloat}
 }

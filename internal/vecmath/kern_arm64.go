@@ -27,33 +27,32 @@ func dotBatchNEON(q, arena *float32, stride int, idxs *int32, n, dim int, out *f
 //go:noescape
 func sqL2BatchNEON(q, arena *float32, stride int, idxs *int32, n, dim int, out *float32)
 
-func dotNEONKernel(a, b []float32) float32 {
+// simdName is the arm64 SIMD tier. It needs no probe: Advanced SIMD
+// (NEON) is part of the ARMv8-A baseline Go requires, so it is always
+// usable.
+const (
+	simdName   = "neon"
+	simdUsable = true
+)
+
+func dotSIMD(a, b []float32) float32 {
 	if len(a) == 0 {
 		return 0
 	}
 	return dotNEON(&a[0], &b[0], len(a))
 }
 
-func sqL2NEONKernel(a, b []float32) float32 {
+func sqL2SIMD(a, b []float32) float32 {
 	if len(a) == 0 {
 		return 0
 	}
 	return sqL2NEON(&a[0], &b[0], len(a))
 }
 
-func dotBatchNEONKernel(q, arena []float32, stride int, idxs []int32, out []float32) {
+func dotBatchSIMD(q, arena []float32, stride int, idxs []int32, out []float32) {
 	dotBatchNEON(&q[0], &arena[0], stride, &idxs[0], len(idxs), len(q), &out[0])
 }
 
-func sqL2BatchNEONKernel(q, arena []float32, stride int, idxs []int32, out []float32) {
+func sqL2BatchSIMD(q, arena []float32, stride int, idxs []int32, out []float32) {
 	sqL2BatchNEON(&q[0], &arena[0], stride, &idxs[0], len(idxs), len(q), &out[0])
-}
-
-// detectFloatKernels on arm64 needs no probe: Advanced SIMD (NEON) is part
-// of the ARMv8-A baseline Go requires, so the NEON tier is always usable.
-func detectFloatKernels() []floatKernels {
-	return []floatKernels{
-		{name: "neon", dot: dotNEONKernel, sqL2: sqL2NEONKernel, dotBatch: dotBatchNEONKernel, sqL2Batch: sqL2BatchNEONKernel},
-		scalarFloat,
-	}
 }

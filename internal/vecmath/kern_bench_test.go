@@ -11,14 +11,14 @@ var (
 	sinkF float32
 )
 
-// BenchmarkKernels compares the int8 speed-tier kernel (SSE2 on amd64)
-// against the float32 traversal kernel and the portable scalar fallback
-// at the embedding widths that matter: the quantized tier's per-distance
-// advantage is the int8/float32 ratio printed here, and the SIMD float32
-// tier's advantage is the dispatched/scalar ratio. dim 384 is the repo's
-// default embedding width — the ≥2× AVX2-vs-scalar acceptance bar is
-// measured there. b.SetBytes makes the tool report MB/s (two input
-// vectors of 4-byte lanes per call).
+// BenchmarkKernels compares the int8 speed-tier kernel (AVX2 on amd64
+// when CPUID allows) against the float32 traversal kernel and the
+// portable scalar fallback at several embedding widths: the quantized
+// tier's per-distance advantage is the int8/float32 ratio printed here,
+// and the SIMD float32 tier's advantage is the serving/scalar ratio. dim
+// 256 is the repo's default embedding width (embed.DefaultDim).
+// b.SetBytes makes the tool report MB/s (two input vectors of 4-byte
+// lanes per call).
 func BenchmarkKernels(b *testing.B) {
 	for _, dim := range []int{64, 256, 384} {
 		a8 := make([]int8, dim)
@@ -81,10 +81,10 @@ func BenchmarkKernels(b *testing.B) {
 
 // BenchmarkBatchKernels compares one batched call against a loop of
 // single calls at the traversal shape that matters: one query scored
-// against an HNSW adjacency list (32 neighbors) at the default embedding
-// width. The batched/single ratio is the dispatch-amortization win the
-// traversal layer banks on; per-op time is normalized per candidate via
-// b.N*batch iterations so the two shapes read on the same scale.
+// against an HNSW adjacency list (32 neighbors) of 384-wide vectors.
+// The batched/single ratio is the call-amortization win the traversal
+// layer banks on; per-op time is normalized per candidate via b.N*batch
+// iterations so the two shapes read on the same scale.
 func BenchmarkBatchKernels(b *testing.B) {
 	const dim, rows, batch = 384, 64, 32
 	q := make([]float32, dim)

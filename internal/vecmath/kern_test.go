@@ -5,7 +5,52 @@ import (
 	"math/rand"
 	"os"
 	"testing"
+
+	"pneuma/internal/racebuild"
 )
+
+// floatKernels and int8Kernels are one rung of a tier ladder: a tier's
+// name and its kernels, single and batched.
+type floatKernels struct {
+	name      string
+	dot       func(a, b []float32) float32
+	sqL2      func(a, b []float32) float32
+	dotBatch  func(q, arena []float32, stride int, idxs []int32, out []float32)
+	sqL2Batch func(q, arena []float32, stride int, idxs []int32, out []float32)
+}
+
+type int8Kernels struct {
+	name  string
+	dot   func(a, b []int8) int32
+	batch func(q, arena []int8, stride int, idxs []int32, out []int32)
+}
+
+// floatTiers and int8Tiers are every rung this CPU can run, best first,
+// always ending with scalar: the differential tests call each one
+// directly, whichever tier serves the process. They are built from the
+// names each architecture's file set supplies, so they also check that
+// those names exist with the right signatures under every build.
+var (
+	floatTiers = ladder(simdUsable, floatKernels{name: simdName, dot: dotSIMD, sqL2: sqL2SIMD, dotBatch: dotBatchSIMD, sqL2Batch: sqL2BatchSIMD},
+		floatKernels{name: "scalar", dot: dotScalar, sqL2: sqL2Scalar, dotBatch: dotBatchScalar, sqL2Batch: sqL2BatchScalar})
+	int8Tiers = ladder(simdUsable && int8SIMD, int8Kernels{name: simdName, dot: dotInt8SIMD, batch: dotInt8BatchSIMD},
+		int8Kernels{name: "scalar", dot: dotInt8Scalar, batch: dotInt8BatchScalar})
+)
+
+func ladder[K any](usable bool, fast, scalar K) []K {
+	if usable {
+		return []K{fast, scalar}
+	}
+	return []K{scalar}
+}
+
+// runBatch runs one rung's batch kernel behind the public entry points'
+// shape check and empty-case handling.
+func runBatch[T float32 | int8, O float32 | int32](kern func(q, arena []T, stride int, idxs []int32, out []O), q, arena []T, stride int, idxs []int32, out []O) {
+	if checkBatch(len(q), len(arena), stride, idxs, out) {
+		kern(q, arena, stride, idxs, out)
+	}
+}
 
 // fillRand populates a pair of float32 slices with deterministic
 // pseudo-random values spanning sign changes and magnitude spread, so the
@@ -91,56 +136,10 @@ func TestKernelTiersOddOffsets(t *testing.T) {
 	}
 }
 
-// TestForceTiers pins the tier ladders the dispatch tier is picked from:
-// both end at the scalar floor, names within a ladder are distinct, and
-// any pairing of a float32 half with an int8 half assembles into a
-// complete set that carries both names.
-func TestForceTiers(t *testing.T) {
-	if f, i8 := floatTiers[len(floatTiers)-1].name, int8Tiers[len(int8Tiers)-1].name; f != "scalar" || i8 != "scalar" {
-		t.Fatalf("tier ladders must end with scalar: %q, %q", f, i8)
-	}
-	seen := map[string]bool{}
-	for _, f := range floatTiers {
-		if seen[f.name] {
-			t.Fatalf("float32 tier %q listed twice", f.name)
-		}
-		seen[f.name] = true
-	}
-	seen = map[string]bool{}
-	for _, i8 := range int8Tiers {
-		if seen[i8.name] {
-			t.Fatalf("int8 tier %q listed twice", i8.name)
-		}
-		seen[i8.name] = true
-	}
-	for _, f := range floatTiers {
-		for _, i8 := range int8Tiers {
-			k := assemble(f, i8)
-			if k.name != f.name || k.int8Name != i8.name {
-				t.Fatalf("assemble(%q, %q) named %q/%q", f.name, i8.name, k.name, k.int8Name)
-			}
-			if k.dot == nil || k.sqL2 == nil || k.dotBatch == nil || k.sqL2Batch == nil || k.dotInt8 == nil || k.dotInt8Batch == nil {
-				t.Fatalf("assemble(%q, %q) left a kernel unset", f.name, i8.name)
-			}
-		}
-	}
-}
-
-// TestForceScalarOverride pins the tier resolution: forcing selects the
-// scalar pair, otherwise the best detected pair serves.
-func TestForceScalarOverride(t *testing.T) {
-	if k := pickTier(true); k.name != "scalar" || k.int8Name != "scalar" {
-		t.Fatalf("pickTier(true) = %q/%q, want scalar/scalar", k.name, k.int8Name)
-	}
-	if k := pickTier(false); k.name != floatTiers[0].name || k.int8Name != int8Tiers[0].name {
-		t.Fatalf("pickTier(false) = %q/%q, want best %q/%q", k.name, k.int8Name, floatTiers[0].name, int8Tiers[0].name)
-	}
-}
-
 // TestTierFollowsEnv checks the tier serving this process against its
 // environment, which makes `make tier1-scalar` self-checking: with
 // PNEUMA_FORCE_SCALAR set every kernel runs scalar, and without it the
-// best detected pair serves.
+// best rung of each ladder serves.
 func TestTierFollowsEnv(t *testing.T) {
 	want, want8 := floatTiers[0].name, int8Tiers[0].name
 	if os.Getenv(forceScalarEnv) != "" {
@@ -149,4 +148,61 @@ func TestTierFollowsEnv(t *testing.T) {
 	if Tier() != want || Int8Tier() != want8 {
 		t.Fatalf("%s=%q: serving %q/%q, want %q/%q", forceScalarEnv, os.Getenv(forceScalarEnv), Tier(), Int8Tier(), want, want8)
 	}
+}
+
+// TestKernelsTakeStackVectors holds every public kernel to 0 allocations
+// on vectors in stack arrays: the kernels are called directly, never
+// through a function value, so escape analysis can see that no argument
+// outlives the call. A kernel whose arguments leak moves each array
+// handed to it to the heap, once per call.
+func TestKernelsTakeStackVectors(t *testing.T) {
+	if racebuild.Enabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	const dim = 64
+	kernels := []struct {
+		name string
+		fn   func()
+	}{
+		{"Dot", func() { var a, b [dim]float32; sinkF = Dot(a[:], b[:]) }},
+		{"SquaredL2", func() { var a, b [dim]float32; sinkF = SquaredL2(a[:], b[:]) }},
+		{"Norm", func() { var a [dim]float32; sinkF = Norm(a[:]) }},
+		{"Normalize", func() { var a [dim]float32; a[0] = 1; Normalize(a[:]); sinkF = a[0] }},
+		{"Cosine", func() { var a, b [dim]float32; sinkF = Cosine(a[:], b[:]) }},
+		{"CosineWithNorms", func() { var a, b [dim]float32; sinkF = CosineWithNorms(a[:], b[:], 1, 1) }},
+		{"DotInt8", func() { var a, b [dim]int8; sinkI = DotInt8(a[:], b[:]) }},
+		{"DotBatch", func() {
+			var q [dim]float32
+			var arena [4 * dim]float32
+			idxs := [3]int32{2, 0, 3}
+			var out [3]float32
+			DotBatch(q[:], arena[:], dim, idxs[:], out[:])
+			sinkF = out[0]
+		}},
+		{"SquaredL2Batch", func() {
+			var q [dim]float32
+			var arena [4 * dim]float32
+			idxs := [3]int32{2, 0, 3}
+			var out [3]float32
+			SquaredL2Batch(q[:], arena[:], dim, idxs[:], out[:])
+			sinkF = out[0]
+		}},
+		{"DotInt8Batch", func() {
+			var q [dim]int8
+			var arena [4 * dim]int8
+			idxs := [3]int32{2, 0, 3}
+			var out [3]int32
+			DotInt8Batch(q[:], arena[:], dim, idxs[:], out[:])
+			sinkI = out[0]
+		}},
+	}
+	var total float64
+	for _, k := range kernels {
+		n := testing.AllocsPerRun(20, k.fn)
+		if n != 0 {
+			t.Errorf("%s on stack vectors allocates %v times, want 0", k.name, n)
+		}
+		total += n
+	}
+	t.Logf("%s tier: %v allocations over %d kernels", Tier(), total, len(kernels))
 }

@@ -5,14 +5,17 @@ import "math"
 // Dot returns the dot product of a and b. Panics if lengths differ — vector
 // dimensionality is fixed per index, so a mismatch is a programming error.
 //
-// The result is computed by the dispatch tier's kernel (see doc.go): every
+// The result is computed by the serving tier's kernel (see doc.go): every
 // implementation follows the same canonical lane-accumulation scheme, so
 // the value is bit-identical whether the scalar, AVX2 or NEON kernel runs.
 func Dot(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic("vecmath: dimension mismatch")
 	}
-	return kernels.dot(a, b)
+	if simd {
+		return dotSIMD(a, b)
+	}
+	return dotScalar(a, b)
 }
 
 // dotScalar is the portable reference implementation of Dot and the
@@ -50,13 +53,16 @@ func dotScalar(a, b []float32) float32 {
 }
 
 // SquaredL2 returns the squared Euclidean distance between a and b. Like
-// Dot it runs on the dispatch tier's kernel and is bit-identical across
-// dispatch tiers (same lane scheme, with d*d in place of a*b).
+// Dot it runs on the serving tier's kernel and is bit-identical across
+// tiers (same lane scheme, with d*d in place of a*b).
 func SquaredL2(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic("vecmath: dimension mismatch")
 	}
-	return kernels.sqL2(a, b)
+	if simd {
+		return sqL2SIMD(a, b)
+	}
+	return sqL2Scalar(a, b)
 }
 
 // sqL2Scalar is the portable reference implementation of SquaredL2, built
@@ -94,11 +100,11 @@ func sqL2Scalar(a, b []float32) float32 {
 }
 
 // Norm returns the Euclidean norm of v: sqrt of the self dot product. It
-// rides the Dot kernel, so stored norms are bit-identical across dispatch
-// tiers too — they feed CosineWithNorms at query time, where any per-tier
-// drift would break cross-machine result parity.
+// rides the Dot kernel, so stored norms are bit-identical across tiers
+// too — they feed CosineWithNorms at query time, where any per-tier drift
+// would break cross-machine result parity.
 func Norm(v []float32) float32 {
-	return float32(math.Sqrt(float64(kernels.dot(v, v))))
+	return float32(math.Sqrt(float64(Dot(v, v))))
 }
 
 // Normalize scales v to unit length in place and returns it. The zero vector
@@ -129,7 +135,7 @@ func Cosine(a, b []float32) float32 {
 // (the HNSW index stores them at insert time); it skips the two norm
 // recomputations. Semantics match Cosine exactly: 0 when either norm is 0.
 // The division happens once, outside the kernel, so the whole expression
-// is as bit-identical across dispatch tiers as Dot itself.
+// is as bit-identical across tiers as Dot itself.
 func CosineWithNorms(a, b []float32, na, nb float32) float32 {
 	if na == 0 || nb == 0 {
 		return 0
@@ -141,19 +147,20 @@ func CosineWithNorms(a, b []float32, na, nb float32) float32 {
 // int32. It is the scoring kernel of the quantized HNSW fast path: with
 // components in [-127, 127] the accumulator is exact for any dimension up
 // to 2^31/127^2 (≈133k), far beyond any embedding width here, so the
-// result is bit-identical across every implementation. Like the float32
-// kernels it runs on the dispatch tier (see Int8Tier): on amd64 an
-// AVX2 kernel when CPUID allows (32 lanes per iteration, sign-extended
-// pair-sums into int32 lanes) above an SSE2 baseline kernel (16 lanes via
-// PMADDWD — SSE2 needs no feature gate on amd64); elsewhere the unrolled
-// scalar loop of dotInt8Scalar. Integer arithmetic has no rounding, so the
-// dispatch never changes results, only speed. Panics if lengths differ,
-// like Dot.
+// result is bit-identical across every implementation. It follows the
+// float32 kernels' tier (see Int8Tier): on amd64 with AVX2 an assembly
+// kernel (32 lanes per iteration, sign-extended pair-sums into int32
+// lanes); elsewhere the unrolled scalar loop of dotInt8Scalar. Integer
+// arithmetic has no rounding, so the tier never changes results, only
+// speed. Panics if lengths differ, like Dot.
 func DotInt8(a, b []int8) int32 {
 	if len(a) != len(b) {
 		panic("vecmath: dimension mismatch")
 	}
-	return kernels.dotInt8(a, b)
+	if simd {
+		return dotInt8SIMD(a, b)
+	}
+	return dotInt8Scalar(a, b)
 }
 
 // dotInt8Scalar is the portable reference implementation of DotInt8: the

@@ -127,11 +127,11 @@ func refDotInt8(a, b []int8) int32 {
 
 // TestDotInt8KernelMatchesScalar sweeps every length through several SIMD
 // blocks plus all tail residues, on pseudo-random values spanning the full
-// code range including ±127: the dispatched kernel (SSE2 on amd64, scalar
-// elsewhere) and the portable scalar implementation must agree
-// bit-for-bit with the naive reference. This is the differential gate for
-// the assembly path — integer arithmetic leaves no rounding to hide
-// behind.
+// code range including ±127: the serving kernel (AVX2 on amd64 when
+// CPUID allows, scalar otherwise) and the portable scalar implementation
+// must agree bit-for-bit with the naive reference. This is the
+// differential gate for the assembly path — integer arithmetic leaves no
+// rounding to hide behind.
 func TestDotInt8KernelMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for n := 0; n <= 100; n++ {
