@@ -40,8 +40,8 @@ func TestPublicAPIEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.NumRows() != 1 || out.Rows[0][0].IntVal() == 0 {
-		t.Fatalf("count result: %v", out.Rows)
+	if out.NumRows() != 1 || out.At(0, 0).IntVal() == 0 {
+		t.Fatalf("count result: %v", out.Render(-1))
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"pneuma/internal/llm"
 	"pneuma/internal/retriever"
 	"pneuma/internal/sqlengine"
+	"pneuma/internal/table"
 
 	"pneuma/internal/core"
 )
@@ -169,13 +170,15 @@ func BenchmarkSQLHashJoin(b *testing.B) {
 }
 
 // BenchmarkSeekerTurn measures one full conductor turn (plan → retrieve →
-// state → materialize → execute → respond) end to end.
+// state → materialize → execute → respond) end to end, with its bytes and
+// allocations.
 func BenchmarkSeekerTurn(b *testing.B) {
 	corpus := kramabench.Archaeology()
 	seeker, err := core.New(context.Background(), core.Config{}, corpus, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sess := seeker.NewSession("bench")
@@ -211,15 +214,15 @@ func BenchmarkDatasetGeneration(b *testing.B) {
 }
 
 // BenchmarkProfile measures a cold profile of a wide table: each iteration
-// profiles a fresh header over the same rows, so no iteration reads the
-// profile the table caches.
+// profiles a fresh header over the same row index, so no iteration reads a
+// profile a table caches (a head of every row would carry one).
 func BenchmarkProfile(b *testing.B) {
 	corpus := kramabench.Archaeology()
 	soil := corpus["soil_samples"]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := soil.Head(soil.NumRows()).BuildProfile()
+		p := table.FromRows(soil.Schema, soil.Stored()).BuildProfile()
 		if len(p.Columns) != 16 {
 			b.Fatal("bad profile")
 		}

@@ -96,7 +96,7 @@ func (g *DSGuru) AnswerQuestion(ctx context.Context, q kramabench.Question) (str
 			return "", err
 		}
 		if out.NumRows() > 0 && out.NumCols() > 0 {
-			answer = out.Rows[0][0].String()
+			answer = out.At(0, 0).String()
 		}
 	}
 	if strings.TrimSpace(answer) == "" {

@@ -145,7 +145,7 @@ func (f *FullContext) AnswerQuestion(ctx context.Context, q kramabench.Question)
 			return "", err
 		}
 		if out.NumRows() > 0 && out.NumCols() > 0 {
-			answer = out.Rows[0][0].String()
+			answer = out.At(0, 0).String()
 		}
 	}
 	if strings.TrimSpace(answer) == "" {
@@ -171,7 +171,7 @@ func countMatching(t *table.Table, name string, queries []string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return int(out.Rows[0][0].IntVal()), nil
+	return int(out.At(0, 0).IntVal()), nil
 }
 
 // truncateToMatching keeps rows until budget matching rows have been seen —

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pneuma/internal/racebuild"
+	"pneuma/internal/textutil"
 )
 
 // allocIndex builds a 300-document index for the allocation and benchmark
@@ -47,6 +48,46 @@ func TestSearchAllocsWithinBudget(t *testing.T) {
 	}
 }
 
+// addBatchAllocsPerPostingBudget is the committed ceiling on the
+// allocations one AddBatch makes per posting it adds to a touched term,
+// beyond tokenizing: posting lists grow by doubling, and each touched list's
+// header is stored once per batch. Storing a header per posting read 1.01;
+// one header per touched term reads 0.010 (linux/amd64, Go 1.24).
+const addBatchAllocsPerPostingBudget = 0.05
+
+// TestAddBatchAllocsWithinBudget adds 50 and then 400 documents over the
+// same 20 terms in one batch: the postings grow eightfold, the terms do not,
+// so the allocations beyond tokenizing must barely move.
+func TestAddBatchAllocsWithinBudget(t *testing.T) {
+	if racebuild.Enabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	const terms = 20
+	allocs := func(ndocs int) float64 {
+		ids := make([]string, ndocs)
+		texts := make([]string, ndocs)
+		for i := range ids {
+			var b strings.Builder
+			for j := 0; j < terms; j++ {
+				fmt.Fprintf(&b, "column%d ", j)
+			}
+			ids[i], texts[i] = fmt.Sprintf("t%03d", i), b.String()
+		}
+		tokenize := testing.AllocsPerRun(5, func() {
+			for _, text := range texts {
+				textutil.NormalizeTokens(text)
+			}
+		})
+		return testing.AllocsPerRun(5, func() { New(Params{}).AddBatch(ids, texts) }) - tokenize
+	}
+	small, large := allocs(50), allocs(400)
+	per := (large - small) / (350 * terms)
+	t.Logf("AddBatch: %.0f allocations at 50 documents, %.0f at 400: %.3f per added posting", small, large, per)
+	if per > addBatchAllocsPerPostingBudget {
+		t.Fatalf("AddBatch allocates %.3f times per posting, budget is %.2f", per, addBatchAllocsPerPostingBudget)
+	}
+}
+
 // TestLiveDocFreqTracking pins the incremental document-frequency counters
 // against the ground truth a posting-list scan would compute, across adds,
 // deletes and replacements.
@@ -83,10 +124,11 @@ func TestLiveDocFreqTracking(t *testing.T) {
 
 // retainedBytesPerPostingBudget is the committed ceiling on the heap an
 // index retains per posting, measured by TestIndexRetainedBytesPerPosting:
-// its reading (45.1 on linux/amd64, Go 1.24) plus 25%. A posting costs 8
-// bytes in its list and 8 in its document's term list; the rest is list
-// growth slack, the document table, the term table and the statistics,
-// spread over the postings. Per-document term strings and token-sized
+// its reading (45.1 on linux/amd64, Go 1.24; 46.4 since each term's list
+// keeps the writer's pending header, termPostings.next) plus 25%. A posting
+// costs 8 bytes in its list and 8 in its document's term list; the rest is
+// list growth slack, the document table, the term table and the
+// statistics, spread over the postings. Per-document term strings and token-sized
 // term slices read 85.6.
 const retainedBytesPerPostingBudget = 56
 

@@ -100,6 +100,12 @@ func (t *termTable) intern(term string, slot int32) { t.m.Store(term, slot) }
 type termPostings struct {
 	term string
 	data atomic.Pointer[[]posting]
+	// next is the writer's list (mu held) while the open AddBatch appends
+	// to it, nil between batches: its header is made on the term's first
+	// posting in the batch and stored into data once, at the batch's end,
+	// so a batch makes one header per term it touches, not one per
+	// posting.
+	next *[]posting
 }
 
 func (tp *termPostings) load() []posting {
@@ -109,9 +115,27 @@ func (tp *termPostings) load() []posting {
 	return nil
 }
 
+// append adds p to the open batch's list (mu held).
 func (tp *termPostings) append(p posting) {
+	if tp.next != nil {
+		*tp.next = append(*tp.next, p)
+		return
+	}
 	data := append(tp.load(), p)
-	tp.data.Store(&data)
+	tp.next = &data
+}
+
+// storePostings publishes the list of every term the documents added to the
+// draft since document first hold (mu held, before the view is published).
+func (v *lexView) storePostings(first int) {
+	for _, d := range v.docs[first:] {
+		for _, e := range d.tf {
+			if tp := v.plists[e.slot]; tp.next != nil {
+				tp.data.Store(tp.next)
+				tp.next = nil
+			}
+		}
+	}
 }
 
 // lexView is one immutable published view of the index: everything the
@@ -287,9 +311,11 @@ func (ix *Index) AddBatch(ids, texts []string) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	v := ix.beginBatch()
+	first := len(v.docs)
 	for i := range ids {
 		arena = ix.addLocked(v, ids[i], toks[i], arena)
 	}
+	v.storePostings(first)
 	ix.publish(v)
 }
 

@@ -32,7 +32,8 @@ func fingerprint(t *table.Table) uint64 {
 		field(c.Name)
 		h.WriteByte(byte(c.Type))
 	}
-	for _, row := range t.Rows {
+	for ri := range t.NumRows() {
+		row := t.Row(ri)
 		h.WriteByte(byte(len(row)))
 		for _, v := range row {
 			h.WriteByte(byte(v.Kind()))

@@ -112,7 +112,8 @@ func TestMaterializerRepairLoopOnDirtyDates(t *testing.T) {
 	// The n.d. row must have a NULL date after the lenient re-run.
 	di := res.Table.Schema.ColumnIndex("catalog_date")
 	nulls := 0
-	for _, r := range res.Table.Rows {
+	for ri := range res.Table.NumRows() {
+		r := res.Table.Row(ri)
 		if r[di].IsNull() {
 			nulls++
 		}

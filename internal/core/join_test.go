@@ -45,7 +45,8 @@ func TestEquiJoinQuotesIdentifiers(t *testing.T) {
 			if out.NumRows() != 2 {
 				t.Fatalf("rows = %d, want 2", out.NumRows())
 			}
-			for _, row := range out.Rows {
+			for ri := range out.NumRows() {
+				row := out.Row(ri)
 				if row[0].IntVal()*10 != row[2].IntVal() {
 					t.Errorf("row %v pairs a key with another key's right row", row)
 				}
@@ -65,7 +66,8 @@ func TestEquiJoinQuotesIdentifiers(t *testing.T) {
 			if out.NumRows() != 2 {
 				t.Fatalf("rows = %d, want 2", out.NumRows())
 			}
-			for _, row := range out.Rows {
+			for ri := range out.NumRows() {
+				row := out.Row(ri)
 				if row[0].IntVal()*10 != row[ci].IntVal() {
 					t.Errorf("row %v: %q holds %v, want %d", row, name, row[ci], row[0].IntVal()*10)
 				}

@@ -38,15 +38,16 @@ func (s *scriptedPlans) Complete(_ context.Context, req llm.Request) (llm.Respon
 
 // sameTable compares two tables column for column and cell for cell.
 func sameTable(a, b *table.Table) bool {
-	if !reflect.DeepEqual(a.Schema, b.Schema) || len(a.Rows) != len(b.Rows) {
+	if !reflect.DeepEqual(a.Schema, b.Schema) || a.NumRows() != b.NumRows() {
 		return false
 	}
-	for i, row := range a.Rows {
-		if len(row) != len(b.Rows[i]) {
+	for i := range a.NumRows() {
+		row := a.Row(i)
+		if len(row) != len(b.Row(i)) {
 			return false
 		}
 		for j, v := range row {
-			if v != b.Rows[i][j] {
+			if v != b.At(i, j) {
 				return false
 			}
 		}
@@ -450,10 +451,10 @@ func TestRenderingFollowsAReplacedTable(t *testing.T) {
 	}
 	for _, d := range []docs.Document{replacement, old, replacement} {
 		if got, want := sess.DocSummary(d, 10), d.Summary(10); got != want {
-			t.Errorf("summary of %s (%s):\n got %q\nwant %q", d.ID, d.Table.Rows[0][0], got, want)
+			t.Errorf("summary of %s (%s):\n got %q\nwant %q", d.ID, d.Table.At(0, 0), got, want)
 		}
 		if got, want := sess.DocInfo(d, 12), llm.NewDocInfo(d, 12); !reflect.DeepEqual(got, want) {
-			t.Errorf("doc info of %s (%s):\n got %+v\nwant %+v", d.ID, d.Table.Rows[0][0], got, want)
+			t.Errorf("doc info of %s (%s):\n got %+v\nwant %+v", d.ID, d.Table.At(0, 0), got, want)
 		}
 	}
 	if got := sess.DocSummary(replacement, 3); got != replacement.Summary(3) || got == sess.DocSummary(replacement, 0) {

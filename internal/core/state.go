@@ -132,7 +132,7 @@ func (s *State) Answer() (string, bool) {
 	if r == nil || r.NumRows() == 0 || r.NumCols() == 0 {
 		return "", false
 	}
-	return r.Rows[0][0].String(), true
+	return r.At(0, 0).String(), true
 }
 
 // View renders the state panel of the paper's Figure 2 (box 3): the target

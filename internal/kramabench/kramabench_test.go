@@ -55,8 +55,8 @@ func TestGeneratorsAreDeterministic(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		for c := 0; c < a1.NumCols(); c++ {
-			if a1.Rows[i][c].String() != a2.Rows[i][c].String() {
-				t.Fatalf("cell (%d,%d) differs: %q vs %q", i, c, a1.Rows[i][c], a2.Rows[i][c])
+			if a1.At(i, c).String() != a2.At(i, c).String() {
+				t.Fatalf("cell (%d,%d) differs: %q vs %q", i, c, a1.At(i, c), a2.At(i, c))
 			}
 		}
 	}
@@ -120,7 +120,8 @@ func TestDirtyDataPresent(t *testing.T) {
 	soil := arch["soil_samples"]
 	di := soil.Schema.ColumnIndex("sample_date")
 	nd := 0
-	for _, row := range soil.Rows {
+	for ri := range soil.NumRows() {
+		row := soil.Row(ri)
 		if row[di].String() == "n.d." {
 			nd++
 		}
@@ -131,7 +132,8 @@ func TestDirtyDataPresent(t *testing.T) {
 	artifacts := arch["artifacts"]
 	mi := artifacts.Schema.ColumnIndex("mass_g")
 	unknown := 0
-	for _, row := range artifacts.Rows {
+	for ri := range artifacts.NumRows() {
+		row := artifacts.Row(ri)
 		if row[mi].String() == "unknown" {
 			unknown++
 		}
@@ -141,7 +143,8 @@ func TestDirtyDataPresent(t *testing.T) {
 	}
 	ki := soil.Schema.ColumnIndex("k_ppm")
 	nulls := 0
-	for _, row := range soil.Rows {
+	for ri := range soil.NumRows() {
+		row := soil.Row(ri)
 		if row[ki].IsNull() {
 			nulls++
 		}

@@ -70,10 +70,19 @@ func dateYearBetween(col string, from, to int) pred {
 	}
 }
 
+// rowsOf returns t's rows in schema order.
+func rowsOf(t *table.Table) []table.Row {
+	out := make([]table.Row, t.NumRows())
+	for r := range out {
+		out[r] = t.Row(r)
+	}
+	return out
+}
+
 // rowsWhere returns the rows matching all predicates.
 func rowsWhere(t *table.Table, preds ...pred) []table.Row {
 	var out []table.Row
-	for _, row := range t.Rows {
+	for _, row := range rowsOf(t) {
 		ok := true
 		for _, p := range preds {
 			if !p(t, row) {
@@ -221,8 +230,7 @@ func yearlyMeans(t *table.Table, rows []table.Row, yearCol, col string) ([]int, 
 // the interpolation questions.
 func interpolateWithin(t *table.Table, preds []pred, xCol, yCol string, yearFrom, yearTo int) ([]float64, error) {
 	rows := rowsWhere(t, preds...)
-	sub := table.New(t.Schema)
-	sub.Rows = rows
+	sub := table.FromRows(t.Schema, rows)
 	interp, err := transform.Interpolate{XColumn: xCol, YColumn: yCol}.Apply(sub)
 	if err != nil {
 		return nil, err
@@ -248,7 +256,7 @@ func argmaxGroup(t *table.Table, groupCol, col string) (string, float64) {
 	ci := t.Schema.ColumnIndex(col)
 	sums := map[string]float64{}
 	counts := map[string]int{}
-	for _, row := range t.Rows {
+	for _, row := range rowsOf(t) {
 		if row[ci].IsNull() {
 			continue
 		}
@@ -282,14 +290,14 @@ func joinedRegionRows(meas, stations *table.Table, region string) []table.Row {
 	sidIdx := stations.Schema.ColumnIndex("station_id")
 	regIdx := stations.Schema.ColumnIndex("region")
 	inRegion := map[int64]bool{}
-	for _, row := range stations.Rows {
+	for _, row := range rowsOf(stations) {
 		if strings.EqualFold(row[regIdx].String(), region) {
 			inRegion[row[sidIdx].IntVal()] = true
 		}
 	}
 	mIdx := meas.Schema.ColumnIndex("station_id")
 	var out []table.Row
-	for _, row := range meas.Rows {
+	for _, row := range rowsOf(meas) {
 		if inRegion[row[mIdx].IntVal()] {
 			out = append(out, row)
 		}
@@ -301,7 +309,7 @@ func joinedRegionRows(meas, stations *table.Table, region string) []table.Row {
 func stationIDByName(stations *table.Table, name string) int64 {
 	ni := stations.Schema.ColumnIndex("station_name")
 	ii := stations.Schema.ColumnIndex("station_id")
-	for _, row := range stations.Rows {
+	for _, row := range rowsOf(stations) {
 		if strings.EqualFold(row[ni].String(), name) {
 			return row[ii].IntVal()
 		}

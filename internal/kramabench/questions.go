@@ -331,14 +331,14 @@ func ArchaeologyQuestions(corpus map[string]*table.Table) []Question {
 		di := sites.Schema.ColumnIndex("discovered_year")
 		ni := sites.Schema.ColumnIndex("site_name")
 		oldSites := map[string]bool{}
-		for _, row := range sites.Rows {
+		for _, row := range rowsOf(sites) {
 			if row[di].IntVal() < 1900 {
 				oldSites[row[ni].StringVal()] = true
 			}
 		}
 		oi := occupation.Schema.ColumnIndex("site_name")
 		var rows []table.Row
-		for _, row := range occupation.Rows {
+		for _, row := range rowsOf(occupation) {
 			if oldSites[row[oi].StringVal()] && strings.EqualFold(row[occupation.Schema.ColumnIndex("region")].String(), "Malta") {
 				rows = append(rows, row)
 			}

@@ -22,7 +22,7 @@ func EnvironmentQuestions(corpus map[string]*table.Table) []Question {
 		id := stationIDByName(stations, name)
 		mi := meas.Schema.ColumnIndex("station_id")
 		var out []table.Row
-		for _, row := range meas.Rows {
+		for _, row := range rowsOf(meas) {
 			if row[mi].IntVal() == id {
 				out = append(out, row)
 			}
@@ -155,8 +155,7 @@ func EnvironmentQuestions(corpus map[string]*table.Table) []Question {
 	{
 		t := corpus["water_oxygen"]
 		rows := joinedRegionRows(t, stations, "North Basin")
-		sub := table.New(t.Schema)
-		sub.Rows = rows
+		sub := table.FromRows(t.Schema, rows)
 		vals := floatsOf(sub, rowsWhere(sub, intBetween("year", 2000, 2020)), "do_mgl")
 		ans := mustAgg(vals, "AVG", "E8")
 		add(Question{
@@ -229,8 +228,7 @@ func EnvironmentQuestions(corpus map[string]*table.Table) []Question {
 	{
 		t := corpus["weather_humidity"]
 		rows := stationRows(t, "Dune Point")
-		sub := table.New(t.Schema)
-		sub.Rows = rows
+		sub := table.FromRows(t.Schema, rows)
 		vals := floatsOf(sub, rowsWhere(sub, intBetween("year", 1995, 2005)), "rh_pct")
 		ans := mustAgg(vals, "AVG", "E11")
 		add(Question{

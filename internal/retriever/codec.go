@@ -119,15 +119,16 @@ func encodeDoc(w *wire.Writer, d docs.Document) {
 		w.String(c.Description)
 		w.String(c.Unit)
 	}
-	w.Uvarint(uint64(len(t.Rows)))
+	w.Uvarint(uint64(t.NumRows()))
 	// Total cell count lets the decoder back all rows with one arena
 	// allocation instead of one slice per row.
 	cells := 0
-	for _, row := range t.Rows {
-		cells += len(row)
+	for r := range t.NumRows() {
+		cells += len(t.Row(r))
 	}
 	w.Uvarint(uint64(cells))
-	for _, row := range t.Rows {
+	for r := range t.NumRows() {
+		row := t.Row(r)
 		w.Uvarint(uint64(len(row)))
 		for _, v := range row {
 			encodeValue(w, v)
@@ -170,7 +171,6 @@ func decodeDoc(r *wire.Reader, id string) (docs.Document, error) {
 			Unit:        r.String(),
 		})
 	}
-	t := table.New(schema)
 	nrows := int(r.Uvarint())
 	cells := int(r.Uvarint())
 	if nrows > r.Remaining() || cells > r.Remaining() {
@@ -179,7 +179,7 @@ func decodeDoc(r *wire.Reader, id string) (docs.Document, error) {
 	// All rows are capacity-limited windows into one arena; a later append
 	// to an individual row copies out instead of stomping its neighbour.
 	arena := make([]value.Value, 0, cells)
-	t.Rows = make([]table.Row, 0, nrows)
+	rows := make([]table.Row, 0, nrows)
 	for i := 0; i < nrows; i++ {
 		arity := int(r.Uvarint())
 		if arity > r.Remaining() || len(arena)+arity > cap(arena) {
@@ -193,8 +193,8 @@ func decodeDoc(r *wire.Reader, id string) (docs.Document, error) {
 			}
 			arena = append(arena, v)
 		}
-		t.Rows = append(t.Rows, table.Row(arena[start:len(arena):len(arena)]))
+		rows = append(rows, table.Row(arena[start:len(arena):len(arena)]))
 	}
-	d.Table = t
+	d.Table = table.FromRows(schema, rows)
 	return d, r.Err()
 }

@@ -678,13 +678,12 @@ func TestTablePayloadFidelity(t *testing.T) {
 	if !ok || d.Table == nil {
 		t.Fatal("probe table missing after reopen")
 	}
-	got := d.Table.Rows
-	if len(got) != len(rows) {
-		t.Fatalf("%d rows, want %d", len(got), len(rows))
+	if got := d.Table.NumRows(); got != len(rows) {
+		t.Fatalf("%d rows, want %d", got, len(rows))
 	}
 	for i, row := range rows {
 		for j, want := range row {
-			g := got[i][j]
+			g := d.Table.At(i, j)
 			if g.Kind() != want.Kind() {
 				t.Fatalf("row %d col %d: kind %v, want %v", i, j, g.Kind(), want.Kind())
 			}

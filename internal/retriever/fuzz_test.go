@@ -29,18 +29,17 @@ func FuzzDecodeRecord(f *testing.F) {
 		Source:  "sensor-7",
 		Meta:    map[string]string{"unit": "mg/L", "year": "2024"},
 	}
-	tab := table.New(table.Schema{
+	tab := table.FromRows(table.Schema{
 		Name:        "rivers",
 		Description: "water quality samples",
 		Columns: []table.Column{
 			{Name: "station", Type: value.KindString, Description: "site", Unit: ""},
 			{Name: "nitrate", Type: value.KindFloat, Description: "reading", Unit: "mg/L"},
 		},
-	})
-	tab.Rows = []table.Row{
+	}, []table.Row{
 		{value.String("st-1"), value.Float(2.5)},
 		{value.String("st-2"), value.Null()},
-	}
+	})
 	tabled := docs.Document{
 		ID:      "table:rivers",
 		Kind:    docs.KindTable,

@@ -108,7 +108,7 @@ func TestProjectionExpressionsAndAliases(t *testing.T) {
 	if out.Schema.Columns[1].Name != "taxed" {
 		t.Errorf("alias = %q, want taxed", out.Schema.Columns[1].Name)
 	}
-	got := out.Rows[0][1].FloatVal()
+	got := out.At(0, 1).FloatVal()
 	if got < 1320.5 || got > 1320.6 {
 		t.Errorf("taxed = %v, want ~1320.55", got)
 	}
@@ -120,31 +120,31 @@ func TestOrderByAndLimit(t *testing.T) {
 	if out.NumRows() != 2 {
 		t.Fatalf("rows = %d, want 2", out.NumRows())
 	}
-	if out.Rows[0][0].StringVal() != "microscope" {
-		t.Errorf("top row = %v, want microscope", out.Rows[0][0])
+	if out.At(0, 0).StringVal() != "microscope" {
+		t.Errorf("top row = %v, want microscope", out.At(0, 0))
 	}
-	if out.Rows[1][0].StringVal() != "laptop" {
-		t.Errorf("second row = %v, want laptop", out.Rows[1][0])
+	if out.At(1, 0).StringVal() != "laptop" {
+		t.Errorf("second row = %v, want laptop", out.At(1, 0))
 	}
 }
 
 func TestOrderByOrdinalAndAlias(t *testing.T) {
 	e := testEngine(t)
 	out := mustQuery(t, e, "SELECT item, price AS p FROM procurement ORDER BY 2 ASC LIMIT 1")
-	if out.Rows[0][0].StringVal() != "beaker" {
-		t.Errorf("cheapest = %v, want beaker", out.Rows[0][0])
+	if out.At(0, 0).StringVal() != "beaker" {
+		t.Errorf("cheapest = %v, want beaker", out.At(0, 0))
 	}
 	out = mustQuery(t, e, "SELECT item, price AS p FROM procurement ORDER BY p ASC LIMIT 1")
-	if out.Rows[0][0].StringVal() != "beaker" {
-		t.Errorf("cheapest via alias = %v, want beaker", out.Rows[0][0])
+	if out.At(0, 0).StringVal() != "beaker" {
+		t.Errorf("cheapest via alias = %v, want beaker", out.At(0, 0))
 	}
 }
 
 func TestOffset(t *testing.T) {
 	e := testEngine(t)
 	out := mustQuery(t, e, "SELECT id FROM procurement ORDER BY id LIMIT 2 OFFSET 3")
-	if out.NumRows() != 2 || out.Rows[0][0].IntVal() != 4 {
-		t.Fatalf("offset result wrong: %v", out.Rows)
+	if out.NumRows() != 2 || out.At(0, 0).IntVal() != 4 {
+		t.Fatalf("offset result wrong: %v", out.Render(-1))
 	}
 }
 
@@ -157,10 +157,10 @@ func TestGroupByAggregates(t *testing.T) {
 		t.Fatalf("groups = %d, want 3", out.NumRows())
 	}
 	// France: beaker 12.25 + pipette 45.00
-	if out.Rows[0][0].StringVal() != "France" || out.Rows[0][1].IntVal() != 2 {
-		t.Errorf("France row wrong: %v", out.Rows[0])
+	if out.At(0, 0).StringVal() != "France" || out.At(0, 1).IntVal() != 2 {
+		t.Errorf("France row wrong: %v", out.Row(0))
 	}
-	if got := out.Rows[0][2].FloatVal(); got != 57.25 {
+	if got := out.At(0, 2).FloatVal(); got != 57.25 {
 		t.Errorf("France total = %v, want 57.25", got)
 	}
 }
@@ -181,26 +181,26 @@ func TestGlobalAggregateOnEmptyInput(t *testing.T) {
 	if out.NumRows() != 1 {
 		t.Fatalf("rows = %d, want 1", out.NumRows())
 	}
-	if out.Rows[0][0].IntVal() != 0 {
-		t.Errorf("COUNT(*) = %v, want 0", out.Rows[0][0])
+	if out.At(0, 0).IntVal() != 0 {
+		t.Errorf("COUNT(*) = %v, want 0", out.At(0, 0))
 	}
-	if !out.Rows[0][1].IsNull() {
-		t.Errorf("SUM over empty = %v, want NULL", out.Rows[0][1])
+	if !out.At(0, 1).IsNull() {
+		t.Errorf("SUM over empty = %v, want NULL", out.At(0, 1))
 	}
 }
 
 func TestCountDistinct(t *testing.T) {
 	e := testEngine(t)
 	out := mustQuery(t, e, "SELECT COUNT(DISTINCT country) AS c FROM procurement")
-	if out.Rows[0][0].IntVal() != 3 {
-		t.Errorf("distinct countries = %v, want 3", out.Rows[0][0])
+	if out.At(0, 0).IntVal() != 3 {
+		t.Errorf("distinct countries = %v, want 3", out.At(0, 0))
 	}
 }
 
 func TestAggregatesIgnoreNulls(t *testing.T) {
 	e := testEngine(t)
 	out := mustQuery(t, e, "SELECT COUNT(v) AS c, AVG(v) AS a, MIN(v) AS lo, MAX(v) AS hi FROM nullish")
-	r := out.Rows[0]
+	r := out.Row(0)
 	if r[0].IntVal() != 2 {
 		t.Errorf("COUNT(v) = %v, want 2", r[0])
 	}
@@ -216,11 +216,11 @@ func TestMedianAndStddev(t *testing.T) {
 	e := testEngine(t)
 	out := mustQuery(t, e, "SELECT MEDIAN(price) AS m FROM procurement")
 	// prices sorted: 12.25, 45, 300, 800, 999.99, 1200.50 → median (300+800)/2
-	if got := out.Rows[0][0].FloatVal(); got != 550 {
+	if got := out.At(0, 0).FloatVal(); got != 550 {
 		t.Errorf("median = %v, want 550", got)
 	}
 	out = mustQuery(t, e, "SELECT STDDEV(v) AS s FROM nullish")
-	got := out.Rows[0][0].FloatVal()
+	got := out.At(0, 0).FloatVal()
 	// values 10, 30 → sample stddev = sqrt(200) ≈ 14.1421
 	if got < 14.14 || got > 14.15 {
 		t.Errorf("stddev = %v, want ~14.142", got)
@@ -250,7 +250,8 @@ func TestLeftJoinPadsNulls(t *testing.T) {
 	}
 	// laptop (USA) must appear with NULL tariff.
 	found := false
-	for _, r := range out.Rows {
+	for ri := range out.NumRows() {
+		r := out.Row(ri)
 		if r[0].StringVal() == "laptop" {
 			found = true
 			if !r[1].IsNull() {
@@ -284,8 +285,8 @@ func TestNonEquiJoin(t *testing.T) {
 	e := testEngine(t)
 	out := mustQuery(t, e, `
 		SELECT p.item FROM procurement AS p JOIN tariffs AS t ON p.price > 1000 AND p.country = t.country`)
-	if out.NumRows() != 1 || out.Rows[0][0].StringVal() != "microscope" {
-		t.Fatalf("non-equi join wrong: %v", out.Rows)
+	if out.NumRows() != 1 || out.At(0, 0).StringVal() != "microscope" {
+		t.Fatalf("non-equi join wrong: %v", out.Render(-1))
 	}
 }
 
@@ -296,7 +297,7 @@ func TestTariffScenarioQuery(t *testing.T) {
 		SELECT AVG(p.price * (1 + (t.new_tariff - t.prev_tariff))) AS new_avg_cost
 		FROM procurement AS p JOIN tariffs AS t ON p.country = t.country
 		WHERE t.country = 'Germany'`)
-	got := out.Rows[0][0].FloatVal()
+	got := out.At(0, 0).FloatVal()
 	// (1200.5+800+300)/3 = 766.8333; ×1.05 = 805.175
 	if got < 805.17 || got > 805.18 {
 		t.Errorf("new_avg_cost = %v, want ~805.175", got)
@@ -307,7 +308,7 @@ func TestSubqueryInFrom(t *testing.T) {
 	e := testEngine(t)
 	out := mustQuery(t, e, `
 		SELECT AVG(p) AS a FROM (SELECT price AS p FROM procurement WHERE country = 'France') AS sub`)
-	if got := out.Rows[0][0].FloatVal(); got != 28.625 {
+	if got := out.At(0, 0).FloatVal(); got != 28.625 {
 		t.Errorf("avg = %v, want 28.625", got)
 	}
 }
@@ -334,8 +335,8 @@ func TestCaseExpression(t *testing.T) {
 	out := mustQuery(t, e, `
 		SELECT item, CASE WHEN price > 500 THEN 'expensive' ELSE 'cheap' END AS bucket
 		FROM procurement ORDER BY id LIMIT 3`)
-	if out.Rows[0][1].StringVal() != "expensive" || out.Rows[2][1].StringVal() != "cheap" {
-		t.Errorf("case buckets wrong: %v", out.Rows)
+	if out.At(0, 1).StringVal() != "expensive" || out.At(2, 1).StringVal() != "cheap" {
+		t.Errorf("case buckets wrong: %v", out.Render(-1))
 	}
 }
 
@@ -344,8 +345,8 @@ func TestCaseWithOperand(t *testing.T) {
 	out := mustQuery(t, e, `
 		SELECT CASE country WHEN 'Germany' THEN 1 WHEN 'France' THEN 2 ELSE 0 END AS code
 		FROM procurement ORDER BY id`)
-	if out.Rows[0][0].IntVal() != 1 || out.Rows[2][0].IntVal() != 2 || out.Rows[3][0].IntVal() != 0 {
-		t.Errorf("operand case wrong: %v", out.Rows)
+	if out.At(0, 0).IntVal() != 1 || out.At(2, 0).IntVal() != 2 || out.At(3, 0).IntVal() != 0 {
+		t.Errorf("operand case wrong: %v", out.Render(-1))
 	}
 }
 
@@ -360,11 +361,12 @@ func TestBetweenInLike(t *testing.T) {
 		t.Fatalf("in rows = %d, want 3", out.NumRows())
 	}
 	out = mustQuery(t, e, "SELECT item FROM procurement WHERE item LIKE '%scope'")
-	if out.NumRows() != 1 || out.Rows[0][0].StringVal() != "microscope" {
-		t.Fatalf("like rows wrong: %v", out.Rows)
+	if out.NumRows() != 1 || out.At(0, 0).StringVal() != "microscope" {
+		t.Fatalf("like rows wrong: %v", out.Render(-1))
 	}
 	out = mustQuery(t, e, "SELECT item FROM procurement WHERE item NOT LIKE '%e%' ORDER BY id")
-	for _, r := range out.Rows {
+	for ri := range out.NumRows() {
+		r := out.Row(ri)
 		if strings.Contains(r[0].StringVal(), "e") {
 			t.Errorf("NOT LIKE leaked %v", r[0])
 		}
@@ -374,12 +376,12 @@ func TestBetweenInLike(t *testing.T) {
 func TestIsNullPredicates(t *testing.T) {
 	e := testEngine(t)
 	out := mustQuery(t, e, "SELECT k FROM nullish WHERE v IS NULL")
-	if out.NumRows() != 1 || out.Rows[0][0].IntVal() != 2 {
-		t.Fatalf("IS NULL wrong: %v", out.Rows)
+	if out.NumRows() != 1 || out.At(0, 0).IntVal() != 2 {
+		t.Fatalf("IS NULL wrong: %v", out.Render(-1))
 	}
 	out = mustQuery(t, e, "SELECT k FROM nullish WHERE v IS NOT NULL ORDER BY k")
 	if out.NumRows() != 2 {
-		t.Fatalf("IS NOT NULL wrong: %v", out.Rows)
+		t.Fatalf("IS NOT NULL wrong: %v", out.Render(-1))
 	}
 }
 
@@ -395,7 +397,7 @@ func TestNullComparisonIsNotTrue(t *testing.T) {
 func TestScalarFunctions(t *testing.T) {
 	e := testEngine(t)
 	out := mustQuery(t, e, "SELECT ROUND(3.14159, 2) AS r, UPPER('abc') AS u, COALESCE(NULL, 7) AS c, LENGTH('hello') AS l")
-	r := out.Rows[0]
+	r := out.Row(0)
 	if r[0].FloatVal() != 3.14 {
 		t.Errorf("ROUND = %v", r[0])
 	}
@@ -413,7 +415,7 @@ func TestScalarFunctions(t *testing.T) {
 func TestCast(t *testing.T) {
 	e := testEngine(t)
 	out := mustQuery(t, e, "SELECT CAST('42' AS INT) AS i, CAST(3 AS VARCHAR) AS s, CAST('2020-01-15' AS DATE) AS d")
-	r := out.Rows[0]
+	r := out.Row(0)
 	if r[0].IntVal() != 42 {
 		t.Errorf("cast int = %v", r[0])
 	}
@@ -428,8 +430,8 @@ func TestCast(t *testing.T) {
 func TestDateFunctions(t *testing.T) {
 	e := testEngine(t)
 	out := mustQuery(t, e, "SELECT YEAR(CAST('2021-07-04' AS DATE)) AS y, MONTH(CAST('2021-07-04' AS DATE)) AS m")
-	if out.Rows[0][0].IntVal() != 2021 || out.Rows[0][1].IntVal() != 7 {
-		t.Errorf("date parts wrong: %v", out.Rows[0])
+	if out.At(0, 0).IntVal() != 2021 || out.At(0, 1).IntVal() != 7 {
+		t.Errorf("date parts wrong: %v", out.Row(0))
 	}
 }
 
@@ -534,24 +536,24 @@ func TestQuotedIdentifiers(t *testing.T) {
 	tb.MustAppend(table.Row{value.Int(9)})
 	e.Register(tb)
 	out := mustQuery(t, e, `SELECT "my col" FROM weird`)
-	if out.Rows[0][0].IntVal() != 9 {
-		t.Fatalf("quoted ident failed: %v", out.Rows)
+	if out.At(0, 0).IntVal() != 9 {
+		t.Fatalf("quoted ident failed: %v", out.Render(-1))
 	}
 }
 
 func TestStringEscapes(t *testing.T) {
 	e := testEngine(t)
 	out := mustQuery(t, e, "SELECT 'it''s' AS s")
-	if out.Rows[0][0].StringVal() != "it's" {
-		t.Fatalf("escape wrong: %q", out.Rows[0][0].StringVal())
+	if out.At(0, 0).StringVal() != "it's" {
+		t.Fatalf("escape wrong: %q", out.At(0, 0).StringVal())
 	}
 }
 
 func TestFromlessSelect(t *testing.T) {
 	e := testEngine(t)
 	out := mustQuery(t, e, "SELECT 1 + 2 AS three")
-	if out.Rows[0][0].IntVal() != 3 {
-		t.Fatalf("1+2 = %v", out.Rows[0][0])
+	if out.At(0, 0).IntVal() != 3 {
+		t.Fatalf("1+2 = %v", out.At(0, 0))
 	}
 }
 
@@ -560,11 +562,11 @@ func TestFirstLastAggregates(t *testing.T) {
 	out := mustQuery(t, e, `
 		SELECT FIRST(price) AS f, LAST(price) AS l
 		FROM (SELECT price FROM procurement ORDER BY id) AS ordered`)
-	if out.Rows[0][0].FloatVal() != 1200.50 {
-		t.Errorf("FIRST = %v, want 1200.50", out.Rows[0][0])
+	if out.At(0, 0).FloatVal() != 1200.50 {
+		t.Errorf("FIRST = %v, want 1200.50", out.At(0, 0))
 	}
-	if out.Rows[0][1].FloatVal() != 300.00 {
-		t.Errorf("LAST = %v, want 300.00", out.Rows[0][1])
+	if out.At(0, 1).FloatVal() != 300.00 {
+		t.Errorf("LAST = %v, want 300.00", out.At(0, 1))
 	}
 }
 

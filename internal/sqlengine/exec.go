@@ -33,40 +33,45 @@ func (r relation) tuple(i int) []table.Row { return r.rows[i*r.width : (i+1)*r.w
 
 // nullTuple returns an all-NULL tuple of the relation's shape.
 func (r relation) nullTuple() []table.Row {
-	return slices.Repeat([]table.Row{make(table.Row, len(r.frame.cols))}, r.width)
+	n := 0 // long enough for every position the frame reads
+	for _, c := range r.frame.cols {
+		n = max(n, c.pos+1)
+	}
+	return slices.Repeat([]table.Row{make(table.Row, n)}, r.width)
 }
 
 func (ex *executor) execSelect(sel *Select) (*table.Table, error) {
-	out, err := ex.execSingle(sel)
+	schema, rows, err := ex.execSingle(sel)
 	if err != nil {
 		return nil, err
 	}
 	for _, arm := range sel.Union {
-		armOut, err := ex.execSingle(arm)
+		armSchema, armRows, err := ex.execSingle(arm)
 		if err != nil {
 			return nil, err
 		}
-		if armOut.NumCols() != out.NumCols() {
+		if len(armSchema.Columns) != len(schema.Columns) {
 			return nil, &EvalError{Msg: fmt.Sprintf(
 				"UNION ALL arms have different column counts: %d vs %d",
-				out.NumCols(), armOut.NumCols())}
+				len(schema.Columns), len(armSchema.Columns))}
 		}
-		for i := range out.Schema.Columns {
-			out.Schema.Columns[i].Type = value.UnifyKinds(
-				out.Schema.Columns[i].Type, armOut.Schema.Columns[i].Type)
+		for i := range schema.Columns {
+			schema.Columns[i].Type = value.UnifyKinds(
+				schema.Columns[i].Type, armSchema.Columns[i].Type)
 		}
-		out.Rows = append(out.Rows, armOut.Rows...)
+		rows = append(rows, armRows...)
 	}
-	return out, nil
+	return table.FromRows(schema, rows), nil
 }
 
-// execSingle executes one SELECT without its union arms.
-func (ex *executor) execSingle(sel *Select) (*table.Table, error) {
+// execSingle executes one SELECT without its union arms, returning the
+// result's schema and its rows in schema order.
+func (ex *executor) execSingle(sel *Select) (table.Schema, []table.Row, error) {
 	var rel relation
 	if sel.From != nil {
 		r, err := ex.execFrom(sel.From)
 		if err != nil {
-			return nil, err
+			return table.Schema{}, nil, err
 		}
 		rel = r
 	} else {
@@ -82,7 +87,7 @@ func (ex *executor) execSingle(sel *Select) (*table.Table, error) {
 			en.tuple = rel.tuple(i)
 			v, err := en.eval(sel.Where)
 			if err != nil {
-				return nil, err
+				return table.Schema{}, nil, err
 			}
 			if triOf(v) == triTrue {
 				kept = append(kept, en.tuple...)
@@ -94,30 +99,30 @@ func (ex *executor) execSingle(sel *Select) (*table.Table, error) {
 	// Expand stars in the select list against the input frame.
 	items, err := expandStars(sel.Items, rel.frame)
 	if err != nil {
-		return nil, err
+		return table.Schema{}, nil, err
 	}
 
 	// Rewrite ORDER BY aliases/ordinals to the underlying expressions.
 	orderBy, err := rewriteOrderBy(sel.OrderBy, items)
 	if err != nil {
-		return nil, err
+		return table.Schema{}, nil, err
 	}
 
 	// Detect grouping.
 	var aggCalls []*FuncCall
 	for _, it := range items {
 		if err := collectAggregates(it.Expr, &aggCalls); err != nil {
-			return nil, err
+			return table.Schema{}, nil, err
 		}
 	}
 	if sel.Having != nil {
 		if err := collectAggregates(sel.Having, &aggCalls); err != nil {
-			return nil, err
+			return table.Schema{}, nil, err
 		}
 	}
 	for _, o := range orderBy {
 		if err := collectAggregates(o.Expr, &aggCalls); err != nil {
-			return nil, err
+			return table.Schema{}, nil, err
 		}
 	}
 	grouped := len(sel.GroupBy) > 0 || len(aggCalls) > 0
@@ -129,7 +134,7 @@ func (ex *executor) execSingle(sel *Select) (*table.Table, error) {
 		outRows, err = ex.execPlain(items, orderBy, rel)
 	}
 	if err != nil {
-		return nil, err
+		return table.Schema{}, nil, err
 	}
 	cut := len(outRows)
 
@@ -181,9 +186,7 @@ func (ex *executor) execSingle(sel *Select) (*table.Table, error) {
 		}
 		schema.Columns = append(schema.Columns, table.Column{Name: name, Type: k})
 	}
-	out := table.New(schema)
-	out.Rows = outRows
-	return out, nil
+	return schema, outRows, nil
 }
 
 // output is a statement's select-list rows as they are evaluated: every
@@ -483,9 +486,9 @@ func (ex *executor) execPrimary(ref *TableRef) (relation, error) {
 	qual = strings.ToLower(qual)
 	f := &frame{cols: make([]execCol, len(t.Schema.Columns))}
 	for i, c := range t.Schema.Columns {
-		f.cols[i] = execCol{qual: qual, name: c.Name, pos: i}
+		f.cols[i] = execCol{qual: qual, name: c.Name, pos: t.Pos(i)}
 	}
-	return relation{frame: f, width: 1, rows: t.Rows}, nil
+	return relation{frame: f, width: 1, rows: t.Stored()}, nil
 }
 
 // execJoin joins two relations. Equi-join conjuncts are executed as a hash

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -154,7 +155,8 @@ func renderResult(t *table.Table) string {
 		}
 		fmt.Fprintf(&b, "%s:%s", c.Name, c.Type)
 	}
-	for _, row := range t.Rows {
+	for ri := range t.NumRows() {
+		row := t.Row(ri)
 		b.WriteString("\n")
 		for i, v := range row {
 			if i > 0 {
@@ -166,11 +168,52 @@ func renderResult(t *table.Table) string {
 	return b.String()
 }
 
-// runGolden runs every golden query and renders each result or error,
-// failing if a query wrote any cell of a source table.
-func runGolden(t *testing.T) string {
+// goldenViews rebuilds each golden fixture as a projection of a wider table
+// that holds its columns shuffled among filler columns, so every scan, join,
+// NULL tuple, UNION and GROUP BY reads the fixture's cells through column
+// positions.
+func goldenViews(t *testing.T) []*table.Table {
 	t.Helper()
-	srcs := goldenFixtures()
+	rng := rand.New(rand.NewSource(39))
+	var out []*table.Table
+	for _, src := range goldenFixtures() {
+		wide := table.Schema{Name: src.Schema.Name, Description: src.Schema.Description}
+		for i := 0; i < 3; i++ {
+			wide.Columns = append(wide.Columns, table.Column{Name: fmt.Sprintf("filler%d", i), Type: value.KindString})
+		}
+		wide.Columns = append(wide.Columns, src.Schema.Columns...)
+		perm := rng.Perm(len(wide.Columns))
+		shuffled := wide
+		shuffled.Columns = make([]table.Column, len(perm))
+		for i, j := range perm {
+			shuffled.Columns[i] = wide.Columns[j]
+		}
+		rows := make([]table.Row, src.NumRows())
+		for r := range rows {
+			cells := append(table.Row{value.String("hidden"), value.Int(-1), value.Null()}, src.Row(r)...)
+			rows[r] = make(table.Row, len(perm))
+			for i, j := range perm {
+				rows[r][i] = cells[j]
+			}
+		}
+		base := table.FromRows(shuffled, rows)
+		keep := make([]int, src.NumCols())
+		for c, col := range src.Schema.Columns {
+			keep[c] = shuffled.ColumnIndex(col.Name)
+		}
+		view := base.Project(keep)
+		if !reflect.DeepEqual(view.Schema, src.Schema) {
+			t.Fatalf("view of %s has schema %v", src.Schema.Name, view.Schema)
+		}
+		out = append(out, view)
+	}
+	return out
+}
+
+// runGolden runs every golden query over srcs and renders each result or
+// error, failing if a query wrote any cell of a source table.
+func runGolden(t *testing.T, srcs []*table.Table) string {
+	t.Helper()
 	e := NewEngine()
 	want := make([]string, len(srcs))
 	for i, src := range srcs {
@@ -198,11 +241,22 @@ func runGolden(t *testing.T) string {
 // TestExecGolden pins the executor's output on testdata/exec.golden, entry
 // by entry: the rendered result or the error text of every golden query.
 func TestExecGolden(t *testing.T) {
+	checkGolden(t, runGolden(t, goldenFixtures()))
+}
+
+// TestExecGoldenOverViews runs the golden queries over projections of wider,
+// column-shuffled tables (goldenViews): the output must be the same bytes.
+func TestExecGoldenOverViews(t *testing.T) {
+	checkGolden(t, runGolden(t, goldenViews(t)))
+}
+
+// checkGolden compares got with testdata/exec.golden, entry by entry.
+func checkGolden(t *testing.T, got string) {
+	t.Helper()
 	want, err := os.ReadFile("testdata/exec.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := runGolden(t)
 	if got == string(want) {
 		return
 	}

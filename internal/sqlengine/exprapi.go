@@ -24,13 +24,14 @@ func ParseExpr(src string) (Expr, error) {
 }
 
 // BindRow binds e to t's columns, unqualified, and returns its evaluation
-// on one of t's rows; each column name is resolved once, on first use, not
-// once per row. Aggregates are not allowed in e. The returned function is
+// on one of t's storage rows (t.Stored()), reading each column at its
+// position; each column name is resolved once, on first use, not once per
+// row. Aggregates are not allowed in e. The returned function is
 // not safe for concurrent use.
 func BindRow(e Expr, t *table.Table) func(table.Row) (value.Value, error) {
 	f := &frame{cols: make([]execCol, len(t.Schema.Columns))}
 	for i, c := range t.Schema.Columns {
-		f.cols[i] = execCol{name: c.Name, pos: i}
+		f.cols[i] = execCol{name: c.Name, pos: t.Pos(i)}
 	}
 	en := env{frame: f, tuple: make([]table.Row, 1)}
 	return func(row table.Row) (value.Value, error) {

@@ -34,9 +34,9 @@ func TestPropertySumMatchesDirectComputation(t *testing.T) {
 			want += int64(x)
 		}
 		if len(xs) == 0 {
-			return out.Rows[0][0].IsNull() && out.Rows[0][1].IntVal() == 0
+			return out.At(0, 0).IsNull() && out.At(0, 1).IntVal() == 0
 		}
-		return out.Rows[0][0].IntVal() == want && out.Rows[0][1].IntVal() == int64(len(xs))
+		return out.At(0, 0).IntVal() == want && out.At(0, 1).IntVal() == int64(len(xs))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -57,7 +57,7 @@ func TestPropertyWherePartitions(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return lt.Rows[0][0].IntVal()+ge.Rows[0][0].IntVal() == int64(len(xs))
+		return lt.At(0, 0).IntVal()+ge.At(0, 0).IntVal() == int64(len(xs))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -74,7 +74,7 @@ func TestPropertyOrderBySorts(t *testing.T) {
 			return false
 		}
 		for i := 1; i < out.NumRows(); i++ {
-			if out.Rows[i][0].IntVal() < out.Rows[i-1][0].IntVal() {
+			if out.At(i, 0).IntVal() < out.At(i-1, 0).IntVal() {
 				return false
 			}
 		}
@@ -121,9 +121,9 @@ func TestPropertyAvgBetweenMinMax(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		a := out.Rows[0][0].FloatVal()
-		lo := out.Rows[0][1].FloatVal()
-		hi := out.Rows[0][2].FloatVal()
+		a := out.At(0, 0).FloatVal()
+		lo := out.At(0, 1).FloatVal()
+		hi := out.At(0, 2).FloatVal()
 		return a >= lo-1e-9 && a <= hi+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -149,7 +149,7 @@ func TestPropertyDistinctIdempotent(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return d1.NumRows() == d2.NumRows() && int64(d1.NumRows()) == cnt.Rows[0][0].IntVal()
+		return d1.NumRows() == d2.NumRows() && int64(d1.NumRows()) == cnt.At(0, 0).IntVal()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -189,7 +189,7 @@ func TestPropertyStddevNonNegative(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		v := out.Rows[0][0]
+		v := out.At(0, 0)
 		return v.IsNull() || v.FloatVal() >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

@@ -38,7 +38,8 @@ func TestParsedStatementRunsOnDifferentlyOrderedTables(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		var got []int64
-		for _, row := range out.Rows {
+		for ri := range out.NumRows() {
+			row := out.Row(ri)
 			for _, v := range row {
 				got = append(got, v.IntVal())
 			}
@@ -68,7 +69,7 @@ func TestSelfJoinResolvesEachSideSeparately(t *testing.T) {
 		t.Fatalf("rows = %d, want %d:\n%s", out.NumRows(), len(want), out.Render(10))
 	}
 	for i, w := range want {
-		if got := [2]string{out.Rows[i][0].String(), out.Rows[i][1].String()}; got != w {
+		if got := [2]string{out.At(i, 0).String(), out.At(i, 1).String()}; got != w {
 			t.Errorf("row %d = %v, want %v", i, got, w)
 		}
 	}

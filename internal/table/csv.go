@@ -51,7 +51,7 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 		}
 		schema.Columns = append(schema.Columns, Column{Name: strings.TrimSpace(h), Type: k})
 	}
-	t := New(schema)
+	rows := make([]Row, 0, len(raw))
 	for _, row := range raw {
 		out := make(Row, ncols)
 		for c := range row {
@@ -61,9 +61,9 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 			}
 			out[c] = coerced
 		}
-		t.Rows = append(t.Rows, out)
+		rows = append(rows, out)
 	}
-	return t, nil
+	return FromRows(schema, rows), nil
 }
 
 // ReadCSVFile loads path; the table is named after the file's base name
@@ -86,9 +86,9 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		return err
 	}
 	rec := make([]string, t.NumCols())
-	for _, row := range t.Rows {
-		for i, v := range row {
-			rec[i] = v.String()
+	for r := range t.rows {
+		for c := range rec {
+			rec[c] = t.At(r, c).String()
 		}
 		if err := cw.Write(rec); err != nil {
 			return err

@@ -23,8 +23,8 @@ func referenceProfile(t *table.Table) table.Profile {
 		var cs table.ColumnStats
 		distinct := make(map[string]struct{})
 		first := true
-		for _, row := range t.Rows {
-			v := row[ci]
+		for r := 0; r < t.NumRows(); r++ {
+			v := t.At(r, ci)
 			if v.IsNull() {
 				continue
 			}

@@ -20,7 +20,7 @@ func referenceRender(t *table.Table, maxRows int) string {
 	for i, c := range cols {
 		widths[i] = len(c)
 	}
-	n := len(t.Rows)
+	n := t.NumRows()
 	if maxRows >= 0 && n > maxRows {
 		n = maxRows
 	}
@@ -28,7 +28,7 @@ func referenceRender(t *table.Table, maxRows int) string {
 	for r := 0; r < n; r++ {
 		cells[r] = make([]string, len(cols))
 		for c := range cols {
-			s := t.Rows[r][c].String()
+			s := t.At(r, c).String()
 			if len(s) > 24 {
 				s = s[:21] + "..."
 			}
@@ -56,8 +56,8 @@ func referenceRender(t *table.Table, maxRows int) string {
 	for _, row := range cells {
 		writeRow(row)
 	}
-	if len(t.Rows) > n {
-		fmt.Fprintf(&b, "... (%d more rows)\n", len(t.Rows)-n)
+	if t.NumRows() > n {
+		fmt.Fprintf(&b, "... (%d more rows)\n", t.NumRows()-n)
 	}
 	return b.String()
 }

@@ -55,8 +55,8 @@ func TestAppendArityChecked(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	tb := sampleTable()
 	cp := tb.Clone()
-	cp.Rows[0][1] = value.String("Changed")
-	if tb.Rows[0][1].StringVal() != "Malta" {
+	cp.Row(0)[1] = value.String("Changed")
+	if tb.At(0, 1).StringVal() != "Malta" {
 		t.Fatal("Clone must not share row storage")
 	}
 }
@@ -96,10 +96,10 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Errorf("k_ppm type = %v, want float", back.Schema.Columns[2].Type)
 	}
 	k := back.Schema.ColumnIndex("k_ppm")
-	if got := back.Rows[1][k].FloatVal(); got != 98.1 {
+	if got := back.At(1, k).FloatVal(); got != 98.1 {
 		t.Errorf("k_ppm[1] = %v", got)
 	}
-	if !back.Rows[2][k].IsNull() {
+	if !back.At(2, k).IsNull() {
 		t.Error("null survived round trip as non-null")
 	}
 }
@@ -127,7 +127,7 @@ func TestCSVMixedIntFloatUnifies(t *testing.T) {
 	if tb.Schema.Columns[0].Type != value.KindFloat {
 		t.Fatalf("mixed int/float should unify to float, got %v", tb.Schema.Columns[0].Type)
 	}
-	if got := tb.Rows[0][0].FloatVal(); got != 1 {
+	if got := tb.At(0, 0).FloatVal(); got != 1 {
 		t.Errorf("coerced value = %v", got)
 	}
 }
@@ -206,7 +206,7 @@ func TestCSVRoundTripProperty(t *testing.T) {
 			return false
 		}
 		for i, x := range xs {
-			if back.Rows[i][0].IntVal() != x {
+			if back.At(i, 0).IntVal() != x {
 				return false
 			}
 		}

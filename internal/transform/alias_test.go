@@ -17,7 +17,8 @@ func fingerprint(t *table.Table) string {
 	for _, c := range t.Schema.Columns {
 		fmt.Fprintf(&b, " %s:%s", c.Name, c.Type)
 	}
-	for _, row := range t.Rows {
+	for ri := range t.NumRows() {
+		row := t.Row(ri)
 		b.WriteString("\n")
 		for i, v := range row {
 			if i > 0 {
@@ -138,7 +139,8 @@ func TestOpsDoNotMutateInput(t *testing.T) {
 
 // TestOpsChainOverSharedRows runs ops back to back, each over the previous
 // one's output, which is where a row shared three tables deep gets written if
-// any op forgets the rule.
+// any op forgets the rule; its "after Keep" half runs each op over a Keep's
+// output (chainOverViews).
 func TestOpsChainOverSharedRows(t *testing.T) {
 	in := aliasInput()
 	inWant := fingerprint(in)
@@ -173,6 +175,70 @@ func TestOpsChainOverSharedRows(t *testing.T) {
 	for i, st := range stages {
 		if got := fingerprint(st); got != wants[i] {
 			t.Errorf("stage %d (%s) changed after later stages ran\n got:\n%s\nwant:\n%s", i, ops[i].name, got, wants[i])
+		}
+	}
+	t.Run("after Keep", chainOverViews)
+}
+
+// chainOverViews runs every op after a Keep, so each reads its input
+// through column positions over rows the Keep shares with a wider table: a
+// Keep's output is a header, not a copy. Each stage must equal the same op
+// over a deep copy of its input, which has no positions, and no stage may
+// write a table before it — including FuzzyJoin's right side, itself a Keep,
+// and a Keep of a Keep at the end.
+func chainOverViews(t *testing.T) {
+	in, vendors := aliasInput(), aliasRight()
+	inWant, vendorsWant := fingerprint(in), fingerprint(vendors)
+	right, err := Keep{Columns: []string{"tier", "who"}}.Apply(vendors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		name  string
+		keep  []string
+		apply func(*table.Table) (*table.Table, error)
+	}{
+		{"ParseDates", []string{"who", "y", "x", "dayish", "id", "amtish", "amt"}, ParseDates{Column: "dayish", Lenient: true}.Apply},
+		{"ToNumber/lenient", []string{"amt", "amtish", "x", "y", "id", "who", "dayish"}, ToNumber{Column: "amtish", Lenient: true}.Apply},
+		{"ToNumber/strict", []string{"id", "amt", "who", "x", "y", "amtish"}, ToNumber{Column: "amt"}.Apply},
+		{"Interpolate", []string{"y", "x", "id", "who", "amt"}, Interpolate{XColumn: "x", YColumn: "y"}.Apply},
+		{"Derive/fresh", []string{"who", "id", "y", "x"}, Derive{Name: "z", Expr: "y * 2 + id"}.Apply},
+		{"Derive/replace", []string{"z", "x", "who", "id"}, Derive{Name: "x", Expr: "x + z"}.Apply},
+		{"FuzzyJoin", []string{"who", "x", "z"}, FuzzyJoin{Right: right, LeftKey: "who", RightKey: "who"}.Apply},
+		{"Keep", []string{"tier", "z", "who", "vendors_who"}, Keep{Columns: []string{"z", "who", "tier"}}.Apply},
+	}
+	cur := in
+	var stages []*table.Table
+	var wants []string
+	for _, st := range steps {
+		view, err := Keep{Columns: st.keep}.Apply(cur)
+		if err != nil {
+			t.Fatalf("%s: keep: %v", st.name, err)
+		}
+		out, err := st.apply(view)
+		if err != nil {
+			t.Fatalf("%s after a Keep: %v", st.name, err)
+		}
+		deep, err := st.apply(view.Clone())
+		if err != nil {
+			t.Fatalf("%s over a deep copy: %v", st.name, err)
+		}
+		if got, want := fingerprint(out), fingerprint(deep); got != want {
+			t.Errorf("%s after a Keep differs from it over a deep copy\n got:\n%s\nwant:\n%s", st.name, got, want)
+		}
+		stages = append(stages, view, out)
+		wants = append(wants, fingerprint(view), fingerprint(out))
+		cur = out
+	}
+	if cur.NumRows() == 0 || cur.NumCols() != 3 {
+		t.Errorf("chain ended in a %dx%d table", cur.NumRows(), cur.NumCols())
+	}
+	if fingerprint(in) != inWant || fingerprint(vendors) != vendorsWant {
+		t.Error("the chain wrote a source table")
+	}
+	for i, st := range stages {
+		if got := fingerprint(st); got != wants[i] {
+			t.Errorf("stage %d changed after later stages ran\n got:\n%s\nwant:\n%s", i, got, wants[i])
 		}
 	}
 }

@@ -15,11 +15,14 @@
 // Every op's Apply returns a new table and never writes its input — not a
 // cell, not a column, not the schema name. Its output may share the rows it
 // left unchanged with that input (rows are immutable once in a table; see
-// package table).
+// package table): an op that changes cells starts from Table.Share and
+// replaces only the rows it changes, and Keep shares every row through
+// column positions (Table.Project).
 package transform
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -47,24 +50,6 @@ func (e *Error) Error() string {
 	return s
 }
 
-// share starts an op's output: a table with its own row index and its own
-// column slice over t's rows. The op may edit columns and replace rows
-// (setCell), and pays only for the rows it replaces.
-func share(t *table.Table) *table.Table {
-	out := table.New(t.Schema)
-	out.Schema.Columns = append([]table.Column(nil), t.Schema.Columns...)
-	out.Rows = append([]table.Row(nil), t.Rows...)
-	return out
-}
-
-// setCell replaces row r of out with a copy that holds v in column ci. out
-// came from share, so the row it held until now may belong to other tables.
-func setCell(out *table.Table, r, ci int, v value.Value) {
-	row := out.Rows[r].Clone()
-	row[ci] = v
-	out.Rows[r] = row
-}
-
 // ---------------------------------------------------------------------------
 // ParseDates
 // ---------------------------------------------------------------------------
@@ -86,18 +71,19 @@ func (op ParseDates) Apply(t *table.Table) (*table.Table, error) {
 	if ci < 0 {
 		return nil, colMissing("PARSE_DATES", op.Column, t)
 	}
-	out := share(t)
+	out := t.Share()
 	out.Schema.Columns[ci].Type = value.KindTime
 	var bad []string
-	for r, row := range t.Rows {
-		v := row[ci]
+	p := t.Pos(ci)
+	for r, row := range t.Stored() {
+		v := row[p]
 		if v.IsNull() {
 			continue
 		}
 		tm, ok := v.AsTime()
 		if !ok {
 			if op.Lenient {
-				setCell(out, r, ci, value.Null())
+				out.SetCell(r, ci, value.Null())
 				continue
 			}
 			if len(bad) < 3 {
@@ -105,7 +91,7 @@ func (op ParseDates) Apply(t *table.Table) (*table.Table, error) {
 			}
 			continue
 		}
-		setCell(out, r, ci, value.Time(tm))
+		out.SetCell(r, ci, value.Time(tm))
 	}
 	if len(bad) > 0 {
 		return nil, &Error{
@@ -134,18 +120,19 @@ func (op ToNumber) Apply(t *table.Table) (*table.Table, error) {
 	if ci < 0 {
 		return nil, colMissing("TO_NUMBER", op.Column, t)
 	}
-	out := share(t)
+	out := t.Share()
 	out.Schema.Columns[ci].Type = value.KindFloat
 	var bad []string
-	for r, row := range t.Rows {
-		v := row[ci]
+	p := t.Pos(ci)
+	for r, row := range t.Stored() {
+		v := row[p]
 		if v.IsNull() {
 			continue
 		}
 		f, ok := parseLooseNumber(v.String())
 		if !ok {
 			if op.Lenient {
-				setCell(out, r, ci, value.Null())
+				out.SetCell(r, ci, value.Null())
 				continue
 			}
 			if len(bad) < 3 {
@@ -153,7 +140,7 @@ func (op ToNumber) Apply(t *table.Table) (*table.Table, error) {
 			}
 			continue
 		}
-		setCell(out, r, ci, value.Float(f))
+		out.SetCell(r, ci, value.Float(f))
 	}
 	if len(bad) > 0 {
 		return nil, &Error{
@@ -208,18 +195,23 @@ func (op Derive) Apply(t *table.Table) (*table.Table, error) {
 	if err != nil {
 		return nil, &Error{Op: "DERIVE", Msg: fmt.Sprintf("bad expression %q: %v", op.Expr, err)}
 	}
-	out := share(t)
-	ci := out.Schema.ColumnIndex(op.Name)
+	// A fresh column widens every row, so the output is new rows in schema
+	// order; a replaced column replaces cells in shared rows.
+	var out *table.Table
+	var wide []table.Row
+	ci := t.Schema.ColumnIndex(op.Name)
 	fresh := ci < 0
 	if fresh {
-		out.Schema.Columns = append(out.Schema.Columns, table.Column{Name: op.Name})
-		ci = len(out.Schema.Columns) - 1
+		ci = t.NumCols()
+		wide = make([]table.Row, t.NumRows())
+	} else {
+		out = t.Share()
 	}
 	// Bind to the original table so a replaced column's old values stay
 	// visible to the expression.
 	eval := sqlengine.BindRow(expr, t)
 	kind := value.KindNull
-	for r, row := range t.Rows {
+	for r, row := range t.Stored() {
 		v, err := eval(row)
 		if err != nil {
 			return nil, &Error{Op: "DERIVE", Msg: fmt.Sprintf("row %d: %v", r, err)}
@@ -227,17 +219,19 @@ func (op Derive) Apply(t *table.Table) (*table.Table, error) {
 		if fresh {
 			// A new row, not append(row, v): row's backing array may have
 			// room, and every table sharing the row would see the write.
-			wide := make(table.Row, len(row)+1)
-			copy(wide, row)
-			wide[ci] = v
-			out.Rows[r] = wide
+			wide[r] = append(t.AppendRow(make(table.Row, 0, ci+1), r), v)
 		} else {
-			setCell(out, r, ci, v)
+			out.SetCell(r, ci, v)
 		}
 		kind = value.UnifyKinds(kind, v.Kind())
 	}
 	if kind == value.KindNull {
 		kind = value.KindString
+	}
+	if fresh {
+		schema := t.Schema
+		schema.Columns = append(slices.Clip(t.Schema.Columns), table.Column{Name: op.Name})
+		out = table.FromRows(schema, wide)
 	}
 	out.Schema.Columns[ci].Type = kind
 	return out, nil
@@ -250,7 +244,9 @@ func (op Derive) Apply(t *table.Table) (*table.Table, error) {
 // Keep projects the table down to the named columns, in the given order.
 type Keep struct{ Columns []string }
 
-// Apply returns t projected onto the named columns.
+// Apply returns t projected onto the named columns: a header over t's rows
+// (Table.Project), which copies no cell and carries t's profile when it is
+// published.
 func (op Keep) Apply(t *table.Table) (*table.Table, error) {
 	idxs := make([]int, 0, len(op.Columns))
 	for _, c := range op.Columns {
@@ -260,22 +256,7 @@ func (op Keep) Apply(t *table.Table) (*table.Table, error) {
 		}
 		idxs = append(idxs, ci)
 	}
-	out := table.New(table.Schema{Name: t.Schema.Name, Description: t.Schema.Description})
-	for _, ci := range idxs {
-		out.Schema.Columns = append(out.Schema.Columns, t.Schema.Columns[ci])
-	}
-	// Rows are cut from one slab, capacity-limited: an append onto one copies.
-	w := len(idxs)
-	cells := make([]value.Value, len(t.Rows)*w)
-	out.Rows = make([]table.Row, len(t.Rows))
-	for r, row := range t.Rows {
-		nr := cells[r*w : (r+1)*w : (r+1)*w]
-		for i, ci := range idxs {
-			nr[i] = row[ci]
-		}
-		out.Rows[r] = nr
-	}
-	return out, nil
+	return t.Project(idxs), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -301,30 +282,41 @@ func (op Interpolate) Apply(t *table.Table) (*table.Table, error) {
 	if yi < 0 {
 		return nil, colMissing("INTERPOLATE", op.YColumn, t)
 	}
-	out := share(t)
+	out := t.Share()
+	rows, px, py := t.Stored(), t.Pos(xi), t.Pos(yi)
 	// Sort row indices by X.
 	type pt struct {
 		row int
 		x   float64
 	}
-	var pts []pt
-	for r, row := range t.Rows {
-		x, ok := row[xi].AsFloat()
+	pts := make([]pt, 0, len(rows))
+	for r, row := range rows {
+		x, ok := row[px].AsFloat()
 		if !ok {
 			return nil, &Error{Op: "INTERPOLATE", Msg: fmt.Sprintf(
-				"x column %q has non-numeric value %q (parse it first)", op.XColumn, row[xi].String())}
+				"x column %q has non-numeric value %q (parse it first)", op.XColumn, row[px].String())}
 		}
 		pts = append(pts, pt{r, x})
 	}
 	// Stable sort: ties on X keep row order, so interpolation is
-	// deterministic for repeated X values.
-	sort.SliceStable(pts, func(i, j int) bool { return pts[i].x < pts[j].x })
+	// deterministic for repeated X values. The comparator is built from <
+	// alone, so a NaN X ties with every X as under a less function;
+	// cmp.Compare would sort NaN first and move those rows.
+	slices.SortStableFunc(pts, func(a, b pt) int {
+		if a.x < b.x {
+			return -1
+		}
+		if b.x < a.x {
+			return 1
+		}
+		return 0
+	})
 
 	// Known (x, y) anchor points in x order.
 	type anchor struct{ x, y float64 }
 	var anchors []anchor
 	for _, p := range pts {
-		v := t.Rows[p.row][yi]
+		v := rows[p.row][py]
 		if v.IsNull() {
 			continue
 		}
@@ -340,7 +332,7 @@ func (op Interpolate) Apply(t *table.Table) (*table.Table, error) {
 			"column %q needs at least 2 non-null values to interpolate, has %d", op.YColumn, len(anchors))}
 	}
 	for _, p := range pts {
-		if !t.Rows[p.row][yi].IsNull() {
+		if !rows[p.row][py].IsNull() {
 			continue
 		}
 		// Find the bracketing anchors.
@@ -350,11 +342,11 @@ func (op Interpolate) Apply(t *table.Table) (*table.Table, error) {
 		}
 		a, b := anchors[lo-1], anchors[lo]
 		if b.x == a.x {
-			setCell(out, p.row, yi, value.Float(a.y))
+			out.SetCell(p.row, yi, value.Float(a.y))
 			continue
 		}
 		frac := (p.x - a.x) / (b.x - a.x)
-		setCell(out, p.row, yi, value.Float(a.y+frac*(b.y-a.y)))
+		out.SetCell(p.row, yi, value.Float(a.y+frac*(b.y-a.y)))
 	}
 	out.Schema.Columns[yi].Type = value.KindFloat
 	return out, nil
@@ -424,25 +416,28 @@ func (op FuzzyJoin) Apply(t *table.Table) (*table.Table, error) {
 	if ri < 0 {
 		return nil, colMissing("FUZZY_JOIN", op.RightKey, op.Right)
 	}
-	out := table.New(table.Schema{Name: t.Schema.Name + "_joined"})
-	out.Schema.Columns = append(out.Schema.Columns, t.Schema.Columns...)
+	schema := table.Schema{Name: t.Schema.Name + "_joined"}
+	schema.Columns = append(schema.Columns, t.Schema.Columns...)
 	for _, c := range op.Right.Schema.Columns {
 		name := c.Name
-		if out.Schema.ColumnIndex(name) >= 0 {
+		if schema.ColumnIndex(name) >= 0 {
 			name = op.Right.Schema.Name + "_" + name
 		}
 		cc := c
 		cc.Name = name
-		out.Schema.Columns = append(out.Schema.Columns, cc)
+		schema.Columns = append(schema.Columns, cc)
 	}
 
-	rightWidth := op.Right.NumCols()
-	rkeys := make([]string, len(op.Right.Rows))
-	for rr, rrow := range op.Right.Rows {
-		rkeys[rr] = normalizeKey(rrow[ri].String())
+	width := len(schema.Columns)
+	rkeys := make([]string, op.Right.NumRows())
+	rp := op.Right.Pos(ri)
+	for rr, rrow := range op.Right.Stored() {
+		rkeys[rr] = normalizeKey(rrow[rp].String())
 	}
-	for _, lrow := range t.Rows {
-		lkey := normalizeKey(lrow[li].String())
+	var rows []table.Row
+	lp := t.Pos(li)
+	for lr, lrow := range t.Stored() {
+		lkey := normalizeKey(lrow[lp].String())
 		bestScore := -1.0
 		bestRow := -1
 		for rr, rkey := range rkeys {
@@ -452,13 +447,11 @@ func (op FuzzyJoin) Apply(t *table.Table) (*table.Table, error) {
 			}
 		}
 		if bestRow >= 0 && bestScore >= fuzzyThreshold {
-			nr := make(table.Row, 0, len(lrow)+rightWidth)
-			nr = append(nr, lrow...)
-			nr = append(nr, op.Right.Rows[bestRow]...)
-			out.Rows = append(out.Rows, nr)
+			nr := t.AppendRow(make(table.Row, 0, width), lr)
+			rows = append(rows, op.Right.AppendRow(nr, bestRow))
 		}
 	}
-	return out, nil
+	return table.FromRows(schema, rows), nil
 }
 
 func normalizeKey(s string) string {

@@ -1,11 +1,14 @@
 package transform
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"pneuma/internal/racebuild"
 	"pneuma/internal/table"
 	"pneuma/internal/value"
 )
@@ -32,14 +35,14 @@ func TestParseDates(t *testing.T) {
 	if out.Schema.Columns[0].Type != value.KindTime {
 		t.Errorf("type = %v, want time", out.Schema.Columns[0].Type)
 	}
-	if out.Rows[1][0].TimeVal().Year() != 2021 {
-		t.Errorf("parsed year = %v", out.Rows[1][0])
+	if out.At(1, 0).TimeVal().Year() != 2021 {
+		t.Errorf("parsed year = %v", out.At(1, 0))
 	}
-	if !out.Rows[2][0].IsNull() {
+	if !out.At(2, 0).IsNull() {
 		t.Error("null must stay null")
 	}
 	// Input must not be mutated.
-	if in.Rows[0][0].Kind() != value.KindString {
+	if in.At(0, 0).Kind() != value.KindString {
 		t.Error("ParseDates mutated its input")
 	}
 }
@@ -59,7 +62,7 @@ func TestParseDatesStrictFailsWithSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Rows[1][0].IsNull() {
+	if !out.At(1, 0).IsNull() {
 		t.Error("lenient parse should null the bad value")
 	}
 }
@@ -78,7 +81,7 @@ func TestToNumber(t *testing.T) {
 	}
 	want := []float64{1200.50, 99, 0.45, 12.5}
 	for i, w := range want {
-		if got := out.Rows[i][0].FloatVal(); got != w {
+		if got := out.At(i, 0).FloatVal(); got != w {
 			t.Errorf("row %d = %v, want %v", i, got, w)
 		}
 	}
@@ -102,7 +105,7 @@ func TestDerive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := out.Rows[0][out.Schema.ColumnIndex("adjusted")].FloatVal(); math.Abs(got-110) > 1e-9 {
+	if got := out.At(0, out.Schema.ColumnIndex("adjusted")).FloatVal(); math.Abs(got-110) > 1e-9 {
 		t.Errorf("adjusted = %v, want 110", got)
 	}
 	// Bad expression errors cleanly.
@@ -132,8 +135,8 @@ func TestRenameKeepDrop(t *testing.T) {
 	if out.NumCols() != 2 || out.Schema.Columns[0].Name != "c" {
 		t.Fatalf("keep wrong: %v", out.Schema)
 	}
-	if out.Rows[0][0].IntVal() != 3 {
-		t.Fatalf("keep values wrong: %v", out.Rows[0])
+	if out.At(0, 0).IntVal() != 3 {
+		t.Fatalf("keep values wrong: %v", out.Row(0))
 	}
 	// Missing columns error with a did-you-mean hint.
 	_, err = Keep{Columns: []string{"aa"}}.Apply(in)
@@ -159,13 +162,13 @@ func TestInterpolate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := out.Rows[1][1].FloatVal(); got != 10 {
+	if got := out.At(1, 1).FloatVal(); got != 10 {
 		t.Errorf("interp@10 = %v, want 10", got)
 	}
-	if got := out.Rows[3][1].FloatVal(); got != 30 {
+	if got := out.At(3, 1).FloatVal(); got != 30 {
 		t.Errorf("interp@30 = %v, want 30", got)
 	}
-	if !out.Rows[5][1].IsNull() {
+	if !out.At(5, 1).IsNull() {
 		t.Error("value beyond the last anchor must stay null")
 	}
 }
@@ -258,7 +261,98 @@ func TestFuzzyJoin(t *testing.T) {
 	if out.NumRows() != 2 {
 		t.Fatalf("rows = %d, want 2 (Nowhere Corp unmatched)", out.NumRows())
 	}
-	if got := out.Rows[0][out.Schema.ColumnIndex("country")]; got.StringVal() != "Germany" {
+	if got := out.At(0, out.Schema.ColumnIndex("country")); got.StringVal() != "Germany" {
 		t.Errorf("join country = %v", got)
+	}
+}
+
+// TestInterpolateRepeatedX pins Interpolate over repeated and NaN X values,
+// across more rows than one block of the stable sort: ties on X keep row
+// order, and that order picks which anchor a NULL between equal X values
+// takes its Y from. The expected column was recorded from the
+// sort.SliceStable implementation.
+func TestInterpolateRepeatedX(t *testing.T) {
+	var rows []table.Row
+	for i := 0; i < 53; i++ {
+		x := value.Float(float64((i * 5) % 9))
+		if i%17 == 4 {
+			x = value.String("NaN")
+		}
+		y := value.Float(float64(i))
+		if i%3 != 0 {
+			y = value.Null()
+		}
+		rows = append(rows, table.Row{x, y})
+	}
+	in := mkTable([]table.Column{{Name: "x", Type: value.KindFloat}, {Name: "y", Type: value.KindFloat}}, rows...)
+	out, err := Interpolate{XColumn: "x", YColumn: "y"}.Apply(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for r := range out.NumRows() {
+		fmt.Fprintf(&b, "%s ", out.At(r, 1).String())
+	}
+	const want = "0 25 32 3   6  38 9 25 32 12 19  15  38 18 25 32 21 19  24  38 27 25 32 30 19  33  38 36 25  39 19  42  38 45 25 32 48 19  51  "
+	if got := b.String(); got != want {
+		t.Errorf("interpolated y column\n got: %s\nwant: %s", got, want)
+	}
+}
+
+// keepInput builds an n-row, four-column table.
+func keepInput(n int) *table.Table {
+	cols := []table.Column{{Name: "a", Type: value.KindInt}, {Name: "b", Type: value.KindString}, {Name: "c", Type: value.KindFloat}, {Name: "d", Type: value.KindString}}
+	rows := make([]table.Row, n)
+	for i := range rows {
+		rows[i] = table.Row{value.Int(int64(i)), value.String(fmt.Sprint("b", i%13)), value.Float(float64(i) / 4), value.String("d")}
+	}
+	return table.FromRows(table.Schema{Name: "t", Columns: cols}, rows)
+}
+
+// TestKeepAllocsFlatInRows: a Keep is a header edit, so what it allocates
+// does not grow with the rows it keeps.
+func TestKeepAllocsFlatInRows(t *testing.T) {
+	if racebuild.Enabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	keep := Keep{Columns: []string{"c", "a", "d"}}
+	small, large := keepInput(10), keepInput(10_000)
+	for _, profiled := range []bool{false, true} {
+		if profiled {
+			small.BuildProfile()
+			large.BuildProfile()
+		}
+		s := testing.AllocsPerRun(50, func() { keep.Apply(small) })
+		l := testing.AllocsPerRun(50, func() { keep.Apply(large) })
+		if s != l {
+			t.Errorf("profiled=%v: Keep allocates %v times over 10 rows, %v over 10 000", profiled, s, l)
+		}
+	}
+}
+
+// TestKeepCarriesProfile: a Keep of a profiled table reads no row — its
+// profile is published with it — and that profile equals a cold
+// BuildProfile of a deep-copied projection, field by field.
+func TestKeepCarriesProfile(t *testing.T) {
+	in := keepInput(500)
+	in.BuildProfile()
+	out, err := Keep{Columns: []string{"d", "c", "b", "c"}}.Apply(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !racebuild.Enabled {
+		if n := testing.AllocsPerRun(3, func() { out.BuildProfile() }); n != 0 {
+			t.Errorf("profiling a Keep of a profiled table allocates %v times: it read the rows", n)
+		}
+	}
+	got, want := out.BuildProfile(), out.Clone().BuildProfile()
+	if len(got.Columns) != len(want.Columns) {
+		t.Fatalf("%d column stats, want %d", len(got.Columns), len(want.Columns))
+	}
+	for c, w := range want.Columns {
+		g := got.Columns[c]
+		if g.Min != w.Min || g.Max != w.Max || !slices.Equal(g.SampleValues, w.SampleValues) {
+			t.Errorf("column %d: %+v, want %+v", c, g, w)
+		}
 	}
 }

@@ -83,8 +83,9 @@ func BenchmarkKernels(b *testing.B) {
 // single calls at the traversal shape that matters: one query scored
 // against an HNSW adjacency list (32 neighbors) of 384-wide vectors.
 // The batched/single ratio is the call-amortization win the traversal
-// layer banks on; per-op time is normalized per candidate via b.N*batch
-// iterations so the two shapes read on the same scale.
+// layer banks on. One iteration scores a whole batch of 32 candidates, so
+// ns/op is per batch; each row also reports ns/cand, the time per scored
+// candidate, which reads on the scale of vecmath.dot_batch.ns_per_cand.
 func BenchmarkBatchKernels(b *testing.B) {
 	const dim, rows, batch = 384, 64, 32
 	q := make([]float32, dim)
@@ -114,6 +115,7 @@ func BenchmarkBatchKernels(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			DotBatch(q, arena, dim, idxs, outF)
 		}
+		perCandidate(b, batch)
 	})
 	b.Run(fmt.Sprintf("DotLoop/%s/%d", Tier(), dim), func(b *testing.B) {
 		b.SetBytes(perCand * batch)
@@ -122,18 +124,21 @@ func BenchmarkBatchKernels(b *testing.B) {
 				sinkF = Dot(q, arena[int(ix)*dim:int(ix)*dim+dim])
 			}
 		}
+		perCandidate(b, batch)
 	})
 	b.Run(fmt.Sprintf("SquaredL2Batch/%s/%d", Tier(), dim), func(b *testing.B) {
 		b.SetBytes(perCand * batch)
 		for i := 0; i < b.N; i++ {
 			SquaredL2Batch(q, arena, dim, idxs, outF)
 		}
+		perCandidate(b, batch)
 	})
 	b.Run(fmt.Sprintf("DotInt8Batch/%s/%d", Int8Tier(), dim), func(b *testing.B) {
 		b.SetBytes(int64(2*dim) * batch)
 		for i := 0; i < b.N; i++ {
 			DotInt8Batch(q8, arena8, dim, idxs, out8)
 		}
+		perCandidate(b, batch)
 	})
 	b.Run(fmt.Sprintf("DotInt8Loop/%s/%d", Int8Tier(), dim), func(b *testing.B) {
 		b.SetBytes(int64(2*dim) * batch)
@@ -142,5 +147,12 @@ func BenchmarkBatchKernels(b *testing.B) {
 				sinkI = DotInt8(q8, arena8[int(ix)*dim:int(ix)*dim+dim])
 			}
 		}
+		perCandidate(b, batch)
 	})
+}
+
+// perCandidate reports a batch benchmark's time per scored candidate: each
+// of its b.N iterations scores batch candidates.
+func perCandidate(b *testing.B, batch int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/cand")
 }
