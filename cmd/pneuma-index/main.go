@@ -40,7 +40,6 @@ func main() {
 	reindex := flag.Bool("reindex", false, "re-ingest the CSV directory even if -index-dir already holds an index")
 	syncBytes := flag.Int64("sync-bytes", 0, "group-commit fsync once pending disk records reach n bytes (0 = unset, 1 = every record)")
 	syncInterval := flag.Duration("sync-interval", 0, "max time an acknowledged disk write stays unsynced (0 = unset; 2ms when -sync-bytes is set)")
-	quantize := flag.Bool("quantize", false, "int8 speed tier: quantized vector traversal with exact float32 rescoring")
 	flag.Parse()
 
 	if *dir == "" || *query == "" {
@@ -62,7 +61,6 @@ func main() {
 		retriever.WithShards(*shards), retriever.WithWorkers(*workers),
 		retriever.WithBackend(backend), retriever.WithDir(*indexDir),
 		retriever.WithSyncBytes(*syncBytes), retriever.WithSyncInterval(*syncInterval),
-		retriever.WithQuantize(*quantize),
 	)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pneuma-index:", err)

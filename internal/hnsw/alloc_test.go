@@ -60,25 +60,3 @@ func BenchmarkSearch(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkSearchQuantized is BenchmarkSearch on the int8 speed tier:
-// same corpus and query, traversal on the quantized arena plus the exact
-// float32 rescoring pass. Compare against BenchmarkSearch to see the
-// tier's per-query cost delta at cache-resident scale.
-func BenchmarkSearchQuantized(b *testing.B) {
-	rng := rand.New(rand.NewSource(42))
-	ix := New(32, Config{Seed: 3, Quantize: true})
-	for i := 0; i < 400; i++ {
-		if err := addOne(ix, fmt.Sprintf("v-%03d", i), randomUnit(rng, 32)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	query := randomUnit(rng, 32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ix.Search(query, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

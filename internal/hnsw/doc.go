@@ -73,35 +73,35 @@
 //     are copied out), so callers cannot extend a view's lifetime by
 //     accident.
 //
-// # Int8 speed tier (Config.Quantize)
+// # Search: an int8 walk with exact float32 rescoring
 //
-// With Quantize on, every insert additionally stores a scalar-quantized copy of
-// each vector: per-vector offset and scale map the float32 values onto
-// int8 codes in [-127, 127], kept in a second contiguous arena one quarter
-// the size of the float32 one. Queries then split into two phases:
+// Every insert also stores a scalar-quantized copy of its vector:
+// per-vector offset and scale map the float32 values onto int8 codes in
+// [-127, 127], kept in a second contiguous arena one quarter the size of
+// the float32 one. Every query runs in two phases:
 //
-//   - Traversal scores candidates on the int8 arena. The squared-L2
-//     surrogate expands the quantized dot product (an int32-accumulating
-//     kernel — AVX2 assembly on amd64 when CPUID allows, an unrolled
-//     scalar loop otherwise,
-//     bit-identical by construction and differentially tested) with the
-//     exact stored norms and per-vector dequantization coefficients folded
-//     into per-query constants. This phase is approximate: quantization
-//     error can locally reorder near-ties, which is what the next phase
-//     repairs.
-//   - Rescoring re-ranks the top k×4 traversal candidates
-//     (capped at the beam width — a wider rescore cannot
-//     recover candidates the beam never surfaced) with the exact float32
-//     kernel over the full-precision arena, which is retained for this
-//     purpose and for graph construction.
+//   - Traversal (greedy descent and the layer-0 beam) scores candidates on
+//     the int8 arena. The squared-L2 surrogate expands the quantized dot
+//     product (an int32-accumulating kernel — AVX2 assembly on amd64 when
+//     CPUID allows, an unrolled scalar loop otherwise, bit-identical by
+//     construction and differentially tested) with the exact stored norms
+//     and per-vector dequantization coefficients folded into per-query
+//     constants. This phase is approximate: quantization error can locally
+//     reorder near-ties, which the next phase repairs.
+//   - Rescoring re-ranks the top k×4 traversal candidates (capped at the
+//     beam width — a wider rescore cannot recover candidates the beam
+//     never surfaced) with the exact float32 kernel over the full-precision
+//     arena, which is retained for this purpose and for graph
+//     construction.
 //
-// Returned scores are therefore float32-exact — byte-identical to the
-// unquantized path's for every candidate that survives both beams — and
-// only ranking beyond the rescore horizon can differ. On the reference
-// corpus recall@10 versus the unquantized path is ≥ 0.98 (measured 1.0)
-// while traversal touches ~4× less memory; the graph itself is built from
-// float32 vectors either way, so the knob never changes graph shape.
-// The quantized arenas serialize alongside the float32 state.
+// Returned scores are therefore float32-exact cosines, and only which
+// candidates reach the rescore set depends on the codes. Over a 1k ×
+// 64-dim corpus, recall@10 against an exact cosine scan is 0.9935, the
+// same as the float32 walk that the int8 walk replaced (at dim 256:
+// 0.9505 against the float32 walk's 0.9520). Construction runs entirely on float32 distances, so
+// the graph does not depend on the codes. On the 20 000-table retrieval
+// workload, whose float32 arena is 5× the L2, the int8 walk cut the
+// median CPU per search from 1 640 to 1 408 µs.
 //
 // # Serialization
 //
@@ -109,10 +109,15 @@
 // directly — the vector arena, the parallel slices, the adjacency lists,
 // the entry point and the level-generator draw count — so a persisted
 // graph is restored by a bulk load instead of re-running construction.
-// The restore is exact: queries answer bit-identically, and because the
-// level generator is fast-forwarded to the writer's stream position,
-// inserts after the restore assign the same levels (and therefore build
-// the same graph) as they would have on the never-serialized index.
+// The int8 arenas are not serialized: LoadSnapshot rebuilds them from the
+// float32 arena with the same deterministic quantizer the inserts use, and
+// it rejects a section that carries them (the layout of older builds that
+// could switch quantization on), so the retriever rebuilds that shard from
+// its log. The restore is exact: queries answer bit-identically, and
+// because the level generator is fast-forwarded to the writer's stream
+// position, inserts after the restore assign the same levels (and
+// therefore build the same graph) as they would have on the
+// never-serialized index.
 // The construction parameters are package constants; of the Config, the
 // reading index must be created with the same Seed.
 package hnsw

@@ -29,12 +29,6 @@ type Config struct {
 	// Seed seeds the level generator. Builds with equal seeds and insert
 	// order produce identical graphs.
 	Seed int64
-	// Quantize maintains an int8 scalar-quantized copy of every vector
-	// and runs query traversal on it, rescoring finalists with exact
-	// float32 math (see quant.go). Graph construction always uses float32
-	// distances, so the graph is identical with the knob on or off.
-	// Default false.
-	Quantize bool
 }
 
 // graph is one immutable published view of the index: everything the read
@@ -60,9 +54,9 @@ type graph struct {
 	deleted []bool    // tombstone flags (COW'd by batches that tombstone)
 	links   [][][]int32
 
-	// Quantized side arenas, slot-parallel with vecs (Config.Quantize
-	// only; see quant.go): int8 codes plus per-vector dequantization
-	// constants and precomputed code sums.
+	// Quantized side arenas, slot-parallel with vecs (see quant.go): int8
+	// codes plus per-vector dequantization constants and precomputed code
+	// sums. Queries walk these; construction and rescoring read vecs.
 	qvecs  []int8
 	qscale []float32
 	qoff   []float32
@@ -70,8 +64,7 @@ type graph struct {
 
 	entry  int // slot index, -1 when empty
 	maxLvl int
-	live   int  // live (non-tombstoned) node count
-	quant  bool // int8 arenas cover every slot (computed at publish)
+	live   int // live (non-tombstoned) node count
 }
 
 // vecAt returns slot i's vector window in the arena.
@@ -89,7 +82,6 @@ func (g *graph) vecAt(i int) []float32 {
 // everything else, so beam search touches flat memory instead of chasing
 // per-node pointers.
 type Index struct {
-	cfg    Config
 	dim    int
 	levelM float64
 
@@ -123,7 +115,6 @@ type Index struct {
 // New creates an empty index for vectors of the given dimensionality.
 func New(dim int, cfg Config) *Index {
 	ix := &Index{
-		cfg:    cfg,
 		dim:    dim,
 		levelM: 1 / math.Log(maxLinks),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
@@ -147,7 +138,6 @@ func (ix *Index) beginBatch() *graph {
 // (mu must be held). Readers that loaded the old view keep using it; the
 // GC retires it once the last such reader drains.
 func (ix *Index) publish(g *graph) {
-	g.quant = ix.cfg.Quantize && len(g.qsum) == len(g.ids)
 	ix.view.Store(g)
 }
 
@@ -275,9 +265,7 @@ func (ix *Index) addLocked(g *graph, id string, vec []float32) {
 	ix.byID[id] = idx
 	g.live++
 	cp := g.vecAt(idx)
-	if ix.cfg.Quantize {
-		appendQuantized(g, cp)
-	}
+	appendQuantized(g, cp)
 
 	if g.entry < 0 {
 		g.entry = idx
@@ -287,7 +275,7 @@ func (ix *Index) addLocked(g *graph, id string, vec []float32) {
 
 	s := scratchPool.Get().(*searchScratch)
 	defer scratchPool.Put(s)
-	s.prep(2*maxLinks, false)
+	s.prep(2 * maxLinks)
 
 	ep := g.entry
 	// Phase 1: greedy descent through layers above the new node's level.
@@ -389,11 +377,7 @@ func (ix *Index) AdoptFrom(donor *Index) {
 	ix.batch = donor.batch
 	ix.linksBatch = donor.linksBatch
 	ix.delBatch = donor.delBatch
-	// Publish a copy of the donor's graph header: publish stamps g.quant
-	// in place, and the donor's own view must stay untouched in case it
-	// still has readers mid-search.
-	g := *donor.view.Load()
-	ix.publish(&g)
+	ix.publish(donor.view.Load())
 }
 
 // Result is one nearest-neighbour hit.
@@ -403,11 +387,14 @@ type Result struct {
 	Score float32
 }
 
-// Search returns up to k nearest neighbours of query by cosine similarity
-// (vectors are compared by squared L2, equivalent for unit vectors). The
-// beam width is efSearch, widened to k. It never blocks on writers: the
-// whole search runs against the view published by the most recent
-// completed batch.
+// Search returns up to k nearest neighbours of query by cosine similarity.
+// The greedy descent and the layer-0 beam (width efSearch, widened to k)
+// walk the int8 codes (see quant.go); the top k·rescoreFactor live
+// candidates of the beam are then rescored with exact float32 cosine and
+// ordered by (score desc, ID asc). Returned scores are therefore exact
+// float32 values; quantization can only change which candidates reach the
+// rescore set. It never blocks on writers: the whole search runs against
+// the view published by the most recent completed batch.
 //
 // k is clamped to the live vector count and the beam to the slot count
 // before either sizes anything: a beam at least as wide as the graph
@@ -429,28 +416,51 @@ func (ix *Index) Search(query []float32, k int) ([]Result, error) {
 
 	s := scratchPool.Get().(*searchScratch)
 	defer scratchPool.Put(s)
-	s.prep(max(2*maxLinks, ef), g.quant)
+	s.prep(max(2*maxLinks, ef))
 
-	if g.quant {
-		return ix.searchQuantized(g, s, query, k, ef), nil
-	}
-
+	q := s.quantizeQuery(query)
 	ep := g.entry
 	for lvl := g.maxLvl; lvl > 0; lvl-- {
-		ep = g.greedyClosest(s, query, ep, lvl)
+		ep = g.greedyClosestQ(s, &q, ep, lvl)
 	}
-	cands := g.searchLayer(s, query, ep, ef, 0)
-	qNorm := vecmath.Norm(query)
-	out := make([]Result, 0, k)
+	// Rescore the top k·rescoreFactor beam candidates, capped by the beam
+	// itself: a wider rescore cannot recover vectors the beam never
+	// surfaced, so inflating ef to match the factor would only re-widen
+	// the traversal the int8 walk exists to cheapen.
+	rescore := k * rescoreFactor
+	cands := g.searchLayerQ(s, &q, ep, ef, 0)
+
+	// The rescore set is scored with one DotBatch call over the float32
+	// arena; dividing by the stored norms afterwards reproduces
+	// CosineWithNorms exactly (same guard, same single division, and
+	// DotBatch is bit-identical to Dot).
+	batch := s.batch[:0]
 	for _, c := range cands {
-		ci := int(c.idx)
-		if g.deleted[ci] {
+		if g.deleted[c.idx] {
 			continue
 		}
-		out = append(out, Result{
-			ID:    g.ids[ci],
-			Score: vecmath.CosineWithNorms(query, g.vecAt(ci), qNorm, g.norms[ci]),
-		})
+		batch = append(batch, c.idx)
+		if len(batch) == rescore {
+			break
+		}
+	}
+	s.batch = batch
+	dots := s.distBuf(len(batch))
+	vecmath.DotBatch(query, g.vecs, g.dim, batch, dots)
+	resc := s.resc[:0]
+	for j, ci := range batch {
+		var score float32
+		if q.norm != 0 && g.norms[ci] != 0 {
+			score = dots[j] / (q.norm * g.norms[ci])
+		}
+		// Negated score as distance: the shared cand sort orders ascending.
+		resc = append(resc, cand{ci, -score})
+	}
+	s.resc = resc
+	g.sortRescored(resc)
+	out := make([]Result, 0, k)
+	for _, c := range resc {
+		out = append(out, Result{ID: g.ids[c.idx], Score: -c.dist})
 		if len(out) == k {
 			break
 		}
@@ -571,11 +581,11 @@ type searchScratch struct {
 	cands   candHeap // min-heap: next candidate to expand
 	results candHeap // max-heap: worst of the ef best so far on top
 	out     []cand
-	qvec    []int8    // quantized-query codes (Quantize searches only)
-	resc    []cand    // exact-rescore buffer (Quantize searches only)
+	qvec    []int8    // quantized-query codes
+	resc    []cand    // exact-rescore buffer
 	batch   []int32   // unvisited-candidate collect buffer for batched scoring
 	dists   []float32 // batched float32 distance/dot outputs
-	qdots   []int32   // batched int8 dot outputs (Quantize searches only)
+	qdots   []int32   // batched int8 dot outputs
 }
 
 var scratchPool = sync.Pool{
@@ -587,16 +597,15 @@ var scratchPool = sync.Pool{
 // prep sizes the batched-scoring buffers up front for a search whose
 // collect sets are bounded by n (the layer-0 adjacency cap, or the beam
 // width if wider), so a fresh scratch pays one fixed allocation per
-// buffer instead of regrowing them mid-search. quant additionally sizes
-// the int8 dot output buffer.
-func (s *searchScratch) prep(n int, quant bool) {
+// buffer instead of regrowing them mid-search.
+func (s *searchScratch) prep(n int) {
 	if cap(s.batch) < n {
 		s.batch = make([]int32, 0, n)
 	}
 	if cap(s.dists) < n {
 		s.dists = make([]float32, n)
 	}
-	if quant && cap(s.qdots) < n {
+	if cap(s.qdots) < n {
 		s.qdots = make([]int32, n)
 	}
 }
@@ -611,7 +620,7 @@ func (s *searchScratch) distBuf(n int) []float32 {
 	return s.dists[:n]
 }
 
-// qdotBuf is distBuf for the quantized tier's int32 dot products.
+// qdotBuf is distBuf for the int8 walk's int32 dot products.
 func (s *searchScratch) qdotBuf(n int) []int32 {
 	if cap(s.qdots) < n {
 		s.qdots = make([]int32, n)

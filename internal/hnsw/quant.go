@@ -6,9 +6,9 @@ import (
 	"pneuma/internal/vecmath"
 )
 
-// rescoreFactor is the exact-rescore over-fetch multiplier of the
-// quantized path: the quantized beam's top k·rescoreFactor candidates are
-// rescored with float32 math before the top k are returned.
+// rescoreFactor is the exact-rescore over-fetch multiplier of Search: the
+// int8 beam's top k·rescoreFactor candidates are rescored with float32
+// math before the top k are returned.
 const rescoreFactor = 4
 
 // Scalar quantization scheme. Every vector is stored (alongside its exact
@@ -81,9 +81,10 @@ func appendQuantized(g *graph, vec []float32) {
 }
 
 // requantize rebuilds the int8 arenas of a not-yet-published draft from
-// its float32 arena — used when a snapshot without quantized sections is
-// loaded into an index with Quantize on. Tombstoned slots are quantized
-// too: traversal routes through them.
+// its float32 arena — LoadSnapshot's path, since snapshots carry only the
+// float32 state. quantizeVec is deterministic, so the codes equal the ones
+// the inserts produced. Tombstoned slots are quantized too: traversal
+// routes through them.
 func requantize(g *graph) {
 	n := len(g.ids)
 	g.qvecs = make([]int8, n*g.dim)
@@ -101,9 +102,8 @@ func (g *graph) qvecAt(i int) []int8 {
 }
 
 // ArenaBytes reports the byte sizes of the float32 vector arena and of the
-// complete quantized side (codes plus per-vector constants); the second
-// value is 0 when quantization is off. Exposed for the bench harness's
-// memory accounting.
+// complete quantized side (codes plus per-vector constants). Exposed for
+// the bench harness's memory accounting.
 func (ix *Index) ArenaBytes() (float32Bytes, int8Bytes int) {
 	g := ix.view.Load()
 	f := len(g.vecs) * 4
@@ -194,11 +194,12 @@ func (g *graph) greedyClosestQ(s *searchScratch, q *qquery, ep, lvl int) int {
 	}
 }
 
-// searchLayerQ is searchLayer (Algorithm 2) on the int8 arena. The body is
-// duplicated rather than parameterized by a distance closure so the hot
-// loop stays free of indirect calls and allocations. Neighbor expansion is
-// batched exactly like searchLayer's: collect the unvisited candidate
-// block, one DotInt8Batch call, then push in list order.
+// searchLayerQ is searchLayer (Algorithm 2) on the int8 arena: the query's
+// walk, where searchLayer is construction's. The body is duplicated rather
+// than parameterized by a distance closure so the hot loop stays free of
+// indirect calls and allocations. Neighbor expansion is batched exactly
+// like searchLayer's: collect the unvisited candidate block, one
+// DotInt8Batch call, then push in list order.
 func (g *graph) searchLayerQ(s *searchScratch, q *qquery, ep, ef, lvl int) []cand {
 	s.begin(len(g.ids))
 	s.visited[ep] = s.epoch
@@ -250,69 +251,9 @@ func (g *graph) searchLayerQ(s *searchScratch, q *qquery, ep, ef, lvl int) []can
 	return out
 }
 
-// searchQuantized is the quantized query path: greedy descent and the
-// layer-0 beam run on int8 codes, then the top k·rescoreFactor live
-// candidates are rescored with exact float32 CosineWithNorms and sorted
-// by (score desc, ID asc). Returned scores are bit-identical to what the
-// unquantized path computes for the same nodes; quantization can only
-// change *which* candidates reach the rescore set, which is what the
-// recall@k metric measures.
-func (ix *Index) searchQuantized(g *graph, s *searchScratch, query []float32, k, ef int) []Result {
-	q := s.quantizeQuery(query)
-	ep := g.entry
-	for lvl := g.maxLvl; lvl > 0; lvl-- {
-		ep = g.greedyClosestQ(s, &q, ep, lvl)
-	}
-	// Rescore the top k·rescoreFactor beam candidates, capped by the beam
-	// itself: a wider rescore cannot recover vectors the beam never
-	// surfaced, so inflating ef to match the factor would only re-widen
-	// the traversal the tier exists to cheapen. The beam stays exactly as
-	// wide as the unquantized path's.
-	rescore := k * rescoreFactor
-	cands := g.searchLayerQ(s, &q, ep, ef, 0)
-
-	// The rescore set is scored with one DotBatch call over the float32
-	// arena; dividing by the stored norms afterwards reproduces
-	// CosineWithNorms exactly (same guard, same single division, and
-	// DotBatch is bit-identical to Dot), so rescored values match the
-	// unquantized path's scores bit for bit.
-	batch := s.batch[:0]
-	for _, c := range cands {
-		if g.deleted[c.idx] {
-			continue
-		}
-		batch = append(batch, c.idx)
-		if len(batch) == rescore {
-			break
-		}
-	}
-	s.batch = batch
-	dots := s.distBuf(len(batch))
-	vecmath.DotBatch(query, g.vecs, g.dim, batch, dots)
-	resc := s.resc[:0]
-	for j, ci := range batch {
-		var score float32
-		if q.norm != 0 && g.norms[ci] != 0 {
-			score = dots[j] / (q.norm * g.norms[ci])
-		}
-		// Negated score as distance: the shared cand sort orders ascending.
-		resc = append(resc, cand{ci, -score})
-	}
-	s.resc = resc
-	g.sortRescored(resc)
-	out := make([]Result, 0, k)
-	for _, c := range resc {
-		out = append(out, Result{ID: g.ids[c.idx], Score: -c.dist})
-		if len(out) == k {
-			break
-		}
-	}
-	return out
-}
-
 // sortRescored orders rescored candidates ascending by negated exact
-// score with external-ID ties ascending, making the quantized result
-// order a pure function of the exact scores. Insertion sort: the set is
+// score with external-ID ties ascending, making the result order a pure
+// function of the exact scores. Insertion sort: the set is
 // k·rescoreFactor entries, already near-ordered by the beam.
 func (g *graph) sortRescored(cs []cand) {
 	for i := 1; i < len(cs); i++ {

@@ -8,24 +8,27 @@ import (
 
 // AppendSnapshot serializes the index's struct-of-arrays state — the
 // id/level/tombstone slices, the adjacency lists, the entry point, the
-// level-generator draw count, and the vector arenas — into w. The small
-// variable-width fields come first; the bulk arrays (norms, the float32
-// arena and, when Quantize is on, the int8 arenas) are written as
-// wire aligned blobs, padded relative to the *writer start*. Callers that
-// want to load the blobs zero-copy must therefore hand in a writer whose
-// offset 0 lands at file offset 0 (the retriever's snapshot writer does).
+// level-generator draw count, and the float32 vector arenas — into w. The
+// small variable-width fields come first; the bulk arrays (norms and the
+// float32 arena) are written as wire aligned blobs, padded relative to the
+// *writer start*. Callers that want to load the blobs zero-copy must
+// therefore hand in a writer whose offset 0 lands at file offset 0 (the
+// retriever's snapshot writer does).
 //
 // The view and the level-generator draw count are pinned together under a
 // brief writer-lock acquisition; serialization then runs entirely against
 // the immutable view, concurrent with both readers and later writers, so
 // snapshotting never stalls serving.
 //
+// The int8 arenas are not written: they are a pure function of the
+// float32 arena, and LoadSnapshot rebuilds them. The byte after the draw
+// count is the int8-section flag, always 0; older builds wrote 1 and the
+// arenas after it, which LoadSnapshot rejects.
+//
 // An index restored by LoadSnapshot is bit-identical: it answers every
 // query with the same results and assigns the same levels to future
-// inserts. The Config (Seed, Quantize) is NOT serialized; the reading
-// index must be created with the same Seed — Quantize may differ, in which
-// case the quantized arenas are dropped or rebuilt from the float32 arena
-// at load.
+// inserts. The Config is NOT serialized; the reading index must be created
+// with the same Seed.
 func (ix *Index) AppendSnapshot(w *wire.Writer) {
 	// Pin a (view, rngDraws) pair from a quiesced writer state: between
 	// batches the draw count is exactly the one that produced the
@@ -64,19 +67,9 @@ func (ix *Index) AppendSnapshot(w *wire.Writer) {
 	w.Varint(int64(g.maxLvl))
 	w.Uvarint(uint64(g.live))
 	w.Uvarint(draws)
-	if g.quant {
-		w.Byte(1)
-	} else {
-		w.Byte(0)
-	}
+	w.Byte(0) // no int8 section
 	w.Float32Blob(g.norms)
 	w.Float32Blob(g.vecs)
-	if g.quant {
-		w.Float32Blob(g.qscale)
-		w.Float32Blob(g.qoff)
-		w.Int32Blob(g.qsum)
-		w.Int8Blob(g.qvecs)
-	}
 }
 
 // LoadSnapshot restores state appended by AppendSnapshot into an empty
@@ -86,8 +79,10 @@ func (ix *Index) AppendSnapshot(w *wire.Writer) {
 // views into that buffer, which the index then owns. The level generator is fast-forwarded to the writer's draw
 // count, so inserts after the restore build exactly the graph the writing
 // index would have built; appends to the zero-copy arenas reallocate
-// (len == cap), never scribbling on the buffer. A malformed or truncated
-// section leaves the index unchanged and returns an error.
+// (len == cap), never scribbling on the buffer. The int8 arenas are
+// rebuilt from the float32 arena (requantize). A malformed or truncated
+// section, or one that carries int8 arenas (written by an older build),
+// leaves the index unchanged and returns an error.
 func (ix *Index) LoadSnapshot(rd *wire.Reader) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -141,28 +136,17 @@ func (ix *Index) LoadSnapshot(rd *wire.Reader) error {
 	maxLvl := int(rd.Varint())
 	live := int(rd.Uvarint())
 	draws := rd.Uvarint()
-	quant := rd.Byte() != 0
+	if flag := rd.Byte(); flag != 0 {
+		return fmt.Errorf("hnsw: snapshot section carries int8 arenas (flag %d); this build rebuilds them and reads none", flag)
+	}
 	norms := rd.Float32Blob()
 	vecs := rd.Float32Blob()
-	var qscale, qoff []float32
-	var qsum []int32
-	var qvecs []int8
-	if quant {
-		qscale = rd.Float32Blob()
-		qoff = rd.Float32Blob()
-		qsum = rd.Int32Blob()
-		qvecs = rd.Int8Blob()
-	}
 	if err := rd.Err(); err != nil {
 		return fmt.Errorf("hnsw: snapshot section: %w", err)
 	}
 	if len(norms) != n || len(vecs) != n*ix.dim || live > n || entry >= n {
 		return fmt.Errorf("hnsw: snapshot section inconsistent (n=%d norms=%d vecs=%d live=%d entry=%d)",
 			n, len(norms), len(vecs), live, entry)
-	}
-	if quant && (len(qscale) != n || len(qoff) != n || len(qsum) != n || len(qvecs) != n*ix.dim) {
-		return fmt.Errorf("hnsw: snapshot quantized arenas inconsistent (n=%d qscale=%d qoff=%d qsum=%d qvecs=%d)",
-			n, len(qscale), len(qoff), len(qsum), len(qvecs))
 	}
 
 	g := &graph{
@@ -177,16 +161,7 @@ func (ix *Index) LoadSnapshot(rd *wire.Reader) error {
 		maxLvl:  maxLvl,
 		live:    live,
 	}
-	if ix.cfg.Quantize {
-		if quant {
-			g.qscale, g.qoff, g.qsum, g.qvecs = qscale, qoff, qsum, qvecs
-		} else {
-			// Snapshot written without quantization: rebuild the int8
-			// arenas from the float32 arena (same codes an insert would have
-			// produced — quantizeVec is deterministic).
-			requantize(g)
-		}
-	}
+	requantize(g)
 	byID := make(map[string]int, live)
 	for i, id := range ids {
 		if !deleted[i] {

@@ -185,57 +185,56 @@ func TestPinLiveOrder(t *testing.T) {
 // position, same writer state).
 func TestAdoptFrom(t *testing.T) {
 	const dim = 16
-	for _, cfg := range []Config{{Seed: 5}, {Seed: 5, Quantize: true}} {
-		ix := buildIndex(t, cfg, dim, 80)
-		shadow, fresh := New(dim, cfg), New(dim, cfg)
-		ix.PinLive()(func(id string, vec []float32) bool {
-			v := append([]float32(nil), vec...)
-			if err := addOne(shadow, id, v); err != nil {
-				t.Fatal(err)
-			}
-			if err := addOne(fresh, id, v); err != nil {
-				t.Fatal(err)
-			}
-			return true
-		})
-		ix.AdoptFrom(shadow)
-		if ix.Len() != fresh.Len() {
-			t.Fatalf("quantize=%v: adopted Len = %d, want %d", cfg.Quantize, ix.Len(), fresh.Len())
+	cfg := Config{Seed: 5}
+	ix := buildIndex(t, cfg, dim, 80)
+	shadow, fresh := New(dim, cfg), New(dim, cfg)
+	ix.PinLive()(func(id string, vec []float32) bool {
+		v := append([]float32(nil), vec...)
+		if err := addOne(shadow, id, v); err != nil {
+			t.Fatal(err)
 		}
-		same := func(label string) {
-			t.Helper()
-			for q := int64(0); q < 12; q++ {
-				query := queryVec(dim, q)
-				a, err := fresh.Search(query, 10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := ix.Search(query, 10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(a) != len(b) {
-					t.Fatalf("quantize=%v %s query %d: %d vs %d results", cfg.Quantize, label, q, len(a), len(b))
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("quantize=%v %s query %d rank %d: fresh %+v, adopted %+v", cfg.Quantize, label, q, i, a[i], b[i])
-					}
-				}
-			}
+		if err := addOne(fresh, id, v); err != nil {
+			t.Fatal(err)
 		}
-		same("after AdoptFrom")
-		for i := 0; i < 30; i++ {
-			id, vec := fmt.Sprintf("post%03d", i), queryVec(dim, int64(100+i))
-			if err := addOne(ix, id, vec); err != nil {
-				t.Fatal(err)
-			}
-			if err := addOne(fresh, id, vec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		deleteOne(ix, "post007")
-		deleteOne(fresh, "post007")
-		same("after later inserts")
+		return true
+	})
+	ix.AdoptFrom(shadow)
+	if ix.Len() != fresh.Len() {
+		t.Fatalf("adopted Len = %d, want %d", ix.Len(), fresh.Len())
 	}
+	same := func(label string) {
+		t.Helper()
+		for q := int64(0); q < 12; q++ {
+			query := queryVec(dim, q)
+			a, err := fresh.Search(query, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := ix.Search(query, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(a) != len(b) {
+				t.Fatalf("%s query %d: %d vs %d results", label, q, len(a), len(b))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("%s query %d rank %d: fresh %+v, adopted %+v", label, q, i, a[i], b[i])
+				}
+			}
+		}
+	}
+	same("after AdoptFrom")
+	for i := 0; i < 30; i++ {
+		id, vec := fmt.Sprintf("post%03d", i), queryVec(dim, int64(100+i))
+		if err := addOne(ix, id, vec); err != nil {
+			t.Fatal(err)
+		}
+		if err := addOne(fresh, id, vec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deleteOne(ix, "post007")
+	deleteOne(fresh, "post007")
+	same("after later inserts")
 }

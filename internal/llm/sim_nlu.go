@@ -6,6 +6,7 @@ import (
 
 	"pneuma/internal/embed"
 	"pneuma/internal/textutil"
+	"pneuma/internal/value"
 )
 
 // This file is the SimModel's natural-language-understanding core: parsing
@@ -673,14 +674,16 @@ func columnPhraseMatch(phrase string, c ColumnInfo) float64 {
 }
 
 // mostlyNumericSamples reports whether a varchar column's samples are
-// predominantly parseable numbers — a dirty numeric column.
+// predominantly parseable numbers — a dirty numeric column. AsFloat turns
+// words away before strconv.ParseFloat, which would allocate an error for
+// each of them.
 func mostlyNumericSamples(c ColumnInfo) bool {
 	if c.Type != "varchar" || len(c.Samples) == 0 {
 		return false
 	}
 	numeric := 0
 	for _, s := range c.Samples {
-		if _, err := strconv.ParseFloat(strings.TrimSpace(s), 64); err == nil {
+		if _, ok := value.String(s).AsFloat(); ok {
 			numeric++
 		}
 	}

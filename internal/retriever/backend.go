@@ -93,27 +93,24 @@ func (s *shard) deleteBatch(ids []string) int {
 // index halves' published views and the sync.Map document store; mutators
 // rely on the shard's writer mutex.
 type memoryBackend struct {
-	vec   *hnsw.Index
-	lex   *bm25.Index
-	byID  sync.Map // string → docs.Document
-	live  atomic.Int64
-	dim   int
-	seed  int64
-	quant bool
+	vec  *hnsw.Index
+	lex  *bm25.Index
+	byID sync.Map // string → docs.Document
+	live atomic.Int64
+	dim  int
+	seed int64
 }
 
 // newMemoryBackend creates an empty in-memory shard. seed fixes the HNSW
 // level generator so equal ingest sequences build equal graphs; st is the
 // retriever-wide BM25 statistics object shared by every shard (nil gives
-// the shard a private one); quant enables the int8 quantized HNSW query
-// path (the graph itself is identical either way).
-func newMemoryBackend(dim int, seed int64, st *bm25.Stats, quant bool) *memoryBackend {
+// the shard a private one).
+func newMemoryBackend(dim int, seed int64, st *bm25.Stats) *memoryBackend {
 	return &memoryBackend{
-		vec:   hnsw.New(dim, hnsw.Config{Seed: seed, Quantize: quant}),
-		lex:   bm25.NewWithStats(bm25.Params{}, st),
-		dim:   dim,
-		seed:  seed,
-		quant: quant,
+		vec:  hnsw.New(dim, hnsw.Config{Seed: seed}),
+		lex:  bm25.NewWithStats(bm25.Params{}, st),
+		dim:  dim,
+		seed: seed,
 	}
 }
 

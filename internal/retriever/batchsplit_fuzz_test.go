@@ -235,13 +235,13 @@ func FuzzBatchSplit(f *testing.F) {
 		dir := t.TempDir()
 		stA, stB := bm25.NewStats(), bm25.NewStats()
 		log, err := openDiskBackend(filepath.Join(dir, "shard.seg"), filepath.Join(dir, "shard.snap"),
-			splitDim, 1, stA, false, newGroupCommit(0, 0), compactionOff)
+			splitDim, 1, stA, newGroupCommit(0, 0), compactionOff)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer log.Close()
 		a := &shard{mem: log.mem, log: log}
-		b := &shard{mem: newMemoryBackend(splitDim, 1, stB, false)}
+		b := &shard{mem: newMemoryBackend(splitDim, 1, stB)}
 		ra := applySplit(t, a, ops, cut)
 		rb := applySplit(t, b, ops, one)
 		if ra != rb {
@@ -258,7 +258,7 @@ func FuzzBatchSplit(f *testing.F) {
 		}
 		defer seg.Close()
 		stR := bm25.NewStats()
-		replayed := newMemoryBackend(splitDim, 1, stR, false)
+		replayed := newMemoryBackend(splitDim, 1, stR)
 		if _, err := seg.Seek(segHeaderSize, io.SeekStart); err != nil {
 			t.Fatal(err)
 		}
@@ -272,7 +272,7 @@ func FuzzBatchSplit(f *testing.F) {
 			t.Fatal(err)
 		}
 		stS := bm25.NewStats()
-		loaded, water, recs, err := loadSnapshot(log.snapPath, log.gen, log.segSize, splitDim, 1, stS, false)
+		loaded, water, recs, err := loadSnapshot(log.snapPath, log.gen, log.segSize, splitDim, 1, stS)
 		if err != nil || water != log.segSize || recs != log.records {
 			t.Fatalf("snapshot load: watermark %d, %d records, %v; segment holds %d bytes, %d records", water, recs, err, log.segSize, log.records)
 		}

@@ -248,7 +248,7 @@ func (r *Retriever) compactOnce(s *shard, maxStall *time.Duration, last bool) (s
 	// private Stats (nil here): the live documents' contributions are
 	// already in the shared Stats object, and AdoptFrom re-points the
 	// adopted view at it, so the rebuild must not count them again.
-	shadow := newMemoryBackend(live.dim, live.seed, nil, live.quant)
+	shadow := newMemoryBackend(live.dim, live.seed, nil)
 	tmp := db.path + ".tmp"
 	tf, err := os.Create(tmp)
 	if err != nil {

@@ -206,9 +206,8 @@ type diskBackend struct {
 // loaded and only records past its high-water mark are replayed;
 // otherwise the full log is replayed. A trailing torn record or a
 // CRC-mismatching record — the signatures of a crash mid-write — truncate
-// the log at the last whole record rather than failing the open. quant
-// selects the int8 quantized HNSW query path for the shard's index.
-func openDiskBackend(path, snapPath string, dim int, seed int64, st *bm25.Stats, quant bool, gc *groupCommit, compactRatio float64) (*diskBackend, error) {
+// the log at the last whole record rather than failing the open.
+func openDiskBackend(path, snapPath string, dim int, seed int64, st *bm25.Stats, gc *groupCommit, compactRatio float64) (*diskBackend, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
@@ -246,11 +245,11 @@ func openDiskBackend(path, snapPath string, dim int, seed int64, st *bm25.Stats,
 		}
 	}
 
-	mem := newMemoryBackend(dim, seed, st, quant)
+	mem := newMemoryBackend(dim, seed, st)
 	water := int64(segHeaderSize)
 	var recs int64
 	repairSnap := false
-	if snapMem, snapWater, snapRecs, serr := loadSnapshot(snapPath, gen, size, dim, seed, st, quant); serr == nil {
+	if snapMem, snapWater, snapRecs, serr := loadSnapshot(snapPath, gen, size, dim, seed, st); serr == nil {
 		mem, water, recs = snapMem, snapWater, snapRecs
 	} else if !os.IsNotExist(serr) {
 		// A snapshot exists but is unusable (torn tail, CRC mismatch,

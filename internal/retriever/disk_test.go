@@ -132,6 +132,51 @@ func TestSnapshotReplayParity(t *testing.T) {
 	}
 }
 
+// TestQuantizedParity: the int8 search tier is deterministic across
+// storage modes — for each shard count, int8 arenas rebuilt from the
+// float32 ones at snapshot load, rebuilt by a full segment replay, or
+// built in memory from the same corpus all answer identically.
+func TestQuantizedParity(t *testing.T) {
+	n := 120
+	if !testing.Short() {
+		n = 400
+	}
+	for _, shards := range []int{1, 4, 8} {
+		dir := t.TempDir()
+		tables := buildDiskIndex(t, dir, n, shards)
+
+		mem := New(WithShards(shards))
+		if err := mem.IndexTables(context.Background(), tables); err != nil {
+			t.Fatal(err)
+		}
+
+		open := func(name string) map[string][]docs.Document {
+			r, err := Open(WithBackend(Disk), WithDir(dir))
+			if err != nil {
+				t.Fatalf("%d shards %s open: %v", shards, name, err)
+			}
+			defer r.Close()
+			res := make(map[string][]docs.Document)
+			for _, q := range parityQueries {
+				res[q] = mustSearch(t, r, q, 10)
+			}
+			return res
+		}
+
+		snapRes := open("snapshot")
+		for _, f := range shardFiles(t, dir, ".snap") {
+			os.Remove(f)
+		}
+		replayRes := open("replay")
+
+		for _, q := range parityQueries {
+			assertSameResults(t, fmt.Sprintf("%d shards replay-vs-snapshot %q", shards, q), replayRes[q], snapRes[q])
+			assertSameResults(t, fmt.Sprintf("%d shards memory-vs-snapshot %q", shards, q), mustSearch(t, mem, q, 10), snapRes[q])
+		}
+		mem.Close()
+	}
+}
+
 // TestSnapshotSkipsReplayAboveWatermark verifies the incremental path:
 // records appended after the last snapshot are replayed on top of the
 // bulk-loaded state.
@@ -266,6 +311,90 @@ func TestSnapshotVersionMismatchRebuilds(t *testing.T) {
 	}
 }
 
+// TestOpenQuantizedIndexByReplay opens an index directory written by an
+// older build with quantization switched on (testdata/quantized-index/idx:
+// the 24 CSVs beside it, ingested by `pneuma-index -backend disk -shards 2
+// -quantize`), whose snapshots carry int8 arenas. Each snapshot is
+// rejected, each shard is rebuilt by replaying its log, and the index then
+// answers every query exactly like a fresh memory build of the same CSVs;
+// after Close the rewritten snapshots load and answer the same again.
+func TestOpenQuantizedIndexByReplay(t *testing.T) {
+	const fixture = "testdata/quantized-index"
+	dir := t.TempDir()
+	files, err := os.ReadDir(filepath.Join(fixture, "idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(filepath.Join(fixture, "idx", f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f.Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loadShardSnapshots := func() []error {
+		var errs []error
+		for _, snap := range shardFiles(t, dir, ".snap") {
+			seg, err := os.ReadFile(strings.TrimSuffix(snap, ".snap") + ".seg")
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := binary.LittleEndian.Uint64(seg[8:16])
+			_, _, _, err = loadSnapshot(snap, gen, int64(len(seg)), embed.New().Dim(), hnswSeed, bm25.NewStats())
+			errs = append(errs, err)
+		}
+		return errs
+	}
+	old := loadShardSnapshots()
+	if len(old) != 2 {
+		t.Fatalf("fixture holds %d snapshots, want 2", len(old))
+	}
+	for i, err := range old {
+		if err == nil || !strings.Contains(err.Error(), "int8") {
+			t.Fatalf("fixture snapshot %d: err = %v, want an int8 rejection", i, err)
+		}
+	}
+
+	corpus, err := table.LoadDir(filepath.Join(fixture, "csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := make([]*table.Table, 0, len(corpus))
+	for _, tb := range corpus {
+		tables = append(tables, tb)
+	}
+	sort.Slice(tables, func(i, j int) bool { return tables[i].Schema.Name < tables[j].Schema.Name })
+	fresh := New(WithShards(2))
+	defer fresh.Close()
+	if err := fresh.IndexTables(context.Background(), tables); err != nil {
+		t.Fatal(err)
+	}
+	queries := append([]string{"potassium in soil samples", "glacier mass balance", "tariff duty"}, parityQueries...)
+
+	for _, pass := range []string{"replay", "rewritten snapshot"} {
+		r, err := Open(WithBackend(Disk), WithDir(dir))
+		if err != nil {
+			t.Fatalf("%s: %v", pass, err)
+		}
+		if r.Len() != len(tables) {
+			t.Fatalf("%s: Len = %d, want %d", pass, r.Len(), len(tables))
+		}
+		for _, q := range queries {
+			assertSameResults(t, fmt.Sprintf("%s %q", pass, q), mustSearch(t, fresh, q, 10), mustSearch(t, r, q, 10))
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for i, err := range loadShardSnapshots() {
+			if err != nil {
+				t.Fatalf("after %s: snapshot %d: %v", pass, i, err)
+			}
+		}
+	}
+}
+
 // TestSnapshotSectionsDisagreeKeepsStats pins the restore guarantee
 // AttachStats carries: a shard snapshot whose every section parses but
 // whose document store holds one document fewer than its index sections
@@ -286,7 +415,7 @@ func TestSnapshotSectionsDisagreeKeepsStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := binary.LittleEndian.Uint64(seg[8:16])
-	mem, _, _, err := loadSnapshot(snap, gen, int64(len(seg)), embed.New().Dim(), hnswSeed, bm25.NewStats(), false)
+	mem, _, _, err := loadSnapshot(snap, gen, int64(len(seg)), embed.New().Dim(), hnswSeed, bm25.NewStats())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +442,7 @@ func TestSnapshotSectionsDisagreeKeepsStats(t *testing.T) {
 	if err := os.WriteFile(snap, w.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := loadSnapshot(snap, gen, int64(len(seg)), embed.New().Dim(), hnswSeed, bm25.NewStats(), false); err == nil || !strings.Contains(err.Error(), "sections disagree") {
+	if _, _, _, err := loadSnapshot(snap, gen, int64(len(seg)), embed.New().Dim(), hnswSeed, bm25.NewStats()); err == nil || !strings.Contains(err.Error(), "sections disagree") {
 		t.Fatalf("tampered snapshot: err = %v, want a section disagreement", err)
 	}
 
@@ -447,7 +576,7 @@ func TestReplayFramesStopsAtFirstBadFrame(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			seg := append(append([]byte(nil), first...), c.next...)
-			mem := newMemoryBackend(dim, 1, nil, false)
+			mem := newMemoryBackend(dim, 1, nil)
 			n, recs, err := replayFrames(bytes.NewReader(seg), mem)
 			if err != nil {
 				t.Fatal(err)

@@ -18,7 +18,9 @@
 // included, exactly as n batches of one would.
 // Search fans out to every shard concurrently and merges the per-shard
 // candidate lists deterministically (score descending, document ID
-// ascending) before rank fusion.
+// ascending) before rank fusion. Each shard's vector half walks its HNSW
+// graph on int8 codes and rescores the finalists in exact float32 (see
+// pneuma/internal/hnsw); there is no option to walk the float32 arena.
 //
 // # Backends
 //
@@ -62,7 +64,8 @@
 //
 // Snapshot files (shard-NNNN.snap) serialize the built shard state — the
 // document store, the HNSW struct-of-arrays (vector arena, id/level/
-// tombstone/norm slices, adjacency lists, level-generator position) and
+// tombstone/norm slices, adjacency lists, level-generator position; the
+// int8 codes are not stored but rebuilt from the vector arena at load) and
 // the BM25 document table with term-wise postings — under a header
 // carrying the snapshot version, the segment generation it belongs to,
 // the covered record count and the high-water mark (segment byte offset
@@ -74,7 +77,9 @@
 // records past the high-water mark — O(read) instead of O(rebuild). Every
 // failure degrades toward the segment log, never toward wrong state: a
 // torn or checksum-failing snapshot, a snapshot from a different version,
-// or one whose generation does not match the segment falls back to a full
+// one whose HNSW section carries int8 arenas (written by older builds with
+// quantization switched on) or one whose generation does not match the
+// segment falls back to a full
 // replay (and the snapshot is rewritten so the next open is fast again);
 // a torn segment tail or a mid-segment CRC mismatch truncates the log at
 // the last whole record — boundaries after damage cannot be trusted, so

@@ -2,58 +2,12 @@ package retriever
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"pneuma/internal/docs"
 )
-
-// TestQuantizedParity: the int8 speed tier is deterministic across
-// storage modes — for each shard count, quantized arenas restored from a
-// snapshot, rebuilt by a full segment replay, or built in memory from the
-// same corpus all answer identically.
-func TestQuantizedParity(t *testing.T) {
-	n := 120
-	if !testing.Short() {
-		n = 400
-	}
-	for _, shards := range []int{1, 4, 8} {
-		dir := t.TempDir()
-		tables := buildDiskIndex(t, dir, n, shards, WithQuantize(true))
-
-		mem := New(WithShards(shards), WithQuantize(true))
-		if err := mem.IndexTables(context.Background(), tables); err != nil {
-			t.Fatal(err)
-		}
-
-		open := func(name string) map[string][]docs.Document {
-			r, err := Open(WithBackend(Disk), WithDir(dir), WithQuantize(true))
-			if err != nil {
-				t.Fatalf("%d shards %s open: %v", shards, name, err)
-			}
-			defer r.Close()
-			res := make(map[string][]docs.Document)
-			for _, q := range parityQueries {
-				res[q] = mustSearch(t, r, q, 10)
-			}
-			return res
-		}
-
-		snapRes := open("snapshot")
-		for _, f := range shardFiles(t, dir, ".snap") {
-			os.Remove(f)
-		}
-		replayRes := open("replay")
-
-		for _, q := range parityQueries {
-			assertSameResults(t, fmt.Sprintf("%d shards replay-vs-snapshot %q", shards, q), replayRes[q], snapRes[q])
-			assertSameResults(t, fmt.Sprintf("%d shards memory-vs-snapshot %q", shards, q), mustSearch(t, mem, q, 10), snapRes[q])
-		}
-		mem.Close()
-	}
-}
 
 // TestGroupCommitBatchesFsyncs is the group-commit win: many writers,
 // each record individually durable within the latency bound, must share

@@ -97,18 +97,3 @@ func BenchmarkHybridSearch(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkHybridSearchQuantized is BenchmarkHybridSearch with the int8
-// speed tier on: same corpus and query, traversal on the quantized arena
-// plus the exact rescoring pass. Compare against BenchmarkHybridSearch
-// for the tier's end-to-end cost delta.
-func BenchmarkHybridSearchQuantized(b *testing.B) {
-	r := perfCorpus(b, WithQuantize(true))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Search(context.Background(), "nitrate water quality", 5); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -85,9 +85,6 @@ type Retriever struct {
 	syncBytes    int64
 	syncInterval time.Duration
 	compactRatio float64
-	// quantize enables the int8 speed tier on every shard's HNSW index
-	// (see WithQuantize); honoured by both backends.
-	quantize bool
 	// gc is the group-commit coordinator (nil when no sync policy is
 	// configured); its flusher goroutine runs from Open to Close.
 	gc *groupCommit
@@ -210,19 +207,6 @@ func WithSyncInterval(d time.Duration) Option {
 	}
 }
 
-// WithQuantize toggles the int8 speed tier (default off). When on, every
-// shard's HNSW index keeps a scalar-quantized int8 copy of the vector
-// arena and runs graph traversal against it — 4× less memory bandwidth
-// per distance — then rescores the top candidates with exact float32
-// arithmetic, so returned scores and ordering are computed at full
-// precision. Graph construction always uses float32: the graph is
-// identical with the knob on or off, and an existing disk index can be
-// reopened with a different setting. See pneuma/internal/hnsw for the
-// quantization scheme and accuracy characteristics.
-func WithQuantize(on bool) Option {
-	return func(r *Retriever) { r.quantize = on }
-}
-
 // Open creates a retriever, loading any existing index when the Disk
 // backend points at a directory with persisted segments. This is the
 // error-returning constructor; New is the panicking convenience wrapper
@@ -244,7 +228,7 @@ func Open(opts ...Option) (*Retriever, error) {
 	case Memory:
 		r.shards = make([]*shard, r.numShards)
 		for i := range r.shards {
-			r.shards[i] = &shard{mem: newMemoryBackend(r.emb.Dim(), hnswSeed+int64(i), r.stats, r.quantize)}
+			r.shards[i] = &shard{mem: newMemoryBackend(r.emb.Dim(), hnswSeed+int64(i), r.stats)}
 		}
 	case Disk:
 		if r.dir == "" {
@@ -296,7 +280,7 @@ func Open(opts ...Option) (*Retriever, error) {
 				t0 := time.Now()
 				seg := filepath.Join(r.dir, fmt.Sprintf("shard-%04d.seg", i))
 				snap := filepath.Join(r.dir, fmt.Sprintf("shard-%04d.snap", i))
-				logs[i], errs[i] = openDiskBackend(seg, snap, r.emb.Dim(), hnswSeed+int64(i), r.stats, r.quantize, r.gc, r.compactRatio)
+				logs[i], errs[i] = openDiskBackend(seg, snap, r.emb.Dim(), hnswSeed+int64(i), r.stats, r.gc, r.compactRatio)
 				durs[i] = time.Since(t0)
 			}(i)
 		}
@@ -487,9 +471,8 @@ func (r *Retriever) Version() uint64 { return r.version.Load() }
 
 // ArenaBytes returns the total bytes held by the float32 vector arenas
 // and by the int8 quantized arenas (including their per-vector scale,
-// offset and sum arrays) across all shards. The int8 total is 0 unless
-// WithQuantize is on, where their ratio is the memory cost of the speed
-// tier. The referee in benchmark/ reads the float32 total as
+// offset and sum arrays) across all shards; their ratio is the memory
+// cost of walking int8 codes. The referee in benchmark/ reads the float32 total as
 // retriever.arena_mb.
 func (r *Retriever) ArenaBytes() (float32Bytes, int8Bytes int64) {
 	for _, s := range r.shards {

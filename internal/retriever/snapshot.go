@@ -117,7 +117,7 @@ func (b *diskBackend) writeSnapshot() error {
 // watermark past the segment's size — returns a descriptive error, and
 // the caller falls back to a full replay (and rewrites the snapshot). The
 // shared Stats object is only mutated if the entire snapshot parses.
-func loadSnapshot(snapPath string, expectGen uint64, segSize int64, dim int, seed int64, st *bm25.Stats, quant bool) (mem *memoryBackend, water, records int64, err error) {
+func loadSnapshot(snapPath string, expectGen uint64, segSize int64, dim int, seed int64, st *bm25.Stats) (mem *memoryBackend, water, records int64, err error) {
 	raw, err := os.ReadFile(snapPath)
 	if err != nil {
 		return nil, 0, 0, err
@@ -171,7 +171,7 @@ func loadSnapshot(snapPath string, expectGen uint64, segSize int64, dim int, see
 	// one is only touched (via AttachStats) once every section has
 	// validated, so a bad snapshot cannot leak document frequencies into
 	// the corpus totals before the caller falls back to a replay.
-	mem = newMemoryBackend(dim, seed, nil, quant)
+	mem = newMemoryBackend(dim, seed, nil)
 	if err := mem.vec.LoadSnapshot(rd); err != nil {
 		return nil, 0, 0, fmt.Errorf("snapshot %s: %w", snapPath, err)
 	}

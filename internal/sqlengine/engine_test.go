@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"pneuma/internal/racebuild"
 	"pneuma/internal/table"
 	"pneuma/internal/value"
 )
@@ -576,5 +577,37 @@ func TestRegisterDropNames(t *testing.T) {
 	e.Register(tb)
 	if _, ok := e.Table("t1"); !ok {
 		t.Fatal("case-insensitive lookup failed")
+	}
+}
+
+// TestWhereAllocsFlatInRows holds that a WHERE filter keeps its survivors'
+// row headers in one slice of exactly their size: a filtered SELECT makes
+// as many allocations over 10 rows as over 10 000.
+func TestWhereAllocsFlatInRows(t *testing.T) {
+	if racebuild.Enabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	sel, err := Parse(`SELECT a, x FROM t WHERE k = 0`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int) float64 {
+		tb := table.New(table.Schema{Name: "t", Columns: []table.Column{
+			{Name: "k", Type: value.KindInt}, {Name: "a", Type: value.KindString}, {Name: "x", Type: value.KindFloat},
+		}})
+		for i := 0; i < n; i++ {
+			tb.MustAppend(table.Row{value.Int(int64(i % 2)), value.String("site"), value.Float(float64(i))})
+		}
+		e := NewEngine()
+		e.Register(tb)
+		return testing.AllocsPerRun(10, func() {
+			out, err := e.Exec(sel)
+			if err != nil || out.NumRows() != n/2 {
+				t.Fatalf("filter of %d rows: %v, %d rows", n, err, out.NumRows())
+			}
+		})
+	}
+	if small, large := allocs(10), allocs(10_000); small != large {
+		t.Errorf("a filtered SELECT allocates %v times over 10 rows, %v over 10 000", small, large)
 	}
 }

@@ -79,21 +79,38 @@ func (ex *executor) execSingle(sel *Select) (table.Schema, []table.Row, error) {
 		rel = relation{frame: &frame{}, width: 1, rows: []table.Row{nil}}
 	}
 
-	// WHERE.
+	// WHERE. Verdicts first, then the survivors' headers in one slice of
+	// exactly their size: rel.rows may alias a base table's Stored(), so
+	// the filter never compacts it in place.
 	if sel.Where != nil {
-		var kept []table.Row
+		pass := make([]bool, rel.len())
+		n := 0
 		en := env{frame: rel.frame}
-		for i := 0; i < rel.len(); i++ {
+		for i := range pass {
 			en.tuple = rel.tuple(i)
 			v, err := en.eval(sel.Where)
 			if err != nil {
 				return table.Schema{}, nil, err
 			}
 			if triOf(v) == triTrue {
-				kept = append(kept, en.tuple...)
+				pass[i] = true
+				n++
 			}
 		}
-		rel.rows = kept
+		switch n {
+		case 0:
+			rel.rows = nil
+		case len(pass):
+			// Every tuple survives: rel.rows is already the result.
+		default:
+			kept := make([]table.Row, 0, n*rel.width)
+			for i, ok := range pass {
+				if ok {
+					kept = append(kept, rel.tuple(i)...)
+				}
+			}
+			rel.rows = kept
+		}
 	}
 
 	// Expand stars in the select list against the input frame.

@@ -1,7 +1,7 @@
 // Package vecmath provides the small float32 vector kernels used by the
 // embedder and the HNSW index — dot product, norms, cosine similarity,
-// squared Euclidean distance — plus the int8 dot product behind the
-// quantized speed tier, each in single-pair and batched-arena form.
+// squared Euclidean distance — plus the int8 dot product every HNSW query
+// walks the graph with, each in single-pair and batched-arena form.
 //
 // # Tiers
 //

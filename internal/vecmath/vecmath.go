@@ -144,7 +144,7 @@ func CosineWithNorms(a, b []float32, na, nb float32) float32 {
 }
 
 // DotInt8 returns the dot product of two int8 vectors, accumulating in
-// int32. It is the scoring kernel of the quantized HNSW fast path: with
+// int32. It is the scoring kernel of every HNSW query's graph walk: with
 // components in [-127, 127] the accumulator is exact for any dimension up
 // to 2^31/127^2 (≈133k), far beyond any embedding width here, so the
 // result is bit-identical across every implementation. It follows the

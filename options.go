@@ -91,12 +91,6 @@ func WithSyncBytes(n int64) Option { return index(retriever.WithSyncBytes(n)) }
 // durability to Flush/Close); see retriever.WithSyncInterval.
 func WithSyncInterval(d time.Duration) Option { return index(retriever.WithSyncInterval(d)) }
 
-// WithQuantize toggles the table index's int8 speed tier (default off):
-// vector search traverses int8 vectors and rescores finalists in exact
-// float32, so returned scores and ordering stay full precision. See
-// retriever.WithQuantize.
-func WithQuantize(on bool) Option { return index(retriever.WithQuantize(on)) }
-
 // WithMaxConcurrent bounds how many requests (Send and Search calls
 // across all sessions) execute simultaneously; excess requests queue and
 // are admitted as slots free, or leave the queue when their context is

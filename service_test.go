@@ -386,12 +386,6 @@ func TestIndexOptionsReachRetriever(t *testing.T) {
 					t.Errorf("NumShards = %d, want 3", got)
 				}
 			}},
-		{"WithQuantize", false, pneuma.WithQuantize(true),
-			func(t *testing.T, svc *pneuma.Service, _ string) {
-				if _, i8 := svc.Seeker().IR().Tables.ArenaBytes(); i8 == 0 {
-					t.Error("int8 arena is empty under WithQuantize(true)")
-				}
-			}},
 		{"WithBackend+WithIndexDir", true, nil,
 			func(t *testing.T, svc *pneuma.Service, dir string) {
 				ret := svc.Seeker().IR().Tables
