@@ -21,14 +21,15 @@ DOC_PKGS = ./internal/retriever ./internal/ir ./internal/embed ./internal/bm25 .
 # unprofiled corpus, the session memo and the shared profile cache,
 # cancellation fan-out, disk-backend sessions, the live-ingest churn soak,
 # background compaction under churn, Close handing a due compaction to the
-# flusher), and a 10-second fuzz pass over each binary decoder, over the
+# flusher, a huge-k Search's bytes), and a 10-second fuzz pass over each binary decoder, over the
 # search reply encoder (against encoding/json), over the shard write
 # path (a batch of n against n batches of one), over BM25 search and
 # statistics (against a naive scan of the live documents), over the SQL
 # hash join (against a nested loop evaluating = on every pair), over the
 # embedder's token walker (against the allocating Embed and
-# NormalizeTokens it replaced) and over AsFloat's string screen (against
-# strconv.ParseFloat).
+# NormalizeTokens it replaced), over AsFloat's string screen (against
+# strconv.ParseFloat) and over column-vector tables (against a row-major
+# reference).
 verify: fmt-check vet asmvet xbuild-arm64 xbuild-other tier1 tier1-scalar docs serve-smoke race-smoke fuzz-smoke
 
 fmt-check:
@@ -103,19 +104,22 @@ race:
 # soak (readers pinned on epoch views while a mutator streams batched
 # adds/deletes/flushes, with quiesce parity against a sequential
 # replay), exercises background compaction racing a paced ingest stream
-# and Close racing a due compaction, and checks the goroutine-leak guard
+# and Close racing a due compaction, holds a huge-k Search to the bytes of
+# k = Len(), and checks the goroutine-leak guard
 # — the serving paths a sequential test run never stresses.
 race-smoke:
-	$(GO) test -race -short -count=1 -run 'TestService|TestMaterializeMemo|TestBuildProfileConcurrent|TestSearchCanceled|TestIndexDocumentsCanceled|TestQueryPartial|TestQueryCanceled|TestDiskConcurrent|TestChurn|TestBackgroundCompaction|TestCloseCompactsDueShard' . ./internal/core/ ./internal/table/ ./internal/retriever/ ./internal/ir/
+	$(GO) test -race -short -count=1 -run 'TestService|TestMaterializeMemo|TestBuildProfileConcurrent|TestSearchCanceled|TestIndexDocumentsCanceled|TestQueryPartial|TestQueryCanceled|TestDiskConcurrent|TestChurn|TestBackgroundCompaction|TestCloseCompactsDueShard|TestSearchHugeK' . ./internal/core/ ./internal/table/ ./internal/retriever/ ./internal/ir/
 	@echo "race-smoke: ok"
 
 # fuzz-smoke runs each native fuzz target (the two binary decoders, the
 # search reply encoder, the batch-split invariant of the shard write
 # path, BM25's bit identity with a naive scoring of its live documents
 # across adds, deletes, snapshots and adopts, the SQL hash join's
-# agreement with =, the embedder's bit identity with its reference, and
+# agreement with =, the embedder's bit identity with its reference,
 # FuzzAsFloatAgreesWithParseFloat: AsFloat's string screen against
-# strconv.ParseFloat) for 10 seconds —
+# strconv.ParseFloat, and FuzzTableMatchesRows: column-vector tables and
+# their Head, Project, WithColumn, Take and Append against a row-major
+# reference) for 10 seconds —
 # long enough to shake the mutator through the seed corpus's structural
 # neighborhood on every verify, short enough to keep the gate
 # interactive. Go allows
@@ -129,6 +133,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sqlengine/ -run '^$$' -fuzz '^FuzzJoinKeys$$' -fuzztime 10s
 	$(GO) test ./internal/embed/ -run '^$$' -fuzz '^FuzzEmbedMatchesReference$$' -fuzztime 10s
 	$(GO) test ./internal/value/ -run '^$$' -fuzz '^FuzzAsFloatAgreesWithParseFloat$$' -fuzztime 10s
+	$(GO) test ./internal/table/ -run '^$$' -fuzz '^FuzzTableMatchesRows$$' -fuzztime 10s
 	@echo "fuzz-smoke: ok"
 
 # bench runs the repo's benchmark once: every workload BENCHMARK.json

@@ -93,12 +93,12 @@ func checkDecl(fset *token.FileSet, file string, decl ast.Decl) []string {
 				return nil
 			}
 			if d.Doc == nil {
-				report(d.Pos(), fmt.Sprintf("method (%s).%s", base, d.Name.Name))
+				report(d.Type.Func, fmt.Sprintf("method (%s).%s", base, d.Name.Name))
 			}
 			return missing
 		}
 		if d.Doc == nil {
-			report(d.Pos(), "func "+d.Name.Name)
+			report(d.Type.Func, "func "+d.Name.Name)
 		}
 	case *ast.GenDecl:
 		// A comment on the block documents every spec inside it.
@@ -107,7 +107,7 @@ func checkDecl(fset *token.FileSet, file string, decl ast.Decl) []string {
 			switch s := spec.(type) {
 			case *ast.TypeSpec:
 				if s.Name.IsExported() && !blockDocumented && s.Doc == nil {
-					report(s.Pos(), "type "+s.Name.Name)
+					report(s.Name.NamePos, "type "+s.Name.Name)
 				}
 			case *ast.ValueSpec:
 				if blockDocumented || s.Doc != nil || s.Comment != nil {
@@ -115,7 +115,7 @@ func checkDecl(fset *token.FileSet, file string, decl ast.Decl) []string {
 				}
 				for _, n := range s.Names {
 					if n.IsExported() {
-						report(n.Pos(), "const/var "+n.Name)
+						report(n.NamePos, "const/var "+n.Name)
 					}
 				}
 			}

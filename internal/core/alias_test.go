@@ -126,16 +126,18 @@ func envDocs(env map[string]*table.Table, names ...string) []docs.Document {
 }
 
 // materializeAllocBudget caps what one materialization may allocate, as a
-// multiple of the bytes its output table holds (row index + cells). The plan
-// below — base → join → parse_dates → interpolate → project over two
-// Environment tables, 11.7k rows, 19 columns after the join — measures 18.2×
-// with row sharing: the join's combined and then projected rows, one copied
-// row per parsed date, one per interpolated NULL, the projection. It measured
-// 27.5× when base, join and interpolate deep-copied the tables they were
-// handed (2.3×, 2.4× and 4.4×). The budget is the measured 18.2 + 20%: a copy
-// of the joined table, or of both join inputs, fails here rather than waiting
-// for the benchmark. (The base table's copy alone fits inside the margin.)
-const materializeAllocBudget = 21.8
+// multiple of the bytes a row-major copy of its output would hold (row
+// headers + 32-byte cells). The plan below — base → join → parse_dates →
+// interpolate → project over two Environment tables, 11.7k rows, 19 columns
+// after the join — measured 27.5× when base, join and interpolate
+// deep-copied the tables they were handed, 18.2× with row sharing and 10.0×
+// once a projection was a header. With column vectors it measures 1.72×:
+// the join's row numbers and its typed select-list columns, one rebuilt
+// column each for the parsed dates and the interpolated values, and a
+// projection that copies no cell. The budget is the measured 1.72 + 20%: a
+// copy of the joined table, or of both join inputs, fails here rather than
+// waiting for the benchmark.
+const materializeAllocBudget = 2.1
 
 func TestMaterializeAllocsWithinBudget(t *testing.T) {
 	env := kramabench.Environment()

@@ -120,18 +120,12 @@ func encodeDoc(w *wire.Writer, d docs.Document) {
 		w.String(c.Unit)
 	}
 	w.Uvarint(uint64(t.NumRows()))
-	// Total cell count lets the decoder back all rows with one arena
-	// allocation instead of one slice per row.
-	cells := 0
+	// Total cell count lets the decoder size every column once.
+	w.Uvarint(uint64(t.NumRows() * t.NumCols()))
 	for r := range t.NumRows() {
-		cells += len(t.Row(r))
-	}
-	w.Uvarint(uint64(cells))
-	for r := range t.NumRows() {
-		row := t.Row(r)
-		w.Uvarint(uint64(len(row)))
-		for _, v := range row {
-			encodeValue(w, v)
+		w.Uvarint(uint64(t.NumCols()))
+		for c := range t.NumCols() {
+			encodeValue(w, t.At(r, c))
 		}
 	}
 }
@@ -176,25 +170,25 @@ func decodeDoc(r *wire.Reader, id string) (docs.Document, error) {
 	if nrows > r.Remaining() || cells > r.Remaining() {
 		return d, fmt.Errorf("retriever: doc %q claims %d rows / %d cells in %d bytes", id, nrows, cells, r.Remaining())
 	}
-	// All rows are capacity-limited windows into one arena; a later append
-	// to an individual row copies out instead of stomping its neighbour.
-	arena := make([]value.Value, 0, cells)
-	rows := make([]table.Row, 0, nrows)
+	// Each row's cells go to their columns' builders; a row must hold one
+	// cell per column, so the claimed cells bound every column's size.
+	cols := make([]table.ColumnBuilder, ncols)
+	for c := range cols {
+		cols[c].Grow(min(nrows, cells/ncols))
+	}
 	for i := 0; i < nrows; i++ {
 		arity := int(r.Uvarint())
-		if arity > r.Remaining() || len(arena)+arity > cap(arena) {
+		if arity != ncols || cells < ncols*(i+1) {
 			return d, fmt.Errorf("retriever: doc %q row %d claims %d cells in %d bytes", id, i, arity, r.Remaining())
 		}
-		start := len(arena)
 		for j := 0; j < arity; j++ {
 			v, err := decodeValue(r)
 			if err != nil {
 				return d, err
 			}
-			arena = append(arena, v)
+			cols[j].Append(v)
 		}
-		rows = append(rows, table.Row(arena[start:len(arena):len(arena)]))
 	}
-	d.Table = table.FromRows(schema, rows)
+	d.Table = table.FromColumns(schema, cols)
 	return d, r.Err()
 }

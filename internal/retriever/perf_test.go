@@ -67,20 +67,26 @@ func TestSearchAllocsWithinBudget(t *testing.T) {
 func TestSearchHugeK(t *testing.T) {
 	r := perfCorpus(t, WithShards(4))
 	n := r.Len()
+	// allocated is the least TotalAlloc growth over several calls: a race
+	// build's sync.Pool drops pooled scratch at random, so a single call
+	// may pay a refill another does not.
 	allocated := func(k int) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		out, err := r.Search(context.Background(), "nitrate water quality", k)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			out, err := r.Search(context.Background(), "nitrate water quality", k)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) != n {
+				t.Fatalf("Search(k=%d) returned %d documents, want Len() = %d", k, len(out), n)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
-		if len(out) != n {
-			t.Fatalf("Search(k=%d) returned %d documents, want Len() = %d", k, len(out), n)
-		}
-		return after.TotalAlloc - before.TotalAlloc
+		return least
 	}
-	allocated(n) // warm the pooled scratch
 	base := allocated(n)
 	if huge := allocated(math.MaxInt); huge > 2*base {
 		t.Fatalf("Search(k=MaxInt) allocated %d bytes, k=Len() %d", huge, base)

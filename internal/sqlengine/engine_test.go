@@ -581,7 +581,7 @@ func TestRegisterDropNames(t *testing.T) {
 }
 
 // TestWhereAllocsFlatInRows holds that a WHERE filter keeps its survivors'
-// row headers in one slice of exactly their size: a filtered SELECT makes
+// row numbers in one slice of exactly their size: a filtered SELECT makes
 // as many allocations over 10 rows as over 10 000.
 func TestWhereAllocsFlatInRows(t *testing.T) {
 	if racebuild.Enabled {

@@ -16,212 +16,228 @@ type executor struct {
 	engine *Engine
 }
 
-// relation is an intermediate result: a frame over tuples of source rows. A
-// tuple is width rows laid end to end in rows, one row per joined source, so
-// scans, filters and joins move row headers and never write a cell.
+// relation is an intermediate result: a frame over tuples of source row
+// numbers. A tuple is width int32 row numbers, one per joined source, laid
+// end to end in rows, so scans, filters and joins move row numbers and
+// never write a cell. A scan of one table has no rows: its tuple i is row i.
 type relation struct {
 	frame *frame
 	width int
-	rows  []table.Row
+	n     int
+	rows  []int32
 }
 
-// len returns the number of tuples.
-func (r relation) len() int { return len(r.rows) / r.width }
-
-// tuple returns tuple i.
-func (r relation) tuple(i int) []table.Row { return r.rows[i*r.width : (i+1)*r.width : (i+1)*r.width] }
+// tuple returns tuple i; a scan writes it into buf, of length 1.
+func (r relation) tuple(i int, buf []int32) []int32 {
+	if r.rows == nil {
+		buf[0] = int32(i)
+		return buf
+	}
+	return r.rows[i*r.width : (i+1)*r.width : (i+1)*r.width]
+}
 
 // nullTuple returns an all-NULL tuple of the relation's shape.
-func (r relation) nullTuple() []table.Row {
-	n := 0 // long enough for every position the frame reads
-	for _, c := range r.frame.cols {
-		n = max(n, c.pos+1)
-	}
-	return slices.Repeat([]table.Row{make(table.Row, n)}, r.width)
-}
+func (r relation) nullTuple() []int32 { return slices.Repeat([]int32{-1}, r.width) }
 
 func (ex *executor) execSelect(sel *Select) (*table.Table, error) {
-	schema, rows, err := ex.execSingle(sel)
-	if err != nil {
-		return nil, err
+	out, err := ex.execSingle(sel)
+	if err != nil || len(sel.Union) == 0 {
+		return out, err
 	}
+	arms := []*table.Table{out}
+	n := out.NumRows()
 	for _, arm := range sel.Union {
-		armSchema, armRows, err := ex.execSingle(arm)
+		t, err := ex.execSingle(arm)
 		if err != nil {
 			return nil, err
 		}
-		if len(armSchema.Columns) != len(schema.Columns) {
+		if t.NumCols() != out.NumCols() {
 			return nil, &EvalError{Msg: fmt.Sprintf(
 				"UNION ALL arms have different column counts: %d vs %d",
-				len(schema.Columns), len(armSchema.Columns))}
+				out.NumCols(), t.NumCols())}
 		}
-		for i := range schema.Columns {
-			schema.Columns[i].Type = value.UnifyKinds(
-				schema.Columns[i].Type, armSchema.Columns[i].Type)
+		for i := range out.Schema.Columns {
+			out.Schema.Columns[i].Type = value.UnifyKinds(
+				out.Schema.Columns[i].Type, t.Schema.Columns[i].Type)
 		}
-		rows = append(rows, armRows...)
+		arms = append(arms, t)
+		n += t.NumRows()
 	}
-	return table.FromRows(schema, rows), nil
+	cols := make([]table.ColumnBuilder, out.NumCols())
+	for c := range cols {
+		cols[c].Grow(n)
+		for _, t := range arms {
+			for r := range t.NumRows() {
+				cols[c].Append(t.At(r, c))
+			}
+		}
+	}
+	return table.FromColumns(out.Schema, cols), nil
 }
 
-// execSingle executes one SELECT without its union arms, returning the
-// result's schema and its rows in schema order.
-func (ex *executor) execSingle(sel *Select) (table.Schema, []table.Row, error) {
+// execSingle executes one SELECT without its union arms.
+func (ex *executor) execSingle(sel *Select) (*table.Table, error) {
 	var rel relation
 	if sel.From != nil {
 		r, err := ex.execFrom(sel.From)
 		if err != nil {
-			return table.Schema{}, nil, err
+			return nil, err
 		}
 		rel = r
 	} else {
 		// FROM-less SELECT evaluates over a single empty row.
-		rel = relation{frame: &frame{}, width: 1, rows: []table.Row{nil}}
+		rel = relation{frame: &frame{}, width: 1, n: 1}
 	}
 
-	// WHERE. Verdicts first, then the survivors' headers in one slice of
-	// exactly their size: rel.rows may alias a base table's Stored(), so
-	// the filter never compacts it in place.
+	// WHERE. Verdicts first, then the survivors' row numbers in one slice
+	// of exactly their size.
 	if sel.Where != nil {
-		pass := make([]bool, rel.len())
+		pass := make([]bool, rel.n)
 		n := 0
 		en := env{frame: rel.frame}
+		buf := make([]int32, 1)
 		for i := range pass {
-			en.tuple = rel.tuple(i)
+			en.tuple = rel.tuple(i, buf)
 			v, err := en.eval(sel.Where)
 			if err != nil {
-				return table.Schema{}, nil, err
+				return nil, err
 			}
 			if triOf(v) == triTrue {
 				pass[i] = true
 				n++
 			}
 		}
-		switch n {
-		case 0:
-			rel.rows = nil
-		case len(pass):
-			// Every tuple survives: rel.rows is already the result.
-		default:
-			kept := make([]table.Row, 0, n*rel.width)
+		if n < len(pass) {
+			kept := make([]int32, 0, n*rel.width)
 			for i, ok := range pass {
 				if ok {
-					kept = append(kept, rel.tuple(i)...)
+					kept = append(kept, rel.tuple(i, buf)...)
 				}
 			}
-			rel.rows = kept
+			rel.rows, rel.n = kept, n
 		}
 	}
 
 	// Expand stars in the select list against the input frame.
 	items, err := expandStars(sel.Items, rel.frame)
 	if err != nil {
-		return table.Schema{}, nil, err
+		return nil, err
 	}
 
 	// Rewrite ORDER BY aliases/ordinals to the underlying expressions.
 	orderBy, err := rewriteOrderBy(sel.OrderBy, items)
 	if err != nil {
-		return table.Schema{}, nil, err
+		return nil, err
 	}
 
 	// Detect grouping.
 	var aggCalls []*FuncCall
 	for _, it := range items {
 		if err := collectAggregates(it.Expr, &aggCalls); err != nil {
-			return table.Schema{}, nil, err
+			return nil, err
 		}
 	}
 	if sel.Having != nil {
 		if err := collectAggregates(sel.Having, &aggCalls); err != nil {
-			return table.Schema{}, nil, err
+			return nil, err
 		}
 	}
 	for _, o := range orderBy {
 		if err := collectAggregates(o.Expr, &aggCalls); err != nil {
-			return table.Schema{}, nil, err
+			return nil, err
 		}
 	}
 	grouped := len(sel.GroupBy) > 0 || len(aggCalls) > 0
 
-	var outRows []table.Row
+	var out *output
 	if grouped {
-		outRows, err = ex.execGrouped(sel, items, orderBy, rel, aggCalls)
+		out, err = ex.execGrouped(sel, items, orderBy, rel, aggCalls)
 	} else {
-		outRows, err = ex.execPlain(items, orderBy, rel)
+		out, err = ex.execPlain(items, orderBy, rel)
 	}
 	if err != nil {
-		return table.Schema{}, nil, err
+		return nil, err
 	}
-	cut := len(outRows)
+	res := out.table(outputNames(items))
 
-	// DISTINCT.
+	// pick lists the output rows kept, in order; nil keeps every row in
+	// evaluation order.
+	var pick []int32
+	if len(orderBy) > 0 {
+		pick = out.sorted(orderBy)
+	}
+	m := res.NumRows()
 	if sel.Distinct {
-		seen := make(map[string]struct{}, len(outRows))
-		dedup := outRows[:0]
+		seen := make(map[string]struct{}, m)
+		kept := make([]int32, 0, m)
+		row := make(table.Row, 0, res.NumCols())
 		var kb []byte
-		for _, row := range outRows {
+		for i := range m {
+			r := int32(i)
+			if pick != nil {
+				r = pick[i]
+			}
+			row = res.AppendRow(row[:0], int(r))
 			kb = appendGroupKey(kb[:0], row)
 			if _, dup := seen[string(kb)]; dup {
 				continue
 			}
 			seen[string(kb)] = struct{}{}
-			dedup = append(dedup, row)
+			kept = append(kept, r)
 		}
-		outRows = dedup
+		pick, m = kept, len(kept)
 	}
 
-	// LIMIT / OFFSET.
-	if sel.Offset > 0 {
-		if sel.Offset >= len(outRows) {
-			outRows = nil
-		} else {
-			outRows = outRows[sel.Offset:]
+	// OFFSET / LIMIT.
+	lo, hi := min(max(sel.Offset, 0), m), m
+	if sel.Limit >= 0 {
+		hi = min(hi, lo+sel.Limit)
+	}
+	if pick != nil || lo > 0 || hi < m {
+		if pick == nil {
+			pick = make([]int32, m)
+			for i := range pick {
+				pick[i] = int32(i)
+			}
 		}
-	}
-	if sel.Limit >= 0 && sel.Limit < len(outRows) {
-		outRows = outRows[:sel.Limit]
-	}
-	if 2*len(outRows) < cut {
-		// Few survivors: copy them out so they do not pin the whole slab.
-		outRows = (&output{cells: slices.Concat(outRows...)}).rows(len(items), nil)
+		res = res.Take(pick[lo:hi])
 	}
 
-	// Build the output table, inferring column types from the data.
-	outNames := outputNames(items)
-	schema := table.Schema{Name: "result"}
-	kinds := make([]value.Kind, len(outNames))
-	for _, row := range outRows {
-		for i, v := range row {
-			kinds[i] = value.UnifyKinds(kinds[i], v.Kind())
-		}
-	}
-	for i, name := range outNames {
-		k := kinds[i]
+	// Type the output columns from the cells they hold.
+	for c := range res.Schema.Columns {
+		k := res.CellKind(c)
 		if k == value.KindNull {
 			k = value.KindString
 		}
-		schema.Columns = append(schema.Columns, table.Column{Name: name, Type: k})
+		res.Schema.Columns[c].Type = k
 	}
-	return schema, outRows, nil
+	return res, nil
 }
 
-// output is a statement's select-list rows as they are evaluated: every
-// cell in one slab, every ORDER BY key in another.
-type output struct{ cells, keys []value.Value }
+// output is a statement's select list as it is evaluated: one column
+// builder per item, and every ORDER BY key in one slab.
+type output struct {
+	cols []table.ColumnBuilder
+	keys []value.Value
+	n    int
+}
 
 func newOutput(n int, items []SelectItem, orderBy []OrderItem) *output {
-	return &output{make([]value.Value, 0, n*len(items)), make([]value.Value, 0, n*len(orderBy))}
+	o := &output{cols: make([]table.ColumnBuilder, len(items)), keys: make([]value.Value, 0, n*len(orderBy))}
+	for i := range o.cols {
+		o.cols[i].Grow(n)
+	}
+	return o
 }
 
 // add evaluates the select list and the ORDER BY keys in en as the next row.
 func (o *output) add(en *env, items []SelectItem, orderBy []OrderItem) error {
-	for _, it := range items {
+	for i, it := range items {
 		v, err := en.eval(it.Expr)
 		if err != nil {
 			return err
 		}
-		o.cells = append(o.cells, v)
+		o.cols[i].Append(v)
 	}
 	for _, ob := range orderBy {
 		v, err := en.eval(ob.Expr)
@@ -230,63 +246,62 @@ func (o *output) add(en *env, items []SelectItem, orderBy []OrderItem) error {
 		}
 		o.keys = append(o.keys, v)
 	}
+	o.n++
 	return nil
 }
 
-// rows cuts width-wide rows from the cell slab, stably sorted by orderBy.
-// Each row is capacity-limited, so an append onto one copies it.
-func (o *output) rows(width int, orderBy []OrderItem) []table.Row {
-	n := len(o.cells) / width
-	if n == 0 {
-		return nil
+// table makes the evaluated rows a table named "result" with the given
+// column names.
+func (o *output) table(names []string) *table.Table {
+	schema := table.Schema{Name: "result", Columns: make([]table.Column, len(names))}
+	for i, name := range names {
+		schema.Columns[i].Name = name
 	}
-	out := make([]table.Row, n)
-	for i := range out {
-		out[i] = o.cells[i*width : (i+1)*width : (i+1)*width]
+	return table.FromColumns(schema, o.cols)
+}
+
+// sorted returns the row numbers stably sorted by their ORDER BY keys.
+func (o *output) sorted(orderBy []OrderItem) []int32 {
+	kw := len(orderBy)
+	perm := make([]int32, o.n)
+	for i := range perm {
+		perm[i] = int32(i)
 	}
-	if kw := len(orderBy); kw > 0 {
-		perm := make([]int, n)
-		for i := range perm {
-			perm[i] = i
-		}
-		slices.SortStableFunc(perm, func(a, b int) int {
-			return compareKeys(o.keys[a*kw:(a+1)*kw], o.keys[b*kw:(b+1)*kw], orderBy)
-		})
-		for i, j := range perm {
-			out[i] = o.cells[j*width : (j+1)*width : (j+1)*width]
-		}
-	}
-	return out
+	slices.SortStableFunc(perm, func(a, b int32) int {
+		return compareKeys(o.keys[int(a)*kw:int(a+1)*kw], o.keys[int(b)*kw:int(b+1)*kw], orderBy)
+	})
+	return perm
 }
 
 // execPlain handles non-grouped selection: projection plus ORDER BY
 // evaluated against the input tuples.
-func (ex *executor) execPlain(items []SelectItem, orderBy []OrderItem, rel relation) ([]table.Row, error) {
-	out := newOutput(rel.len(), items, orderBy)
+func (ex *executor) execPlain(items []SelectItem, orderBy []OrderItem, rel relation) (*output, error) {
+	out := newOutput(rel.n, items, orderBy)
 	en := env{frame: rel.frame}
-	for i := 0; i < rel.len(); i++ {
-		en.tuple = rel.tuple(i)
+	buf := make([]int32, 1)
+	for i := range rel.n {
+		en.tuple = rel.tuple(i, buf)
 		if err := out.add(&en, items, orderBy); err != nil {
 			return nil, err
 		}
 	}
-	return out.rows(len(items), orderBy), nil
+	return out, nil
 }
 
 // group accumulates one GROUP BY bucket.
 type group struct {
-	rep  []table.Row // representative (first) input tuple
+	rep  []int32 // representative (first) input tuple
 	accs map[string]accumulator
 }
 
 // execGrouped handles GROUP BY / aggregate selection.
-func (ex *executor) execGrouped(sel *Select, items []SelectItem, orderBy []OrderItem, rel relation, aggCalls []*FuncCall) ([]table.Row, error) {
+func (ex *executor) execGrouped(sel *Select, items []SelectItem, orderBy []OrderItem, rel relation, aggCalls []*FuncCall) (*output, error) {
 	// Deduplicate aggregate calls by canonical string.
 	uniqueAggs := make(map[string]*FuncCall)
 	for _, fc := range aggCalls {
 		uniqueAggs[fc.String()] = fc
 	}
-	newGroup := func(rep []table.Row) (*group, error) {
+	newGroup := func(rep []int32) (*group, error) {
 		grp := &group{rep: rep, accs: make(map[string]accumulator, len(uniqueAggs))}
 		for s, fc := range uniqueAggs {
 			acc, err := newAccumulator(fc)
@@ -302,9 +317,11 @@ func (ex *executor) execGrouped(sel *Select, items []SelectItem, orderBy []Order
 	var order []*group // group insertion order for determinism
 	keyVals := make([]value.Value, len(sel.GroupBy))
 	var kb []byte
+	var reps []int32 // every group's representative tuple, end to end
 	en := env{frame: rel.frame}
-	for i := 0; i < rel.len(); i++ {
-		en.tuple = rel.tuple(i)
+	buf := make([]int32, 1)
+	for i := range rel.n {
+		en.tuple = rel.tuple(i, buf)
 		for j, g := range sel.GroupBy {
 			v, err := en.eval(g)
 			if err != nil {
@@ -316,7 +333,8 @@ func (ex *executor) execGrouped(sel *Select, items []SelectItem, orderBy []Order
 		grp, ok := groups[string(kb)]
 		if !ok {
 			var err error
-			if grp, err = newGroup(en.tuple); err != nil {
+			reps = append(reps, en.tuple...)
+			if grp, err = newGroup(reps[len(reps)-rel.width : len(reps) : len(reps)]); err != nil {
 				return nil, err
 			}
 			groups[string(kb)] = grp
@@ -372,7 +390,7 @@ func (ex *executor) execGrouped(sel *Select, items []SelectItem, orderBy []Order
 			return nil, err
 		}
 	}
-	return out.rows(len(items), orderBy), nil
+	return out, nil
 }
 
 // compareKeys orders two rows' ORDER BY keys.
@@ -503,9 +521,9 @@ func (ex *executor) execPrimary(ref *TableRef) (relation, error) {
 	qual = strings.ToLower(qual)
 	f := &frame{cols: make([]execCol, len(t.Schema.Columns))}
 	for i, c := range t.Schema.Columns {
-		f.cols[i] = execCol{qual: qual, name: c.Name, pos: t.Pos(i)}
+		f.cols[i] = execCol{qual: qual, name: c.Name, vec: t.Vector(i)}
 	}
-	return relation{frame: f, width: 1, rows: t.Stored()}, nil
+	return relation{frame: f, width: 1, n: t.NumRows()}, nil
 }
 
 // execJoin joins two relations. Equi-join conjuncts are executed as a hash
@@ -563,10 +581,11 @@ func (ex *executor) execJoin(left, right relation, jc JoinClause) (relation, err
 	}
 
 	out := relation{frame: combined, width: left.width + right.width}
-	out.rows = make([]table.Row, 0, left.len()*out.width)
-	en := env{frame: combined, tuple: make([]table.Row, out.width)}
+	rows := make([]int32, 0, left.n*out.width)
+	en := env{frame: combined, tuple: make([]int32, out.width)}
 	rightPart := en.tuple[left.width:]
 	nullRight := right.nullTuple() // LEFT JOIN's padding
+	lbuf, rbuf := make([]int32, 1), make([]int32, 1)
 
 	// Hash join: index the right tuples by key, each distinct key heading
 	// a chain of the tuples that carry it, in input order.
@@ -574,14 +593,14 @@ func (ex *executor) execJoin(left, right relation, jc JoinClause) (relation, err
 	var index map[string]int // key → its chain
 	var heads, tails, next []int
 	if hashed {
-		index, next = make(map[string]int, right.len()), make([]int, right.len())
+		index, next = make(map[string]int, right.n), make([]int, right.n)
 	}
 	met := make([]keyClass, len(rightKeys)) // per key, every class indexed
 	var kb []byte
 	cls := make([]keyClass, len(leftKeys))
 	ren := env{frame: right.frame}
-	for j := 0; hashed && j < right.len(); j++ {
-		ren.tuple = right.tuple(j)
+	for j := 0; hashed && j < right.n; j++ {
+		ren.tuple = right.tuple(j, rbuf)
 		var null bool
 		var err error
 		if kb, null, err = appendJoinKeys(kb[:0], &ren, rightKeys, cls); err != nil {
@@ -610,20 +629,20 @@ func (ex *executor) execJoin(left, right relation, jc JoinClause) (relation, err
 		cond = []Expr{jc.On}
 	}
 	lenv := env{frame: left.frame}
-	for i := 0; i < left.len(); i++ {
-		lenv.tuple = left.tuple(i)
+	for i := range left.n {
+		lenv.tuple = left.tuple(i, lbuf)
 		copy(en.tuple, lenv.tuple)
 		matched := false
 		// try appends left ++ right tuple j when every pred holds on it.
 		try := func(j int, preds []Expr) error {
-			copy(rightPart, right.tuple(j))
+			copy(rightPart, right.tuple(j, rbuf))
 			for _, p := range preds {
 				v, err := en.eval(p)
 				if err != nil || triOf(v) != triTrue {
 					return err
 				}
 			}
-			out.rows = append(out.rows, en.tuple...)
+			rows = append(rows, en.tuple...)
 			matched = true
 			return nil
 		}
@@ -642,7 +661,7 @@ func (ex *executor) execJoin(left, right relation, jc JoinClause) (relation, err
 		switch {
 		case null: // NULL keys never match
 		case scan:
-			for j := 0; j < right.len() && err == nil; j++ {
+			for j := 0; j < right.n && err == nil; j++ {
 				err = try(j, cond)
 			}
 		default:
@@ -657,9 +676,10 @@ func (ex *executor) execJoin(left, right relation, jc JoinClause) (relation, err
 		}
 		if !matched && jc.Kind == JoinLeft {
 			copy(rightPart, nullRight)
-			out.rows = append(out.rows, en.tuple...)
+			rows = append(rows, en.tuple...)
 		}
 	}
+	out.rows, out.n = rows, len(rows)/out.width
 	return out, nil
 }
 

@@ -32,12 +32,14 @@ func evalErrf(ex Expr, format string, args ...interface{}) error {
 }
 
 // execCol is one column of an execution frame, carrying the qualifier it is
-// reachable under ("" for derived columns) and where a tuple holds its cell.
+// reachable under ("" for an expression bound to one table) and where a
+// tuple's cell is: its source's vector, read at the tuple's row number for
+// that source.
 type execCol struct {
-	qual string // table alias, lower-cased
-	name string // column name
-	src  int    // which row of the tuple
-	pos  int    // position in that row
+	qual string        // table alias, lower-cased
+	name string        // column name
+	src  int           // which source of the tuple
+	vec  *table.Vector // the source's column
 }
 
 // frame is the schema of the tuples flowing through the executor.
@@ -114,12 +116,12 @@ func (f *frame) describe() string {
 	return strings.Join(names, ", ")
 }
 
-// env is the evaluation context for one tuple: the frame, the tuple's source
-// rows, and an optional aggregate lookup used while evaluating grouped select
-// lists.
+// env is the evaluation context for one tuple: the frame, the tuple's row
+// number in each source (-1 for a NULL padding row), and an optional
+// aggregate lookup used while evaluating grouped select lists.
 type env struct {
 	frame *frame
-	tuple []table.Row
+	tuple []int32
 	// aggs maps FuncCall.String() of aggregate calls to the per-group value.
 	aggs map[string]value.Value
 }
@@ -166,7 +168,10 @@ func (en *env) eval(e Expr) (value.Value, error) {
 			return value.Null(), err
 		}
 		c := &en.frame.cols[i]
-		return en.tuple[c.src][c.pos], nil
+		if r := en.tuple[c.src]; r >= 0 {
+			return c.vec.At(int(r)), nil
+		}
+		return value.Null(), nil
 
 	case *Star:
 		return value.Null(), evalErrf(ex, "* is only valid in a select list or COUNT(*)")

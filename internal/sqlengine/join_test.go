@@ -33,7 +33,7 @@ func equiJoinEngine(n int) *Engine {
 	return e
 }
 
-// TestEquiJoinAllocsFlat holds that a hash join moves row headers and
+// TestEquiJoinAllocsFlat holds that a hash join moves row numbers and
 // writes each output cell once: its allocation count does not grow with the
 // probe side. It measured 118 at 100 left rows and 119 at 10 000; the
 // executor that copied every joined row took 776 and 50 301.

@@ -12,11 +12,13 @@
 // Materializer's repair loop can react to them, mirroring the paper's
 // "tool analyzes these errors and provides feedback" behaviour.
 //
-// The executor never writes a source row: a relation is a list of tuples of
-// source-row headers, one row per joined table, that scans, WHERE and joins
-// move. The select list alone writes cells, cutting a statement's output
-// rows from one allocation; when DISTINCT, OFFSET or LIMIT keep under half
-// of them, the survivors are copied to an exact one. A hash join matches
+// The executor never writes a source table: a relation is a list of tuples
+// of int32 row numbers, one per joined table, that scans, WHERE and joins
+// move, and a column reference reads its table's vector at its row number.
+// The select list alone writes cells, through one column builder per item;
+// ORDER BY, DISTINCT, OFFSET and LIMIT then pick the output's rows by
+// number, and a pick other than all of them in order is gathered into an
+// exact table of its own. A hash join matches
 // keys as = compares them: numbers and numeric strings by float64 value,
 // kinds = relates by a rule no key expresses (a time against a string or a
 // number, a bool) pair by pair.

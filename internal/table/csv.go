@@ -15,7 +15,8 @@ import (
 // the header. Column types are inferred from the data: each cell is parsed
 // with value.Infer and per-column kinds are unified (int+float→float,
 // numeric+string→string). After inference every cell is coerced to the
-// column kind so a column is homogeneous.
+// column kind so a column is homogeneous, and written through a
+// ColumnBuilder.
 func ReadCSV(name string, r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
@@ -29,41 +30,37 @@ func ReadCSV(name string, r io.Reader) (*Table, error) {
 	header := records[0]
 	ncols := len(header)
 	kinds := make([]value.Kind, ncols)
-	raw := make([][]value.Value, 0, len(records)-1)
+	raw := make([]value.Value, 0, (len(records)-1)*ncols)
 	for li, rec := range records[1:] {
 		if len(rec) != ncols {
 			return nil, fmt.Errorf("read csv %s: line %d has %d fields, header has %d",
 				name, li+2, len(rec), ncols)
 		}
-		row := make([]value.Value, ncols)
 		for c, cell := range rec {
 			v := value.Infer(cell)
-			row[c] = v
+			raw = append(raw, v)
 			kinds[c] = value.UnifyKinds(kinds[c], v.Kind())
 		}
-		raw = append(raw, row)
 	}
 	schema := Schema{Name: name}
+	cols := make([]ColumnBuilder, ncols)
 	for c, h := range header {
 		k := kinds[c]
 		if k == value.KindNull {
 			k = value.KindString // all-null column defaults to varchar
 		}
 		schema.Columns = append(schema.Columns, Column{Name: strings.TrimSpace(h), Type: k})
+		cols[c].Grow(len(records) - 1)
 	}
-	rows := make([]Row, 0, len(raw))
-	for _, row := range raw {
-		out := make(Row, ncols)
-		for c := range row {
-			coerced, ok := value.CoerceKind(row[c], schema.Columns[c].Type)
-			if !ok {
-				coerced = value.Null()
-			}
-			out[c] = coerced
+	for i, v := range raw {
+		c := i % ncols
+		coerced, ok := value.CoerceKind(v, schema.Columns[c].Type)
+		if !ok {
+			coerced = value.Null()
 		}
-		rows = append(rows, out)
+		cols[c].Append(coerced)
 	}
-	return FromRows(schema, rows), nil
+	return FromColumns(schema, cols), nil
 }
 
 // ReadCSVFile loads path; the table is named after the file's base name
@@ -86,7 +83,7 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		return err
 	}
 	rec := make([]string, t.NumCols())
-	for r := range t.rows {
+	for r := range t.n {
 		for c := range rec {
 			rec[c] = t.At(r, c).String()
 		}

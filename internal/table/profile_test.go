@@ -5,26 +5,30 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"pneuma/internal/kramabench"
+	"pneuma/internal/racebuild"
 	"pneuma/internal/table"
 	"pneuma/internal/value"
 )
 
-// referenceProfile is BuildProfile by definition: every non-NULL cell
-// rendered, a sample being a rendering not in the set of those seen so far.
-// It is the definition the probing loop must agree with.
-func referenceProfile(t *table.Table) table.Profile {
+// referenceProfile is BuildProfile by definition, over rows in schema
+// order: every non-NULL cell rendered, a sample being a rendering not in the
+// set of those seen so far, and Min and Max by value.Compare, the first of
+// equal cells kept. It is the definition the column-wise profile must agree
+// with.
+func referenceProfile(rows []table.Row, ncols int) table.Profile {
 	var p table.Profile
-	for ci := range t.Schema.Columns {
+	for ci := range ncols {
 		var cs table.ColumnStats
 		distinct := make(map[string]struct{})
 		first := true
-		for r := 0; r < t.NumRows(); r++ {
-			v := t.At(r, ci)
+		for _, row := range rows {
+			v := row[ci]
 			if v.IsNull() {
 				continue
 			}
@@ -52,6 +56,18 @@ func referenceProfile(t *table.Table) table.Profile {
 	return p
 }
 
+// rowsOf copies tb's rows out, in schema order.
+func rowsOf(tb *table.Table) []table.Row {
+	rows := make([]table.Row, tb.NumRows())
+	for r := range rows {
+		rows[r] = tb.Row(r)
+	}
+	return rows
+}
+
+// profileOf is referenceProfile over tb's rows.
+func profileOf(tb *table.Table) table.Profile { return referenceProfile(rowsOf(tb), tb.NumCols()) }
+
 // columnGenerators each draw one cell; a column is cells from one generator,
 // or from several for the mixed shapes.
 var columnGenerators = map[string]func(r *rand.Rand) value.Value{
@@ -65,6 +81,8 @@ var columnGenerators = map[string]func(r *rand.Rand) value.Value{
 	"digits":    func(r *rand.Rand) value.Value { return value.String(fmt.Sprint(r.Intn(8))) },
 	"truth":     func(r *rand.Rand) value.Value { return value.String([]string{"true", "false", ""}[r.Intn(3)]) },
 	"null":      func(r *rand.Rand) value.Value { return value.Null() },
+	"code":      func(r *rand.Rand) value.Value { return value.String(fmt.Sprintf("%d%c", r.Intn(20), 'a'+r.Intn(3))) },
+	"nan":       func(r *rand.Rand) value.Value { return value.String([]string{"NaN", "nan", "-Inf"}[r.Intn(3)]) },
 	"date": func(r *rand.Rand) value.Value {
 		return value.Time(time.Date(1990+r.Intn(5), time.Month(1+r.Intn(12)), 1+r.Intn(3), 0, 0, 0, 0, time.UTC))
 	},
@@ -75,10 +93,13 @@ var columnGenerators = map[string]func(r *rand.Rand) value.Value{
 
 // columnShapes name the generators a column draws from. The mixed ones are
 // the collisions a payload key would get wrong: two kinds, one rendering.
+// The string mixes are the ones value.Compare does not order totally:
+// numeric and non-numeric text ("2" < "10" < "1a" < "2") and NaN.
 var columnShapes = [][]string{
 	{"int"}, {"int-wide"}, {"float"}, {"float-any"}, {"zeros"}, {"bool"}, {"word"}, {"digits"}, {"truth"},
 	{"null"}, {"date"}, {"instant"},
 	{"int", "float"}, {"int", "digits"}, {"bool", "truth"}, {"float", "zeros"}, {"date", "word"},
+	{"digits", "code"}, {"digits", "word"}, {"digits", "nan"}, {"code"},
 	{"int", "float", "bool", "word", "digits", "date"},
 }
 
@@ -97,7 +118,7 @@ func TestBuildProfileMatchesReference(t *testing.T) {
 			}
 			tb.MustAppend(table.Row{v, value.String("same")})
 		}
-		if got, want := tb.BuildProfile(), referenceProfile(tb); !reflect.DeepEqual(got, want) {
+		if got, want := tb.BuildProfile(), profileOf(tb); !reflect.DeepEqual(got, want) {
 			t.Fatalf("column %d %v, %d rows:\n got %+v\nwant %+v", n, shape, rows, got.Columns[0], want.Columns[0])
 		}
 	}
@@ -109,13 +130,15 @@ func TestBuildProfileMatchesReference(t *testing.T) {
 		"bool+string": {value.Bool(true), value.String("true")},
 		"zeros":       {value.Float(0), value.Float(math.Copysign(0, -1)), value.Float(0)},
 		"late-mix":    append(manyInts(40), value.Float(3)),
+		"text-cycle":  {value.String("10"), value.String("1a"), value.String("2"), value.String("1a")},
+		"text-nan":    {value.String("5"), value.String("NaN"), value.String("3"), value.String("7")},
 		"many":        manyInts(100),
 	} {
 		tb := table.New(table.Schema{Name: name, Columns: []table.Column{{Name: "c"}}})
 		for _, v := range cells {
 			tb.MustAppend(table.Row{v})
 		}
-		got, want := tb.BuildProfile(), referenceProfile(tb)
+		got, want := tb.BuildProfile(), profileOf(tb)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s:\n got %+v\nwant %+v", name, got.Columns[0], want.Columns[0])
 		}
@@ -136,7 +159,7 @@ func manyInts(n int) []value.Value {
 func TestBuildProfileMatchesReferenceOnKramabench(t *testing.T) {
 	for _, corpus := range []map[string]*table.Table{kramabench.Archaeology(), kramabench.Environment()} {
 		for name, tb := range corpus {
-			if got, want := tb.BuildProfile(), referenceProfile(tb); !reflect.DeepEqual(got, want) {
+			if got, want := tb.BuildProfile(), profileOf(tb); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: profile differs from the reference\n got %+v\nwant %+v", name, got, want)
 			}
 		}
@@ -147,7 +170,7 @@ func TestBuildProfileMatchesReferenceOnKramabench(t *testing.T) {
 // the same moment all get the one Profile (meaningful under -race).
 func TestBuildProfileConcurrentReaders(t *testing.T) {
 	tb := kramabench.Archaeology()["soil_samples"]
-	want := referenceProfile(tb)
+	want := profileOf(tb)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -162,4 +185,34 @@ func TestBuildProfileConcurrentReaders(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
+}
+
+// TestCorpusBytesPerCell: both kramabench corpora, 4.21M cells, hold at
+// most 10 bytes a cell of live heap once built. A row-major table of
+// 32-byte cells held about 35.
+func TestCorpusBytesPerCell(t *testing.T) {
+	if racebuild.Enabled {
+		t.Skip("race instrumentation changes the heap")
+	}
+	live := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := live()
+	corpora := []map[string]*table.Table{kramabench.Archaeology(), kramabench.Environment()}
+	held := float64(live() - before)
+	cells := 0
+	for _, corpus := range corpora {
+		for _, tb := range corpus {
+			cells += tb.NumRows() * tb.NumCols()
+		}
+	}
+	runtime.KeepAlive(corpora)
+	perCell := held / float64(cells)
+	t.Logf("%d cells in %.1f MB of live heap: %.2f B a cell", cells, held/1e6, perCell)
+	if perCell > 10 {
+		t.Errorf("the corpora hold %.2f B a cell, want at most 10", perCell)
+	}
 }

@@ -14,13 +14,13 @@ import (
 // referenceRender is Table.Render as it was before AppendRender — fmt's
 // %-*s over a [][]string grid — kept verbatim as the definition the append
 // form must reproduce byte for byte.
-func referenceRender(t *table.Table, maxRows int) string {
-	cols := t.Schema.ColumnNames()
+// It reads the table's rows in schema order, named cols.
+func referenceRender(cols []string, rows []table.Row, maxRows int) string {
 	widths := make([]int, len(cols))
 	for i, c := range cols {
 		widths[i] = len(c)
 	}
-	n := t.NumRows()
+	n := len(rows)
 	if maxRows >= 0 && n > maxRows {
 		n = maxRows
 	}
@@ -28,7 +28,7 @@ func referenceRender(t *table.Table, maxRows int) string {
 	for r := 0; r < n; r++ {
 		cells[r] = make([]string, len(cols))
 		for c := range cols {
-			s := t.At(r, c).String()
+			s := rows[r][c].String()
 			if len(s) > 24 {
 				s = s[:21] + "..."
 			}
@@ -56,8 +56,8 @@ func referenceRender(t *table.Table, maxRows int) string {
 	for _, row := range cells {
 		writeRow(row)
 	}
-	if t.NumRows() > n {
-		fmt.Fprintf(&b, "... (%d more rows)\n", t.NumRows()-n)
+	if len(rows) > n {
+		fmt.Fprintf(&b, "... (%d more rows)\n", len(rows)-n)
 	}
 	return b.String()
 }
@@ -96,7 +96,7 @@ func text(r *rand.Rand, maxPieces int) string {
 // references.
 func checkRender(t *testing.T, tb *table.Table, maxRows int) {
 	t.Helper()
-	want := referenceRender(tb, maxRows)
+	want := referenceRender(tb.Schema.ColumnNames(), rowsOf(tb), maxRows)
 	if got := tb.Render(maxRows); got != want {
 		t.Fatalf("%s: Render(%d) =\n%s\nwant\n%s", tb.Schema.Name, maxRows, got, want)
 	}

@@ -1,42 +1,37 @@
 // Package table implements the in-memory relational store shared by every
-// component: typed schemas, row-oriented tables, CSV import/export with type
-// inference, and statistical profiling used by retrieval and grounding.
+// component: typed schemas, column-oriented tables, CSV import/export with
+// type inference, and statistical profiling used by retrieval and grounding.
 //
-// A table is a schema over an index of storage rows, and column positions
-// map each schema column to a cell of a storage row (Table.Pos; none means
-// the identity). Readers go through accessors — NumRows, At, Row, or Stored
-// with Pos in a loop that resolves each column's position once — so a
-// table's layout is its own business. Builders hand rows over with FromRows.
+// A table is a schema, a row count and one column vector per schema column.
+// A Vector's storage is picked from the cells it receives, not from the
+// column's declared Type: []int64 or []float64 payloads, one bit a bool,
+// Unix seconds plus nanoseconds for a time, uint32 codes into a dictionary
+// of distinct strings kept in first-occurrence order, and a []value.Value
+// fallback for a column whose non-NULL cells mix kinds. A typed vector
+// keeps its NULLs in a bitmap, nil when it has none. At hands back each cell
+// bit-identical to the value.Value it was built from, so Int(5) beside
+// Float(5), -0.0, sub-second times and Bool(true) beside "true" all
+// round-trip. Readers go through accessors — NumRows, At, Row, or Vector in
+// a loop that reads one column — and builders through FromRows, FromColumns
+// (with a ColumnBuilder per column) or Append.
 //
-// One rule governs who may write what: a Row is immutable once it is in a
-// table, and tables may share rows. The corpus tables a Service owns are read
-// by every session at once, and the tables a session materializes from them
-// (a projection's input, a join's operands, an op's unchanged rows, Head)
-// point at the same Row values rather than at copies. Code that needs a cell
-// to differ builds a new Row and puts it in its own table's row index
-// (Share, then SetCell); it never assigns into, or appends onto, a Row it was
-// handed. Clone is the deep copy for a caller that will write cells in place.
-// The rule covers positions too: a positions slice is never written once a
-// table holds it.
-//
-// A projection (Project, which transform.Keep is) copies no cell: it is a
-// header over its input's row index with the chosen columns' positions, so
-// it costs O(columns) and pins every cell of its input's rows, the dropped
-// columns included, for as long as it lives. Appending to a projection
-// first copies its rows into schema order.
-//
-// The rows of one table may share a backing array: a query result or a
-// decoded document cuts all of its rows from one allocation. Each such Row
-// is capacity-limited (its cap is its len), so an append onto it copies
-// rather than running into its neighbour.
+// One rule governs who may write what: a column vector is never written once
+// a table holds it, and tables share vectors. The corpus tables a Service
+// owns are read by every session at once, and the tables a session
+// materializes from them point at the same vectors rather than at copies:
+// Head and Project are headers over their input's vectors, an op that
+// changes one column (WithColumn) shares every other, and the SQL engine's
+// relations are row numbers into them. Append is the builder's exception: a
+// table that allocated its vectors itself (New, FromRows, FromColumns,
+// Clone) appends past their end, which no table sharing them reads, and a
+// table that shares its vectors copies them before its first Append.
 //
 // That rule is also what lets a table cache its Profile: BuildProfile
 // publishes it through an atomic pointer, so any number of sessions may
 // profile one shared table at once. A Profile holds only what a prompt
 // reads: each column's Min and Max and its first 24 distinct renderings
-// (Value.String) as samples, found in one pass over the rows that keeps no
-// set of the values it has seen. A column's stats depend only on its cells
-// in row order, so a projection of a profiled table, and a Head of all its
+// (Value.String) as samples. A column's stats depend only on its cells in
+// row order, so a projection of a profiled table, and a Head of all its
 // rows, carry the profile without reading a row.
 //
 // The text forms are append forms: Schema.AppendTo, Table.AppendRender (and
@@ -48,6 +43,7 @@ package table
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -125,12 +121,9 @@ func (s Schema) AppendTo(dst []byte) []byte {
 	return append(dst, ')')
 }
 
-// Row is one tuple. A row handed to FromRows or Append, or returned by
-// Table.Row, is aligned with the schema's columns; a storage row
-// (Table.Stored) is read through the table's positions. A Row is immutable
-// once it is in a table: other tables may hold the same Row, so
-// a changed tuple is a new Row (Clone, then write the copy), never a write or
-// an append through this one.
+// Row is one tuple in schema order: what FromRows and Append take and what
+// Table.Row returns. A table copies a Row's cells into its column vectors,
+// so the Row stays the caller's.
 type Row []value.Value
 
 // Clone deep-copies the row.
@@ -140,24 +133,20 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// Table is a schema plus rows.
-//
-// A table stores its rows as an index of storage rows, and schema column c
-// of row r is Stored()[r][Pos(c)]. For a table built from rows in schema
-// order the positions are the identity; a projection (Project) is a header
-// over its input's storage rows whose positions pick and reorder their
-// cells, so it copies no cell. Readers go through the accessors: NumRows,
-// At and Row for a cell or a row in schema order, and Stored with Pos for a
-// loop that resolves each column's position once rather than once per cell.
+// Table is a schema, a row count and one column vector per schema column.
+// Readers go through the accessors — NumRows, At, Row, or Vector for a loop
+// that reads one column many times — and builders through FromRows,
+// FromColumns or Append.
 type Table struct {
 	Schema Schema
-	// rows is the table's own index of its storage rows: the table may
-	// replace or extend the slice, but the Row values in it may be shared
-	// with other tables and are never written (see Row).
-	rows []Row
-	// pos maps schema column c to rows[r][pos[c]]; nil is the identity. A
-	// pos slice is never written once a table holds it, so tables share it.
-	pos []int
+	n      int
+	// cols holds schema column c's cells in cols[c]. Tables share vectors;
+	// only a table that owns its vectors writes them, and only by Append.
+	cols []Vector
+	// owned reports that cols' storage is the table's own: New, FromRows,
+	// FromColumns and Clone allocate it, and an Append to any other table
+	// first copies its cells into storage of its own.
+	owned bool
 
 	// profile caches BuildProfile; Append drops it. A table is profiled
 	// once it is built: it is filled by FromRows, Append or an op before
@@ -166,94 +155,98 @@ type Table struct {
 }
 
 // New creates an empty table with the given schema.
-func New(schema Schema) *Table { return &Table{Schema: schema} }
+func New(schema Schema) *Table {
+	return &Table{Schema: schema, cols: make([]Vector, len(schema.Columns)), owned: true}
+}
 
-// FromRows creates a table over rows, each in schema order. The table takes
-// rows as its row index: the caller hands the slice over and neither writes
-// nor appends to it afterwards.
-func FromRows(schema Schema, rows []Row) *Table { return &Table{Schema: schema, rows: rows} }
+// FromRows creates a table holding rows, each in schema order. The cells
+// are copied into column vectors, so the rows stay the caller's.
+func FromRows(schema Schema, rows []Row) *Table {
+	cols := make([]ColumnBuilder, len(schema.Columns))
+	for c := range cols {
+		cols[c].Grow(len(rows))
+	}
+	for _, r := range rows {
+		for c := range cols {
+			cols[c].Append(r[c])
+		}
+	}
+	t := FromColumns(schema, cols)
+	t.n = len(rows) // a schema without columns still has its rows
+	return t
+}
 
 // NumRows returns the row count.
-func (t *Table) NumRows() int { return len(t.rows) }
+func (t *Table) NumRows() int { return t.n }
 
 // NumCols returns the column count.
 func (t *Table) NumCols() int { return len(t.Schema.Columns) }
 
-// Pos returns the position of schema column c in a storage row.
-func (t *Table) Pos(c int) int {
-	if t.pos == nil {
-		return c
-	}
-	return t.pos[c]
-}
-
-// Stored returns the row index: schema column c of row r is
-// Stored()[r][Pos(c)]. A storage row may be wider than the schema and is
-// shared; the caller never writes, appends to or reorders the slice or its
-// rows.
-func (t *Table) Stored() []Row { return t.rows }
-
 // At returns the cell of row r in schema column c.
-func (t *Table) At(r, c int) value.Value { return t.rows[r][t.Pos(c)] }
+func (t *Table) At(r, c int) value.Value { return t.cols[c].At(r) }
 
-// Row returns row r in schema order. For a table whose positions are the
-// identity it is the stored row itself, shared: never write it. For a
-// projection it is a fresh copy.
-func (t *Table) Row(r int) Row {
-	if t.pos == nil {
-		return t.rows[r]
-	}
-	return t.AppendRow(make(Row, 0, len(t.pos)), r)
-}
+// Vector returns schema column c's cells. It is shared: never write it.
+func (t *Table) Vector(c int) *Vector { return &t.cols[c] }
+
+// Row returns a fresh copy of row r in schema order.
+func (t *Table) Row(r int) Row { return t.AppendRow(make(Row, 0, len(t.cols)), r) }
 
 // AppendRow appends row r's cells, in schema order, to dst.
 func (t *Table) AppendRow(dst Row, r int) Row {
-	row := t.rows[r]
-	if t.pos == nil {
-		return append(dst, row...)
-	}
-	for _, p := range t.pos {
-		dst = append(dst, row[p])
+	for c := range t.cols {
+		dst = append(dst, t.cols[c].At(r))
 	}
 	return dst
 }
 
-// positions appends every column's storage position to dst, in schema order.
-func (t *Table) positions(dst []int) []int {
-	for c := range t.Schema.Columns {
-		dst = append(dst, t.Pos(c))
+// CellKind returns what value.UnifyKinds makes of the kinds of column c's
+// cells: KindNull when every cell is NULL.
+func (t *Table) CellKind(c int) value.Kind {
+	v := &t.cols[c]
+	if v.vals == nil {
+		for r := range t.n {
+			if !bit(v.nulls, r) {
+				return v.kind
+			}
+		}
+		return value.KindNull
 	}
-	return dst
+	k := value.KindNull
+	for _, x := range v.vals[:t.n] {
+		k = value.UnifyKinds(k, x.Kind())
+	}
+	return k
 }
 
-// Append adds a row, validating arity. Appending to a projection first
-// copies its rows into schema order (one slab, one new row index), so the
-// new row and the old ones share one layout and the input's rows are left
-// alone.
+// Append adds a row, validating arity. A table that allocated its vectors
+// itself (see owned) writes the new cells past their ends, where no table
+// sharing them reads, so a Head, Project or op output made from t earlier
+// never sees the row; Append must not run while t or such a table is read.
+// Any other table first copies its cells into vectors of its own.
 func (t *Table) Append(r Row) error {
 	if len(r) != t.NumCols() {
 		return fmt.Errorf("table %s: row has %d values, schema has %d columns",
 			t.Schema.Name, len(r), t.NumCols())
 	}
-	if t.pos != nil {
-		t.rows, t.pos = t.compact(), nil
+	if !t.owned || len(t.cols) != len(r) {
+		cols := make([]Vector, len(r))
+		switch {
+		case len(t.cols) == len(r):
+			for c := range cols {
+				cols[c] = t.cols[c].clone(t.n)
+			}
+		case t.n > 0:
+			return fmt.Errorf("table %s: schema has %d columns, its vectors %d",
+				t.Schema.Name, len(r), len(t.cols))
+		}
+		t.cols, t.owned = cols, true
 	}
-	t.rows = append(t.rows, r)
+	for c, x := range r {
+		t.cols[c].push(t.n, x, 0)
+	}
+	t.n++
 	t.profile.Store(nil)
 	return nil
-}
-
-// compact returns a new row index holding t's rows copied into schema
-// order, cut capacity-limited from one slab.
-func (t *Table) compact() []Row {
-	cells := make([]value.Value, 0, len(t.rows)*t.NumCols())
-	rows := make([]Row, len(t.rows))
-	for r := range rows {
-		start := len(cells)
-		cells = t.AppendRow(cells, r)
-		rows[r] = cells[start:len(cells):len(cells)]
-	}
-	return rows
 }
 
 // MustAppend is Append that panics on arity mismatch; used by generators
@@ -264,54 +257,51 @@ func (t *Table) MustAppend(r Row) {
 	}
 }
 
-// Clone deep-copies the table: columns, row index and every row, in schema
-// order. It is for a caller that will write cells in place; one that only
-// renames the table, edits columns or replaces some rows can share the rows
-// instead (Share).
+// Clone deep-copies the table: its columns and every vector. It carries no
+// profile.
 func (t *Table) Clone() *Table {
-	out := &Table{Schema: t.Schema, rows: t.compact()}
-	out.Schema.Columns = append([]Column(nil), t.Schema.Columns...)
+	out := &Table{Schema: t.Schema, n: t.n, cols: make([]Vector, len(t.cols)), owned: true}
+	out.Schema.Columns = slices.Clone(t.Schema.Columns)
+	for c := range t.cols {
+		out.cols[c] = t.cols[c].clone(t.n)
+	}
 	return out
 }
 
-// Head returns a new table header over the first n rows. It shares the rows,
-// the row index, the positions and the column slice with t; only the
-// schema's own fields (its name and description) may be set on the result
-// without touching t. The index is capacity-limited, so an Append onto the
-// head copies it. A head of every row carries t's published profile.
+// Head returns a new table over the first n rows. It shares t's vectors and
+// column slice; only the schema's own fields (its name and description) may
+// be set on the result without touching t. A head of every row is t under
+// a new header: it carries t's published profile and allocates nothing but
+// itself.
 func (t *Table) Head(n int) *Table {
-	if n > len(t.rows) {
-		n = len(t.rows)
-	}
-	out := &Table{Schema: t.Schema, rows: t.rows[:n:n], pos: t.pos}
-	if n == len(t.rows) {
+	if n >= t.n {
+		out := &Table{Schema: t.Schema, n: t.n, cols: t.cols}
 		out.profile.Store(t.profile.Load())
+		return out
+	}
+	out := &Table{Schema: t.Schema, n: max(n, 0), cols: make([]Vector, len(t.cols))}
+	for c := range t.cols {
+		out.cols[c] = t.cols[c].head(out.n)
 	}
 	return out
 }
 
-// Project returns a header over t's rows holding schema columns cols of t,
-// in that order (a column may repeat): the table name, description and the
-// chosen columns are copied, the row index is shared capacity-limited, and
-// the positions are t's composed with cols, so no cell is copied. The
-// result pins all of t's storage rows. When t's profile is published, the
-// result's profile is published too, as the chosen columns' stats: a
-// column's stats depend only on its cells in row order, which projection
-// keeps, so no row is read.
+// Project returns a table of schema columns cols of t, in that order (a
+// column may repeat). The table name, description and the chosen columns
+// are copied and the chosen vectors shared, so no cell is copied. When t's
+// profile is published, the result's profile is published too, as the
+// chosen columns' stats: a column's stats depend only on its cells in row
+// order, which projection keeps, so no row is read.
 func (t *Table) Project(cols []int) *Table {
 	out := &Table{
 		Schema: Schema{Name: t.Schema.Name, Description: t.Schema.Description, Columns: make([]Column, len(cols))},
-		rows:   t.rows[:len(t.rows):len(t.rows)],
-		pos:    make([]int, len(cols)),
+		n:      t.n,
+		cols:   make([]Vector, len(cols)),
 	}
-	identity := t.pos == nil && len(cols) == t.NumCols()
 	for i, c := range cols {
 		out.Schema.Columns[i] = t.Schema.Columns[c]
-		out.pos[i] = t.Pos(c)
-		identity = identity && c == i
-	}
-	if identity {
-		out.pos = nil
+		out.cols[i] = t.cols[c]
+		out.cols[i].index = nil
 	}
 	if p := t.profile.Load(); p != nil {
 		sub := &Profile{Columns: make([]ColumnStats, len(cols))}
@@ -323,24 +313,36 @@ func (t *Table) Project(cols []int) *Table {
 	return out
 }
 
-// Share starts an edit of t that leaves t alone: a table with t's schema
-// (with a column slice of its own), positions and rows, in a row index of
-// its own, and no profile. The caller may edit its columns and replace rows
-// with SetCell, and pays only for the rows it replaces.
-func (t *Table) Share() *Table {
-	out := &Table{Schema: t.Schema, rows: append([]Row(nil), t.rows...), pos: t.pos}
-	out.Schema.Columns = append([]Column(nil), t.Schema.Columns...)
+// WithColumn returns a table that shares t's vectors but for schema column
+// c, which becomes col with b's cells; c == NumCols() adds it after the
+// others. b must hold NumRows cells, and WithColumn leaves it empty. The
+// result has no profile.
+func (t *Table) WithColumn(c int, col Column, b *ColumnBuilder) *Table {
+	if b.n != t.n {
+		panic(fmt.Sprintf("table %s: column %q has %d cells, the table %d rows", t.Schema.Name, col.Name, b.n, t.n))
+	}
+	out := &Table{Schema: t.Schema, n: t.n}
+	out.Schema.Columns = append(make([]Column, 0, len(t.cols)+1), t.Schema.Columns...)
+	out.cols = append(make([]Vector, 0, len(t.cols)+1), t.cols...)
+	if c == len(out.cols) {
+		out.Schema.Columns = append(out.Schema.Columns, col)
+		out.cols = append(out.cols, b.take())
+	} else {
+		out.Schema.Columns[c] = col
+		out.cols[c] = b.take()
+	}
 	return out
 }
 
-// SetCell replaces row r with a copy that holds v in schema column c, since
-// the row it held until now may belong to other tables. It is only for a
-// table whose row index is its own — one from Share — before anyone
-// profiles it or makes a Head or Project of it, which share that index.
-func (t *Table) SetCell(r, c int, v value.Value) {
-	row := t.rows[r].Clone()
-	row[t.Pos(c)] = v
-	t.rows[r] = row
+// Take returns a table of t's rows at the given row numbers, in that order
+// (a row may repeat), with cells of its own.
+func (t *Table) Take(rows []int32) *Table {
+	out := &Table{Schema: t.Schema, n: len(rows), cols: make([]Vector, len(t.cols)), owned: true}
+	out.Schema.Columns = slices.Clone(t.Schema.Columns)
+	for c := range t.cols {
+		out.cols[c] = t.cols[c].take(rows)
+	}
+	return out
 }
 
 // ColumnStats is what a prompt reads of one column: its range and example
@@ -365,18 +367,8 @@ type Profile struct {
 // maxSamples caps ColumnStats.SampleValues.
 const maxSamples = 24
 
-// BuildProfile computes a Profile in one pass over the rows, each row's
-// cells in turn: walking one column down the rows instead touches a new row
-// for every cell, which was half a cold profile's time. Two cells are the
-// same sample when they render the same. A cell is probed against the cells
-// its column's samples were rendered from, and probing stops once
-// maxSamples are found; a sample's cell is found again through the row it
-// was first seen in. For two cells of one kind among int, float, bool and
-// string, rendering is injective, so the probe compares them with == (a
-// Value's kind and payload bits) and renders nothing. Any other pair — a
-// time, whose rendering drops sub-seconds, or two kinds that can render
-// alike (Int(5) and Float(5), Bool(true) and "true") — compares the cell's
-// rendering, made once into a stack buffer, with the stored sample.
+// BuildProfile computes a Profile one column vector at a time (see
+// Vector.stats).
 //
 // The result is cached until the table grows via Append (a table is built
 // before it is profiled; see Table.profile); retrieval and planning profile
@@ -388,50 +380,9 @@ func (t *Table) BuildProfile() Profile {
 	if p := t.profile.Load(); p != nil {
 		return *p
 	}
-	p := Profile{Columns: make([]ColumnStats, len(t.Schema.Columns))}
-	seenAt := make([][maxSamples]int32, len(p.Columns))
-	var stack [32]int
-	pos := t.positions(stack[:0])
-	var buf [64]byte
-	for ri, row := range t.rows {
-		for ci := range p.Columns {
-			v := row[pos[ci]]
-			if v.IsNull() {
-				continue
-			}
-			cs := &p.Columns[ci]
-			if cs.Min.IsNull() {
-				cs.Min, cs.Max = v, v
-			} else {
-				if value.Compare(v, cs.Min) < 0 {
-					cs.Min = v
-				}
-				if value.Compare(v, cs.Max) > 0 {
-					cs.Max = v
-				}
-			}
-			n := len(cs.SampleValues)
-			if n == maxSamples {
-				continue
-			}
-			payload := v.Kind() != value.KindTime
-			var r []byte
-			seen := false
-			for j := 0; j < n && !seen; j++ {
-				if s := t.rows[seenAt[ci][j]][pos[ci]]; payload && s.Kind() == v.Kind() {
-					seen = s == v
-					continue
-				}
-				if r == nil {
-					r = v.AppendTo(buf[:0])
-				}
-				seen = string(r) == cs.SampleValues[j]
-			}
-			if !seen {
-				seenAt[ci][n] = int32(ri)
-				cs.SampleValues = append(cs.SampleValues, v.String())
-			}
-		}
+	p := Profile{Columns: make([]ColumnStats, len(t.cols))}
+	for c := range t.cols {
+		p.Columns[c] = t.cols[c].stats(t.n)
 	}
 	t.profile.Store(&p)
 	return p
@@ -455,20 +406,19 @@ const maxCellBytes = 24
 // the prompts built from it depend on those bytes.
 func (t *Table) AppendRender(dst []byte, maxRows int) []byte {
 	cols := t.Schema.Columns
-	n := len(t.rows)
+	n := t.n
 	if maxRows >= 0 && n > maxRows {
 		n = maxRows
 	}
-	var stack, posStack [32]int
+	var stack [32]int
 	widths := stack[:0]
 	for c := range cols {
 		widths = append(widths, len(cols[c].Name))
 	}
-	pos := t.positions(posStack[:0])
-	for _, row := range t.rows[:n] {
+	for r := range n {
 		for c := range cols {
 			mark := len(dst)
-			dst = row[pos[c]].AppendTo(dst)
+			dst = t.cols[c].At(r).AppendTo(dst)
 			widths[c] = max(widths[c], min(len(dst)-mark, maxCellBytes))
 			dst = dst[:mark]
 		}
@@ -488,11 +438,11 @@ func (t *Table) AppendRender(dst []byte, maxRows int) []byte {
 		dst = append(dst, '|')
 	}
 	dst = append(dst, '\n')
-	for _, row := range t.rows[:n] {
+	for r := range n {
 		dst = append(dst, '|')
 		for c := range cols {
 			mark := len(dst) + 1
-			dst = row[pos[c]].AppendTo(append(dst, ' '))
+			dst = t.cols[c].At(r).AppendTo(append(dst, ' '))
 			if len(dst)-mark > maxCellBytes {
 				dst = append(dst[:mark+maxCellBytes-3], "..."...)
 			}
@@ -500,7 +450,7 @@ func (t *Table) AppendRender(dst []byte, maxRows int) []byte {
 		}
 		dst = append(dst, '\n')
 	}
-	if more := len(t.rows) - n; more > 0 {
+	if more := t.n - n; more > 0 {
 		dst = append(dst, "... ("...)
 		dst = strconv.AppendInt(dst, int64(more), 10)
 		dst = append(dst, " more rows)\n"...)

@@ -63,8 +63,8 @@ func TestProjectReadsThroughPositions(t *testing.T) {
 		row := view.Row(r)
 		for i, c := range cols {
 			want := src.At(r, c)
-			if view.At(r, i) != want || row[i] != want || view.Stored()[r][view.Pos(i)] != want {
-				t.Fatalf("cell (%d,%d) = %v / %v / %v, want %v", r, i, view.At(r, i), row[i], view.Stored()[r][view.Pos(i)], want)
+			if view.At(r, i) != want || row[i] != want || view.Vector(i).At(r) != want {
+				t.Fatalf("cell (%d,%d) = %v / %v / %v, want %v", r, i, view.At(r, i), row[i], view.Vector(i).At(r), want)
 			}
 		}
 	}
@@ -104,7 +104,7 @@ func TestProjectCarriesProfile(t *testing.T) {
 		t.Error("a projection of a profiled table does a row pass")
 	}
 	sameStats(t, "projection", view.BuildProfile(), view.Clone().BuildProfile())
-	sameStats(t, "projection vs reference", view.BuildProfile(), referenceProfile(view))
+	sameStats(t, "projection vs reference", view.BuildProfile(), profileOf(view))
 
 	inner := view.Project([]int{3, 1})
 	if !racebuild.Enabled && !profileIsPublished(inner) {
@@ -129,15 +129,15 @@ func TestHeadCarriesProfile(t *testing.T) {
 	}
 	sameStats(t, "full head", full.BuildProfile(), view.Clone().BuildProfile())
 	short := view.Head(7)
-	sameStats(t, "short head", short.BuildProfile(), referenceProfile(short.Clone()))
+	sameStats(t, "short head", short.BuildProfile(), profileOf(short.Clone()))
 	if short.At(6, 0) != src.At(6, 5) {
 		t.Errorf("head cell = %v, want %v", short.At(6, 0), src.At(6, 5))
 	}
 }
 
 // TestAppendToProjectionMaterializes pins what Append does to a projection:
-// it copies the projection's rows into schema order first, so the appended
-// row and the old ones share one layout, and the input is left alone.
+// it copies the projection's vectors into vectors of its own first, so the
+// appended row lands beside the old ones and the input is left alone.
 func TestAppendToProjectionMaterializes(t *testing.T) {
 	src := table.New(table.Schema{Name: "t", Columns: []table.Column{{Name: "a"}, {Name: "b"}, {Name: "c"}}})
 	src.MustAppend(table.Row{value.Int(1), value.String("x"), value.Float(1.5)})
@@ -154,25 +154,34 @@ func TestAppendToProjectionMaterializes(t *testing.T) {
 		t.Fatalf("%d rows after append, want %d", view.NumRows(), len(want))
 	}
 	for r, w := range want {
-		if got := view.Stored()[r]; !reflect.DeepEqual([]value.Value(got), w) {
-			t.Errorf("stored row %d = %v, want %v in schema order", r, got, w)
+		if got := view.Row(r); !reflect.DeepEqual([]value.Value(got), w) {
+			t.Errorf("row %d = %v, want %v in schema order", r, got, w)
 		}
 	}
-	if view.Pos(0) != 0 || view.Pos(1) != 1 {
-		t.Errorf("positions after append = %d, %d; want the identity", view.Pos(0), view.Pos(1))
+
+	// The input still appends in place, and the projection does not see it.
+	src.MustAppend(table.Row{value.Int(4), value.String("z"), value.Float(4.5)})
+	if view.NumRows() != 3 || view.At(2, 0) != value.Float(3.5) || src.At(2, 2) != value.Float(4.5) {
+		t.Errorf("after appending to the input: view row 2 = %v, input row 2 = %v", view.Row(2), src.Row(2))
 	}
 }
 
-// TestSetCellLeavesSharedRows: an edit started by Share replaces rows, never
-// writes the ones it shares with a projection's input.
-func TestSetCellLeavesSharedRows(t *testing.T) {
+// TestWithColumnLeavesSharedVectors: an op's edit replaces one column's
+// vector in a table of its own, never writing the vectors it shares with a
+// projection's input.
+func TestWithColumnLeavesSharedVectors(t *testing.T) {
 	src, view, _ := soilView(t)
 	before := src.Render(5)
-	edit := view.Share()
-	edit.SetCell(0, 1, value.String("edited"))
-	edit.Schema.Columns[1].Name = "renamed"
+	var b table.ColumnBuilder
+	b.Append(value.String("edited"))
+	for r := 1; r < view.NumRows(); r++ {
+		b.Append(view.At(r, 1))
+	}
+	col := view.Schema.Columns[1]
+	col.Name = "renamed"
+	edit := view.WithColumn(1, col, &b)
 	if src.Render(5) != before || view.At(0, 1) != src.At(0, 0) || view.Schema.Columns[1].Name == "renamed" {
-		t.Fatal("SetCell on a shared edit wrote its input")
+		t.Fatal("WithColumn wrote its input")
 	}
 	if edit.At(0, 1).String() != "edited" || edit.At(0, 0) != view.At(0, 0) || edit.At(1, 1) != view.At(1, 1) {
 		t.Errorf("edited row = %v", edit.Row(0))

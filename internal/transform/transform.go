@@ -13,11 +13,11 @@
 // feedback to Materializer to fix the generated queries or code").
 //
 // Every op's Apply returns a new table and never writes its input — not a
-// cell, not a column, not the schema name. Its output may share the rows it
-// left unchanged with that input (rows are immutable once in a table; see
-// package table): an op that changes cells starts from Table.Share and
-// replaces only the rows it changes, and Keep shares every row through
-// column positions (Table.Project).
+// cell, not a column, not the schema name. Its output shares the column
+// vectors it left unchanged with that input (vectors are immutable once in
+// a table; see package table): an op that changes cells builds the one
+// column it changes and puts it in place with Table.WithColumn, and Keep
+// shares every vector it keeps (Table.Project).
 package transform
 
 import (
@@ -71,27 +71,25 @@ func (op ParseDates) Apply(t *table.Table) (*table.Table, error) {
 	if ci < 0 {
 		return nil, colMissing("PARSE_DATES", op.Column, t)
 	}
-	out := t.Share()
-	out.Schema.Columns[ci].Type = value.KindTime
+	var b table.ColumnBuilder
+	b.Grow(t.NumRows())
 	var bad []string
-	p := t.Pos(ci)
-	for r, row := range t.Stored() {
-		v := row[p]
+	vec := t.Vector(ci)
+	for r := range t.NumRows() {
+		v := vec.At(r)
 		if v.IsNull() {
+			b.Append(v)
 			continue
 		}
 		tm, ok := v.AsTime()
 		if !ok {
-			if op.Lenient {
-				out.SetCell(r, ci, value.Null())
-				continue
-			}
-			if len(bad) < 3 {
+			if !op.Lenient && len(bad) < 3 {
 				bad = append(bad, fmt.Sprintf("%q", v.String()))
 			}
+			b.Append(value.Null())
 			continue
 		}
-		out.SetCell(r, ci, value.Time(tm))
+		b.Append(value.Time(tm))
 	}
 	if len(bad) > 0 {
 		return nil, &Error{
@@ -100,7 +98,9 @@ func (op ParseDates) Apply(t *table.Table) (*table.Table, error) {
 			Samples: bad,
 		}
 	}
-	return out, nil
+	col := t.Schema.Columns[ci]
+	col.Type = value.KindTime
+	return t.WithColumn(ci, col, &b), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -120,27 +120,25 @@ func (op ToNumber) Apply(t *table.Table) (*table.Table, error) {
 	if ci < 0 {
 		return nil, colMissing("TO_NUMBER", op.Column, t)
 	}
-	out := t.Share()
-	out.Schema.Columns[ci].Type = value.KindFloat
+	var b table.ColumnBuilder
+	b.Grow(t.NumRows())
 	var bad []string
-	p := t.Pos(ci)
-	for r, row := range t.Stored() {
-		v := row[p]
+	vec := t.Vector(ci)
+	for r := range t.NumRows() {
+		v := vec.At(r)
 		if v.IsNull() {
+			b.Append(v)
 			continue
 		}
 		f, ok := parseLooseNumber(v.String())
 		if !ok {
-			if op.Lenient {
-				out.SetCell(r, ci, value.Null())
-				continue
-			}
-			if len(bad) < 3 {
+			if !op.Lenient && len(bad) < 3 {
 				bad = append(bad, fmt.Sprintf("%q", v.String()))
 			}
+			b.Append(value.Null())
 			continue
 		}
-		out.SetCell(r, ci, value.Float(f))
+		b.Append(value.Float(f))
 	}
 	if len(bad) > 0 {
 		return nil, &Error{
@@ -149,7 +147,9 @@ func (op ToNumber) Apply(t *table.Table) (*table.Table, error) {
 			Samples: bad,
 		}
 	}
-	return out, nil
+	col := t.Schema.Columns[ci]
+	col.Type = value.KindFloat
+	return t.WithColumn(ci, col, &b), nil
 }
 
 // parseLooseNumber parses numbers with separators, symbols and unit tails.
@@ -195,46 +195,30 @@ func (op Derive) Apply(t *table.Table) (*table.Table, error) {
 	if err != nil {
 		return nil, &Error{Op: "DERIVE", Msg: fmt.Sprintf("bad expression %q: %v", op.Expr, err)}
 	}
-	// A fresh column widens every row, so the output is new rows in schema
-	// order; a replaced column replaces cells in shared rows.
-	var out *table.Table
-	var wide []table.Row
-	ci := t.Schema.ColumnIndex(op.Name)
-	fresh := ci < 0
-	if fresh {
-		ci = t.NumCols()
-		wide = make([]table.Row, t.NumRows())
-	} else {
-		out = t.Share()
-	}
 	// Bind to the original table so a replaced column's old values stay
 	// visible to the expression.
 	eval := sqlengine.BindRow(expr, t)
+	var b table.ColumnBuilder
+	b.Grow(t.NumRows())
 	kind := value.KindNull
-	for r, row := range t.Stored() {
-		v, err := eval(row)
+	for r := range t.NumRows() {
+		v, err := eval(r)
 		if err != nil {
 			return nil, &Error{Op: "DERIVE", Msg: fmt.Sprintf("row %d: %v", r, err)}
 		}
-		if fresh {
-			// A new row, not append(row, v): row's backing array may have
-			// room, and every table sharing the row would see the write.
-			wide[r] = append(t.AppendRow(make(table.Row, 0, ci+1), r), v)
-		} else {
-			out.SetCell(r, ci, v)
-		}
+		b.Append(v)
 		kind = value.UnifyKinds(kind, v.Kind())
 	}
 	if kind == value.KindNull {
 		kind = value.KindString
 	}
-	if fresh {
-		schema := t.Schema
-		schema.Columns = append(slices.Clip(t.Schema.Columns), table.Column{Name: op.Name})
-		out = table.FromRows(schema, wide)
+	ci := t.Schema.ColumnIndex(op.Name)
+	if ci < 0 {
+		return t.WithColumn(t.NumCols(), table.Column{Name: op.Name, Type: kind}, &b), nil
 	}
-	out.Schema.Columns[ci].Type = kind
-	return out, nil
+	col := t.Schema.Columns[ci]
+	col.Type = kind
+	return t.WithColumn(ci, col, &b), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -282,19 +266,18 @@ func (op Interpolate) Apply(t *table.Table) (*table.Table, error) {
 	if yi < 0 {
 		return nil, colMissing("INTERPOLATE", op.YColumn, t)
 	}
-	out := t.Share()
-	rows, px, py := t.Stored(), t.Pos(xi), t.Pos(yi)
+	xs, ys := t.Vector(xi), t.Vector(yi)
 	// Sort row indices by X.
 	type pt struct {
 		row int
 		x   float64
 	}
-	pts := make([]pt, 0, len(rows))
-	for r, row := range rows {
-		x, ok := row[px].AsFloat()
+	pts := make([]pt, 0, t.NumRows())
+	for r := range t.NumRows() {
+		x, ok := xs.At(r).AsFloat()
 		if !ok {
 			return nil, &Error{Op: "INTERPOLATE", Msg: fmt.Sprintf(
-				"x column %q has non-numeric value %q (parse it first)", op.XColumn, row[px].String())}
+				"x column %q has non-numeric value %q (parse it first)", op.XColumn, xs.At(r).String())}
 		}
 		pts = append(pts, pt{r, x})
 	}
@@ -316,7 +299,7 @@ func (op Interpolate) Apply(t *table.Table) (*table.Table, error) {
 	type anchor struct{ x, y float64 }
 	var anchors []anchor
 	for _, p := range pts {
-		v := rows[p.row][py]
+		v := ys.At(p.row)
 		if v.IsNull() {
 			continue
 		}
@@ -331,8 +314,14 @@ func (op Interpolate) Apply(t *table.Table) (*table.Table, error) {
 		return nil, &Error{Op: "INTERPOLATE", Msg: fmt.Sprintf(
 			"column %q needs at least 2 non-null values to interpolate, has %d", op.YColumn, len(anchors))}
 	}
+	// The filled column: every cell as it was, then each interior NULL
+	// replaced by its interpolation.
+	cells := make([]value.Value, t.NumRows())
+	for r := range cells {
+		cells[r] = ys.At(r)
+	}
 	for _, p := range pts {
-		if !rows[p.row][py].IsNull() {
+		if !cells[p.row].IsNull() {
 			continue
 		}
 		// Find the bracketing anchors.
@@ -342,14 +331,20 @@ func (op Interpolate) Apply(t *table.Table) (*table.Table, error) {
 		}
 		a, b := anchors[lo-1], anchors[lo]
 		if b.x == a.x {
-			out.SetCell(p.row, yi, value.Float(a.y))
+			cells[p.row] = value.Float(a.y)
 			continue
 		}
 		frac := (p.x - a.x) / (b.x - a.x)
-		out.SetCell(p.row, yi, value.Float(a.y+frac*(b.y-a.y)))
+		cells[p.row] = value.Float(a.y + frac*(b.y-a.y))
 	}
-	out.Schema.Columns[yi].Type = value.KindFloat
-	return out, nil
+	var b table.ColumnBuilder
+	b.Grow(len(cells))
+	for _, v := range cells {
+		b.Append(v)
+	}
+	col := t.Schema.Columns[yi]
+	col.Type = value.KindFloat
+	return t.WithColumn(yi, col, &b), nil
 }
 
 // InterpolateAt computes the linearly interpolated Y value at a single X
@@ -428,16 +423,16 @@ func (op FuzzyJoin) Apply(t *table.Table) (*table.Table, error) {
 		schema.Columns = append(schema.Columns, cc)
 	}
 
-	width := len(schema.Columns)
 	rkeys := make([]string, op.Right.NumRows())
-	rp := op.Right.Pos(ri)
-	for rr, rrow := range op.Right.Stored() {
-		rkeys[rr] = normalizeKey(rrow[rp].String())
+	rvec := op.Right.Vector(ri)
+	for rr := range rkeys {
+		rkeys[rr] = normalizeKey(rvec.At(rr).String())
 	}
-	var rows []table.Row
-	lp := t.Pos(li)
-	for lr, lrow := range t.Stored() {
-		lkey := normalizeKey(lrow[lp].String())
+	// The matched pairs' row numbers, then the output gathered by them.
+	var lrows, rrows []int
+	lvec := t.Vector(li)
+	for lr := range t.NumRows() {
+		lkey := normalizeKey(lvec.At(lr).String())
 		bestScore := -1.0
 		bestRow := -1
 		for rr, rkey := range rkeys {
@@ -447,11 +442,24 @@ func (op FuzzyJoin) Apply(t *table.Table) (*table.Table, error) {
 			}
 		}
 		if bestRow >= 0 && bestScore >= fuzzyThreshold {
-			nr := t.AppendRow(make(table.Row, 0, width), lr)
-			rows = append(rows, op.Right.AppendRow(nr, bestRow))
+			lrows, rrows = append(lrows, lr), append(rrows, bestRow)
 		}
 	}
-	return table.FromRows(schema, rows), nil
+	cols := make([]table.ColumnBuilder, len(schema.Columns))
+	for c := range cols {
+		var vec *table.Vector
+		rows := lrows
+		if c < t.NumCols() {
+			vec = t.Vector(c)
+		} else {
+			vec, rows = op.Right.Vector(c-t.NumCols()), rrows
+		}
+		cols[c].Grow(len(rows))
+		for _, r := range rows {
+			cols[c].Append(vec.At(r))
+		}
+	}
+	return table.FromColumns(schema, cols), nil
 }
 
 func normalizeKey(s string) string {

@@ -9,11 +9,14 @@
 //
 // A Value is 32 bytes: a kind byte, a uint32 of nanoseconds in what would
 // otherwise be padding, one uint64 payload that a bool, an int, a float's
-// bits or a time's Unix seconds share, and a string header. Every cell of
-// every table is one of these, so its size sets the live heap: with the
-// 64-byte layout that gave each kind a field of its own the seeker-turns
-// benchmark held 315 MB (heap_mb), with this one 157 MB. A time is kept as
-// its instant only: Time normalises to UTC and TimeVal hands back
+// bits or a time's Unix seconds share, and a string header. It is what a
+// table hands back for a cell and what rows and expressions carry, but
+// tables do not store it: package table keeps each column as a typed
+// vector of payloads (Bits) and rebuilds the Value on read (FromBits). When
+// every cell was a Value its size set the live heap — the seeker-turns
+// benchmark held 315 MB (heap_mb) with a 64-byte layout and 154 MB with
+// this one — and with column vectors it holds about 41 MB. A time is kept
+// as its instant only: Time normalises to UTC and TimeVal hands back
 // time.Unix(sec, nsec).UTC().
 package value
 
@@ -109,6 +112,17 @@ func String(s string) Value { return Value{kind: KindString, s: s} }
 func Time(t time.Time) Value {
 	return Value{kind: KindTime, nsec: uint32(t.Nanosecond()), n: uint64(t.Unix())}
 }
+
+// Bits returns v's fixed-width payload: a bool's 0 or 1, an int's
+// two's-complement bits, a float's IEEE-754 bits, or a time's Unix seconds,
+// with a time's nanoseconds as nsec. A column vector stores these in place
+// of the Value.
+func (v Value) Bits() (n uint64, nsec uint32) { return v.n, v.nsec }
+
+// FromBits rebuilds a value of the fixed-width kind k from what Bits
+// returned for it: FromBits(v.Kind(), v.Bits()) == v for every bool, int,
+// float and time.
+func FromBits(k Kind, n uint64, nsec uint32) Value { return Value{kind: k, nsec: nsec, n: n} }
 
 // The payload views below assume the kind has been checked; i is also a
 // time's Unix seconds.

@@ -118,29 +118,6 @@ func (w *Writer) Float32Blob(v []float32) {
 	}
 }
 
-// Int32Blob appends a count prefix, padding to BlobAlign, and the raw
-// little-endian int32 payload.
-func (w *Writer) Int32Blob(v []int32) {
-	w.Uvarint(uint64(len(v)))
-	w.PadTo(BlobAlign)
-	if hostLittleEndian {
-		w.buf = append(w.buf, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*4)...)
-		return
-	}
-	for _, x := range v {
-		w.U32(uint32(x))
-	}
-}
-
-// Int8Blob appends a count prefix, padding to BlobAlign, and the raw int8
-// payload. Alignment is not needed for single-byte elements but keeps
-// blob starts page-shareable and the framing uniform.
-func (w *Writer) Int8Blob(v []int8) {
-	w.Uvarint(uint64(len(v)))
-	w.PadTo(BlobAlign)
-	w.buf = append(w.buf, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v))...)
-}
-
 // Reader decodes a payload produced by Writer. Errors are sticky: after
 // the first failure every method returns a zero value and Err reports
 // ErrTruncated.
@@ -257,40 +234,6 @@ func (r *Reader) Float32Blob() []float32 {
 	out := make([]float32, n)
 	for i := range out {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
-}
-
-// Int32Blob decodes an aligned int32 blob (zero-copy under the same
-// conditions as Float32Blob).
-func (r *Reader) Int32Blob() []int32 {
-	b, n, ok := r.blob(4)
-	if !ok || n == 0 {
-		return nil
-	}
-	if r.shared && hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(b)))%4 == 0 {
-		return unsafe.Slice((*int32)(unsafe.Pointer(unsafe.SliceData(b))), n)
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
-}
-
-// Int8Blob decodes an aligned int8 blob (zero-copy for a NewSharedReader;
-// single-byte elements need no alignment or byte-order handling).
-func (r *Reader) Int8Blob() []int8 {
-	b, n, ok := r.blob(1)
-	if !ok || n == 0 {
-		return nil
-	}
-	if r.shared {
-		return unsafe.Slice((*int8)(unsafe.Pointer(unsafe.SliceData(b))), n)
-	}
-	out := make([]int8, n)
-	for i := range out {
-		out[i] = int8(b[i])
 	}
 	return out
 }
