@@ -21,7 +21,8 @@ DOC_PKGS = ./internal/retriever ./internal/ir ./internal/embed ./internal/bm25 .
 # unprofiled corpus, the session memo and the shared profile cache,
 # cancellation fan-out, disk-backend sessions, the live-ingest churn soak,
 # background compaction under churn, Close handing a due compaction to the
-# flusher, a huge-k Search's bytes), and a 10-second fuzz pass over each binary decoder, over the
+# compactor, a disk write durable when it returns at one fsync per touched
+# shard, a huge-k Search's bytes), and a 10-second fuzz pass over each binary decoder, over the
 # search reply encoder (against encoding/json), over the shard write
 # path (a batch of n against n batches of one), over BM25 search and
 # statistics (against a naive scan of the live documents), over the SQL
@@ -108,7 +109,7 @@ race:
 # k = Len(), and checks the goroutine-leak guard
 # — the serving paths a sequential test run never stresses.
 race-smoke:
-	$(GO) test -race -short -count=1 -run 'TestService|TestMaterializeMemo|TestBuildProfileConcurrent|TestSearchCanceled|TestIndexDocumentsCanceled|TestQueryPartial|TestQueryCanceled|TestDiskConcurrent|TestChurn|TestBackgroundCompaction|TestCloseCompactsDueShard|TestSearchHugeK' . ./internal/core/ ./internal/table/ ./internal/retriever/ ./internal/ir/
+	$(GO) test -race -short -count=1 -run 'TestService|TestMaterializeMemo|TestBuildProfileConcurrent|TestSearchCanceled|TestIndexDocumentsCanceled|TestQueryPartial|TestQueryCanceled|TestDiskConcurrent|TestChurn|TestBackgroundCompaction|TestCloseCompactsDueShard|TestAcknowledgedWriteIsDurable|TestFsyncsPerTouchedShard|TestSearchHugeK' . ./internal/core/ ./internal/table/ ./internal/retriever/ ./internal/ir/
 	@echo "race-smoke: ok"
 
 # fuzz-smoke runs each native fuzz target (the two binary decoders, the

@@ -38,8 +38,6 @@ func main() {
 	backendName := flag.String("backend", "", "shard storage backend: memory (default) or disk")
 	indexDir := flag.String("index-dir", "", "segment directory for -backend disk (default: temp dir)")
 	reindex := flag.Bool("reindex", false, "re-ingest the CSV directory even if -index-dir already holds an index")
-	syncBytes := flag.Int64("sync-bytes", 0, "group-commit fsync once pending disk records reach n bytes (0 = unset, 1 = every record)")
-	syncInterval := flag.Duration("sync-interval", 0, "max time an acknowledged disk write stays unsynced (0 = unset; 2ms when -sync-bytes is set)")
 	flag.Parse()
 
 	if *dir == "" || *query == "" {
@@ -60,7 +58,6 @@ func main() {
 	ret, err := retriever.Open(
 		retriever.WithShards(*shards), retriever.WithWorkers(*workers),
 		retriever.WithBackend(backend), retriever.WithDir(*indexDir),
-		retriever.WithSyncBytes(*syncBytes), retriever.WithSyncInterval(*syncInterval),
 	)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pneuma-index:", err)

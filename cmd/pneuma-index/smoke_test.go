@@ -10,9 +10,9 @@ import (
 
 // TestIndexSmoke builds the real pneuma-index binary and drives the disk
 // workflow end to end with the flags that reach retriever.Open: a first
-// run ingests three CSVs into a per-record-synced disk index
-// and answers a query; a second run against the same -index-dir must load
-// the persisted index without re-ingest and return the same top hit.
+// run ingests three CSVs into a disk index and answers a query; a second
+// run against the same -index-dir must load the persisted index without
+// re-ingest and return the same top hit.
 func TestIndexSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the pneuma-index binary; skipped in -short")
@@ -43,7 +43,7 @@ func TestIndexSmoke(t *testing.T) {
 	run := func() string {
 		t.Helper()
 		out, err := exec.Command(bin, "-dir", csvDir, "-backend", "disk",
-			"-index-dir", filepath.Join(tmp, "idx"), "-sync-bytes", "1",
+			"-index-dir", filepath.Join(tmp, "idx"),
 			"-q", "potassium in soil samples").CombinedOutput()
 		if err != nil {
 			t.Fatalf("pneuma-index: %v\n%s", err, out)

@@ -51,8 +51,8 @@
 // GOMAXPROCS), each shard owning a pluggable storage backend — an HNSW
 // graph plus a BM25 inverted index, either purely in memory
 // (BackendMemory, the default) or additionally persisted to an
-// append-only segment file per shard (BackendDisk) that is replayed on
-// open and made durable by Retriever.Flush/Close. All shards score BM25
+// append-only segment file per shard (BackendDisk) that every write
+// fsyncs before it returns and that is replayed on open. All shards score BM25
 // against one shared corpus-statistics object, so sharded ranking is
 // identical to single-index ranking at any shard count.
 //

@@ -58,22 +58,22 @@ func TestRRFFusionAcrossSources(t *testing.T) {
 
 func TestQueryCacheHitAndCopy(t *testing.T) {
 	s := fixtureSystem(t)
-	if s.CacheLen() != 0 {
-		t.Fatalf("fresh system has %d cache entries", s.CacheLen())
+	if s.cache.len() != 0 {
+		t.Fatalf("fresh system has %d cache entries", s.cache.len())
 	}
 	res1, err := s.Query(context.Background(), Request{Query: "potassium samples", K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.CacheLen() != 1 {
-		t.Fatalf("cache len = %d after first query", s.CacheLen())
+	if s.cache.len() != 1 {
+		t.Fatalf("cache len = %d after first query", s.cache.len())
 	}
 	res2, err := s.Query(context.Background(), Request{Query: "potassium samples", K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.CacheLen() != 1 {
-		t.Fatalf("cache len = %d after repeat query", s.CacheLen())
+	if s.cache.len() != 1 {
+		t.Fatalf("cache len = %d after repeat query", s.cache.len())
 	}
 	if len(res1.Documents) != len(res2.Documents) {
 		t.Fatalf("cached result differs: %d vs %d docs", len(res1.Documents), len(res2.Documents))
@@ -156,8 +156,8 @@ func TestCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.CacheLen() != DefaultCacheSize {
-		t.Fatalf("cache len = %d, want capacity %d", s.CacheLen(), DefaultCacheSize)
+	if s.cache.len() != DefaultCacheSize {
+		t.Fatalf("cache len = %d, want capacity %d", s.cache.len(), DefaultCacheSize)
 	}
 }
 

@@ -90,11 +90,11 @@ func TestQueryDegradedNotCached(t *testing.T) {
 	if err := ret.Close(); err != nil {
 		t.Fatal(err)
 	}
-	before := s.CacheLen()
+	before := s.cache.len()
 	if _, err := s.Query(context.Background(), Request{Query: "potassium interpolation", K: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.CacheLen(); got != before {
+	if got := s.cache.len(); got != before {
 		t.Fatalf("degraded query entered the cache (len %d -> %d)", before, got)
 	}
 }

@@ -255,10 +255,6 @@ func cacheKey(query string, k int, sources []Source) string {
 	return strconv.Itoa(k) + "\x00" + strings.Join(names, ",") + "\x00" + query
 }
 
-// CacheLen reports the number of live cache entries (tests and
-// instrumentation).
-func (s *System) CacheLen() int { return s.cache.len() }
-
 // LookupTable fetches a table by exact name from the table retriever's
 // store — the grounding path Conductor uses to verify a table it is about
 // to reference actually exists (§3.2).

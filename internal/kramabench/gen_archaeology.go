@@ -348,7 +348,18 @@ func Archaeology() map[string]*table.Table {
 	}
 	out[occupation.Schema.Name] = occupation
 
-	return out
+	return exact(out)
+}
+
+// exact replaces every table of a generated corpus with a copy that holds
+// its cells and nothing more. The generators build with MustAppend, which
+// leaves each column vector Go's append slack and each large string
+// column its dictionary index map; both would live as long as the corpus.
+func exact(corpus map[string]*table.Table) map[string]*table.Table {
+	for name, t := range corpus {
+		corpus[name] = t.Clone()
+	}
+	return corpus
 }
 
 func countryOf(region string) string {

@@ -345,7 +345,7 @@ func Environment() map[string]*table.Table {
 		}
 		out[t.Schema.Name] = t
 	}
-	return out
+	return exact(out)
 }
 
 func indexOf(xs []string, x string) int {

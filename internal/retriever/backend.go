@@ -19,8 +19,9 @@ const (
 	// index + document map). This is the default and the fastest option.
 	Memory Backend = "memory"
 	// Disk additionally persists every shard to an append-only segment
-	// file; the in-memory posting/vector structures are rebuilt from the
-	// segment log on Open, and Flush/Close make writes durable. Search
+	// file, which every write call fsyncs before it returns; the
+	// in-memory posting/vector structures are rebuilt from the segment
+	// log on Open, and Flush/Close snapshot them for a fast reopen. Search
 	// runs against the same in-memory structures as Memory, so results
 	// and latency are identical — the segment log buys restartability,
 	// not a different ranking.

@@ -235,7 +235,7 @@ func FuzzBatchSplit(f *testing.F) {
 		dir := t.TempDir()
 		stA, stB := bm25.NewStats(), bm25.NewStats()
 		log, err := openDiskBackend(filepath.Join(dir, "shard.seg"), filepath.Join(dir, "shard.snap"),
-			splitDim, 1, stA, newGroupCommit(0, 0), compactionOff)
+			splitDim, 1, stA, newCompactor(), compactionOff)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -226,14 +226,12 @@ func TestChurnSoak(t *testing.T) {
 				var dir string
 				if backend == Disk {
 					dir = t.TempDir()
-					// A byte-based sync policy keeps the group-commit
-					// flusher live for the whole soak. Ratio-triggered
-					// compaction is disabled: it rebuilds the graph without
-					// its tombstones, which is correct but would diverge
-					// from the tombstoned sequential replay below — the
-					// dedicated compaction-parity test covers that path.
-					opts = append(opts, WithDir(dir), WithSyncBytes(1<<14),
-						withCompactRatio(compactionOff))
+					// Ratio-triggered compaction is disabled: it rebuilds
+					// the graph without its tombstones, which is correct
+					// but would diverge from the tombstoned sequential
+					// replay below — the dedicated compaction-parity test
+					// covers that path.
+					opts = append(opts, WithDir(dir), withCompactRatio(compactionOff))
 				}
 				r, err := Open(opts...)
 				if err != nil {

@@ -18,9 +18,10 @@ import (
 // leave dead records behind. Once they make up DefaultCompactionRatio of
 // the segment, the shard is rewritten to its live records — triggered from
 // the write path (appendRecord), by Flush, or by Close, and always run by
-// the same code: compactShard, on the group-commit flusher goroutine. It
-// takes the shard's writer lock only in short slices, so a large
-// compaction never stalls a writer for more than one slice's work:
+// the same code: compactShard, on the retriever's one background
+// goroutine, the compactor. It takes the shard's writer lock only in short
+// slices, so a large compaction never stalls a writer for more than one
+// slice's work:
 //
 //  1. Pin (locked, O(1)): drain the segment write buffer, record the
 //     current segment extent as the pin point, and pin the HNSW view's
@@ -29,9 +30,8 @@ import (
 //  2. Shadow build (off-lock): walk the pinned live set in chunks,
 //     inserting each chunk into a fresh shadow memoryBackend and
 //     appending the same records to a tmp segment under the bumped
-//     generation. Between chunks the goroutine yields and services
-//     pending group-commit fsyncs (it *is* the flusher, so nobody else
-//     would). Writers keep appending to the live shard throughout.
+//     generation. Between chunks the goroutine yields. Writers keep
+//     appending to the live shard throughout.
 //  3. Catch-up (mostly off-lock): in rounds, briefly take the lock to
 //     drain the write buffer, then — unlocked — read the newly flushed
 //     byte range straight off the segment file, raw-copy each record to
@@ -66,8 +66,7 @@ import (
 
 // compactChunk is how many live documents phase 2 moves per lock-free
 // slice: large enough to amortize per-batch copy-on-write in the shadow,
-// small enough that the reads-first yield and the fsync service interval
-// stay tight.
+// small enough that the reads-first yield comes often.
 const compactChunk = 64
 
 // compactCatchupRounds bounds phase 3: each round replays the bytes the
@@ -94,7 +93,7 @@ type CompactionStats struct {
 }
 
 // CompactionStats returns cumulative compaction counters across all
-// shards (mirroring Fsyncs for group commit); Service.Stats and the
+// shards (beside Fsyncs); Service.Stats and the
 // server's /metrics report them. The sliced rewrite keeps MaxStall
 // bounded by one catch-up slice.
 func (r *Retriever) CompactionStats() CompactionStats {
@@ -122,20 +121,64 @@ func (b *diskBackend) noteCompaction(reclaimed int64, stall time.Duration) {
 	}
 }
 
+// compactor is the retriever's one background goroutine (Disk only): it
+// runs every scheduled compaction, one shard at a time, from Open to
+// Close.
+type compactor struct {
+	compact chan struct{} // ≥1 shard scheduled a compaction
+	done    chan struct{} // closed by Close: exit
+	stopped chan struct{} // closed by the goroutine on exit
+}
+
+func newCompactor() *compactor {
+	return &compactor{
+		compact: make(chan struct{}, 1),
+		done:    make(chan struct{}),
+		stopped: make(chan struct{}),
+	}
+}
+
+// runCompactor is the compactor goroutine's body: on each wakeup it runs
+// every scheduled compaction. Close stops it only after its flush has
+// waited out every due rewrite, so exiting leaves no work behind.
+func (r *Retriever) runCompactor() {
+	c := r.compactor
+	defer close(c.stopped)
+	for {
+		select {
+		case <-c.done:
+			return
+		case <-c.compact:
+		}
+		for _, s := range r.shards {
+			s.mu.Lock()
+			want := s.log.compactWant
+			s.mu.Unlock()
+			if want {
+				compactShard(s)
+			}
+		}
+	}
+}
+
 // scheduleCompactLocked marks the shard as wanting a background rewrite
-// and wakes the flusher; if one is already scheduled or running it just
-// returns the existing completion channel (shard lock held).
+// and wakes the compactor; if one is already scheduled or running it just
+// returns the existing completion channel (shard lock held). The wakeup
+// does not block: a token already queued finds compactWant set too.
 func (b *diskBackend) scheduleCompactLocked() chan struct{} {
 	if b.compactDone == nil {
 		b.compactWant = true
 		b.compactDone = make(chan struct{})
-		b.gc.signalCompact()
+		select {
+		case b.compactor.compact <- struct{}{}:
+		default:
+		}
 	}
 	return b.compactDone
 }
 
 // flushLocked is flush's per-shard first half (shard lock held). A shard
-// whose compaction is due is synced and handed to the flusher, and the
+// whose compaction is due is synced and handed to the compactor, and the
 // returned channel closes when the rewrite finishes; its snapshot waits for
 // the second half, because the rewrite is about to invalidate it. Any
 // other shard is flushed completely here.
@@ -143,7 +186,7 @@ func (b *diskBackend) flushLocked() (<-chan struct{}, error) {
 	if !b.shouldCompact() {
 		return nil, b.Flush()
 	}
-	if err := b.takeAsyncErr(); err != nil {
+	if err := b.takeParked(); err != nil {
 		return nil, err
 	}
 	if err := b.syncSegment(); err != nil {
@@ -152,57 +195,23 @@ func (b *diskBackend) flushLocked() (<-chan struct{}, error) {
 	return b.scheduleCompactLocked(), nil
 }
 
-// compactPendingShards runs scheduled background compactions, one shard at
-// a time (flusher goroutine only).
-func (r *Retriever) compactPendingShards() {
-	for _, s := range r.shards {
-		s.mu.Lock()
-		want := s.log != nil && s.log.compactWant
-		s.mu.Unlock()
-		if want {
-			r.compactShard(s)
-		}
-	}
-}
-
-// drainSyncs services pending group-commit fsyncs from inside a running
-// compaction: the compaction occupies the flusher goroutine, so without
-// this the latency bound would stretch to the length of the rewrite.
-func (r *Retriever) drainSyncs() {
-	g := r.gc
-	if !g.sync {
-		return
-	}
-	select {
-	case <-g.notify:
-		select {
-		case <-g.kick:
-		default:
-		}
-		r.syncPendingShards()
-	default:
-	}
-}
-
 // compactShard is the background rewrite described at the top of the
-// file. It runs on the flusher goroutine, starting over while an attempt
+// file. It runs on the compactor goroutine, starting over while an attempt
 // comes back stale, then parks any error for the next Flush/Close, clears
 // the schedule and releases waiters, whatever happened.
-func (r *Retriever) compactShard(s *shard) {
+func compactShard(s *shard) {
 	db := s.log
 	var maxStall time.Duration
 	var err error
 	for attempt := 0; ; attempt++ {
 		var stale bool
-		stale, err = r.compactOnce(s, &maxStall, attempt == compactRetries)
+		stale, err = compactOnce(s, &maxStall, attempt == compactRetries)
 		if err != nil || !stale {
 			break
 		}
 	}
 	s.mu.Lock()
-	if err != nil && db.compactErr == nil {
-		db.compactErr = err
-	}
+	db.park(err)
 	db.compactWant = false
 	if db.compactDone != nil {
 		close(db.compactDone)
@@ -215,7 +224,7 @@ func (r *Retriever) compactShard(s *shard) {
 // is accessed in short shard-locked slices, each measured into maxStall as
 // writer stall. It reports stale, having committed nothing, when the
 // shadow holds a tombstoned node and last is false.
-func (r *Retriever) compactOnce(s *shard, maxStall *time.Duration, last bool) (stale bool, err error) {
+func compactOnce(s *shard, maxStall *time.Duration, last bool) (stale bool, err error) {
 	db, live := s.log, s.mem
 	stallSince := func(t0 time.Time) {
 		if d := time.Since(t0); d > *maxStall {
@@ -288,10 +297,7 @@ func (r *Retriever) compactOnce(s *shard, maxStall *time.Duration, last bool) (s
 			recs++
 		}
 		bds, bvecs = bds[:0], bvecs[:0]
-		// Reads-first yield, and keep group commit honest while this
-		// goroutine is busy here.
-		r.drainSyncs()
-		runtime.Gosched()
+		runtime.Gosched() // reads first
 		return nil
 	}
 	var werr error
@@ -366,7 +372,6 @@ func (r *Retriever) compactOnce(s *shard, maxStall *time.Duration, last bool) (s
 			return false, err
 		}
 		cursor = hi
-		r.drainSyncs()
 	}
 	if !last && shadow.vec.Tombstones() > 0 {
 		return true, nil

@@ -82,7 +82,7 @@ func TestBackgroundCompactionStats(t *testing.T) {
 
 // TestBackgroundCompactionProactive verifies a compaction starts from the
 // write path alone: once deletes push the dead fraction past the
-// threshold, the flusher rewrites the segment without any Flush call.
+// threshold, the compactor rewrites the segment without any Flush call.
 func TestBackgroundCompactionProactive(t *testing.T) {
 	dir := t.TempDir()
 	tables := corpusSlice(64)
@@ -136,7 +136,7 @@ func TestBackgroundCompactionProactive(t *testing.T) {
 func TestBackgroundCompactionUnderIngest(t *testing.T) {
 	dir := t.TempDir()
 	tables := corpusSlice(64)
-	r, err := Open(WithShards(1), WithBackend(Disk), WithDir(dir), WithSyncBytes(1024))
+	r, err := Open(WithShards(1), WithBackend(Disk), WithDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,99 +205,87 @@ func TestBackgroundCompactionUnderIngest(t *testing.T) {
 
 // TestCloseCompactsDueShard closes an index whose compaction is due
 // without calling Flush. Close must hand the rewrite to the still-running
-// flusher and wait for it: the segment shrinks, its header generation
+// compactor and wait for it: the segment shrinks, its header generation
 // advances, and a reopen answers like a fresh index over the survivors.
 // Two ways to be due when Close lands:
 //
 //   - deleted-this-session: the deletes crossed the threshold, so the
-//     write path already scheduled the rewrite and Close races it; with a
-//     sync policy the flusher may be parked on its latency timer, with the
-//     compaction signal waiting behind it.
+//     write path already scheduled the rewrite and Close races it.
 //   - due-at-open: the deletes were written with compaction off and the
 //     index reopened at the default ratio, so nothing has scheduled a
 //     rewrite and only Close's hand-off can run one.
 func TestCloseCompactsDueShard(t *testing.T) {
 	for _, atOpen := range []bool{false, true} {
-		for _, sync := range []bool{false, true} {
-			name := "deleted-this-session"
+		name := "deleted-this-session"
+		if atOpen {
+			name = "due-at-open"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			seg := filepath.Join(dir, "shard-0000.seg")
+			opts := []Option{WithShards(1), WithBackend(Disk), WithDir(dir)}
+			tables := corpusSlice(64)
+			first := opts
 			if atOpen {
-				name = "due-at-open"
+				first = append(first[:len(first):len(first)], withCompactRatio(compactionOff))
 			}
-			if sync {
-				name += "/sync-bytes"
-			} else {
-				name += "/no-sync-policy"
+			r, err := Open(first...)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				dir := t.TempDir()
-				seg := filepath.Join(dir, "shard-0000.seg")
-				opts := []Option{WithShards(1), WithBackend(Disk), WithDir(dir)}
-				if sync {
-					opts = append(opts, WithSyncBytes(1<<20))
-				}
-				tables := corpusSlice(64)
-				first := opts
-				if atOpen {
-					first = append(first[:len(first):len(first)], withCompactRatio(compactionOff))
-				}
-				r, err := Open(first...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := r.IndexTables(context.Background(), tables); err != nil {
-					t.Fatal(err)
-				}
-				if err := r.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				before := totalSize(t, []string{seg})
-				genBefore := segGeneration(t, seg)
-				ids := make([]string, 40)
-				for i, tb := range tables[:40] {
-					ids[i] = "table:" + tb.Schema.Name
-				}
-				if n := r.DeleteDocuments(ids); n != 40 {
-					t.Fatalf("deleted %d, want 40", n)
-				}
-				if atOpen {
-					if err := r.Close(); err != nil {
-						t.Fatal(err)
-					}
-					if after := totalSize(t, []string{seg}); after <= before {
-						t.Fatalf("segment compacted with compaction off: %d -> %d bytes", before, after)
-					}
-					if r, err = Open(opts...); err != nil {
-						t.Fatal(err)
-					}
-				}
+			if err := r.IndexTables(context.Background(), tables); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			before := totalSize(t, []string{seg})
+			genBefore := segGeneration(t, seg)
+			ids := make([]string, 40)
+			for i, tb := range tables[:40] {
+				ids[i] = "table:" + tb.Schema.Name
+			}
+			if n := r.DeleteDocuments(ids); n != 40 {
+				t.Fatalf("deleted %d, want 40", n)
+			}
+			if atOpen {
 				if err := r.Close(); err != nil {
 					t.Fatal(err)
 				}
-				if after := totalSize(t, []string{seg}); after >= before {
-					t.Fatalf("Close left the segment uncompacted: %d -> %d bytes", before, after)
+				if after := totalSize(t, []string{seg}); after <= before {
+					t.Fatalf("segment compacted with compaction off: %d -> %d bytes", before, after)
 				}
-				if gen := segGeneration(t, seg); gen <= genBefore {
-					t.Fatalf("segment generation %d -> %d, want an advance", genBefore, gen)
+				if r, err = Open(opts...); err != nil {
+					t.Fatal(err)
 				}
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if after := totalSize(t, []string{seg}); after >= before {
+				t.Fatalf("Close left the segment uncompacted: %d -> %d bytes", before, after)
+			}
+			if gen := segGeneration(t, seg); gen <= genBefore {
+				t.Fatalf("segment generation %d -> %d, want an advance", genBefore, gen)
+			}
 
-				fresh := New(WithShards(1))
-				defer fresh.Close()
-				if err := fresh.IndexTables(context.Background(), tables[40:]); err != nil {
-					t.Fatal(err)
-				}
-				re, err := Open(WithBackend(Disk), WithDir(dir))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer re.Close()
-				if re.Len() != 24 {
-					t.Fatalf("reopened Len = %d, want 24", re.Len())
-				}
-				for _, q := range parityQueries {
-					assertSameResults(t, "closed+reopened "+q, mustSearch(t, fresh, q, 10), mustSearch(t, re, q, 10))
-				}
-			})
-		}
+			fresh := New(WithShards(1))
+			defer fresh.Close()
+			if err := fresh.IndexTables(context.Background(), tables[40:]); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(WithBackend(Disk), WithDir(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if re.Len() != 24 {
+				t.Fatalf("reopened Len = %d, want 24", re.Len())
+			}
+			for _, q := range parityQueries {
+				assertSameResults(t, "closed+reopened "+q, mustSearch(t, fresh, q, 10), mustSearch(t, re, q, 10))
+			}
+		})
 	}
 }
 

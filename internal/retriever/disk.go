@@ -162,10 +162,9 @@ type diskBackend struct {
 	snapPath string
 	f        *os.File
 	w        *bufio.Writer
-	// gc is the retriever-wide group-commit coordinator (see
-	// groupcommit.go). Its flusher goroutine also runs every due
-	// compaction (see compact.go).
-	gc *groupCommit
+	// compactor is the retriever's background goroutine that runs every
+	// due compaction (see compact.go).
+	compactor *compactor
 	// compactRatio is the dead-record fraction that triggers a compaction
 	// rewrite (DefaultCompactionRatio; this package's tests pass a value
 	// above 1 to disable compaction).
@@ -177,22 +176,18 @@ type diskBackend struct {
 	snapSize int64  // segment offset covered by the on-disk snapshot
 	records  int64  // records in the segment (live + dead)
 
-	// Group-commit state, guarded by the shard lock like everything else:
-	// bytes appended since the last fsync, the first asynchronous sync
-	// error (surfaced at the next Flush/Close), and the cumulative fsync
-	// count (Retriever.Fsyncs).
-	pendingBytes int64
-	syncErr      error
-	fsyncs       uint64
+	// Guarded by the shard lock like everything else: the first error no
+	// caller could be handed (see park), returned by the next
+	// Flush/Close, and the cumulative fsync count (Retriever.Fsyncs).
+	parked error
+	fsyncs uint64
 
 	// Background-compaction state, guarded by the shard lock (compact.go).
 	// compactDone is non-nil while a rewrite is scheduled or running and is
-	// closed when it finishes (however it finishes); compactErr parks a
-	// failure for the next Flush/Close, like syncErr. The remaining fields
+	// closed when it finishes (however it finishes). The remaining fields
 	// feed Retriever.CompactionStats.
 	compactWant     bool
 	compactDone     chan struct{}
-	compactErr      error
 	compactRuns     uint64
 	compactReclaim  int64
 	compactMaxStall time.Duration
@@ -207,7 +202,7 @@ type diskBackend struct {
 // otherwise the full log is replayed. A trailing torn record or a
 // CRC-mismatching record — the signatures of a crash mid-write — truncate
 // the log at the last whole record rather than failing the open.
-func openDiskBackend(path, snapPath string, dim int, seed int64, st *bm25.Stats, gc *groupCommit, compactRatio float64) (*diskBackend, error) {
+func openDiskBackend(path, snapPath string, dim int, seed int64, st *bm25.Stats, c *compactor, compactRatio float64) (*diskBackend, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
@@ -285,7 +280,7 @@ func openDiskBackend(path, snapPath string, dim int, seed int64, st *bm25.Stats,
 		snapPath:     snapPath,
 		f:            f,
 		w:            bufio.NewWriterSize(f, 1<<20),
-		gc:           gc,
+		compactor:    c,
 		compactRatio: compactRatio,
 		gen:          gen,
 		segSize:      good,
@@ -416,14 +411,11 @@ func writeFramedRecord(w io.Writer, frame *wire.Writer, payload []byte) (int64, 
 }
 
 // appendRecord frames the current contents of b.rec (length prefix +
-// payload + CRC32) into the segment buffer. Writers never fsync inline:
-// when a sync policy is configured the record joins the shard's pending
-// batch and the group-commit flusher is poked (immediately if the byte
-// threshold tripped, otherwise after the latency bound — see
-// groupcommit.go). Without a policy, durability is deferred to
-// Flush/Close. Either way, the append also checks the compaction
-// threshold, so a segment whose dead fraction crosses it starts its
-// rewrite immediately instead of waiting for the next Flush.
+// payload + CRC32) into the segment buffer. It does not sync: the write
+// call that appended the record syncs once after its last record (see
+// syncSegment). The append also checks the compaction threshold, so a
+// segment whose dead fraction crosses it starts its rewrite immediately
+// instead of waiting for the next Flush.
 func (b *diskBackend) appendRecord() error {
 	rec, err := writeFramedRecord(b.w, &b.frame, b.rec.Bytes())
 	if err != nil {
@@ -431,11 +423,6 @@ func (b *diskBackend) appendRecord() error {
 	}
 	b.segSize += rec
 	b.records++
-	gc := b.gc
-	if gc.sync {
-		b.pendingBytes += rec
-		gc.signal(gc.tripped(b.pendingBytes))
-	}
 	if b.compactDone == nil && b.shouldCompact() {
 		b.scheduleCompactLocked()
 	}
@@ -465,27 +452,47 @@ func (b *diskBackend) logAdds(ds []docs.Document, vecs [][]float32) error {
 	return nil
 }
 
-// logDeletes appends one delete record per removed ID, in order.
+// logDeletes appends one delete record per removed ID, in order, then
+// syncs them; a batch that removed nothing appends and syncs nothing.
+// DeleteDocuments reports only a count, so a failed append or sync is
+// parked and the next Flush/Close returns it. Until then the
+// delete is visible in memory but may not be durable: an index reopened
+// after a crash may hold the document again.
 func (b *diskBackend) logDeletes(removed []string) {
+	if len(removed) == 0 {
+		return
+	}
+	var err error
 	for _, id := range removed {
-		// A failed tombstone append leaves the delete visible in memory
-		// but not durable; the reopened index resurrects the document.
-		// That is the backend's documented durability boundary
-		// (crash-after-delete); WithSyncBytes(1) shrinks the window to
-		// the single record.
 		b.rec.Reset()
 		b.rec.Byte(opDel)
 		b.rec.String(id)
-		_ = b.appendRecord()
+		if err = b.appendRecord(); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = b.syncSegment()
+	}
+	b.park(err)
+}
+
+// park keeps err for the next Flush/Close when it is the shard's first
+// failure that no caller could be handed: a delete's append or sync, an
+// ingest's sync behind an earlier error, or a background compaction
+// (shard lock held).
+func (b *diskBackend) park(err error) {
+	if err != nil && b.parked == nil {
+		b.parked = err
 	}
 }
 
-// syncSegment drains the write buffer and fsyncs the segment file,
-// clearing the pending group-commit batch. One call makes every record
-// appended since the previous sync durable — the whole point of group
-// commit is that this runs once per batch, not once per record.
+// syncSegment drains the write buffer and fsyncs the segment file. One
+// call makes every record appended since the previous sync durable; each
+// write call runs it once per shard it appended to, after its last
+// record, so a batch costs one fsync per touched shard, not one per
+// record.
 func (b *diskBackend) syncSegment() error {
-	b.pendingBytes = 0
 	if err := b.w.Flush(); err != nil {
 		return err
 	}
@@ -497,13 +504,13 @@ func (b *diskBackend) syncSegment() error {
 	return nil
 }
 
-// Flush makes the shard durable under the caller's shard lock: any sync
-// or compaction error the flusher parked since the last Flush surfaces
-// first, then the segment is drained and fsynced, and a fresh snapshot is
-// written when the segment changed since the last one. It never compacts:
-// a due rewrite runs on the flusher (see Retriever.flush).
+// Flush makes the shard durable under the caller's shard lock: any delete
+// or compaction error parked since the last Flush surfaces first, then
+// the segment is drained and fsynced, and a fresh snapshot is written
+// when the segment changed since the last one. It never compacts: a due
+// rewrite runs on the compactor (see Retriever.flush).
 func (b *diskBackend) Flush() error {
-	if err := b.takeAsyncErr(); err != nil {
+	if err := b.takeParked(); err != nil {
 		return err
 	}
 	if err := b.syncSegment(); err != nil {
@@ -515,19 +522,11 @@ func (b *diskBackend) Flush() error {
 	return nil
 }
 
-// takeAsyncErr surfaces (and clears) the first error the flusher parked on
-// this shard — a failed group-commit fsync or a failed background
-// compaction — in that order.
-func (b *diskBackend) takeAsyncErr() error {
-	if err := b.syncErr; err != nil {
-		b.syncErr = nil
-		return err
-	}
-	if err := b.compactErr; err != nil {
-		b.compactErr = nil
-		return err
-	}
-	return nil
+// takeParked returns and clears the parked error (see park).
+func (b *diskBackend) takeParked() error {
+	err := b.parked
+	b.parked = nil
+	return err
 }
 
 // shouldCompact reports whether dead records (superseded adds, deleted
@@ -568,7 +567,6 @@ func (b *diskBackend) swapSegment(size, recs int64) error {
 	b.flushed = size
 	b.snapSize = 0
 	b.records = recs
-	b.pendingBytes = 0
 	return nil
 }
 

@@ -689,75 +689,6 @@ func TestDirLock(t *testing.T) {
 	re.Close()
 }
 
-// waitSynced blocks until no disk shard has records pending fsync (the
-// group-commit flusher has caught up), failing the test after 5s.
-func waitSynced(t *testing.T, r *Retriever) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var pending int64
-		for _, s := range r.shards {
-			s.mu.Lock()
-			if s.log != nil {
-				pending += s.log.pendingBytes
-			}
-			s.mu.Unlock()
-		}
-		if pending == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("group-commit flusher did not drain: %d bytes still pending", pending)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestSyncEveryDurability indexes with a sync policy that trips on every
-// record (WithSyncBytes(1)) and verifies the records become durable in
-// the segment file without any Flush — by copying the live index
-// directory (minus the lock) aside and opening the copy, simulating a
-// crash of the original process. With group commit the fsync is
-// asynchronous but latency-bounded, so the test polls until the flusher
-// has drained the pending batch.
-func TestSyncEveryDurability(t *testing.T) {
-	dir := t.TempDir()
-	r, err := Open(WithShards(1), WithBackend(Disk), WithDir(dir), WithSyncBytes(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	tables := corpusSlice(12)
-	if err := r.IndexTables(context.Background(), tables); err != nil {
-		t.Fatal(err)
-	}
-	if !deleteOne(r, "table:"+tables[0].Schema.Name) {
-		t.Fatal("delete failed")
-	}
-	// No Flush: the group-commit flusher must make every acknowledged
-	// record durable within the latency bound. Poll (generously, for slow
-	// CI) until the shard reports no pending records.
-	waitSynced(t, r)
-	crash := t.TempDir()
-	for _, name := range []string{manifestName, "shard-0000.seg"} {
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(crash, name), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	re, err := Open(WithBackend(Disk), WithDir(crash))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Len() != len(tables)-1 {
-		t.Fatalf("crash-copy Len = %d, want %d (all records incl. tombstone durable)", re.Len(), len(tables)-1)
-	}
-}
-
 // TestTablePayloadFidelity is the round-trip regression for the binary
 // codec: sub-second timestamps and NULL-looking string literals must
 // survive flush/reopen byte-identically (the legacy canonical-string

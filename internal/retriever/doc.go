@@ -92,21 +92,25 @@
 //
 // # Durability and compaction
 //
-// Records buffer in memory and become durable on Flush/Close;
-// WithSyncBytes(n) and WithSyncInterval(d) additionally have the
-// group-commit flusher fsync once n bytes are pending or d after the
-// first pending record, shrinking the crash-loss window (including
-// tombstones, whose loss resurrects deleted documents). Deletes and
+// Acknowledged means durable: IndexTables, IndexDocuments and
+// DeleteDocuments return only after every shard they appended to has
+// fsynced its segment — one fsync per touched shard per call, none for a
+// shard the call left unchanged, and also after a cancellation cut an
+// ingest short. An ingest returns a failed sync as its error;
+// DeleteDocuments, which reports a count, parks its failed append or sync
+// on the shard for the next Flush or Close to return. Flush and Close
+// add the snapshots; they are not needed for durability. Deletes and
 // replacements accumulate dead records in the log; once their fraction
-// reaches DefaultCompactionRatio (0.5), the group-commit flusher rewrites
-// the segment to exactly the live documents under a new generation and
-// installs in-memory state that matches a replay of the rewritten log —
-// the HNSW graph is reconstructed without its tombstoned nodes, so
-// post-compaction results are those of a fresh index over the surviving
-// corpus (a rewrite that a concurrent delete or re-add would leave holding
-// a tombstone starts over instead of committing). The rewrite starts from the write path as soon as the threshold
-// is crossed; Flush and Close wait for any that is due, so both return
-// with every shard under the threshold and its snapshot current.
+// reaches DefaultCompactionRatio (0.5), the retriever's one background
+// goroutine, the compactor, rewrites the segment to exactly the live
+// documents under a new generation and installs in-memory state that
+// matches a replay of the rewritten log — the HNSW graph is reconstructed
+// without its tombstoned nodes, so post-compaction results are those of a
+// fresh index over the surviving corpus (a rewrite that a concurrent
+// delete or re-add would leave holding a tombstone starts over instead of
+// committing). The rewrite starts from the write path as soon as the
+// threshold is crossed; Flush and Close wait for any that is due, so both
+// return with every shard under the threshold and its snapshot current.
 //
 // While open, the Disk backend holds an advisory lock file (PID inside)
 // in the index directory: a second process opening the same directory

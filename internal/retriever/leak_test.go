@@ -15,32 +15,41 @@ import (
 )
 
 // Lifecycle leak coverage: every goroutine the retriever starts — the
-// group-commit flusher, embedding workers, shard writers, search fan-out
+// compactor, embedding workers, shard writers, search fan-out
 // — must be gone once Close returns, including when Close races live
 // readers and writers and when an ingest is abandoned mid-stream.
 
-// TestDiskFlusherCloseNoLeak pins the group-commit flusher's lifecycle:
-// with a sync policy configured the flusher goroutine runs for the
-// retriever's whole life, and Close must stop it (after its final
-// durability sweep) — the leak guard proves it exited, a reopen proves
-// the sweep made every acknowledged record durable.
-func TestDiskFlusherCloseNoLeak(t *testing.T) {
+// TestDiskCompactorCloseNoLeak pins the compactor's lifecycle: its
+// goroutine runs for the retriever's whole life, and Close must stop it
+// after waiting out the rewrites the deletes below made due — the leak
+// guard proves it exited, a reopen proves the rewrites kept every
+// surviving document.
+func TestDiskCompactorCloseNoLeak(t *testing.T) {
 	defer leakcheck.Check(t)()
 	dir := t.TempDir()
-	r, err := Open(WithShards(4), WithBackend(Disk), WithDir(dir),
-		WithSyncInterval(time.Hour)) // interval never fires: only Close's sweep syncs
+	r, err := Open(WithShards(4), WithBackend(Disk), WithDir(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ds := make([]docs.Document, 40)
+	ids := make([]string, 30)
 	for i := range ds {
 		ds[i] = churnDoc(i)
+		if i < len(ids) {
+			ids[i] = ds[i].ID
+		}
 	}
 	if err := r.IndexDocuments(context.Background(), ds); err != nil {
 		t.Fatal(err)
 	}
+	if n := r.DeleteDocuments(ids); n != len(ids) {
+		t.Fatalf("deleted %d, want %d", n, len(ids))
+	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if cs := r.CompactionStats(); cs.Runs == 0 {
+		t.Fatalf("Close returned with no compaction run: %+v", cs)
 	}
 
 	re, err := Open(WithShards(4), WithBackend(Disk), WithDir(dir))
@@ -48,20 +57,19 @@ func TestDiskFlusherCloseNoLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Len() != len(ds) {
-		t.Fatalf("reopen Len = %d, want %d", re.Len(), len(ds))
+	if re.Len() != len(ds)-len(ids) {
+		t.Fatalf("reopen Len = %d, want %d", re.Len(), len(ds)-len(ids))
 	}
 }
 
-// TestDiskConcurrentCloseUnderLoad closes a disk-backed retriever (group
-// commit active) while reader and writer goroutines are still hammering
-// it. Close must wait for every in-flight call to drain, every later
+// TestDiskConcurrentCloseUnderLoad closes a disk-backed retriever while
+// reader and writer goroutines are still hammering it. Close must wait for every in-flight call to drain, every later
 // call must fail with the typed ErrClosed — never a crash on a released
 // backend — and no goroutine may outlive the retriever.
 func TestDiskConcurrentCloseUnderLoad(t *testing.T) {
 	defer leakcheck.Check(t)()
 	r, err := Open(WithShards(4), WithBackend(Disk), WithDir(t.TempDir()),
-		WithSyncBytes(1<<12), withCompactRatio(compactionOff))
+		withCompactRatio(compactionOff))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,15 +132,15 @@ func TestDiskConcurrentCloseUnderLoad(t *testing.T) {
 // TestIndexDocumentsCanceledMidIngest cancels a bulk ingest after the
 // first batches have already landed (not before it starts, which
 // cancel_test.go covers). The call must return the typed ErrCanceled,
-// the embedding workers and shard writers must all exit, the
-// group-commit flusher must keep running for the surviving retriever,
-// and everything indexed before the cut must still be durable and
-// searchable after a clean Close and reopen.
+// the embedding workers and shard writers must all exit, and everything
+// indexed before the cut must already be durable — a crash copy taken
+// right after the call holds it — and searchable after a clean Close and
+// reopen.
 func TestIndexDocumentsCanceledMidIngest(t *testing.T) {
 	defer leakcheck.Check(t)()
 	dir := t.TempDir()
 	r, err := Open(WithShards(4), WithBackend(Disk), WithDir(dir),
-		WithSyncBytes(1<<12), withCompactRatio(compactionOff))
+		withCompactRatio(compactionOff))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,6 +167,16 @@ func TestIndexDocumentsCanceledMidIngest(t *testing.T) {
 	got := r.Len()
 	if got == 0 || got >= len(big) {
 		t.Fatalf("Len = %d after mid-ingest cancel, want partial (0, %d)", got, len(big))
+	}
+	crash, err := Open(WithBackend(Disk), WithDir(crashCopy(t, dir)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if crash.Len() != got {
+		t.Fatalf("crash copy after cancel holds %d documents, want %d", crash.Len(), got)
+	}
+	if err := crash.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	// The retriever survives the abandoned ingest: later writes work and

@@ -79,15 +79,12 @@ type Retriever struct {
 	numShards int
 	backend   Backend
 	dir       string
-	// Disk-backend policy knobs (see WithSyncBytes, WithSyncInterval);
-	// ignored by the Memory backend. compactRatio is always
+	// compactRatio is the Disk backend's compaction trigger, always
 	// DefaultCompactionRatio outside this package's tests.
-	syncBytes    int64
-	syncInterval time.Duration
 	compactRatio float64
-	// gc is the group-commit coordinator (nil when no sync policy is
-	// configured); its flusher goroutine runs from Open to Close.
-	gc *groupCommit
+	// compactor runs the Disk backend's background compactions from Open
+	// to Close (nil for Memory).
+	compactor *compactor
 	// lock is the advisory single-writer lock on the Disk backend's index
 	// directory, held from Open to Close. Nil for the Memory backend.
 	lock *dirLock
@@ -174,39 +171,6 @@ func WithDir(path string) Option {
 	}
 }
 
-// WithSyncBytes enables group-commit durability triggered by pending
-// payload volume: once n bytes of records have been appended to a shard
-// since its last fsync, the flusher syncs immediately instead of waiting
-// out the latency bound. This shrinks the crash-loss window (including
-// the resurrected-tombstone window: an unsynced delete record lost in a
-// crash brings the document back on reopen) without paying one fsync per
-// record — concurrent writers share each disk barrier. 1 trips on every
-// record. 0, the default, leaves the trigger unset; values < 0 are
-// ignored. The Memory backend ignores the knob.
-func WithSyncBytes(n int64) Option {
-	return func(r *Retriever) {
-		if n >= 0 {
-			r.syncBytes = n
-		}
-	}
-}
-
-// WithSyncInterval bounds the time an acknowledged write can remain
-// unsynced: the group-commit flusher fsyncs every shard with pending
-// records at most d after the first of them was appended, batching
-// everything that arrived in the window into one fsync per shard. Setting
-// either sync knob (this one or WithSyncBytes) activates the flusher; the
-// interval defaults to DefaultSyncInterval when WithSyncBytes is set
-// without an explicit bound. 0, the default, leaves the bound unset;
-// values < 0 are ignored. The Memory backend ignores the knob.
-func WithSyncInterval(d time.Duration) Option {
-	return func(r *Retriever) {
-		if d >= 0 {
-			r.syncInterval = d
-		}
-	}
-}
-
 // Open creates a retriever, loading any existing index when the Disk
 // backend points at a directory with persisted segments. This is the
 // error-returning constructor; New is the panicking convenience wrapper
@@ -260,7 +224,7 @@ func Open(opts ...Option) (*Retriever, error) {
 		// The manifest's shard count wins: hash routing must match the
 		// layout the segments were written under.
 		r.numShards = m.Shards
-		r.gc = newGroupCommit(r.syncBytes, r.syncInterval)
+		r.compactor = newCompactor()
 		// Shards load concurrently: snapshot loads and replays are
 		// independent per shard, and the shared BM25 statistics updates
 		// are commutative, so the built state is identical to a
@@ -280,7 +244,7 @@ func Open(opts ...Option) (*Retriever, error) {
 				t0 := time.Now()
 				seg := filepath.Join(r.dir, fmt.Sprintf("shard-%04d.seg", i))
 				snap := filepath.Join(r.dir, fmt.Sprintf("shard-%04d.snap", i))
-				logs[i], errs[i] = openDiskBackend(seg, snap, r.emb.Dim(), hnswSeed+int64(i), r.stats, r.gc, r.compactRatio)
+				logs[i], errs[i] = openDiskBackend(seg, snap, r.emb.Dim(), hnswSeed+int64(i), r.stats, r.compactor, r.compactRatio)
 				durs[i] = time.Since(t0)
 			}(i)
 		}
@@ -312,10 +276,10 @@ func Open(opts ...Option) (*Retriever, error) {
 	default:
 		return nil, fmt.Errorf("retriever: unknown backend %q", r.backend)
 	}
-	if r.gc != nil {
-		// The flusher starts only once every shard opened — error paths
+	if r.compactor != nil {
+		// The compactor starts only once every shard opened — error paths
 		// above return before any goroutine exists to leak.
-		go r.flusher()
+		go r.runCompactor()
 	}
 	return r, nil
 }
@@ -363,12 +327,14 @@ func (r *Retriever) acquire(op string) error {
 // release drops a reference taken by acquire.
 func (r *Retriever) release() { r.refs.Add(-1) }
 
-// Flush makes all shards durable (fsync of every segment file and a
-// current snapshot for the Disk backend; a no-op for Memory). Searches keep
-// serving throughout.
+// Flush writes a current snapshot of every Disk shard whose segment grew
+// since its last one (a no-op for Memory), so the next Open bulk-loads
+// instead of replaying; every write is already durable when its call
+// returns. It also returns the first delete or compaction error parked
+// since the last Flush. Searches keep serving throughout.
 //
 // A shard whose dead-record fraction has reached DefaultCompactionRatio is
-// handed to the flusher goroutine and Flush waits for the rewrite without
+// handed to the compactor goroutine and Flush waits for the rewrite without
 // holding any shard lock — writers and searches proceed while Flush
 // blocks, and Flush's post-conditions (compacted segment, current
 // snapshot) hold when it returns.
@@ -381,8 +347,8 @@ func (r *Retriever) Flush() error {
 }
 
 // flush is Flush's body without the lifecycle reference, so Close can run
-// it after draining references but before stopping the flusher. The
-// flusher is running for the whole call — it stops only in Close, after
+// it after draining references but before stopping the compactor. The
+// compactor is running for the whole call — it stops only in Close, after
 // flush returns — so every wait below ends in a committed or failed
 // rewrite.
 //
@@ -427,9 +393,8 @@ func (r *Retriever) flush() error {
 //     so no ingest or flush is still writing a segment file when the
 //     steps below sync and close it;
 //  2. runs Flush's body, so a shard whose compaction is due is rewritten by
-//     the still-running flusher, exactly as a Flush would;
-//  3. stops the group-commit flusher, which syncs any pending records on
-//     its way out;
+//     the still-running compactor, exactly as a Flush would;
+//  3. stops the compactor;
 //  4. closes each Disk shard's log (its segment file).
 //
 // An error from step 2 is Close's first error, but every shard is still
@@ -444,9 +409,9 @@ func (r *Retriever) Close() error {
 		time.Sleep(50 * time.Microsecond)
 	}
 	first := r.flush()
-	if r.gc != nil {
-		close(r.gc.done)
-		<-r.gc.stopped
+	if c := r.compactor; c != nil {
+		close(c.done)
+		<-c.stopped
 	}
 	for _, s := range r.shards {
 		if s.log == nil {
@@ -463,6 +428,22 @@ func (r *Retriever) Close() error {
 		first = err
 	}
 	return first
+}
+
+// Fsyncs returns the cumulative number of segment-file fsyncs across all
+// disk shards (0 for the Memory backend), reported by Service.Stats and
+// the server's /metrics. A write call adds one per shard it appended to,
+// whatever its batch size; Flush and Close sync every shard again.
+func (r *Retriever) Fsyncs() uint64 {
+	var n uint64
+	for _, s := range r.shards {
+		s.mu.Lock()
+		if s.log != nil {
+			n += s.log.fsyncs
+		}
+		s.mu.Unlock()
+	}
+	return n
 }
 
 // Version returns the mutation counter: it increases on every successful
@@ -521,9 +502,13 @@ func (r *Retriever) IndexTables(ctx context.Context, ts []*table.Table) error {
 // shard is populated by its own goroutine. Documents are sorted by ID first, so every shard sees its
 // partition in the same order on every ingest of the same corpus — the
 // resulting HNSW graphs, and therefore search results, are deterministic
-// regardless of input permutation or goroutine scheduling. A canceled ctx
-// abandons un-started embedding and insertion work and returns a typed
-// pnerr.ErrCanceled; documents already inserted stay in the index.
+// regardless of input permutation or goroutine scheduling. On the Disk
+// backend the call returns only after every shard it appended to has
+// fsynced its segment, once per shard, so a document is durable when its
+// call returns; a sync error is returned. A canceled ctx abandons
+// un-started embedding and insertion work and returns a typed
+// pnerr.ErrCanceled; documents already inserted stay in the index, and on
+// disk.
 func (r *Retriever) IndexDocuments(ctx context.Context, ds []docs.Document) error {
 	if err := r.acquire("retriever: index"); err != nil {
 		return err
@@ -575,25 +560,33 @@ func (r *Retriever) IndexDocuments(ctx context.Context, ds []docs.Document) erro
 			// the corpus appear progressively instead of all at once.
 			bds := make([]docs.Document, 0, ingestBatchSize)
 			bvecs := make([][]float32, 0, ingestBatchSize)
-			for start := 0; start < len(part); start += ingestBatchSize {
-				if err := ctx.Err(); err != nil {
-					errs[si] = pnerr.Canceled("retriever: index", err)
-					return
+			var err error
+			start := 0
+			for ; start < len(part) && err == nil; start += ingestBatchSize {
+				if cerr := ctx.Err(); cerr != nil {
+					err = pnerr.Canceled("retriever: index", cerr)
+					break
 				}
-				end := start + ingestBatchSize
-				if end > len(part) {
-					end = len(part)
-				}
+				end := min(start+ingestBatchSize, len(part))
 				bds, bvecs = bds[:0], bvecs[:0]
 				for _, i := range part[start:end] {
 					bds = append(bds, sorted[i])
 					bvecs = append(bvecs, vecs[i])
 				}
-				if err := s.indexBatch(bds, bvecs); err != nil {
-					errs[si] = err
-					return
+				err = s.indexBatch(bds, bvecs)
+			}
+			// One fsync makes every chunk the loop appended durable, also
+			// when a cancellation or a failed chunk cut it short (start > 0:
+			// some chunk went in). A sync error behind an earlier error is
+			// parked for Flush/Close.
+			if s.log != nil && start > 0 {
+				if serr := s.log.syncSegment(); err == nil {
+					err = serr
+				} else {
+					s.log.park(serr)
 				}
 			}
+			errs[si] = err
 		}(si, part)
 	}
 	wg.Wait()
@@ -610,8 +603,13 @@ func (r *Retriever) IndexDocuments(ctx context.Context, ds []docs.Document) erro
 // the IDs were present (an ID listed twice counts once). Shards are
 // written concurrently, each through its deleteBatch (one copy-on-write
 // clone of the published views per shard for the whole batch); searches
-// keep serving against their pinned views throughout. The mutation counter advances once for the
-// whole batch when anything was removed.
+// keep serving against their pinned views throughout. The mutation
+// counter advances once for the whole batch when anything was removed.
+//
+// On the Disk backend every shard that removed a document appends its
+// tombstones and fsyncs its segment before the call returns. The call
+// reports only a count, so a failed append or sync is parked on the shard
+// and returned by the next Flush or Close.
 func (r *Retriever) DeleteDocuments(ids []string) int {
 	if r.acquire("retriever: delete") != nil {
 		return 0

@@ -22,11 +22,14 @@ import (
 // or corrupt snapshot is detected up front and degrades to a full segment
 // replay, never to wrong state.
 //
-// Version 2 lays the HNSW vector arenas (norms, float32 vectors and the
-// optional int8 quantized arrays) out as wire aligned blobs, padded
-// relative to the file start. An open reads the whole file into one buffer
-// and the arenas become zero-copy views of it. Version-1 snapshots (prior builds) fail the version check and degrade to a replay
-// that rewrites the snapshot in the current format.
+// Version 2 lays the HNSW vector arenas (norms and float32 vectors) out as
+// wire aligned blobs, padded relative to the file start; the int8 codes
+// are rebuilt at load, and a snapshot an older build wrote with int8
+// arrays in its HNSW section is rejected and degrades to a replay. An open
+// reads the whole file into one buffer and the arenas become zero-copy
+// views of it. Version-1 snapshots (prior builds) fail the version check
+// and degrade to a replay that rewrites the snapshot in the current
+// format.
 const (
 	snapMagic      = "pnss"
 	snapVersion    = 2

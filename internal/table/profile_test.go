@@ -188,8 +188,9 @@ func TestBuildProfileConcurrentReaders(t *testing.T) {
 }
 
 // TestCorpusBytesPerCell: both kramabench corpora, 4.21M cells, hold at
-// most 10 bytes a cell of live heap once built. A row-major table of
-// 32-byte cells held about 35.
+// most 7 bytes a cell of live heap once built. A row-major table of
+// 32-byte cells held about 35; column vectors that kept their append
+// slack and dictionary index maps held 7.55.
 func TestCorpusBytesPerCell(t *testing.T) {
 	if racebuild.Enabled {
 		t.Skip("race instrumentation changes the heap")
@@ -212,7 +213,7 @@ func TestCorpusBytesPerCell(t *testing.T) {
 	runtime.KeepAlive(corpora)
 	perCell := held / float64(cells)
 	t.Logf("%d cells in %.1f MB of live heap: %.2f B a cell", cells, held/1e6, perCell)
-	if perCell > 10 {
-		t.Errorf("the corpora hold %.2f B a cell, want at most 10", perCell)
+	if perCell > 7 {
+		t.Errorf("the corpora hold %.2f B a cell, want at most 7", perCell)
 	}
 }

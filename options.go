@@ -2,7 +2,6 @@ package pneuma
 
 import (
 	"runtime"
-	"time"
 
 	"pneuma/internal/core"
 	"pneuma/internal/docdb"
@@ -79,17 +78,6 @@ func WithBackend(b Backend) Option { return index(retriever.WithBackend(b)) }
 // directory that already holds an index loads it instead of re-ingesting.
 // See retriever.WithDir.
 func WithIndexDir(dir string) Option { return index(retriever.WithDir(dir)) }
-
-// WithSyncBytes makes BackendDisk fsync a shard as soon as n bytes of
-// records are pending on it instead of waiting out the latency bound, so
-// concurrent writers share each disk barrier; 1 syncs after every record.
-// Default 0 leaves the trigger unset; see retriever.WithSyncBytes.
-func WithSyncBytes(n int64) Option { return index(retriever.WithSyncBytes(n)) }
-
-// WithSyncInterval bounds how long an acknowledged BackendDisk write may
-// stay unsynced (2ms when only WithSyncBytes is set; default 0 leaves
-// durability to Flush/Close); see retriever.WithSyncInterval.
-func WithSyncInterval(d time.Duration) Option { return index(retriever.WithSyncInterval(d)) }
 
 // WithMaxConcurrent bounds how many requests (Send and Search calls
 // across all sessions) execute simultaneously; excess requests queue and

@@ -232,9 +232,9 @@ func (s *Service) LookupTable(name string) (*table.Table, bool) {
 // admitted before, during and after the ingest keep serving without
 // blocking — each query pins the immutable shard views current when it
 // starts, and the new tables become visible batch by batch as the
-// writers publish. Disk-backed indexes append segment records through
-// the group-commit flusher, so durability follows the configured sync
-// policy (or the next Flush/Close).
+// writers publish. On a disk-backed index the call returns only after
+// every shard it wrote has fsynced its segment, so the tables it
+// acknowledges are durable.
 //
 // Cancellation abandons un-started embedding and insertion work and
 // returns a typed ErrCanceled; tables already inserted stay in the index
@@ -259,9 +259,12 @@ func (s *Service) AddTables(ctx context.Context, tables ...*Table) error {
 // scheduler, returning how many of the names were present. Like
 // AddTables, the removal never blocks serving traffic: in-flight queries
 // finish on their pinned views (and may still surface a just-deleted
-// table); queries starting after the call returns do not. Disk-backed
-// indexes log one tombstone record per removed table; the space is
-// reclaimed by the next compaction-triggering Flush.
+// table); queries starting after the call returns do not. A disk-backed
+// index logs one tombstone record per removed table and fsyncs each shard
+// it wrote before the call returns; a failed append or sync is returned
+// by the index's next Flush, or by Close. Once tombstones and replaced
+// records make up half a shard's segment, a background compaction
+// rewrites it to the live records.
 func (s *Service) DeleteTables(ctx context.Context, names ...string) (int, error) {
 	const op = "service: delete tables"
 	if len(names) == 0 {

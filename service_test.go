@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"pneuma"
 	"pneuma/internal/leakcheck"
@@ -327,9 +326,9 @@ func TestIndexOptionsReachRetriever(t *testing.T) {
 	for name := range corpus {
 		names = append(names, name)
 	}
-	// fsyncsMoveOnAdd: with a sync policy, an AddTables that is never
-	// flushed must still reach the disk through the group-commit flusher.
-	fsyncsMoveOnAdd := func(t *testing.T, svc *pneuma.Service, _ string) {
+	// fsyncsMoveOnAdd: on BackendDisk an AddTables that is never flushed
+	// has fsynced the shard it wrote by the time it returns.
+	fsyncsMoveOnAdd := func(t *testing.T, svc *pneuma.Service) {
 		before := svc.Stats().Tables.Fsyncs
 		extra, err := pneuma.ReadCSV("late_arrival", strings.NewReader("a,b\n1,x\n2,y\n"))
 		if err != nil {
@@ -338,11 +337,8 @@ func TestIndexOptionsReachRetriever(t *testing.T) {
 		if err := svc.AddTables(context.Background(), extra); err != nil {
 			t.Fatal(err)
 		}
-		for deadline := time.Now().Add(5 * time.Second); svc.Stats().Tables.Fsyncs == before; {
-			if time.Now().After(deadline) {
-				t.Fatal("no fsync within 5s of an unflushed AddTables")
-			}
-			time.Sleep(time.Millisecond)
+		if got := svc.Stats().Tables.Fsyncs - before; got != 1 {
+			t.Fatalf("an unflushed one-table AddTables made %d fsyncs, want 1", got)
 		}
 	}
 	// segmentsAfterChurn deletes 15 of the 20 tables, flushes, and reports
@@ -392,14 +388,13 @@ func TestIndexOptionsReachRetriever(t *testing.T) {
 				if ret.Backend() != pneuma.BackendDisk || ret.Dir() != dir {
 					t.Errorf("Backend, Dir = %q, %q; want %q, %q", ret.Backend(), ret.Dir(), pneuma.BackendDisk, dir)
 				}
+				fsyncsMoveOnAdd(t, svc)
 				// Disk churn past the compaction ratio rewrites the
 				// segments.
 				if !segmentsAfterChurn(t, svc, dir) {
 					t.Error("default compaction ratio did not shrink the segments")
 				}
 			}},
-		{"WithSyncBytes", true, pneuma.WithSyncBytes(1), fsyncsMoveOnAdd},
-		{"WithSyncInterval", true, pneuma.WithSyncInterval(time.Millisecond), fsyncsMoveOnAdd},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
