@@ -106,10 +106,11 @@ race:
 # adds/deletes/flushes, with quiesce parity against a sequential
 # replay), exercises background compaction racing a paced ingest stream
 # and Close racing a due compaction, holds a huge-k Search to the bytes of
-# k = Len(), and checks the goroutine-leak guard
+# k = Len(), grows a BM25 term table through repeated doublings under
+# concurrent searches, and checks the goroutine-leak guard
 # — the serving paths a sequential test run never stresses.
 race-smoke:
-	$(GO) test -race -short -count=1 -run 'TestService|TestMaterializeMemo|TestBuildProfileConcurrent|TestSearchCanceled|TestIndexDocumentsCanceled|TestQueryPartial|TestQueryCanceled|TestDiskConcurrent|TestChurn|TestBackgroundCompaction|TestCloseCompactsDueShard|TestAcknowledgedWriteIsDurable|TestFsyncsPerTouchedShard|TestSearchHugeK' . ./internal/core/ ./internal/table/ ./internal/retriever/ ./internal/ir/
+	$(GO) test -race -short -count=1 -run 'TestService|TestMaterializeMemo|TestBuildProfileConcurrent|TestSearchCanceled|TestIndexDocumentsCanceled|TestQueryPartial|TestQueryCanceled|TestDiskConcurrent|TestChurn|TestBackgroundCompaction|TestCloseCompactsDueShard|TestAcknowledgedWriteIsDurable|TestFsyncsPerTouchedShard|TestSearchHugeK|TestTermTableGrowthUnderSearch' . ./internal/core/ ./internal/table/ ./internal/retriever/ ./internal/ir/ ./internal/bm25/
 	@echo "race-smoke: ok"
 
 # fuzz-smoke runs each native fuzz target (the two binary decoders, the

@@ -182,6 +182,58 @@ func TestIndexRetainedBytesPerPosting(t *testing.T) {
 	runtime.KeepAlive(texts)
 }
 
+// retainedBytesPerTermBudget is the committed ceiling on the heap an index
+// retains per distinct term, measured by TestIndexRetainedBytesPerTerm: its
+// reading (157.0 on linux/amd64, Go 1.24) plus 25%. A term table of
+// concurrent-map nodes boxing each term and slot read 269.3.
+const retainedBytesPerTermBudget = 196
+
+// TestIndexRetainedBytesPerTerm holds what an index keeps on the heap, per
+// distinct term, after a vocabulary-heavy ingest: 4 000 documents of 10
+// terms each, every term in exactly one document — the shape of generated
+// cell values, which make up most of a table corpus's vocabulary. Each term
+// costs its string, its posting-list header and one-posting list, its
+// document's term-list entry, its Stats count and its term-table entry; a
+// regression here means the term table went back to boxing its entries.
+func TestIndexRetainedBytesPerTerm(t *testing.T) {
+	if racebuild.Enabled {
+		t.Skip("race instrumentation changes heap sizes")
+	}
+	const ndocs, perDoc, batch = 4000, 10, 50
+	ids := make([]string, ndocs)
+	texts := make([]string, ndocs)
+	for i := range ids {
+		var b strings.Builder
+		for j := 0; j < perDoc; j++ {
+			fmt.Fprintf(&b, "v%dx%d ", i, j)
+		}
+		ids[i] = fmt.Sprintf("table-%04d", i)
+		texts[i] = b.String()
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ix := New(Params{})
+	for i := 0; i < ndocs; i += batch {
+		ix.AddBatch(ids[i:i+batch], texts[i:i+batch])
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	terms := ix.Vocabulary()
+	if terms != ndocs*perDoc {
+		t.Fatalf("vocabulary %d, want %d distinct terms", terms, ndocs*perDoc)
+	}
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(terms)
+	t.Logf("%d terms, %.1f retained bytes per term", terms, per)
+	if per > retainedBytesPerTermBudget {
+		t.Fatalf("index retains %.1f bytes per term, budget is %d", per, retainedBytesPerTermBudget)
+	}
+	runtime.KeepAlive(ix)
+	runtime.KeepAlive(texts)
+}
+
 func BenchmarkSearch(b *testing.B) {
 	ix := allocIndex(b)
 	b.ReportAllocs()

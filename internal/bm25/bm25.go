@@ -1,6 +1,7 @@
 package bm25
 
 import (
+	"hash/maphash"
 	"math"
 	"runtime"
 	"sort"
@@ -57,34 +58,93 @@ type docInfo struct {
 	tf []slotTF
 }
 
-// termTable interns terms to dense slots. One table is shared by every
-// view of a slot lineage: slots are append-only and never reassigned
-// within a lineage, so a reader resolving a term against its pinned view
-// simply ignores slots at or beyond the view's own slot count (terms
-// interned after that view was published — see lexView.termSlot).
-// sync.Map fits the access pattern exactly: lookups vastly outnumber
-// inserts, Load is allocation-free on the query path, and only the
-// mutex-serialized writer ever Stores. Sharing one table makes interning
+// termTable interns terms to dense slots: an insert-only open-addressing
+// hash table of int32 entries, each a slot+1 (0 = empty), probed linearly
+// from the term's maphash. An entry stores no key: a probe compares the
+// term against plists[slot].term, the one copy of the string the shard
+// keeps, so a term costs 8 to 16 bytes of table. One table is shared by
+// every view of a slot lineage: slots are append-only and never
+// reassigned within a lineage, so a reader resolving a term against its
+// pinned view treats an entry at or beyond the view's own slot count (a
+// term interned after that view was published) as "keep probing". Every
+// visible term is still reached: linear probing places an older term
+// before any newer one in its probe chain, and a rebuild reinserts the
+// slots in order. Sharing one table makes interning
 // O(new terms) per batch, where the copy-on-write scheme used by the
 // other view state would pay a full-vocabulary clone per batch — ruinous
 // for one-document batches. Anything that reassigns slots (a snapshot
 // restore, a shadow installed by AdoptFrom) starts a new lineage with a
 // fresh table, so a slot's meaning never changes under a live view.
 type termTable struct {
-	m sync.Map // term → int32 slot; the key is the slot's termPostings.term
+	seed maphash.Seed
+	// entries is published whole when the writer rebuilds it, and entry by
+	// entry (atomic stores) in between; readers load both atomically.
+	entries atomic.Pointer[[]int32]
 }
 
-func newTermTable() *termTable { return &termTable{} }
-
-func (t *termTable) lookup(term string) (int32, bool) {
-	v, ok := t.m.Load(term)
-	if !ok {
-		return 0, false
+// newTermTable returns a table less than half full holding every slot of
+// plists.
+func newTermTable(plists []*termPostings) *termTable {
+	n := 16
+	for n <= 2*len(plists) {
+		n *= 2
 	}
-	return v.(int32), true
+	t := &termTable{seed: maphash.MakeSeed()}
+	t.rebuild(plists, n)
+	return t
 }
 
-func (t *termTable) intern(term string, slot int32) { t.m.Store(term, slot) }
+// rebuild publishes a fresh array of n entries (a power of two) holding
+// every slot of plists, inserted in slot order.
+func (t *termTable) rebuild(plists []*termPostings, n int) {
+	e := make([]int32, n)
+	for s, tp := range plists {
+		e[t.free(tp.term, e)] = int32(s + 1)
+	}
+	t.entries.Store(&e)
+}
+
+// home is the index in e where term's probe chain starts.
+func (t *termTable) home(term string, e []int32) int {
+	return int(maphash.String(t.seed, term) & uint64(len(e)-1))
+}
+
+// free is the first empty entry of term's probe chain in e (writer only).
+func (t *termTable) free(term string, e []int32) int {
+	i := t.home(term, e)
+	for e[i] != 0 {
+		i = (i + 1) & (len(e) - 1)
+	}
+	return i
+}
+
+// lookup resolves term to its slot among plists, ignoring slots at or
+// beyond len(plists).
+func (t *termTable) lookup(term string, plists []*termPostings) (int32, bool) {
+	e := *t.entries.Load()
+	for i := t.home(term, e); ; i = (i + 1) & (len(e) - 1) {
+		s := atomic.LoadInt32(&e[i]) - 1
+		if s < 0 {
+			return 0, false
+		}
+		if int(s) < len(plists) && plists[s].term == term {
+			return s, true
+		}
+	}
+}
+
+// intern adds the last slot of plists, whose term lookup just missed (mu
+// held, before the view holding the slot is published). Past half load it
+// rebuilds a doubled array instead, so a probe always ends at an empty
+// entry.
+func (t *termTable) intern(plists []*termPostings) {
+	e := *t.entries.Load()
+	if 2*len(plists) > len(e) {
+		t.rebuild(plists, 2*len(e))
+		return
+	}
+	atomic.StoreInt32(&e[t.free(plists[len(plists)-1].term, e)], int32(len(plists)))
+}
 
 // termPostings is one term's posting list. The struct is allocated once
 // per slot and its address never changes, which keeps the outer plists
@@ -95,8 +155,8 @@ func (t *termTable) intern(term string, slot int32) { t.m.Store(term, slot) }
 // stores the new header; readers load a header once and, because
 // postings are appended in document-index order, trim it to their own
 // view's document range (lexView.postings). term is the one copy of the
-// term string the shard keeps: the term table's key, the Stats key and
-// the snapshot writer all read it from here.
+// term string the shard keeps: the term table's probes compare against
+// it, and the Stats key and the snapshot writer read it from here.
 type termPostings struct {
 	term string
 	data atomic.Pointer[[]posting]
@@ -147,9 +207,11 @@ func (v *lexView) storePostings(first int) {
 // Views share storage where sharing is safe: the document table and the
 // outer plists array grow in place past the published length (readers
 // never index beyond their own view's len), the term table is shared
-// outright (slots are append-only; termSlot bounds every hit by the
-// view's own slot count), and posting lists are shared behind per-term
-// atomic headers bounded per view by document index (termPostings).
+// outright (slots are append-only; termSlot skips every entry at or
+// beyond the view's own slot count, and a doubled entry array is
+// published before the view that needs it), and posting lists are shared
+// behind per-term atomic headers bounded per view by document index
+// (termPostings).
 // State a batch mutates *below* the published length — the document
 // table when tombstoning — is cloned by the draft before the first such
 // mutation. The clone is what bounds a batch's cost: nothing left in the
@@ -213,7 +275,7 @@ func NewWithStats(params Params, st *Stats) *Index {
 		params: params.withDefaults(),
 		byID:   make(map[string]int),
 	}
-	ix.view.Store(&lexView{terms: newTermTable(), stats: st})
+	ix.view.Store(&lexView{terms: newTermTable(nil), stats: st})
 	return ix
 }
 
@@ -238,11 +300,7 @@ func (ix *Index) publish(v *lexView) {
 // writer resolving terms against its draft, whose plists length grows as
 // the batch interns.
 func (v *lexView) termSlot(term string) (int32, bool) {
-	slot, ok := v.terms.lookup(term)
-	if !ok || int(slot) >= len(v.plists) {
-		return 0, false
-	}
-	return slot, true
+	return v.terms.lookup(term, v.plists)
 }
 
 // postings returns the slot's posting list as visible to this view.
@@ -343,8 +401,8 @@ func (ix *Index) addLocked(v *lexView, id string, tokens []string, arena []slotT
 		slot, ok := v.termSlot(term)
 		if !ok {
 			slot = int32(len(v.plists))
-			v.terms.intern(term, slot)
 			v.plists = append(v.plists, &termPostings{term: term})
+			v.terms.intern(v.plists)
 		}
 		v.plists[slot].append(posting{doc: int32(docIdx), tf: tf})
 		arena = append(arena, slotTF{slot: slot, tf: tf})

@@ -11,8 +11,8 @@
 // A batch sorts each text's tokens outside the writer lock and walks
 // their runs under it: each distinct term is interned to a slot and gets
 // an 8-byte (document, term frequency) posting. A term string lives once
-// per index, in its slot's posting-list header, which the term table and
-// the Stats counts key on. A document keeps its (slot, term frequency)
+// per index, in its slot's posting-list header, which the term table's
+// probes compare against and the Stats counts key on. A document keeps its (slot, term frequency)
 // pairs for deletes, 8 bytes each, cut from one arena per batch sized by
 // its distinct terms; no token-count-sized slice outlives the batch.
 //
@@ -55,10 +55,12 @@
 // see its doc.go for the lifecycle). Writers, serialized by a mutex
 // readers never touch, open a batch as a shallow copy of the view and
 // publish it in one atomic swap. A batch's cost is O(its documents),
-// not O(the index): the term→slot table is an insert-only sync.Map
-// shared by every view of a slot lineage (each view bounds lookups by
-// its own slot count, so later batches' terms stay invisible to it),
-// and posting lists grow behind stable per-term atomically published
+// not O(the index): the term→slot table is an insert-only
+// open-addressing array of int32 slot numbers shared by every view of a
+// slot lineage (a probe compares the term with its slot's string and
+// skips slots past the view's own slot count, so later batches' terms
+// stay invisible to it; the writer publishes a doubled array before the
+// view that needs it), and posting lists grow behind stable per-term atomically published
 // headers, trimmed per view by document index — postings are appended
 // in document order, so a view's visible postings are exactly the
 // prefix inside its own document table. Only slot-reassigning installs
@@ -71,9 +73,9 @@
 // postings stored term-wise, terms in sorted order (the writer sorts the
 // view's slots by their term strings), from which the restore rebuilds
 // the inverted index with arena-backed posting lists and per-document
-// slot lists — no re-tokenization, one map insert per distinct term. A
-// posting whose document or term frequency does not fit in 4 bytes is
-// rejected as pnerr.ErrIndexCorrupt, never truncated. A Stats object is
+// slot lists — no re-tokenization, one term-table insert per distinct
+// term. A posting whose document or term frequency does not fit in 4
+// bytes is rejected as pnerr.ErrIndexCorrupt, never truncated. A Stats object is
 // never serialized: its updates are commutative, so each restored shard
 // folds its live aggregate back into the Stats it loads against. The
 // retriever restores each shard against a private Stats and merges it

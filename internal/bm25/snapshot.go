@@ -145,9 +145,6 @@ func (ix *Index) readBody(rd *wire.Reader) error {
 	if int(offs[ndocs]) != total {
 		return fmt.Errorf("bm25: snapshot section: %d per-doc terms vs %d postings", offs[ndocs], total)
 	}
-	// A restore assigns slots from scratch, so it starts a fresh term-table
-	// lineage rather than reusing the empty index's table.
-	terms := newTermTable()
 	plists := make([]*termPostings, 0, nterms)
 	// The live document-frequency aggregate accumulates as a slice of
 	// (slot, live count) and reaches the Stats object only at commit.
@@ -183,7 +180,6 @@ func (ix *Index) readBody(rd *wire.Reader) error {
 		}
 		// Capacity-limited window: appending to this term's list later
 		// reallocates instead of stomping the next term's postings.
-		terms.intern(term, slot)
 		tp := &termPostings{term: term}
 		window := arena[start:len(arena):len(arena)]
 		tp.data.Store(&window)
@@ -202,8 +198,10 @@ func (ix *Index) readBody(rd *wire.Reader) error {
 		docs[i].tf = tfArena[offs[i]:offs[i+1]:offs[i+1]]
 	}
 
-	// Commit: build the restored view and publish it in one swap.
-	v := &lexView{terms: terms, plists: plists, docs: docs, stats: cur.stats}
+	// Commit: build the restored view and publish it in one swap. A
+	// restore assigns slots from scratch, so it starts a fresh term-table
+	// lineage rather than reusing the empty index's table.
+	v := &lexView{terms: newTermTable(plists), plists: plists, docs: docs, stats: cur.stats}
 	byID := make(map[string]int, ndocs)
 	totalLen := 0
 	for slot := range docs {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"time"
 
@@ -40,10 +41,12 @@ import (
 //     completely or stops making progress.
 //  4. Commit (locked, small): replay whatever trickled in since the last
 //     round, fsync the tmp segment (the bulk was already fsynced
-//     off-lock), rename it over the live segment, swap the file handle,
-//     and graft the shadow's HNSW/BM25 state into the live shard index via
-//     AdoptFrom — an O(1) pointer adoption, not a rebuild. Searches
-//     in flight keep their pinned pre-compaction views.
+//     off-lock), rename it over the live segment and fsync the directory
+//     (so appends acknowledged after the swap land in the file the
+//     directory names after a crash), swap the file handle, and graft the
+//     shadow's HNSW/BM25 state into the live shard index via AdoptFrom —
+//     an O(1) pointer adoption, not a rebuild. Searches in flight keep
+//     their pinned pre-compaction views.
 //
 // The invariant that makes this safe: at every step the shadow state is
 // exactly what replaying the tmp segment would build, because both are fed
@@ -415,6 +418,9 @@ func compactOnce(s *shard, maxStall *time.Duration, last bool) (stale bool, err 
 			return false, err
 		}
 		if err := os.Rename(tmp, db.path); err != nil {
+			return false, err
+		}
+		if err := syncDir(filepath.Dir(db.path)); err != nil {
 			return false, err
 		}
 		if err := db.swapSegment(size, recs); err != nil {

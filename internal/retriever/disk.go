@@ -9,6 +9,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync/atomic"
 	"time"
 
 	"pneuma/internal/bm25"
@@ -75,9 +77,9 @@ func loadOrCreateManifest(dir string, shards, dim int) (manifest, error) {
 }
 
 // writeManifest persists the index metadata atomically (tmp + fsync +
-// rename): the manifest pins the shard routing for the whole directory,
-// so a crash mid-write must leave either no manifest or a whole one,
-// never a torn one.
+// rename + directory fsync): the manifest pins the shard routing for the
+// whole directory, so a crash mid-write must leave either no manifest or
+// a whole one, never a torn one.
 func writeManifest(dir string, m manifest) error {
 	raw, err := json.Marshal(m)
 	if err != nil {
@@ -101,7 +103,36 @@ func writeManifest(dir string, m manifest) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// dirSyncs counts the directory fsyncs syncDir made, across every index
+// in the process; tests read it to see that each rename is made durable.
+var dirSyncs atomic.Uint64
+
+// syncDir fsyncs directory dir, making a rename into it durable: until the
+// directory is synced, a crash can bring back the name's old inode, and a
+// later acknowledged write to the new file would be lost with it. Windows
+// cannot fsync a directory handle, and NTFS journals the rename itself.
+func syncDir(dir string) error {
+	if runtime.GOOS == "windows" {
+		return nil
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		dirSyncs.Add(1)
+	}
+	return err
 }
 
 // Segment record op bytes.
@@ -229,6 +260,12 @@ func openDiskBackend(path, snapPath string, dim int, seed int64, st *bm25.Stats,
 			}
 		}
 		if err := writeSegHeader(f, gen); err != nil {
+			f.Close()
+			return nil, err
+		}
+		// The first write call fsyncs the file; the directory entry that
+		// names it needs its own sync.
+		if err := syncDir(filepath.Dir(path)); err != nil {
 			f.Close()
 			return nil, err
 		}

@@ -127,6 +127,47 @@ func TestFsyncsPerTouchedShard(t *testing.T) {
 	}
 }
 
+// TestDirectorySyncs holds every rename that replaces an index file,
+// and the creation of a segment, to a directory fsync before its writer
+// goes on: a fresh manifest and segment, a snapshot written by Flush and a
+// committed compaction each raise the directory-sync count.
+func TestDirectorySyncs(t *testing.T) {
+	before := dirSyncs.Load()
+	r, err := Open(WithShards(1), WithBackend(Disk), WithDir(t.TempDir()), withCompactRatio(0.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := dirSyncs.Load() - before; got != 2 {
+		t.Fatalf("opening a fresh index: %d directory syncs, want 2 (the manifest and the segment)", got)
+	}
+
+	tables := corpusSlice(20)
+	if err := r.IndexTables(context.Background(), tables); err != nil {
+		t.Fatal(err)
+	}
+	before = dirSyncs.Load()
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dirSyncs.Load() - before; got != 1 {
+		t.Fatalf("Flush: %d directory syncs, want 1 (the snapshot)", got)
+	}
+
+	// Deletes past the ratio start a compaction from the write path; no
+	// Flush runs, so no snapshot is written while it commits.
+	before = dirSyncs.Load()
+	for _, tb := range tables[:10] {
+		if !deleteOne(r, "table:"+tb.Schema.Name) {
+			t.Fatalf("delete %s failed", tb.Schema.Name)
+		}
+	}
+	cs := waitForCompactions(t, r, 1)
+	if got := dirSyncs.Load() - before; got < cs.Runs {
+		t.Fatalf("%d committed compactions made %d directory syncs", cs.Runs, got)
+	}
+}
+
 // BenchmarkDiskAddTables measures a disk-backed IndexTables at batches of
 // 1, 8 and 64 tables: each call returns only after its records are
 // fsynced, and fsyncs/batch reports what that costs (at most the shard

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"pneuma/internal/bm25"
@@ -18,9 +19,9 @@ import (
 // header carries the snapshot version, the generation of the segment file
 // it covers and the high-water mark (segment byte offset) up to which the
 // log is folded in; records past the mark are replayed on top. The whole
-// file is CRC32-guarded and written atomically (tmp + rename), so a torn
-// or corrupt snapshot is detected up front and degrades to a full segment
-// replay, never to wrong state.
+// file is CRC32-guarded and written atomically (tmp + fsync + rename +
+// directory fsync), so a torn or corrupt snapshot is detected up front
+// and degrades to a full segment replay, never to wrong state.
 //
 // Version 2 lays the HNSW vector arenas (norms and float32 vectors) out as
 // wire aligned blobs, padded relative to the file start; the int8 codes
@@ -101,6 +102,9 @@ func (b *diskBackend) writeSnapshot() error {
 		return err
 	}
 	if err := os.Rename(tmp, b.snapPath); err != nil {
+		return err
+	}
+	if err := syncDir(filepath.Dir(b.snapPath)); err != nil {
 		return err
 	}
 	b.snapSize = b.segSize
