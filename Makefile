@@ -29,7 +29,9 @@ DOC_PKGS = ./internal/retriever ./internal/ir ./internal/embed ./internal/bm25 .
 # hash join (against a nested loop evaluating = on every pair), over the
 # embedder's token walker (against the allocating Embed and
 # NormalizeTokens it replaced), over AsFloat's string screen (against
-# strconv.ParseFloat) and over column-vector tables (against a row-major
+# strconv.ParseFloat), over ParseTime's layout screens (against the plain
+# ordered loop), over a prompt's token count (against counting its
+# rendered text) and over column-vector tables (against a row-major
 # reference).
 verify: fmt-check vet asmvet xbuild-arm64 xbuild-other tier1 tier1-scalar docs serve-smoke race-smoke fuzz-smoke
 
@@ -119,9 +121,12 @@ race-smoke:
 # across adds, deletes, snapshots and adopts, the SQL hash join's
 # agreement with =, the embedder's bit identity with its reference,
 # FuzzAsFloatAgreesWithParseFloat: AsFloat's string screen against
-# strconv.ParseFloat, and FuzzTableMatchesRows: column-vector tables and
-# their Head, Project, WithColumn, Take and Append against a row-major
-# reference) for 10 seconds —
+# strconv.ParseFloat, FuzzParseTimeMatchesNaive: ParseTime's layout
+# screens against the plain ordered loop, FuzzTokensMatchRender: a
+# request's token count over its parts against counting its rendered text,
+# and FuzzTableMatchesRows: column-vector tables and their Head, Project,
+# WithColumn, Take and Append against a row-major reference) for 10
+# seconds —
 # long enough to shake the mutator through the seed corpus's structural
 # neighborhood on every verify, short enough to keep the gate
 # interactive. Go allows
@@ -135,6 +140,8 @@ fuzz-smoke:
 	$(GO) test ./internal/sqlengine/ -run '^$$' -fuzz '^FuzzJoinKeys$$' -fuzztime 10s
 	$(GO) test ./internal/embed/ -run '^$$' -fuzz '^FuzzEmbedMatchesReference$$' -fuzztime 10s
 	$(GO) test ./internal/value/ -run '^$$' -fuzz '^FuzzAsFloatAgreesWithParseFloat$$' -fuzztime 10s
+	$(GO) test ./internal/value/ -run '^$$' -fuzz '^FuzzParseTimeMatchesNaive$$' -fuzztime 10s
+	$(GO) test ./internal/llm/ -run '^$$' -fuzz '^FuzzTokensMatchRender$$' -fuzztime 10s
 	$(GO) test ./internal/table/ -run '^$$' -fuzz '^FuzzTableMatchesRows$$' -fuzztime 10s
 	@echo "fuzz-smoke: ok"
 

@@ -285,22 +285,13 @@ func (c *Conductor) plan(ctx context.Context, sess *Session, lastError string, a
 	}
 	// The planning prompt carries rendered summaries (schema + a few sample
 	// rows) of every retrieved document — grounding costs real context,
-	// which is what Table 2 measures.
-	{
-		var b strings.Builder
-		for _, d := range sess.Docs {
-			b.WriteString(sess.docSummary(d, 10))
-		}
-		req.Sections = append(req.Sections, llm.Section{Title: "DOCUMENTS", Body: b.String()})
-	}
+	// which is what Table 2 measures. The session's cached summaries are
+	// the section's parts, billed without being concatenated.
+	req.Sections = append(req.Sections, llm.Section{Title: "DOCUMENTS", Body: sess.docSummaries(10)})
 	if !c.specialized {
 		// The unspecialized prompt also drags in the raw document summaries
 		// as prose, inflating context the way a single mega-agent would.
-		var b strings.Builder
-		for _, d := range sess.Docs {
-			b.WriteString(sess.docSummary(d, 40))
-		}
-		req.Sections = append(req.Sections, llm.Section{Title: "ALL_CONTEXT", Body: b.String()})
+		req.Sections = append(req.Sections, llm.Section{Title: "ALL_CONTEXT", Body: sess.docSummaries(40)})
 	}
 	resp, err := c.model.Complete(ctx, req)
 	if err != nil {

@@ -328,6 +328,16 @@ func (sess *Session) docSummary(d docs.Document, sampleRows int) string {
 	return text
 }
 
+// docSummaries is docSummary(d, sampleRows) of every document in sess.Docs,
+// in order.
+func (sess *Session) docSummaries(sampleRows int) []string {
+	parts := make([]string, len(sess.Docs))
+	for i, d := range sess.Docs {
+		parts[i] = sess.docSummary(d, sampleRows)
+	}
+	return parts
+}
+
 // shedDocs drops the lowest-ranked half of the accumulated documents —
 // the Conductor's context-pressure relief valve.
 func (sess *Session) shedDocs() {

@@ -401,7 +401,7 @@ func TestPlanningContextMatchesDirectRendering(t *testing.T) {
 				for _, d := range sess.Docs {
 					want.WriteString(d.Summary(n))
 				}
-				if req.Sections[i].Body != want.String() {
+				if strings.Join(req.Sections[i].Body, "") != want.String() {
 					t.Fatalf("specialized=%v call %d: section %s differs from direct rendering", specialized, planCalls, req.Sections[i].Title)
 				}
 			}

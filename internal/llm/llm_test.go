@@ -120,7 +120,7 @@ func TestMeteredModel(t *testing.T) {
 }
 
 func TestRequestRenderIncludesPayload(t *testing.T) {
-	req := Request{Task: "x", System: "sys", Sections: []Section{{Title: "S", Body: "body"}},
+	req := Request{Task: "x", System: "sys", Sections: []Section{{Title: "S", Body: []string{"bo", "dy"}}},
 		Payload: MarshalPayload(map[string]string{"k": "v"})}
 	r := req.Render()
 	for _, want := range []string{"sys", "## TASK", "x", "## S", "body", `"k":"v"`} {

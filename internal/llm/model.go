@@ -4,7 +4,8 @@
 // GPT-4o); offline Go has neither, so this package provides
 //
 //   - a Model interface every agent talks through,
-//   - exact token accounting over rendered prompts (Table 2),
+//   - exact token accounting over prompts, counted part by part as a
+//     hosted model would receive them rendered (Table 2),
 //   - a per-model pricing catalog and context limits (Table 2 and the O3
 //     context-overflow experiment),
 //   - a deterministic latency model (the 70.26 s/prompt trade-off), and
@@ -13,10 +14,11 @@
 //     decomposition) are deterministic implementations operating on
 //     structured payloads, held in one package-level table.
 //
-// Because every agent interaction flows through Complete with a rendered
-// text prompt, context-size pressures are real: a component that stuffs too
-// much into its prompt genuinely overflows the model's context window. That
-// is what makes the paper's context-specialization claim measurable here.
+// Because every agent interaction flows through Complete and is billed the
+// tokens of its text prompt, context-size pressures are real: a component
+// that stuffs too much into its prompt genuinely overflows the model's
+// context window. That is what makes the paper's context-specialization
+// claim measurable here.
 package llm
 
 import (
@@ -29,17 +31,19 @@ import (
 	"time"
 )
 
-// ErrContextLengthExceeded is returned when a request's rendered prompt
-// exceeds the model's context window — the error the paper's O3 whole-table
-// baseline hits on most questions.
+// ErrContextLengthExceeded is returned when a request's prompt (its
+// Tokens) exceeds the model's context window — the error the paper's O3
+// whole-table baseline hits on most questions.
 var ErrContextLengthExceeded = errors.New("llm: context length exceeded")
 
 // Section is one titled block of prompt context. Components build prompts
 // from sections so specialization (which sections a component includes) is
-// explicit and measurable.
+// explicit and measurable. The body is its parts joined in order: a caller
+// passes the texts it already holds (one per document, say) instead of
+// concatenating them.
 type Section struct {
 	Title string
-	Body  string
+	Body  []string
 }
 
 // Request is one model invocation.
@@ -52,14 +56,14 @@ type Request struct {
 	System string
 	// Sections is the specialized context for this call.
 	Sections []Section
-	// Payload is the machine-readable core of the prompt; it is rendered
-	// into the prompt text (and counted in tokens) and parsed by SimModel.
+	// Payload is the machine-readable core of the prompt; it is part of the
+	// prompt text (and counted in tokens) and parsed by SimModel.
 	Payload json.RawMessage
 }
 
-// Render produces the full prompt text that is token-counted. SimModel also
-// receives the structured payload, but the *cost* of a request is always
-// the cost of this rendering.
+// Render produces the full prompt text: what a hosted model would be sent.
+// The cost of a request is always the token count of this text, which
+// Tokens computes without building it.
 func (r Request) Render() string {
 	var b strings.Builder
 	b.WriteString("## SYSTEM\n")
@@ -71,7 +75,9 @@ func (r Request) Render() string {
 		b.WriteString("## ")
 		b.WriteString(s.Title)
 		b.WriteByte('\n')
-		b.WriteString(s.Body)
+		for _, part := range s.Body {
+			b.WriteString(part)
+		}
 		b.WriteByte('\n')
 	}
 	if len(r.Payload) > 0 {
@@ -80,6 +86,32 @@ func (r Request) Render() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// Tokens is EstimateTokens(r.Render()), counted over the request's parts in
+// Render's order without building the text: the bill SimModel charges.
+func (r Request) Tokens() int {
+	var c tokenCounter
+	countPart(&c, "## SYSTEM\n")
+	countPart(&c, r.System)
+	countPart(&c, "\n## TASK\n")
+	countPart(&c, r.Task)
+	countPart(&c, "\n")
+	for _, s := range r.Sections {
+		countPart(&c, "## ")
+		countPart(&c, s.Title)
+		countPart(&c, "\n")
+		for _, part := range s.Body {
+			countPart(&c, part)
+		}
+		countPart(&c, "\n")
+	}
+	if len(r.Payload) > 0 {
+		countPart(&c, "## PAYLOAD\n")
+		countPart(&c, []byte(r.Payload))
+		countPart(&c, "\n")
+	}
+	return c.total()
 }
 
 // Usage is the token bill for one call.

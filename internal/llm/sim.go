@@ -26,10 +26,11 @@ var skills = map[string]skillFunc{
 // SimModel is the deterministic rule-engine language model. It dispatches
 // on Request.Task to a skill of the package's skill table (conductor
 // planning, integration planning, user simulation, interpretation,
-// question decomposition), bills tokens for the rendered prompt and the
-// rendered completion, enforces its context window, and reports the
-// latency DefaultLatency assigns the call. A SimModel is never written
-// after NewSimModel returns, so any number of goroutines may share one.
+// question decomposition), bills the prompt's tokens (Request.Tokens,
+// counted over its parts without rendering it) and the completion's,
+// enforces its context window, and reports the latency DefaultLatency
+// assigns the call. A SimModel is never written after NewSimModel returns,
+// so any number of goroutines may share one.
 type SimModel struct {
 	name    string
 	context int
@@ -71,8 +72,7 @@ func (m *SimModel) Complete(ctx context.Context, req Request) (Response, error) 
 	if err := ctx.Err(); err != nil {
 		return Response{}, err
 	}
-	prompt := req.Render()
-	inTokens := EstimateTokens(prompt)
+	inTokens := req.Tokens()
 	if inTokens > m.context {
 		return Response{}, fmt.Errorf("%w: prompt is %d tokens, %s allows %d",
 			ErrContextLengthExceeded, inTokens, m.name, m.context)

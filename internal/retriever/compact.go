@@ -3,9 +3,9 @@ package retriever
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -41,12 +41,17 @@ import (
 //     completely or stops making progress.
 //  4. Commit (locked, small): replay whatever trickled in since the last
 //     round, fsync the tmp segment (the bulk was already fsynced
-//     off-lock), rename it over the live segment and fsync the directory
-//     (so appends acknowledged after the swap land in the file the
-//     directory names after a crash), swap the file handle, and graft the
-//     shadow's HNSW/BM25 state into the live shard index via AdoptFrom —
-//     an O(1) pointer adoption, not a rebuild. Searches in flight keep
-//     their pinned pre-compaction views.
+//     off-lock), rename it over the live segment, make the tmp file's
+//     open handle the shard's segment (no reopen, so nothing can fail
+//     between the rename and the swap, and no append ever reaches the
+//     unlinked old file), graft the shadow's HNSW/BM25 state into the
+//     live shard index via AdoptFrom — an O(1) pointer adoption, not a
+//     rebuild — and fsync the directory, so appends acknowledged after
+//     the swap land in the file the directory names after a crash. A
+//     failed directory sync is parked for the next Flush/Close and
+//     retried by the next write's segment sync, which fails rather than
+//     acknowledge a write the directory may not name. Searches in flight
+//     keep their pinned pre-compaction views.
 //
 // The invariant that makes this safe: at every step the shadow state is
 // exactly what replaying the tmp segment would build, because both are fed
@@ -393,6 +398,7 @@ func compactOnce(s *shard, maxStall *time.Duration, last bool) (stale bool, err 
 	s.mu.Lock()
 	t0 = time.Now()
 	before := db.records
+	committed := false
 	stale, err = func() (bool, error) {
 		if err := db.w.Flush(); err != nil {
 			return false, err
@@ -413,29 +419,29 @@ func compactOnce(s *shard, maxStall *time.Duration, last bool) (stale bool, err 
 		if err := tf.Sync(); err != nil {
 			return false, err
 		}
-		tmpOpen = false
-		if err := tf.Close(); err != nil {
-			return false, err
-		}
 		if err := os.Rename(tmp, db.path); err != nil {
 			return false, err
 		}
-		if err := syncDir(filepath.Dir(db.path)); err != nil {
-			return false, err
-		}
-		if err := db.swapSegment(size, recs); err != nil {
-			return false, err
-		}
+		// The rename is the commit. From here the shard must write to tf,
+		// the file db.path now names, never to the unlinked old segment,
+		// so the handle swap comes first and cannot fail.
+		tmpOpen = false
+		old := db.adoptSegment(tf, size, recs)
 		// Graft the shadow into the live index: O(1) pointer adoption
 		// published by atomic view swap, so readers never see a half
 		// state. The document store and live counter need no adoption —
 		// writers kept them current throughout.
 		live.vec.AdoptFrom(shadow.vec)
 		live.lex.AdoptFrom(shadow.lex)
-		return false, nil
+		committed = true
+		// Until the directory is synced a crash can bring back the old
+		// segment; a failed sync is retried before the next write is
+		// acknowledged.
+		db.dirPending = true
+		return false, errors.Join(old.Close(), db.syncPendingDir())
 	}()
 	stallSince(t0)
-	if err == nil && !stale {
+	if committed {
 		db.noteCompaction(before-recs, *maxStall)
 	}
 	s.mu.Unlock()

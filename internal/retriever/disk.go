@@ -115,9 +115,13 @@ var dirSyncs atomic.Uint64
 
 // syncDir fsyncs directory dir, making a rename into it durable: until the
 // directory is synced, a crash can bring back the name's old inode, and a
-// later acknowledged write to the new file would be lost with it. Windows
-// cannot fsync a directory handle, and NTFS journals the rename itself.
-func syncDir(dir string) error {
+// later acknowledged write to the new file would be lost with it. It is a
+// variable so this package's tests can make it fail.
+var syncDir = fsyncDir
+
+// fsyncDir is syncDir's implementation. Windows cannot fsync a directory
+// handle, and NTFS journals the rename itself.
+func fsyncDir(dir string) error {
 	if runtime.GOOS == "windows" {
 		return nil
 	}
@@ -212,6 +216,11 @@ type diskBackend struct {
 	// Flush/Close, and the cumulative fsync count (Retriever.Fsyncs).
 	parked error
 	fsyncs uint64
+	// dirPending is set while the directory sync after a compaction's
+	// rename has not succeeded: until it does, a crash can bring back
+	// the old segment, so syncSegment retries it before any write is
+	// acknowledged.
+	dirPending bool
 
 	// Background-compaction state, guarded by the shard lock (compact.go).
 	// compactDone is non-nil while a rewrite is scheduled or running and is
@@ -528,8 +537,12 @@ func (b *diskBackend) park(err error) {
 // call makes every record appended since the previous sync durable; each
 // write call runs it once per shard it appended to, after its last
 // record, so a batch costs one fsync per touched shard, not one per
-// record.
+// record. A directory sync a compaction's commit could not complete is
+// retried first (see dirPending).
 func (b *diskBackend) syncSegment() error {
+	if err := b.syncPendingDir(); err != nil {
+		return err
+	}
 	if err := b.w.Flush(); err != nil {
 		return err
 	}
@@ -538,6 +551,19 @@ func (b *diskBackend) syncSegment() error {
 		return err
 	}
 	b.fsyncs++
+	return nil
+}
+
+// syncPendingDir fsyncs the shard's directory if a compaction renamed a
+// segment into it that no directory sync has yet made durable.
+func (b *diskBackend) syncPendingDir() error {
+	if !b.dirPending {
+		return nil
+	}
+	if err := syncDir(filepath.Dir(b.path)); err != nil {
+		return err
+	}
+	b.dirPending = false
 	return nil
 }
 
@@ -580,31 +606,22 @@ func (b *diskBackend) shouldCompact() bool {
 	return float64(dead)/float64(b.records) >= b.compactRatio
 }
 
-// swapSegment retargets the shard's write state at the freshly renamed
-// segment file of the given logical size and record count: the old handle
-// is swapped for a new one positioned at the segment's end, the
-// generation advances, and the snapshot watermark resets (the previous
-// snapshot's generation is now stale). Shard lock held.
-func (b *diskBackend) swapSegment(size, recs int64) error {
-	if err := b.f.Close(); err != nil {
-		return err
-	}
-	nf, err := os.OpenFile(b.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := nf.Seek(size, io.SeekStart); err != nil {
-		nf.Close()
-		return err
-	}
-	b.f = nf
-	b.w.Reset(nf)
+// adoptSegment makes f, the compacted segment just renamed over b.path,
+// the shard's segment: f is open for reading and writing and positioned at
+// its end, which the logical size and record count describe. The
+// generation advances and the snapshot watermark resets (the previous
+// snapshot's generation is now stale). It cannot fail, so from the rename
+// on the shard never appends to the unlinked old segment, whose handle it
+// returns for the caller to close. Shard lock held.
+func (b *diskBackend) adoptSegment(f *os.File, size, recs int64) (old *os.File) {
+	old, b.f = b.f, f
+	b.w.Reset(f)
 	b.gen++
 	b.segSize = size
 	b.flushed = size
 	b.snapSize = 0
 	b.records = recs
-	return nil
+	return old
 }
 
 // Close flushes (sync, and the snapshot if stale) and closes the segment

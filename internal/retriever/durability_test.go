@@ -2,9 +2,11 @@ package retriever
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"pneuma/internal/table"
@@ -195,6 +197,90 @@ func BenchmarkDiskAddTables(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(r.Fsyncs())/float64(b.N), "fsyncs/batch")
+		})
+	}
+}
+
+// TestCompactionCommitFailureLosesNoWrite: when the directory sync after a
+// compaction's rename fails, the shard must still append to the segment
+// the directory names, not to the unlinked old one. The next write call
+// either fails or is acknowledged and survives a reopen, and the sync error
+// reaches that write call or the next Flush. The sync fails once (the
+// write's retry succeeds) or until the test restores it (the write, which
+// the directory may not name after a crash, must fail).
+func TestCompactionCommitFailureLosesNoWrite(t *testing.T) {
+	for _, persistent := range []bool{false, true} {
+		t.Run(fmt.Sprintf("persistent=%v", persistent), func(t *testing.T) {
+			injected := errors.New("injected directory sync failure")
+			var failing atomic.Bool
+			real := syncDir
+			syncDir = func(dir string) error {
+				if failing.Load() {
+					if !persistent {
+						failing.Store(false)
+					}
+					return injected
+				}
+				return real(dir)
+			}
+			defer func() { syncDir = real }()
+
+			dir := t.TempDir()
+			r, err := Open(WithShards(1), WithBackend(Disk), WithDir(dir), withCompactRatio(compactionOff))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables := corpusSlice(21)
+			if err := r.IndexTables(context.Background(), tables[:20]); err != nil {
+				t.Fatal(err)
+			}
+			for _, tb := range tables[:10] {
+				if !deleteOne(r, "table:"+tb.Schema.Name) {
+					t.Fatalf("delete %s failed", tb.Schema.Name)
+				}
+			}
+
+			// Run exactly one compaction, with the directory sync failing.
+			failing.Store(true)
+			s := r.shards[0]
+			s.mu.Lock()
+			s.log.compactRatio = 0.2
+			done := s.log.scheduleCompactLocked()
+			s.mu.Unlock()
+			<-done
+			s.mu.Lock()
+			s.log.compactRatio = compactionOff
+			s.mu.Unlock()
+			if cs := r.CompactionStats(); cs.Runs != 1 {
+				t.Fatalf("compaction did not commit: %+v", cs)
+			}
+
+			added := "table:" + tables[20].Schema.Name
+			werr := r.IndexTables(context.Background(), tables[20:])
+			ferr := r.Flush()
+			if !errors.Is(werr, injected) && !errors.Is(ferr, injected) {
+				t.Fatalf("the failed directory sync reached neither the next write (%v) nor Flush (%v)", werr, ferr)
+			}
+			r.Close()
+			syncDir = real
+
+			re, err := Open(WithBackend(Disk), WithDir(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if _, ok := re.Document(added); werr == nil && !ok {
+				t.Fatalf("IndexTables of %s was acknowledged after the failed commit and lost at reopen", added)
+			}
+			if persistent && werr == nil {
+				t.Fatal("a write was acknowledged while the directory sync that makes its segment durable kept failing")
+			}
+			t.Logf("next write: %v; Flush: %v", werr, ferr)
+			for _, tb := range tables[10:20] {
+				if _, ok := re.Document("table:" + tb.Schema.Name); !ok {
+					t.Fatalf("reopen lost table:%s", tb.Schema.Name)
+				}
+			}
 		})
 	}
 }

@@ -323,28 +323,76 @@ func (v Value) AsTime() (time.Time, bool) {
 
 // timeLayouts are tried in order by ParseTime. The list covers the formats
 // the synthetic datasets and the transform toolkit emit or must repair.
-var timeLayouts = []string{
-	"2006-01-02T15:04:05Z07:00",
-	"2006-01-02 15:04:05",
-	"2006-01-02",
-	"2006/01/02",
-	"01/02/2006",
-	"02-01-2006",
-	"January 2, 2006",
-	"Jan 2, 2006",
-	"2 January 2006",
-	"2006-01",
-	"2006",
+// Each layout carries a screen: a test of the input's length and fixed
+// bytes that every string the layout parses passes, so a layout the screen
+// rules out is skipped without calling time.Parse, which allocates a
+// *time.ParseError on each failure. A screen may pass strings its layout
+// then rejects, never the reverse, so the first layout that parses still
+// wins.
+var timeLayouts = []struct {
+	layout string
+	screen func(s string) bool
+}{
+	{"2006-01-02T15:04:05Z07:00", func(s string) bool { return digitThen(s, 4, '-') && len(s) > 10 && s[10] == 'T' }},
+	{"2006-01-02 15:04:05", func(s string) bool { return digitThen(s, 4, '-') && len(s) > 10 && s[10] == ' ' }},
+	{"2006-01-02", func(s string) bool { return digitThen(s, 4, '-') && len(s) == 10 }},
+	{"2006/01/02", func(s string) bool { return digitThen(s, 4, '/') }},
+	{"01/02/2006", func(s string) bool { return digitThen(s, 2, '/') }},
+	{"02-01-2006", func(s string) bool { return digitThen(s, 2, '-') }},
+	{"January 2, 2006", func(s string) bool { return monthFirst(s, false) }},
+	{"Jan 2, 2006", func(s string) bool { return monthFirst(s, true) }},
+	{"2 January 2006", func(s string) bool { return digitThen(s, 1, ' ') || digitThen(s, 2, ' ') }},
+	{"2006-01", func(s string) bool { return digitThen(s, 4, '-') && len(s) == 7 }},
+	{"2006", func(s string) bool { return len(s) == 4 && isDigit(s[0]) }},
 }
 
-// ParseTime parses s using the shared layout list.
+func isDigit(b byte) bool { return '0' <= b && b <= '9' }
+
+// digitThen reports whether s starts with a digit and has sep at byte i:
+// the shape of a fixed-width number field followed by a separator.
+func digitThen(s string, i int, sep byte) bool {
+	return len(s) > i && isDigit(s[0]) && s[i] == sep
+}
+
+// monthFirst reports whether s starts with the name of a month, in any
+// ASCII case as time.Parse matches it: the full name, or its first three
+// letters when short is set.
+func monthFirst(s string, short bool) bool {
+	for m := time.January; m <= time.December; m++ {
+		name := m.String()
+		if short {
+			name = name[:3]
+		}
+		if len(s) >= len(name) && hasPrefixFold(s, name) {
+			return true
+		}
+	}
+	return false
+}
+
+// hasPrefixFold reports whether s starts with the ASCII letters of prefix
+// in any case (len(s) >= len(prefix)).
+func hasPrefixFold(s, prefix string) bool {
+	for i := range len(prefix) {
+		if s[i]|0x20 != prefix[i]|0x20 {
+			return false
+		}
+	}
+	return true
+}
+
+// ParseTime parses s using the shared layout list: the first layout that
+// parses it wins.
 func ParseTime(s string) (time.Time, bool) {
 	s = strings.TrimSpace(s)
 	if s == "" {
 		return time.Time{}, false
 	}
-	for _, layout := range timeLayouts {
-		if t, err := time.Parse(layout, s); err == nil {
+	for _, l := range timeLayouts {
+		if !l.screen(s) {
+			continue
+		}
+		if t, err := time.Parse(l.layout, s); err == nil {
 			return t.UTC(), true
 		}
 	}

@@ -191,6 +191,83 @@ func TestParseTimeLayouts(t *testing.T) {
 	}
 }
 
+// parseTimeNaive is ParseTime without the layout screens: every layout in
+// order through time.Parse, the first that parses winning.
+func parseTimeNaive(s string) (time.Time, bool) {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return time.Time{}, false
+	}
+	for _, l := range timeLayouts {
+		if t, err := time.Parse(l.layout, s); err == nil {
+			return t.UTC(), true
+		}
+	}
+	return time.Time{}, false
+}
+
+// parseTimeInputs are one example of each layout plus near misses: a date
+// cut short or run long, another separator, a one-digit field, a month
+// name in another case, an out-of-range field, words and codes.
+var parseTimeInputs = []string{
+	"2021-03-05T14:30:00Z", "2021-03-05T14:30:00+02:00", "2021-03-05T4:30:00Z", "2021-03-05T14:30:00.123Z",
+	"2021-03-05t14:30:00Z", "2021-03-05 14:30:00", "2021-03-05  14:30:00", "2021-03-05 14:30:00.5",
+	"2021-03-05", "2021-3-05", "2021-03-5", "2021-03-055", "2021/03/05", "2021/3/5", "03/05/2021",
+	"3/05/2021", "05-03-2021", "5-03-2021", "March 5, 2021", "march 5, 2021", "MARCH 5,  2021",
+	"Mar 5, 2021", "mAr 05, 2021", "Sept 5, 2021", "5 March 2021", "05 March 2021", "5  March 2021",
+	"5 Mar 2021", "2021-03", "2021-13", "2021", "0000", "-2021", "+2021", "20210", "2021-02-30",
+	"  2021-03-05  ", "\t2021-03-05\n", "not a date", "A-12", "March", "Marching", "12345", "1,234",
+	"", "  ", "2", "29", "2 ", "Jan", "J", "2021-03-05T", "2021-03-05 ", "99/99/9999", "2021\u00a0",
+}
+
+func checkParseTime(t *testing.T, s string) {
+	t.Helper()
+	got, ok := ParseTime(s)
+	want, wantOK := parseTimeNaive(s)
+	if ok != wantOK || got != want {
+		t.Fatalf("ParseTime(%q) = (%v, %v), the ordered loop gives (%v, %v)", s, got, ok, want, wantOK)
+	}
+}
+
+// TestParseTimeMatchesNaive holds ParseTime's screened loop to the plain
+// ordered one on every input above and on each of them with one byte
+// replaced by a digit, a separator, a letter or a space.
+func TestParseTimeMatchesNaive(t *testing.T) {
+	for _, s := range parseTimeInputs {
+		checkParseTime(t, s)
+		for i := range len(s) {
+			for _, c := range []byte("09-/:T ,aZ+") {
+				checkParseTime(t, s[:i]+string(c)+s[i+1:])
+			}
+		}
+	}
+}
+
+// FuzzParseTimeMatchesNaive is TestParseTimeMatchesNaive on arbitrary
+// strings: the screens must never skip a layout that parses.
+func FuzzParseTimeMatchesNaive(f *testing.F) {
+	for _, s := range parseTimeInputs {
+		f.Add(s)
+	}
+	f.Fuzz(checkParseTime)
+}
+
+// TestParseTimeSkipsLayoutsWithoutAllocating: every failed time.Parse
+// allocates a *time.ParseError, so a date in any layout, and a word or
+// code no screen admits, must parse (or be turned away) with no
+// allocation.
+func TestParseTimeSkipsLayoutsWithoutAllocating(t *testing.T) {
+	if racebuild.Enabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	for _, s := range []string{"2021-03-05", "2021/03/05", "03/05/2021", "05-03-2021", "March 5, 2021",
+		"Mar 5, 2021", "5 March 2021", "2021-03", "2021", "2021-03-05 14:30:00", "suspect", "A-12", "12345", "1,234.5"} {
+		if n := testing.AllocsPerRun(100, func() { ParseTime(s) }); n != 0 {
+			t.Errorf("ParseTime(%q) allocates %.0f times, want 0", s, n)
+		}
+	}
+}
+
 func TestInfer(t *testing.T) {
 	cases := []struct {
 		in   string
